@@ -26,9 +26,8 @@ from .hankel import (PolyEval, RecurrenceTable, dN_kernel, epsilon_eval,
 from .semiclassical import (AuxPair, LaxData, Report, build_lax,
                             ladder_integrals, theta_kappa_from_recurrence,
                             verify_identities)
-from .oracle import (FDResult, QuadratureSpec, dN_by_quadrature,
-                     delta_by_quadrature, finite_difference,
-                     gram_schmidt_recurrence, inner_product)
+from .oracle import (FDResult, dN_by_quadrature, delta_by_quadrature,
+                     finite_difference, gram_schmidt_recurrence, inner_product)
 from .painleve import (HamiltonPoint, PVParams, StepControl, Trajectory,
                        ab_flow_check, evolve, from_hamiltonian,
                        hamilton_rhs, hamiltonian_eval, ode_rhs, pv_residual,

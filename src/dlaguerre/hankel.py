@@ -38,7 +38,7 @@ from .errors import (CrossCheckError, PrecisionExhausted, SingularHankel,
                      UnsupportedParameters)
 from .moments import MomentTable, WeightParams, build_moment_table
 from .precision import PrecisionCtx, to_mpf, workprec
-from .quadrature import integrate_weighted, weight_nucleus
+from .quadrature import integrate_weighted
 
 
 def _det_with_condition(rows):
@@ -281,16 +281,12 @@ def epsilon_eval(table: RecurrenceTable, moments: MomentTable, n: int, x,
                 "epsilon_eval requires x < 0 or a complex x off [0, inf)")
 
         def fn(s):
-            pe = orthopoly_eval(table, n, s)
-            return pe.value_n * weight_nucleus(s, params) / (x - s)
+            return orthopoly_eval(table, n, s).value_n / (x - s)
 
-        # eps_n ~ x^{-n-1}: far from the support the O(1/x) segment masses
+        # eps_n ~ x^{-n-1}: far from the support the O(1/x) node masses
         # cancel down by n+1 orders in |x|; widen the digits to compensate
         cancel = int((n + 1) * mp.log10(1 + abs(x))) + 10
-        dist = abs(x) if mp.re(x) <= 0 else abs(mp.im(x))
-        res = integrate_weighted(fn, params, prec, extra_degree=n,
-                                 rel_scale=None, extra_digits=cancel,
-                                 tail_weight=1 / max(dist, mp.mpf(1)))
+        res = integrate_weighted(fn, params, prec, extra_digits=cancel, pole=x)
     with workprec(prec):
         return +res.value
 
@@ -307,14 +303,10 @@ def epsilon_derivative_eval(table: RecurrenceTable, moments: MomentTable,
                 "epsilon derivative requires x < 0 or complex x off [0, inf)")
 
         def fn(s):
-            pe = orthopoly_eval(table, n, s)
-            return -pe.value_n * weight_nucleus(s, params) / (x - s) ** 2
+            return -orthopoly_eval(table, n, s).value_n / (x - s) ** 2
 
         cancel = int((n + 2) * mp.log10(1 + abs(x))) + 10
-        dist = abs(x) if mp.re(x) <= 0 else abs(mp.im(x))
-        res = integrate_weighted(fn, params, prec, extra_degree=n,
-                                 extra_digits=cancel,
-                                 tail_weight=1 / max(dist, mp.mpf(1)) ** 2)
+        res = integrate_weighted(fn, params, prec, extra_digits=cancel, pole=x)
     with workprec(prec):
         return +res.value
 
@@ -328,10 +320,8 @@ def stieltjes_eval(moments: MomentTable, x, prec: PrecisionCtx = None):
         if mp.im(x) == 0 and mp.re(x) >= 0:
             raise UnsupportedParameters("stieltjes_eval requires x off [0, inf)")
         cancel = int(mp.log10(1 + abs(x))) + 10
-        dist = abs(x) if mp.re(x) <= 0 else abs(mp.im(x))
-        res = integrate_weighted(
-            lambda s: weight_nucleus(s, params) / (x - s), params, prec,
-            extra_digits=cancel, tail_weight=1 / max(dist, mp.mpf(1)))
+        res = integrate_weighted(lambda s: 1 / (x - s), params, prec,
+                                 extra_digits=cancel, pole=x)
     with workprec(prec):
         return +res.value
 

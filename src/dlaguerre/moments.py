@@ -24,6 +24,7 @@ split quadrature of the defining integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
@@ -31,14 +32,18 @@ import mpmath as mp
 from .errors import (CrossCheckError, NoConvergence, NonterminatingPolePassed,
                      UnsupportedParameters)
 from .precision import PrecisionCtx, to_mpf, workprec
-from .quadrature import integrate_weighted, weight_nucleus, weight_value
+from .quadrature import integrate_weighted, weight_value
 
 
 def _is_nonneg_int(x) -> bool:
+    """True for a non-negative integer value, as a number or a string ("2.0")."""
+    if isinstance(x, mp.mpf):
+        return mp.isint(x) and x >= 0
     try:
-        return float(x) == int(x) and int(x) >= 0
-    except (TypeError, ValueError):
+        v = Fraction(x)
+    except (TypeError, ValueError, OverflowError):
         return False
+    return v.denominator == 1 and v >= 0
 
 
 @dataclass(frozen=True)
@@ -58,15 +63,22 @@ class WeightParams:
     t: object
 
     def __post_init__(self):
+        if any(isinstance(v, bool)
+               for v in (self.alpha, self.mu, self.zeta, self.t)):
+            raise UnsupportedParameters("weight parameters must be numbers")
         if not _is_nonneg_int(self.alpha):
             raise UnsupportedParameters("alpha must be a non-negative integer")
         with mp.workprec(64):
-            if not to_mpf(self.mu) >= 0:
-                raise UnsupportedParameters("mu must be >= 0")
+            # integer values are stored as int, so int(alpha), int(mu) hold
+            object.__setattr__(self, "alpha", int(to_mpf(self.alpha)))
+            if self.mu_is_integer:
+                object.__setattr__(self, "mu", int(to_mpf(self.mu)))
+            if not mp.isfinite(to_mpf(self.mu)) or not to_mpf(self.mu) >= 0:
+                raise UnsupportedParameters("mu must be finite and >= 0")
             if not to_mpf(self.zeta) < 1:
                 raise UnsupportedParameters("zeta must be < 1")
-            if not to_mpf(self.t) >= 0:
-                raise UnsupportedParameters("t must be >= 0")
+            if not mp.isfinite(to_mpf(self.t)) or not to_mpf(self.t) >= 0:
+                raise UnsupportedParameters("t must be finite and >= 0")
 
     @property
     def mu_is_integer(self) -> bool:
@@ -131,15 +143,10 @@ def confluent_1f1(a, b, z, prec: PrecisionCtx):
         return +total
 
 
-def gamma_p(x):
-    """Gamma at positive real argument, at the working precision."""
-    return mp.gamma(to_mpf(x))
-
-
 def moment_limit_t0(k: int, params: WeightParams, prec: PrecisionCtx):
     """mu_k at t = 0: the weight degenerates to (1-zeta) x^(alpha+mu) e^{-x}."""
     with workprec(prec, 20):
-        val = (1 - to_mpf(params.zeta)) * gamma_p(
+        val = (1 - to_mpf(params.zeta)) * mp.gamma(
             mp.mpf(k) + to_mpf(params.alpha) + to_mpf(params.mu) + 1)
     with workprec(prec):
         return +val
@@ -162,27 +169,19 @@ def moment_closed_form(k: int, params: WeightParams, prec: PrecisionCtx):
         s = k + a_i + m_i
         f_head = confluent_1f1(-a_i, -s, -t, prec)
         f_tail = confluent_1f1(-(k + m_i), -s, t, prec)
-        val = gamma_p(s + 1) * (f_head - zeta * mp.exp(-t) * f_tail)
+        val = mp.gamma(s + 1) * (f_head - zeta * mp.exp(-t) * f_tail)
     with workprec(prec):
         return +val
 
 
 def moment_quadrature(k: int, params: WeightParams, prec: PrecisionCtx):
-    """mu_k by adaptive split quadrature of the defining integral.
+    """mu_k by split Gauss quadrature of the defining integral.
 
-    Works for real mu > -1; the only route available off the integer grid.
+    Works for real mu >= 0; the only route available off the integer grid.
     """
     if k < 0:
         raise UnsupportedParameters("k must be >= 0")
-    with workprec(prec, 20):
-        kk = mp.mpf(k)
-
-        def fn(x):
-            return weight_nucleus(x, params) * x ** kk
-
-        res = integrate_weighted(fn, params, prec, extra_degree=k)
-    with workprec(prec):
-        return +res.value
+    return integrate_weighted(lambda x: x ** k, params, prec).value
 
 
 @dataclass(frozen=True)

@@ -10,107 +10,24 @@ finite_difference supplies derivative oracles with Richardson error
 estimates.  Results carry error estimates; assertions downstream compare
 |value - reference| against estimate + tolerance.
 
-The N = 3 tensor integral runs in float64 (numpy contraction over
-composite Gauss-Legendre panels with a node-doubling error estimate):
-its acceptance tolerance of 1e-10 leaves double precision a comfortable
-margin, while N <= 2 and everything else stays in mpmath.
+The tensor integrals are mpf sums over the split Gauss node list of
+quadrature.weighted_nodes at the caller's precision.  The value uses
+`nodes` per panel (by default the second rung of quadrature.LADDER); its
+error estimate is the difference from the sum at nodes // 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import mpmath as mp
-import numpy as np
 
 from .errors import QuadratureFailure, UnsupportedParameters
 from .hankel import RecurrenceTable, orthopoly_eval
 from .moments import MomentTable, WeightParams, build_moment_table
 from .precision import PrecisionCtx, to_mpf, workprec
-from .quadrature import (QuadResult, integrate_weighted, tail_bound,
-                         tail_cutoff, weight_nucleus)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Segment layout and node budget for the tensor-product oracles."""
-
-    splits: Sequence
-    nodes_per_segment: int
-    prec: PrecisionCtx
-
-    def __post_init__(self):
-        pts = [to_mpf(s) for s in self.splits]
-        if any(not b > a for a, b in zip(pts[:-1], pts[1:])):
-            raise ValueError("splits must be strictly increasing")
-
-
-def default_spec(params: WeightParams, prec: PrecisionCtx,
-                 extra_degree: int = 6, nodes: int = 80) -> QuadratureSpec:
-    """Split at 0, t, a few tail points, and the rigorous cutoff."""
-    with workprec(prec):
-        T = tail_cutoff(params, extra_degree)
-        t = to_mpf(params.t)
-        splits = [mp.mpf(0)]
-        if t > 0:
-            splits.append(t)
-        for c in (2, 8, 25, 70):
-            if t + c < T:
-                splits.append(t + c)
-        splits.append(T)
-    return QuadratureSpec(tuple(splits), nodes, prec)
-
-
-def _gl_nodes_mp(a, b, m):
-    """m-point Gauss-Legendre nodes/weights on [a, b] at working precision."""
-    nodes = []
-    for j in range(1, m + 1):
-        # Newton from the Chebyshev initial guess on [-1, 1]
-        x = mp.cos(mp.pi * (j - mp.mpf(1) / 4) / (m + mp.mpf(1) / 2))
-        for _ in range(60):
-            p0, p1 = mp.mpf(1), x
-            for k in range(2, m + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = m * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < mp.eps * 16:
-                break
-        w = 2 / ((1 - x * x) * dp * dp)
-        nodes.append((x, w))
-    half = (b - a) / 2
-    mid = (a + b) / 2
-    return [(mid + half * x, half * w) for (x, w) in nodes]
-
-
-_GL_CACHE: dict = {}
-
-
-def _gl_cached(m: int, prec_bits: int):
-    key = (m, prec_bits)
-    if key not in _GL_CACHE:
-        with mp.workprec(prec_bits):
-            _GL_CACHE[key] = _gl_nodes_mp(mp.mpf(-1), mp.mpf(1), m)
-    return _GL_CACHE[key]
-
-
-def _weighted_nodes(spec: QuadratureSpec, params: WeightParams, m: int):
-    """All (x_i, w_i * w(x_i)) pairs across the segments, at mp precision."""
-    out = []
-    zeta = to_mpf(params.zeta)
-    t = to_mpf(params.t)
-    base = _gl_cached(m, spec.prec.significand_bits)
-    for a, b in zip(spec.splits[:-1], spec.splits[1:]):
-        a, b = to_mpf(a), to_mpf(b)
-        half, mid = (b - a) / 2, (a + b) / 2
-        fac = (1 - zeta) if a >= t and t > 0 else mp.mpf(1)
-        if t == 0:
-            fac = 1 - zeta
-        for (x0, w0) in base:
-            x = mid + half * x0
-            out.append((x, half * w0 * fac * weight_nucleus(x, params)))
-    return out
+from .quadrature import (GUARD_BITS, LADDER, QuadResult, integrate_weighted,
+                         weighted_nodes)
 
 
 def inner_product(index_pair, table: RecurrenceTable, moments: MomentTable,
@@ -120,139 +37,65 @@ def inner_product(index_pair, table: RecurrenceTable, moments: MomentTable,
     i, j = index_pair
     if max(i, j) > table.n_max:
         raise UnsupportedParameters("polynomial degree exceeds table n_max")
-    params = table.params
     with workprec(prec, 20):
         def fn(s):
             pi = orthopoly_eval(table, i, s).value_n
-            pj = pi if j == i else orthopoly_eval(table, j, s).value_n
-            return pi * pj * weight_nucleus(s, params)
+            return pi * pi if j == i else pi * orthopoly_eval(table, j, s).value_n
 
-        res = integrate_weighted(fn, params, prec, extra_degree=i + j,
-                                 rel_scale=1)
+        return integrate_weighted(fn, table.params, prec, rel_scale=1).value
+
+
+def _vandermonde_sum(pts, N):
+    """sum over N-tuples of nodes of prod W * prod_{i<j} (x_j - x_i)^2 / N!."""
+    if N == 1:
+        return mp.fsum(w for (_, w) in pts)
+    if N == 2:
+        return mp.fsum(w1 * mp.fdot((w2, (x2 - x1) ** 2) for (x2, w2) in pts)
+                       for (x1, w1) in pts) / 2
+    xs = [x for (x, _) in pts]
+    ws = [w for (_, w) in pts]
+    d2 = [[(xj - xi) ** 2 for xj in xs] for xi in xs]
+    total = []
+    for i, wi in enumerate(ws):
+        # sum_{j,k} c_j (x_k - x_j)^2 c_k with c_j = W_j (x_j - x_i)^2
+        col = [d * w for d, w in zip(d2[i], ws)]
+        total.append(wi * mp.fdot(col, [mp.fdot(row, col) for row in d2]))
+    return mp.fsum(total) / 6
+
+
+def _tensor(params: WeightParams, N: int, prec: PrecisionCtx, nodes: int,
+            insert=None) -> QuadResult:
+    """N-fold tensor integral at nodes and nodes // 2 per panel."""
+    with workprec(prec, GUARD_BITS):
+        def value_at(m):
+            pts = weighted_nodes(params, m)
+            if insert is not None:
+                pts = [(x, w * insert(x)) for (x, w) in pts]
+            return _vandermonde_sum(pts, N)
+
+        fine = value_at(nodes)
+        err = abs(fine - value_at(nodes // 2))
     with workprec(prec):
-        return +res.value
-
-
-def orthonormality_defect(index_pair, table, moments, prec=None):
-    """|<p_i, p_j> - delta_ij|."""
-    i, j = index_pair
-    v = inner_product(index_pair, table, moments, prec)
-    return abs(v - (1 if i == j else 0))
-
-
-ORACLE_BITS = 128  # tensor integrals run at this tier; estimates stay honest
+        return QuadResult(+fine, +err)
 
 
 def delta_by_quadrature(params: WeightParams, N: int, prec: PrecisionCtx,
-                        nodes: int = 60) -> QuadResult:
-    """The N-fold squared-Vandermonde integral, N in {1, 2, 3}.
-
-    N <= 2 run in mpmath (at the 128-bit oracle tier) on tensor
-    Gauss-Legendre panels; N = 3 runs the float64 tensor contraction.
-    The error estimate comes from node doubling plus the tail bound.
-    """
+                        nodes: int = LADDER[1]) -> QuadResult:
+    """The N-fold squared-Vandermonde integral, N in {1, 2, 3}."""
     if N not in (1, 2, 3):
         raise UnsupportedParameters("delta_by_quadrature supports N in {1,2,3}")
-    if N == 3:
-        return _delta3_float64(params, nodes)
-    bits = min(prec.significand_bits, ORACLE_BITS)
-    spec = default_spec(params, prec.scaled(bits),
-                        extra_degree=2 * (N - 1) + 2, nodes=nodes)
-
-    def value_at(m):
-        pts = _weighted_nodes(spec, params, m)
-        if N == 1:
-            return mp.fsum(w for (_, w) in pts)
-        total = mp.mpf(0)
-        for (x1, w1) in pts:
-            row = mp.fsum(w2 * (x2 - x1) ** 2 for (x2, w2) in pts)
-            total += w1 * row
-        return total / 2
-
-    with mp.workprec(bits + 20):
-        coarse = value_at(nodes)
-        fine = value_at(2 * nodes)
-        err = abs(fine - coarse) + tail_bound(params, 2 * (N - 1) + 2)
-    with workprec(prec):
-        return QuadResult(+fine, +err)
-
-
-def _delta3_float64(params: WeightParams, nodes: int) -> QuadResult:
-    with mp.workprec(64):
-        t = float(to_mpf(params.t))
-        zeta = float(to_mpf(params.zeta))
-        T = float(tail_cutoff(params, 8))
-    alpha = int(params.alpha)
-    mu = float(params.mu)
-
-    def panel_nodes(m):
-        splits = [0.0]
-        if t > 0:
-            splits.append(t)
-        splits += [t + 2, t + 8, t + 25, t + 70, T]
-        splits = [s for s in splits if s <= T] + ([] if splits[-1] == T else [T])
-        xs, ws = [], []
-        x0, w0 = np.polynomial.legendre.leggauss(m)
-        for a, b in zip(splits[:-1], splits[1:]):
-            half, mid = (b - a) / 2, (a + b) / 2
-            x = mid + half * x0
-            w = half * w0
-            fac = np.where(x > t, 1.0 - zeta, 1.0)
-            nucleus = (x - t) ** alpha * x ** mu * np.exp(-x)
-            xs.append(x)
-            ws.append(w * fac * nucleus)
-        return np.concatenate(xs), np.concatenate(ws)
-
-    def value_at(m):
-        x, w = panel_nodes(m)
-        # sum over (i,j,k) of w_i w_j w_k [(xj-xi)(xk-xi)(xk-xj)]^2, / 3!
-        d = x[:, None] - x[None, :]
-        d2 = d * d
-        total = 0.0
-        for i in range(len(x)):
-            # (xj - xi)^2 (xk - xi)^2 (xk - xj)^2 summed over j, k
-            col = d2[:, i] * w
-            total += w[i] * float(col @ d2 @ col)
-        return total / 6.0
-
-    coarse = value_at(nodes)
-    fine = value_at(2 * nodes)
-    err = abs(fine - coarse) + float(tail_bound(params, 8))
-    # float64 roundoff floor on a sum of ~(segments*2m)^3 terms
-    err += abs(fine) * 1e-13
-    return QuadResult(mp.mpf(fine), mp.mpf(err))
+    return _tensor(params, N, prec, nodes)
 
 
 def dN_by_quadrature(params: WeightParams, N: int, y1, y2,
-                     prec: PrecisionCtx, nodes: int = 60) -> QuadResult:
+                     prec: PrecisionCtx, nodes: int = LADDER[1]) -> QuadResult:
     """Brute-force D_N(y1, y2) with two characteristic-polynomial insertions."""
     if N not in (1, 2):
         raise UnsupportedParameters("dN_by_quadrature supports N in {1,2}")
-    bits = min(prec.significand_bits, ORACLE_BITS)
-    spec = default_spec(params, prec.scaled(bits), extra_degree=2 * N + 2,
-                        nodes=nodes)
-
-    with mp.workprec(bits + 20):
-        y1 = to_mpf(y1)
-        y2 = to_mpf(y2)
-
-        def value_at(m):
-            pts = _weighted_nodes(spec, params, m)
-            if N == 1:
-                return mp.fsum(w * (y1 - x) * (y2 - x) for (x, w) in pts)
-            total = mp.mpf(0)
-            ins = [(x, w * (y1 - x) * (y2 - x)) for (x, w) in pts]
-            for (x1, w1) in ins:
-                row = mp.fsum(w2 * (x2 - x1) ** 2 for (x2, w2) in ins)
-                total += w1 * row
-            return total / 2
-
-        coarse = value_at(nodes)
-        fine = value_at(2 * nodes)
-        err = abs(fine - coarse) + tail_bound(params, 2 * N + 2) * (
-            (1 + abs(y1)) * (1 + abs(y2))) ** N
-    with workprec(prec):
-        return QuadResult(+fine, +err)
+    with workprec(prec, GUARD_BITS):
+        y1, y2 = to_mpf(y1), to_mpf(y2)
+    return _tensor(params, N, prec, nodes,
+                   insert=lambda x: (y1 - x) * (y2 - x))
 
 
 @dataclass(frozen=True)

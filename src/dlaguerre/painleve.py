@@ -609,14 +609,6 @@ class Trajectory:
                 out.append(self.eval(tq))
         return out
 
-    def to_rows(self, convention: str = "prop11"):
-        """Rows (t, theta, kappa, q, p, H) along the nodes."""
-        rows = []
-        for t, th, ka in zip(self.t, self.theta, self.kappa):
-            hp = to_hamiltonian(th, ka, t, self.n, self.params, convention)
-            rows.append((t, th, ka, hp.q, hp.p, hp.H))
-        return rows
-
 
 def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
            step_ctrl: StepControl = None, y0=None,

@@ -1,27 +1,44 @@
-"""Split quadrature for integrals against the jump-deformed weight.
+"""Split Gauss quadrature for integrals against the jump-deformed weight.
 
 The weight w(x) = (1 - zeta*H(x-t)) (x-t)^alpha x^mu e^{-x} on [0, inf) is
-smooth on (0, t) and (t, inf) separately but jumps at x = t when zeta != 0
-and alpha = 0, and has a mild endpoint singularity at 0 for non-integer mu.
-Every integral here is therefore split exactly at x = t, the tail is cut at
+smooth on (0, t) and (t, inf) separately but jumps at x = t, and has an
+endpoint singularity at 0 for non-integer mu.  Every integral here is a
+sum over one node list (x_i, W_i) whose weights W_i already carry w(x_i):
 
-    T = t + 50 + 20*(alpha + mu + deg)
+- Gauss-Legendre panels cover [0, t]; the panel at 0 is Gauss-Jacobi(0, mu)
+  when mu is not an integer, so x^mu is integrated exactly;
+- [t, inf) ends in Gauss-Laguerre after the change x = L + y, which is
+  exact for polynomial integrands: there is no cutoff and no tail bound;
+- integrands with a singularity near the support (the Cauchy, epsilon and
+  Stieltjes kernels 1/(x - s), and x^mu's branch point at 0) get Legendre
+  panels graded by distance to it: their ends step away from the nearest
+  support point by factors of sqrt(2), starting at half the singularity's
+  distance, so each panel stays several half-widths away from it; the
+  Laguerre tail starts where the grading ends.
 
-and the remainder is bounded rigorously by the incomplete-gamma estimate
-int_T^inf x^s e^{-x} dx <= 2 T^s e^{-T}  (valid for T >= 2s), which the
-cutoff above always satisfies at desk scale.  tanh-sinh quadrature handles
-the endpoint behaviour; its internal level doubling provides the
-step-doubling error estimate the results carry.
+Each node takes the jump factor of the panel it belongs to.  The reference
+rules (Golub & Welsch, Math. Comp. 23, 1969, via mp.gauss_quadrature) are
+cached per (family, m) at the highest precision asked for so far.
+integrate_weighted climbs the node ladder m = 10, 20, 40 until two
+successive sums agree to the tolerance; that difference is the error
+estimate the result carries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from .errors import QuadratureFailure
 from .precision import PrecisionCtx, to_mpf, workprec
+
+LADDER = (10, 20, 40)          # Gauss nodes per panel, one rung at a time
+GUARD_BITS = 20
+REACH = 32                     # graded panels end this far past a singularity
+
+_RULES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -36,95 +53,125 @@ class QuadResult:
         yield self.error
 
 
-def tail_cutoff(params, extra_degree=0):
-    """Truncation point for the e^{-x}-damped tail at polynomial degree extra_degree."""
-    with mp.extraprec(10):
-        deg = to_mpf(params.alpha) + to_mpf(params.mu) + extra_degree
-        return to_mpf(params.t) + 50 + 20 * deg
+def _rule(family, m):
+    """m-point reference rule: 'legendre' on [-1, 1], 'laguerre' for e^-y
+    on [0, inf), or ('jacobi', mu) for (1 + s)^mu on [-1, 1]."""
+    bits = mp.mp.prec
+    cached = _RULES.get((family, m))
+    if cached is None or cached[0] < bits:
+        # round up so a few precision tiers share one build
+        bits = 64 * math.ceil(bits / 64)
+        with mp.workprec(bits):
+            if isinstance(family, tuple):
+                nodes = mp.gauss_quadrature(m, "jacobi", 0, to_mpf(family[1]))
+            else:
+                nodes = mp.gauss_quadrature(m, family)
+        cached = _RULES[(family, m)] = (bits, nodes)
+    return zip(*cached[1])
 
 
-def tail_bound(params, extra_degree=0):
-    """Bound on |int_T^inf (x-t)^alpha x^(mu+deg) e^-x dx| past the cutoff."""
-    with mp.extraprec(30):
-        T = tail_cutoff(params, extra_degree)
-        s = to_mpf(params.alpha) + to_mpf(params.mu) + extra_degree
-        return 2 * mp.power(T, s) * mp.exp(-T) * (1 + abs(to_mpf(params.zeta)))
+def _breaks(params, pole):
+    """Panel ends in (0, inf) besides t, graded away from singularities.
 
-
-def _segments(params, extend_to):
-    t = to_mpf(params.t)
-    pts = [mp.mpf(0)]
-    if t > 0:
-        pts.append(t)
-    # a few interior splits keep tanh-sinh levels low on the long tail
-    for cut in (5, 20, 60):
-        c = t + cut
-        if c < extend_to:
-            pts.append(c)
-    pts.append(extend_to)
-    return pts
-
-
-def integrate_weighted(fn, params, prec: PrecisionCtx, extra_degree=0,
-                       rel_scale=None, head_factor=1, tail_factor=None,
-                       extra_digits=0, tail_weight=1):
-    """Integrate fn(x)*|nucleus|(x) dx over [0, inf) split at x = t.
-
-    fn receives x and must already include the weight nucleus
-    (x-t)^alpha x^mu e^{-x}; the jump factor is applied here through
-    head_factor on [0, t] and tail_factor on [t, inf) (default 1 - zeta).
-    extra_degree bounds the polynomial growth of fn beyond the nucleus and
-    sizes the tail cutoff.  rel_scale, when given, is the magnitude against
-    which the relative tolerance is judged (else the result itself).
-    extra_digits widens the working precision when the caller expects
-    cancellation between segments (Cauchy transforms far from the support);
-    tail_weight bounds any extra decay of fn beyond the nucleus past the
-    cutoff (e.g. 1/|x - T| for Cauchy kernels).
-
-    Returns QuadResult; raises QuadratureFailure when the combined estimate
-    (quadrature + tail bound) exceeds prec.tol relative to the scale.
+    The support point nearest each singularity (the pole, and 0 for x^mu's
+    branch point) is an end, and further ends step out from it on both
+    sides by factors of sqrt(2), starting at half the singularity's
+    distance d, until they are REACH past it.  A pole farther than
+    2 * REACH adds none.
     """
-    if tail_factor is None:
-        tail_factor = 1 - to_mpf(params.zeta)
-    tol = prec.tol_mpf()
-    # precision needed is set by tol, not by the full context width
-    digits = int(-mp.log10(tol)) + 15 + max(0, int(extra_digits))
-    with mp.workdps(max(digits, 30)):
-        T = tail_cutoff(params, extra_degree)
-        pts = _segments(params, T)
-        t = to_mpf(params.t)
-        total = mp.mpf(0)
-        err = mp.mpf(0)
-        for a, b in zip(pts[:-1], pts[1:]):
-            fac = head_factor if b <= t else tail_factor
-            if fac == 0:
-                continue
-            val, e = mp.quad(fn, [a, b], error=True)
-            total += fac * val
-            err += abs(to_mpf(fac)) * to_mpf(e)
-        err += (tail_bound(params, extra_degree) * abs(to_mpf(tail_factor))
-                * abs(to_mpf(tail_weight)))
-        scale = abs(total) if rel_scale is None else abs(to_mpf(rel_scale))
-        if scale > 0 and err > tol * scale * 100:
-            raise QuadratureFailure(
-                f"estimated error {mp.nstr(err, 5)} exceeds tolerance at scale "
-                f"{mp.nstr(scale, 5)}")
-    with workprec(prec):
-        return QuadResult(+total, +err)
+    t = to_mpf(params.t)
+    centres = []
+    if pole is not None:
+        near = max(mp.re(pole), 0)
+        centres.append((near, abs(pole - near)))
+    if not params.mu_is_integer:
+        # the Jacobi panel at 0 takes x^mu; grade the panels past it by t,
+        # the distance from the branch point to the start of the tail
+        centres.append((mp.mpf(0), t if t > 0 else mp.mpf(1) / 2))
+    ends = set()
+    for near, d in centres:
+        step = d / 2
+        while step <= REACH:
+            ends.update(b for b in (near - step, near, near + step) if b > 0)
+            step *= mp.sqrt(2)
+    return sorted(ends)
 
 
-def weight_nucleus(x, params):
-    """(x-t)^alpha * x^mu * e^{-x}; alpha is an integer, mu may be real."""
-    a = int(params.alpha)
+def weighted_nodes(params, m: int, pole=None):
+    """[(x_i, W_i)] with m nodes per panel, W_i including the full weight.
+
+    pole is the location of an off-support singularity of the integrand
+    (x of a Cauchy kernel 1/(x - s)); it grades the panels around it.
+    Runs at the caller's working precision.
+    """
+    t = to_mpf(params.t)
+    tail_factor = 1 - to_mpf(params.zeta)
+    alpha = int(params.alpha)
     mu = to_mpf(params.mu)
-    xm = x ** mu if mu else mp.mpf(1)
-    return (x - to_mpf(params.t)) ** a * xm * mp.exp(-x)
+    cuts = _breaks(params, pole)
+    head = [mp.mpf(0)] + [b for b in cuts if b < t] + [t] if t > 0 else []
+    tail = [t] + [b for b in cuts if b > t]
+    out = []
+    for ends, factor in ((head, mp.mpf(1)), (tail, tail_factor)):
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            half, mid = (hi - lo) / 2, (hi + lo) / 2
+            jacobi = lo == 0 and not params.mu_is_integer
+            for s, w in _rule(("jacobi", params.mu) if jacobi else "legendre",
+                              m):
+                x = mid + half * s
+                # Gauss-Jacobi(0, mu) carries x^mu = half^mu (1 + s)^mu
+                xmu = half ** mu if jacobi else x ** mu
+                out.append((x, half * w * factor * (x - t) ** alpha * xmu
+                            * mp.exp(-x)))
+    start = tail[-1]
+    scale = tail_factor * mp.exp(-start)
+    for y, w in _rule("laguerre", m):
+        x = start + y
+        out.append((x, scale * w * (x - t) ** alpha * x ** mu))
+    return out
+
+
+def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
+                       extra_digits=0, pole=None) -> QuadResult:
+    """Integrate fn(x) w(x) dx over [0, inf).
+
+    fn receives x and excludes the weight.  Sums at m and 2m nodes per
+    panel, climbing LADDER until |Q_2m - Q_m| <= prec.tol * scale, where
+    the scale is |rel_scale| when given, else |Q_2m|.  extra_digits widens
+    the working precision when the caller expects cancellation (Cauchy
+    transforms far from the support); pole is as in weighted_nodes.
+
+    Returns QuadResult(Q_2m, |Q_2m - Q_m|); raises QuadratureFailure when
+    the top of the ladder is reached without agreement.
+    """
+    tol = prec.tol_mpf()
+    bits = prec.significand_bits + GUARD_BITS + math.ceil(
+        extra_digits * math.log2(10))
+    with mp.workprec(bits):
+        def total(m):
+            return mp.fsum(w * fn(x) for x, w in weighted_nodes(params, m, pole))
+
+        coarse = total(LADDER[0])
+        for m in LADDER[1:]:
+            fine = total(m)
+            err = abs(fine - coarse)
+            scale = abs(fine) if rel_scale is None else abs(to_mpf(rel_scale))
+            if err <= tol * scale:
+                break
+            coarse = fine
+        else:
+            raise QuadratureFailure(
+                f"{LADDER[-1]}-node sums still differ by {mp.nstr(err, 5)} "
+                f"at scale {mp.nstr(scale, 5)}")
+    with workprec(prec):
+        return QuadResult(+fine, +err)
 
 
 def weight_value(x, params):
-    """Full weight including the jump factor (1 - zeta) past x = t."""
+    """Full weight (x-t)^alpha x^mu e^{-x}, times 1 - zeta past x = t."""
     x = to_mpf(x)
-    w = weight_nucleus(x, params)
-    if x > to_mpf(params.t):
+    t = to_mpf(params.t)
+    w = (x - t) ** int(params.alpha) * x ** to_mpf(params.mu) * mp.exp(-x)
+    if x > t:
         w = (1 - to_mpf(params.zeta)) * w
     return w

@@ -46,7 +46,7 @@ from .hankel import (MomentTable, RecurrenceTable, epsilon_derivative_eval,
                      orthopoly_eval_with_derivative)
 from .moments import WeightParams
 from .precision import PrecisionCtx, to_mpf, workprec
-from .quadrature import integrate_weighted, weight_nucleus, weight_value
+from .quadrature import integrate_weighted, weight_value
 
 # ---------------------------------------------------------------------------
 # polynomial data for the rational log-derivative
@@ -170,22 +170,17 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
         t = to_mpf(params.t)
         mu = to_mpf(params.mu)
 
-        def reduced_nucleus(y):
-            # w(y)/(y-t) without the jump factor
-            return (y - t) ** (al - 1) * y ** mu * mp.exp(-y)
-
+        # no node sits at y = t, and w(y)/(y-t) is smooth there for alpha >= 1
         def fn_R(y):
             p = orthopoly_eval(table, n, y).value_n
-            return al * p * p * reduced_nucleus(y)
+            return al * p * p / (y - t)
 
         def fn_r(y):
             pe = orthopoly_eval(table, n, y)
-            return al * pe.value_n * pe.value_nm1 * reduced_nucleus(y)
+            return al * pe.value_n * pe.value_nm1 / (y - t)
 
-        R = integrate_weighted(fn_R, params, prec, extra_degree=2 * n,
-                               rel_scale=1).value
+        R = integrate_weighted(fn_R, params, prec, rel_scale=1).value
         r = table.a(n) * integrate_weighted(fn_r, params, prec,
-                                            extra_degree=2 * n,
                                             rel_scale=1).value
         pair = AuxPair(n=n, t=+t, theta=+(t * (R - 1)),
                        kappa=+(t * (r + n + mu / 2)), R=+R, r=+r,
@@ -219,10 +214,12 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
                             prec: PrecisionCtx = None):
     """(A_n(x), B_n(x)) from the defining double-argument integrals.
 
-    A_n(x) = int p_n^2(y) [v'(x)-v'(y)]/(x-y) w(y) dy with v = -ln w; for
-    this weight [v'(x)-v'(y)]/(x-y) = alpha/((x-t)(y-t)) + mu/(x y).
-    Independent of the residue shortcut; used to validate the partial
-    fractions.
+    A_n(x) = int p_n^2(y) [v'(x)-v'(y)]/(x-y) w(y) dy with v = -ln w, plus
+    a boundary term [w(s+) - w(s-)] p_n(s)^2/(x - s) at each point s where
+    w jumps: s = 0 when mu = 0, and s = t when alpha = 0.  For this weight
+    [v'(x)-v'(y)]/(x-y) = alpha/((x-t)(y-t)) + mu/(x y).  B_n is the same
+    with p_n^2 replaced by a_n p_n p_{n-1}.  Independent of the residue
+    shortcut; used to validate the partial fractions.
     """
     prec = prec or table.prec
     params = table.params
@@ -230,24 +227,31 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
     t = to_mpf(params.t)
     with workprec(prec, 20):
         x = to_mpf(x)
+        zeta = to_mpf(params.zeta)
 
         def kernel(y):
             return al / ((x - t) * (y - t)) + mu / (x * y)
 
         def fn_A(y):
             p = orthopoly_eval(table, n, y).value_n
-            return p * p * kernel(y) * weight_nucleus(y, params)
+            return p * p * kernel(y)
 
         def fn_B(y):
             pe = orthopoly_eval(table, n, y)
-            return pe.value_n * pe.value_nm1 * kernel(y) * weight_nucleus(y, params)
+            return pe.value_n * pe.value_nm1 * kernel(y)
 
-        A = integrate_weighted(fn_A, params, prec, extra_degree=2 * n,
-                               rel_scale=1).value
-        B = table.a(n) * integrate_weighted(fn_B, params, prec,
-                                            extra_degree=2 * n,
-                                            rel_scale=1).value
-        return +A, +B
+        A = integrate_weighted(fn_A, params, prec, rel_scale=1).value
+        B = integrate_weighted(fn_B, params, prec, rel_scale=1).value
+        jumps = []
+        if mu == 0:
+            jumps.append((mp.mpf(0), (-t) ** al * (1 - zeta if t == 0 else 1)))
+        if al == 0 and t > 0:
+            jumps.append((t, -zeta * t ** mu * mp.exp(-t)))
+        for s, dw in jumps:
+            pe = orthopoly_eval(table, n, s)
+            A += dw * pe.value_n ** 2 / (x - s)
+            B += dw * pe.value_n * pe.value_nm1 / (x - s)
+        return +A, +(table.a(n) * B)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,11 @@ class TestMoments:
                 "relative_difference"} <= set(row)
         assert float(row["relative_difference"]) < 1e-25
 
+    def test_low_corner_exits_zero(self):
+        res = run_cli(["moments", "--alpha", "0", "--mu", "0", "--zeta", "0.5",
+                       "--t", "0.3", "--kmax", "2"])
+        assert res.returncode == 0, res.stderr
+
     def test_missing_t_usage_error(self):
         res = run_cli(["moments", "--alpha", "2", "--mu", "2", "--zeta", "0.5"])
         assert res.returncode == 2
@@ -161,3 +166,14 @@ class TestInProcess:
         assert main(["moments", "--alpha", "2", "--mu", "2", "--zeta", "0.5",
                      "--t", "0", "--kmax", "0", "--format", "csv"]) == 0
         assert "12.0" in capsys.readouterr().out
+
+
+class TestPackaging:
+    def test_import_pulls_in_mpmath_only(self):
+        """numpy and sympy stay out of a plain import of the package."""
+        code = ("import sys, dlaguerre; "
+                "print(sorted({'numpy', 'sympy'} & set(sys.modules)))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=dict(os.environ))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

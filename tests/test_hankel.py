@@ -139,6 +139,19 @@ class TestEpsilon:
             got = pe.value_n * e1 - pe.value_nm1 * e2
             assert rel_err(got, 1 / tab.a(2)) < 1e-25
 
+    @pytest.mark.parametrize("x", ["-0.01", "2+0.2j"])
+    def test_casoratian_near_support(self, tables_main, x):
+        """The Cauchy panels grade down to a pole 0.01 to 0.2 off [0, inf)."""
+        mom, tab = tables_main
+        qp = PrecisionCtx(192, "1e-28")
+        with mp.workprec(256):
+            x = mp.mpmathify(x)
+            e2 = epsilon_eval(tab, mom, 2, x, qp)
+            e1 = epsilon_eval(tab, mom, 1, x, qp)
+            pe = orthopoly_eval(tab, 2, x)
+            got = pe.value_n * e1 - pe.value_nm1 * e2
+            assert rel_err(got, 1 / tab.a(2)) < 1e-25
+
     def test_stieltjes_matches_eps0(self, tables_main, prec):
         mom, tab = tables_main
         qp = PrecisionCtx(192, "1e-30")

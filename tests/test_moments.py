@@ -63,6 +63,14 @@ class TestWeightParams:
             WeightParams(2, 2, "1.5", "0.3")
         with pytest.raises(UnsupportedParameters):
             WeightParams(2, 2, "0.5", -1)
+        with pytest.raises(UnsupportedParameters):
+            WeightParams(2, 2, "0.5", "inf")
+        with pytest.raises(UnsupportedParameters):
+            WeightParams(True, 2, "0.5", "0.3")
+        p = WeightParams("2.0", "2.0", "0.5", "0.3")
+        assert p.mu_is_integer and (p.alpha, p.mu) == (2, 2)
+        assert moment_closed_form(0, p, PrecisionCtx()) == moment_closed_form(
+            0, WeightParams(2, 2, "0.5", "0.3"), PrecisionCtx())
 
     def test_weight_jump(self):
         p = WeightParams(2, 2, "0.5", "0.3")
@@ -99,6 +107,14 @@ class TestClosedForm:
         cf = moment_closed_form(1, params_main, prec)
         q = moment_quadrature(1, params_main, prec)
         assert rel_err(cf, q) < 1e-25
+
+    @pytest.mark.parametrize("alpha, mu", [(0, 0), (1, 0), (0, 1)])
+    def test_matches_quadrature_low_corner(self, prec, alpha, mu):
+        """alpha + mu <= 1: no tail cutoff leaves e^-50 of the integral."""
+        p = WeightParams(alpha, mu, "0.5", "0.3")
+        assert rel_err(moment_quadrature(0, p, prec),
+                       moment_closed_form(0, p, prec)) < 1e-25
+        build_moment_table(p, 4, prec, cross_check=True)
 
     def test_noninteger_mu_refused(self, prec):
         p = WeightParams(2, "1.5", "0.5", "0.3")

@@ -5,22 +5,10 @@ import pytest
 
 from dlaguerre import (PrecisionCtx, UnsupportedParameters, WeightParams,
                        dN_by_quadrature, delta_by_quadrature,
-                       finite_difference, hankel_determinant, dN_kernel)
-from dlaguerre.oracle import default_spec, gram_schmidt_recurrence, inner_product
-from dlaguerre.quadrature import weight_value
+                       finite_difference, hankel_determinant, dN_kernel,
+                       moment_closed_form)
+from dlaguerre.oracle import gram_schmidt_recurrence, inner_product
 from conftest import rel_err
-
-
-class TestQuadratureSpec:
-    def test_splits_increase(self, params_main, prec):
-        spec = default_spec(params_main, prec)
-        pts = list(spec.splits)
-        assert all(b > a for a, b in zip(pts[:-1], pts[1:]))
-
-    def test_bad_splits_rejected(self, prec):
-        from dlaguerre.oracle import QuadratureSpec
-        with pytest.raises(ValueError):
-            QuadratureSpec((0, 1, 1), 40, prec)
 
 
 class TestDeltaByQuadrature:
@@ -44,6 +32,15 @@ class TestDeltaByQuadrature:
         det = hankel_determinant(mom, 3, prec)
         assert rel_err(res.value, det) < 1e-10
         assert float(res.error) > 0
+
+    def test_n1_where_t_rounds_down(self, prec):
+        """Every node past t carries 1 - zeta, however t's decimal rounds."""
+        p = WeightParams(2, 2, "-1.98885", "0.0117")
+        res = delta_by_quadrature(p, 1, prec)
+        mu0 = moment_closed_form(0, p, prec)
+        assert rel_err(res.value, mu0) < 1e-10
+        with mp.workprec(256):
+            assert abs(res.value - mu0) <= res.error
 
     def test_n4_unsupported(self, params_main, prec):
         with pytest.raises(UnsupportedParameters):
@@ -96,7 +93,7 @@ class TestInnerProduct:
 
     def test_recurrence_projection(self, tables_main, params_main):
         """<x p_2, p_3> = a_3 by direct quadrature."""
-        from dlaguerre.quadrature import integrate_weighted, weight_nucleus
+        from dlaguerre.quadrature import integrate_weighted
         from dlaguerre.hankel import orthopoly_eval
         mom, tab = tables_main
         qp = PrecisionCtx(192, "1e-25")
@@ -104,11 +101,9 @@ class TestInnerProduct:
         with workprec(qp, 20):
             def fn(s):
                 p3 = orthopoly_eval(tab, 3, s)
-                return s * p3.value_nm1 * p3.value_n * weight_nucleus(
-                    s, params_main)
+                return s * p3.value_nm1 * p3.value_n
 
-            got = integrate_weighted(fn, params_main, qp, extra_degree=6,
-                                     rel_scale=1).value
+            got = integrate_weighted(fn, params_main, qp, rel_scale=1).value
             assert rel_err(got, tab.a(3)) < 1e-15
 
 

@@ -6,7 +6,9 @@ import pytest
 from dlaguerre import (DegenerateTheta, PrecisionCtx, UnsupportedParameters,
                        WeightParams, build_lax, ladder_integrals, table_for,
                        theta_kappa_from_recurrence, verify_identities)
-from dlaguerre.semiclassical import (default_x_panel, omega_poly, polyval,
+from dlaguerre.semiclassical import (default_x_panel, ladder_ab_at,
+                                     ladder_ab_by_quadrature, omega_poly,
+                                     polyval,
                                      structural_correspondence_residual,
                                      theta_poly, theta_prev_from_pair,
                                      two_v_poly, v_poly, w_poly,
@@ -78,6 +80,24 @@ class TestLadderIntegrals:
                 ref = theta_kappa_from_recurrence(tab, n)
                 assert rel_err(li.R, ref.R) < 1e-15
                 assert rel_err(li.r, ref.r) < 1e-15
+
+    @pytest.mark.parametrize("alpha, mu", [(2, 2), (0, 2), (0, 0), (0, 1),
+                                           (2, 0)])
+    def test_ab_quadrature_matches_residues(self, prec, alpha, mu):
+        """The defining A_n, B_n integrals, with their boundary terms where
+        w jumps (at 0 when mu = 0, at t when alpha = 0), match the partial
+        fractions of the residue data."""
+        p = WeightParams(alpha, mu, "0.5", "0.3")
+        _, tab = table_for(p, 4, prec, cross_check=False)
+        qp = PrecisionCtx(192, "1e-28")
+        with mp.workprec(256):
+            for n in (1, 2):
+                pair = theta_kappa_from_recurrence(tab, n)
+                for x in (-2, -1):
+                    got = ladder_ab_by_quadrature(tab, n, x, qp)
+                    want = ladder_ab_at(pair, p, x)
+                    for g, w in zip(got, want):
+                        assert rel_err(g, w) < 1e-25
 
     def test_alpha_zero_unsupported(self, prec):
         p = WeightParams(0, 2, "0.5", "0.3")

@@ -47,15 +47,26 @@ leading terms the series reproduce:
     theta_n = -m/(a+m) t + a m (a+m+2n+1)/((a+m)^2((a+m)^2-1)) t^2 + ...
     kappa_n =  m(2n+a+m)/(2(a+m)) t - 2 a m n (n+a+m)/((a+m)^2((a+m)^2-1)) t^2 + ...
 
-The integrator is an embedded Dormand-Prince 5(4) pair in the working
-precision with singularity guards at theta in {0, -t} and cubic-Hermite
-dense output.
+The series order is chosen from t0, alpha + mu and the tolerance so that
+the flow's (t1/t0)^(1+alpha+mu) amplification of the initial error stays
+below it.
+
+The integrator is a Taylor-series method in the working precision.  Each
+step builds the jet of (theta, kappa) about its start by the standard
+automatic-differentiation recursions (products, 1/theta, 1/(theta+t) and
+the division by t, O(K^2) for order K), with the order K taken from the
+tolerance and the step size from the jet's last two coefficients (Jorba &
+Zou, Exp. Math. 14, 2005).  The step polynomials are the dense output.
+Integration stops with SingularityEncountered when theta or theta + t
+reaches the guard zone around 0 at a node, when its step polynomial may
+vanish inside a step, or when the step size collapses at a pole.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -218,8 +229,15 @@ def from_hamiltonian(q, p, t, n: int, params: WeightParams,
 # ---------------------------------------------------------------------------
 
 
-def _theta_kappa_rhs_factory(n: int, params: WeightParams):
-    """Flow right side with all parameter constants hoisted (hot path)."""
+def _flow_jet_factory(n: int, params: WeightParams):
+    """Taylor jets of the (theta, kappa) flow, parameter constants hoisted.
+
+    jet(tk, th0, ka0, K) returns the coefficient lists of theta(tk + s) and
+    kappa(tk + s) through s^K.  Each order follows from the lower ones by the
+    automatic-differentiation recursions for products, 1/theta, 1/(theta+t)
+    and the division by t = tk + s: if t y' = F then
+    y_{j+1} = (F_j - j y_j) / ((j+1) tk).  Cost O(K^2) per jet.
+    """
     a, m = to_mpf(params.alpha), to_mpf(params.mu)
     c_lin = 2 * n + a + 1 + m          # theta-equation linear constant
     c_k1 = 2 * n + a + m + 1
@@ -228,19 +246,44 @@ def _theta_kappa_rhs_factory(n: int, params: WeightParams):
     c_m2 = m * m / 4
     c_tt = (n + m / 2) * (n + a + m / 2)
 
-    def rhs(t, th, ka):
-        if t == 0:
-            raise SingularRHS("flow undefined at t = 0")
-        tpth = th + t
-        if th == 0 or tpth == 0:
-            raise SingularRHS("flow singular at theta in {0, -t}")
-        dth = (2 * ka + (c_lin + t + th) * th) / t
-        dka = ((1 / tpth + 1 / th) * ka * ka
-               + (c_k1 - c_k2 * t / tpth) * ka
-               - c_t * t - c_m2 * t * t / th + c_tt * t * t / tpth) / t
-        return dth, dka
+    def conv(x, y, j, lo=0):
+        """sum_{i=lo..j} x_i y_{j-i}."""
+        return mp.fdot(x[lo:j + 1], y[j - lo::-1])
 
-    return rhs
+    def jet(tk, th0, ka0, K):
+        if tk == 0:
+            raise SingularRHS("flow undefined at t = 0")
+        if th0 == 0 or th0 + tk == 0:
+            raise SingularRHS("flow singular at theta in {0, -t}")
+
+        def times_t(x, j):
+            return tk * x[j] + (x[j - 1] if j else 0)
+
+        th, ka = [th0], [ka0]
+        w = [th0 + tk]                 # theta + t
+        u, v = [1 / th0], [1 / w[0]]   # 1/theta, 1/(theta + t)
+        uv, tv, sq, g, tg = [], [], [], [], []
+        for j in range(K):
+            if j:
+                w.append(th[j] + (1 if j == 1 else 0))
+                u.append(-u[0] * conv(th, u, j, 1))
+                v.append(-v[0] * conv(w, v, j, 1))
+            uv.append(u[j] + v[j])
+            tv.append(times_t(v, j))
+            sq.append(conv(ka, ka, j))
+            g.append(c_tt * v[j] - c_m2 * u[j])
+            tg.append(times_t(g, j))
+            f_th = 2 * ka[j] + c_lin * th[j] + times_t(th, j) + conv(th, th, j)
+            f_ka = (conv(uv, sq, j) + c_k1 * ka[j] - c_k2 * conv(tv, ka, j)
+                    + times_t(tg, j))
+            if j < 2:
+                f_ka -= c_t * (tk if j == 0 else 1)     # the -c_t t term
+            den = (j + 1) * tk
+            th.append((f_th - j * th[j]) / den)
+            ka.append((f_ka - j * ka[j]) / den)
+        return th, ka
+
+    return jet
 
 
 def ode_rhs(theta, kappa, n: int, t, params: WeightParams,
@@ -253,9 +296,8 @@ def ode_rhs(theta, kappa, n: int, t, params: WeightParams,
     ctx = workprec(prec) if prec is not None else mp.extraprec(20)
     with ctx:
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
-        rhs = _theta_kappa_rhs_factory(n, params)
-        dth, dka = rhs(t, th, ka)
-        return +dth, +dka
+        d_th, d_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
+        return +d_th[1], +d_ka[1]
 
 
 def rr_rhs(R, r, n: int, t, params: WeightParams, prec: PrecisionCtx = None):
@@ -487,72 +529,134 @@ def aux_pair_series(n: int, params: WeightParams, order: int,
         return theta, kappa
 
 
-def series_init(n: int, t0, params: WeightParams, prec: PrecisionCtx = None,
-                order: int = 6):
-    """(theta_n, kappa_n) at small t0 from the exact truncated series.
+def _series_order(t0, params: WeightParams, prec: PrecisionCtx) -> int:
+    """Default order of the small-t series initial data.
 
-    Requires 0 < t0 <= 1e-2 and alpha + mu > 1 (expansion ordering), with
-    integer alpha and mu.  The default order 6 leaves the truncation error
-    around t0^7, far below the ODE tolerance at t0 = 1e-3.
+    An error d in the data at t0 reaches t1 as d (t1/t0)^(1+alpha+mu), and
+    the truncation error of the order-K series is about t0^(K+1) (theta and
+    kappa are analytic in a disc of radius about 1).  The order keeps the
+    amplified error to t1 = 1 below prec.tol, with two orders to spare for
+    t1 of a few units: K = alpha + mu + ln(tol)/ln(t0) + 2.
     """
-    prec = prec or PrecisionCtx()
+    with workprec(prec):
+        t0 = to_mpf(t0)
+        a_m = to_mpf(params.alpha) + to_mpf(params.mu)
+        return int(mp.ceil(a_m + mp.log(prec.tol_mpf()) / mp.log(t0))) + 2
+
+
+def _series_data(n: int, t0, params: WeightParams, prec: PrecisionCtx,
+                 order: Optional[int]):
+    """(theta, kappa, order, truncation estimate) at t0 from the series.
+
+    The estimate is the size of the last kept term, max(|theta_K|, |kappa_K|)
+    t0^K.
+    """
     with workprec(prec):
         t0 = to_mpf(t0)
         if not 0 < t0 <= mp.mpf("0.01"):
             raise UnsupportedParameters("series_init requires 0 < t0 <= 1e-2")
         if not to_mpf(params.alpha) + to_mpf(params.mu) > 1:
             raise UnsupportedParameters("series_init requires alpha + mu > 1")
+        if order is None:
+            order = _series_order(t0, params, prec)
         th_s, ka_s = aux_pair_series(n, params, order, prec)
-        return +th_s.eval(t0), +ka_s.eval(t0)
+        est = max(abs(th_s.c[-1]), abs(ka_s.c[-1])) * t0 ** order
+        return +th_s.eval(t0), +ka_s.eval(t0), order, +est
+
+
+def series_init(n: int, t0, params: WeightParams, prec: PrecisionCtx = None,
+                order: Optional[int] = None):
+    """(theta_n, kappa_n) at small t0 from the exact truncated series.
+
+    Requires 0 < t0 <= 1e-2 and alpha + mu > 1 (expansion ordering), with
+    integer alpha and mu.  The default order (_series_order) leaves a
+    truncation error that stays below prec.tol after the flow's
+    (t1/t0)^(1+alpha+mu) amplification to t1 = 1; an explicit order wins.
+    """
+    prec = prec or PrecisionCtx()
+    th, ka, _, _ = _series_data(n, t0, params, prec, order)
+    return th, ka
 
 
 # ---------------------------------------------------------------------------
-# adaptive Dormand-Prince 5(4) integration
+# Taylor-series integration
 # ---------------------------------------------------------------------------
-
-_DP_A = [
-    [],
-    [Fraction(1, 5)],
-    [Fraction(3, 40), Fraction(9, 40)],
-    [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
-    [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561),
-     Fraction(-212, 729)],
-    [Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247),
-     Fraction(49, 176), Fraction(-5103, 18656)],
-    [Fraction(35, 384), Fraction(0), Fraction(500, 1113), Fraction(125, 192),
-     Fraction(-2187, 6784), Fraction(11, 84)],
-]
-_DP_C = [Fraction(0), Fraction(1, 5), Fraction(3, 10), Fraction(4, 5),
-         Fraction(8, 9), Fraction(1), Fraction(1)]
-_DP_B5 = _DP_A[6] + [Fraction(0)]
-_DP_B4 = [Fraction(5179, 57600), Fraction(0), Fraction(7571, 16695),
-          Fraction(393, 640), Fraction(-92097, 339200), Fraction(187, 2100),
-          Fraction(1, 40)]
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Embedded-pair step control: tolerances, limits, singularity guard."""
+    """Taylor step control: tolerances, limits, singularity guard.
 
-    rtol: object = "1e-18"
-    atol: object = "1e-24"
-    h0: Optional[object] = None
+    The order is ceil(-ln(rtol)/2) + 1; each step is sized so that the
+    last two terms of its jet stay below max(atol, rtol |y|).
+    """
+
+    rtol: object = "1e-30"
+    atol: object = "1e-36"
     max_step: Optional[object] = None
     max_steps: int = 200000
-    guard: object = "1e-9"   # reject states with |theta| or |theta+t| < guard*t
-    safety: object = "0.9"
+    guard: object = "1e-9"   # raise at nodes with |theta| or |theta+t| < guard*t
+
+
+def _taylor_order(rtol) -> int:
+    """Jorba-Zou order for relative tolerance rtol: ceil(-ln(rtol)/2) + 1.
+
+    At this order the step that keeps the last term near rtol is about e^-2
+    times the jet's radius of convergence, which minimises the work per
+    unit t (Jorba & Zou, Exp. Math. 14, 2005).
+    """
+    return int(mp.ceil(-mp.log(to_mpf(rtol)) / 2)) + 1
+
+
+def _vanishing_start(c: TruncSeries, h, depth: int = 8):
+    """Offset of the first piece of [0, h] on which the polynomial c(s) may
+    vanish, or None when it keeps its sign on all of [0, h].
+
+    The polynomial lies in the convex hull of its Bernstein coefficients on
+    a piece, so a piece whose coefficients share one sign is cleared; the
+    others are halved by de Casteljau's algorithm, up to depth times.
+    """
+    K = c.order
+    b = [cj * h ** j / math.comb(K, j) for j, cj in enumerate(c.c)]
+    for i in range(1, K + 1):          # b_k = sum_j C(k, j) c_j h^j / C(K, j)
+        for k in range(K, i - 1, -1):
+            b[k] += b[k - 1]
+
+    def first(b, start, width, depth):
+        if all(x > 0 for x in b) or all(x < 0 for x in b):
+            return None
+        if depth == 0:
+            return start
+        left, right, x = [b[0]], [b[-1]], b
+        for _ in range(K):
+            x = [(x[k] + x[k + 1]) / 2 for k in range(len(x) - 1)]
+            left.append(x[0])
+            right.append(x[-1])
+        half = width / 2
+        found = first(left, start, half, depth - 1)
+        if found is None:
+            found = first(right[::-1], start + half, half, depth - 1)
+        return found
+
+    return first(b, mp.mpf(0), h, depth)
 
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes with (theta, kappa) and run statistics."""
+    """Integration nodes with (theta, kappa), step jets and run statistics.
+
+    jets[i] = (t_i, theta jet, kappa jet) is the Taylor polynomial of step i
+    about its start t_i; the step ends where jets[i + 1] starts (the last at
+    the final node).  The Taylor step size is fixed from the jet before the
+    step is taken, so `rejected` is always 0.
+    """
 
     n: int
     params: WeightParams
     t: list
     theta: list
     kappa: list
-    derivs: list               # (dtheta, dkappa) at the nodes, for Hermite
+    jets: list
     steps: int
     rejected: int
     max_error_estimate: float
@@ -566,39 +670,20 @@ class Trajectory:
         return self.t[-1], self.theta[-1], self.kappa[-1]
 
     def eval(self, t_query):
-        """Cubic-Hermite dense output between accepted nodes."""
+        """Dense output: the Taylor polynomial of the step containing t."""
         tq = to_mpf(t_query)
-        ts = self.t
-        if not ts[0] <= tq <= ts[-1]:
+        if not self.t[0] <= tq <= self.t[-1]:
             raise ValueError("query outside the trajectory range")
-        lo, hi = 0, len(ts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ts[mid] <= tq:
-                lo = mid
-            else:
-                hi = mid
-        h = ts[hi] - ts[lo]
-        if h == 0:
-            return self.theta[lo], self.kappa[lo]
-        s = (tq - ts[lo]) / h
-        out = []
-        for vals, ders in ((self.theta, 0), (self.kappa, 1)):
-            y0, y1 = vals[lo], vals[hi]
-            f0, f1 = self.derivs[lo][ders], self.derivs[hi][ders]
-            h00 = (1 + 2 * s) * (1 - s) ** 2
-            h10 = s * (1 - s) ** 2
-            h01 = s * s * (3 - 2 * s)
-            h11 = s * s * (s - 1)
-            out.append(h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1)
-        return out[0], out[1]
+        if not self.jets:
+            return self.theta[0], self.kappa[0]
+        i = max(bisect.bisect_right([j[0] for j in self.jets], tq) - 1, 0)
+        tk, th, ka = self.jets[i]
+        return th.eval(tq - tk), ka.eval(tq - tk)
 
     def sample(self, t_list):
         """(theta, kappa) at each query: exact node values when the query
-        coincides with an accepted step (the t_eval case), Hermite otherwise."""
-        node = {}
-        for i, t in enumerate(self.t):
-            node[t] = i
+        coincides with a node (the t_eval case), dense output otherwise."""
+        node = {t: i for i, t in enumerate(self.t)}
         out = []
         for tq in t_list:
             tq = to_mpf(tq)
@@ -615,10 +700,17 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
            t_eval: Sequence = None) -> Trajectory:
     """Integrate the (theta, kappa) flow from t0 to t1 (forward, t0 <= t1).
 
-    Initial data comes from series_init unless y0 = (theta0, kappa0) is
-    supplied.  When t_eval is given, steps land exactly on those nodes.
-    Raises SingularityEncountered (with .t_last) if the state drifts into
-    the guard zone around theta in {0, -t}; NoConvergence on step underflow.
+    Taylor-series method: each step expands (theta, kappa) about its start
+    to order ceil(-ln(rtol)/2) + 1 and takes the Jorba-Zou step size from
+    the last two coefficients.  Initial data comes from series_init (default
+    order) unless y0 = (theta0, kappa0) is supplied.  t_eval nodes appear
+    exactly in traj.t, with values from the polynomial of the step that
+    contains them.  Raises SingularityEncountered (with .t_last) when theta
+    or theta + t reaches the guard zone at a node, when the step's
+    polynomial for either may vanish inside the step (t_last is then where
+    the polynomial was last certified nonzero), or when the jet's step size
+    falls below guard * t (a pole of the flow); NoConvergence when the step
+    budget runs out or the step size underflows.
     """
     prec = prec or PrecisionCtx()
     ctrl = step_ctrl or StepControl()
@@ -632,96 +724,91 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
         if not 0 < t0 <= t1:
             raise UnsupportedParameters("need 0 < t0 <= t1")
         if y0 is None:
-            y = list(series_init(n, t0, params, prec))
-            init_src = "series"
+            th, ka, s_order, s_est = _series_data(n, t0, params, prec, None)
+            meta = {"initial_data": "series", "series_order": s_order,
+                    "series_truncation": mp.nstr(s_est, 3)}
         else:
-            y = [to_mpf(y0[0]), to_mpf(y0[1])]
-            init_src = "caller"
+            th, ka = to_mpf(y0[0]), to_mpf(y0[1])
+            meta = {"initial_data": "caller", "series_order": "caller",
+                    "series_truncation": "caller"}
         rtol = to_mpf(ctrl.rtol)
         atol = to_mpf(ctrl.atol)
         guard = to_mpf(ctrl.guard)
-        safety = to_mpf(ctrl.safety)
-        A = [[to_mpf(x) for x in row] for row in _DP_A]
-        B5 = [to_mpf(x) for x in _DP_B5]
-        B4 = [to_mpf(x) for x in _DP_B4]
-        C = [to_mpf(x) for x in _DP_C]
+        hmax = to_mpf(ctrl.max_step) if ctrl.max_step is not None else t1 - t0
+        order = _taylor_order(rtol)
+        jet = _flow_jet_factory(n, params)
 
-        rhs = _theta_kappa_rhs_factory(n, params)
+        ts, ys_th, ys_ka, jets = [], [], [], []
 
-        def f(t, state):
-            th, ka = state
+        def record(t, th, ka):
             if abs(th) < guard * t or abs(th + t) < guard * t:
                 raise SingularityEncountered(
                     f"theta within guard zone at t={mp.nstr(t, 10)}",
                     t_last=t)
-            return rhs(t, th, ka)
+            ts.append(t)
+            ys_th.append(th)
+            ys_ka.append(ka)
 
-        stops = sorted({t1} | {s for s in t_eval if t0 < s <= t1})
-        ts = [+t0]
-        ys_th = [+y[0]]
-        ys_ka = [+y[1]]
-        ders = [f(t0, y)]
-        rej = 0
+        record(t0, th, ka)
+        stops = sorted(s for s in set(t_eval) if t0 < s < t1)
+        stop_i = 0
         steps = 0
         max_est = mp.mpf(0)
-
         t = t0
-        h = to_mpf(ctrl.h0) if ctrl.h0 is not None else t0 / 4
-        hmax = to_mpf(ctrl.max_step) if ctrl.max_step is not None else (t1 - t0)
-        k1 = ders[0]
-        stop_i = 0
         while t < t1:
-            if steps + rej >= ctrl.max_steps:
+            if steps >= ctrl.max_steps:
                 raise NoConvergence("step budget exhausted")
-            while stop_i < len(stops) and stops[stop_i] <= t:
-                stop_i += 1
-            next_stop = stops[stop_i]
-            h = min(h, hmax, next_stop - t)
-            lands_on_stop = (h == next_stop - t)
-            if h <= mp.eps * t * 4:
-                raise NoConvergence("step size underflow")
-            ks = [k1]
             try:
-                for s_i in range(1, 7):
-                    ti = t + C[s_i] * h
-                    yi = [y[c] + h * mp.fsum(A[s_i][j] * ks[j][c]
-                                             for j in range(s_i))
-                          for c in (0, 1)]
-                    ks.append(f(ti, yi))
+                c_th, c_ka = jet(t, th, ka, order)
             except SingularRHS as exc:
                 raise SingularityEncountered(str(exc), t_last=t) from exc
-            y5 = [y[c] + h * mp.fsum(B5[j] * ks[j][c] for j in range(7))
-                  for c in (0, 1)]
-            y4 = [y[c] + h * mp.fsum(B4[j] * ks[j][c] for j in range(7))
-                  for c in (0, 1)]
-            err = mp.mpf(0)
-            for c in (0, 1):
-                sc = atol + rtol * max(abs(y[c]), abs(y5[c]))
-                err = max(err, abs(y5[c] - y4[c]) / sc)
-            if err <= 1:
-                # land exactly on requested nodes: t + (stop - t) may round
-                t = next_stop if lands_on_stop else t + h
-                y = y5
-                k1 = ks[6]          # FSAL
-                ts.append(t)
-                ys_th.append(y[0])
-                ys_ka.append(y[1])
-                ders.append(k1)
-                steps += 1
-                max_est = max(max_est, err * rtol)
-            else:
-                rej += 1
-            factor = safety * (err + mp.mpf(10) ** (-40)) ** (mp.mpf(-1) / 5)
-            h = h * min(mp.mpf(5), max(mp.mpf("0.2"), factor))
+            eps = max(atol, rtol * max(abs(th), abs(ka)))
+            sizes = {j: max(abs(c_th[j]), abs(c_ka[j]))
+                     for j in (order - 1, order)}
+            radius = [(eps / size) ** (mp.mpf(1) / j)
+                      for j, size in sizes.items() if size]
+            if radius and min(radius) < guard * t:
+                # the jet converges only on a collapsing disc: a pole ahead
+                raise SingularityEncountered(
+                    f"flow singular within {mp.nstr(min(radius), 3)} of "
+                    f"t={mp.nstr(t, 10)}", t_last=t)
+            h = min([hmax] + radius)
+            if h <= mp.eps * t * 4:
+                raise NoConvergence("step size underflow")
+            lands = t + h >= t1 * (1 - 4 * mp.eps)
+            if lands:
+                h = t1 - t
+            s_th = TruncSeries(c_th)
+            s_ka = TruncSeries(c_ka)
+            s_w = s_th + TruncSeries([t, 1], order)
+            for poly in (s_th, s_w):
+                start = _vanishing_start(poly, h)
+                if start is not None:
+                    raise SingularityEncountered(
+                        "theta polynomial reaches {0, -t} inside the step "
+                        f"from t={mp.nstr(t, 10)}", t_last=t + start)
+            max_est = max(max_est, rtol / eps * max(
+                size * h ** j for j, size in sizes.items()))
+            jets.append((t, s_th, s_ka))
+            t_end = t1 if lands else t + h
+            while stop_i < len(stops) and stops[stop_i] <= t_end:
+                if stops[stop_i] < t_end:      # a step end is recorded below
+                    s = stops[stop_i] - t
+                    record(stops[stop_i], s_th.eval(s), s_ka.eval(s))
+                stop_i += 1
+            th, ka = s_th.eval(h), s_ka.eval(h)
+            t = t_end
+            record(t, th, ka)
+            steps += 1
 
     with workprec(prec):
+        meta.update({"rtol": str(ctrl.rtol), "atol": str(ctrl.atol),
+                     "taylor_order": order})
         return Trajectory(
             n=n, params=params, t=[+v for v in ts],
             theta=[+v for v in ys_th], kappa=[+v for v in ys_ka],
-            derivs=[(+d[0], +d[1]) for d in ders],
-            steps=steps, rejected=rej, max_error_estimate=float(max_est),
-            metadata={"initial_data": init_src, "rtol": str(ctrl.rtol),
-                      "atol": str(ctrl.atol), "series_order": 6})
+            jets=jets, steps=steps, rejected=0,
+            max_error_estimate=float(max_est), metadata=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -680,16 +680,18 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
 
             if include_quadrature_checks and t > 0 and n >= 1:
                 qprec = PrecisionCtx(min(prec.significand_bits, 192), "1e-28")
-                pair_q = ladder_integrals(table, moments, n, qprec,
-                                          check_equivalence=False)
-                rep.add(
-                    "rr_integral_equivalence_R",
-                    "alpha int w p_n^2/(y-t) = (theta_n + t)/t", n, "-",
-                    [pair_q.R, -pn.R], 1e-20)
-                rep.add(
-                    "rr_integral_equivalence_r",
-                    "a_n alpha int w p_n p_{n-1}/(y-t) = kappa_n/t - (n+mu/2)",
-                    n, "-", [pair_q.r, -pn.r], 1e-20)
+                # the residue integrals carry w/(y-t), integrable for alpha >= 1
+                if al >= 1:
+                    pair_q = ladder_integrals(table, moments, n, qprec,
+                                              check_equivalence=False)
+                    rep.add(
+                        "rr_integral_equivalence_R",
+                        "alpha int w p_n^2/(y-t) = (theta_n + t)/t", n, "-",
+                        [pair_q.R, -pn.R], 1e-20)
+                    rep.add(
+                        "rr_integral_equivalence_r",
+                        "a_n alpha int w p_n p_{n-1}/(y-t) = kappa_n/t"
+                        " - (n+mu/2)", n, "-", [pair_q.r, -pn.r], 1e-20)
                 for x in neg_panel[:2]:
                     Aq, Bq = ladder_ab_by_quadrature(table, n, x, qprec)
                     An, Bn = ladder_ab_at(pn, params, x)

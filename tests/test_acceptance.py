@@ -108,7 +108,7 @@ def test_criterion_3_identity_suite(identity_report, tables):
 
 
 def test_criterion_4_ode_vs_determinant(tables):
-    """Evolved (theta, kappa) matches the Hankel pipeline to 1e-6, n <= 4."""
+    """Evolved (theta, kappa) matches the Hankel pipeline to 1e-25, n <= 4."""
     _, tab = tables
     worst = 0.0
     for n in range(1, 5):
@@ -116,9 +116,9 @@ def test_criterion_4_ode_vs_determinant(tables):
         ref = theta_kappa_from_recurrence(tab, n)
         _, th, ka = traj.endpoint
         worst = max(worst, rel_err(th, ref.theta), rel_err(ka, ref.kappa))
-    announce("4 (flow vs determinants)", worst <= 1e-6,
+    announce("4 (flow vs determinants)", worst <= 1e-25,
              f"worst endpoint relative error {worst:.3e} over n = 1..4 "
-             f"(tol 1e-6)")
+             f"(tol 1e-25)")
 
 
 def test_criterion_5_pv_residual():

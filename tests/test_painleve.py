@@ -242,8 +242,11 @@ class TestSeries:
         for n in (1, 2):
             pair = theta_kappa_from_recurrence(tab, n)
             th0, ka0 = series_init(n, "0.001", params_main)
-            assert rel_err(th0, pair.theta) < 1e-5
-            assert rel_err(ka0, pair.kappa) < 1e-5
+            assert rel_err(th0, pair.theta) < 1e-40
+            assert rel_err(ka0, pair.kappa) < 1e-40
+            th6, ka6 = series_init(n, "0.001", params_main, order=6)
+            assert rel_err(th6, pair.theta) < 1e-5       # an explicit order wins
+            assert rel_err(th6, pair.theta) > 1e-30
 
     def test_preconditions(self, params_main):
         with pytest.raises(UnsupportedParameters):
@@ -267,8 +270,26 @@ class TestEvolve:
         pair = theta_kappa_from_recurrence(tab, 1)
         traj = evolve(1, "0.001", "0.3", params_main, prec)
         _, thE, kaE = traj.endpoint
-        assert rel_err(thE, pair.theta) < 1e-6
-        assert rel_err(kaE, pair.kappa) < 1e-6
+        assert rel_err(thE, pair.theta) < 1e-25
+        assert rel_err(kaE, pair.kappa) < 1e-25
+
+    def test_metadata_reports_orders(self, params_main, prec):
+        """The series order and truncation estimate actually used, or
+        "caller" for caller data, and the Taylor order of the step control."""
+        traj = evolve(1, "0.001", "0.05", params_main, prec)
+        meta = traj.metadata
+        order = meta["series_order"]
+        assert meta["initial_data"] == "series" and isinstance(order, int)
+        th0, _ = series_init(1, "0.001", params_main, prec, order=order)
+        assert traj.theta[0] == th0
+        assert 0 < float(meta["series_truncation"]) < 1e-40
+        assert meta["taylor_order"] == 36                  # rtol 1e-30
+        y0 = series_init(1, "0.001", params_main, prec)
+        caller = evolve(1, "0.001", "0.05", params_main, prec,
+                        StepControl(rtol="1e-18"), y0=y0).metadata
+        assert caller["initial_data"] == "caller"
+        assert caller["series_order"] == caller["series_truncation"] == "caller"
+        assert caller["taylor_order"] == 22
 
     def test_reproducible_under_refinement(self, params_main, prec, tables_main):
         """Endpoint stable under tol/10 refinement, within 10*tol.
@@ -305,6 +326,15 @@ class TestEvolve:
             assert node in traj.t
         samples = traj.sample(nodes)
         assert len(samples) == 3
+        # nodes are read off the step polynomials: no step is cut short
+        plain = evolve(1, "0.001", "0.05", params_main, prec)
+        assert traj.steps == plain.steps
+        assert traj.endpoint == plain.endpoint
+        assert len(traj) == len(plain) + 2                  # 0.05 is t1
+        with mp.workprec(256):
+            for node, (th, ka) in zip(nodes, samples):
+                th_p, ka_p = plain.eval(node)
+                assert rel_err(th, th_p) < 1e-70 and rel_err(ka, ka_p) < 1e-70
 
     def test_singularity_guard(self, params_main, prec):
         # start inside the guard zone around theta = -t
@@ -312,6 +342,25 @@ class TestEvolve:
         with pytest.raises(SingularityEncountered) as err:
             evolve(1, "0.001", "0.3", params_main, prec, y0=y0)
         assert err.value.t_last is not None
+
+    def test_singularity_inside_step(self, prec):
+        """theta_2 reaches 0 near t = 0.864 at (3, 1, -0.204531): the step
+        polynomial's sign change stops the run just before it."""
+        params = WeightParams(3, 1, "-0.204531", 0)
+        y0 = series_init(2, "1e-3", params, prec)
+        with pytest.raises(SingularityEncountered) as err:
+            evolve(2, "1e-3", "1.847", params, prec, y0=y0)
+        assert 0.80 <= err.value.t_last <= 0.87
+
+    def test_singularity_at_start(self, prec):
+        """At (4, 0, 0.34017), n = 3, theta is O(t^5): the series data
+        already lies in the guard zone, so the run stops at t0."""
+        params = WeightParams(4, 0, "0.34017", 0)
+        y0 = series_init(3, "1e-3", params, prec)
+        with pytest.raises(SingularityEncountered) as err:
+            evolve(3, "1e-3", "0.5", params, prec, y0=y0)
+        with mp.workprec(256):
+            assert err.value.t_last == mp.mpf("1e-3")
 
     def test_dense_output_consistency(self, params_main, prec):
         traj = evolve(1, "0.001", "0.1", params_main, prec)
@@ -321,8 +370,8 @@ class TestEvolve:
             pars = params_main.replace_t(tq)
             _, tab = table_for(pars, 2, prec, cross_check=False)
             ref = theta_kappa_from_recurrence(tab, 1)
-            assert rel_err(th_q, ref.theta) < 1e-8
-            assert rel_err(ka_q, ref.kappa) < 1e-8
+            assert rel_err(th_q, ref.theta) < 1e-25
+            assert rel_err(ka_q, ref.kappa) < 1e-25
 
 
 class TestPvResidual:

@@ -3,8 +3,9 @@
 import mpmath as mp
 import pytest
 
-from dlaguerre import (DegenerateTheta, PrecisionCtx, UnsupportedParameters,
-                       WeightParams, build_lax, ladder_integrals, table_for,
+from dlaguerre import (DegenerateTheta, PrecisionCtx, Report,
+                       UnsupportedParameters, WeightParams, build_lax,
+                       ladder_integrals, table_for,
                        theta_kappa_from_recurrence, verify_identities)
 from dlaguerre.semiclassical import (default_x_panel, ladder_ab_at,
                                      ladder_ab_by_quadrature, omega_poly,
@@ -214,6 +215,21 @@ class TestIdentitySuite:
                     "relative", "threshold", "passed"):
             assert key in rec
         assert rep.to_json().startswith("{")
+
+    def test_full_suite_at_alpha_zero(self, prec):
+        """At alpha = 0 the residue-integral pair is left out (w/(y-t) is not
+        integrable there); the other quadrature checks still run and pass."""
+        p = WeightParams(0, 2, "0.5", "0.3")
+        mom, tab = table_for(p, 3, prec)
+        rep = verify_identities(tab, mom, [1, 2], prec,
+                                include_quadrature_checks=True)
+        assert isinstance(rep, Report)
+        ids = {r.check_id for r in rep.records}
+        assert {"ladder_partial_fraction_A", "ladder_partial_fraction_B",
+                "casoratian", "eps_ode"} <= ids
+        assert not ids & {"rr_integral_equivalence_R",
+                          "rr_integral_equivalence_r"}
+        assert rep.all_passed
 
     def test_structural_correspondence_symbolic(self):
         assert structural_correspondence_residual() == 0

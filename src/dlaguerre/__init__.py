@@ -11,14 +11,13 @@ high-precision integration and residual checks.
 __version__ = "0.1.0"
 
 from .errors import (CrossCheckError, DLaguerreError, DegenerateTheta,
-                     NoConvergence, NonterminatingPolePassed,
-                     PrecisionExhausted, QuadratureFailure, SingularHankel,
-                     SingularPanel, SingularRHS, SingularityEncountered,
-                     UnsupportedParameters)
+                     NoConvergence, PrecisionExhausted, QuadratureFailure,
+                     SingularHankel, SingularPanel, SingularRHS,
+                     SingularityEncountered, UnsupportedParameters)
 from .precision import PrecisionCtx, to_mpf, workprec
-from .moments import (MomentTable, WeightParams, build_moment_table,
-                      confluent_1f1, moment_closed_form, moment_limit_t0,
-                      moment_quadrature)
+from .moments import (MomentTable, TruncSeries, WeightParams,
+                      build_moment_table, moment_closed_form,
+                      moment_quadrature, moment_series)
 from .hankel import (PolyEval, RecurrenceTable, dN_kernel, epsilon_eval,
                      hankel_determinant, orthopoly_eval,
                      recurrence_coefficients, shifted_hankel_determinant,

@@ -202,7 +202,7 @@ def cmd_verify(args, parser) -> int:
         span = t_mid / 10
         grid = mp.linspace(t_mid - span, t_mid + span, 9)
         flow_rep = ab_flow_check(params, min(2, n_max), grid, prec,
-                                 threshold=max(threshold, 1e-8))
+                                 threshold=threshold)
     doc = {
         "metadata": _metadata(args, prec),
         "params": _params_dict(params),

@@ -9,10 +9,6 @@ class UnsupportedParameters(DLaguerreError):
     """Parameter combination outside the operation's domain."""
 
 
-class NonterminatingPolePassed(DLaguerreError):
-    """Series denominator hit a non-positive integer before termination."""
-
-
 class NoConvergence(DLaguerreError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 

@@ -255,6 +255,8 @@ def orthopoly_eval_with_derivative(table: RecurrenceTable, n: int, x):
     with workprec(table.prec):
         x = to_mpf(x)
         cur, prev = table.gamma[0], mp.mpf(0)
+        if cur is None:
+            raise SingularHankel("gamma_0 is not real (Delta_1/Delta_0 < 0)")
         dcur, dprev = mp.mpf(0), mp.mpf(0)
         for m in range(n):
             am, am1 = table.a(m), table.a(m + 1)

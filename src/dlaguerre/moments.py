@@ -1,4 +1,4 @@
-"""Moments of the jump-deformed Laguerre weight.
+"""Moments of the jump-deformed Laguerre weight, and the jet type.
 
 The weight is
 
@@ -6,31 +6,32 @@ The weight is
 
 with H the Heaviside step, zeta < 1, t >= 0, alpha a non-negative integer
 and mu >= 0 (integer on the closed-form path).  Splitting the moment
-integral at the jump and converting each binomial sum into a terminating
-Kummer series gives, for integer alpha and mu, the exact closed form
+integral at the jump and expanding (x-t)^alpha on [0, inf) and
+(t+y)^(k+mu) on [t, inf) binomially gives, for integer alpha and mu,
 
-    mu_k = Gamma(1+k+alpha+mu) * [ 1F1(-alpha; -(k+alpha+mu); -t)
-           - zeta * e^{-t} * 1F1(-(k+mu); -(k+alpha+mu); t) ],
+    mu_k(t) = P(t) - zeta e^{-t} Q(t),
+    P(t) = sum_j (-1)^j C(alpha, j) (S-j)! t^j,
+    Q(t) = sum_j C(k+mu, j) (S-j)! t^j,        S = k + alpha + mu,
 
-where both 1F1's terminate (after alpha+1 and k+mu+1 terms) strictly
-before the lower parameter's pole, so the evaluation is a finite sum of
-Gamma ratios.  This is the degenerate integer-parameter limit of the
-generic two-solution hypergeometric representation of the moment; the
-generic-parameter coefficients do not survive the limit unchanged, which
-is why every closed-form evaluation is cross-checked against independent
-split quadrature of the defining integral.
+two polynomials with integer coefficients.  So every moment is an entire
+function of t: moment_series gives its Taylor jet about any t*, and the
+closed form is that jet's order-0 term, evaluated with guard bits and
+cross-checked against independent split quadrature of the defining
+integral.  TruncSeries is the one truncated-power-series type of the
+package; the Hankel jets, series initial data and every t-derivative of
+the Painleve layer are built from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 
-from .errors import (CrossCheckError, NoConvergence, NonterminatingPolePassed,
-                     UnsupportedParameters)
+from .errors import CrossCheckError, UnsupportedParameters
 from .precision import PrecisionCtx, to_mpf, workprec
 from .quadrature import integrate_weighted, weight_value
 
@@ -102,74 +103,148 @@ class WeightParams:
         return WeightParams(self.alpha, self.mu, self.zeta, t_new)
 
 
-def confluent_1f1(a, b, z, prec: PrecisionCtx):
-    """Kummer 1F1(a; b; z) by direct series, to relative tolerance prec.tol.
+def conv(x, y, j, lo=0):
+    """sum_{i=lo..j} x_i y_{j-i}: coefficient j of a product of series."""
+    return mp.fdot(x[lo:j + 1], y[j - lo::-1])
 
-    Terminates exactly when a is a non-positive integer.  Raises
-    NonterminatingPolePassed if b hits a non-positive integer first, and
-    NoConvergence past prec.max_series_terms.
+
+class TruncSeries:
+    """Truncated power series (a jet) with mpf coefficients.
+
+    Arithmetic with another series truncates to the lower order; any other
+    operand, on either side, is a constant.  Division and sqrt need a
+    nonzero constant term.
     """
-    # guard bits absorb the alternating-series cancellation for z < 0
-    with mp.workprec(prec.significand_bits + 60):
-        a = to_mpf(a)
-        b = to_mpf(b)
-        z = to_mpf(z)
-        tol = prec.tol_mpf()
-        terminates_at = None
-        if a <= 0 and a == mp.floor(a):
-            terminates_at = int(-a)
-        term = mp.mpf(1)
-        total = mp.mpf(1)
-        j = 0
-        small_run = 0
-        while True:
-            if terminates_at is not None and j >= terminates_at:
-                break
-            denom = b + j
-            if denom == 0:
-                raise NonterminatingPolePassed(
-                    f"1F1 lower parameter hits non-positive integer at term {j}")
-            term = term * (a + j) / denom * z / (j + 1)
-            total += term
-            j += 1
-            if terminates_at is None:
-                # two consecutive small terms guard the alternating case
-                small_run = small_run + 1 if abs(term) <= tol * abs(total) / 4 else 0
-                if small_run >= 2:
-                    break
-            if j >= prec.max_series_terms:
-                raise NoConvergence("1F1 series exceeded max_series_terms")
-    with workprec(prec):
-        return +total
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs, order=None):
+        c = [to_mpf(v) for v in coeffs]
+        if order is not None:
+            c = c[:order + 1] + [mp.mpf(0)] * max(0, order + 1 - len(c))
+        self.c = c
+
+    @property
+    def order(self):
+        return len(self.c) - 1
+
+    @classmethod
+    def constant(cls, v, order):
+        return cls([v] + [0] * order)
+
+    def _pair(self, other):
+        if isinstance(other, TruncSeries):
+            K = min(self.order, other.order)
+            return self.c[:K + 1], other.c[:K + 1]
+        return self.c, [other] + [0] * self.order
+
+    def __add__(self, other):
+        x, y = self._pair(other)
+        return TruncSeries([a + b for a, b in zip(x, y)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TruncSeries([-a for a in self.c])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, TruncSeries):
+            return TruncSeries([a * other for a in self.c])
+        x, y = self._pair(other)
+        return TruncSeries([conv(x, y, j) for j in range(len(x))])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, TruncSeries):
+            return TruncSeries([a / other for a in self.c])
+        x, y = self._pair(other)
+        if y[0] == 0:
+            raise ZeroDivisionError("series division by a zero constant term")
+        out = []
+        for j in range(len(x)):
+            out.append((x[j] - conv(y, out, j, 1)) / y[0])
+        return TruncSeries(out)
+
+    def __rtruediv__(self, other):
+        return TruncSeries.constant(other, self.order) / self
+
+    def sqrt(self):
+        if self.c[0] == 0:
+            raise ZeroDivisionError("series sqrt of a zero constant term")
+        out = [mp.sqrt(self.c[0])]
+        for j in range(1, len(self.c)):
+            out.append((self.c[j] - conv(out, out, j, 1)) / (2 * out[0]))
+        return TruncSeries(out)
+
+    def eval(self, s):
+        s = to_mpf(s)
+        acc = mp.mpf(0)
+        for a in reversed(self.c):
+            acc = acc * s + a
+        return acc
+
+    def deriv_eval(self, s):
+        s = to_mpf(s)
+        acc = mp.mpf(0)
+        for i in range(len(self.c) - 1, 0, -1):
+            acc = acc * s + i * self.c[i]
+        return acc
 
 
-def moment_limit_t0(k: int, params: WeightParams, prec: PrecisionCtx):
-    """mu_k at t = 0: the weight degenerates to (1-zeta) x^(alpha+mu) e^{-x}."""
-    with workprec(prec, 20):
-        val = (1 - to_mpf(params.zeta)) * mp.gamma(
-            mp.mpf(k) + to_mpf(params.alpha) + to_mpf(params.mu) + 1)
-    with workprec(prec):
-        return +val
+def _taylor_shift(p, t0, order):
+    """Coefficients through s^order of p(t0 + s), p given lowest degree first
+    (repeated synthetic division by s - t0)."""
+    out = []
+    for _ in range(min(order, len(p) - 1) + 1):
+        acc, quot = 0, []
+        for a in reversed(p):
+            acc = acc * t0 + a
+            quot.append(acc)
+        out.append(quot.pop())
+        p = quot[::-1]
+    return TruncSeries(out, order)
+
+
+def moment_series(k: int, params: WeightParams, order: int,
+                  about=0) -> TruncSeries:
+    """Taylor coefficients of mu_k(about + s) through s^order.
+
+    mu_k(t) = P(t) - zeta e^{-t} Q(t) with integer-coefficient polynomials
+    P (degree alpha, the integral over x >= 0) and Q (degree k + mu, the
+    integral over x >= t after x = t + y); each is re-expanded about t*
+    and the tail is multiplied by e^{-t*} e^{-s}.
+    """
+    if not params.mu_is_integer:
+        raise UnsupportedParameters("moment series requires integer mu")
+    al, m = int(params.alpha), int(params.mu)
+    S = k + al + m
+    t0 = to_mpf(about)
+    head = [(-1) ** j * math.comb(al, j) * math.factorial(S - j)
+            for j in range(al + 1)]
+    tail = [math.comb(k + m, j) * math.factorial(S - j)
+            for j in range(k + m + 1)]
+    exp_neg = TruncSeries([(-1) ** i / mp.factorial(i)
+                           for i in range(order + 1)])
+    return (_taylor_shift(head, t0, order) - to_mpf(params.zeta) * mp.exp(-t0)
+            * (exp_neg * _taylor_shift(tail, t0, order)))
 
 
 def moment_closed_form(k: int, params: WeightParams, prec: PrecisionCtx):
-    """mu_k via the terminating hypergeometric closed form (integer alpha, mu)."""
+    """mu_k in closed form: the order-0 term of moment_series about t."""
     if k < 0:
         raise UnsupportedParameters("k must be >= 0")
     if not params.mu_is_integer:
         raise UnsupportedParameters(
             "closed form requires integer mu; use moment_quadrature")
-    if params.at_origin:
-        return moment_limit_t0(k, params, prec)
-    a_i = int(params.alpha)
-    m_i = int(params.mu)
     with workprec(prec, 30):
-        t = to_mpf(params.t)
-        zeta = to_mpf(params.zeta)
-        s = k + a_i + m_i
-        f_head = confluent_1f1(-a_i, -s, -t, prec)
-        f_tail = confluent_1f1(-(k + m_i), -s, t, prec)
-        val = mp.gamma(s + 1) * (f_head - zeta * mp.exp(-t) * f_tail)
+        val = moment_series(k, params, 0, params.t).c[0]
     with workprec(prec):
         return +val
 

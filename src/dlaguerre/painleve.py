@@ -37,19 +37,23 @@ inverse pair (th = t/(q-1), k = t(n+a+m/2 - pq)) respectively
 (th = tq/(1-q), with k solved from the p-map), and eliminating p
 reproduces the Painleve V equation with the parameters above.
 
-Small-t initial data comes from an exact truncated-power-series pipeline:
-for integer alpha and mu every moment is an entire function of t with
-explicitly known Taylor coefficients, so Hankel determinants, recurrence
-coefficients, and (theta_n, kappa_n) all have exact series computable by
-polynomial arithmetic.  This supersedes hand-truncated expansions, whose
-leading terms the series reproduce:
+Every t-derivative comes from one jet arithmetic (moments.TruncSeries).
+For integer alpha and mu every moment is an entire function of t with
+explicitly known Taylor coefficients about any t*, so the Hankel
+determinants (Gaussian elimination on jets), the recurrence coefficients
+and (theta_n, kappa_n) all have jets computed by series arithmetic
+(aux_pair_series).  About t* = 0 they are the small-t initial data, which
+supersede hand-truncated expansions whose leading terms they reproduce:
 
     theta_n = -m/(a+m) t + a m (a+m+2n+1)/((a+m)^2((a+m)^2-1)) t^2 + ...
     kappa_n =  m(2n+a+m)/(2(a+m)) t - 2 a m n (n+a+m)/((a+m)^2((a+m)^2-1)) t^2 + ...
 
 The series order is chosen from t0, alpha + mu and the tolerance so that
 the flow's (t1/t0)^(1+alpha+mu) amplification of the initial error stays
-below it.
+below it.  About t* > 0 their order-1 terms give the a_n/b_n flow laws,
+the t-deformation and the zero-curvature residuals exactly, and the order-1
+jet of the flow itself, mapped through the q/p formulas, gives the
+Hamiltonian form of the flow.  Only pv_residual differentiates numerically.
 
 The integrator is a Taylor-series method in the working precision.  Each
 step builds the jet of (theta, kappa) about its start by the standard
@@ -71,13 +75,12 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
-                     SingularRHS, SingularityEncountered,
+from .errors import (DegenerateTheta, NoConvergence, SingularHankel,
+                     SingularPanel, SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
-from .hankel import orthopoly_eval, recurrence_coefficients
-from .moments import WeightParams, build_moment_table
+from .moments import TruncSeries, WeightParams, conv, moment_series
 from .precision import PrecisionCtx, to_mpf, workprec
-from .semiclassical import Report, build_lax, theta_kappa_from_recurrence
+from .semiclassical import Report, lax_residues, lax_x_matrices
 
 # ---------------------------------------------------------------------------
 # parameter wiring
@@ -178,6 +181,17 @@ def hamilton_rhs(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
 # ---------------------------------------------------------------------------
 
 
+def _qp_map(th, ka, t, n: int, params: WeightParams, convention: str):
+    """q and p of (theta, kappa, t): plain arithmetic, so jets map too."""
+    a, m = to_mpf(params.alpha), to_mpf(params.mu)
+    if convention == "prop11":
+        return ((th + t) / th,
+                th * ((n + a + m / 2) * t - ka) / (t * (th + t)))
+    return (th / (th + t),
+            (th + t) * (ka - m * t / 2
+                        + th * (2 * n + a + m + 1 + t + th)) / (t * th))
+
+
 def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
                    convention: str = "prop11",
                    prec: PrecisionCtx = None) -> HamiltonPoint:
@@ -186,16 +200,9 @@ def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
     ctx = workprec(prec) if prec is not None else mp.extraprec(20)
     with ctx:
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
-        a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if t == 0 or th == 0 or th + t == 0:
             raise DegenerateTheta("map undefined at theta in {0, -t} or t = 0")
-        if convention == "prop11":
-            q = (th + t) / th
-            p = th * ((n + a + m / 2) * t - ka) / (t * (th + t))
-        else:
-            q = th / (th + t)
-            p = (th + t) * (ka - m * t / 2
-                            + th * (2 * n + a + m + 1 + t + th)) / (t * th)
+        q, p = _qp_map(th, ka, t, n, params, convention)
         H = hamiltonian_eval(q, p, t, pv)
         return HamiltonPoint(q=+q, p=+p, t=+t, H=+H)
 
@@ -245,10 +252,6 @@ def _flow_jet_factory(n: int, params: WeightParams):
     c_t = n * n + (n + m / 2) * (a + m)
     c_m2 = m * m / 4
     c_tt = (n + m / 2) * (n + a + m / 2)
-
-    def conv(x, y, j, lo=0):
-        """sum_{i=lo..j} x_i y_{j-i}."""
-        return mp.fdot(x[lo:j + 1], y[j - lo::-1])
 
     def jet(tk, th0, ka0, K):
         if tk == 0:
@@ -349,184 +352,127 @@ def hamilton_map_residual(theta, kappa, n: int, t, params: WeightParams,
                           prec: PrecisionCtx = None):
     """|chain-rule (q', p') along the flow minus hamilton_rhs(q, p, t)|, max.
 
-    The directional derivative of the map along the flow is formed with an
-    order-4 stencil in a scalar parameter; at 256 bits its truncation is
-    far below the 1e-15 acceptance threshold.
+    The flow's order-1 jet of (theta, kappa) is mapped through the q/p
+    formulas of to_hamiltonian, so (q', p') is exact to working precision.
     """
     prec = prec or PrecisionCtx()
     with workprec(prec, 40):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
-        dth, dka = ode_rhs(th, ka, n, t, params)
-
-        def qp(eps):
-            hp = to_hamiltonian(th + eps * dth, ka + eps * dka, t + eps,
-                                n, params, convention)
-            return hp.q, hp.p
-
-        h = mp.mpf(2) ** (-40)
-        vals = {s: qp(s * h) for s in (-2, -1, 1, 2)}
-        dq = (-vals[2][0] + 8 * vals[1][0] - 8 * vals[-1][0] + vals[-2][0]) / (12 * h)
-        dp = (-vals[2][1] + 8 * vals[1][1] - 8 * vals[-1][1] + vals[-2][1]) / (12 * h)
-        hp = to_hamiltonian(th, ka, t, n, params, convention)
+        c_th, c_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
+        q, p = _qp_map(TruncSeries(c_th), TruncSeries(c_ka),
+                       TruncSeries([t, 1]), n, params, convention)
         pv = PVParams.make(n, params.alpha, params.mu, convention)
-        dq_h, dp_h = hamilton_rhs(hp.q, hp.p, t, pv)
-        return max(abs(dq - dq_h), abs(dp - dp_h))
+        dq_h, dp_h = hamilton_rhs(q.c[0], p.c[0], t, pv)
+        return max(abs(q.c[1] - dq_h), abs(p.c[1] - dp_h))
 
 
 # ---------------------------------------------------------------------------
-# exact small-t series
+# jets of the Hankel data
 # ---------------------------------------------------------------------------
 
 
-class TruncSeries:
-    """Truncated power series with mpf coefficients, fixed order."""
+def _det_series(entries) -> TruncSeries:
+    """Determinant of a square matrix of TruncSeries by Gaussian elimination.
 
-    __slots__ = ("c",)
+    Pivots are chosen by the size of their constant terms, so the matrix of
+    constant terms must be nonsingular.  O(n^3) series products.
+    """
+    a = [list(row) for row in entries]
+    n = len(a)
+    det = TruncSeries.constant(1, a[0][0].order)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col].c[0]))
+        if a[piv][col].c[0] == 0:
+            raise SingularHankel("Hankel matrix singular at the expansion "
+                                 "point")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det = det * a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col + 1, n):
+                a[r][c] = a[r][c] - f * a[col][c]
+    return det
 
-    def __init__(self, coeffs, order=None):
-        c = [to_mpf(v) for v in coeffs]
-        if order is not None:
-            c = c[:order + 1] + [mp.mpf(0)] * max(0, order + 1 - len(c))
-        self.c = c
+
+@dataclass(frozen=True)
+class JetTable:
+    """Taylor jets in s of the recurrence data at t = about + s.
+
+    delta[m], sigma[m] for m <= n_max + 1; b[m], theta[m], kappa[m] for
+    m <= n_max; a2[m] for 1 <= m <= n_max (a2[0] is zero).  The same
+    relations as RecurrenceTable and theta_kappa_from_recurrence, applied
+    to jets, so the coefficient of s^j is the j-th t-derivative over j!.
+    """
+
+    params: WeightParams
+    about: object
+    n_max: int
+    delta: tuple
+    sigma: tuple
+    a2: tuple
+    b: tuple
+    theta: tuple
+    kappa: tuple
 
     @property
-    def order(self):
-        return len(self.c) - 1
+    def t(self) -> TruncSeries:
+        return TruncSeries([self.about, 1], self.delta[0].order)
 
-    @classmethod
-    def constant(cls, v, order):
-        return cls([v] + [0] * order)
+    def a(self, m: int):
+        """Jet of a_m = sqrt(a_m^2); raises if a_m^2 is not positive."""
+        if m == 0:
+            return 0
+        if not self.a2[m].c[0] > 0:
+            raise SingularHankel(f"a_{m}^2 is not positive")
+        return self.a2[m].sqrt()
 
-    def __add__(self, other):
-        return TruncSeries([a + b for a, b in zip(self.c, other.c)])
-
-    def __sub__(self, other):
-        return TruncSeries([a - b for a, b in zip(self.c, other.c)])
-
-    def __mul__(self, other):
-        K = self.order
-        out = [mp.mpf(0)] * (K + 1)
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j in range(0, K - i + 1):
-                out[i + j] += a * other.c[j]
-        return TruncSeries(out)
-
-    def scale(self, s):
-        s = to_mpf(s)
-        return TruncSeries([a * s for a in self.c])
-
-    def divide(self, other):
-        if other.c[0] == 0:
-            raise ZeroDivisionError("series division needs a unit constant term")
-        K = self.order
-        out = [mp.mpf(0)] * (K + 1)
-        for i in range(K + 1):
-            acc = self.c[i]
-            for j in range(1, i + 1):
-                acc -= other.c[j] * out[i - j]
-            out[i] = acc / other.c[0]
-        return TruncSeries(out)
-
-    def eval(self, t):
-        t = to_mpf(t)
-        acc = mp.mpf(0)
-        for a in reversed(self.c):
-            acc = acc * t + a
-        return acc
-
-    def deriv_eval(self, t):
-        t = to_mpf(t)
-        acc = mp.mpf(0)
-        for i in range(len(self.c) - 1, 0, -1):
-            acc = acc * t + i * self.c[i]
-        return acc
+    def poly(self, n: int, x):
+        """Jets of (p_n(x), p_{n-1}(x)) by the forward recurrence."""
+        if not self.delta[1].c[0] > 0:
+            raise SingularHankel("gamma_0 is not real (Delta_1/Delta_0 < 0)")
+        cur, prev = (1 / self.delta[1]).sqrt(), 0
+        for m in range(n):
+            cur, prev = ((x - self.b[m]) * cur - self.a(m) * prev
+                         ) / self.a(m + 1), cur
+        return cur, prev
 
 
-def moment_series(k: int, params: WeightParams, order: int) -> TruncSeries:
-    """Exact Taylor coefficients of mu_k(t) through t^order (integer alpha, mu)."""
-    if not params.mu_is_integer:
-        raise UnsupportedParameters("moment series requires integer mu")
-    al = int(params.alpha)
-    m = int(params.mu)
-    S = k + al + m
-    zeta = to_mpf(params.zeta)
-    head = [mp.mpf(0)] * (order + 1)
-    for j in range(0, min(al, order) + 1):
-        head[j] = (-1) ** j * mp.binomial(al, j) * mp.gamma(S + 1 - j)
-    tail = [mp.mpf(0)] * (order + 1)
-    for j in range(0, min(k + m, order) + 1):
-        tail[j] = mp.binomial(k + m, j) * mp.gamma(S + 1 - j)
-    exp_neg = TruncSeries([(-1) ** i / mp.factorial(i)
-                           for i in range(order + 1)])
-    return (TruncSeries(head)
-            - (exp_neg * TruncSeries(tail)).scale(zeta))
+def aux_pair_series(n_max: int, params: WeightParams, order: int,
+                    prec: PrecisionCtx = None, about=0) -> JetTable:
+    """Jets through s^order of the recurrence data at t = about + s.
 
-
-def _det_series(entries, order: int) -> TruncSeries:
-    """Determinant of a matrix of TruncSeries by Laplace subset recursion.
-
-    det over the top popcount(mask) rows and the column set mask, expanded
-    along the last of those rows; sign = (-1)^{(row-1) + position-in-mask}.
-    """
-    n = len(entries)
-    if n == 0:
-        return TruncSeries.constant(1, order)
-    K = entries[0][0].order
-    memo = {0: TruncSeries.constant(1, K)}
-
-    def det_mask(mask):
-        if mask in memo:
-            return memo[mask]
-        row = bin(mask).count("1")
-        acc = TruncSeries.constant(0, K)
-        sign = 1 if (row - 1) % 2 == 0 else -1
-        for col in range(n):
-            bit = 1 << col
-            if mask & bit:
-                sub = det_mask(mask & ~bit)
-                term = entries[row - 1][col] * sub
-                acc = acc + (term if sign > 0 else term.scale(-1))
-                sign = -sign
-        memo[mask] = acc
-        return acc
-
-    return det_mask((1 << n) - 1)
-
-
-def aux_pair_series(n: int, params: WeightParams, order: int,
-                    prec: PrecisionCtx = None):
-    """Exact truncated series of theta_n(t) and kappa_n(t).
-
-    Returns (theta_series, kappa_series).  Valid for integer alpha, mu with
-    zeta < 1; all arithmetic runs at the context precision, and for integer
-    parameters every coefficient is exact up to rounding.
+    Built from moment_series at integer alpha, mu; zeta < 1.  About 0 the
+    jets are the exact small-t series (series_init); about any t > 0 their
+    order-1 terms are the t-derivatives that the flow laws, the deformation
+    and the zero-curvature checks read.  Arithmetic runs with 60 guard bits.
     """
     prec = prec or PrecisionCtx()
     with workprec(prec, 60):
+        about = to_mpf(about)
         al, m = to_mpf(params.alpha), to_mpf(params.mu)
-        mk = {k: moment_series(k, params, order)
-              for k in range(2 * n + 2)}
-        delta = {}
-        sigma = {}
-        for size in range(n + 2):
-            delta[size] = _det_series(
-                [[mk[i + j] for j in range(size)] for i in range(size)], order)
-            if size == 0:
-                sigma[size] = TruncSeries.constant(0, order)
-            else:
-                sigma[size] = _det_series(
-                    [[mk[i + j] for j in range(size - 1)] + [mk[i + size]]
-                     for i in range(size)], order)
-        root_sum = {s: sigma[s].divide(delta[s]) for s in range(n + 2)}
-        b = {i: root_sum[i + 1] - root_sum[i] for i in range(n + 1)}
-        a2_n = (delta[n - 1] * delta[n + 1]).divide(delta[n] * delta[n]) \
-            if n >= 1 else TruncSeries.constant(0, order)
-        lin = TruncSeries([0, 1] + [0] * (order - 1))
-        theta = b[n] - TruncSeries.constant(2 * n + 1 + al + m, order) - lin
-        kappa = lin.scale(n + m / 2) + a2_n - root_sum[n]
-        return theta, kappa
+        mk = [moment_series(k, params, order, about)
+              for k in range(2 * n_max + 2)]
+        delta = [TruncSeries.constant(1, order)]
+        sigma = [TruncSeries.constant(0, order)]
+        for size in range(1, n_max + 2):
+            delta.append(_det_series(
+                [[mk[i + j] for j in range(size)] for i in range(size)]))
+            sigma.append(_det_series(
+                [[mk[i + j] for j in range(size - 1)] + [mk[i + size]]
+                 for i in range(size)]))
+        root_sum = [s / d for s, d in zip(sigma, delta)]
+        b = [root_sum[i + 1] - root_sum[i] for i in range(n_max + 1)]
+        a2 = [TruncSeries.constant(0, order)] + [
+            delta[i - 1] * delta[i + 1] / (delta[i] * delta[i])
+            for i in range(1, n_max + 1)]
+        t = TruncSeries([about, 1], order)
+        theta = [b[i] - (2 * i + 1 + al + m) - t for i in range(n_max + 1)]
+        kappa = [(i + m / 2) * t + a2[i] - root_sum[i]
+                 for i in range(n_max + 1)]
+    return JetTable(params, about, n_max, tuple(delta), tuple(sigma),
+                    tuple(a2), tuple(b), tuple(theta), tuple(kappa))
 
 
 def _series_order(t0, params: WeightParams, prec: PrecisionCtx) -> int:
@@ -559,7 +505,8 @@ def _series_data(n: int, t0, params: WeightParams, prec: PrecisionCtx,
             raise UnsupportedParameters("series_init requires alpha + mu > 1")
         if order is None:
             order = _series_order(t0, params, prec)
-        th_s, ka_s = aux_pair_series(n, params, order, prec)
+        jets = aux_pair_series(n, params, order, prec)
+        th_s, ka_s = jets.theta[n], jets.kappa[n]
         est = max(abs(th_s.c[-1]), abs(ka_s.c[-1])) * t0 ** order
         return +th_s.eval(t0), +ka_s.eval(t0), order, +est
 
@@ -648,7 +595,8 @@ class Trajectory:
     jets[i] = (t_i, theta jet, kappa jet) is the Taylor polynomial of step i
     about its start t_i; the step ends where jets[i + 1] starts (the last at
     the final node).  The Taylor step size is fixed from the jet before the
-    step is taken, so `rejected` is always 0.
+    step is taken, so `rejected` is always 0.  eval and sample run at the
+    trajectory's precision `prec`, whatever the caller's context.
     """
 
     n: int
@@ -661,6 +609,7 @@ class Trajectory:
     rejected: int
     max_error_estimate: float
     metadata: dict = field(default_factory=dict)
+    prec: PrecisionCtx = field(default_factory=PrecisionCtx)
 
     def __len__(self):
         return len(self.t)
@@ -671,27 +620,26 @@ class Trajectory:
 
     def eval(self, t_query):
         """Dense output: the Taylor polynomial of the step containing t."""
-        tq = to_mpf(t_query)
-        if not self.t[0] <= tq <= self.t[-1]:
-            raise ValueError("query outside the trajectory range")
-        if not self.jets:
-            return self.theta[0], self.kappa[0]
-        i = max(bisect.bisect_right([j[0] for j in self.jets], tq) - 1, 0)
-        tk, th, ka = self.jets[i]
-        return th.eval(tq - tk), ka.eval(tq - tk)
+        with workprec(self.prec):
+            tq = to_mpf(t_query)
+            if not self.t[0] <= tq <= self.t[-1]:
+                raise ValueError("query outside the trajectory range")
+            if not self.jets:
+                return self.theta[0], self.kappa[0]
+            i = max(bisect.bisect_right([j[0] for j in self.jets], tq) - 1, 0)
+            tk, th, ka = self.jets[i]
+            return th.eval(tq - tk), ka.eval(tq - tk)
 
     def sample(self, t_list):
         """(theta, kappa) at each query: exact node values when the query
         coincides with a node (the t_eval case), dense output otherwise."""
         node = {t: i for i, t in enumerate(self.t)}
         out = []
-        for tq in t_list:
-            tq = to_mpf(tq)
-            i = node.get(tq)
-            if i is not None:
-                out.append((self.theta[i], self.kappa[i]))
-            else:
-                out.append(self.eval(tq))
+        with workprec(self.prec):
+            for tq in t_list:
+                i = node.get(to_mpf(tq))
+                out.append((self.theta[i], self.kappa[i]) if i is not None
+                           else self.eval(tq))
         return out
 
 
@@ -808,7 +756,7 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
             n=n, params=params, t=[+v for v in ts],
             theta=[+v for v in ys_th], kappa=[+v for v in ys_ka],
             jets=jets, steps=steps, rejected=0,
-            max_error_estimate=float(max_est), metadata=meta)
+            max_error_estimate=float(max_est), metadata=meta, prec=prec)
 
 
 # ---------------------------------------------------------------------------
@@ -880,94 +828,80 @@ def _mat_absmax(X):
     return max(abs(X[i][j]) for i in range(2) for j in range(2))
 
 
+def _lax_jets(jets: JetTable, n: int):
+    """(A0, At, Ainf, Binf) of the Lax pair as jets in t."""
+    return lax_residues(n, jets.t, jets.theta[n], jets.theta[n - 1],
+                        jets.kappa[n], jets.a(n), jets.params)
+
+
+def _deformation(jets: JetTable, n: int, x):
+    """Residual of d/dt (p_n, p_{n-1}) = B (p_n, p_{n-1}) from order-1 jets,
+    normalized by the vector scale."""
+    vec = jets.poly(n, x)
+    _, B = lax_x_matrices(*_lax_jets(jets, n), jets.t, x)
+    resid = max(abs(vec[c].c[1] - B[c][0].c[0] * vec[0].c[0]
+                    - B[c][1].c[0] * vec[1].c[0]) for c in (0, 1))
+    return float(resid / max(abs(vec[0].c[0]), abs(vec[1].c[0]), mp.mpf(1)))
+
+
+def _compatibility(jets: JetTable, n: int, x):
+    """dA/dt - dB/dx + AB - BA from order-1 jets, normalized by the largest
+    term entry."""
+    residues = _lax_jets(jets, n)
+    A, B = lax_x_matrices(*residues, jets.t, x)
+    dA = tuple(tuple(e.c[1] for e in row) for row in A)
+    A0 = tuple(tuple(e.c[0] for e in row) for row in A)
+    B0 = tuple(tuple(e.c[0] for e in row) for row in B)
+    dB = tuple(tuple(e.c[0] / (x - jets.about) ** 2 for e in row)
+               for row in residues[1])
+    comm = _mat_sub(_mat_mul(A0, B0), _mat_mul(B0, A0))
+    resid = _mat_sub(_mat_sub(dA, dB), _mat_sub(_mat_mul(B0, A0),
+                                                _mat_mul(A0, B0)))
+    scale = max(_mat_absmax(dA), _mat_absmax(dB), _mat_absmax(comm),
+                mp.mpf(1))
+    return float(_mat_absmax(resid) / scale)
+
+
 def deformation_residual(params: WeightParams, n: int, x, t,
-                         prec: PrecisionCtx = None, h=None):
+                         prec: PrecisionCtx = None):
     """Residual of the t-deformation system on the polynomial vector.
 
     Checks d/dt (p_n, p_{n-1})^T = [Binf - At/(x-t)] (p_n, p_{n-1})^T with
-    the t-derivative by central differences across freshly built tables.
+    the t-derivative read off order-1 jets of the recurrence data at t.
     Returns max-abs residual normalized by the vector scale.
     """
     prec = prec or PrecisionCtx()
     with workprec(prec, 20):
-        t = to_mpf(t)
-        x = to_mpf(x)
-        h = to_mpf(h) if h is not None else mp.mpf(2) ** (-20)
-
-        def poly_vec(tt):
-            pars = params.replace_t(tt)
-            mom = build_moment_table(pars, 2 * (n + 1) + 1, prec,
-                                     cross_check=False)
-            tab = recurrence_coefficients(mom, n + 1, prec)
-            pe = orthopoly_eval(tab, n, x)
-            return (pe.value_n, pe.value_nm1), tab
-
-        vec_p, _ = poly_vec(t + h)
-        vec_m, _ = poly_vec(t - h)
-        vec_0, tab0 = poly_vec(t)
-        lax = build_lax(tab0, n)
-        B = lax.b_matrix(x)
-        resid = mp.mpf(0)
-        scale = max(abs(vec_0[0]), abs(vec_0[1]), mp.mpf(1))
-        for c in (0, 1):
-            dd = (vec_p[c] - vec_m[c]) / (2 * h)
-            model = B[c][0] * vec_0[0] + B[c][1] * vec_0[1]
-            resid = max(resid, abs(dd - model))
-        return float(resid / scale)
+        jets = aux_pair_series(n, params, 1, prec, about=t)
+        return _deformation(jets, n, to_mpf(x))
 
 
 def compatibility_residual(params: WeightParams, n: int, x, t,
-                           prec: PrecisionCtx = None, h=None):
+                           prec: PrecisionCtx = None):
     """Zero-curvature residual dA/dt - dB/dx + AB - BA at (x, t).
 
-    dA/dt by central differences of the Lax build at t +/- h; dB/dx exact.
-    Returns the max-abs entry normalized by the largest term entry.
+    dA/dt from order-1 jets of the Lax entries; dB/dx exact.  Returns the
+    max-abs entry normalized by the largest term entry.
     """
     prec = prec or PrecisionCtx()
     with workprec(prec, 20):
-        t = to_mpf(t)
-        x = to_mpf(x)
-        h = to_mpf(h) if h is not None else mp.mpf(2) ** (-20)
-
-        def lax_at(tt):
-            pars = params.replace_t(tt)
-            mom = build_moment_table(pars, 2 * (n + 1) + 1, prec,
-                                     cross_check=False)
-            tab = recurrence_coefficients(mom, n + 1, prec)
-            return build_lax(tab, n)
-
-        lax_p = lax_at(t + h)
-        lax_m = lax_at(t - h)
-        lax_0 = lax_at(t)
-        Ap = lax_p.a_matrix(x)
-        Am = lax_m.a_matrix(x)
-        dA = tuple(tuple((Ap[i][j] - Am[i][j]) / (2 * h) for j in range(2))
-                   for i in range(2))
-        A0 = lax_0.a_matrix(x)
-        B0 = lax_0.b_matrix(x)
-        dB = lax_0.b_matrix_dx(x)
-        comm = _mat_sub(_mat_mul(A0, B0), _mat_mul(B0, A0))
-        resid = _mat_sub(_mat_sub(dA, dB), _mat_sub(_mat_mul(B0, A0),
-                                                    _mat_mul(A0, B0)))
-        # resid = dA - dB + AB - BA
-        scale = max(_mat_absmax(dA), _mat_absmax(dB), _mat_absmax(comm),
-                    mp.mpf(1))
-        return float(_mat_absmax(resid) / scale)
+        jets = aux_pair_series(n, params, 1, prec, about=t)
+        return _compatibility(jets, n, to_mpf(x))
 
 
 def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
-                  prec: PrecisionCtx = None, threshold: float = 1e-8,
-                  n_max: int = None) -> Report:
-    """Flow laws of a_n(t), b_n(t) against finite differences on a t-grid.
+                  prec: PrecisionCtx = None,
+                  threshold: float = 1e-8) -> Report:
+    """Flow laws of a_n(t), b_n(t) from order-1 jets at t_grid[2:-2].
 
     Verifies both printed normalizations (they are equivalent and must both
-    hold):   2t a'/a = 2 + b_{n-1} - b_n     and   2 a'/a = R_{n-1} - R_n,
+    hold), with 2 a'/a written as (a^2)'/a^2 so signed weights need no sqrt:
+             2t a'/a = 2 + b_{n-1} - b_n     and   2 a'/a = R_{n-1} - R_n,
              t b' = a_n^2 - a_{n+1}^2 + b_n  and   b' = r_n - r_{n+1};
     plus the t-deformation residual and the zero-curvature compatibility
-    at x = -1 on the middle node.  t_grid must be uniform and away from 0.
+    at x = -1 on the middle node.  One jet table per record point.
     """
     prec = prec or PrecisionCtx()
-    n_max = n_max or (n + 1)
     rep = Report(
         title="ab-flow",
         context={"alpha": str(params.alpha), "mu": str(params.mu),
@@ -975,60 +909,41 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
                  "t_grid": [str(v) for v in t_grid], "threshold": threshold})
     with workprec(prec, 20):
         ts = [to_mpf(v) for v in t_grid]
-        h = ts[1] - ts[0]
-        for i in range(1, len(ts)):
-            if abs((ts[i] - ts[i - 1]) - h) > abs(h) * mp.mpf("1e-20"):
-                raise SingularPanel("t grid must be uniform")
         if len(ts) < 5:
             raise SingularPanel("need at least 5 grid nodes")
-
-        tabs = []
-        for tt in ts:
-            pars = params.replace_t(tt)
-            mom = build_moment_table(pars, 2 * n_max + 1, prec,
-                                     cross_check=False)
-            tabs.append(recurrence_coefficients(mom, n_max, prec))
-
-        a_vals = [tab.a(n) for tab in tabs]
-        b_vals = [tab.b[n] for tab in tabs]
-        pairs_n = [theta_kappa_from_recurrence(tab, n) for tab in tabs]
-        pairs_m = [theta_kappa_from_recurrence(tab, n - 1) for tab in tabs]
-        pairs_p = [theta_kappa_from_recurrence(tab, n + 1) for tab in tabs]
-
-        def d4(vals, i):
-            return (-vals[i + 2] + 8 * vals[i + 1]
-                    - 8 * vals[i - 1] + vals[i - 2]) / (12 * h)
-
-        for i in range(2, len(ts) - 2):
-            t = ts[i]
-            da = d4(a_vals, i)
-            db = d4(b_vals, i)
-            tab = tabs[i]
+        mid = ts[len(ts) // 2]
+        m = to_mpf(params.mu)
+        for t in ts[2:-2]:
+            jets = aux_pair_series(n + 1, params, 1, prec, about=t)
+            if t == mid:
+                jets_mid = jets
+            a2, b, th, ka = jets.a2, jets.b, jets.theta, jets.kappa
+            dlog_a2 = a2[n].c[1] / a2[n].c[0]
+            db = b[n].c[1]
+            R = {i: (th[i].c[0] + t) / t for i in (n - 1, n)}
+            r = {i: ka[i].c[0] / t - (i + m / 2) for i in (n, n + 1)}
             rep.add("ab_flow_a_t",
                     "2t a_n'/a_n = 2 + b_{n-1} - b_n", n, t,
-                    [2 * t * da / a_vals[i], -2, -tab.b[n - 1], tab.b[n]],
+                    [t * dlog_a2, -2, -b[n - 1].c[0], b[n].c[0]],
                     threshold)
             rep.add("ab_flow_b_t",
                     "t b_n' = a_n^2 - a_{n+1}^2 + b_n", n, t,
-                    [t * db, -tab.a2[n], tab.a2[n + 1], -tab.b[n]],
+                    [t * db, -a2[n].c[0], a2[n + 1].c[0], -b[n].c[0]],
                     threshold)
             rep.add("ab_flow_a_ladder",
                     "2 a_n'/a_n = R_{n-1} - R_n", n, t,
-                    [2 * da / a_vals[i], -pairs_m[i].R, pairs_n[i].R],
-                    threshold)
+                    [dlog_a2, -R[n - 1], R[n]], threshold)
             rep.add("ab_flow_b_ladder",
                     "b_n' = r_n - r_{n+1}", n, t,
-                    [db, -pairs_n[i].r, pairs_p[i].r], threshold)
+                    [db, -r[n], r[n + 1]], threshold)
 
-        mid = ts[len(ts) // 2]
+        x = mp.mpf(-1)
         rep.add("deformation_t_ode",
                 "d/dt (p_n, p_{n-1}) = [Binf - At/(x-t)] (p_n, p_{n-1})",
                 n, f"x=-1, t={mp.nstr(mid, 8)}",
-                [mp.mpf(deformation_residual(params, n, -1, mid, prec))],
-                threshold)
+                [mp.mpf(_deformation(jets_mid, n, x))], threshold)
         rep.add("zero_curvature",
                 "dA/dt - dB/dx + AB - BA = 0",
                 n, f"x=-1, t={mp.nstr(mid, 8)}",
-                [mp.mpf(compatibility_residual(params, n, -1, mid, prec))],
-                threshold)
+                [mp.mpf(_compatibility(jets_mid, n, x))], threshold)
     return rep

@@ -35,7 +35,7 @@ def to_mpf(x):
 
 @dataclass(frozen=True)
 class PrecisionCtx:
-    """Precision contract: significand bits, relative tolerance, series budget.
+    """Precision contract: significand bits and relative tolerance.
 
     The default pairs 256 bits (~77 decimal digits) with a 1e-30 relative
     tolerance, leaving a wide guard band for cancellation.
@@ -43,13 +43,10 @@ class PrecisionCtx:
 
     significand_bits: int = DEFAULT_BITS
     tol: object = field(default="1e-30")
-    max_series_terms: int = 20000
 
     def __post_init__(self):
         if self.significand_bits < 64:
             raise ValueError("significand_bits must be >= 64")
-        if self.max_series_terms <= 0:
-            raise ValueError("max_series_terms must be positive")
         t = self.tol_mpf()
         if not t > 0:
             raise ValueError("tol must be positive")
@@ -65,7 +62,7 @@ class PrecisionCtx:
 
     def scaled(self, bits: int) -> "PrecisionCtx":
         """Same contract at a different significand width."""
-        return PrecisionCtx(bits, self.tol, self.max_series_terms)
+        return PrecisionCtx(bits, self.tol)
 
 
 @contextmanager

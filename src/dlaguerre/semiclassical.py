@@ -46,7 +46,7 @@ from .hankel import (MomentTable, RecurrenceTable, epsilon_derivative_eval,
                      orthopoly_eval_with_derivative)
 from .moments import WeightParams
 from .precision import PrecisionCtx, to_mpf, workprec
-from .quadrature import integrate_weighted, weight_value
+from .quadrature import integrate_weighted
 
 # ---------------------------------------------------------------------------
 # polynomial data for the rational log-derivative
@@ -284,27 +284,8 @@ class LaxData:
 
     def a_matrix(self, x):
         """Ainf + A0/x + At/(x-t) as a 2x2 tuple-of-tuples."""
-        x = to_mpf(x)
-        t = to_mpf(self.t)
-        return tuple(
-            tuple(self.Ainf[i][j] + self.A0[i][j] / x + self.At[i][j] / (x - t)
-                  for j in range(2)) for i in range(2))
-
-    def b_matrix(self, x):
-        """Binf - At/(x-t)."""
-        x = to_mpf(x)
-        t = to_mpf(self.t)
-        return tuple(
-            tuple(self.Binf[i][j] - self.At[i][j] / (x - t)
-                  for j in range(2)) for i in range(2))
-
-    def b_matrix_dx(self, x):
-        """d/dx of b_matrix: +At/(x-t)^2."""
-        x = to_mpf(x)
-        t = to_mpf(self.t)
-        return tuple(
-            tuple(self.At[i][j] / (x - t) ** 2 for j in range(2))
-            for i in range(2))
+        return lax_x_matrices(self.A0, self.At, self.Ainf, self.Binf, self.t,
+                              to_mpf(x))[0]
 
 
 def theta_prev_from_pair(pair: AuxPair, params: WeightParams,
@@ -339,6 +320,34 @@ def theta_prev_from_pair(pair: AuxPair, params: WeightParams,
         return s * t / (1 - s)
 
 
+def lax_residues(n: int, t, theta, theta_prev, kappa, a_n,
+                 params: WeightParams):
+    """(A0, At, Ainf, Binf) from theta_n, theta_{n-1}, kappa_n and a_n.
+
+    Plain arithmetic, so the arguments may be numbers or TruncSeries jets
+    in t (then every entry is a jet).
+    """
+    al, mu = to_mpf(params.alpha), to_mpf(params.mu)
+    th, th_prev, ka = theta, theta_prev, kappa
+    zero, one = mp.mpf(0), mp.mpf(1)
+    A0 = ((ka / t - mu / 2, -a_n * th / t),
+          (a_n * th_prev / t, -ka / t - mu / 2))
+    At = (((n + mu / 2) - ka / t, a_n * (th + t) / t),
+          (-a_n * (th_prev + t) / t, ka / t - (n + al + mu / 2)))
+    Ainf = ((zero, zero), (zero, one))
+    Binf = (((th + t) / (2 * t), zero), (zero, -(th_prev + t) / (2 * t)))
+    return A0, At, Ainf, Binf
+
+
+def lax_x_matrices(A0, At, Ainf, Binf, t, x):
+    """A(x) = Ainf + A0/x + At/(x-t) and B(x) = Binf - At/(x-t)."""
+    A = tuple(tuple(Ainf[i][j] + A0[i][j] / x + At[i][j] / (x - t)
+                    for j in range(2)) for i in range(2))
+    B = tuple(tuple(Binf[i][j] - At[i][j] / (x - t)
+                    for j in range(2)) for i in range(2))
+    return A, B
+
+
 def build_lax(table: RecurrenceTable, n: int) -> LaxData:
     """Residue matrices at the table's t, with theta_{n-1} eliminated.
 
@@ -350,17 +359,10 @@ def build_lax(table: RecurrenceTable, n: int) -> LaxData:
     pair = theta_kappa_from_recurrence(table, n)
     with workprec(table.prec):
         t = to_mpf(params.t)
-        al, mu = to_mpf(params.alpha), to_mpf(params.mu)
         th_prev = theta_prev_from_pair(pair, params)
         a_n = table.a(n)
         th, ka = pair.theta, pair.kappa
-        A0 = ((ka / t - mu / 2, -a_n * th / t),
-              (a_n * th_prev / t, -ka / t - mu / 2))
-        At = (((n + mu / 2) - ka / t, a_n * (th + t) / t),
-              (-a_n * (th_prev + t) / t, ka / t - (n + al + mu / 2)))
-        Ainf = ((mp.mpf(0), mp.mpf(0)), (mp.mpf(0), mp.mpf(1)))
-        Binf = (((th + t) / (2 * t), mp.mpf(0)),
-                (mp.mpf(0), -(th_prev + t) / (2 * t)))
+        A0, At, Ainf, Binf = lax_residues(n, t, th, th_prev, ka, a_n, params)
         return LaxData(
             n=n, t=+t, A0=A0, At=At, Ainf=Ainf, Binf=Binf,
             theta_n=+th, theta_nm1=+th_prev, kappa_n=+ka, a_n=+a_n,
@@ -614,13 +616,14 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                         [a2n, -(rn - al) * rn / Rn,
                          (n + rn) * (n + mu + rn) / (Rn - 1)], threshold)
 
+                derivs = {}
                 for x in panel:
                     An, Bn = ladder_ab_at(pn, params, x)
                     Ap, Bp = ladder_ab_at(pp, params, x)
                     twoVW = pv(twoV, x) / pv(W, x)
                     # ladder lowering relation against the exact derivative
-                    pe_n, pe_m, dpe_n, _ = orthopoly_eval_with_derivative(
-                        table, n, x)
+                    derivs[x] = orthopoly_eval_with_derivative(table, n, x)
+                    pe_n, pe_m, dpe_n, _ = derivs[x]
                     rep.add(
                         "ladder_relation",
                         "p_n' = -B_n p_n + a_n A_n p_{n-1}", n, x,
@@ -657,26 +660,21 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                             [Bn ** 2, -twoVW * Bn, -a2n * An * Am,
                              mp.fsum(A_hist)], threshold)
 
-                # x-system residual with finite-difference derivatives
+                # x-system residual against the differentiated recurrence
                 lax = build_lax(table, n)
-                h = mp.mpf(2) ** (-40)
                 for x in panel:
                     Amat = lax.a_matrix(x)
-                    vec = orthopoly_eval(table, n, x)
-                    vp = orthopoly_eval(table, n, x + h)
-                    vm = orthopoly_eval(table, n, x - h)
-                    d_n = (vp.value_n - vm.value_n) / (2 * h)
-                    d_m = (vp.value_nm1 - vm.value_nm1) / (2 * h)
+                    p_n, p_m, dp_n, dp_m = derivs[x]
                     rep.add(
                         "lax_x_ode_row1",
                         "d/dx p_n = A11 p_n + A12 p_{n-1}", n, x,
-                        [d_n, -Amat[0][0] * vec.value_n,
-                         -Amat[0][1] * vec.value_nm1], lax_threshold)
+                        [dp_n, -Amat[0][0] * p_n, -Amat[0][1] * p_m],
+                        lax_threshold)
                     rep.add(
                         "lax_x_ode_row2",
                         "d/dx p_{n-1} = A21 p_n + A22 p_{n-1}", n, x,
-                        [d_m, -Amat[1][0] * vec.value_n,
-                         -Amat[1][1] * vec.value_nm1], lax_threshold)
+                        [dp_m, -Amat[1][0] * p_n, -Amat[1][1] * p_m],
+                        lax_threshold)
 
             if include_quadrature_checks and t > 0 and n >= 1:
                 qprec = PrecisionCtx(min(prec.significand_bits, 192), "1e-28")
@@ -720,20 +718,20 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                         [pv(W, x) * deps_n,
                          -(pv(OM[n], x) + pv(V, x)) * eps_n,
                          table.a(n) * pv(TH[n], x) * eps_m], 1e-18)
-                    # trace identity: d/dx ln det Y = -2V/W, det Y = casoratian / w
-                    hh = mp.mpf(2) ** (-30)
-                    dets = []
-                    for xx in (x + hh, x - hh):
-                        en = epsilon_eval(table, moments, n, xx, qprec)
-                        em = epsilon_eval(table, moments, n - 1, xx, qprec)
-                        pz = orthopoly_eval(table, n, xx)
-                        dets.append((pz.value_n * em - pz.value_nm1 * en)
-                                    / weight_value(xx, params))
-                    dlog = (mp.log(dets[0]) - mp.log(dets[1])) / (2 * hh)
+                    # trace identity: d/dx ln det Y = -2V/W with det Y = C/w,
+                    # C the casoratian, so C'/C - w'/w with w'/w in partial
+                    # fractions and C' from the exact derivatives
+                    deps_m = epsilon_derivative_eval(table, moments, n - 1, x,
+                                                     qprec)
+                    p_n, p_m, dp_n, dp_m = derivs[x]
+                    cas = p_n * eps_m - p_m * eps_n
+                    dcas = (dp_n * eps_m + p_n * deps_m - dp_m * eps_n
+                            - p_m * deps_n)
                     rep.add(
                         "dety_trace",
                         "d/dx ln det Y_n = -2V/W", n, x,
-                        [dlog, pv(twoV, x) / pv(W, x)], 1e-14)
+                        [dcas / cas, -(al / (x - t) + mu / x - 1),
+                         pv(twoV, x) / pv(W, x)], 1e-14)
 
     return rep
 

@@ -1,56 +1,14 @@
-"""Moment layer: Kummer series, closed form vs quadrature, table invariants."""
+"""Moment layer: jets, closed form vs quadrature, table invariants."""
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlaguerre import (CrossCheckError, NoConvergence, NonterminatingPolePassed,
-                       PrecisionCtx, UnsupportedParameters, WeightParams,
-                       build_moment_table, confluent_1f1, moment_closed_form,
-                       moment_limit_t0, moment_quadrature)
+from dlaguerre import (CrossCheckError, PrecisionCtx, TruncSeries,
+                       UnsupportedParameters, WeightParams, build_moment_table,
+                       moment_closed_form, moment_quadrature)
 from conftest import rel_err
-
-
-class TestConfluent1F1:
-    def test_empty_sum_is_one(self, prec):
-        assert confluent_1f1("3.7", "5.1", 0, prec) == 1
-
-    def test_terminating_two_terms(self, prec):
-        assert confluent_1f1(-1, 4, 2, prec) == mp.mpf("0.5")
-
-    def test_against_exponential(self, prec):
-        # 1F1(1; 2; z) = (e^z - 1)/z
-        with mp.workprec(256):
-            z = mp.mpf("-0.3")
-            want = (mp.exp(z) - 1) / z
-            got = confluent_1f1(1, 2, z, prec)
-            assert rel_err(got, want) < 1e-28
-
-    def test_against_library(self, prec):
-        with mp.workprec(256):
-            for a, b, z in ((mp.mpf("0.7"), mp.mpf("2.3"), mp.mpf("-1.1")),
-                            (mp.mpf(3), mp.mpf("4.5"), mp.mpf("0.25")),
-                            (mp.mpf("-2"), mp.mpf("7"), mp.mpf("5"))):
-                want = mp.hyp1f1(a, b, z)
-                got = confluent_1f1(a, b, z, prec)
-                assert rel_err(got, want) < 1e-28
-
-    def test_pole_detected(self, prec):
-        with pytest.raises(NonterminatingPolePassed):
-            confluent_1f1("2.5", -3, 1, prec)
-
-    def test_termination_beats_pole(self, prec):
-        # upper -2 terminates at j=2 before the lower parameter pole at j=5
-        val = confluent_1f1(-2, -5, 1, prec)
-        with mp.workprec(256):
-            want = 1 + mp.mpf(-2) / (-5) + mp.mpf(2) / 20 / 2
-            assert rel_err(val, want) < 1e-70
-
-    def test_no_convergence_budget(self):
-        tiny = PrecisionCtx(max_series_terms=3)
-        with pytest.raises(NoConvergence):
-            confluent_1f1("0.5", "1.5", 30, tiny)
 
 
 class TestWeightParams:
@@ -88,7 +46,8 @@ class TestClosedForm:
     def test_origin_degenerate(self, prec):
         p0 = WeightParams(2, 2, "0.5", 0)
         assert moment_closed_form(0, p0, prec) == 12
-        assert moment_limit_t0(0, p0, prec) == 12
+        # (1 - zeta) (k + alpha + mu)! at t = 0
+        assert moment_closed_form(3, p0, prec) == 2520
 
     def test_classical_moment(self, prec):
         # zeta = 0, t = 0: plain Laguerre moment Gamma(7)
@@ -126,8 +85,31 @@ class TestClosedForm:
 
     def test_t_to_zero_continuity(self, prec):
         p = WeightParams(2, 2, "0.5", "1e-31")
-        limit = moment_limit_t0(3, p, prec)
+        limit = moment_closed_form(3, p.replace_t(0), prec)
         assert rel_err(moment_closed_form(3, p, prec), limit) < 1e-29
+
+    def test_against_kummer_at_512_bits(self, prec):
+        """The 256-bit closed form is within 1e-76 of the Kummer form
+        Gamma(S+1) [1F1(-a; -S; -t) - zeta e^-t 1F1(-(k+m); -S; t)],
+        S = k + a + m, evaluated by mpmath's hyp1f1 at 512 bits.  Rounding
+        each 1F1 before the subtraction left 3e-74 at (zeta, t, alpha, mu,
+        k) = (0.9, 4.9, 1, 0, 6)."""
+        worst = 0.0
+        for zeta in ("0.5", "0.9"):
+            for t in ("0.001", "0.3", "4.9"):
+                for alpha in range(5):
+                    for mu in range(4):
+                        p = WeightParams(alpha, mu, zeta, t)
+                        for k in range(18):
+                            got = moment_closed_form(k, p, prec)
+                            with mp.workprec(512):
+                                S, tt = k + alpha + mu, mp.mpf(t)
+                                want = mp.factorial(S) * (
+                                    mp.hyp1f1(-alpha, -S, -tt)
+                                    - mp.mpf(zeta) * mp.exp(-tt)
+                                    * mp.hyp1f1(-(k + mu), -S, tt))
+                                worst = max(worst, rel_err(got, want))
+        assert worst < 1e-76
 
 
 class TestMomentTable:
@@ -178,3 +160,30 @@ class TestZetaStructure:
                 p = WeightParams(2, 1, zeta, t)
                 for k in (0, 3, 7):
                     assert moment_closed_form(k, p, prec) > 0
+
+
+def _close(got, want):
+    return len(got) == len(want) and all(
+        abs(g - w) < mp.mpf("1e-70") for g, w in zip(got, want))
+
+
+class TestTruncSeries:
+    def test_arithmetic_round_trips(self):
+        with mp.workprec(256):
+            a = TruncSeries([2, 3, 5, 7])
+            b = TruncSeries([1, -1, 4, 2])
+            assert _close(((a * b) / b).c, a.c)
+            assert _close((a.sqrt() * a.sqrt()).c, a.c)
+            assert _close((1 / a * a).c, [1, 0, 0, 0])
+            assert (2 - a).c == (-(a - 2)).c == [0, -3, -5, -7]
+            assert (mp.mpf(3) * a).c == (a * 3).c == [6, 9, 15, 21]
+            assert (a + TruncSeries([1, 1])).c == [3, 4]   # the lower order
+
+    def test_geometric_and_sqrt_jets(self):
+        """1/(1 - s) and sqrt(1 + s) against their binomial coefficients."""
+        with mp.workprec(256):
+            geo = 1 / TruncSeries([1, -1], 6)
+            assert _close(geo.c, [1] * 7)
+            root = TruncSeries([1, 1], 4).sqrt()
+            assert _close(root.c, [mp.binomial(mp.mpf(1) / 2, j)
+                                   for j in range(5)])

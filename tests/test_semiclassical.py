@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from dlaguerre import (DegenerateTheta, PrecisionCtx, Report,
+from dlaguerre import (DegenerateTheta, PrecisionCtx, Report, SingularHankel,
                        UnsupportedParameters, WeightParams, build_lax,
                        ladder_integrals, table_for,
                        theta_kappa_from_recurrence, verify_identities)
@@ -253,6 +253,15 @@ class TestIdentitySuite:
                     - (pn.kappa ** 2 - 4 * t * t / 4)
                 assert abs(sum_rule) < mp.mpf("1e-60")
                 assert abs(product) < mp.mpf("1e-60")
+
+    def test_negative_mass_raises_typed(self, prec):
+        """mu_0 = -4 at (1, 0, 0.9, 5): gamma_0 is not real, and the ladder
+        checks' p_n' evaluation raises SingularHankel, not a TypeError."""
+        mom, tab = table_for(WeightParams(1, 0, "0.9", "5"), 3, prec)
+        assert mom[0] < 0 and tab.gamma[0] is None
+        with pytest.raises(SingularHankel):
+            verify_identities(tab, mom, [1, 2], prec,
+                              include_quadrature_checks=False)
 
     def test_real_mu_quadrature_pipeline(self):
         """Non-integer mu runs on the quadrature path end to end and the

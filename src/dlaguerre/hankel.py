@@ -13,10 +13,16 @@ and from their ratios the orthonormal-polynomial data
     gamma_{n,1}/gamma_n = -sigma_n/Delta_n  (sum of recurrence roots).
 
 The shifted-determinant route for b_n avoids differentiating determinants
-and stays exact in the classical limit.  Hankel matrices of these moments
-are exponentially ill-conditioned in n, so the determinant evaluation
-carries a cancellation estimate (Hadamard bound over |det|) and the table
-builder escalates the working precision until enough digits survive.
+and stays exact in the classical limit.  One bordered elimination gives
+them all: unpivoted Gaussian elimination of the n x (n+1) array
+[mu_{i+j}] (the Hankel matrix of order n bordered by the column
+mu_{i+n}) leaves the pivot Delta_{k+1}/Delta_k and, beside it,
+sigma_{k+1}/Delta_k after step k, so one O(n^3) pass yields every
+Delta_m and sigma_m, on numbers and on jets alike.  Hankel matrices of
+these moments are exponentially ill-conditioned in n, so each minor
+carries a cancellation estimate (Hadamard bound over |det|, from running
+row norms at 53 bits) and the table builder escalates the working
+precision until enough digits survive.
 
 Polynomial evaluation is the forward three-term recurrence
 a_{n+1} p_{n+1} = (x - b_n) p_n - a_n p_{n-1}, seeded by p_0 = gamma_0;
@@ -36,39 +42,96 @@ import mpmath as mp
 
 from .errors import (CrossCheckError, PrecisionExhausted, SingularHankel,
                      UnsupportedParameters)
-from .moments import MomentTable, WeightParams, build_moment_table
+from .moments import (MomentTable, TruncSeries, WeightParams,
+                      build_moment_table)
 from .precision import PrecisionCtx, to_mpf, workprec
 from .quadrature import integrate_weighted
 
 
-def _det_with_condition(rows):
-    """Determinant by pivoted elimination; returns (det, digits_lost).
+def hankel_minors(mk, n: int):
+    """Every Delta_m and sigma_m, m <= n, from one bordered elimination.
 
-    digits_lost is the decimal size of the cancellation, estimated as
-    log10(Hadamard bound / |det|).
+    mk[k] holds mu_k for k <= 2n - 1, as numbers or as TruncSeries jets.
+    Unpivoted elimination of the n x (n+1) array [mu_{i+j}] leaves, at
+    step k, the pivot Delta_{k+1}/Delta_k and its right neighbour
+    sigma_{k+1}/Delta_k (Schur complements of the leading block).  The
+    square part stays symmetric, so only its upper triangle is updated.
+    Returns the lists (Delta_0..Delta_n, sigma_0..sigma_n); raises
+    SingularHankel at a zero pivot (a zero constant term for jets).
     """
-    n = len(rows)
-    if n == 0:
-        return mp.mpf(1), 0.0
-    a = [[to_mpf(v) for v in row] for row in rows]
-    hadamard = mp.mpf(1)
-    for row in a:
-        hadamard *= mp.sqrt(mp.fsum([v * v for v in row]))
-    det = mp.mpf(1)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            return mp.mpf(0), mp.inf
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col + 1, n):
-                a[r][c] -= f * a[col][c]
-    lost = float(mp.log10(hadamard / abs(det))) if det != 0 else math.inf
-    return det, max(lost, 0.0)
+    zero = 0 * mk[0]
+    delta, sigma = [zero + 1], [zero]
+    rows = [[mk[i + j] for j in range(n + 1)] for i in range(n)]
+    for k, row in enumerate(rows):
+        piv = row[k]
+        if (piv.c[0] if isinstance(piv, TruncSeries) else piv) == 0:
+            raise SingularHankel(f"Delta_{k + 1} vanishes to working precision")
+        delta.append(delta[k] * piv)
+        sigma.append(delta[k] * row[k + 1])
+        for r in range(k + 1, n):
+            f = row[r] / piv
+            below = rows[r]
+            for c in range(r, n + 1):
+                below[c] = below[c] - f * row[c]
+    return delta, sigma
+
+
+def _half_log_ratio(bound, det) -> float:
+    """log10(sqrt(bound) / |det|) clipped at 0; infinite when det is 0."""
+    if det == 0:
+        return math.inf
+    man, exp = (bound / (det * det)).man_exp
+    return max((math.log10(man) + exp * math.log10(2)) / 2, 0.0)
+
+
+def digits_lost(mk, delta, sigma):
+    """Decimal digits that cancel in each Delta_m and sigma_m.
+
+    The estimate is log10(Hadamard bound / |det|), the bound being the
+    product of the row norms.  Row i of the m x m Hankel matrix has squared
+    norm sum_{j<m} mu_{i+j}^2; these sums grow one term per m, and sigma_m's
+    rows swap the last term for mu_{i+m}^2.  Runs at 53 bits with one
+    logarithm per determinant.  Returns [(lost Delta_m, lost sigma_m)].
+    """
+    n = len(delta) - 1
+    lost = [(0.0, 0.0)]
+    with mp.workprec(53):
+        sq = [mp.mpf(mk[k]) ** 2 for k in range(2 * n)]
+        rows = []            # rows[i] = sum_{j<m-1} mu_{i+j}^2 entering step m
+        for m in range(1, n + 1):
+            rows.append(mp.fsum(sq[m - 1:2 * m - 2]))
+            h_delta = h_sigma = mp.mpf(1)
+            for i in range(m):
+                h_sigma *= rows[i] + sq[i + m]
+                rows[i] += sq[i + m - 1]
+                h_delta *= rows[i]
+            lost.append((_half_log_ratio(h_delta, +delta[m]),
+                         _half_log_ratio(h_sigma, +sigma[m])))
+    return lost
+
+
+def _checked_minor(moments: MomentTable, N: int, prec: PrecisionCtx,
+                   shifted: bool):
+    """Delta_N (or sigma_N) by hankel_minors, with the cancellation check."""
+    name = "sigma" if shifted else "Delta"
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    need = 2 * N - 1 if shifted else 2 * N - 2
+    if moments.k_max < need:
+        raise ValueError(f"need moments up to {need}, table has {moments.k_max}")
+    with workprec(prec):
+        mk = [moments[k] for k in range(need + 1)]
+        if not shifted:
+            # mu_{2N-1} only borders the last row, so it feeds sigma_N alone
+            mk.append(mp.mpf(0))
+        delta, sigma = hankel_minors(mk, N)
+        lost_delta, lost_sigma = digits_lost(mk, delta, sigma)[N]
+        det, lost = (sigma[N], lost_sigma) if shifted else (delta[N], lost_delta)
+        if prec.decimal_digits - lost < 20:
+            raise PrecisionExhausted(
+                f"{name}_{N}: ~{lost:.0f} digits cancel at "
+                f"{prec.decimal_digits} working digits; raise significand_bits")
+        return +det
 
 
 def hankel_determinant(moments: MomentTable, N: int, prec: PrecisionCtx = None):
@@ -77,19 +140,9 @@ def hankel_determinant(moments: MomentTable, N: int, prec: PrecisionCtx = None):
     Raises PrecisionExhausted when the cancellation estimate leaves fewer
     than 20 correct decimal digits at the working precision.
     """
-    prec = prec or moments.prec
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if N > 0 and moments.k_max < 2 * N - 2:
-        raise ValueError(f"need moments up to {2*N-2}, table has {moments.k_max}")
-    with workprec(prec):
-        rows = [[moments[i + j] for j in range(N)] for i in range(N)]
-        det, lost = _det_with_condition(rows)
-        if prec.decimal_digits - lost < 20:
-            raise PrecisionExhausted(
-                f"Delta_{N}: ~{lost:.0f} digits cancel at "
-                f"{prec.decimal_digits} working digits; raise significand_bits")
-        return +det
+    if N == 0:
+        return mp.mpf(1)
+    return _checked_minor(moments, N, prec or moments.prec, shifted=False)
 
 
 def shifted_hankel_determinant(moments: MomentTable, N: int,
@@ -99,44 +152,40 @@ def shifted_hankel_determinant(moments: MomentTable, N: int,
     sigma_0 := 0; sigma_N/Delta_N is the root sum of the degree-N monic
     orthogonal polynomial.
     """
-    prec = prec or moments.prec
     if N == 0:
         return mp.mpf(0)
-    if moments.k_max < 2 * N - 1:
-        raise ValueError(f"need moments up to {2*N-1}, table has {moments.k_max}")
-    with workprec(prec):
-        rows = [[moments[i + j] for j in range(N - 1)] + [moments[i + N]]
-                for i in range(N)]
-        det, lost = _det_with_condition(rows)
-        if prec.decimal_digits - lost < 20:
-            raise PrecisionExhausted(
-                f"sigma_{N}: ~{lost:.0f} digits cancel at "
-                f"{prec.decimal_digits} working digits; raise significand_bits")
-        return +det
+    return _checked_minor(moments, N, prec or moments.prec, shifted=True)
 
 
 @dataclass(frozen=True)
 class RecurrenceTable:
-    """Recurrence data Delta, sigma, a_n^2, b_n, gamma_n, gamma_{n,1} up to n_max."""
+    """Recurrence data Delta, sigma, a_n^2, b_n, gamma_n, gamma_{n,1} up to n_max.
+
+    bits is the working precision the determinants were computed at after
+    escalation, and digits_lost[m] the (Delta_m, sigma_m) cancellation
+    estimates there; the stored values are rounded to prec.
+    """
 
     params: WeightParams
     n_max: int
     delta: Sequence      # Delta_0 .. Delta_{n_max+1}
     sigma: Sequence      # sigma_0 .. sigma_{n_max+1}
     a2: Sequence         # a2[n] = a_n^2, index 0 unused (a_0 := 0)
+    a_root: Sequence     # a_0 .. a_{n_max}, None where a_n^2 <= 0
     b: Sequence          # b_0 .. b_{n_max}
     gamma: Sequence      # gamma_0 .. gamma_{n_max}, or None entries if not real
     gamma1_ratio: Sequence  # gamma_{n,1}/gamma_n = -sigma_n/Delta_n
     prec: PrecisionCtx
+    bits: int
+    digits_lost: Sequence   # (Delta_m, sigma_m) digits lost, m <= n_max + 1
 
     def a(self, n: int):
         """a_n = sqrt(a_n^2) > 0; raises if a_n^2 is not positive."""
-        if n == 0:
-            return mp.mpf(0)
-        v = self.a2[n]
-        if not v > 0:
-            raise SingularHankel(f"a_{n}^2 = {mp.nstr(v, 8)} is not positive")
-        return mp.sqrt(v)
+        v = self.a_root[n]
+        if v is None:
+            raise SingularHankel(
+                f"a_{n}^2 = {mp.nstr(self.a2[n], 8)} is not positive")
+        return v
 
     def b_sum(self, n: int):
         """sum_{i<n} b_i (equals sigma_n/Delta_n)."""
@@ -161,44 +210,26 @@ def recurrence_coefficients(moments: MomentTable, n_max: int,
     mom = moments
     while True:
         wp = prec.scaled(bits)
-        try:
-            with workprec(wp):
-                pairs = [
-                    (_det_with_condition(
-                        [[mom[i + j] for j in range(n)] for i in range(n)]),
-                     _det_with_condition(
-                        [[mom[i + j] for j in range(n - 1)] + [mom[i + n]]
-                         for i in range(n)]) if n > 0 else ((mp.mpf(0), 0.0)))
-                    for n in range(n_max + 2)
-                ]
-                delta = [p[0][0] for p in pairs]
-                sigma = [p[1][0] for p in pairs]
-                for m_i, d in enumerate(delta):
-                    if d == 0:
-                        raise SingularHankel(
-                            f"Delta_{m_i} vanishes to working precision")
-                lost = max(max(p[0][1], p[1][1]) for p in pairs)
-            # escalate while cancellation eats more than half the digits
-            if lost <= wp.decimal_digits / 2 and wp.decimal_digits - lost >= 20:
-                break
-            if bits >= 16 * prec.significand_bits:
-                raise PrecisionExhausted(
-                    f"~{lost:.0f} digits cancel even at {bits} bits")
-        except PrecisionExhausted:
-            if bits >= 16 * prec.significand_bits:
-                raise
+        with workprec(wp):
+            delta, sigma = hankel_minors(mom, n_max + 1)
+            lost_each = digits_lost(mom, delta, sigma)
+        lost = max(max(pair) for pair in lost_each)
+        # escalate while cancellation eats more than half the digits
+        if lost <= wp.decimal_digits / 2 and wp.decimal_digits - lost >= 20:
+            break
+        if bits >= 16 * prec.significand_bits:
+            raise PrecisionExhausted(
+                f"~{lost:.0f} digits cancel even at {bits} bits")
         bits *= 2
         # moments must be regenerated at the wider precision to add digits
         mom = build_moment_table(mom.params, mom.k_max, prec.scaled(bits),
                                  mom.source, cross_check=False)
 
-    with workprec(prec.scaled(bits)):
-        for n, d in enumerate(delta):
-            if d == 0:
-                raise SingularHankel(f"Delta_{n} vanishes to working precision")
+    with workprec(wp):
         root_sum = [sigma[n] / delta[n] for n in range(n_max + 2)]
         a2 = [mp.mpf(0)] + [delta[n - 1] * delta[n + 1] / delta[n] ** 2
                             for n in range(1, n_max + 1)]
+        a_root = [mp.mpf(0)] + [mp.sqrt(v) if v > 0 else None for v in a2[1:]]
         b = [root_sum[n + 1] - root_sum[n] for n in range(n_max + 1)]
         gamma = []
         for n in range(n_max + 1):
@@ -212,13 +243,16 @@ def recurrence_coefficients(moments: MomentTable, n_max: int,
                     raise CrossCheckError(
                         f"a_{n}^2 <= 0 for a positive weight (conditioning?)")
 
+    def rounded(values):
+        return tuple(None if v is None else +v for v in values)
+
     with workprec(prec):
         return RecurrenceTable(
             params=moments.params, n_max=n_max,
-            delta=tuple(+d for d in delta), sigma=tuple(+s for s in sigma),
-            a2=tuple(+v for v in a2), b=tuple(+v for v in b),
-            gamma=tuple(None if g is None else +g for g in gamma),
-            gamma1_ratio=tuple(+v for v in gamma1_ratio), prec=prec)
+            delta=rounded(delta), sigma=rounded(sigma), a2=rounded(a2),
+            a_root=rounded(a_root), b=rounded(b), gamma=rounded(gamma),
+            gamma1_ratio=rounded(gamma1_ratio), prec=prec, bits=bits,
+            digits_lost=tuple(lost_each))
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,7 @@ import mpmath as mp
 from .errors import (DegenerateTheta, NoConvergence, SingularHankel,
                      SingularPanel, SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
+from .hankel import hankel_minors
 from .moments import TruncSeries, WeightParams, conv, moment_series
 from .precision import PrecisionCtx, to_mpf, workprec
 from .semiclassical import Report, lax_residues, lax_x_matrices
@@ -371,31 +372,6 @@ def hamilton_map_residual(theta, kappa, n: int, t, params: WeightParams,
 # ---------------------------------------------------------------------------
 
 
-def _det_series(entries) -> TruncSeries:
-    """Determinant of a square matrix of TruncSeries by Gaussian elimination.
-
-    Pivots are chosen by the size of their constant terms, so the matrix of
-    constant terms must be nonsingular.  O(n^3) series products.
-    """
-    a = [list(row) for row in entries]
-    n = len(a)
-    det = TruncSeries.constant(1, a[0][0].order)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].c[0]))
-        if a[piv][col].c[0] == 0:
-            raise SingularHankel("Hankel matrix singular at the expansion "
-                                 "point")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col + 1, n):
-                a[r][c] = a[r][c] - f * a[col][c]
-    return det
-
-
 @dataclass(frozen=True)
 class JetTable:
     """Taylor jets in s of the recurrence data at t = about + s.
@@ -454,14 +430,7 @@ def aux_pair_series(n_max: int, params: WeightParams, order: int,
         al, m = to_mpf(params.alpha), to_mpf(params.mu)
         mk = [moment_series(k, params, order, about)
               for k in range(2 * n_max + 2)]
-        delta = [TruncSeries.constant(1, order)]
-        sigma = [TruncSeries.constant(0, order)]
-        for size in range(1, n_max + 2):
-            delta.append(_det_series(
-                [[mk[i + j] for j in range(size)] for i in range(size)]))
-            sigma.append(_det_series(
-                [[mk[i + j] for j in range(size - 1)] + [mk[i + size]]
-                 for i in range(size)]))
+        delta, sigma = hankel_minors(mk, n_max + 1)
         root_sum = [s / d for s, d in zip(sigma, delta)]
         b = [root_sum[i + 1] - root_sum[i] for i in range(n_max + 1)]
         a2 = [TruncSeries.constant(0, order)] + [

@@ -77,7 +77,8 @@ def _breaks(params, pole):
     branch point) is an end, and further ends step out from it on both
     sides by factors of sqrt(2), starting at half the singularity's
     distance d, until they are REACH past it.  A pole farther than
-    2 * REACH adds none.
+    2 * REACH adds none.  Ends within a few ulps of t or of each other
+    are merged.
     """
     t = to_mpf(params.t)
     centres = []
@@ -94,7 +95,15 @@ def _breaks(params, pole):
         while step <= REACH:
             ends.update(b for b in (near - step, near, near + step) if b > 0)
             step *= mp.sqrt(2)
-    return sorted(ends)
+    # the grading can land an end a rounding error away from t or from
+    # another end (d/2 * sqrt(2)^2 is not exactly d); such a panel has all
+    # its nodes on its ends, so merge ends that agree to working precision
+    close = mp.ldexp(1, 8 - mp.mp.prec)
+    merged = []
+    for b in sorted(ends):
+        if abs(b - t) > close * b and (not merged or b - merged[-1] > close * b):
+            merged.append(b)
+    return merged
 
 
 def weighted_nodes(params, m: int, pole=None):

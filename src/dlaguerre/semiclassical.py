@@ -219,29 +219,43 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
     w jumps: s = 0 when mu = 0, and s = t when alpha = 0.  For this weight
     [v'(x)-v'(y)]/(x-y) = alpha/((x-t)(y-t)) + mu/(x y).  B_n is the same
     with p_n^2 replaced by a_n p_n p_{n-1}.  Independent of the residue
-    shortcut; used to validate the partial fractions.
+    shortcut; used to validate the partial fractions.  For non-integer mu
+    the mu/(x y) term is integrated against the weight with mu - 1, whose
+    Jacobi panel carries y^(mu-1) exactly; that needs mu > 1.
     """
     prec = prec or table.prec
     params = table.params
     al, mu = to_mpf(params.alpha), to_mpf(params.mu)
     t = to_mpf(params.t)
+    if not (params.mu_is_integer or mu > 1):
+        raise UnsupportedParameters(
+            "ladder_ab_by_quadrature needs mu > 1 when mu is not an integer")
     with workprec(prec, 20):
         x = to_mpf(x)
         zeta = to_mpf(params.zeta)
+        shifted = None if params.mu_is_integer else WeightParams(
+            params.alpha, to_mpf(params.mu) - 1, params.zeta, params.t)
 
         def kernel(y):
-            return al / ((x - t) * (y - t)) + mu / (x * y)
+            k = al / ((x - t) * (y - t))
+            return k if shifted else k + mu / (x * y)
 
-        def fn_A(y):
+        def square(y):
             p = orthopoly_eval(table, n, y).value_n
-            return p * p * kernel(y)
+            return p * p
 
-        def fn_B(y):
+        def cross(y):
             pe = orthopoly_eval(table, n, y)
-            return pe.value_n * pe.value_nm1 * kernel(y)
+            return pe.value_n * pe.value_nm1
 
-        A = integrate_weighted(fn_A, params, prec, rel_scale=1).value
-        B = integrate_weighted(fn_B, params, prec, rel_scale=1).value
+        def integral(fn, weight):
+            return integrate_weighted(fn, weight, prec, rel_scale=1).value
+
+        A = integral(lambda y: square(y) * kernel(y), params)
+        B = integral(lambda y: cross(y) * kernel(y), params)
+        if shifted:
+            A += mu / x * integral(square, shifted)
+            B += mu / x * integral(cross, shifted)
         jumps = []
         if mu == 0:
             jumps.append((mp.mpf(0), (-t) ** al * (1 - zeta if t == 0 else 1)))
@@ -416,7 +430,7 @@ class Report:
         """Record max|sum(terms)| normalized by the largest magnitude term."""
         with mp.extraprec(20):
             resid = abs(mp.fsum(terms))
-            scale = max([abs(to_mpf(v)) for v in terms] + [mp.mpf(1)])
+            scale = max(max(map(abs, terms)), 1)
         rec = CheckRecord(
             check_id=check_id, formula=formula, n=n, point=str(point),
             residual=float(resid), scale=float(scale),
@@ -494,8 +508,16 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
         TH = {m: theta_poly(pairs[m].theta) for m in pairs}
         OM = {m: omega_poly(m, pairs[m].kappa, params) for m in pairs}
 
-        def pv(c, x):
-            return polyval(c, x)
+        # every per-point quantity that does not depend on n, evaluated once
+        label = {x: str(x) for x in panel}
+        Wx = {x: polyval(W, x) for x in panel}
+        Vx = {x: polyval(V, x) for x in panel}
+        THx = {x: [polyval(TH[m], x) for m in pairs] for x in panel}
+        OMx = {x: [polyval(OM[m], x) for m in pairs] for x in panel}
+        if t > 0:
+            twoVW = {x: polyval(twoV, x) / Wx[x] for x in panel}
+            ABx = {x: [ladder_ab_at(pairs[m], params, x) for m in pairs]
+                   for x in panel}
 
         # Omega_0 = V as polynomials
         for c0, cv in zip(OM[0], V):
@@ -509,46 +531,41 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
             bn = table.b[n]
 
             for x in panel:
+                th, om, w = THx[x], OMx[x], Wx[x]
                 if n >= 1:
                     rep.add(
                         "freud_add",
                         "W + a_{n+1}^2 Th_{n+1} - a_n^2 Th_{n-1}"
-                        " = (x-b_n)(Om_{n+1} - Om_n)", n, x,
-                        [pv(W, x), a2n1 * pv(TH[n + 1], x),
-                         -a2n * pv(TH[n - 1], x),
-                         -(x - bn) * (pv(OM[n + 1], x) - pv(OM[n], x))],
+                        " = (x-b_n)(Om_{n+1} - Om_n)", n, label[x],
+                        [w, a2n1 * th[n + 1], -a2n * th[n - 1],
+                         -(x - bn) * (om[n + 1] - om[n])],
                         threshold)
                     rep.add(
                         "freud_shift",
                         "(x-b_{n-1})Th_{n-1} - (x-b_n)Th_n = Om_{n-1} - Om_{n+1}"
-                        "  [index-corrected right side]", n, x,
-                        [(x - table.b[n - 1]) * pv(TH[n - 1], x),
-                         -(x - bn) * pv(TH[n], x),
-                         -pv(OM[n - 1], x), pv(OM[n + 1], x)],
+                        "  [index-corrected right side]", n, label[x],
+                        [(x - table.b[n - 1]) * th[n - 1], -(x - bn) * th[n],
+                         -om[n - 1], om[n + 1]],
                         threshold, note="printed right side Om_n - Om_{n+1} fails")
                     rep.add(
                         "freud_square",
                         "W Th_n + a_{n+1}^2 Th_{n+1}Th_n - a_n^2 Th_n Th_{n-1}"
-                        " = Om_{n+1}^2 - Om_n^2", n, x,
-                        [pv(W, x) * pv(TH[n], x),
-                         a2n1 * pv(TH[n + 1], x) * pv(TH[n], x),
-                         -a2n * pv(TH[n], x) * pv(TH[n - 1], x),
-                         -(pv(OM[n + 1], x) ** 2 - pv(OM[n], x) ** 2)],
+                        " = Om_{n+1}^2 - Om_n^2", n, label[x],
+                        [w * th[n], a2n1 * th[n + 1] * th[n],
+                         -a2n * th[n] * th[n - 1],
+                         -(om[n + 1] ** 2 - om[n] ** 2)],
                         threshold)
                     rep.add(
                         "freud_telescoped",
                         "Om_n^2 - a_n^2 Th_n Th_{n-1} = V^2 + W sum_{i<n} Th_i",
-                        n, x,
-                        [pv(OM[n], x) ** 2,
-                         -a2n * pv(TH[n], x) * pv(TH[n - 1], x),
-                         -pv(V, x) ** 2,
-                         -pv(W, x) * mp.fsum(pv(TH[i], x) for i in range(n))],
+                        n, label[x],
+                        [om[n] ** 2, -a2n * th[n] * th[n - 1], -Vx[x] ** 2,
+                         -w * mp.fsum(th[:n])],
                         threshold)
                 rep.add(
                     "freud_product",
-                    "(x-b_n) Th_n = Om_{n+1} + Om_n", n, x,
-                    [(x - bn) * pv(TH[n], x), -pv(OM[n + 1], x),
-                     -pv(OM[n], x)], threshold)
+                    "(x-b_n) Th_n = Om_{n+1} + Om_n", n, label[x],
+                    [(x - bn) * th[n], -om[n + 1], -om[n]], threshold)
 
             # scalar recurrences in (theta, kappa)
             rep.add(
@@ -618,47 +635,44 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
 
                 derivs = {}
                 for x in panel:
-                    An, Bn = ladder_ab_at(pn, params, x)
-                    Ap, Bp = ladder_ab_at(pp, params, x)
-                    twoVW = pv(twoV, x) / pv(W, x)
+                    ab = ABx[x]
+                    (An, Bn), (Ap, Bp) = ab[n], ab[n + 1]
                     # ladder lowering relation against the exact derivative
                     derivs[x] = orthopoly_eval_with_derivative(table, n, x)
                     pe_n, pe_m, dpe_n, _ = derivs[x]
                     rep.add(
                         "ladder_relation",
-                        "p_n' = -B_n p_n + a_n A_n p_{n-1}", n, x,
+                        "p_n' = -B_n p_n + a_n A_n p_{n-1}", n, label[x],
                         [dpe_n, Bn * pe_n, -table.a(n) * An * pe_m], threshold)
                     rep.add(
                         "ladder_rec_sum",
                         "B_{n+1} + B_n = (x-b_n)A_n + 2V/W"
-                        "  [sign-corrected 2V/W]", n, x,
-                        [Bp, Bn, -(x - bn) * An, -twoVW], threshold,
+                        "  [sign-corrected 2V/W]", n, label[x],
+                        [Bp, Bn, -(x - bn) * An, -twoVW[x]], threshold,
                         note="printed -2V/W fails")
                     if n >= 1:
-                        Am, _ = ladder_ab_at(pm, params, x)
+                        Am = ab[n - 1][0]
                         rep.add(
                             "ladder_rec_diff",
                             "(B_{n+1}-B_n)(x-b_n)"
                             " = a_{n+1}^2 A_{n+1} - a_n^2 A_{n-1} - 1"
-                            "  [sign-corrected 1]", n, x,
+                            "  [sign-corrected 1]", n, label[x],
                             [(Bp - Bn) * (x - bn), -a2n1 * Ap, a2n * Am,
                              mp.mpf(1)], threshold, note="printed +1 fails")
                         rep.add(
                             "ladder_square",
                             "B_{n+1}^2 - B_n^2 - (2V/W)(B_{n+1}-B_n)"
                             " = a_{n+1}^2 A_{n+1}A_n - a_n^2 A_{n-1}A_n - A_n"
-                            "  [sign-corrected A_n]", n, x,
-                            [Bp ** 2, -Bn ** 2, -twoVW * (Bp - Bn),
+                            "  [sign-corrected A_n]", n, label[x],
+                            [Bp ** 2, -Bn ** 2, -twoVW[x] * (Bp - Bn),
                              -a2n1 * Ap * An, a2n * Am * An, An],
                             threshold, note="printed +A_n fails")
-                        A_hist = [ladder_ab_at(pairs[i], params, x)[0]
-                                  for i in range(n)]
                         rep.add(
                             "ladder_telescoped",
                             "B_n^2 - (2V/W)B_n - a_n^2 A_n A_{n-1}"
-                            " = -sum_{i<n} A_i", n, x,
-                            [Bn ** 2, -twoVW * Bn, -a2n * An * Am,
-                             mp.fsum(A_hist)], threshold)
+                            " = -sum_{i<n} A_i", n, label[x],
+                            [Bn ** 2, -twoVW[x] * Bn, -a2n * An * Am,
+                             mp.fsum(A for A, _ in ab[:n])], threshold)
 
                 # x-system residual against the differentiated recurrence
                 lax = build_lax(table, n)
@@ -667,12 +681,12 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                     p_n, p_m, dp_n, dp_m = derivs[x]
                     rep.add(
                         "lax_x_ode_row1",
-                        "d/dx p_n = A11 p_n + A12 p_{n-1}", n, x,
+                        "d/dx p_n = A11 p_n + A12 p_{n-1}", n, label[x],
                         [dp_n, -Amat[0][0] * p_n, -Amat[0][1] * p_m],
                         lax_threshold)
                     rep.add(
                         "lax_x_ode_row2",
-                        "d/dx p_{n-1} = A21 p_n + A22 p_{n-1}", n, x,
+                        "d/dx p_{n-1} = A21 p_n + A22 p_{n-1}", n, label[x],
                         [dp_m, -Amat[1][0] * p_n, -Amat[1][1] * p_m],
                         lax_threshold)
 
@@ -690,16 +704,19 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                         "rr_integral_equivalence_r",
                         "a_n alpha int w p_n p_{n-1}/(y-t) = kappa_n/t"
                         " - (n+mu/2)", n, "-", [pair_q.r, -pn.r], 1e-20)
-                for x in neg_panel[:2]:
+                # the mu/(x y) kernel term needs mu > 1 unless mu is an integer
+                partial_fractions = neg_panel[:2] if (
+                    params.mu_is_integer or mu > 1) else []
+                for x in partial_fractions:
                     Aq, Bq = ladder_ab_by_quadrature(table, n, x, qprec)
-                    An, Bn = ladder_ab_at(pn, params, x)
+                    An, Bn = ABx[x][n]
                     rep.add(
                         "ladder_partial_fraction_A",
-                        "A_n(x) integral = R_n/(x-t) + (1-R_n)/x", n, x,
+                        "A_n(x) integral = R_n/(x-t) + (1-R_n)/x", n, label[x],
                         [Aq, -An], 1e-20)
                     rep.add(
                         "ladder_partial_fraction_B",
-                        "B_n(x) integral = r_n/(x-t) - (n+r_n)/x", n, x,
+                        "B_n(x) integral = r_n/(x-t) - (n+r_n)/x", n, label[x],
                         [Bq, -Bn], 1e-20)
                 for x in neg_panel[:1]:
                     eps_n = epsilon_eval(table, moments, n, x, qprec)
@@ -708,16 +725,15 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                     pe = orthopoly_eval(table, n, x)
                     rep.add(
                         "casoratian",
-                        "p_n eps_{n-1} - p_{n-1} eps_n = 1/a_n", n, x,
+                        "p_n eps_{n-1} - p_{n-1} eps_n = 1/a_n", n, label[x],
                         [pe.value_n * eps_m, -pe.value_nm1 * eps_n,
                          -1 / table.a(n)], 1e-20)
                     rep.add(
                         "eps_ode",
                         "W eps_n' = (Om_n + V) eps_n - a_n Th_n eps_{n-1}",
-                        n, x,
-                        [pv(W, x) * deps_n,
-                         -(pv(OM[n], x) + pv(V, x)) * eps_n,
-                         table.a(n) * pv(TH[n], x) * eps_m], 1e-18)
+                        n, label[x],
+                        [Wx[x] * deps_n, -(OMx[x][n] + Vx[x]) * eps_n,
+                         table.a(n) * THx[x][n] * eps_m], 1e-18)
                     # trace identity: d/dx ln det Y = -2V/W with det Y = C/w,
                     # C the casoratian, so C'/C - w'/w with w'/w in partial
                     # fractions and C' from the exact derivatives
@@ -729,9 +745,9 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                             - p_m * deps_n)
                     rep.add(
                         "dety_trace",
-                        "d/dx ln det Y_n = -2V/W", n, x,
+                        "d/dx ln det Y_n = -2V/W", n, label[x],
                         [dcas / cas, -(al / (x - t) + mu / x - 1),
-                         pv(twoV, x) / pv(W, x)], 1e-14)
+                         twoVW[x]], 1e-14)
 
     return rep
 

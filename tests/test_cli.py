@@ -10,10 +10,21 @@ import pytest
 from dlaguerre.cli import main
 
 RUN = [sys.executable, "-m", "dlaguerre.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def checkout_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, so
+    subprocesses import the package under test without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
+    env = checkout_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
@@ -174,6 +185,6 @@ class TestPackaging:
         code = ("import sys, dlaguerre; "
                 "print(sorted({'numpy', 'sympy'} & set(sys.modules)))")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=dict(os.environ))
+                             text=True, env=checkout_env())
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"

@@ -5,9 +5,12 @@ import pytest
 
 from dlaguerre import (MomentTable, PrecisionCtx, PrecisionExhausted,
                        SingularHankel, UnsupportedParameters, WeightParams,
-                       dN_kernel, epsilon_eval, hankel_determinant,
-                       orthopoly_eval, recurrence_coefficients,
-                       shifted_hankel_determinant, stieltjes_eval, table_for)
+                       build_moment_table, dN_kernel, epsilon_eval,
+                       hankel_determinant, orthopoly_eval,
+                       recurrence_coefficients, shifted_hankel_determinant,
+                       stieltjes_eval, table_for)
+from dlaguerre.hankel import digits_lost, hankel_minors
+from dlaguerre.moments import TruncSeries
 from dlaguerre.oracle import gram_schmidt_recurrence, inner_product
 from conftest import rel_err
 
@@ -52,6 +55,102 @@ class TestDeterminants:
                                "quadrature", prec)
         with pytest.raises((SingularHankel, PrecisionExhausted)):
             recurrence_coefficients(ones, 1, prec)
+
+
+def _pivoted_minors(mom, n):
+    """Delta_m, sigma_m for m <= n by mpmath's pivoted LU, one matrix each."""
+    delta, sigma = [mp.mpf(1)], [mp.mpf(0)]
+    for m in range(1, n + 1):
+        delta.append(mp.det(mp.matrix(
+            [[mom[i + j] for j in range(m)] for i in range(m)])))
+        sigma.append(mp.det(mp.matrix(
+            [[mom[i + j] for j in range(m - 1)] + [mom[i + m]]
+             for i in range(m)])))
+    return delta, sigma
+
+
+class TestHankelMinors:
+    @pytest.mark.parametrize("alpha, mu", [(1, 0), (0, 1), (3, 1)])
+    @pytest.mark.parametrize("t", ["0.01", "5"])
+    @pytest.mark.parametrize("zeta", ["-2", "0.9"])
+    def test_matches_pivoted_reference(self, alpha, mu, t, zeta):
+        """Sizes up to 10 at 512 bits against pivoted LU at 1024 bits, on
+        odd alpha (signed weight, a_n^2 < 0 at t = 5) and alpha + mu <= 1:
+        every minor keeps the digits its cancellation estimate leaves."""
+        p = WeightParams(alpha, mu, zeta, t)
+        ref = build_moment_table(p, 19, PrecisionCtx(1024), cross_check=False)
+        mom = build_moment_table(p, 19, PrecisionCtx(512), cross_check=False)
+        with mp.workprec(512):
+            delta, sigma = hankel_minors(mom, 10)
+            lost = digits_lost(mom, delta, sigma)
+        with mp.workprec(1024):
+            want_delta, want_sigma = _pivoted_minors(ref, 10)
+        for m in range(1, 11):
+            assert max(lost[m]) < 100
+            assert rel_err(delta[m], want_delta[m]) < 10 ** (lost[m][0] - 152)
+            assert rel_err(sigma[m], want_sigma[m]) < 10 ** (lost[m][1] - 152)
+        if alpha % 2 and t == "5":
+            assert any(delta[m - 1] * delta[m + 1] < 0 for m in range(1, 10))
+
+    def test_digits_lost_is_hadamard_over_det(self, tables_main):
+        """The running row norms give log10(prod ||row|| / |det|)."""
+        mom, _ = tables_main
+        with mp.workprec(512):
+            delta, sigma = _pivoted_minors(mom, 5)
+            lost = digits_lost(mom, delta, sigma)
+            for m in range(1, 6):
+                rows = [[mom[i + j] for j in range(m)] for i in range(m)]
+                shifted = [row[:-1] + [mom[i + m]] for i, row in enumerate(rows)]
+                for k, (mat, det) in enumerate(((rows, delta[m]),
+                                                (shifted, sigma[m]))):
+                    bound = mp.fprod(mp.norm(row) for row in mat)
+                    want = max(float(mp.log10(bound / abs(det))), 0.0)
+                    assert abs(lost[m][k] - want) < 1e-10
+
+    def test_zero_pivot_raises_on_numbers(self):
+        with mp.workprec(256):
+            ones = [mp.mpf(1)] * 6
+            with pytest.raises(SingularHankel, match="Delta_2"):
+                hankel_minors(ones, 3)
+
+    def test_zero_pivot_raises_on_jets(self):
+        """A pivot whose constant term vanishes stops the jet elimination,
+        even when its higher coefficients do not."""
+        with mp.workprec(256):
+            mk = [TruncSeries([1, k]) for k in (1, 2, 3, 5)]
+            with pytest.raises(SingularHankel, match="Delta_2"):
+                hankel_minors(mk, 2)
+
+
+class TestRecurrenceTableProvenance:
+    def test_desk_point_runs_at_base_precision(self, params_main, prec):
+        """n_max = 3 at the desk point needs no escalation; digits_lost holds
+        one (Delta_m, sigma_m) pair per minor, within the escalation rule."""
+        _, tab = table_for(params_main, 3, prec)
+        assert tab.bits == 256
+        assert len(tab.digits_lost) == tab.n_max + 2
+        assert tab.digits_lost[:2] == ((0.0, 0.0), (0.0, 0.0))
+        worst = max(max(pair) for pair in tab.digits_lost)
+        assert 0 < worst <= prec.decimal_digits / 2
+
+    def test_escalating_point_reports_wider_precision(self, tables_main, prec):
+        """n_max = 6 at the desk point: sigma_7 loses about 41 digits, more
+        than half of 256 bits' 77, so the table is built at 512 bits."""
+        _, tab = tables_main
+        assert tab.bits == 512
+        worst = max(max(pair) for pair in tab.digits_lost)
+        assert prec.decimal_digits / 2 < worst <= prec.scaled(512).decimal_digits / 2
+        assert tab.digits_lost[7][1] == worst
+
+    def test_a_is_computed_once_and_guards_sign(self, prec):
+        """a_n is read from the table; a_n^2 <= 0 (signed weight) raises."""
+        _, tab = table_for(WeightParams(1, 0, "0.5", "0.3"), 4, prec)
+        assert tab.a(0) == 0
+        with mp.workprec(256):
+            assert rel_err(tab.a(1), mp.sqrt(tab.a2[1])) < 1e-70
+        assert tab.a2[3] < 0
+        with pytest.raises(SingularHankel, match="a_3"):
+            tab.a(3)
 
 
 class TestRecurrence:

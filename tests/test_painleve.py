@@ -243,11 +243,10 @@ class TestSeries:
         theta series through kappa_n = (n+m/2)t + a_n^2 - sum b_i; at
         n=1, alpha=mu=2 it equals -1/12.
         """
-        from dlaguerre.painleve import _det_series
+        from dlaguerre.hankel import hankel_minors
         with mp.workprec(256):
             mk = {k: moment_series(k, params_main, 3) for k in range(4)}
-            d = {m: _det_series([[mk[i + j] for j in range(m)]
-                                 for i in range(m)]) for m in (1, 2)}
+            d, _ = hankel_minors(mk, 2)
             a2 = d[2] / (d[1] * d[1])
             assert rel_err(a2.c[0], 5) < 1e-50
             assert abs(a2.c[1]) < mp.mpf("1e-50")

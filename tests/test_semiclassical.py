@@ -1,5 +1,8 @@
 """Auxiliary pairs, ladder residues, Lax matrices, and the identity battery."""
 
+import hashlib
+import json
+
 import mpmath as mp
 import pytest
 
@@ -14,6 +17,8 @@ from dlaguerre.semiclassical import (default_x_panel, ladder_ab_at,
                                      theta_poly, theta_prev_from_pair,
                                      two_v_poly, v_poly, w_poly,
                                      theta_degree_bound, omega_degree_bound)
+from dlaguerre.painleve import ab_flow_check
+from dlaguerre.quadrature import weighted_nodes
 from conftest import rel_err
 
 # regression baselines at alpha=2, mu=2, zeta=0.5, t=0.3 (320-bit pipeline)
@@ -279,6 +284,48 @@ class TestIdentitySuite:
                 sum_rule = pp.kappa + pn.kappa + pn.theta * (
                     pn.theta + t + 2 * n + 2 + 1 + mu)
                 assert abs(sum_rule) < mp.mpf("1e-40")
+
+    def test_real_mu_full_battery_returns_records(self, prec):
+        """Non-integer mu with the quadrature checks on: the grading around
+        x^mu's branch point used to put a panel end a rounding error above t
+        (7.6e-65 at 212 bits), a panel whose nodes all sat on t, and the
+        residue integrand w/(y-t) then divided by zero."""
+        p = WeightParams(2, "1.5", "0.5", "0.3")
+        with mp.workprec(212):
+            assert all(x != mp.mpf("0.3") for x, _ in weighted_nodes(p, 10))
+        mom, tab = table_for(p, 2, prec, source="quadrature", cross_check=False)
+        rep = verify_identities(tab, mom, [1], prec)
+        ids = {r.check_id for r in rep.records}
+        assert {"rr_integral_equivalence_R", "ladder_partial_fraction_A",
+                "casoratian"} <= ids
+        assert rep.all_passed
+
+    def test_partial_fractions_need_mu_above_one(self, prec):
+        """y^mu/y is not integrable by the Jacobi panel for 0 < mu < 1."""
+        p = WeightParams(2, "0.5", "0.5", "0.3")
+        mom, tab = table_for(p, 2, prec, source="quadrature", cross_check=False)
+        with pytest.raises(UnsupportedParameters):
+            ladder_ab_by_quadrature(tab, 1, -1, prec)
+
+    def test_desk_point_record_layout(self, params_main, prec):
+        """`dlaguerre verify` at the desk point: 240 identity and 22 flow
+        records, in the same order with the same ids and points."""
+        mom, tab = table_for(params_main, 5, prec)
+        rep = verify_identities(tab, mom, [1, 2, 3], prec)
+        with mp.workprec(256):
+            tm = mp.mpf("0.3")
+            grid = mp.linspace(tm - tm / 10, tm + tm / 10, 9)
+        flow = ab_flow_check(params_main, 2, grid, prec, threshold=1e-15)
+        assert rep.all_passed and flow.all_passed
+        for report, count, digest in ((rep, 240, "4896dace98f2d660"),
+                                      (flow, 22, "9af4e56212cd6586")):
+            keys = [(r.check_id, r.n, r.point) for r in report.records]
+            assert len(keys) == count
+            # fingerprint of the ordered (id, n, point) list
+            assert hashlib.sha256(
+                json.dumps(keys).encode()).hexdigest()[:16] == digest
+        points = {r.point for r in rep.records}
+        assert points == {"coeff", "-", "-2.0", "-1.0", "-0.5", "0.15", "0.6"}
 
     def test_polynomial_data(self, params_main):
         with mp.workprec(128):

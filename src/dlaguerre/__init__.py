@@ -18,10 +18,10 @@ from .precision import PrecisionCtx, to_mpf, workprec
 from .moments import (MomentTable, TruncSeries, WeightParams,
                       build_moment_table, moment_closed_form,
                       moment_quadrature, moment_series)
-from .hankel import (PolyEval, RecurrenceTable, dN_kernel, epsilon_eval,
-                     hankel_determinant, orthopoly_eval,
-                     recurrence_coefficients, shifted_hankel_determinant,
-                     stieltjes_eval, table_for)
+from .hankel import (PolyEval, RecurrenceTable, cauchy_transform,
+                     dN_kernel, epsilon_eval, hankel_determinant,
+                     monic_values, orthopoly_eval, recurrence_coefficients,
+                     shifted_hankel_determinant, stieltjes_eval, table_for)
 from .semiclassical import (AuxPair, LaxData, Report, build_lax,
                             ladder_integrals, theta_kappa_from_recurrence,
                             verify_identities)

@@ -1,16 +1,16 @@
-"""Hankel determinants, recurrence coefficients, and polynomial evaluation.
+"""Hankel determinants, monic recurrence data, and polynomial evaluation.
 
 From a moment table this module builds
 
     Delta_n = det[mu_{j+k-2}]_{j,k=1..n}          (Delta_0 = 1),
     sigma_n = same matrix with the last column advanced one moment index,
 
-and from their ratios the orthonormal-polynomial data
+and from their ratios the data of the monic orthogonal polynomials P_n
 
-    a_n^2  = Delta_{n-1} Delta_{n+1} / Delta_n^2,
+    h_n    = Delta_{n+1}/Delta_n = <P_n, P_n>,
+    a_n^2  = h_n/h_{n-1} = Delta_{n-1} Delta_{n+1} / Delta_n^2,
     b_n    = sigma_{n+1}/Delta_{n+1} - sigma_n/Delta_n,
-    gamma_n = sqrt(Delta_n / Delta_{n+1}),
-    gamma_{n,1}/gamma_n = -sigma_n/Delta_n  (sum of recurrence roots).
+    P_n(x) = x^n - (sigma_n/Delta_n) x^{n-1} + ...
 
 The shifted-determinant route for b_n avoids differentiating determinants
 and stays exact in the classical limit.  One bordered elimination gives
@@ -21,21 +21,25 @@ sigma_{k+1}/Delta_k after step k, so one O(n^3) pass yields every
 Delta_m and sigma_m, on numbers and on jets alike.  Hankel matrices of
 these moments are exponentially ill-conditioned in n, so each minor
 carries a cancellation estimate (Hadamard bound over |det|, from running
-row norms at 53 bits) and the table builder escalates the working
-precision until enough digits survive.
+row norms at 53 bits) and the table builder widens the working precision
+until enough digits survive.
 
-Polynomial evaluation is the forward three-term recurrence
-a_{n+1} p_{n+1} = (x - b_n) p_n - a_n p_{n-1}, seeded by p_0 = gamma_0;
-epsilon_eval computes the second (Cauchy-transform) solution
-eps_n(x) = int p_n(s) w(s)/(x-s) ds off the support, and dN_kernel the
-two-point Christoffel-Darboux evaluation of the characteristic-polynomial
-average D_N.
+Polynomial evaluation is the monic recurrence
+P_{m+1} = (x - b_m) P_m - a_m^2 P_{m-1} (monic_values), with no square
+root, so signed weights (a_m^2 < 0) need no special case; cauchy_transform
+computes the second solution E_n(x) = int P_n(s) w(s)/(x-s) ds off the
+support, and dN_kernel the two-point Christoffel-Darboux evaluation of the
+characteristic-polynomial average D_N.  The orthonormal p_n = gamma_n P_n,
+gamma_n = h_n^(-1/2), remain as a view (RecurrenceTable.a and .gamma,
+orthopoly_eval, epsilon_eval, epsilon_derivative_eval) holding the
+package's only square roots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import mpmath as mp
@@ -159,7 +163,7 @@ def shifted_hankel_determinant(moments: MomentTable, N: int,
 
 @dataclass(frozen=True)
 class RecurrenceTable:
-    """Recurrence data Delta, sigma, a_n^2, b_n, gamma_n, gamma_{n,1} up to n_max.
+    """Monic recurrence data Delta, sigma, a_n^2, b_n up to n_max.
 
     bits is the working precision the determinants were computed at after
     escalation, and digits_lost[m] the (Delta_m, sigma_m) cancellation
@@ -171,56 +175,71 @@ class RecurrenceTable:
     delta: Sequence      # Delta_0 .. Delta_{n_max+1}
     sigma: Sequence      # sigma_0 .. sigma_{n_max+1}
     a2: Sequence         # a2[n] = a_n^2, index 0 unused (a_0 := 0)
-    a_root: Sequence     # a_0 .. a_{n_max}, None where a_n^2 <= 0
     b: Sequence          # b_0 .. b_{n_max}
-    gamma: Sequence      # gamma_0 .. gamma_{n_max}, or None entries if not real
-    gamma1_ratio: Sequence  # gamma_{n,1}/gamma_n = -sigma_n/Delta_n
     prec: PrecisionCtx
     bits: int
     digits_lost: Sequence   # (Delta_m, sigma_m) digits lost, m <= n_max + 1
 
+    def h(self, m: int):
+        """h_m = Delta_{m+1}/Delta_m = <P_m, P_m>, negative if w is signed."""
+        with workprec(self.prec):
+            return self.delta[m + 1] / self.delta[m]
+
     def a(self, n: int):
-        """a_n = sqrt(a_n^2) > 0; raises if a_n^2 is not positive."""
-        v = self.a_root[n]
-        if v is None:
+        """a_n = sqrt(a_n^2) > 0 (orthonormal view); raises if a_n^2 <= 0."""
+        if n and not self.a2[n] > 0:
             raise SingularHankel(
                 f"a_{n}^2 = {mp.nstr(self.a2[n], 8)} is not positive")
-        return v
+        with workprec(self.prec):
+            return mp.sqrt(self.a2[n])
 
-    def b_sum(self, n: int):
-        """sum_{i<n} b_i (equals sigma_n/Delta_n)."""
-        return mp.fsum(self.b[:n]) if n > 0 else mp.mpf(0)
+    @cached_property
+    def gamma(self):
+        """gamma_n = h_n^(-1/2), n <= n_max, None where h_n <= 0 (view)."""
+        with workprec(self.prec):
+            return tuple(1 / mp.sqrt(h) if h > 0 else None
+                         for h in map(self.h, range(self.n_max + 1)))
 
 
 def recurrence_coefficients(moments: MomentTable, n_max: int,
                             prec: PrecisionCtx = None) -> RecurrenceTable:
     """Build the RecurrenceTable for n <= n_max.
 
-    Needs moments up to index 2*n_max + 1.  Doubles the working precision
-    and recomputes whenever a determinant loses more than half the digits
-    (Hankel matrices are exponentially ill-conditioned in n); raises
-    SingularHankel on an exactly vanishing Delta_n, and CrossCheckError if
-    positivity fails where the weight is positive (even alpha, zeta < 1).
+    Needs moments up to index 2*n_max + 1.  When a determinant loses more
+    than half the digits (Hankel matrices are exponentially ill-conditioned
+    in n), the working precision goes straight to the first doubling of the
+    base width at which that loss would pass, and the table is recomputed
+    and re-checked there; raises SingularHankel on an exactly vanishing
+    Delta_n, and CrossCheckError if positivity fails where the weight is
+    positive (even alpha, zeta < 1).
     """
     prec = prec or moments.prec
     if moments.k_max < 2 * n_max + 1:
         raise ValueError(f"need moments up to {2*n_max+1}, table has {moments.k_max}")
 
+    top = 16 * prec.significand_bits
     bits = prec.significand_bits
     mom = moments
+
+    def accepts(bits):          # the current loss leaves half, and 20, digits
+        digits = prec.scaled(bits).decimal_digits
+        return lost <= digits / 2 and digits - lost >= 20
+
     while True:
         wp = prec.scaled(bits)
         with workprec(wp):
             delta, sigma = hankel_minors(mom, n_max + 1)
             lost_each = digits_lost(mom, delta, sigma)
         lost = max(max(pair) for pair in lost_each)
-        # escalate while cancellation eats more than half the digits
-        if lost <= wp.decimal_digits / 2 and wp.decimal_digits - lost >= 20:
+        if accepts(bits):
             break
-        if bits >= 16 * prec.significand_bits:
+        if bits >= top:
             raise PrecisionExhausted(
                 f"~{lost:.0f} digits cancel even at {bits} bits")
+        # the loss is a property of the matrix, not of the width
         bits *= 2
+        while bits < top and not accepts(bits):
+            bits *= 2
         # moments must be regenerated at the wider precision to add digits
         mom = build_moment_table(mom.params, mom.k_max, prec.scaled(bits),
                                  mom.source, cross_check=False)
@@ -229,13 +248,7 @@ def recurrence_coefficients(moments: MomentTable, n_max: int,
         root_sum = [sigma[n] / delta[n] for n in range(n_max + 2)]
         a2 = [mp.mpf(0)] + [delta[n - 1] * delta[n + 1] / delta[n] ** 2
                             for n in range(1, n_max + 1)]
-        a_root = [mp.mpf(0)] + [mp.sqrt(v) if v > 0 else None for v in a2[1:]]
         b = [root_sum[n + 1] - root_sum[n] for n in range(n_max + 1)]
-        gamma = []
-        for n in range(n_max + 1):
-            ratio = delta[n] / delta[n + 1]
-            gamma.append(mp.sqrt(ratio) if ratio > 0 else None)
-        gamma1_ratio = [-root_sum[n] for n in range(n_max + 1)]
 
         if moments.params.weight_positive:
             for n in range(1, n_max + 1):
@@ -244,20 +257,35 @@ def recurrence_coefficients(moments: MomentTable, n_max: int,
                         f"a_{n}^2 <= 0 for a positive weight (conditioning?)")
 
     def rounded(values):
-        return tuple(None if v is None else +v for v in values)
+        return tuple(+v for v in values)
 
     with workprec(prec):
         return RecurrenceTable(
             params=moments.params, n_max=n_max,
             delta=rounded(delta), sigma=rounded(sigma), a2=rounded(a2),
-            a_root=rounded(a_root), b=rounded(b), gamma=rounded(gamma),
-            gamma1_ratio=rounded(gamma1_ratio), prec=prec, bits=bits,
+            b=rounded(b), prec=prec, bits=bits,
             digits_lost=tuple(lost_each))
+
+
+def monic_values(data, n: int, x) -> list:
+    """[P_0(x), ..., P_n(x)] by P_{m+1} = (x - b_m) P_m - a_m^2 P_{m-1}.
+
+    data is a RecurrenceTable or a painleve.JetTable (jets in t); n may
+    reach its n_max + 1.  Plain arithmetic at the caller's precision, so x
+    may be a number, an mpc or a TruncSeries: an order-1 x-jet
+    TruncSeries([x, 1]) carries every P_m'(x) in its c[1].
+    """
+    cur, prev = (x - data.b[0]) * 0 + 1, 0
+    out = [cur]
+    for m in range(n):
+        cur, prev = (x - data.b[m]) * cur - data.a2[m] * prev, cur
+        out.append(cur)
+    return out
 
 
 @dataclass(frozen=True)
 class PolyEval:
-    """p_n and p_{n-1} at one point, from the forward recurrence."""
+    """p_n and p_{n-1} at one point (orthonormal view)."""
 
     n: int
     x: object
@@ -265,86 +293,70 @@ class PolyEval:
     value_nm1: object
 
 
+def _gamma(table: RecurrenceTable, n: int):
+    """gamma_n of the orthonormal view; raises where h_n <= 0."""
+    if table.gamma[n] is None:
+        raise SingularHankel(f"gamma_{n} is not real (h_{n} <= 0)")
+    return table.gamma[n]
+
+
 def orthopoly_eval(table: RecurrenceTable, n: int, x) -> PolyEval:
-    """Evaluate (p_n, p_{n-1}) at x by the forward three-term recurrence."""
+    """(p_n, p_{n-1}) at x: gamma_n P_n and gamma_{n-1} P_{n-1} (orthonormal
+    view of monic_values); raises SingularHankel where h_n or h_{n-1} <= 0."""
     if n > table.n_max:
         raise ValueError(f"n={n} exceeds table n_max={table.n_max}")
     with workprec(table.prec):
         x = to_mpf(x)
-        pm1 = mp.mpf(0)
-        p0 = table.gamma[0]
-        if p0 is None:
-            raise SingularHankel("gamma_0 is not real (Delta_1/Delta_0 < 0)")
-        cur, prev = p0, pm1
-        for m in range(n):
-            nxt = ((x - table.b[m]) * cur - table.a(m) * prev) / table.a(m + 1)
-            prev, cur = cur, nxt
-        return PolyEval(n=n, x=x, value_n=cur, value_nm1=prev)
+        P = monic_values(table, n, x)
+        prev = _gamma(table, n - 1) * P[n - 1] if n else mp.mpf(0)
+        return PolyEval(n=n, x=x, value_n=_gamma(table, n) * P[n],
+                        value_nm1=prev)
 
 
-def orthopoly_eval_with_derivative(table: RecurrenceTable, n: int, x):
-    """(p_n, p_{n-1}, p_n', p_{n-1}') via the differentiated recurrence."""
-    if n > table.n_max:
-        raise ValueError(f"n={n} exceeds table n_max={table.n_max}")
-    with workprec(table.prec):
-        x = to_mpf(x)
-        cur, prev = table.gamma[0], mp.mpf(0)
-        if cur is None:
-            raise SingularHankel("gamma_0 is not real (Delta_1/Delta_0 < 0)")
-        dcur, dprev = mp.mpf(0), mp.mpf(0)
-        for m in range(n):
-            am, am1 = table.a(m), table.a(m + 1)
-            nxt = ((x - table.b[m]) * cur - am * prev) / am1
-            dnxt = (cur + (x - table.b[m]) * dcur - am * dprev) / am1
-            prev, cur = cur, nxt
-            dprev, dcur = dcur, dnxt
-        return cur, prev, dcur, dprev
-
-
-def epsilon_eval(table: RecurrenceTable, moments: MomentTable, n: int, x,
-                 prec: PrecisionCtx = None):
-    """eps_n(x) = int_0^inf p_n(s) w(s)/(x - s) ds, x off the support.
+def cauchy_transform(table: RecurrenceTable, n: int, x,
+                     prec: PrecisionCtx = None, derivative: bool = False):
+    """E_n(x) = int_0^inf P_n(s) w(s)/(x - s) ds, x off the support; with
+    derivative, E_n'(x) = -int P_n(s) w(s)/(x - s)^2 ds.
 
     x must be real negative or carry a nonzero imaginary part; on-support
     principal values are out of contract.
     """
     prec = prec or table.prec
-    params = table.params
+    power = 2 if derivative else 1
     with workprec(prec, 20):
         x = to_mpf(x)
         if mp.im(x) == 0 and mp.re(x) >= 0:
             raise UnsupportedParameters(
-                "epsilon_eval requires x < 0 or a complex x off [0, inf)")
+                "the Cauchy transform requires x < 0 or a complex x off "
+                "[0, inf)")
 
         def fn(s):
-            return orthopoly_eval(table, n, s).value_n / (x - s)
+            v = monic_values(table, n, s)[n] / (x - s) ** power
+            return -v if derivative else v
 
-        # eps_n ~ x^{-n-1}: far from the support the O(1/x) node masses
-        # cancel down by n+1 orders in |x|; widen the digits to compensate
-        cancel = int((n + 1) * mp.log10(1 + abs(x))) + 10
-        res = integrate_weighted(fn, params, prec, extra_digits=cancel, pole=x)
+        # E_n ~ x^{-n-1}: far from the support the O(1/x) node masses
+        # cancel down by n+1 orders in |x| (n+2 for E_n'); widen the digits
+        cancel = int((n + power) * mp.log10(1 + abs(x))) + 10
+        res = integrate_weighted(fn, table.params, prec, extra_digits=cancel,
+                                 pole=x)
     with workprec(prec):
         return +res.value
+
+
+def epsilon_eval(table: RecurrenceTable, moments: MomentTable, n: int, x,
+                 prec: PrecisionCtx = None):
+    """eps_n(x) = int p_n(s) w(s)/(x - s) ds = gamma_n E_n(x)."""
+    g = _gamma(table, n)
+    with workprec(prec or table.prec):
+        return g * cauchy_transform(table, n, x, prec)
 
 
 def epsilon_derivative_eval(table: RecurrenceTable, moments: MomentTable,
                             n: int, x, prec: PrecisionCtx = None):
-    """eps_n'(x) = -int p_n(s) w(s)/(x - s)^2 ds, same domain as epsilon_eval."""
-    prec = prec or table.prec
-    params = table.params
-    with workprec(prec, 20):
-        x = to_mpf(x)
-        if mp.im(x) == 0 and mp.re(x) >= 0:
-            raise UnsupportedParameters(
-                "epsilon derivative requires x < 0 or complex x off [0, inf)")
-
-        def fn(s):
-            return -orthopoly_eval(table, n, s).value_n / (x - s) ** 2
-
-        cancel = int((n + 2) * mp.log10(1 + abs(x))) + 10
-        res = integrate_weighted(fn, params, prec, extra_digits=cancel, pole=x)
-    with workprec(prec):
-        return +res.value
+    """eps_n'(x) = gamma_n E_n'(x), same domain as epsilon_eval."""
+    g = _gamma(table, n)
+    with workprec(prec or table.prec):
+        return g * cauchy_transform(table, n, x, prec, derivative=True)
 
 
 def stieltjes_eval(moments: MomentTable, x, prec: PrecisionCtx = None):
@@ -363,30 +375,19 @@ def stieltjes_eval(moments: MomentTable, x, prec: PrecisionCtx = None):
 
 
 def dN_kernel(table: RecurrenceTable, N: int, y1, y2):
-    """Christoffel-Darboux evaluation of the two-point average D_N(y1, y2).
+    """Christoffel-Darboux evaluation of the two-point average D_N(y1, y2),
 
-    D_N = Delta_N/(gamma_N gamma_{N+1})
-          * (p_{N+1}(y1) p_N(y2) - p_N(y1) p_{N+1}(y2)) / (y1 - y2),
+    D_N = Delta_{N+1} sum_{k<=N} P_k(y1) P_k(y2) / h_k
+        = Delta_N (P_{N+1}(y1) P_N(y2) - P_N(y1) P_{N+1}(y2)) / (y1 - y2),
 
-    with the confluent (derivative) form at y1 = y2.  Needs a table built
-    with n_max >= N + 1.
-    """
+    whose sum form needs no confluent case.  Needs n_max >= N + 1."""
     if N + 1 > table.n_max:
         raise ValueError(f"dN_kernel needs n_max >= {N+1}, table has {table.n_max}")
     with workprec(table.prec):
-        y1 = to_mpf(y1)
-        y2 = to_mpf(y2)
-        gN, gN1 = table.gamma[N], table.gamma[N + 1]
-        if gN is None or gN1 is None:
-            raise SingularHankel("gamma_N not real; weight not positive definite")
-        pref = table.delta[N] / (gN * gN1)
-        if y1 == y2:
-            pN1, pN, dN1, dN = orthopoly_eval_with_derivative(table, N + 1, y1)
-            return pref * (dN1 * pN - dN * pN1)
-        e1 = orthopoly_eval(table, N + 1, y1)
-        e2 = orthopoly_eval(table, N + 1, y2)
-        num = e1.value_n * e2.value_nm1 - e2.value_n * e1.value_nm1
-        return pref * num / (y1 - y2)
+        P1 = monic_values(table, N, to_mpf(y1))
+        P2 = monic_values(table, N, to_mpf(y2))
+        return table.delta[N + 1] * mp.fsum(P1[k] * P2[k] / table.h(k)
+                                            for k in range(N + 1))
 
 
 def table_for(params: WeightParams, n_max: int, prec: PrecisionCtx,

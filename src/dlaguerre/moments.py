@@ -112,8 +112,8 @@ class TruncSeries:
     """Truncated power series (a jet) with mpf coefficients.
 
     Arithmetic with another series truncates to the lower order; any other
-    operand, on either side, is a constant.  Division and sqrt need a
-    nonzero constant term.
+    operand, on either side, is a constant.  Division needs a nonzero
+    constant term.
     """
 
     __slots__ = ("c",)
@@ -174,14 +174,6 @@ class TruncSeries:
 
     def __rtruediv__(self, other):
         return TruncSeries.constant(other, self.order) / self
-
-    def sqrt(self):
-        if self.c[0] == 0:
-            raise ZeroDivisionError("series sqrt of a zero constant term")
-        out = [mp.sqrt(self.c[0])]
-        for j in range(1, len(self.c)):
-            out.append((self.c[j] - conv(out, out, j, 1)) / (2 * out[0]))
-        return TruncSeries(out)
 
     def eval(self, s):
         s = to_mpf(s)

@@ -54,6 +54,9 @@ below it.  About t* > 0 their order-1 terms give the a_n/b_n flow laws,
 the t-deformation and the zero-curvature residuals exactly, and the order-1
 jet of the flow itself, mapped through the q/p formulas, gives the
 Hamiltonian form of the flow.  Only pv_residual differentiates numerically.
+The jets carry a_n^2, never a_n: polynomial jets come from the monic
+recurrence and the Lax pair acts on (P_n, P_{n-1}) (the monic gauge), so
+signed weights need no square root either.
 
 The integrator is a Taylor-series method in the working precision.  Each
 step builds the jet of (theta, kappa) about its start by the standard
@@ -75,10 +78,10 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .errors import (DegenerateTheta, NoConvergence, SingularHankel,
-                     SingularPanel, SingularRHS, SingularityEncountered,
+from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
+                     SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
-from .hankel import hankel_minors
+from .hankel import hankel_minors, monic_values
 from .moments import TruncSeries, WeightParams, conv, moment_series
 from .precision import PrecisionCtx, to_mpf, workprec
 from .semiclassical import Report, lax_residues, lax_x_matrices
@@ -395,24 +398,6 @@ class JetTable:
     @property
     def t(self) -> TruncSeries:
         return TruncSeries([self.about, 1], self.delta[0].order)
-
-    def a(self, m: int):
-        """Jet of a_m = sqrt(a_m^2); raises if a_m^2 is not positive."""
-        if m == 0:
-            return 0
-        if not self.a2[m].c[0] > 0:
-            raise SingularHankel(f"a_{m}^2 is not positive")
-        return self.a2[m].sqrt()
-
-    def poly(self, n: int, x):
-        """Jets of (p_n(x), p_{n-1}(x)) by the forward recurrence."""
-        if not self.delta[1].c[0] > 0:
-            raise SingularHankel("gamma_0 is not real (Delta_1/Delta_0 < 0)")
-        cur, prev = (1 / self.delta[1]).sqrt(), 0
-        for m in range(n):
-            cur, prev = ((x - self.b[m]) * cur - self.a(m) * prev
-                         ) / self.a(m + 1), cur
-        return cur, prev
 
 
 def aux_pair_series(n_max: int, params: WeightParams, order: int,
@@ -797,32 +782,39 @@ def _mat_absmax(X):
     return max(abs(X[i][j]) for i in range(2) for j in range(2))
 
 
-def _lax_jets(jets: JetTable, n: int):
-    """(A0, At, Ainf, Binf) of the Lax pair as jets in t."""
-    return lax_residues(n, jets.t, jets.theta[n], jets.theta[n - 1],
-                        jets.kappa[n], jets.a(n), jets.params)
+def _lax_jets(jets: JetTable, n: int, x):
+    """A(x) as jets in t, the value of B(x), and At, in the monic gauge:
+    (P_n, P_{n-1}) = diag(h_n, h_{n-1})^(1/2) (p_n, p_{n-1}), so B gains
+    diag((ln h_n)', (ln h_{n-1})')/2 over the orthonormal gauge's B."""
+    residues = lax_residues(n, jets.t, jets.theta[n], jets.theta[n - 1],
+                            jets.kappa[n], jets.a2[n], jets.params)
+    A, B = lax_x_matrices(*residues, jets.t, x)
+    h = [jets.delta[m + 1] / jets.delta[m] for m in (n, n - 1)]
+    B0 = tuple(tuple(B[i][j].c[0] + (h[i].c[1] / (2 * h[i].c[0]) if i == j
+                                     else 0) for j in range(2))
+               for i in range(2))
+    return A, B0, residues[1]
 
 
 def _deformation(jets: JetTable, n: int, x):
-    """Residual of d/dt (p_n, p_{n-1}) = B (p_n, p_{n-1}) from order-1 jets,
+    """Residual of d/dt (P_n, P_{n-1}) = B (P_n, P_{n-1}) from order-1 jets,
     normalized by the vector scale."""
-    vec = jets.poly(n, x)
-    _, B = lax_x_matrices(*_lax_jets(jets, n), jets.t, x)
-    resid = max(abs(vec[c].c[1] - B[c][0].c[0] * vec[0].c[0]
-                    - B[c][1].c[0] * vec[1].c[0]) for c in (0, 1))
+    P = monic_values(jets, n, x)
+    vec = P[n], P[n - 1]
+    _, B, _ = _lax_jets(jets, n, x)
+    resid = max(abs(vec[c].c[1] - B[c][0] * vec[0].c[0]
+                    - B[c][1] * vec[1].c[0]) for c in (0, 1))
     return float(resid / max(abs(vec[0].c[0]), abs(vec[1].c[0]), mp.mpf(1)))
 
 
 def _compatibility(jets: JetTable, n: int, x):
     """dA/dt - dB/dx + AB - BA from order-1 jets, normalized by the largest
-    term entry."""
-    residues = _lax_jets(jets, n)
-    A, B = lax_x_matrices(*residues, jets.t, x)
+    term entry.  Zero curvature is gauge-invariant; this is the monic gauge."""
+    A, B0, At = _lax_jets(jets, n, x)
     dA = tuple(tuple(e.c[1] for e in row) for row in A)
     A0 = tuple(tuple(e.c[0] for e in row) for row in A)
-    B0 = tuple(tuple(e.c[0] for e in row) for row in B)
     dB = tuple(tuple(e.c[0] / (x - jets.about) ** 2 for e in row)
-               for row in residues[1])
+               for row in At)
     comm = _mat_sub(_mat_mul(A0, B0), _mat_mul(B0, A0))
     resid = _mat_sub(_mat_sub(dA, dB), _mat_sub(_mat_mul(B0, A0),
                                                 _mat_mul(A0, B0)))
@@ -835,8 +827,9 @@ def deformation_residual(params: WeightParams, n: int, x, t,
                          prec: PrecisionCtx = None):
     """Residual of the t-deformation system on the polynomial vector.
 
-    Checks d/dt (p_n, p_{n-1})^T = [Binf - At/(x-t)] (p_n, p_{n-1})^T with
-    the t-derivative read off order-1 jets of the recurrence data at t.
+    Checks d/dt (P_n, P_{n-1})^T = B (P_n, P_{n-1})^T with B = Binf - At/(x-t)
+    + diag((ln h_n)', (ln h_{n-1})')/2 in the monic gauge, the t-derivatives
+    read off order-1 jets of the recurrence data at t.
     Returns max-abs residual normalized by the vector scale.
     """
     prec = prec or PrecisionCtx()
@@ -908,7 +901,7 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
 
         x = mp.mpf(-1)
         rep.add("deformation_t_ode",
-                "d/dt (p_n, p_{n-1}) = [Binf - At/(x-t)] (p_n, p_{n-1})",
+                "d/dt (P_n, P_{n-1}) = B (P_n, P_{n-1}), monic gauge",
                 n, f"x=-1, t={mp.nstr(mid, 8)}",
                 [mp.mpf(_deformation(jets_mid, n, x))], threshold)
         rep.add("zero_curvature",

@@ -5,8 +5,8 @@ smooth on (0, t) and (t, inf) separately but jumps at x = t, and has an
 endpoint singularity at 0 for non-integer mu.  Every integral here is a
 sum over one node list (x_i, W_i) whose weights W_i already carry w(x_i):
 
-- Gauss-Legendre panels cover [0, t]; the panel at 0 is Gauss-Jacobi(0, mu)
-  when mu is not an integer, so x^mu is integrated exactly;
+- Gauss-Legendre panels, none longer than SPAN, cover [0, t]; the panel at
+  0 is Gauss-Jacobi(0, mu) when mu is not an integer, so x^mu is exact;
 - [t, inf) ends in Gauss-Laguerre after the change x = L + y, which is
   exact for polynomial integrands: there is no cutoff and no tail bound;
 - integrands with a singularity near the support (the Cauchy, epsilon and
@@ -37,6 +37,7 @@ from .precision import PrecisionCtx, to_mpf, workprec
 LADDER = (10, 20, 40)          # Gauss nodes per panel, one rung at a time
 GUARD_BITS = 20
 REACH = 32                     # graded panels end this far past a singularity
+SPAN = 5                       # longest panel on [0, t]
 
 _RULES: dict = {}
 
@@ -77,8 +78,9 @@ def _breaks(params, pole):
     branch point) is an end, and further ends step out from it on both
     sides by factors of sqrt(2), starting at half the singularity's
     distance d, until they are REACH past it.  A pole farther than
-    2 * REACH adds none.  Ends within a few ulps of t or of each other
-    are merged.
+    2 * REACH adds none.  Equal panels no longer than SPAN cut [0, t], so
+    the ladder's m = 20 rung resolves e^{-x} (one panel over [0, 10] is
+    1e-20 off).  Ends within a few ulps of t or of each other are merged.
     """
     t = to_mpf(params.t)
     centres = []
@@ -95,6 +97,8 @@ def _breaks(params, pole):
         while step <= REACH:
             ends.update(b for b in (near - step, near, near + step) if b > 0)
             step *= mp.sqrt(2)
+    pieces = int(mp.ceil(t / SPAN))
+    ends.update(t * i / pieces for i in range(1, pieces))
     # the grading can land an end a rounding error away from t or from
     # another end (d/2 * sqrt(2)^2 is not exactly d); such a panel has all
     # its nodes on its ends, so merge ends that agree to working precision

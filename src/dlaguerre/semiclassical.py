@@ -6,8 +6,13 @@ w'/w = 2V/W almost everywhere, with
     W(x)  = x(x - t),
     2V(x) = -x^2 + (alpha + mu + t)x - mu*t.
 
+Everything runs on the monic P_n (hankel.monic_values; Y_11 of the
+Riemann-Hilbert matrix) with h_n = <P_n, P_n> and a_n^2 = h_n/h_{n-1}, so
+no square root is taken and signed weights (odd alpha, mu_0 < 0) hold too;
+the Lax pair acts on (P_n, P_{n-1}), the monic gauge (lax_residues).
+
 Isomonodromy route.  The polynomials in the first-order system
-W p_n' = (Omega_n - V) p_n - a_n Theta_n p_{n-1} are, for this weight,
+W P_n' = (Omega_n - V) P_n - a_n^2 Theta_n P_{n-1} are, for this weight,
 
     Theta_n(x) = -(x + theta_n),
     Omega_n(x) = -x^2/2 + (2n + alpha + mu + t)x/2 - kappa_n,
@@ -15,15 +20,15 @@ W p_n' = (Omega_n - V) p_n - a_n Theta_n p_{n-1} are, for this weight,
 with the scalar auxiliaries
 
     theta_n = b_n - 2n - 1 - alpha - mu - t,
-    kappa_n = (n + mu/2) t + a_n^2 - sum_{i<n} b_i.
+    kappa_n = (n + mu/2) t + a_n^2 - sigma_n/Delta_n.
 
-Ladder route.  The lowering relation p_n' = -B_n p_n + a_n A_n p_{n-1}
+Ladder route.  The lowering relation P_n' = -B_n P_n + a_n^2 A_n P_{n-1}
 holds with A_n = -Theta_n/W and B_n = -(Omega_n - V)/W, whose residues at
 the poles x = t and x = 0 define
 
     A_n = R_n/(x-t) + (1-R_n)/x,      B_n = r_n/(x-t) - (n+r_n)/x,
-    R_n = alpha * int w(y) p_n(y)^2 /(y-t) dy,
-    r_n = a_n * alpha * int w(y) p_n(y) p_{n-1}(y) /(y-t) dy   (alpha >= 1),
+    R_n = alpha * int w(y) P_n(y)^2 /(y-t) dy / h_n,
+    r_n = alpha * int w(y) P_n(y) P_{n-1}(y) /(y-t) dy / h_{n-1}  (alpha >= 1),
 
 and the two parameterizations are linked by R_n = (theta_n + t)/t and
 r_n = kappa_n/t - (n + mu/2).  verify_identities runs the full battery of
@@ -41,10 +46,9 @@ from typing import Optional, Sequence
 import mpmath as mp
 
 from .errors import DegenerateTheta, SingularHankel, UnsupportedParameters
-from .hankel import (MomentTable, RecurrenceTable, epsilon_derivative_eval,
-                     epsilon_eval, orthopoly_eval,
-                     orthopoly_eval_with_derivative)
-from .moments import WeightParams
+from .hankel import (MomentTable, RecurrenceTable, cauchy_transform,
+                     monic_values)
+from .moments import TruncSeries, WeightParams
 from .precision import PrecisionCtx, to_mpf, workprec
 from .quadrature import integrate_weighted
 
@@ -120,10 +124,10 @@ class AuxPair:
 
 
 def theta_kappa_from_recurrence(table: RecurrenceTable, n: int) -> AuxPair:
-    """AuxPair at the table's t from b_n, a_n^2 and the b-sum.
+    """AuxPair at the table's t from b_n, a_n^2 and sigma_n/Delta_n.
 
-    kappa_n is computed twice (telescoped b-sum and the leading-coefficient
-    ratio -sigma_n/Delta_n) and the two must agree to the context tolerance.
+    kappa_n = (n + mu/2) t + a_n^2 - sigma_n/Delta_n, where sigma_n/Delta_n
+    = b_0 + .. + b_{n-1} is minus the x^{n-1} coefficient of P_n.
     """
     if n > table.n_max:
         raise ValueError(f"n={n} exceeds table n_max={table.n_max}")
@@ -132,15 +136,8 @@ def theta_kappa_from_recurrence(table: RecurrenceTable, n: int) -> AuxPair:
         t = to_mpf(params.t)
         al, mu = to_mpf(params.alpha), to_mpf(params.mu)
         theta = table.b[n] - 2 * n - 1 - al - mu - t
-        shift = (n + mu / 2) * t + table.a2[n]
-        kappa_sum = shift - table.b_sum(n)
-        kappa_gamma = shift + table.gamma1_ratio[n]
-        tol = table.prec.tol_mpf()
-        scale = max(abs(kappa_sum), mp.mpf(1))
-        if abs(kappa_sum - kappa_gamma) > tol * scale * 100:
-            raise SingularHankel(
-                "the two kappa_n routes disagree; table inconsistent")
-        kappa = (kappa_sum + kappa_gamma) / 2
+        kappa = ((n + mu / 2) * t + table.a2[n]
+                 - table.sigma[n] / table.delta[n])
         if t == 0:
             return AuxPair(n=n, t=t, theta=+theta, kappa=+kappa,
                            R=None, r=None, provenance="from_recurrence")
@@ -149,10 +146,17 @@ def theta_kappa_from_recurrence(table: RecurrenceTable, n: int) -> AuxPair:
                        provenance="from_recurrence")
 
 
+def _monic_pair(table: RecurrenceTable, n: int, y):
+    """(P_n(y), P_{n-1}(y)), with P_{-1} = 0."""
+    P = monic_values(table, n, y)
+    return P[n], (P[n - 1] if n else 0)
+
+
 def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
                      prec: PrecisionCtx = None,
                      check_equivalence: bool = True) -> AuxPair:
-    """(R_n, r_n) by direct quadrature of the residue integrals (alpha >= 1).
+    """(R_n, r_n) by direct quadrature of the residue integrals (alpha >= 1),
+    on monic values as in the module docstring.
 
     The integrand carries w(y)/(y-t) = (1 - zeta H)(y-t)^{alpha-1} y^mu e^-y,
     integrable precisely because alpha >= 1 is an integer.  Asserts the
@@ -172,16 +176,17 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
 
         # no node sits at y = t, and w(y)/(y-t) is smooth there for alpha >= 1
         def fn_R(y):
-            p = orthopoly_eval(table, n, y).value_n
+            p, _ = _monic_pair(table, n, y)
             return al * p * p / (y - t)
 
         def fn_r(y):
-            pe = orthopoly_eval(table, n, y)
-            return al * pe.value_n * pe.value_nm1 / (y - t)
+            p, p_prev = _monic_pair(table, n, y)
+            return al * p * p_prev / (y - t)
 
-        R = integrate_weighted(fn_R, params, prec, rel_scale=1).value
-        r = table.a(n) * integrate_weighted(fn_r, params, prec,
-                                            rel_scale=1).value
+        # each integral converges relative to the h that normalizes it
+        h_R, h_r = table.h(n), table.h(n - 1) if n else 1
+        R = integrate_weighted(fn_R, params, prec, rel_scale=h_R).value / h_R
+        r = integrate_weighted(fn_r, params, prec, rel_scale=h_r).value / h_r
         pair = AuxPair(n=n, t=+t, theta=+(t * (R - 1)),
                        kappa=+(t * (r + n + mu / 2)), R=+R, r=+r,
                        provenance="from_integrals")
@@ -218,7 +223,8 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
     a boundary term [w(s+) - w(s-)] p_n(s)^2/(x - s) at each point s where
     w jumps: s = 0 when mu = 0, and s = t when alpha = 0.  For this weight
     [v'(x)-v'(y)]/(x-y) = alpha/((x-t)(y-t)) + mu/(x y).  B_n is the same
-    with p_n^2 replaced by a_n p_n p_{n-1}.  Independent of the residue
+    with p_n^2 replaced by a_n p_n p_{n-1}.  On monic values A is divided by
+    h_n and B by h_{n-1} (p_n^2 = P_n^2/h_n).  Independent of the residue
     shortcut; used to validate the partial fractions.  For non-integer mu
     the mu/(x y) term is integrated against the weight with mu - 1, whose
     Jacobi panel carries y^(mu-1) exactly; that needs mu > 1.
@@ -241,31 +247,33 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
             return k if shifted else k + mu / (x * y)
 
         def square(y):
-            p = orthopoly_eval(table, n, y).value_n
+            p, _ = _monic_pair(table, n, y)
             return p * p
 
         def cross(y):
-            pe = orthopoly_eval(table, n, y)
-            return pe.value_n * pe.value_nm1
+            p, p_prev = _monic_pair(table, n, y)
+            return p * p_prev
 
-        def integral(fn, weight):
-            return integrate_weighted(fn, weight, prec, rel_scale=1).value
+        h_A, h_B = table.h(n), table.h(n - 1) if n else 1
 
-        A = integral(lambda y: square(y) * kernel(y), params)
-        B = integral(lambda y: cross(y) * kernel(y), params)
+        def integral(fn, weight, h):
+            return integrate_weighted(fn, weight, prec, rel_scale=h).value
+
+        A = integral(lambda y: square(y) * kernel(y), params, h_A)
+        B = integral(lambda y: cross(y) * kernel(y), params, h_B)
         if shifted:
-            A += mu / x * integral(square, shifted)
-            B += mu / x * integral(cross, shifted)
+            A += mu / x * integral(square, shifted, h_A)
+            B += mu / x * integral(cross, shifted, h_B)
         jumps = []
         if mu == 0:
             jumps.append((mp.mpf(0), (-t) ** al * (1 - zeta if t == 0 else 1)))
         if al == 0 and t > 0:
             jumps.append((t, -zeta * t ** mu * mp.exp(-t)))
         for s, dw in jumps:
-            pe = orthopoly_eval(table, n, s)
-            A += dw * pe.value_n ** 2 / (x - s)
-            B += dw * pe.value_n * pe.value_nm1 / (x - s)
-        return +A, +(table.a(n) * B)
+            p, p_prev = _monic_pair(table, n, s)
+            A += dw * p * p / (x - s)
+            B += dw * p * p_prev / (x - s)
+        return +(A / h_A), +(B / h_B)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +285,9 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
 class LaxData:
     """2x2 residue matrices of the x-system and the t-deformation matrix.
 
-    x-system:  d/dx (p_n, p_{n-1})^T = [Ainf + A0/x + At/(x-t)] (p_n, p_{n-1})^T
-    t-system:  d/dt (p_n, p_{n-1})^T = [Binf - At/(x-t)] (p_n, p_{n-1})^T
+    x-system:  d/dx (P_n, P_{n-1})^T = [Ainf + A0/x + At/(x-t)] (P_n, P_{n-1})^T
+    t-system:  d/dt (P_n, P_{n-1})^T = [Binf - At/(x-t) + D] (P_n, P_{n-1})^T
+               with D = diag((ln h_n)', (ln h_{n-1})')/2
     """
 
     n: int
@@ -290,7 +299,7 @@ class LaxData:
     theta_n: object
     theta_nm1: object
     kappa_n: object
-    a_n: object
+    a2_n: object
     Theta: tuple       # coefficients of Theta_n, highest first
     Omega: tuple       # coefficients of Omega_n
     W: tuple
@@ -334,20 +343,21 @@ def theta_prev_from_pair(pair: AuxPair, params: WeightParams,
         return s * t / (1 - s)
 
 
-def lax_residues(n: int, t, theta, theta_prev, kappa, a_n,
+def lax_residues(n: int, t, theta, theta_prev, kappa, a2_n,
                  params: WeightParams):
-    """(A0, At, Ainf, Binf) from theta_n, theta_{n-1}, kappa_n and a_n.
+    """(A0, At, Ainf, Binf) from theta_n, theta_{n-1}, kappa_n and a_n^2.
 
-    Plain arithmetic, so the arguments may be numbers or TruncSeries jets
-    in t (then every entry is a jet).
+    Monic gauge: the orthonormal gauge's a_n is a_n^2 in the (1,2) entries
+    and 1 in the (2,1) entries.  Plain arithmetic, so the arguments may be
+    numbers or TruncSeries jets in t (then every entry is a jet).
     """
     al, mu = to_mpf(params.alpha), to_mpf(params.mu)
     th, th_prev, ka = theta, theta_prev, kappa
     zero, one = mp.mpf(0), mp.mpf(1)
-    A0 = ((ka / t - mu / 2, -a_n * th / t),
-          (a_n * th_prev / t, -ka / t - mu / 2))
-    At = (((n + mu / 2) - ka / t, a_n * (th + t) / t),
-          (-a_n * (th_prev + t) / t, ka / t - (n + al + mu / 2)))
+    A0 = ((ka / t - mu / 2, -a2_n * th / t),
+          (th_prev / t, -ka / t - mu / 2))
+    At = (((n + mu / 2) - ka / t, a2_n * (th + t) / t),
+          (-(th_prev + t) / t, ka / t - (n + al + mu / 2)))
     Ainf = ((zero, zero), (zero, one))
     Binf = (((th + t) / (2 * t), zero), (zero, -(th_prev + t) / (2 * t)))
     return A0, At, Ainf, Binf
@@ -374,12 +384,12 @@ def build_lax(table: RecurrenceTable, n: int) -> LaxData:
     with workprec(table.prec):
         t = to_mpf(params.t)
         th_prev = theta_prev_from_pair(pair, params)
-        a_n = table.a(n)
+        a2_n = table.a2[n]
         th, ka = pair.theta, pair.kappa
-        A0, At, Ainf, Binf = lax_residues(n, t, th, th_prev, ka, a_n, params)
+        A0, At, Ainf, Binf = lax_residues(n, t, th, th_prev, ka, a2_n, params)
         return LaxData(
             n=n, t=+t, A0=A0, At=At, Ainf=Ainf, Binf=Binf,
-            theta_n=+th, theta_nm1=+th_prev, kappa_n=+ka, a_n=+a_n,
+            theta_n=+th, theta_nm1=+th_prev, kappa_n=+ka, a2_n=+a2_n,
             Theta=tuple(theta_poly(th)),
             Omega=tuple(omega_poly(n, ka, params)),
             W=tuple(w_poly(t)), V=tuple(v_poly(params)))
@@ -518,6 +528,11 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
             twoVW = {x: polyval(twoV, x) / Wx[x] for x in panel}
             ABx = {x: [ladder_ab_at(pairs[m], params, x) for m in pairs]
                    for x in panel}
+            # (P_m, P_m') for m <= max(n_range) from one order-1 x-jet pass;
+            # the trailing (0, 0) is P_{-1}, read at index -1 when n = 0
+            PD = {x: [tuple(P.c) for P in monic_values(
+                table, max(n_range), TruncSeries([x, 1]))] + [(0, 0)]
+                for x in panel}
 
         # Omega_0 = V as polynomials
         for c0, cv in zip(OM[0], V):
@@ -633,17 +648,15 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                         [a2n, -(rn - al) * rn / Rn,
                          (n + rn) * (n + mu + rn) / (Rn - 1)], threshold)
 
-                derivs = {}
                 for x in panel:
                     ab = ABx[x]
                     (An, Bn), (Ap, Bp) = ab[n], ab[n + 1]
                     # ladder lowering relation against the exact derivative
-                    derivs[x] = orthopoly_eval_with_derivative(table, n, x)
-                    pe_n, pe_m, dpe_n, _ = derivs[x]
+                    (p_n, dp_n), (p_m, _) = PD[x][n], PD[x][n - 1]
                     rep.add(
                         "ladder_relation",
-                        "p_n' = -B_n p_n + a_n A_n p_{n-1}", n, label[x],
-                        [dpe_n, Bn * pe_n, -table.a(n) * An * pe_m], threshold)
+                        "P_n' = -B_n P_n + a_n^2 A_n P_{n-1}", n, label[x],
+                        [dp_n, Bn * p_n, -a2n * An * p_m], threshold)
                     rep.add(
                         "ladder_rec_sum",
                         "B_{n+1} + B_n = (x-b_n)A_n + 2V/W"
@@ -678,15 +691,15 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                 lax = build_lax(table, n)
                 for x in panel:
                     Amat = lax.a_matrix(x)
-                    p_n, p_m, dp_n, dp_m = derivs[x]
+                    (p_n, dp_n), (p_m, dp_m) = PD[x][n], PD[x][n - 1]
                     rep.add(
                         "lax_x_ode_row1",
-                        "d/dx p_n = A11 p_n + A12 p_{n-1}", n, label[x],
+                        "d/dx P_n = A11 P_n + A12 P_{n-1}", n, label[x],
                         [dp_n, -Amat[0][0] * p_n, -Amat[0][1] * p_m],
                         lax_threshold)
                     rep.add(
                         "lax_x_ode_row2",
-                        "d/dx p_{n-1} = A21 p_n + A22 p_{n-1}", n, label[x],
+                        "d/dx P_{n-1} = A21 P_n + A22 P_{n-1}", n, label[x],
                         [dp_m, -Amat[1][0] * p_n, -Amat[1][1] * p_m],
                         lax_threshold)
 
@@ -698,11 +711,11 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                                               check_equivalence=False)
                     rep.add(
                         "rr_integral_equivalence_R",
-                        "alpha int w p_n^2/(y-t) = (theta_n + t)/t", n, "-",
-                        [pair_q.R, -pn.R], 1e-20)
+                        "alpha int w P_n^2/(y-t) / h_n = (theta_n + t)/t", n,
+                        "-", [pair_q.R, -pn.R], 1e-20)
                     rep.add(
                         "rr_integral_equivalence_r",
-                        "a_n alpha int w p_n p_{n-1}/(y-t) = kappa_n/t"
+                        "alpha int w P_n P_{n-1}/(y-t) / h_{n-1} = kappa_n/t"
                         " - (n+mu/2)", n, "-", [pair_q.r, -pn.r], 1e-20)
                 # the mu/(x y) kernel term needs mu > 1 unless mu is an integer
                 partial_fractions = neg_panel[:2] if (
@@ -719,30 +732,25 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                         "B_n(x) integral = r_n/(x-t) - (n+r_n)/x", n, label[x],
                         [Bq, -Bn], 1e-20)
                 for x in neg_panel[:1]:
-                    eps_n = epsilon_eval(table, moments, n, x, qprec)
-                    eps_m = epsilon_eval(table, moments, n - 1, x, qprec)
-                    deps_n = epsilon_derivative_eval(table, moments, n, x, qprec)
-                    pe = orthopoly_eval(table, n, x)
+                    E_n, E_m, dE_n, dE_m = (
+                        cauchy_transform(table, m, x, qprec, derivative=d)
+                        for d in (False, True) for m in (n, n - 1))
+                    (p_n, dp_n), (p_m, dp_m) = PD[x][n], PD[x][n - 1]
                     rep.add(
                         "casoratian",
-                        "p_n eps_{n-1} - p_{n-1} eps_n = 1/a_n", n, label[x],
-                        [pe.value_n * eps_m, -pe.value_nm1 * eps_n,
-                         -1 / table.a(n)], 1e-20)
+                        "P_n E_{n-1} - P_{n-1} E_n = h_{n-1}", n, label[x],
+                        [p_n * E_m, -p_m * E_n, -table.h(n - 1)], 1e-20)
                     rep.add(
                         "eps_ode",
-                        "W eps_n' = (Om_n + V) eps_n - a_n Th_n eps_{n-1}",
+                        "W E_n' = (Om_n + V) E_n - a_n^2 Th_n E_{n-1}",
                         n, label[x],
-                        [Wx[x] * deps_n, -(OMx[x][n] + Vx[x]) * eps_n,
-                         table.a(n) * THx[x][n] * eps_m], 1e-18)
+                        [Wx[x] * dE_n, -(OMx[x][n] + Vx[x]) * E_n,
+                         a2n * THx[x][n] * E_m], 1e-18)
                     # trace identity: d/dx ln det Y = -2V/W with det Y = C/w,
                     # C the casoratian, so C'/C - w'/w with w'/w in partial
                     # fractions and C' from the exact derivatives
-                    deps_m = epsilon_derivative_eval(table, moments, n - 1, x,
-                                                     qprec)
-                    p_n, p_m, dp_n, dp_m = derivs[x]
-                    cas = p_n * eps_m - p_m * eps_n
-                    dcas = (dp_n * eps_m + p_n * deps_m - dp_m * eps_n
-                            - p_m * deps_n)
+                    cas = p_n * E_m - p_m * E_n
+                    dcas = dp_n * E_m + p_n * dE_m - dp_m * E_n - p_m * dE_n
                     rep.add(
                         "dety_trace",
                         "d/dx ln det Y_n = -2V/W", n, label[x],

@@ -168,6 +168,23 @@ class TestVerify:
         assert doc["identities"]["n_failures"] > 0
 
 
+    @pytest.mark.parametrize("point", [
+        ["--zeta", "0.9", "--t", "5"],
+        ["--zeta", "-0.429535", "--t", "0.604487", "--nmax", "7"]])
+    def test_signed_weight_writes_report(self, tmp_path, point):
+        """Odd alpha with mu_0 < 0, or with a_2^2, a_3^2 < 0: the identity
+        battery runs on monic data, so verify writes its report (it exited
+        3 on the orthonormal normalization)."""
+        out = tmp_path / "rep.json"
+        res = run_cli(["verify", "--alpha", "1", "--mu", "0", "--fast",
+                       "--out", str(out)] + point)
+        assert res.returncode in (0, 4), res.stderr
+        doc = json.loads(out.read_text())
+        assert doc["identities"]["n_checks"] > 0
+        assert doc["flow"]["n_checks"] == 22
+        assert doc["all_passed"] is (res.returncode == 0)
+
+
 class TestInProcess:
     def test_main_returns_usage_code(self, capsys):
         assert main(["moments", "--alpha", "2", "--mu", "2",

@@ -3,15 +3,18 @@
 import mpmath as mp
 import pytest
 
+import dlaguerre.hankel as hankel
 from dlaguerre import (MomentTable, PrecisionCtx, PrecisionExhausted,
                        SingularHankel, UnsupportedParameters, WeightParams,
                        build_moment_table, dN_kernel, epsilon_eval,
-                       hankel_determinant, orthopoly_eval,
+                       hankel_determinant, monic_values, orthopoly_eval,
                        recurrence_coefficients, shifted_hankel_determinant,
                        stieltjes_eval, table_for)
 from dlaguerre.hankel import digits_lost, hankel_minors
 from dlaguerre.moments import TruncSeries
-from dlaguerre.oracle import gram_schmidt_recurrence, inner_product
+from dlaguerre.oracle import (dN_by_quadrature, gram_schmidt_recurrence,
+                              inner_product)
+from dlaguerre.painleve import aux_pair_series
 from conftest import rel_err
 
 
@@ -142,8 +145,28 @@ class TestRecurrenceTableProvenance:
         assert prec.decimal_digits / 2 < worst <= prec.scaled(512).decimal_digits / 2
         assert tab.digits_lost[7][1] == worst
 
+    def test_escalation_goes_straight_to_width(self, prec, monkeypatch):
+        """(1, 0, -0.429535, 0.604487) at n_max = 9 loses more digits than
+        512 bits would leave: the table lands on 1024 bits, as doubling one
+        step at a time did, after one moment rebuild instead of two."""
+        p = WeightParams(1, 0, "-0.429535", "0.604487")
+        mom = build_moment_table(p, 19, prec, cross_check=False)
+        rebuilt = []
+
+        def counting(params, k_max, wider, *args, **kwargs):
+            rebuilt.append(wider.significand_bits)
+            return build_moment_table(params, k_max, wider, *args, **kwargs)
+
+        monkeypatch.setattr(hankel, "build_moment_table", counting)
+        tab = recurrence_coefficients(mom, 9, prec)
+        assert tab.bits == 1024
+        assert rebuilt == [1024]
+        worst = max(max(pair) for pair in tab.digits_lost)
+        assert prec.scaled(512).decimal_digits / 2 < worst
+
     def test_a_is_computed_once_and_guards_sign(self, prec):
-        """a_n is read from the table; a_n^2 <= 0 (signed weight) raises."""
+        """a_n is the orthonormal view's square root of a_n^2, taken on
+        demand; a_n^2 <= 0 (signed weight) raises."""
         _, tab = table_for(WeightParams(1, 0, "0.5", "0.3"), 4, prec)
         assert tab.a(0) == 0
         with mp.workprec(256):
@@ -167,14 +190,15 @@ class TestRecurrence:
         assert rel_err(tab.b[0], mom[1] / mom[0]) < 1e-70
 
     def test_gamma_identities(self, tables_main):
-        """a_n = gamma_{n-1}/gamma_n; b_n = g_{n,1}/g_n - g_{n+1,1}/g_{n+1}."""
+        """a_n = gamma_{n-1}/gamma_n; b_n = c_n - c_{n+1}, where c_n =
+        -sigma_n/Delta_n = g_{n,1}/g_n is the x^{n-1} coefficient of P_n."""
         _, tab = tables_main
         with mp.workprec(256):
             for n in range(1, 6):
                 assert rel_err(tab.a(n), tab.gamma[n - 1] / tab.gamma[n]) < 1e-60
+            c = [-tab.sigma[n] / tab.delta[n] for n in range(7)]
             for n in range(6):
-                want = tab.gamma1_ratio[n] - tab.gamma1_ratio[n + 1]
-                assert rel_err(tab.b[n], want) < 1e-60
+                assert rel_err(tab.b[n], c[n] - c[n + 1]) < 1e-60
 
     def test_positive_weight_positivity(self, tables_main):
         _, tab = tables_main
@@ -193,7 +217,51 @@ class TestRecurrence:
                 assert rel_err(gs["a"][n], tab.a(n)) < 1e-18
                 assert rel_err(gs["b"][n], tab.b[n]) < 1e-18
                 assert rel_err(gs["gamma1_ratio"][n],
-                               tab.gamma1_ratio[n]) < 1e-18
+                               -tab.sigma[n] / tab.delta[n]) < 1e-18
+
+
+class TestMonicValues:
+    def test_leading_coefficients(self, tables_main):
+        """P_n = x^n - (sigma_n/Delta_n) x^{n-1} + ..., read off at X = 1e30,
+        up to n = n_max + 1."""
+        _, tab = tables_main
+        with mp.workprec(256):
+            X = mp.mpf(10) ** 30
+            P = monic_values(tab, 7, X)
+            for n in range(1, 8):
+                sub = (P[n] - X ** n) / X ** (n - 1)
+                assert rel_err(sub, -tab.sigma[n] / tab.delta[n]) < 1e-20
+
+    def test_x_jet_carries_the_derivative(self, tables_main):
+        """An order-1 x-jet carries P_n', checked against mpmath's diff."""
+        _, tab = tables_main
+        with mp.workprec(256):
+            for x in (mp.mpf(-1), mp.mpf("0.7"), mp.mpc(2, 1)):
+                jets = monic_values(tab, 5, TruncSeries([x, 1]))
+                for n in (0, 3, 5):
+                    want = mp.diff(lambda s: monic_values(tab, n, s)[n], x)
+                    assert jets[n].c[0] == monic_values(tab, n, x)[n]
+                    err = abs(jets[n].c[1] - want)
+                    assert err <= 1e-40 * max(abs(want), 1)
+
+    @pytest.mark.parametrize("alpha, mu, zeta, t", [
+        (2, 2, "0.5", "0.3"), (2, 2, "0.5", "2"),
+        (1, 0, "-0.429535", "0.604487"), (3, 2, "-0.85424", "3.87196"),
+        (1, 0, "0.9", "5")])
+    def test_t_jets_match_numbers(self, prec, alpha, mu, zeta, t):
+        """monic_values on a JetTable about t*: the order-0 term of every
+        P_m(x) jet equals the value from the table at t*, signed weights
+        (a_m^2 < 0, or mu_0 < 0 at t = 5) included."""
+        p = WeightParams(alpha, mu, zeta, t)
+        _, tab = table_for(p, 4, prec, cross_check=False)
+        jets = aux_pair_series(4, p, 2, prec, about=t)
+        with mp.workprec(256):
+            for x in (mp.mpf(-1), mp.mpf("0.5"), mp.mpf(3)):
+                want = monic_values(tab, 5, x)
+                got = monic_values(jets, 5, x)
+                for m in range(6):
+                    assert got[m].order == 2
+                    assert rel_err(got[m].c[0], want[m]) < 1e-50
 
 
 class TestPolyEval:
@@ -306,6 +374,19 @@ class TestChristoffelDarboux:
             near = (dN_kernel(tab, 2, s + h, s - h)
                     + dN_kernel(tab, 2, s - h, s + h)) / 2
             assert rel_err(direct, near) < 1e-15
+
+    @pytest.mark.parametrize("zeta, t", [("0.9", "5"),
+                                         ("-0.429535", "0.604487")])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_signed_weight_against_quadrature(self, prec, zeta, t, N):
+        """Odd alpha makes the weight signed (mu_0 < 0 at t = 5, so gamma_0
+        is not real; a_2^2 < 0 at the second point): the monic kernel still
+        matches the tensor-quadrature oracle to criterion 8's 1e-10."""
+        p = WeightParams(1, 0, zeta, t)
+        _, tab = table_for(p, N + 1, prec, cross_check=False)
+        for y1, y2 in ((5, 7), (4, 4)):
+            ref = dN_by_quadrature(p, N, y1, y2, prec)
+            assert rel_err(dN_kernel(tab, N, y1, y2), ref.value) < 1e-10
 
     def test_table_too_small(self, tables_main):
         _, tab = tables_main

@@ -259,14 +259,17 @@ class TestIdentitySuite:
                 assert abs(sum_rule) < mp.mpf("1e-60")
                 assert abs(product) < mp.mpf("1e-60")
 
-    def test_negative_mass_raises_typed(self, prec):
-        """mu_0 = -4 at (1, 0, 0.9, 5): gamma_0 is not real, and the ladder
-        checks' p_n' evaluation raises SingularHankel, not a TypeError."""
-        mom, tab = table_for(WeightParams(1, 0, "0.9", "5"), 3, prec)
+    def test_negative_mass_returns_records(self, prec):
+        """mu_0 = -4 at (1, 0, 0.9, 5): gamma_0 is not real, so the
+        orthonormal view refuses, but the battery runs on monic data and
+        every record passes."""
+        mom, tab = table_for(WeightParams(1, 0, "0.9", "5"), 4, prec)
         assert mom[0] < 0 and tab.gamma[0] is None
         with pytest.raises(SingularHankel):
-            verify_identities(tab, mom, [1, 2], prec,
-                              include_quadrature_checks=False)
+            tab.a(3)
+        rep = verify_identities(tab, mom, [1, 2, 3], prec,
+                                include_quadrature_checks=False)
+        assert len(rep.records) == 213 and rep.all_passed
 
     def test_real_mu_quadrature_pipeline(self):
         """Non-integer mu runs on the quadrature path end to end and the
@@ -336,3 +339,33 @@ class TestIdentitySuite:
             assert rel_err(tv[0], -1) < 1e-30
             assert rel_err(tv[1], mp.mpf("4.3")) < 1e-30
             assert rel_err(tv[2], mp.mpf("-0.6")) < 1e-30
+
+
+# signed weights (odd alpha: a_2^2, a_3^2 < 0 at the first point; a_1^2,
+# a_2^2, a_4^2, a_5^2 < 0 at the second; mu_0 < 0 at the third),
+# alpha + mu <= 1, and t at both ends of the range
+CONTRACT_POINTS = [
+    (1, 0, "-0.429535", "0.604487", 7), (3, 2, "-0.85424", "3.87196", 6),
+    (1, 0, "0.9", "5", 3), (0, 1, "0.5", "0.3", 3), (1, 0, "-2", "0.3", 3),
+    (0, 0, "0.5", "0.3", 3), (2, 2, "0.5", "1e-3", 3), (3, 1, "-0.7", "10", 3)]
+
+
+class TestFailuresBecomeRecords:
+    @pytest.mark.parametrize("alpha, mu, zeta, t, n_max", CONTRACT_POINTS)
+    def test_battery_and_flow_laws_return_records(self, prec, alpha, mu,
+                                                  zeta, t, n_max):
+        """verify_identities (fast over n <= n_max; full over n <= 2 where
+        alpha >= 1) and ab_flow_check return records and raise nothing;
+        here every record passes."""
+        p = WeightParams(alpha, mu, zeta, t)
+        mom, tab = table_for(p, n_max + 2, prec, cross_check=False)
+        reports = [verify_identities(tab, mom, list(range(1, n_max + 1)),
+                                     prec, include_quadrature_checks=False)]
+        if alpha >= 1:
+            reports.append(verify_identities(tab, mom, [1, 2], prec))
+        with mp.workprec(256):
+            tm = mp.mpf(t)
+            grid = mp.linspace(tm - tm / 10, tm + tm / 10, 9)
+        reports.append(ab_flow_check(p, 2, grid, prec, threshold=1e-15))
+        for rep in reports:
+            assert rep.records and rep.all_passed, rep.failures[:3]

@@ -16,7 +16,7 @@ from .errors import (CrossCheckError, DLaguerreError, DegenerateTheta,
                      SingularityEncountered, UnsupportedParameters)
 from .precision import PrecisionCtx, to_mpf, workprec
 from .moments import (MomentTable, TruncSeries, WeightParams,
-                      build_moment_table, moment_closed_form,
+                      build_moment_table, moment_closed_form, moment_jets,
                       moment_quadrature, moment_series)
 from .hankel import (PolyEval, RecurrenceTable, cauchy_transform,
                      dN_kernel, epsilon_eval, hankel_determinant,

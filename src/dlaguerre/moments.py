@@ -17,9 +17,32 @@ two polynomials with integer coefficients.  So every moment is an entire
 function of t: moment_series gives its Taylor jet about any t*, and the
 closed form is that jet's order-0 term, evaluated with guard bits and
 cross-checked against independent split quadrature of the defining
-integral.  TruncSeries is the one truncated-power-series type of the
-package; the Hankel jets, series initial data and every t-derivative of
-the Painleve layer are built from it.
+integral.
+
+Tables need only two of them.  The weight is semiclassical: w'/w = 2V/W
+away from the jump, with W = x(x - t) and 2V = -x^2 + (alpha+mu+t)x - mu t.
+Integrating (W x^k w)' over [0, inf) gives zero: W(0) = 0 kills the
+endpoint term at 0 (w decays at infinity), and W(t) = 0 kills both the
+jump of w at t and the delta that the step contributes to w'.  Expanding
+W' x^k + k W x^(k-1) + x^k 2V leaves the Pearson recurrence
+
+    mu_{k+2} = (k+2+alpha+mu+t) mu_{k+1} - (k+1+mu) t mu_k,
+
+so moment_jets builds mu_0..mu_K from the closed forms of mu_0 and mu_1,
+on numbers and on t-jets alike (its coefficients are linear in t).  For
+large k the recurrence has one solution with ratio ~k (the moments, and
+the tail integral over [t, inf) alike) and one with ratio ~t (the integral
+over [0, t]).  Forward recursion is stable once k > t, where the moments
+dominate; below that the t^k solution can outgrow them by up to
+max_k t^k/k! ~ e^t, so about 1.44 t bits are lost on the way.  moment_jets
+adds ceil(1.5 t) guard bits on top of the caller's precision;
+build_moment_table works 30 bits above the table's width, as
+moment_closed_form does, and its entries equal moment_closed_form's bit
+for bit (k <= 40, t <= 40 in the tests).
+
+TruncSeries is the one truncated-power-series type of the package; the
+Hankel jets, series initial data and every t-derivative of the Painleve
+layer are built from it.
 """
 
 from __future__ import annotations
@@ -228,6 +251,37 @@ def moment_series(k: int, params: WeightParams, order: int,
             * (exp_neg * _taylor_shift(tail, t0, order)))
 
 
+def moment_jets(k_max: int, params: WeightParams, order: int,
+                about=0) -> list:
+    """Jets of mu_0..mu_k_max about t* through s^order, from two seeds.
+
+    mu_0 and mu_1 come from moment_series; every higher moment follows from
+    the Pearson recurrence mu_{k+2} = (k+2+alpha+mu+t) mu_{k+1}
+    - (k+1+mu) t mu_k, whose coefficients are linear in t = t* + s.  Order 0
+    gives the numbers.  Runs with ceil(1.5 |t*|) guard bits over the
+    caller's precision and leaves the values unrounded.
+    """
+    if k_max < 0:
+        raise UnsupportedParameters("k_max must be >= 0")
+    if not params.mu_is_integer:
+        raise UnsupportedParameters(
+            "closed form requires integer mu; use moment_quadrature")
+    a_m, m = int(params.alpha) + int(params.mu), int(params.mu)
+    with mp.workprec(53):       # forward recursion loses up to ~1.44 t bits
+        guard = int(mp.ceil(3 * abs(to_mpf(about)) / 2))
+    with mp.extraprec(guard):
+        t0 = to_mpf(about)
+        c = [moment_series(k, params, order, t0).c
+             for k in range(min(k_max, 1) + 1)]
+        for k in range(k_max - 1):
+            lo, hi = c[k], c[k + 1]
+            grow, damp = k + 2 + a_m + t0, k + 1 + m
+            c.append([grow * hi[0] - damp * t0 * lo[0]] + [
+                grow * hi[j] + hi[j - 1] - damp * (t0 * lo[j] + lo[j - 1])
+                for j in range(1, order + 1)])
+    return [TruncSeries(cs) for cs in c]
+
+
 def moment_closed_form(k: int, params: WeightParams, prec: PrecisionCtx):
     """mu_k in closed form: the order-0 term of moment_series about t."""
     if k < 0:
@@ -282,16 +336,21 @@ def build_moment_table(params: WeightParams, k_max: int, prec: PrecisionCtx,
                        cross_check: bool = True) -> MomentTable:
     """Moment table from the requested source.
 
-    The closed-form source is cross-validated against quadrature at the
-    endpoints k in {0, k_max}; disagreement beyond prec.tol raises
-    CrossCheckError rather than returning silently wrong data.  Callers
+    The closed-form source runs moment_jets at order 0 from the two seeds
+    mu_0, mu_1 (equal to moment_closed_form entry by entry) and is
+    cross-validated against quadrature at the endpoints k in {0, k_max};
+    disagreement beyond prec.tol raises CrossCheckError rather than
+    returning silently wrong data.  Callers
     rebuilding tables along a t-grid may pass cross_check=False once the
     agreement has been established for the parameter family.
     """
     if k_max < 0:
         raise UnsupportedParameters("k_max must be >= 0")
     if source == "closed_form":
-        vals = [moment_closed_form(k, params, prec) for k in range(k_max + 1)]
+        with workprec(prec, 30):
+            jets = moment_jets(k_max, params, 0, params.t)
+        with workprec(prec):
+            vals = [+mk.c[0] for mk in jets]
         tol = prec.tol_mpf()
         for k in ({0, k_max} if cross_check else ()):
             q = moment_quadrature(k, params, prec)

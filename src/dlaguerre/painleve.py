@@ -82,7 +82,7 @@ from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
 from .hankel import hankel_minors, monic_values
-from .moments import TruncSeries, WeightParams, conv, moment_series
+from .moments import TruncSeries, WeightParams, conv, moment_jets
 from .precision import PrecisionCtx, to_mpf, workprec
 from .semiclassical import Report, lax_residues, lax_x_matrices
 
@@ -404,17 +404,17 @@ def aux_pair_series(n_max: int, params: WeightParams, order: int,
                     prec: PrecisionCtx = None, about=0) -> JetTable:
     """Jets through s^order of the recurrence data at t = about + s.
 
-    Built from moment_series at integer alpha, mu; zeta < 1.  About 0 the
+    Built from moment_jets at integer alpha, mu; zeta < 1.  About 0 the
     jets are the exact small-t series (series_init); about any t > 0 their
     order-1 terms are the t-derivatives that the flow laws, the deformation
-    and the zero-curvature checks read.  Arithmetic runs with 60 guard bits.
+    and the zero-curvature checks read.  Arithmetic runs with 60 guard bits,
+    the moment recurrence with its own on top.
     """
     prec = prec or PrecisionCtx()
     with workprec(prec, 60):
         about = to_mpf(about)
         al, m = to_mpf(params.alpha), to_mpf(params.mu)
-        mk = [moment_series(k, params, order, about)
-              for k in range(2 * n_max + 2)]
+        mk = moment_jets(2 * n_max + 1, params, order, about)
         delta, sigma = hankel_minors(mk, n_max + 1)
         root_sum = [s / d for s, d in zip(sigma, delta)]
         b = [root_sum[i + 1] - root_sum[i] for i in range(n_max + 1)]

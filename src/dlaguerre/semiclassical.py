@@ -44,6 +44,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import mpmath as mp
+from mpmath.libmp import (fone, mpf_abs, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+                          mpf_sum, to_float)
 
 from .errors import DegenerateTheta, SingularHankel, UnsupportedParameters
 from .hankel import (MomentTable, RecurrenceTable, cauchy_transform,
@@ -296,19 +298,18 @@ class LaxData:
     At: tuple
     Ainf: tuple
     Binf: tuple
-    theta_n: object
-    theta_nm1: object
-    kappa_n: object
-    a2_n: object
-    Theta: tuple       # coefficients of Theta_n, highest first
-    Omega: tuple       # coefficients of Omega_n
-    W: tuple
-    V: tuple
 
     def a_matrix(self, x):
         """Ainf + A0/x + At/(x-t) as a 2x2 tuple-of-tuples."""
-        return lax_x_matrices(self.A0, self.At, self.Ainf, self.Binf, self.t,
-                              to_mpf(x))[0]
+        return lax_a_matrix(self.A0, self.At, self.Ainf, self.t, to_mpf(x))
+
+
+def _near_theta_locus(theta, t) -> bool:
+    """True where theta_n lies within 1e-40 t of 0 or -t, i.e. R_n within
+    1e-40 of 1 or 0: the elimination and the divisions by R_n, R_n - 1
+    are undefined there."""
+    guard = mp.mpf(10) ** (-40) * t
+    return abs(theta) < guard or abs(theta + t) < guard
 
 
 def theta_prev_from_pair(pair: AuxPair, params: WeightParams,
@@ -330,8 +331,7 @@ def theta_prev_from_pair(pair: AuxPair, params: WeightParams,
         theta, kappa = to_mpf(pair.theta), to_mpf(pair.kappa)
         if t == 0:
             raise DegenerateTheta("elimination needs t > 0")
-        guard = mp.mpf(10) ** (-40) * t
-        if abs(theta) < guard or abs(theta + t) < guard:
+        if _near_theta_locus(theta, t):
             raise DegenerateTheta("theta_n at or near {0, -t}")
         denom = (kappa - (n + al + mu / 2) * t) * (kappa - (n + mu / 2) * t)
         if denom == 0:
@@ -363,13 +363,17 @@ def lax_residues(n: int, t, theta, theta_prev, kappa, a2_n,
     return A0, At, Ainf, Binf
 
 
+def lax_a_matrix(A0, At, Ainf, t, x):
+    """A(x) = Ainf + A0/x + At/(x-t)."""
+    return tuple(tuple(Ainf[i][j] + A0[i][j] / x + At[i][j] / (x - t)
+                       for j in range(2)) for i in range(2))
+
+
 def lax_x_matrices(A0, At, Ainf, Binf, t, x):
     """A(x) = Ainf + A0/x + At/(x-t) and B(x) = Binf - At/(x-t)."""
-    A = tuple(tuple(Ainf[i][j] + A0[i][j] / x + At[i][j] / (x - t)
-                    for j in range(2)) for i in range(2))
     B = tuple(tuple(Binf[i][j] - At[i][j] / (x - t)
                     for j in range(2)) for i in range(2))
-    return A, B
+    return lax_a_matrix(A0, At, Ainf, t, x), B
 
 
 def build_lax(table: RecurrenceTable, n: int) -> LaxData:
@@ -384,15 +388,9 @@ def build_lax(table: RecurrenceTable, n: int) -> LaxData:
     with workprec(table.prec):
         t = to_mpf(params.t)
         th_prev = theta_prev_from_pair(pair, params)
-        a2_n = table.a2[n]
-        th, ka = pair.theta, pair.kappa
-        A0, At, Ainf, Binf = lax_residues(n, t, th, th_prev, ka, a2_n, params)
-        return LaxData(
-            n=n, t=+t, A0=A0, At=At, Ainf=Ainf, Binf=Binf,
-            theta_n=+th, theta_nm1=+th_prev, kappa_n=+ka, a2_n=+a2_n,
-            Theta=tuple(theta_poly(th)),
-            Omega=tuple(omega_poly(n, ka, params)),
-            W=tuple(w_poly(t)), V=tuple(v_poly(params)))
+        A0, At, Ainf, Binf = lax_residues(n, t, pair.theta, th_prev,
+                                          pair.kappa, table.a2[n], params)
+        return LaxData(n=n, t=+t, A0=A0, At=At, Ainf=Ainf, Binf=Binf)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +433,37 @@ class Report:
     title: str
     context: dict
     records: list = field(default_factory=list)
+    _thresholds: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def add(self, check_id, formula, n, point, terms, threshold, note=""):
-        """Record max|sum(terms)| normalized by the largest magnitude term."""
-        with mp.extraprec(20):
-            resid = abs(mp.fsum(terms))
-            scale = max(max(map(abs, terms)), 1)
+        """Record |sum(terms)| against threshold * max(max|term|, 1).
+
+        terms are mpf, int or float.  The sum is rounded once at the working
+        precision + 20 bits and the largest |term| is rounded to that width,
+        as mp.fsum and abs under mp.extraprec(20) do; threshold * scale is
+        rounded at the working precision.  Runs on raw mpf tuples.
+        """
+        prec = mp.mp.prec
+        key = (threshold, prec)
+        if key not in self._thresholds:
+            self._thresholds[key] = (float(threshold), to_mpf(threshold)._mpf_)
+        thr_float, thr = self._thresholds[key]
+        raw = [v._mpf_ if hasattr(v, "_mpf_") else mp.mp.convert(v)._mpf_
+               for v in terms]
+        resid = mpf_abs(mpf_sum(raw, prec + 20, "n"))
+        top = mpf_abs(raw[0])
+        for v in map(mpf_abs, raw[1:]):
+            if mpf_gt(v, top):
+                top = v
+        scale = mpf_abs(top, prec + 20, "n")
+        if mpf_lt(scale, fone):
+            scale = fone
         rec = CheckRecord(
             check_id=check_id, formula=formula, n=n, point=str(point),
-            residual=float(resid), scale=float(scale),
-            threshold=float(threshold),
-            passed=bool(resid <= to_mpf(threshold) * scale), note=note)
+            residual=to_float(resid, rnd="n"), scale=to_float(scale, rnd="n"),
+            threshold=thr_float,
+            passed=mpf_le(resid, mpf_mul(thr, scale, prec, "n")), note=note)
         self.records.append(rec)
         return rec
 
@@ -490,7 +508,10 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
     Polynomial identities are evaluated on the five-point x panel; the
     integral-based checks (Cauchy-transform system, ladder partial
     fractions) are stationed at negative x only.  Failures become report
-    records, never exceptions.
+    records, never exceptions.  Records undefined at the parameters are
+    left out: the partial fractions at non-integer mu <= 1, and rr_a2 and
+    the Lax rows where theta_n sits at 0 or -t (R_n in {1, 0}; at
+    (alpha, zeta) = (0, 0) the weight is t-independent and theta_n = -t).
     """
     prec = prec or table.prec
     params = table.params
@@ -642,11 +663,13 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                         "(n+r_n)(n+m+r_n) = a_n^2 (R_n-1)(R_{n-1}-1)", n, "-",
                         [(n + rn) * (n + mu + rn),
                          -a2n * (Rn - 1) * (Rm - 1)], threshold)
-                    rep.add(
-                        "rr_a2",
-                        "a_n^2 = (r-a)r/R_n - (n+r)(n+m+r)/(R_n-1)", n, "-",
-                        [a2n, -(rn - al) * rn / Rn,
-                         (n + rn) * (n + mu + rn) / (Rn - 1)], threshold)
+                    if not _near_theta_locus(pn.theta, t):
+                        rep.add(
+                            "rr_a2",
+                            "a_n^2 = (r-a)r/R_n - (n+r)(n+m+r)/(R_n-1)", n,
+                            "-", [a2n, -(rn - al) * rn / Rn,
+                                  (n + rn) * (n + mu + rn) / (Rn - 1)],
+                            threshold)
 
                 for x in panel:
                     ab = ABx[x]
@@ -687,9 +710,13 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                             [Bn ** 2, -twoVW[x] * Bn, -a2n * An * Am,
                              mp.fsum(A for A, _ in ab[:n])], threshold)
 
-                # x-system residual against the differentiated recurrence
-                lax = build_lax(table, n)
-                for x in panel:
+                # x-system residual against the differentiated recurrence,
+                # left out where the theta_{n-1} elimination degenerates
+                try:
+                    lax = build_lax(table, n)
+                except DegenerateTheta:
+                    lax = None
+                for x in (panel if lax else ()):
                     Amat = lax.a_matrix(x)
                     (p_n, dp_n), (p_m, dp_m) = PD[x][n], PD[x][n - 1]
                     rep.add(

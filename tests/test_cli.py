@@ -185,6 +185,20 @@ class TestVerify:
         assert doc["all_passed"] is (res.returncode == 0)
 
 
+    @pytest.mark.parametrize("mu", ["0", "2"])
+    def test_t_independent_weight_writes_report(self, tmp_path, mu):
+        """(alpha, zeta) = (0, 0) makes R_n = 0: the battery leaves out the
+        records that divide by it, so verify writes a passing report and
+        exits 0."""
+        out = tmp_path / "rep.json"
+        res = run_cli(["verify", "--alpha", "0", "--mu", mu, "--zeta", "0",
+                       "--t", "0.3", "--fast", "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(out.read_text())
+        assert doc["identities"]["n_checks"] > 0
+        assert doc["all_passed"] is True
+
+
 class TestInProcess:
     def test_main_returns_usage_code(self, capsys):
         assert main(["moments", "--alpha", "2", "--mu", "2",

@@ -1,5 +1,7 @@
 """Moment layer: jets, closed form vs quadrature, table invariants."""
 
+import itertools
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,10 @@ from hypothesis import strategies as st
 
 from dlaguerre import (CrossCheckError, PrecisionCtx, TruncSeries,
                        UnsupportedParameters, WeightParams, build_moment_table,
-                       moment_closed_form, moment_quadrature)
+                       moment_closed_form, moment_jets, moment_quadrature,
+                       moment_series)
+from dlaguerre import moments
+from dlaguerre.painleve import aux_pair_series
 from conftest import rel_err
 
 
@@ -132,6 +137,54 @@ class TestMomentTable:
     def test_bad_source(self, prec, params_main):
         with pytest.raises(ValueError):
             build_moment_table(params_main, 2, prec, "divination")
+
+
+class TestPearsonRecurrence:
+    def test_table_bit_identical_to_closed_form(self, prec):
+        """The two-seed table equals the per-k closed form bit for bit for
+        k <= 40, also at t = 40, where the t^k solution of the recurrence
+        outgrows the moments by about e^40 before k reaches t."""
+        for t in ("0", "1e-6", "5", "20", "40"):
+            for alpha, mu, zeta in itertools.product((0, 1, 4), (0, 3),
+                                                     ("0.999", "-2")):
+                p = WeightParams(alpha, mu, zeta, t)
+                tab = build_moment_table(p, 40, prec, cross_check=False)
+                want = [moment_closed_form(k, p, prec) for k in range(41)]
+                assert list(tab.values) == want, (alpha, mu, zeta, t)
+
+    @pytest.mark.parametrize("order", [1, 16])
+    def test_jets_match_moment_series(self, order):
+        """Every jet coefficient agrees with the direct Taylor expansion to
+        1e-70 of the jet's largest coefficient."""
+        worst = 0.0
+        with mp.workprec(256):
+            for about in ("0", "0.3", "5", "20"):
+                for alpha, mu, zeta in ((0, 0, "0.9"), (2, 2, "0.5"),
+                                        (3, 1, "-2"), (1, 0, "0.999")):
+                    p = WeightParams(alpha, mu, zeta, about)
+                    jets = moment_jets(20, p, order, mp.mpf(about))
+                    for k, jet in enumerate(jets):
+                        want = moment_series(k, p, order, mp.mpf(about)).c
+                        scale = max(abs(c) for c in want)
+                        worst = max(worst, float(max(
+                            abs(g - w) for g, w in zip(jet.c, want)) / scale))
+        assert worst < 1e-70
+
+    def test_two_seeds_per_table(self, prec, params_main, monkeypatch):
+        """A moment table or a jet table evaluates the closed form twice,
+        for mu_0 and mu_1, whatever its size."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return moment_series(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "moment_series", counting)
+        build_moment_table(params_main, 13, prec, cross_check=False)
+        assert calls == [0, 1]
+        calls.clear()
+        aux_pair_series(4, params_main, 6, prec, about="0.3")
+        assert calls == [0, 1]
 
 
 class TestZetaStructure:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import mpmath as mp
 import pytest
@@ -369,3 +370,71 @@ class TestFailuresBecomeRecords:
         reports.append(ab_flow_check(p, 2, grid, prec, threshold=1e-15))
         for rep in reports:
             assert rep.records and rep.all_passed, rep.failures[:3]
+
+
+class TestTIndependentWeight:
+    @pytest.mark.parametrize("mu", [0, 2])
+    def test_batteries_leave_out_undefined_records(self, prec, mu):
+        """(alpha, zeta) = (0, 0): the weight does not depend on t, so
+        theta_n = -t and R_n = 0.  The fast and full batteries leave out
+        rr_a2 (it divides by R_n) and the Lax rows (the theta_{n-1}
+        elimination degenerates) and return records; every one passes."""
+        p = WeightParams(0, mu, 0, "0.3")
+        mom, tab = table_for(p, 5, prec, cross_check=False)
+        for n_range, quad in (([1, 2, 3], False), ([1, 2], True)):
+            rep = verify_identities(tab, mom, n_range, prec,
+                                    include_quadrature_checks=quad)
+            ids = {r.check_id for r in rep.records}
+            assert "rr_rec_ratio" in ids
+            assert not ids & {"rr_a2", "lax_x_ode_row1", "lax_x_ode_row2"}
+            assert rep.all_passed, rep.failures[:3]
+
+
+def _operator_record(terms, threshold):
+    """residual, scale and passed as Report.add defines them, written with
+    mpf operators under mp.extraprec(20)."""
+    with mp.extraprec(20):
+        resid = abs(mp.fsum(terms))
+        scale = max(max(map(abs, terms)), 1)
+    return float(resid), float(scale), bool(resid <= mp.mpf(threshold) * scale)
+
+
+class TestReportAdd:
+    @pytest.mark.parametrize("bits", [256, 276])
+    def test_matches_operator_form(self, bits):
+        """Same residual, scale and passed flag as the operator form, at the
+        battery's width and at the flow laws' 20 extra bits, on terms that
+        carry more bits than the sum keeps."""
+        rng = random.Random(11)
+        with mp.workprec(bits):
+            third = mp.mpf(1) / 3
+            with mp.workprec(bits + 60):
+                fine = [mp.mpf(1) / 7, -mp.mpf(1) / 7 + mp.mpf(2) ** -250]
+            cases = [
+                ([3, -2, -1], 1e-15),                         # ints, sum 0
+                ([third, -third], 1e-15),                     # exactly zero
+                ([mp.mpf("1e-5"), mp.mpf("-2e-7"), 3], 1e-20),
+                ([mp.mpf("1e-5"), mp.mpf("-2e-7"), mp.mpf("3e-9")], 1e-8),
+                ([mp.mpf("1e40"), -mp.mpf("1e40"), mp.mpf("1e-30"), -2],
+                 1e-18),                                      # mixed sizes
+                (fine, 1e-75),
+                ([mp.mpf(1), -(1 + mp.mpf("1e-15"))], 1e-15),
+                ([mp.mpf(1), -(1 + mp.mpf("1e-15"))], 0.999e-15),
+                # residual exactly threshold * scale, scale with many bits
+                ([4 * third, -4 * third, third / 2 ** 38], 2.0 ** -40),
+            ]
+            for _ in range(200):
+                terms = [mp.mpf(rng.uniform(-1, 1)) * 10 ** rng.randint(-40, 40)
+                         for _ in range(rng.randint(1, 6))]
+                # land the residual near threshold * scale, on either side
+                thr = 10.0 ** rng.randint(-30, -5)
+                big = max(map(abs, terms))
+                terms.append(-mp.fsum(terms) + thr * max(big, 1)
+                             * (1 + rng.choice((-1, 1)) * 2.0 ** -30))
+                cases.append((terms, thr))
+            rep = Report("t", {})
+            for terms, thr in cases:
+                rec = rep.add("c", "f", 0, "-", terms, thr)
+                assert (rec.residual, rec.scale, rec.passed) == \
+                    _operator_record(terms, thr), terms
+            assert {rec.passed for rec in rep.records} == {True, False}

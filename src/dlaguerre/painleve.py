@@ -66,7 +66,9 @@ tolerance and the step size from the jet's last two coefficients (Jorba &
 Zou, Exp. Math. 14, 2005).  The step polynomials are the dense output.
 Integration stops with SingularityEncountered when theta or theta + t
 reaches the guard zone around 0 at a node, when its step polynomial may
-vanish inside a step, or when the step size collapses at a pole.
+vanish inside a step, or when the step size collapses at a pole.  At
+(alpha, zeta) = (0, 0) the weight does not depend on t, theta_n = -t
+identically, and evolve raises DegenerateTheta before it starts.
 """
 
 from __future__ import annotations
@@ -612,7 +614,9 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
     polynomial for either may vanish inside the step (t_last is then where
     the polynomial was last certified nonzero), or when the jet's step size
     falls below guard * t (a pole of the flow); NoConvergence when the step
-    budget runs out or the step size underflows.
+    budget runs out or the step size underflows.  Raises DegenerateTheta
+    before the first step when (alpha, zeta) = (0, 0), where the weight
+    does not depend on t and theta_n = -t identically.
     """
     prec = prec or PrecisionCtx()
     ctrl = step_ctrl or StepControl()
@@ -625,6 +629,10 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
     with workprec(prec, 20):
         if not 0 < t0 <= t1:
             raise UnsupportedParameters("need 0 < t0 <= t1")
+        if int(params.alpha) == 0 and to_mpf(params.zeta) == 0:
+            raise DegenerateTheta(
+                "alpha = zeta = 0: the weight does not depend on t, so "
+                "theta_n = -t identically, on the flow's singular locus")
         if y0 is None:
             th, ka, s_order, s_est = _series_data(n, t0, params, prec, None)
             meta = {"initial_data": "series", "series_order": s_order,

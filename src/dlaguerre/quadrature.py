@@ -19,14 +19,30 @@ sum over one node list (x_i, W_i) whose weights W_i already carry w(x_i):
 Each node takes the jump factor of the panel it belongs to.  The reference
 rules (Golub & Welsch, Math. Comp. 23, 1969, via mp.gauss_quadrature) are
 cached per (family, m) at the highest precision asked for so far.
-integrate_weighted climbs the node ladder m = 10, 20, 40 until two
+integrate_weighted climbs the node ladder m = 10, 20, 40, 80 until two
 successive sums agree to the tolerance; that difference is the error
-estimate the result carries.
+estimate the result carries.  The Laguerre tail with m nodes is exact for
+polynomials of degree < 2m only, so at integer mu two sums agree on x^k
+once the coarser one has 2m > k + alpha + mu: at alpha = mu = 2 and
+t = 20 the 20-node sums miss from k = 36 on, and the 40/80 pair agrees.
+
+The node lists themselves are cached too, since one weight's integrals
+ask for the same few lists many times (each Cauchy, ladder and oracle
+integral climbs the ladder afresh).  The key is every input a list depends
+on: the weight, m, the pole and the working precision, plus a count of the
+m-point reference rules' upgrades, since a list built from a rule is only
+reproduced by the same rule.  Only one weight's lists are kept, and of
+the pole-graded ones only the latest pole's, so sweeping points or poles
+holds memory to a few lists.  A cached list is the tuple _build_nodes
+returned, so every sum runs over the same nodes, in the same order and
+at the same precision as without the cache, and gives the same bits.
+Concurrent callers can at worst both build a list that neither found.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -34,12 +50,15 @@ import mpmath as mp
 from .errors import QuadratureFailure
 from .precision import PrecisionCtx, to_mpf, workprec
 
-LADDER = (10, 20, 40)          # Gauss nodes per panel, one rung at a time
+LADDER = (10, 20, 40, 80)      # Gauss nodes per panel, one rung at a time
 GUARD_BITS = 20
 REACH = 32                     # graded panels end this far past a singularity
 SPAN = 5                       # longest panel on [0, t]
 
 _RULES: dict = {}
+_UPGRADES: dict = {}           # m -> rebuilds of an m-point rule at more bits
+_UPGRADES_LOCK = threading.Lock()
+_LISTS: dict = {}              # weighted_nodes key -> node tuple, one weight
 
 
 @dataclass(frozen=True)
@@ -67,7 +86,13 @@ def _rule(family, m):
                 nodes = mp.gauss_quadrature(m, "jacobi", 0, to_mpf(family[1]))
             else:
                 nodes = mp.gauss_quadrature(m, family)
+        upgrade = cached is not None
         cached = _RULES[(family, m)] = (bits, nodes)
+        if upgrade:
+            # counted after the new rule is in place: a node list that was
+            # being built meanwhile sees the count move and is not cached
+            with _UPGRADES_LOCK:
+                _UPGRADES[m] = _UPGRADES.get(m, 0) + 1
     return zip(*cached[1])
 
 
@@ -111,12 +136,33 @@ def _breaks(params, pole):
 
 
 def weighted_nodes(params, m: int, pole=None):
-    """[(x_i, W_i)] with m nodes per panel, W_i including the full weight.
+    """((x_i, W_i), ...) with m nodes per panel, W_i including the full weight.
 
     pole is the location of an off-support singularity of the integrand
     (x of a Cauchy kernel 1/(x - s)); it grades the panels around it.
-    Runs at the caller's working precision.
+    Runs at the caller's working precision.  Cached as the module
+    docstring describes: a list for another weight drops the current
+    weight's lists, a graded list for another pole drops the current
+    pole's.
     """
+    # typed: mpc(-2, 0) == mpf(-2), but the two hash apart
+    pole_key = None if pole is None else (type(pole), pole)
+    upgrades = _UPGRADES.get(m, 0)
+    key = (params, m, pole_key, mp.mp.prec, upgrades)
+    nodes = _LISTS.get(key)
+    if nodes is None:
+        for old in list(_LISTS):
+            if old[0] != params or (pole_key is not None
+                                    and old[2] not in (None, pole_key)):
+                _LISTS.pop(old, None)
+        nodes = _build_nodes(params, m, pole)
+        if _UPGRADES.get(m, 0) == upgrades:
+            _LISTS[key] = nodes
+    return nodes
+
+
+def _build_nodes(params, m, pole):
+    """The uncached weighted_nodes."""
     t = to_mpf(params.t)
     tail_factor = 1 - to_mpf(params.zeta)
     alpha = int(params.alpha)
@@ -141,7 +187,7 @@ def weighted_nodes(params, m: int, pole=None):
     for y, w in _rule("laguerre", m):
         x = start + y
         out.append((x, scale * w * (x - t) ** alpha * x ** mu))
-    return out
+    return tuple(out)
 
 
 def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,

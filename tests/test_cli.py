@@ -1,5 +1,7 @@
 """Command-line contract: formats, exit codes, config handling, determinism."""
 
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +80,19 @@ class TestMoments:
         assert run_cli(args + ["--out", str(b)]).returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_moments_past_forty_node_degree(self, tmp_path):
+        """At t = 20 the Laguerre tail of x^k (x - t)^2 x^2 has degree 39 at
+        k = 35: from k = 36 on the 20-node sums are inexact, so only the 40-
+        and 80-node sums agree (a ladder that ended at 40 exited 3)."""
+        out = tmp_path / "m.csv"
+        res = run_cli(["moments", "--alpha", "2", "--mu", "2", "--zeta", "0.5",
+                       "--t", "20", "--kmax", "40", "--format", "csv",
+                       "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 41
+        assert all(r["quadrature"] == r["closed_form"] for r in rows)
+
     def test_stamp_adds_timestamp(self, tmp_path):
         out = tmp_path / "m.json"
         run_cli(["moments", "--alpha", "2", "--mu", "1", "--zeta", "0",
@@ -138,6 +153,14 @@ class TestEvolve:
         doc = json.loads(out.read_text())
         assert float(doc["summary"]["pv_residual"]) < 1e-8
 
+    def test_t_independent_weight_exits_numerical(self):
+        """(alpha, zeta) = (0, 0): theta_n = -t identically, and evolve says
+        so before it steps."""
+        res = run_cli(["evolve", "--alpha", "0", "--mu", "2", "--zeta", "0",
+                       "--n", "1", "--t0", "1e-3", "--t1", "0.3"])
+        assert res.returncode == 3
+        assert "does not depend on t" in res.stderr
+
     def test_missing_range(self):
         res = run_cli(["evolve", "--alpha", "2", "--mu", "2", "--zeta", "0.5",
                        "--n", "1", "--t0", "1e-3"])
@@ -197,6 +220,38 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["identities"]["n_checks"] > 0
         assert doc["all_passed"] is True
+
+
+class TestPinnedOutput:
+    """SHA-256 of the numeric rows (not the metadata) of two desk-point
+    commands, as printed by the commit before node lists were cached.
+    Performance work keeps these output bytes; a change that moves
+    rounding must update the digests and say why."""
+
+    DESK = ["--alpha", "2", "--mu", "2", "--zeta", "0.5", "--t", "0.3"]
+
+    @staticmethod
+    def digest(rows):
+        return hashlib.sha256(
+            json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+    def test_moments(self, tmp_path):
+        out = tmp_path / "m.json"
+        res = run_cli(["moments"] + self.DESK + ["--kmax", "12",
+                                                 "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        assert self.digest(json.loads(out.read_text())["moments"]) == (
+            "a46b492abd6516146309074c8955d9a6e4ee08b66efd1581717b31e1a7fa5171")
+
+    def test_verify_full_battery(self, tmp_path):
+        out = tmp_path / "rep.json"
+        res = run_cli(["verify"] + self.DESK + ["--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(out.read_text())
+        rows = {"identities": doc["identities"]["records"],
+                "flow": doc["flow"]["records"]}
+        assert self.digest(rows) == (
+            "b35ca302a1e8dacf8f7c354eddecaf188e94ccf1bba9ad6a0a31cf7a4a54ec93")
 
 
 class TestInProcess:

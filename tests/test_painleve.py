@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlaguerre import (PVParams, PrecisionCtx, SingularPanel, SingularRHS,
-                       SingularityEncountered, StepControl,
+from dlaguerre import (DegenerateTheta, PVParams, PrecisionCtx, SingularPanel,
+                       SingularRHS, SingularityEncountered, StepControl,
                        UnsupportedParameters, WeightParams, ab_flow_check,
                        evolve, finite_difference, from_hamiltonian,
                        hamilton_rhs, hamiltonian_eval, ode_rhs, pv_residual,
@@ -388,6 +388,17 @@ class TestEvolve:
             evolve(3, "1e-3", "0.5", params, prec, y0=y0)
         with mp.workprec(256):
             assert err.value.t_last == mp.mpf("1e-3")
+
+    @pytest.mark.parametrize("mu", [2, "1.5"])
+    def test_t_independent_weight(self, prec, mu):
+        """(alpha, zeta) = (0, 0): the weight does not depend on t and
+        theta_n = -t identically.  evolve names that before the first step,
+        with or without caller data (it raised SingularityEncountered at
+        t0)."""
+        params = WeightParams(0, mu, 0, 0)
+        for y0 in (None, ("-0.001", "0.001")):
+            with pytest.raises(DegenerateTheta, match="does not depend on t"):
+                evolve(1, "1e-3", "0.3", params, prec, y0=y0)
 
     def test_dense_output_consistency(self, params_main, prec):
         traj = evolve(1, "0.001", "0.1", params_main, prec)

@@ -19,10 +19,18 @@ them all: unpivoted Gaussian elimination of the n x (n+1) array
 mu_{i+n}) leaves the pivot Delta_{k+1}/Delta_k and, beside it,
 sigma_{k+1}/Delta_k after step k, so one O(n^3) pass yields every
 Delta_m and sigma_m, on numbers and on jets alike.  Hankel matrices of
-these moments are exponentially ill-conditioned in n, so each minor
-carries a cancellation estimate (Hadamard bound over |det|, from running
-row norms at 53 bits) and the table builder widens the working precision
-until enough digits survive.
+these moments are ill-conditioned, so every minor of numbers is
+eliminated at one width, GUARD_BITS above the caller's, from moments
+rebuilt there; the jets of painleve.aux_pair_series use the same guard.
+Each minor's loss is measured, not bounded: the caller's own moments are
+eliminated at the caller's width too, and the digits by which that
+shadow pass and the wide one disagree are the digits the elimination
+loses.  The wide values lose as many, so their relative error is about
+10^(loss - digits) 2^-GUARD_BITS, and PrecisionExhausted is raised,
+naming the minor, only where that exceeds the context's tol (at 256 bits
+and tol 1e-30, for t within ~1e-70 of a zero of Delta_m(t)).  On a
+200-table panel of the documented domain (n <= 10, t <= 5) the loss
+stays below 11 digits.
 
 Polynomial evaluation is the monic recurrence
 P_{m+1} = (x - b_m) P_m - a_m^2 P_{m-1} (monic_values), with no square
@@ -50,6 +58,8 @@ from .moments import (MomentTable, TruncSeries, WeightParams,
                       build_moment_table)
 from .precision import PrecisionCtx, to_mpf, workprec
 from .quadrature import integrate_weighted
+
+GUARD_BITS = 60     # every Hankel minor is eliminated this far above prec
 
 
 def hankel_minors(mk, n: int):
@@ -80,73 +90,78 @@ def hankel_minors(mk, n: int):
     return delta, sigma
 
 
-def _half_log_ratio(bound, det) -> float:
-    """log10(sqrt(bound) / |det|) clipped at 0; infinite when det is 0."""
-    if det == 0:
+def _digits_lost(shadow, wide, digits: int) -> float:
+    """Digits of the digits-wide shadow that disagree with wide, >= 0."""
+    if shadow == wide:
+        return 0.0
+    if wide == 0:
         return math.inf
-    man, exp = (bound / (det * det)).man_exp
-    return max((math.log10(man) + exp * math.log10(2)) / 2, 0.0)
-
-
-def digits_lost(mk, delta, sigma):
-    """Decimal digits that cancel in each Delta_m and sigma_m.
-
-    The estimate is log10(Hadamard bound / |det|), the bound being the
-    product of the row norms.  Row i of the m x m Hankel matrix has squared
-    norm sum_{j<m} mu_{i+j}^2; these sums grow one term per m, and sigma_m's
-    rows swap the last term for mu_{i+m}^2.  Runs at 53 bits with one
-    logarithm per determinant.  Returns [(lost Delta_m, lost sigma_m)].
-    """
-    n = len(delta) - 1
-    lost = [(0.0, 0.0)]
     with mp.workprec(53):
-        sq = [mp.mpf(mk[k]) ** 2 for k in range(2 * n)]
-        rows = []            # rows[i] = sum_{j<m-1} mu_{i+j}^2 entering step m
-        for m in range(1, n + 1):
-            rows.append(mp.fsum(sq[m - 1:2 * m - 2]))
-            h_delta = h_sigma = mp.mpf(1)
-            for i in range(m):
-                h_sigma *= rows[i] + sq[i + m]
-                rows[i] += sq[i + m - 1]
-                h_delta *= rows[i]
-            lost.append((_half_log_ratio(h_delta, +delta[m]),
-                         _half_log_ratio(h_sigma, +sigma[m])))
-    return lost
+        man, exp = (abs(shadow - wide) / abs(wide)).man_exp
+    return max(digits + math.log10(man) + exp * math.log10(2), 0.0)
 
 
-def _checked_minor(moments: MomentTable, N: int, prec: PrecisionCtx,
-                   shifted: bool):
-    """Delta_N (or sigma_N) by hankel_minors, with the cancellation check."""
+def _minors(moments: MomentTable, n: int, k_top: int, prec: PrecisionCtx,
+            checked):
+    """Delta_m and sigma_m, m <= n, eliminated at prec + GUARD_BITS.
+
+    The caller's moments mu_0..mu_k_top are eliminated at prec (the shadow
+    pass; a zero pivot raises SingularHankel), then rebuilt from
+    moments.params and moments.source at the wider width and eliminated
+    again.  Moments past k_top border sigma_n alone and are taken as 0.
+    Returns the wide (Delta, sigma) and [(loss Delta_m, loss sigma_m)];
+    raises PrecisionExhausted when the estimated error of a checked minor,
+    ("Delta" | "sigma", m), exceeds prec.tol.
+    """
+    pad = [0] * (2 * n - 1 - k_top)
+    with workprec(prec):
+        shadow = hankel_minors(list(moments.values[:k_top + 1]) + pad, n)
+    wide = prec.scaled(prec.significand_bits + GUARD_BITS)
+    mom = build_moment_table(moments.params, k_top, wide, moments.source,
+                             cross_check=False)
+    with workprec(wide):
+        delta, sigma = hankel_minors(list(mom.values) + pad, n)
+    digits = prec.decimal_digits
+    lost = [(_digits_lost(shadow[0][m], delta[m], digits),
+             _digits_lost(shadow[1][m], sigma[m], digits))
+            for m in range(n + 1)]
+    with mp.workprec(53):
+        log_tol = float(mp.log10(prec.tol_mpf()))
+    for name, m in checked:
+        loss = lost[m][name == "sigma"]
+        log_err = loss - digits - GUARD_BITS * math.log10(2)
+        if log_err > log_tol:
+            raise PrecisionExhausted(
+                f"{name}_{m}: {loss:.0f} of {digits} digits cancel at "
+                f"{prec.significand_bits} bits, leaving a relative error of "
+                f"~1e{log_err:.0f} at {wide.significand_bits} bits "
+                f"(tol {prec.tol}); raise significand_bits")
+    return delta, sigma, lost
+
+
+def _one_minor(moments: MomentTable, N: int, prec: PrecisionCtx,
+               shifted: bool):
+    """Delta_N (or sigma_N) from _minors, rounded to prec."""
     name = "sigma" if shifted else "Delta"
     if N < 0:
         raise ValueError("N must be >= 0")
     need = 2 * N - 1 if shifted else 2 * N - 2
     if moments.k_max < need:
         raise ValueError(f"need moments up to {need}, table has {moments.k_max}")
+    delta, sigma, _ = _minors(moments, N, need, prec, [(name, N)])
     with workprec(prec):
-        mk = [moments[k] for k in range(need + 1)]
-        if not shifted:
-            # mu_{2N-1} only borders the last row, so it feeds sigma_N alone
-            mk.append(mp.mpf(0))
-        delta, sigma = hankel_minors(mk, N)
-        lost_delta, lost_sigma = digits_lost(mk, delta, sigma)[N]
-        det, lost = (sigma[N], lost_sigma) if shifted else (delta[N], lost_delta)
-        if prec.decimal_digits - lost < 20:
-            raise PrecisionExhausted(
-                f"{name}_{N}: ~{lost:.0f} digits cancel at "
-                f"{prec.decimal_digits} working digits; raise significand_bits")
-        return +det
+        return +(sigma if shifted else delta)[N]
 
 
 def hankel_determinant(moments: MomentTable, N: int, prec: PrecisionCtx = None):
     """Delta_N = det[mu_{j+k-2}]_{j,k=1..N}; Delta_0 := 1.
 
-    Raises PrecisionExhausted when the cancellation estimate leaves fewer
-    than 20 correct decimal digits at the working precision.
+    Raises PrecisionExhausted when the measured loss (see _minors) leaves
+    a relative error above prec.tol.
     """
     if N == 0:
         return mp.mpf(1)
-    return _checked_minor(moments, N, prec or moments.prec, shifted=False)
+    return _one_minor(moments, N, prec or moments.prec, shifted=False)
 
 
 def shifted_hankel_determinant(moments: MomentTable, N: int,
@@ -158,16 +173,19 @@ def shifted_hankel_determinant(moments: MomentTable, N: int,
     """
     if N == 0:
         return mp.mpf(0)
-    return _checked_minor(moments, N, prec or moments.prec, shifted=True)
+    return _one_minor(moments, N, prec or moments.prec, shifted=True)
 
 
 @dataclass(frozen=True)
 class RecurrenceTable:
     """Monic recurrence data Delta, sigma, a_n^2, b_n up to n_max.
 
-    bits is the working precision the determinants were computed at after
-    escalation, and digits_lost[m] the (Delta_m, sigma_m) cancellation
-    estimates there; the stored values are rounded to prec.
+    bits is the width every minor was eliminated at (prec + GUARD_BITS)
+    and digits_lost[m] the (Delta_m, sigma_m) decimal digits the
+    elimination measurably loses at prec, so each wide minor's relative
+    error is about 10^(lost - prec.decimal_digits) 2^-GUARD_BITS, at most
+    prec.tol (the builder raises otherwise); the stored values are
+    rounded to prec.
     """
 
     params: WeightParams
@@ -178,7 +196,7 @@ class RecurrenceTable:
     b: Sequence          # b_0 .. b_{n_max}
     prec: PrecisionCtx
     bits: int
-    digits_lost: Sequence   # (Delta_m, sigma_m) digits lost, m <= n_max + 1
+    digits_lost: Sequence   # (Delta_m, sigma_m) measured loss, m <= n_max + 1
 
     def h(self, m: int):
         """h_m = Delta_{m+1}/Delta_m = <P_m, P_m>, negative if w is signed."""
@@ -205,46 +223,21 @@ def recurrence_coefficients(moments: MomentTable, n_max: int,
                             prec: PrecisionCtx = None) -> RecurrenceTable:
     """Build the RecurrenceTable for n <= n_max.
 
-    Needs moments up to index 2*n_max + 1.  When a determinant loses more
-    than half the digits (Hankel matrices are exponentially ill-conditioned
-    in n), the working precision goes straight to the first doubling of the
-    base width at which that loss would pass, and the table is recomputed
-    and re-checked there; raises SingularHankel on an exactly vanishing
-    Delta_n, and CrossCheckError if positivity fails where the weight is
+    Needs moments up to index 2*n_max + 1.  Every minor comes from _minors
+    at prec + GUARD_BITS bits, with its loss measured against the caller's
+    moments at prec; raises SingularHankel on a zero pivot,
+    PrecisionExhausted when a minor's estimated relative error exceeds
+    prec.tol, and CrossCheckError if positivity fails where the weight is
     positive (even alpha, zeta < 1).
     """
     prec = prec or moments.prec
     if moments.k_max < 2 * n_max + 1:
         raise ValueError(f"need moments up to {2*n_max+1}, table has {moments.k_max}")
-
-    top = 16 * prec.significand_bits
-    bits = prec.significand_bits
-    mom = moments
-
-    def accepts(bits):          # the current loss leaves half, and 20, digits
-        digits = prec.scaled(bits).decimal_digits
-        return lost <= digits / 2 and digits - lost >= 20
-
-    while True:
-        wp = prec.scaled(bits)
-        with workprec(wp):
-            delta, sigma = hankel_minors(mom, n_max + 1)
-            lost_each = digits_lost(mom, delta, sigma)
-        lost = max(max(pair) for pair in lost_each)
-        if accepts(bits):
-            break
-        if bits >= top:
-            raise PrecisionExhausted(
-                f"~{lost:.0f} digits cancel even at {bits} bits")
-        # the loss is a property of the matrix, not of the width
-        bits *= 2
-        while bits < top and not accepts(bits):
-            bits *= 2
-        # moments must be regenerated at the wider precision to add digits
-        mom = build_moment_table(mom.params, mom.k_max, prec.scaled(bits),
-                                 mom.source, cross_check=False)
-
-    with workprec(wp):
+    delta, sigma, lost = _minors(
+        moments, n_max + 1, 2 * n_max + 1, prec,
+        [(name, m) for m in range(1, n_max + 2)
+         for name in ("Delta", "sigma")])
+    with workprec(prec, GUARD_BITS):
         root_sum = [sigma[n] / delta[n] for n in range(n_max + 2)]
         a2 = [mp.mpf(0)] + [delta[n - 1] * delta[n + 1] / delta[n] ** 2
                             for n in range(1, n_max + 1)]
@@ -263,8 +256,8 @@ def recurrence_coefficients(moments: MomentTable, n_max: int,
         return RecurrenceTable(
             params=moments.params, n_max=n_max,
             delta=rounded(delta), sigma=rounded(sigma), a2=rounded(a2),
-            b=rounded(b), prec=prec, bits=bits,
-            digits_lost=tuple(lost_each))
+            b=rounded(b), prec=prec, bits=prec.significand_bits + GUARD_BITS,
+            digits_lost=tuple(lost))
 
 
 def monic_values(data, n: int, x) -> list:

@@ -83,7 +83,7 @@ import mpmath as mp
 from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
-from .hankel import hankel_minors, monic_values
+from .hankel import GUARD_BITS, hankel_minors, monic_values
 from .moments import TruncSeries, WeightParams, conv, moment_jets
 from .precision import PrecisionCtx, to_mpf, workprec
 from .semiclassical import Report, lax_residues, lax_x_matrices
@@ -409,11 +409,11 @@ def aux_pair_series(n_max: int, params: WeightParams, order: int,
     Built from moment_jets at integer alpha, mu; zeta < 1.  About 0 the
     jets are the exact small-t series (series_init); about any t > 0 their
     order-1 terms are the t-derivatives that the flow laws, the deformation
-    and the zero-curvature checks read.  Arithmetic runs with 60 guard bits,
-    the moment recurrence with its own on top.
+    and the zero-curvature checks read.  Arithmetic runs with the GUARD_BITS
+    of the numeric tables, the moment recurrence with its own on top.
     """
     prec = prec or PrecisionCtx()
-    with workprec(prec, 60):
+    with workprec(prec, GUARD_BITS):
         about = to_mpf(about)
         al, m = to_mpf(params.alpha), to_mpf(params.mu)
         mk = moment_jets(2 * n_max + 1, params, order, about)
@@ -486,9 +486,13 @@ def series_init(n: int, t0, params: WeightParams, prec: PrecisionCtx = None,
 # ---------------------------------------------------------------------------
 
 
+MAX_STEPS = 200000
+THETA_GUARD = "1e-9"   # raise at nodes with |theta| or |theta + t| < this * t
+
+
 @dataclass(frozen=True)
 class StepControl:
-    """Taylor step control: tolerances, limits, singularity guard.
+    """Taylor step control: the tolerances.
 
     The order is ceil(-ln(rtol)/2) + 1; each step is sized so that the
     last two terms of its jet stay below max(atol, rtol |y|).
@@ -496,9 +500,6 @@ class StepControl:
 
     rtol: object = "1e-30"
     atol: object = "1e-36"
-    max_step: Optional[object] = None
-    max_steps: int = 200000
-    guard: object = "1e-9"   # raise at nodes with |theta| or |theta+t| < guard*t
 
 
 def _taylor_order(rtol) -> int:
@@ -588,7 +589,7 @@ class Trajectory:
 
     def sample(self, t_list):
         """(theta, kappa) at each query: exact node values when the query
-        coincides with a node (the t_eval case), dense output otherwise."""
+        coincides with a node, dense output otherwise."""
         node = {t: i for i, t in enumerate(self.t)}
         out = []
         with workprec(self.prec):
@@ -600,23 +601,22 @@ class Trajectory:
 
 
 def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
-           step_ctrl: StepControl = None, y0=None,
-           t_eval: Sequence = None) -> Trajectory:
+           step_ctrl: StepControl = None, y0=None) -> Trajectory:
     """Integrate the (theta, kappa) flow from t0 to t1 (forward, t0 <= t1).
 
     Taylor-series method: each step expands (theta, kappa) about its start
     to order ceil(-ln(rtol)/2) + 1 and takes the Jorba-Zou step size from
     the last two coefficients.  Initial data comes from series_init (default
-    order) unless y0 = (theta0, kappa0) is supplied.  t_eval nodes appear
-    exactly in traj.t, with values from the polynomial of the step that
-    contains them.  Raises SingularityEncountered (with .t_last) when theta
-    or theta + t reaches the guard zone at a node, when the step's
+    order) unless y0 = (theta0, kappa0) is supplied; Trajectory.sample
+    and .eval read values between the nodes off the step polynomials.
+    Raises SingularityEncountered (with .t_last) when theta or theta + t
+    reaches the guard zone (THETA_GUARD * t) at a node, when the step's
     polynomial for either may vanish inside the step (t_last is then where
     the polynomial was last certified nonzero), or when the jet's step size
-    falls below guard * t (a pole of the flow); NoConvergence when the step
-    budget runs out or the step size underflows.  Raises DegenerateTheta
-    before the first step when (alpha, zeta) = (0, 0), where the weight
-    does not depend on t and theta_n = -t identically.
+    falls below THETA_GUARD * t (a pole of the flow); NoConvergence when the
+    MAX_STEPS budget runs out or the step size underflows.  Raises
+    DegenerateTheta before the first step when (alpha, zeta) = (0, 0),
+    where the weight does not depend on t and theta_n = -t identically.
     """
     prec = prec or PrecisionCtx()
     ctrl = step_ctrl or StepControl()
@@ -625,7 +625,6 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
         # caller parsing the same literals would see bit-for-bit
         t0 = to_mpf(t0)
         t1 = to_mpf(t1)
-        t_eval = [to_mpf(s) for s in (t_eval or [])]
     with workprec(prec, 20):
         if not 0 < t0 <= t1:
             raise UnsupportedParameters("need 0 < t0 <= t1")
@@ -643,8 +642,7 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
                     "series_truncation": "caller"}
         rtol = to_mpf(ctrl.rtol)
         atol = to_mpf(ctrl.atol)
-        guard = to_mpf(ctrl.guard)
-        hmax = to_mpf(ctrl.max_step) if ctrl.max_step is not None else t1 - t0
+        guard = to_mpf(THETA_GUARD)
         order = _taylor_order(rtol)
         jet = _flow_jet_factory(n, params)
 
@@ -660,13 +658,11 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
             ys_ka.append(ka)
 
         record(t0, th, ka)
-        stops = sorted(s for s in set(t_eval) if t0 < s < t1)
-        stop_i = 0
         steps = 0
         max_est = mp.mpf(0)
         t = t0
         while t < t1:
-            if steps >= ctrl.max_steps:
+            if steps >= MAX_STEPS:
                 raise NoConvergence("step budget exhausted")
             try:
                 c_th, c_ka = jet(t, th, ka, order)
@@ -682,7 +678,7 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
                 raise SingularityEncountered(
                     f"flow singular within {mp.nstr(min(radius), 3)} of "
                     f"t={mp.nstr(t, 10)}", t_last=t)
-            h = min([hmax] + radius)
+            h = min([t1 - t0] + radius)
             if h <= mp.eps * t * 4:
                 raise NoConvergence("step size underflow")
             lands = t + h >= t1 * (1 - 4 * mp.eps)
@@ -700,14 +696,8 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
             max_est = max(max_est, rtol / eps * max(
                 size * h ** j for j, size in sizes.items()))
             jets.append((t, s_th, s_ka))
-            t_end = t1 if lands else t + h
-            while stop_i < len(stops) and stops[stop_i] <= t_end:
-                if stops[stop_i] < t_end:      # a step end is recorded below
-                    s = stops[stop_i] - t
-                    record(stops[stop_i], s_th.eval(s), s_ka.eval(s))
-                stop_i += 1
             th, ka = s_th.eval(h), s_ka.eval(h)
-            t = t_end
+            t = t1 if lands else t + h
             record(t, th, ka)
             steps += 1
 

@@ -45,3 +45,10 @@ def rel_err(got, want):
 @pytest.fixture(scope="session")
 def relerr():
     return rel_err
+
+
+# (1, 0, -0.429535) has every Delta_m > 0 at t = 0 and Delta_3 < 0 at
+# t = 0.604487; this t lies within 1e-71 of the zero of Delta_3 between
+# (bisection at 1024 bits), so Delta_3 there is ~1e-70 of its scale.
+SIGNED_ZERO_T = ("0.47437660510312110794025129357528858358110931814056597382228"
+                 "81186851610")

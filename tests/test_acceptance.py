@@ -126,7 +126,7 @@ def test_criterion_5_pv_residual():
     n = 1
     with mp.workprec(256):
         grid = mp.linspace(mp.mpf("0.1"), mp.mpf("0.5"), 201)
-    traj = evolve(n, "0.001", "0.5", PARAMS, PREC, t_eval=grid)
+    traj = evolve(n, "0.001", "0.5", PARAMS, PREC)
     qs = {"prop11": [], "cor12": []}
     duality = 0.0
     with mp.workprec(256):

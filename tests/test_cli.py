@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from dlaguerre.cli import main
+from conftest import SIGNED_ZERO_T
 
 RUN = [sys.executable, "-m", "dlaguerre.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -208,6 +209,15 @@ class TestVerify:
         assert doc["all_passed"] is (res.returncode == 0)
 
 
+    def test_cancelled_minor_exits_numerical(self):
+        """t within 1e-71 of a zero of Delta_3 at (1, 0, -0.429535): the
+        minor loses about 72 of 77 digits, more than 60 guard bits restore
+        to tol, and verify names it on the way to exit 3."""
+        res = run_cli(["verify", "--alpha", "1", "--mu", "0", "--zeta",
+                       "-0.429535", "--t", SIGNED_ZERO_T, "--fast"])
+        assert res.returncode == 3
+        assert "Delta_3" in res.stderr and "digits cancel" in res.stderr
+
     @pytest.mark.parametrize("mu", ["0", "2"])
     def test_t_independent_weight_writes_report(self, tmp_path, mu):
         """(alpha, zeta) = (0, 0) makes R_n = 0: the battery leaves out the
@@ -224,7 +234,9 @@ class TestVerify:
 
 class TestPinnedOutput:
     """SHA-256 of the numeric rows (not the metadata) of two desk-point
-    commands, as printed by the commit before node lists were cached.
+    commands: moments as printed before node lists were cached, verify as
+    printed once every Hankel minor was eliminated 60 bits above the
+    table's width (its residuals moved at the rounding level).
     Performance work keeps these output bytes; a change that moves
     rounding must update the digests and say why."""
 
@@ -251,7 +263,7 @@ class TestPinnedOutput:
         rows = {"identities": doc["identities"]["records"],
                 "flow": doc["flow"]["records"]}
         assert self.digest(rows) == (
-            "b35ca302a1e8dacf8f7c354eddecaf188e94ccf1bba9ad6a0a31cf7a4a54ec93")
+            "d49e832e7ef7872ce627f616842048e5b84b6e72dd4cbdf3b9a302ec1a144fbc")
 
 
 class TestInProcess:

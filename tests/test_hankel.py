@@ -10,12 +10,12 @@ from dlaguerre import (MomentTable, PrecisionCtx, PrecisionExhausted,
                        hankel_determinant, monic_values, orthopoly_eval,
                        recurrence_coefficients, shifted_hankel_determinant,
                        stieltjes_eval, table_for)
-from dlaguerre.hankel import digits_lost, hankel_minors
+from dlaguerre.hankel import GUARD_BITS, hankel_minors
 from dlaguerre.moments import TruncSeries
 from dlaguerre.oracle import (dN_by_quadrature, gram_schmidt_recurrence,
                               inner_product)
 from dlaguerre.painleve import aux_pair_series
-from conftest import rel_err
+from conftest import SIGNED_ZERO_T, rel_err
 
 
 class TestDeterminants:
@@ -45,12 +45,29 @@ class TestDeterminants:
         assert rel_err(shifted_hankel_determinant(mom, 1, prec),
                        mom[1]) < 1e-70
 
-    def test_precision_exhausted_raises(self, params_main):
+    def test_low_width_meets_tol(self, params_main):
+        """Delta_8 at the desk point from 64-bit moments: the 64-bit pass is
+        about 7.7e-14 off, well inside tol 1e-10, and the value returned
+        (eliminated 60 bits wider) meets tol against 1024 bits."""
         lowp = PrecisionCtx(64, "1e-10")
-        mom = __import__("dlaguerre").build_moment_table(
-            params_main, 14, lowp, cross_check=False)
-        with pytest.raises(PrecisionExhausted):
-            hankel_determinant(mom, 8, lowp)
+        mom = build_moment_table(params_main, 14, lowp, cross_check=False)
+        ref = build_moment_table(params_main, 15, PrecisionCtx(1024),
+                                 cross_check=False)
+        with mp.workprec(1024):
+            want = hankel_minors(ref, 8)[0][8]
+        assert rel_err(hankel_determinant(mom, 8, lowp), want) < 1e-10
+
+    def test_precision_exhausted_raises(self, prec):
+        """(1, 0, -0.429535) has every Delta_m > 0 at t = 0 and a_2^2,
+        a_3^2 < 0 at t = 0.604487, so Delta_3 crosses 0 in between; t lies
+        within 1e-71 of that zero (bisection at 1024 bits).  About 72 of
+        256 bits' 77 digits cancel there, and 60 more bits leave ~1e-24."""
+        p = WeightParams(1, 0, "-0.429535", SIGNED_ZERO_T)
+        mom = build_moment_table(p, 7, prec, cross_check=False)
+        with pytest.raises(PrecisionExhausted, match="Delta_3"):
+            recurrence_coefficients(mom, 3, prec)
+        with pytest.raises(PrecisionExhausted, match="Delta_3"):
+            hankel_determinant(mom, 3, prec)
 
     def test_singular_hankel(self, prec, params_main):
         with mp.workprec(256):
@@ -79,36 +96,26 @@ class TestHankelMinors:
     def test_matches_pivoted_reference(self, alpha, mu, t, zeta):
         """Sizes up to 10 at 512 bits against pivoted LU at 1024 bits, on
         odd alpha (signed weight, a_n^2 < 0 at t = 5) and alpha + mu <= 1:
-        every minor keeps the digits its cancellation estimate leaves."""
+        the 512-bit pass keeps the digits its measured loss leaves, and the
+        values eliminated GUARD_BITS wider 60 bits more, within 10^3."""
         p = WeightParams(alpha, mu, zeta, t)
         ref = build_moment_table(p, 19, PrecisionCtx(1024), cross_check=False)
-        mom = build_moment_table(p, 19, PrecisionCtx(512), cross_check=False)
+        narrow = PrecisionCtx(512)
+        mom = build_moment_table(p, 19, narrow, cross_check=False)
         with mp.workprec(512):
             delta, sigma = hankel_minors(mom, 10)
-            lost = digits_lost(mom, delta, sigma)
+        wide_delta, wide_sigma, lost = hankel._minors(mom, 10, 19, narrow, [])
         with mp.workprec(1024):
             want_delta, want_sigma = _pivoted_minors(ref, 10)
         for m in range(1, 11):
-            assert max(lost[m]) < 100
+            assert max(lost[m]) < 12
             assert rel_err(delta[m], want_delta[m]) < 10 ** (lost[m][0] - 152)
             assert rel_err(sigma[m], want_sigma[m]) < 10 ** (lost[m][1] - 152)
+            for got, want, loss in ((wide_delta[m], want_delta[m], lost[m][0]),
+                                    (wide_sigma[m], want_sigma[m], lost[m][1])):
+                assert rel_err(got, want) < 10 ** (loss - 151) / 2 ** GUARD_BITS
         if alpha % 2 and t == "5":
             assert any(delta[m - 1] * delta[m + 1] < 0 for m in range(1, 10))
-
-    def test_digits_lost_is_hadamard_over_det(self, tables_main):
-        """The running row norms give log10(prod ||row|| / |det|)."""
-        mom, _ = tables_main
-        with mp.workprec(512):
-            delta, sigma = _pivoted_minors(mom, 5)
-            lost = digits_lost(mom, delta, sigma)
-            for m in range(1, 6):
-                rows = [[mom[i + j] for j in range(m)] for i in range(m)]
-                shifted = [row[:-1] + [mom[i + m]] for i, row in enumerate(rows)]
-                for k, (mat, det) in enumerate(((rows, delta[m]),
-                                                (shifted, sigma[m]))):
-                    bound = mp.fprod(mp.norm(row) for row in mat)
-                    want = max(float(mp.log10(bound / abs(det))), 0.0)
-                    assert abs(lost[m][k] - want) < 1e-10
 
     def test_zero_pivot_raises_on_numbers(self):
         with mp.workprec(256):
@@ -125,30 +132,37 @@ class TestHankelMinors:
                 hankel_minors(mk, 2)
 
 
+def _assert_near_wide_reference(tab, params, bound):
+    """Every Delta_m, a_n^2 and b_n within bound, relative, of 2048 bits."""
+    mom = build_moment_table(params, 2 * tab.n_max + 1, PrecisionCtx(2048),
+                             cross_check=False)
+    ref = recurrence_coefficients(mom, tab.n_max, PrecisionCtx(2048))
+    with mp.workprec(2048):
+        for key in ("delta", "a2", "b"):
+            for got, want in zip(getattr(tab, key), getattr(ref, key)):
+                assert abs(got - want) <= bound * abs(want)
+
+
 class TestRecurrenceTableProvenance:
-    def test_desk_point_runs_at_base_precision(self, params_main, prec):
-        """n_max = 3 at the desk point needs no escalation; digits_lost holds
-        one (Delta_m, sigma_m) pair per minor, within the escalation rule."""
-        _, tab = table_for(params_main, 3, prec)
-        assert tab.bits == 256
-        assert len(tab.digits_lost) == tab.n_max + 2
-        assert tab.digits_lost[:2] == ((0.0, 0.0), (0.0, 0.0))
-        worst = max(max(pair) for pair in tab.digits_lost)
-        assert 0 < worst <= prec.decimal_digits / 2
+    def test_desk_point_tables_at_one_width(self, params_main, prec,
+                                            tables_main):
+        """n_max = 3 and 6 at the desk point: both built at 256 + 60 bits,
+        one measured (Delta_m, sigma_m) loss per minor, Delta_1 = mu_0 and
+        sigma_1 = mu_1 with none, and every stored value within 1e-76 of
+        a 2048-bit table (sigma_7 loses about 6 of 77 digits)."""
+        _, small = table_for(params_main, 3, prec)
+        for tab in (small, tables_main[1]):
+            assert tab.bits == 256 + GUARD_BITS
+            assert len(tab.digits_lost) == tab.n_max + 2
+            assert tab.digits_lost[:2] == ((0.0, 0.0), (0.0, 0.0))
+            assert 0 < max(max(pair) for pair in tab.digits_lost) < 12
+            _assert_near_wide_reference(tab, params_main, 1e-76)
 
-    def test_escalating_point_reports_wider_precision(self, tables_main, prec):
-        """n_max = 6 at the desk point: sigma_7 loses about 41 digits, more
-        than half of 256 bits' 77, so the table is built at 512 bits."""
-        _, tab = tables_main
-        assert tab.bits == 512
-        worst = max(max(pair) for pair in tab.digits_lost)
-        assert prec.decimal_digits / 2 < worst <= prec.scaled(512).decimal_digits / 2
-        assert tab.digits_lost[7][1] == worst
-
-    def test_escalation_goes_straight_to_width(self, prec, monkeypatch):
-        """(1, 0, -0.429535, 0.604487) at n_max = 9 loses more digits than
-        512 bits would leave: the table lands on 1024 bits, as doubling one
-        step at a time did, after one moment rebuild instead of two."""
+    def test_signed_point_builds_moments_once(self, prec, monkeypatch):
+        """(1, 0, -0.429535, 0.604487) at n_max = 9, where the Hadamard
+        estimate of the cancellation (bound over |det|) asks for 1024 bits:
+        one moment build at 316 bits, and the table within 1e-76 of 2048
+        bits."""
         p = WeightParams(1, 0, "-0.429535", "0.604487")
         mom = build_moment_table(p, 19, prec, cross_check=False)
         rebuilt = []
@@ -159,10 +173,10 @@ class TestRecurrenceTableProvenance:
 
         monkeypatch.setattr(hankel, "build_moment_table", counting)
         tab = recurrence_coefficients(mom, 9, prec)
-        assert tab.bits == 1024
-        assert rebuilt == [1024]
-        worst = max(max(pair) for pair in tab.digits_lost)
-        assert prec.scaled(512).decimal_digits / 2 < worst
+        monkeypatch.undo()
+        assert tab.bits == 316 and rebuilt == [316]
+        assert max(max(pair) for pair in tab.digits_lost) < 12
+        _assert_near_wide_reference(tab, p, 1e-76)
 
     def test_a_is_computed_once_and_guards_sign(self, prec):
         """a_n is the orthonormal view's square root of a_n^2, taken on

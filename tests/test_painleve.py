@@ -252,6 +252,25 @@ class TestSeries:
             assert abs(a2.c[1]) < mp.mpf("1e-50")
             assert rel_err(a2.c[2], mp.mpf(-1) / 12) < 1e-50
 
+    @pytest.mark.parametrize("alpha, mu, zeta", [(2, 2, "0.5"), (1, 0, "0.9")])
+    @pytest.mark.parametrize("about, order", [("0.01", 1), ("0.3", 1),
+                                              ("2", 1), ("5", 1), (0, 16)])
+    def test_jets_match_wide_jet_table(self, prec, alpha, mu, zeta, about,
+                                       order):
+        """theta, kappa and b jets for n <= 12 at 256 bits (eliminated
+        GUARD_BITS wider, like the numeric tables) against 1024 bits, at a
+        positive and a signed weight: within 1e-78 of each jet's largest
+        coefficient (kappa_0 = mu t / 2 vanishes identically at mu = 0)."""
+        p = WeightParams(alpha, mu, zeta, about)
+        got = aux_pair_series(12, p, order, prec, about)
+        ref = aux_pair_series(12, p, order, PrecisionCtx(1024), about)
+        with mp.workprec(1024):
+            for key in ("theta", "kappa", "b"):
+                for g, r in zip(getattr(got, key), getattr(ref, key)):
+                    scale = max(abs(c) for c in r.c)
+                    assert max(abs(x - y) for x, y in zip(g.c, r.c)) <= (
+                        scale * mp.mpf("1e-78"))
+
     def test_series_init_vs_hankel(self, params_main, prec):
         p = WeightParams(2, 2, "0.5", "0.001")
         _, tab = table_for(p, 2, prec)
@@ -334,23 +353,21 @@ class TestEvolve:
         b = evolve(1, "0.001", "0.05", other, prec, y0=y0)
         assert a.theta == b.theta and a.kappa == b.kappa
 
-    def test_t_eval_nodes_hit_exactly(self, params_main, prec):
+    def test_sample_hits_nodes_exactly(self, params_main, prec):
+        """sample returns the stored values at nodes and reads every other
+        query off the polynomial of the step that contains it."""
+        traj = evolve(1, "0.001", "0.05", params_main, prec)
         with mp.workprec(256):
-            nodes = [mp.mpf("0.01"), mp.mpf("0.02"), mp.mpf("0.05")]
-        traj = evolve(1, "0.001", "0.05", params_main, prec, t_eval=nodes)
-        for node in nodes:
-            assert node in traj.t
-        samples = traj.sample(nodes)
-        assert len(samples) == 3
-        # nodes are read off the step polynomials: no step is cut short
-        plain = evolve(1, "0.001", "0.05", params_main, prec)
-        assert traj.steps == plain.steps
-        assert traj.endpoint == plain.endpoint
-        assert len(traj) == len(plain) + 2                  # 0.05 is t1
+            queries = [traj.t[1], mp.mpf("0.01"), mp.mpf("0.02"), traj.t[-1]]
+        samples = traj.sample(queries)
+        assert samples[0] == (traj.theta[1], traj.kappa[1])
+        assert samples[-1] == (traj.theta[-1], traj.kappa[-1])
         with mp.workprec(256):
-            for node, (th, ka) in zip(nodes, samples):
-                th_p, ka_p = plain.eval(node)
-                assert rel_err(th, th_p) < 1e-70 and rel_err(ka, ka_p) < 1e-70
+            for tq, (th, ka) in zip(queries[1:3], samples[1:3]):
+                assert tq not in traj.t
+                i = max(k for k, (tk, _, _) in enumerate(traj.jets) if tk <= tq)
+                tk, th_s, ka_s = traj.jets[i]
+                assert th == th_s.eval(tq - tk) and ka == ka_s.eval(tq - tk)
 
     def test_dense_output_at_trajectory_precision(self, params_main, prec):
         """eval/sample outside any workprec block keep the trajectory's

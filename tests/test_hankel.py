@@ -144,19 +144,33 @@ def _assert_near_wide_reference(tab, params, bound):
 
 
 class TestRecurrenceTableProvenance:
-    def test_desk_point_tables_at_one_width(self, params_main, prec,
-                                            tables_main):
-        """n_max = 3 and 6 at the desk point: both built at 256 + 60 bits,
-        one measured (Delta_m, sigma_m) loss per minor, Delta_1 = mu_0 and
-        sigma_1 = mu_1 with none, and every stored value within 1e-76 of
-        a 2048-bit table (sigma_7 loses about 6 of 77 digits)."""
+    def test_desk_point_runs_at_base_precision(self, params_main, prec):
+        """n_max = 3 at the desk point: built once at the context's 256 bits
+        plus GUARD_BITS, one measured (Delta_m, sigma_m) loss per minor,
+        Delta_1 = mu_0 and sigma_1 = mu_1 with none, and every stored value
+        within 1e-76 of a 2048-bit table."""
+        _, tab = table_for(params_main, 3, prec)
+        assert tab.bits == prec.significand_bits + GUARD_BITS == 316
+        assert len(tab.digits_lost) == tab.n_max + 2
+        assert tab.digits_lost[:2] == ((0.0, 0.0), (0.0, 0.0))
+        assert 0 < max(max(pair) for pair in tab.digits_lost) < 12
+        _assert_near_wide_reference(tab, params_main, 1e-76)
+
+    def test_escalating_point_reports_wider_precision(self, params_main, prec,
+                                                      tables_main):
+        """n_max = 6 at the desk point, which once escalated to 512 bits:
+        the table reports the one wider width it was built at, the same as
+        for n_max = 3, and Delta_7 and sigma_7, the worst minors, lose about
+        6 of 77 digits; every stored value is within 1e-76 of 2048 bits."""
+        _, tab = tables_main
         _, small = table_for(params_main, 3, prec)
-        for tab in (small, tables_main[1]):
-            assert tab.bits == 256 + GUARD_BITS
-            assert len(tab.digits_lost) == tab.n_max + 2
-            assert tab.digits_lost[:2] == ((0.0, 0.0), (0.0, 0.0))
-            assert 0 < max(max(pair) for pair in tab.digits_lost) < 12
-            _assert_near_wide_reference(tab, params_main, 1e-76)
+        assert tab.bits == small.bits == prec.significand_bits + GUARD_BITS
+        assert len(tab.digits_lost) == tab.n_max + 2
+        assert tab.digits_lost[:4] == small.digits_lost[:4]
+        worst = max(max(pair) for pair in tab.digits_lost)
+        assert max(tab.digits_lost[7]) == worst
+        assert 5 < min(tab.digits_lost[7]) <= worst < 12
+        _assert_near_wide_reference(tab, params_main, 1e-76)
 
     def test_signed_point_builds_moments_once(self, prec, monkeypatch):
         """(1, 0, -0.429535, 0.604487) at n_max = 9, where the Hadamard

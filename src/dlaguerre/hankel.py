@@ -21,7 +21,9 @@ sigma_{k+1}/Delta_k after step k, so one O(n^3) pass yields every
 Delta_m and sigma_m, on numbers and on jets alike.  Hankel matrices of
 these moments are ill-conditioned, so every minor of numbers is
 eliminated at one width, GUARD_BITS above the caller's, from moments
-rebuilt there; the jets of painleve.aux_pair_series use the same guard.
+rebuilt there, which must round to the caller's own (bit for bit for the
+closed form, within 10 tol for quadrature; CrossCheckError otherwise); the
+jets of painleve.aux_pair_series use the same guard.
 Each minor's loss is measured, not bounded: the caller's own moments are
 eliminated at the caller's width too, and the digits by which that
 shadow pass and the wide one disagree are the digits the elimination
@@ -34,10 +36,22 @@ stays below 11 digits.
 
 Polynomial evaluation is the monic recurrence
 P_{m+1} = (x - b_m) P_m - a_m^2 P_{m-1} (monic_values), with no square
-root, so signed weights (a_m^2 < 0) need no special case; cauchy_transform
-computes the second solution E_n(x) = int P_n(s) w(s)/(x-s) ds off the
-support, and dN_kernel the two-point Christoffel-Darboux evaluation of the
-characteristic-polynomial average D_N.  The orthonormal p_n = gamma_n P_n,
+root, so signed weights (a_m^2 < 0) need no special case; dN_kernel is
+the two-point Christoffel-Darboux evaluation of the characteristic-
+polynomial average D_N.
+
+The second solution E_n(x) = int P_n(s) w(s)/(x-s) ds off the support and
+its x-derivative come from cauchy_sweep: one vector integrand, P_0..P_n at
+each node with 1/(x-s) and 1/(x-s)^2 formed once, integrated in one climb
+of the node ladder (quadrature.integrate_weighted).  Every Cauchy-kernel
+integral of a table, stieltjes_eval's included, is widened by the table's
+degree bound N = n_max + 1 rather than by its own n, so all of them run at
+one width and share weighted_nodes' lists.  The latest sweep is kept in a
+one-entry memo keyed by (table, typed x, prec); cauchy_transform,
+epsilon_eval and epsilon_derivative_eval are views of it.  A component is
+the same to the last bit whichever sweep computed it, and the memo entry
+is replaced in one assignment, so concurrent callers stay correct: a race
+only sweeps twice.  The orthonormal p_n = gamma_n P_n,
 gamma_n = h_n^(-1/2), remain as a view (RecurrenceTable.a and .gamma,
 orthopoly_eval, epsilon_eval, epsilon_derivative_eval) holding the
 package's only square roots.
@@ -57,7 +71,7 @@ from .errors import (CrossCheckError, PrecisionExhausted, SingularHankel,
 from .moments import (MomentTable, TruncSeries, WeightParams,
                       build_moment_table)
 from .precision import PrecisionCtx, to_mpf, workprec
-from .quadrature import integrate_weighted
+from .quadrature import QuadResults, integrate_weighted
 
 GUARD_BITS = 60     # every Hankel minor is eliminated this far above prec
 
@@ -101,6 +115,25 @@ def _digits_lost(shadow, wide, digits: int) -> float:
     return max(digits + math.log10(man) + exp * math.log10(2), 0.0)
 
 
+def _check_rebuild(moments: MomentTable, mom: MomentTable,
+                   prec: PrecisionCtx):
+    """Raise CrossCheckError unless mom, rebuilt wider from moments.params,
+    is the caller's table: rounded to the narrower of the two widths,
+    closed-form moments agree bit for bit, quadrature ones within 10 tol
+    (as in build_moment_table's cross-check)."""
+    bits = min(prec.significand_bits, moments.prec.significand_bits)
+    with mp.workprec(bits):
+        tol = 10 * max(prec.tol_mpf(), moments.prec.tol_mpf())
+        for k, (mine, theirs) in enumerate(zip(mom.values, moments.values)):
+            mine, theirs = +mine, +theirs
+            if (mine != theirs if moments.source == "closed_form"
+                    else abs(mine - theirs) > tol * max(abs(mine), 1)):
+                raise CrossCheckError(
+                    f"mu_{k} = {mp.nstr(theirs, 25)} is not the "
+                    f"{moments.source} moment {mp.nstr(mine, 25)} of the "
+                    "table's parameters")
+
+
 def _minors(moments: MomentTable, n: int, k_top: int, prec: PrecisionCtx,
             checked):
     """Delta_m and sigma_m, m <= n, eliminated at prec + GUARD_BITS.
@@ -110,8 +143,9 @@ def _minors(moments: MomentTable, n: int, k_top: int, prec: PrecisionCtx,
     moments.params and moments.source at the wider width and eliminated
     again.  Moments past k_top border sigma_n alone and are taken as 0.
     Returns the wide (Delta, sigma) and [(loss Delta_m, loss sigma_m)];
-    raises PrecisionExhausted when the estimated error of a checked minor,
-    ("Delta" | "sigma", m), exceeds prec.tol.
+    raises CrossCheckError when the rebuilt moments are not the caller's
+    (_check_rebuild), and PrecisionExhausted when the estimated error of a
+    checked minor, ("Delta" | "sigma", m), exceeds prec.tol.
     """
     pad = [0] * (2 * n - 1 - k_top)
     with workprec(prec):
@@ -119,6 +153,7 @@ def _minors(moments: MomentTable, n: int, k_top: int, prec: PrecisionCtx,
     wide = prec.scaled(prec.significand_bits + GUARD_BITS)
     mom = build_moment_table(moments.params, k_top, wide, moments.source,
                              cross_check=False)
+    _check_rebuild(moments, mom, prec)
     with workprec(wide):
         delta, sigma = hankel_minors(list(mom.values) + pad, n)
     digits = prec.decimal_digits
@@ -306,34 +341,73 @@ def orthopoly_eval(table: RecurrenceTable, n: int, x) -> PolyEval:
                         value_nm1=prev)
 
 
-def cauchy_transform(table: RecurrenceTable, n: int, x,
-                     prec: PrecisionCtx = None, derivative: bool = False):
-    """E_n(x) = int_0^inf P_n(s) w(s)/(x - s) ds, x off the support; with
-    derivative, E_n'(x) = -int P_n(s) w(s)/(x - s)^2 ds.
+def _cancel_digits(N: int, x) -> int:
+    """Digits to widen a Cauchy-kernel integral by, for degree bound N.
 
-    x must be real negative or carry a nonzero imaginary part; on-support
-    principal values are out of contract.
+    E_k ~ x^{-k-1}: far from the support the O(1/x) node masses cancel
+    down by k + 1 orders in |x| (k + 2 for E_k'), and k + 2 <= N + 2 for
+    every E_k and E_k' of a table with n_max + 1 = N, so all of them run
+    at one width and share one node list per rung.
+    """
+    return int((N + 2) * mp.log10(1 + abs(x))) + 10
+
+
+_SWEEP: dict = {}   # {"latest": ((table, typed x, prec), (E, dE))}
+
+
+def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
+    """E_0..E_n(x) and E_0'..E_n'(x) from one climb of the node ladder.
+
+    One vector integrand: at each node P_0..P_n come from monic_values,
+    and 1/(x - s) and 1/(x - s)^2 are formed once.  Returns the pair of
+    QuadResults (E, dE), E[k] for E_k and dE[k] for E_k'; a component
+    whose sums never agreed raises QuadratureFailure when it is read.
+
+    The latest sweep is kept (module docstring), keyed by (table, typed x,
+    prec) since an mpc x is another integrand than an equal mpf; it serves
+    every n it reaches, and a higher n sweeps again.
     """
     prec = prec or table.prec
-    power = 2 if derivative else 1
     with workprec(prec, 20):
         x = to_mpf(x)
         if mp.im(x) == 0 and mp.re(x) >= 0:
             raise UnsupportedParameters(
                 "the Cauchy transform requires x < 0 or a complex x off "
                 "[0, inf)")
+        key = (table, (type(x), x), prec)
+        latest = _SWEEP.get("latest")
+        if latest is not None and latest[0] == key and len(latest[1][0]) > n:
+            return latest[1]
 
         def fn(s):
-            v = monic_values(table, n, s)[n] / (x - s) ** power
-            return -v if derivative else v
+            P = monic_values(table, n, s)
+            inv = 1 / (x - s)
+            dinv = -inv * inv
+            return [p * inv for p in P] + [p * dinv for p in P]
 
-        # E_n ~ x^{-n-1}: far from the support the O(1/x) node masses
-        # cancel down by n+1 orders in |x| (n+2 for E_n'); widen the digits
-        cancel = int((n + power) * mp.log10(1 + abs(x))) + 10
-        res = integrate_weighted(fn, table.params, prec, extra_digits=cancel,
-                                 pole=x)
-    with workprec(prec):
-        return +res.value
+        res = integrate_weighted(
+            fn, table.params, prec, pole=x,
+            extra_digits=_cancel_digits(table.n_max + 1, x)).items
+        hit = QuadResults(res[:n + 1]), QuadResults(res[n + 1:])
+    _SWEEP["latest"] = key, hit
+    return hit
+
+
+def cauchy_transform(table: RecurrenceTable, n: int, x,
+                     prec: PrecisionCtx = None, derivative: bool = False):
+    """E_n(x) = int_0^inf P_n(s) w(s)/(x - s) ds, x off the support; with
+    derivative, E_n'(x) = -int P_n(s) w(s)/(x - s)^2 ds.
+
+    x must be real negative or carry a nonzero imaginary part; on-support
+    principal values are out of contract.  A view of cauchy_sweep, so the
+    E_k and E_k' of one (table, x, prec) come from one climb, at the width
+    that the table's degree bound n_max + 1 sets (_cancel_digits), and
+    through its one-entry memo.  Concurrent callers stay correct: each
+    component is the same bits whichever sweep computed it, and the entry
+    is replaced in one assignment, so a race only sweeps again.
+    """
+    E, dE = cauchy_sweep(table, n, x, prec)
+    return (dE if derivative else E)[n].value
 
 
 def epsilon_eval(table: RecurrenceTable, moments: MomentTable, n: int, x,
@@ -353,18 +427,20 @@ def epsilon_derivative_eval(table: RecurrenceTable, moments: MomentTable,
 
 
 def stieltjes_eval(moments: MomentTable, x, prec: PrecisionCtx = None):
-    """Stieltjes transform f(x) = int w(s)/(x - s) ds, x off the support."""
+    """Stieltjes transform f(x) = int w(s)/(x - s) ds, x off the support.
+
+    Runs at the width of a recurrence table built on these moments, whose
+    degree bound is (k_max + 1) // 2, so it shares that table's node lists.
+    """
     prec = prec or moments.prec
-    params = moments.params
     with workprec(prec, 20):
         x = to_mpf(x)
         if mp.im(x) == 0 and mp.re(x) >= 0:
             raise UnsupportedParameters("stieltjes_eval requires x off [0, inf)")
-        cancel = int(mp.log10(1 + abs(x))) + 10
-        res = integrate_weighted(lambda s: 1 / (x - s), params, prec,
+        cancel = _cancel_digits((moments.k_max + 1) // 2, x)
+        res = integrate_weighted(lambda s: 1 / (x - s), moments.params, prec,
                                  extra_digits=cancel, pole=x)
-    with workprec(prec):
-        return +res.value
+    return res.value
 
 
 def dN_kernel(table: RecurrenceTable, N: int, y1, y2):

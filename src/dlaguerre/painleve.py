@@ -794,21 +794,22 @@ def _lax_jets(jets: JetTable, n: int, x):
     return A, B0, residues[1]
 
 
-def _deformation(jets: JetTable, n: int, x):
+def _deformation(jets: JetTable, n: int, x, lax):
     """Residual of d/dt (P_n, P_{n-1}) = B (P_n, P_{n-1}) from order-1 jets,
-    normalized by the vector scale."""
+    normalized by the vector scale; lax is _lax_jets(jets, n, x)."""
     P = monic_values(jets, n, x)
     vec = P[n], P[n - 1]
-    _, B, _ = _lax_jets(jets, n, x)
+    _, B, _ = lax
     resid = max(abs(vec[c].c[1] - B[c][0] * vec[0].c[0]
                     - B[c][1] * vec[1].c[0]) for c in (0, 1))
     return float(resid / max(abs(vec[0].c[0]), abs(vec[1].c[0]), mp.mpf(1)))
 
 
-def _compatibility(jets: JetTable, n: int, x):
+def _compatibility(jets: JetTable, x, lax):
     """dA/dt - dB/dx + AB - BA from order-1 jets, normalized by the largest
-    term entry.  Zero curvature is gauge-invariant; this is the monic gauge."""
-    A, B0, At = _lax_jets(jets, n, x)
+    term entry; lax is _lax_jets(jets, n, x).  Zero curvature is
+    gauge-invariant; this is the monic gauge."""
+    A, B0, At = lax
     dA = tuple(tuple(e.c[1] for e in row) for row in A)
     A0 = tuple(tuple(e.c[0] for e in row) for row in A)
     dB = tuple(tuple(e.c[0] / (x - jets.about) ** 2 for e in row)
@@ -833,7 +834,8 @@ def deformation_residual(params: WeightParams, n: int, x, t,
     prec = prec or PrecisionCtx()
     with workprec(prec, 20):
         jets = aux_pair_series(n, params, 1, prec, about=t)
-        return _deformation(jets, n, to_mpf(x))
+        x = to_mpf(x)
+        return _deformation(jets, n, x, _lax_jets(jets, n, x))
 
 
 def compatibility_residual(params: WeightParams, n: int, x, t,
@@ -846,7 +848,8 @@ def compatibility_residual(params: WeightParams, n: int, x, t,
     prec = prec or PrecisionCtx()
     with workprec(prec, 20):
         jets = aux_pair_series(n, params, 1, prec, about=t)
-        return _compatibility(jets, n, to_mpf(x))
+        x = to_mpf(x)
+        return _compatibility(jets, x, _lax_jets(jets, n, x))
 
 
 def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
@@ -898,12 +901,13 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
                     [db, -r[n], r[n + 1]], threshold)
 
         x = mp.mpf(-1)
+        lax = _lax_jets(jets_mid, n, x)
         rep.add("deformation_t_ode",
                 "d/dt (P_n, P_{n-1}) = B (P_n, P_{n-1}), monic gauge",
                 n, f"x=-1, t={mp.nstr(mid, 8)}",
-                [mp.mpf(_deformation(jets_mid, n, x))], threshold)
+                [mp.mpf(_deformation(jets_mid, n, x, lax))], threshold)
         rep.add("zero_curvature",
                 "dA/dt - dB/dx + AB - BA = 0",
                 n, f"x=-1, t={mp.nstr(mid, 8)}",
-                [mp.mpf(_compatibility(jets_mid, n, x))], threshold)
+                [mp.mpf(_compatibility(jets_mid, x, lax))], threshold)
     return rep

@@ -21,14 +21,16 @@ rules (Golub & Welsch, Math. Comp. 23, 1969, via mp.gauss_quadrature) are
 cached per (family, m) at the highest precision asked for so far.
 integrate_weighted climbs the node ladder m = 10, 20, 40, 80 until two
 successive sums agree to the tolerance; that difference is the error
-estimate the result carries.  The Laguerre tail with m nodes is exact for
+estimate the result carries.  A vector integrand (the Cauchy sweep's
+E_0..E_n, E_0'..E_n') climbs once, each component stopping at its own
+first agreeing pair.  The Laguerre tail with m nodes is exact for
 polynomials of degree < 2m only, so at integer mu two sums agree on x^k
 once the coarser one has 2m > k + alpha + mu: at alpha = mu = 2 and
 t = 20 the 20-node sums miss from k = 36 on, and the 40/80 pair agrees.
 
 The node lists themselves are cached too, since one weight's integrals
-ask for the same few lists many times (each Cauchy, ladder and oracle
-integral climbs the ladder afresh).  The key is every input a list depends
+ask for the same few lists many times (every ladder and oracle integral
+and Cauchy sweep climbs afresh).  The key is every input a list depends
 on: the weight, m, the pole and the working precision, plus a count of the
 m-point reference rules' upgrades, since a list built from a rule is only
 reproduced by the same rule.  Only one weight's lists are kept, and of
@@ -71,6 +73,24 @@ class QuadResult:
     def __iter__(self):
         yield self.value
         yield self.error
+
+
+@dataclass(frozen=True)
+class QuadResults:
+    """One QuadResult per component of a vector integrand.  A component
+    whose sums never agreed holds its QuadratureFailure message instead
+    and raises it when read, so the others stay usable."""
+
+    items: tuple
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, k):
+        item = self.items[k]
+        if isinstance(item, str):
+            raise QuadratureFailure(item)
+        return item
 
 
 def _rule(family, m):
@@ -191,39 +211,64 @@ def _build_nodes(params, m, pole):
 
 
 def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
-                       extra_digits=0, pole=None) -> QuadResult:
+                       extra_digits=0, pole=None):
     """Integrate fn(x) w(x) dx over [0, inf).
 
-    fn receives x and excludes the weight.  Sums at m and 2m nodes per
-    panel, climbing LADDER until |Q_2m - Q_m| <= prec.tol * scale, where
-    the scale is |rel_scale| when given, else |Q_2m|.  extra_digits widens
-    the working precision when the caller expects cancellation (Cauchy
-    transforms far from the support); pole is as in weighted_nodes.
+    fn receives x and excludes the weight; it returns a number, or a
+    sequence of numbers (a vector integrand) whose components are
+    integrated over the same nodes in one climb.  Sums at m and 2m nodes
+    per panel, climbing LADDER until |Q_2m - Q_m| <= prec.tol * scale,
+    where the scale is |rel_scale| when given, else |Q_2m|; each component
+    keeps the Q_2m of the first pair at which it agreed, and the climb
+    stops once all have.  extra_digits widens the working precision when
+    the caller expects cancellation (Cauchy transforms far from the
+    support); pole is as in weighted_nodes.
 
-    Returns QuadResult(Q_2m, |Q_2m - Q_m|); raises QuadratureFailure when
-    the top of the ladder is reached without agreement.
+    Returns QuadResult(Q_2m, |Q_2m - Q_m|), or for a vector integrand
+    QuadResults of one QuadResult per component.  A number whose sums
+    never agree raises QuadratureFailure here; a component raises it when
+    it is read.
     """
     tol = prec.tol_mpf()
     bits = prec.significand_bits + GUARD_BITS + math.ceil(
         extra_digits * math.log2(10))
     with mp.workprec(bits):
-        def total(m):
-            return mp.fsum(w * fn(x) for x, w in weighted_nodes(params, m, pole))
+        vector = None
 
-        coarse = total(LADDER[0])
+        def sums(m, ks):
+            nonlocal vector
+            rows = [(w, fn(x)) for x, w in weighted_nodes(params, m, pole)]
+            if vector is None:
+                vector = isinstance(rows[0][1], (tuple, list))
+                ks = range(len(rows[0][1])) if vector else [0]
+            if vector:
+                return {k: mp.fsum(w * v[k] for w, v in rows) for k in ks}
+            return {0: mp.fsum(w * v for w, v in rows)}
+
+        coarse = sums(LADDER[0], None)
+        pending, done = list(coarse), {}
         for m in LADDER[1:]:
-            fine = total(m)
-            err = abs(fine - coarse)
-            scale = abs(fine) if rel_scale is None else abs(to_mpf(rel_scale))
-            if err <= tol * scale:
+            fine = sums(m, pending)
+            for k in pending:
+                err = abs(fine[k] - coarse[k])
+                scale = (abs(fine[k]) if rel_scale is None
+                         else abs(to_mpf(rel_scale)))
+                if err <= tol * scale:
+                    done[k] = (fine[k], err)
+                else:
+                    # the failure, should this pair be the ladder's last
+                    done[k] = (f"{LADDER[-1]}-node sums still differ by "
+                               f"{mp.nstr(err, 5)} at scale "
+                               f"{mp.nstr(scale, 5)}")
+            pending = [k for k in pending if isinstance(done[k], str)]
+            if not pending:
                 break
             coarse = fine
-        else:
-            raise QuadratureFailure(
-                f"{LADDER[-1]}-node sums still differ by {mp.nstr(err, 5)} "
-                f"at scale {mp.nstr(scale, 5)}")
     with workprec(prec):
-        return QuadResult(+fine, +err)
+        out = QuadResults(tuple(
+            item if isinstance(item, str) else QuadResult(+item[0], +item[1])
+            for _, item in sorted(done.items())))
+    return out if vector else out[0]
 
 
 def weight_value(x, params):

@@ -48,7 +48,7 @@ from mpmath.libmp import (fone, mpf_abs, mpf_gt, mpf_le, mpf_lt, mpf_mul,
                           mpf_sum, to_float)
 
 from .errors import DegenerateTheta, SingularHankel, UnsupportedParameters
-from .hankel import (MomentTable, RecurrenceTable, cauchy_transform,
+from .hankel import (MomentTable, RecurrenceTable, cauchy_sweep,
                      monic_values)
 from .moments import TruncSeries, WeightParams
 from .precision import PrecisionCtx, to_mpf, workprec
@@ -555,6 +555,14 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                 table, max(n_range), TruncSeries([x, 1]))] + [(0, 0)]
                 for x in panel}
 
+        qprec = PrecisionCtx(min(prec.significand_bits, 192), "1e-28")
+        # E_m and E_m' at the Cauchy station for every m <= max(n_range),
+        # from one sweep; a component that did not converge raises when read
+        sweeps = ({x: cauchy_sweep(table, max(n_range), x, qprec)
+                   for x in neg_panel[:1]}
+                  if include_quadrature_checks and t > 0
+                  and max(n_range) >= 1 else {})
+
         # Omega_0 = V as polynomials
         for c0, cv in zip(OM[0], V):
             rep.add("omega0_is_v", "Omega_0 - V = 0 (coefficientwise)", 0,
@@ -731,7 +739,6 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                         lax_threshold)
 
             if include_quadrature_checks and t > 0 and n >= 1:
-                qprec = PrecisionCtx(min(prec.significand_bits, 192), "1e-28")
                 # the residue integrals carry w/(y-t), integrable for alpha >= 1
                 if al >= 1:
                     pair_q = ladder_integrals(table, moments, n, qprec,
@@ -758,10 +765,9 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                         "ladder_partial_fraction_B",
                         "B_n(x) integral = r_n/(x-t) - (n+r_n)/x", n, label[x],
                         [Bq, -Bn], 1e-20)
-                for x in neg_panel[:1]:
+                for x, (E, dE) in sweeps.items():
                     E_n, E_m, dE_n, dE_m = (
-                        cauchy_transform(table, m, x, qprec, derivative=d)
-                        for d in (False, True) for m in (n, n - 1))
+                        r.value for r in (E[n], E[n - 1], dE[n], dE[n - 1]))
                     (p_n, dp_n), (p_m, dp_m) = PD[x][n], PD[x][n - 1]
                     rep.add(
                         "casoratian",

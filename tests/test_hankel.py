@@ -4,8 +4,9 @@ import mpmath as mp
 import pytest
 
 import dlaguerre.hankel as hankel
-from dlaguerre import (MomentTable, PrecisionCtx, PrecisionExhausted,
-                       SingularHankel, UnsupportedParameters, WeightParams,
+from dlaguerre import (CrossCheckError, MomentTable, PrecisionCtx,
+                       PrecisionExhausted, SingularHankel,
+                       UnsupportedParameters, WeightParams,
                        build_moment_table, dN_kernel, epsilon_eval,
                        hankel_determinant, monic_values, orthopoly_eval,
                        recurrence_coefficients, shifted_hankel_determinant,
@@ -68,6 +69,23 @@ class TestDeterminants:
             recurrence_coefficients(mom, 3, prec)
         with pytest.raises(PrecisionExhausted, match="Delta_3"):
             hankel_determinant(mom, 3, prec)
+
+    @pytest.mark.parametrize("source", ["closed_form", "quadrature"])
+    def test_foreign_moments_refused(self, prec, params_main, source):
+        """The minors come from moments rebuilt from the table's parameters,
+        so a table whose mu_3 is not its parameters' moment (scaled by
+        1 + 1e-20) is refused, where it used to be replaced unnoticed."""
+        mom = build_moment_table(params_main, 13, prec, source,
+                                 cross_check=False)
+        with mp.workprec(256):
+            vals = list(mom.values)
+            vals[3] *= 1 + mp.mpf("1e-20")
+        bad = MomentTable(params_main, 13, tuple(vals), source, prec)
+        with pytest.raises(CrossCheckError, match="^mu_3 "):
+            recurrence_coefficients(bad, 6, prec)
+        with pytest.raises(CrossCheckError, match="^mu_3 "):
+            hankel_determinant(bad, 3, prec)
+        assert recurrence_coefficients(mom, 6, prec).n_max == 6
 
     def test_singular_hankel(self, prec, params_main):
         with mp.workprec(256):

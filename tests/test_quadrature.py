@@ -1,16 +1,19 @@
-"""Split Gauss quadrature: the node-list cache and the node ladder."""
+"""Split Gauss quadrature: the node-list cache, the node ladder and the
+Cauchy sweep that shares both."""
 
 from collections import Counter
 
 import mpmath as mp
 import pytest
 
-from dlaguerre import (PrecisionCtx, WeightParams, cauchy_transform,
-                       dN_by_quadrature, delta_by_quadrature,
-                       moment_closed_form, moment_quadrature, table_for,
+from dlaguerre import (PrecisionCtx, QuadratureFailure, WeightParams,
+                       cauchy_transform, dN_by_quadrature,
+                       delta_by_quadrature, moment_closed_form,
+                       moment_quadrature, stieltjes_eval, table_for,
                        verify_identities, workprec)
-from dlaguerre import quadrature
-from dlaguerre.quadrature import weighted_nodes
+from dlaguerre import hankel, quadrature
+from dlaguerre.hankel import cauchy_sweep
+from dlaguerre.quadrature import integrate_weighted, weighted_nodes
 from conftest import rel_err
 
 PREC = PrecisionCtx()
@@ -28,12 +31,15 @@ class _KeepNothing(dict):
 def fresh_and_cached(monkeypatch, compute):
     """compute() with every node list built afresh, then with the cache in
     use (emptied first).  A first pass builds the reference rules, so both
-    runs sum nodes made from the same rules."""
+    runs sum nodes made from the same rules.  The Cauchy sweep memo is
+    emptied before each run, or the later runs would integrate nothing."""
     compute()
+    hankel._SWEEP.clear()
     with monkeypatch.context() as patch:
         patch.setattr(quadrature, "_LISTS", _KeepNothing())
         fresh = compute()
     quadrature._LISTS.clear()
+    hankel._SWEEP.clear()
     return fresh, compute()
 
 
@@ -75,6 +81,7 @@ class TestCacheScope:
         mom, tab = table_for(DESK, 6, PREC)
         verify_identities(tab, mom, [1, 2, 3, 4], PREC)
         quadrature._LISTS.clear()
+        hankel._SWEEP.clear()
         builds = Counter()
         build = quadrature._build_nodes
 
@@ -146,3 +153,105 @@ class TestLadder:
         prec = PrecisionCtx(512, "1e-60")
         got = moment_quadrature(5, params, prec)
         assert rel_err(got, moment_closed_form(5, params, prec)) < 1e-60
+
+    def test_requested_component_raises(self):
+        """A step at 0.7, inside the Laguerre tail, keeps Gauss sums apart
+        at every rung: read alone it raises as a number does, with the same
+        message, while x^2 beside it returns the bits it has alone."""
+        def step(x):
+            return mp.mpf(x < mp.mpf("0.7"))
+
+        with workprec(PREC):
+            res = integrate_weighted(lambda x: [x ** 2, step(x)], DESK, PREC)
+            alone = integrate_weighted(lambda x: x ** 2, DESK, PREC)
+            with pytest.raises(QuadratureFailure) as scalar:
+                integrate_weighted(step, DESK, PREC)
+        assert len(res) == 2 and res[0] == alone
+        assert rel_err(res[0].value, moment_closed_form(2, DESK, PREC)) < 1e-30
+        with pytest.raises(QuadratureFailure,
+                           match=r"^80-node sums still differ by \S+ at "
+                                 r"scale \S+$") as vector:
+            res[1]
+        assert str(vector.value) == str(scalar.value)
+
+
+def _counting_builds(monkeypatch):
+    """Counter of _build_nodes calls by (m, pole, working precision)."""
+    builds = Counter()
+    build = quadrature._build_nodes
+
+    def counting(params, m, pole):
+        builds[(m, pole, mp.mp.prec)] += 1
+        return build(params, m, pole)
+
+    monkeypatch.setattr(quadrature, "_build_nodes", counting)
+    return builds
+
+
+class TestCauchySweep:
+    @pytest.mark.parametrize("x", [mp.mpf(-2), mp.mpc("-0.5", "1"),
+                                   mp.mpc(1, 1)])
+    def test_same_bits_whatever_came_before(self, x):
+        """E_2 and E_2' asked first, after a sweep to degree 5, and after
+        stieltjes_eval at the same point come out bit for bit the same."""
+        mom, tab = table_for(DESK, 5, PREC)
+
+        def ask():
+            return [cauchy_transform(tab, 2, x, QPREC, derivative=d)
+                    for d in (False, True)]
+
+        ask()                       # builds the reference rules
+        hankel._SWEEP.clear()
+        first = ask()
+        hankel._SWEEP.clear()
+        E, dE = cauchy_sweep(tab, 5, x, QPREC)
+        assert len(E) == len(dE) == 6
+        from_higher = ask()
+        hankel._SWEEP.clear()
+        with workprec(PREC):
+            stieltjes_eval(mom, x, QPREC)
+        assert ask() == from_higher == first == [E[2].value, dE[2].value]
+
+    @pytest.mark.parametrize("point", [(2, 2, "0.5", "0.3"),
+                                       (1, 0, "0.9", "5")])
+    def test_crossval_group_builds_each_list_once(self, monkeypatch, point):
+        """E_n, E_{n-1}, E_n', the Stieltjes transform and E_0 at x = -2 on
+        tables built together share one width, so they build the three
+        graded lists (m = 10, 20, 40) once; each at its own width built
+        six."""
+        n, x = 3, mp.mpf(-2)
+        mom, tab = table_for(WeightParams(*point), n + 2, PREC,
+                             cross_check=False)
+
+        def group():
+            with workprec(PREC):
+                for m, d in ((n, False), (n - 1, False), (n, True)):
+                    cauchy_transform(tab, m, x, QPREC, derivative=d)
+                stieltjes_eval(mom, x, QPREC)
+                cauchy_transform(tab, 0, x, QPREC)
+
+        group()                     # builds the reference rules
+        quadrature._LISTS.clear()
+        hankel._SWEEP.clear()
+        builds = _counting_builds(monkeypatch)
+        group()
+        assert sorted(m for m, _, _ in builds) == [10, 20, 40]
+        assert set(builds.values()) == {1}
+
+    def test_battery_runs_one_sweep(self, monkeypatch):
+        """The full battery for n = 1..4 reads every E_m and E_m' off one
+        sweep to degree 4."""
+        mom, tab = table_for(DESK, 6, PREC)
+        sweeps = []
+        integrate = hankel.integrate_weighted
+
+        def counting(fn, params, prec, **kwargs):
+            res = integrate(fn, params, prec, **kwargs)
+            sweeps.append(len(res))
+            return res
+
+        monkeypatch.setattr(hankel, "integrate_weighted", counting)
+        hankel._SWEEP.clear()
+        rep = verify_identities(tab, mom, [1, 2, 3, 4], PREC)
+        assert sweeps == [10]
+        assert sum(r.check_id == "casoratian" for r in rep.records) == 4

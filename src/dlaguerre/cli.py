@@ -38,7 +38,7 @@ from . import __version__
 from .errors import (DLaguerreError, SingularityEncountered,
                      UnsupportedParameters)
 from .hankel import table_for
-from .moments import WeightParams, moment_closed_form, moment_quadrature
+from .moments import WeightParams, build_moment_table, moment_closed_form
 from .painleve import (PVParams, StepControl, ab_flow_check, evolve,
                        hamilton_map_residual, pv_residual,
                        to_hamiltonian)
@@ -157,9 +157,10 @@ def cmd_moments(args, parser) -> int:
     k_max = int(args.kmax if args.kmax is not None else 8)
     with workprec(prec):
         rows = []
-        for k in range(k_max + 1):
-            cf = moment_closed_form(k, params, prec)
-            q = moment_quadrature(k, params, prec)
+        closed = [moment_closed_form(k, params, prec)
+                  for k in range(k_max + 1)]
+        quad = build_moment_table(params, k_max, prec, "quadrature")
+        for k, (cf, q) in enumerate(zip(closed, quad.values)):
             rel = abs(cf - q) / max(abs(q), mp.mpf(1))
             rows.append({
                 "k": k,

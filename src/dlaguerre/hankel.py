@@ -41,17 +41,15 @@ the two-point Christoffel-Darboux evaluation of the characteristic-
 polynomial average D_N.
 
 The second solution E_n(x) = int P_n(s) w(s)/(x-s) ds off the support and
-its x-derivative come from cauchy_sweep: one vector integrand, P_0..P_n at
-each node with 1/(x-s) and 1/(x-s)^2 formed once, integrated in one climb
-of the node ladder (quadrature.integrate_weighted).  Every Cauchy-kernel
-integral of a table, stieltjes_eval's included, is widened by the table's
-degree bound N = n_max + 1 rather than by its own n, so all of them run at
-one width and share weighted_nodes' lists.  The latest sweep is kept in a
-one-entry memo keyed by (table, typed x, prec); cauchy_transform,
-epsilon_eval and epsilon_derivative_eval are views of it.  A component is
-the same to the last bit whichever sweep computed it, and the memo entry
-is replaced in one assignment, so concurrent callers stay correct: a race
-only sweeps twice.  The orthonormal p_n = gamma_n P_n,
+its x-derivative come from cauchy_sweep, one climb of the node ladder for
+E_0..E_n and E_0'..E_n'.  Every Cauchy-kernel integral of a table,
+stieltjes_eval's included, is widened by the table's degree bound
+N = n_max + 1 rather than by its own n, so all of them run at one width
+and share weighted_nodes' lists.  The latest sweep is kept in a one-entry
+memo keyed by (table, typed x, prec); cauchy_transform, epsilon_eval and
+epsilon_derivative_eval are views of it.  A component is the same to the
+last bit whichever sweep computed it, and the entry is replaced in one
+assignment, so a race only sweeps twice.  The orthonormal p_n = gamma_n P_n,
 gamma_n = h_n^(-1/2), remain as a view (RecurrenceTable.a and .gamma,
 orthopoly_eval, epsilon_eval, epsilon_derivative_eval) holding the
 package's only square roots.
@@ -402,9 +400,7 @@ def cauchy_transform(table: RecurrenceTable, n: int, x,
     principal values are out of contract.  A view of cauchy_sweep, so the
     E_k and E_k' of one (table, x, prec) come from one climb, at the width
     that the table's degree bound n_max + 1 sets (_cancel_digits), and
-    through its one-entry memo.  Concurrent callers stay correct: each
-    component is the same bits whichever sweep computed it, and the entry
-    is replaced in one assignment, so a race only sweeps again.
+    through its one-entry memo.
     """
     E, dE = cauchy_sweep(table, n, x, prec)
     return (dE if derivative else E)[n].value
@@ -438,9 +434,9 @@ def stieltjes_eval(moments: MomentTable, x, prec: PrecisionCtx = None):
         if mp.im(x) == 0 and mp.re(x) >= 0:
             raise UnsupportedParameters("stieltjes_eval requires x off [0, inf)")
         cancel = _cancel_digits((moments.k_max + 1) // 2, x)
-        res = integrate_weighted(lambda s: 1 / (x - s), moments.params, prec,
-                                 extra_digits=cancel, pole=x)
-    return res.value
+        res = integrate_weighted(lambda s: (1 / (x - s),), moments.params,
+                                 prec, extra_digits=cancel, pole=x)
+    return res[0].value
 
 
 def dN_kernel(table: RecurrenceTable, N: int, y1, y2):

@@ -38,7 +38,12 @@ max_k t^k/k! ~ e^t, so about 1.44 t bits are lost on the way.  moment_jets
 adds ceil(1.5 t) guard bits on top of the caller's precision;
 build_moment_table works 30 bits above the table's width, as
 moment_closed_form does, and its entries equal moment_closed_form's bit
-for bit (k <= 40, t <= 40 in the tests).
+for bit (k <= 40, t <= 40 in the tests).  P(t) - zeta e^{-t} Q(t) cancels
+log2((|P| + |zeta e^{-t} Q|)/|mu_k|) bits, without bound as zeta -> 1 (41
+at zeta = 1 - 1e-12, t = 0.3), and since P_k and zeta e^{-t} Q_k each obey
+the Pearson recurrence, the recursion loses as many at each k.  Both
+routes measure that loss and, past FREE_LOSS of their 30 guard bits, run
+again with the loss added (_cancel_guarded).
 
 TruncSeries is the one truncated-power-series type of the package; the
 Hankel jets, series initial data and every t-derivative of the Painleve
@@ -58,6 +63,8 @@ from .errors import CrossCheckError, UnsupportedParameters
 from .precision import PrecisionCtx, to_mpf, workprec
 from .quadrature import integrate_weighted, weight_value
 
+FREE_LOSS = 10      # bits of cancellation that 30 guard bits absorb
+
 
 def _is_nonneg_int(x) -> bool:
     """True for a non-negative integer value, as a number or a string ("2.0")."""
@@ -68,6 +75,15 @@ def _is_nonneg_int(x) -> bool:
     except (TypeError, ValueError, OverflowError):
         return False
     return v.denominator == 1 and v >= 0
+
+
+def _below_one(x) -> bool:
+    """x < 1, exactly: an mpf as it is, anything else as the Fraction of its
+    value or decimal string (1 - 1e-23 is 1 at 64 bits)."""
+    try:
+        return x < 1 if isinstance(x, mp.mpf) else Fraction(x) < 1
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -92,6 +108,8 @@ class WeightParams:
             raise UnsupportedParameters("weight parameters must be numbers")
         if not _is_nonneg_int(self.alpha):
             raise UnsupportedParameters("alpha must be a non-negative integer")
+        if not _below_one(self.zeta):
+            raise UnsupportedParameters("zeta must be < 1")
         with mp.workprec(64):
             # integer values are stored as int, so int(alpha), int(mu) hold
             object.__setattr__(self, "alpha", int(to_mpf(self.alpha)))
@@ -99,8 +117,6 @@ class WeightParams:
                 object.__setattr__(self, "mu", int(to_mpf(self.mu)))
             if not mp.isfinite(to_mpf(self.mu)) or not to_mpf(self.mu) >= 0:
                 raise UnsupportedParameters("mu must be finite and >= 0")
-            if not to_mpf(self.zeta) < 1:
-                raise UnsupportedParameters("zeta must be < 1")
             if not mp.isfinite(to_mpf(self.t)) or not to_mpf(self.t) >= 0:
                 raise UnsupportedParameters("t must be finite and >= 0")
 
@@ -236,6 +252,12 @@ def moment_series(k: int, params: WeightParams, order: int,
     integral over x >= t after x = t + y); each is re-expanded about t*
     and the tail is multiplied by e^{-t*} e^{-s}.
     """
+    head, tail = _moment_parts(k, params, order, about)
+    return head - tail
+
+
+def _moment_parts(k, params, order, about):
+    """The jets of P(t) and zeta e^{-t} Q(t) of moment_series, apart."""
     if not params.mu_is_integer:
         raise UnsupportedParameters("moment series requires integer mu")
     al, m = int(params.alpha), int(params.mu)
@@ -247,8 +269,37 @@ def moment_series(k: int, params: WeightParams, order: int,
             for j in range(k + m + 1)]
     exp_neg = TruncSeries([(-1) ** i / mp.factorial(i)
                            for i in range(order + 1)])
-    return (_taylor_shift(head, t0, order) - to_mpf(params.zeta) * mp.exp(-t0)
+    return (_taylor_shift(head, t0, order), to_mpf(params.zeta) * mp.exp(-t0)
             * (exp_neg * _taylor_shift(tail, t0, order)))
+
+
+def _cancel_guarded(evaluate):
+    """evaluate() -> (value, bits it cancelled), run again with that many
+    more bits while they exceed the bits added by more than FREE_LOSS."""
+    extra = 0
+    while True:
+        with mp.extraprec(extra):
+            value, lost = evaluate()
+        if lost <= extra + FREE_LOSS:
+            return value
+        extra = lost
+
+
+def _lost_bits(seeds, values, a_m=0, m=0, t=0) -> int:
+    """The most bits that mu_k = P_k - T_k cancels over mu_k in values,
+    log2((|P_k| + |T_k|)/|mu_k|) to within a bit, or the whole width where
+    a mu_k is 0.  seeds holds (P_k, T_k) for k <= 1; the Pearson recurrence
+    (alpha + mu = a_m, mu = m, at t) carries them on in floats, which see
+    no loss past 1e308."""
+    if not all(values):
+        return mp.mp.prec
+    pairs, t = [tuple(map(float, pq)) for pq in seeds], float(t)
+    for k in range(2, len(values)):
+        (p0, q0), (p1, q1) = pairs[-2:]
+        grow, damp = k + a_m + t, (k - 1 + m) * t
+        pairs.append((grow * p1 - damp * p0, grow * q1 - damp * q0))
+    return max(math.frexp(abs(p) + abs(q))[1] - mp.mag(v)
+               for (p, q), v in zip(pairs, values))
 
 
 def moment_jets(k_max: int, params: WeightParams, order: int,
@@ -259,7 +310,8 @@ def moment_jets(k_max: int, params: WeightParams, order: int,
     the Pearson recurrence mu_{k+2} = (k+2+alpha+mu+t) mu_{k+1}
     - (k+1+mu) t mu_k, whose coefficients are linear in t = t* + s.  Order 0
     gives the numbers.  Runs with ceil(1.5 |t*|) guard bits over the
-    caller's precision and leaves the values unrounded.
+    caller's precision, more where the numbers cancel (module docstring),
+    and leaves the values unrounded.
     """
     if k_max < 0:
         raise UnsupportedParameters("k_max must be >= 0")
@@ -269,28 +321,41 @@ def moment_jets(k_max: int, params: WeightParams, order: int,
     a_m, m = int(params.alpha) + int(params.mu), int(params.mu)
     with mp.workprec(53):       # forward recursion loses up to ~1.44 t bits
         guard = int(mp.ceil(3 * abs(to_mpf(about)) / 2))
-    with mp.extraprec(guard):
+
+    def evaluate():
         t0 = to_mpf(about)
-        c = [moment_series(k, params, order, t0).c
-             for k in range(min(k_max, 1) + 1)]
+        seeds = [_moment_parts(k, params, order, t0)
+                 for k in range(min(k_max, 1) + 1)]
+        c = [(head - tail).c for head, tail in seeds]
         for k in range(k_max - 1):
             lo, hi = c[k], c[k + 1]
             grow, damp = k + 2 + a_m + t0, k + 1 + m
             c.append([grow * hi[0] - damp * t0 * lo[0]] + [
                 grow * hi[j] + hi[j - 1] - damp * (t0 * lo[j] + lo[j - 1])
                 for j in range(1, order + 1)])
-    return [TruncSeries(cs) for cs in c]
+        return c, _lost_bits([(hd.c[0], tl.c[0]) for hd, tl in seeds],
+                             [cs[0] for cs in c], a_m, m, t0)
+
+    with mp.extraprec(guard):
+        return [TruncSeries(cs) for cs in _cancel_guarded(evaluate)]
 
 
 def moment_closed_form(k: int, params: WeightParams, prec: PrecisionCtx):
-    """mu_k in closed form: the order-0 term of moment_series about t."""
+    """mu_k in closed form: the order-0 term of moment_series about t, with
+    30 guard bits, more where it cancels (module docstring)."""
     if k < 0:
         raise UnsupportedParameters("k must be >= 0")
     if not params.mu_is_integer:
         raise UnsupportedParameters(
             "closed form requires integer mu; use moment_quadrature")
+
+    def evaluate():
+        head, tail = _moment_parts(k, params, 0, params.t)
+        val = (head - tail).c[0]
+        return val, _lost_bits([(head.c[0], tail.c[0])], [val])
+
     with workprec(prec, 30):
-        val = moment_series(k, params, 0, params.t).c[0]
+        val = _cancel_guarded(evaluate)
     with workprec(prec):
         return +val
 
@@ -302,7 +367,7 @@ def moment_quadrature(k: int, params: WeightParams, prec: PrecisionCtx):
     """
     if k < 0:
         raise UnsupportedParameters("k must be >= 0")
-    return integrate_weighted(lambda x: x ** k, params, prec).value
+    return _quadrature_moments([k], params, prec)[0]
 
 
 @dataclass(frozen=True)
@@ -342,7 +407,8 @@ def build_moment_table(params: WeightParams, k_max: int, prec: PrecisionCtx,
     disagreement beyond prec.tol raises CrossCheckError rather than
     returning silently wrong data.  Callers
     rebuilding tables along a t-grid may pass cross_check=False once the
-    agreement has been established for the parameter family.
+    agreement has been established for the parameter family.  Quadrature
+    moments, for the table or the cross-check, come from one climb.
     """
     if k_max < 0:
         raise UnsupportedParameters("k_max must be >= 0")
@@ -352,14 +418,23 @@ def build_moment_table(params: WeightParams, k_max: int, prec: PrecisionCtx,
         with workprec(prec):
             vals = [+mk.c[0] for mk in jets]
         tol = prec.tol_mpf()
-        for k in ({0, k_max} if cross_check else ()):
-            q = moment_quadrature(k, params, prec)
+        ends = sorted({0, k_max}) if cross_check else []
+        for k, q in zip(ends, _quadrature_moments(ends, params, prec)):
             if abs(vals[k] - q) > tol * max(abs(q), mp.mpf(1)) * 10:
                 raise CrossCheckError(
                     f"closed form and quadrature disagree at k={k}: "
                     f"{mp.nstr(vals[k], 25)} vs {mp.nstr(q, 25)}")
     elif source == "quadrature":
-        vals = [moment_quadrature(k, params, prec) for k in range(k_max + 1)]
+        vals = _quadrature_moments(range(k_max + 1), params, prec)
     else:
         raise ValueError("source must be closed_form or quadrature")
     return MomentTable(params, k_max, tuple(vals), source, prec)
+
+
+def _quadrature_moments(ks, params, prec) -> list:
+    """[mu_k for k in ks] in one climb; the first that does not converge
+    raises QuadratureFailure."""
+    if not ks:
+        return []
+    res = integrate_weighted(lambda x: [x ** k for k in ks], params, prec)
+    return [item.value for item in res]

@@ -40,9 +40,11 @@ def inner_product(index_pair, table: RecurrenceTable, moments: MomentTable,
     with workprec(prec, 20):
         def fn(s):
             pi = orthopoly_eval(table, i, s).value_n
-            return pi * pi if j == i else pi * orthopoly_eval(table, j, s).value_n
+            return (pi * pi if j == i
+                    else pi * orthopoly_eval(table, j, s).value_n,)
 
-        return integrate_weighted(fn, table.params, prec, rel_scale=1).value
+        return integrate_weighted(fn, table.params, prec,
+                                  rel_scale=(1,))[0].value
 
 
 def _vandermonde_sum(pts, N):

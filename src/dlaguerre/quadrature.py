@@ -19,32 +19,33 @@ sum over one node list (x_i, W_i) whose weights W_i already carry w(x_i):
 Each node takes the jump factor of the panel it belongs to.  The reference
 rules (Golub & Welsch, Math. Comp. 23, 1969, via mp.gauss_quadrature) are
 cached per (family, m) at the highest precision asked for so far.
-integrate_weighted climbs the node ladder m = 10, 20, 40, 80 until two
-successive sums agree to the tolerance; that difference is the error
-estimate the result carries.  A vector integrand (the Cauchy sweep's
-E_0..E_n, E_0'..E_n') climbs once, each component stopping at its own
-first agreeing pair.  The Laguerre tail with m nodes is exact for
-polynomials of degree < 2m only, so at integer mu two sums agree on x^k
-once the coarser one has 2m > k + alpha + mu: at alpha = mu = 2 and
-t = 20 the 20-node sums miss from k = 36 on, and the 40/80 pair agrees.
+integrate_weighted takes integrands that return a sequence and climbs the
+node ladder m = 10, 20, 40, 80 once for all components, each stopping at
+its first pair of successive sums that agree to the tolerance; that
+difference is the error estimate it carries.  So a family of integrals
+(R_n and r_n, A_n and B_n, a moment table, the Cauchy sweep's E_0..E_n,
+E_0'..E_n') evaluates its integrands once per node.  The Laguerre tail
+with m nodes is exact for polynomials of degree < 2m only, so at integer
+mu two sums agree on x^k once the coarser one has 2m > k + alpha + mu: at
+alpha = mu = 2 and t = 20 the 20-node sums miss from k = 36 on, and the
+40/80 pair agrees.
 
 The node lists themselves are cached too, since one weight's integrals
 ask for the same few lists many times (every ladder and oracle integral
 and Cauchy sweep climbs afresh).  The key is every input a list depends
-on: the weight, m, the pole and the working precision, plus a count of the
-m-point reference rules' upgrades, since a list built from a rule is only
-reproduced by the same rule.  Only one weight's lists are kept, and of
-the pole-graded ones only the latest pole's, so sweeping points or poles
-holds memory to a few lists.  A cached list is the tuple _build_nodes
-returned, so every sum runs over the same nodes, in the same order and
-at the same precision as without the cache, and gives the same bits.
-Concurrent callers can at worst both build a list that neither found.
+on: the weight, m, the pole and the working precision, plus the precision
+of each reference rule the list is built from (_rule_bits).  Only one
+weight's lists are kept, and of the pole-graded ones only the latest
+pole's, so sweeping points or poles holds memory to a few lists.  A cached
+list is the tuple _build_nodes returned, so every sum runs over the same
+nodes, in the same order and at the same precision as without the cache,
+and gives the same bits.  Concurrent callers can at worst both build a
+list that neither found.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -57,9 +58,7 @@ GUARD_BITS = 20
 REACH = 32                     # graded panels end this far past a singularity
 SPAN = 5                       # longest panel on [0, t]
 
-_RULES: dict = {}
-_UPGRADES: dict = {}           # m -> rebuilds of an m-point rule at more bits
-_UPGRADES_LOCK = threading.Lock()
+_RULES: dict = {}              # (family, m) -> (bits, rule)
 _LISTS: dict = {}              # weighted_nodes key -> node tuple, one weight
 
 
@@ -69,10 +68,6 @@ class QuadResult:
 
     value: object
     error: object
-
-    def __iter__(self):
-        yield self.value
-        yield self.error
 
 
 @dataclass(frozen=True)
@@ -93,26 +88,28 @@ class QuadResults:
         return item
 
 
+def _rule_bits(family, m):
+    """Precision of the rule _rule returns at the working precision: the
+    cached one's, or the next multiple of 64 bits where that is more (a few
+    precision tiers share one build)."""
+    return max(_RULES.get((family, m), (0,))[0],
+               64 * math.ceil(mp.mp.prec / 64))
+
+
 def _rule(family, m):
     """m-point reference rule: 'legendre' on [-1, 1], 'laguerre' for e^-y
     on [0, inf), or ('jacobi', mu) for (1 + s)^mu on [-1, 1]."""
     bits = mp.mp.prec
     cached = _RULES.get((family, m))
     if cached is None or cached[0] < bits:
-        # round up so a few precision tiers share one build
+        # round up so a few precision tiers share one build (_rule_bits)
         bits = 64 * math.ceil(bits / 64)
         with mp.workprec(bits):
             if isinstance(family, tuple):
                 nodes = mp.gauss_quadrature(m, "jacobi", 0, to_mpf(family[1]))
             else:
                 nodes = mp.gauss_quadrature(m, family)
-        upgrade = cached is not None
         cached = _RULES[(family, m)] = (bits, nodes)
-        if upgrade:
-            # counted after the new rule is in place: a node list that was
-            # being built meanwhile sees the count move and is not cached
-            with _UPGRADES_LOCK:
-                _UPGRADES[m] = _UPGRADES.get(m, 0) + 1
     return zip(*cached[1])
 
 
@@ -125,7 +122,9 @@ def _breaks(params, pole):
     distance d, until they are REACH past it.  A pole farther than
     2 * REACH adds none.  Equal panels no longer than SPAN cut [0, t], so
     the ladder's m = 20 rung resolves e^{-x} (one panel over [0, 10] is
-    1e-20 off).  Ends within a few ulps of t or of each other are merged.
+    1e-20 off).  Every second step, d/2 * 2^j, is exact, so an end at
+    REACH (d = 2: a pole at -2) exists at every width.  Ends within a few
+    ulps of t or of each other are merged.
     """
     t = to_mpf(params.t)
     centres = []
@@ -138,15 +137,15 @@ def _breaks(params, pole):
         centres.append((mp.mpf(0), t if t > 0 else mp.mpf(1) / 2))
     ends = set()
     for near, d in centres:
-        step = d / 2
-        while step <= REACH:
+        steps, j = (d / 2, d / 2 * mp.sqrt(2)), 0
+        while (step := mp.ldexp(steps[j % 2], j // 2)) <= REACH:
             ends.update(b for b in (near - step, near, near + step) if b > 0)
-            step *= mp.sqrt(2)
+            j += 1
     pieces = int(mp.ceil(t / SPAN))
     ends.update(t * i / pieces for i in range(1, pieces))
-    # the grading can land an end a rounding error away from t or from
-    # another end (d/2 * sqrt(2)^2 is not exactly d); such a panel has all
-    # its nodes on its ends, so merge ends that agree to working precision
+    # an odd step can land an end a rounding error away from t or from
+    # another centre's end; such a panel has all its nodes on its ends, so
+    # merge ends that agree to working precision
     close = mp.ldexp(1, 8 - mp.mp.prec)
     merged = []
     for b in sorted(ends):
@@ -167,17 +166,18 @@ def weighted_nodes(params, m: int, pole=None):
     """
     # typed: mpc(-2, 0) == mpf(-2), but the two hash apart
     pole_key = None if pole is None else (type(pole), pole)
-    upgrades = _UPGRADES.get(m, 0)
-    key = (params, m, pole_key, mp.mp.prec, upgrades)
+    # the rules the build will use; one that another caller upgrades before
+    # the build leaves an entry that no later lookup asks for
+    rules = tuple(_rule_bits(f, m) for f in
+                  ("legendre", "laguerre", ("jacobi", params.mu)))
+    key = (params, m, pole_key, mp.mp.prec, rules)
     nodes = _LISTS.get(key)
     if nodes is None:
         for old in list(_LISTS):
             if old[0] != params or (pole_key is not None
                                     and old[2] not in (None, pole_key)):
                 _LISTS.pop(old, None)
-        nodes = _build_nodes(params, m, pole)
-        if _UPGRADES.get(m, 0) == upgrades:
-            _LISTS[key] = nodes
+        nodes = _LISTS[key] = _build_nodes(params, m, pole)
     return nodes
 
 
@@ -212,47 +212,42 @@ def _build_nodes(params, m, pole):
 
 def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
                        extra_digits=0, pole=None):
-    """Integrate fn(x) w(x) dx over [0, inf).
+    """Integrate each component of fn(x) w(x) dx over [0, inf), one climb.
 
-    fn receives x and excludes the weight; it returns a number, or a
-    sequence of numbers (a vector integrand) whose components are
-    integrated over the same nodes in one climb.  Sums at m and 2m nodes
+    fn receives x and excludes the weight; it returns a sequence of
+    numbers, all integrated over the same nodes.  Sums at m and 2m nodes
     per panel, climbing LADDER until |Q_2m - Q_m| <= prec.tol * scale,
-    where the scale is |rel_scale| when given, else |Q_2m|; each component
-    keeps the Q_2m of the first pair at which it agreed, and the climb
-    stops once all have.  extra_digits widens the working precision when
-    the caller expects cancellation (Cauchy transforms far from the
-    support); pole is as in weighted_nodes.
+    where a component's scale is |rel_scale[k]| when rel_scale (one scale
+    per component) is given, else |Q_2m|; each component keeps the Q_2m of
+    the first pair at which it agreed, and the climb stops once all have.
+    extra_digits widens the working precision when the caller expects
+    cancellation (Cauchy transforms far from the support); pole is as in
+    weighted_nodes.
 
-    Returns QuadResult(Q_2m, |Q_2m - Q_m|), or for a vector integrand
-    QuadResults of one QuadResult per component.  A number whose sums
-    never agree raises QuadratureFailure here; a component raises it when
-    it is read.
+    Returns QuadResults of one QuadResult(Q_2m, |Q_2m - Q_m|) per
+    component; a component whose sums never agree raises QuadratureFailure
+    when it is read.
     """
     tol = prec.tol_mpf()
     bits = prec.significand_bits + GUARD_BITS + math.ceil(
         extra_digits * math.log2(10))
     with mp.workprec(bits):
-        vector = None
+        scales = (None if rel_scale is None
+                  else [abs(to_mpf(s)) for s in rel_scale])
 
-        def sums(m, ks):
-            nonlocal vector
+        def sums(m, ks=None):
             rows = [(w, fn(x)) for x, w in weighted_nodes(params, m, pole)]
-            if vector is None:
-                vector = isinstance(rows[0][1], (tuple, list))
-                ks = range(len(rows[0][1])) if vector else [0]
-            if vector:
-                return {k: mp.fsum(w * v[k] for w, v in rows) for k in ks}
-            return {0: mp.fsum(w * v for w, v in rows)}
+            if ks is None:
+                ks = range(len(rows[0][1]))
+            return {k: mp.fsum(w * v[k] for w, v in rows) for k in ks}
 
-        coarse = sums(LADDER[0], None)
+        coarse = sums(LADDER[0])
         pending, done = list(coarse), {}
         for m in LADDER[1:]:
             fine = sums(m, pending)
             for k in pending:
                 err = abs(fine[k] - coarse[k])
-                scale = (abs(fine[k]) if rel_scale is None
-                         else abs(to_mpf(rel_scale)))
+                scale = abs(fine[k]) if scales is None else scales[k]
                 if err <= tol * scale:
                     done[k] = (fine[k], err)
                 else:
@@ -265,10 +260,9 @@ def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
                 break
             coarse = fine
     with workprec(prec):
-        out = QuadResults(tuple(
+        return QuadResults(tuple(
             item if isinstance(item, str) else QuadResult(+item[0], +item[1])
             for _, item in sorted(done.items())))
-    return out if vector else out[0]
 
 
 def weight_value(x, params):

@@ -31,10 +31,11 @@ the poles x = t and x = 0 define
     r_n = alpha * int w(y) P_n(y) P_{n-1}(y) /(y-t) dy / h_{n-1}  (alpha >= 1),
 
 and the two parameterizations are linked by R_n = (theta_n + t)/t and
-r_n = kappa_n/t - (n + mu/2).  verify_identities runs the full battery of
-recurrence, product, telescoped-sum, ladder, and Lax-system identities
-connecting all of these, reporting one machine-readable residual record
-per (identity, n, point).
+r_n = kappa_n/t - (n + mu/2).  R_n and r_n share one climb of the node
+ladder, as do A_n(x) and B_n(x) per weight.  verify_identities runs the
+full battery of recurrence, product, telescoped-sum, ladder, and
+Lax-system identities connecting all of these, reporting one
+machine-readable residual record per (identity, n, point).
 """
 
 from __future__ import annotations
@@ -177,18 +178,14 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
         mu = to_mpf(params.mu)
 
         # no node sits at y = t, and w(y)/(y-t) is smooth there for alpha >= 1
-        def fn_R(y):
-            p, _ = _monic_pair(table, n, y)
-            return al * p * p / (y - t)
-
-        def fn_r(y):
+        def fn(y):
             p, p_prev = _monic_pair(table, n, y)
-            return al * p * p_prev / (y - t)
+            return al * p * p / (y - t), al * p * p_prev / (y - t)
 
         # each integral converges relative to the h that normalizes it
         h_R, h_r = table.h(n), table.h(n - 1) if n else 1
-        R = integrate_weighted(fn_R, params, prec, rel_scale=h_R).value / h_R
-        r = integrate_weighted(fn_r, params, prec, rel_scale=h_r).value / h_r
+        res = integrate_weighted(fn, params, prec, rel_scale=(h_R, h_r))
+        R, r = res[0].value / h_R, res[1].value / h_r
         pair = AuxPair(n=n, t=+t, theta=+(t * (R - 1)),
                        kappa=+(t * (r + n + mu / 2)), R=+R, r=+r,
                        provenance="from_integrals")
@@ -229,7 +226,8 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
     h_n and B by h_{n-1} (p_n^2 = P_n^2/h_n).  Independent of the residue
     shortcut; used to validate the partial fractions.  For non-integer mu
     the mu/(x y) term is integrated against the weight with mu - 1, whose
-    Jacobi panel carries y^(mu-1) exactly; that needs mu > 1.
+    Jacobi panel carries y^(mu-1) exactly; that needs mu > 1.  A and B
+    share one climb per weight.
     """
     prec = prec or table.prec
     params = table.params
@@ -244,28 +242,26 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
         shifted = None if params.mu_is_integer else WeightParams(
             params.alpha, to_mpf(params.mu) - 1, params.zeta, params.t)
 
-        def kernel(y):
-            k = al / ((x - t) * (y - t))
-            return k if shifted else k + mu / (x * y)
-
-        def square(y):
-            p, _ = _monic_pair(table, n, y)
-            return p * p
-
-        def cross(y):
+        def products(y):
             p, p_prev = _monic_pair(table, n, y)
-            return p * p_prev
+            return p * p, p * p_prev
+
+        def kernelled(y):
+            k = al / ((x - t) * (y - t))
+            k = k if shifted else k + mu / (x * y)
+            return [v * k for v in products(y)]
 
         h_A, h_B = table.h(n), table.h(n - 1) if n else 1
 
-        def integral(fn, weight, h):
-            return integrate_weighted(fn, weight, prec, rel_scale=h).value
+        def integrals(fn, weight):
+            return [res.value for res in integrate_weighted(
+                fn, weight, prec, rel_scale=(h_A, h_B))]
 
-        A = integral(lambda y: square(y) * kernel(y), params, h_A)
-        B = integral(lambda y: cross(y) * kernel(y), params, h_B)
+        A, B = integrals(kernelled, params)
         if shifted:
-            A += mu / x * integral(square, shifted, h_A)
-            B += mu / x * integral(cross, shifted, h_B)
+            sA, sB = integrals(products, shifted)
+            A += mu / x * sA
+            B += mu / x * sB
         jumps = []
         if mu == 0:
             jumps.append((mp.mpf(0), (-t) ** al * (1 - zeta if t == 0 else 1)))
@@ -791,22 +787,3 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                          twoVW[x]], 1e-14)
 
     return rep
-
-
-def structural_correspondence_residual():
-    """Symbolic check that the (R, r) sum recurrence maps onto the
-    (theta, kappa) sum recurrence under R = (th+t)/t, r = k/t - (n+m/2).
-
-    Returns the sympy-simplified difference (0 when the correspondence is
-    exact); evaluated on coefficient arrays, not numerically.
-    """
-    import sympy as sp
-
-    t, n, al, mu = sp.symbols("t n alpha mu", positive=True)
-    th, ka, kb = sp.symbols("theta kappa_n kappa_np1")
-    R = (th + t) / t
-    r_n = ka / t - (n + mu / 2)
-    r_np1 = kb / t - ((n + 1) + mu / 2)
-    ladder_form = r_np1 + r_n - al + R * (mu + al + 2 * n + 1 + t * R - t)
-    theta_form = kb + ka + th * (th + t + 2 * n + al + 1 + mu)
-    return sp.simplify(sp.expand(t * ladder_form - theta_form))

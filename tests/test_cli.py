@@ -73,6 +73,15 @@ class TestMoments:
                        "--t", "0.3"])
         assert res.returncode == 2
 
+    def test_zeta_just_below_one(self):
+        """zeta = 1 - 1e-23 is valid (it was refused after rounding to 64
+        bits), and its moments cancel about 80 bits; zeta = 1 exits 2."""
+        args = ["moments", "--alpha", "2", "--mu", "2", "--t", "0.3",
+                "--kmax", "3", "--zeta"]
+        res = run_cli(args + ["0.99999999999999999999999"])
+        assert res.returncode == 0, res.stderr
+        assert run_cli(args + ["1"]).returncode == 2
+
     def test_deterministic_output(self, tmp_path):
         args = ["moments", "--alpha", "2", "--mu", "1", "--zeta", "0.5",
                 "--t", "0.3", "--kmax", "1"]
@@ -217,6 +226,14 @@ class TestVerify:
                        "-0.429535", "--t", SIGNED_ZERO_T, "--fast"])
         assert res.returncode == 3
         assert "Delta_3" in res.stderr and "digits cancel" in res.stderr
+
+    def test_near_unit_zeta_passes(self):
+        """zeta = 1 - 1e-12 at t = 0.3: mu_3 cancels 35 bits, which exited
+        3 with a false CrossCheckError at 30 fixed guard bits."""
+        res = run_cli(["verify", "--alpha", "2", "--mu", "2", "--zeta",
+                       "0.999999999999", "--t", "0.3", "--nmax", "3",
+                       "--fast"])
+        assert res.returncode == 0, res.stderr
 
     @pytest.mark.parametrize("mu", ["0", "2"])
     def test_t_independent_weight_writes_report(self, tmp_path, mu):

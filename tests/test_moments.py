@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dlaguerre import (CrossCheckError, PrecisionCtx, TruncSeries,
                        UnsupportedParameters, WeightParams, build_moment_table,
                        moment_closed_form, moment_jets, moment_quadrature,
-                       moment_series)
+                       moment_series, table_for)
 from dlaguerre import moments
 from dlaguerre.painleve import aux_pair_series
 from conftest import rel_err
@@ -28,6 +28,15 @@ class TestWeightParams:
             WeightParams(2, 2, "0.5", -1)
         with pytest.raises(UnsupportedParameters):
             WeightParams(2, 2, "0.5", "inf")
+
+    def test_zeta_compared_exactly(self):
+        """zeta = 1 - 1e-23 is below 1 (it rounds to 1 at 64 bits); every
+        spelling of 1, and 1 + 1e-23, is not."""
+        WeightParams(2, 2, "0.99999999999999999999999", "0.3")
+        for one in ("1", "1.0", 1, 1.0, mp.mpf(1),
+                    "1.00000000000000000000001"):
+            with pytest.raises(UnsupportedParameters, match="zeta"):
+                WeightParams(2, 2, one, "0.3")
         with pytest.raises(UnsupportedParameters):
             WeightParams(True, 2, "0.5", "0.3")
         p = WeightParams("2.0", "2.0", "0.5", "0.3")
@@ -174,17 +183,51 @@ class TestPearsonRecurrence:
         """A moment table or a jet table evaluates the closed form twice,
         for mu_0 and mu_1, whatever its size."""
         calls = []
+        parts = moments._moment_parts
 
         def counting(*args, **kwargs):
             calls.append(args[0])
-            return moment_series(*args, **kwargs)
+            return parts(*args, **kwargs)
 
-        monkeypatch.setattr(moments, "moment_series", counting)
+        monkeypatch.setattr(moments, "_moment_parts", counting)
         build_moment_table(params_main, 13, prec, cross_check=False)
         assert calls == [0, 1]
         calls.clear()
         aux_pair_series(4, params_main, 6, prec, about="0.3")
         assert calls == [0, 1]
+
+
+class TestNearUnitZeta:
+    @pytest.mark.parametrize("t", ["0.3", "0.05", "0.001"])
+    def test_cancellation_gets_guard_bits(self, prec, t):
+        """At zeta = 1 - 1e-12, P(t) - zeta e^{-t} Q(t) cancels up to 41
+        bits, past the 30 guard bits: in the seeds at t = 0.05 and 0.001,
+        in the recurrence from mu_3 on at t = 0.3.  The table, its Hankel
+        rebuild at prec + 60 (which refused it) and the per-k closed form
+        agree bit for bit, within a 256-bit unit of 1024 bits."""
+        p = WeightParams(2, 2, "0.999999999999", t)
+        mom, _ = table_for(p, 3, prec)
+        ref = build_moment_table(p, 7, PrecisionCtx(1024), cross_check=False)
+        for k in range(8):
+            assert mom[k] == moment_closed_form(k, p, prec), k
+            assert rel_err(mom[k], ref[k]) < 1e-76, k
+
+    def test_ordinary_points_keep_thirty_guard_bits(self, prec,
+                                                    monkeypatch):
+        """At the desk point the subtraction cancels under 2 bits, so each
+        seed is evaluated once."""
+        calls = []
+        parts = moments._moment_parts
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return parts(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "_moment_parts", counting)
+        p = WeightParams(2, 2, "0.5", "0.3")
+        build_moment_table(p, 13, prec, cross_check=False)
+        moment_closed_form(5, p, prec)
+        assert calls == [0, 1, 5]
 
 
 class TestZetaStructure:

@@ -101,9 +101,10 @@ class TestInnerProduct:
         with workprec(qp, 20):
             def fn(s):
                 p3 = orthopoly_eval(tab, 3, s)
-                return s * p3.value_nm1 * p3.value_n
+                return (s * p3.value_nm1 * p3.value_n,)
 
-            got = integrate_weighted(fn, params_main, qp, rel_scale=1).value
+            got = integrate_weighted(fn, params_main, qp,
+                                     rel_scale=(1,))[0].value
             assert rel_err(got, tab.a(3)) < 1e-15
 
 

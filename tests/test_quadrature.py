@@ -1,5 +1,5 @@
-"""Split Gauss quadrature: the node-list cache, the node ladder and the
-Cauchy sweep that shares both."""
+"""Split Gauss quadrature: the node-list cache, the node ladder, one climb
+per family of integrals, and the Cauchy sweep that shares both."""
 
 from collections import Counter
 
@@ -7,12 +7,14 @@ import mpmath as mp
 import pytest
 
 from dlaguerre import (PrecisionCtx, QuadratureFailure, WeightParams,
-                       cauchy_transform, dN_by_quadrature,
-                       delta_by_quadrature, moment_closed_form,
-                       moment_quadrature, stieltjes_eval, table_for,
-                       verify_identities, workprec)
-from dlaguerre import hankel, quadrature
+                       build_moment_table, cauchy_transform,
+                       dN_by_quadrature, delta_by_quadrature,
+                       gram_schmidt_recurrence, ladder_integrals,
+                       moment_closed_form, moment_quadrature, stieltjes_eval,
+                       table_for, verify_identities, workprec)
+from dlaguerre import hankel, moments, quadrature, semiclassical
 from dlaguerre.hankel import cauchy_sweep
+from dlaguerre.semiclassical import ladder_ab_by_quadrature
 from dlaguerre.quadrature import integrate_weighted, weighted_nodes
 from conftest import rel_err
 
@@ -141,6 +143,33 @@ class TestCacheScope:
             assert after == quadrature._build_nodes(DESK, 10, None)
             assert after != before
 
+    def test_first_list_after_upgrade_built_once(self, monkeypatch):
+        """A lookup past the rules' width upgrades them (256 -> 320 bits),
+        and the list it builds is cached under the upgraded rules, so
+        asking again builds nothing (the first list was built twice)."""
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(quadrature, "_LISTS", {})
+        with mp.workprec(256):
+            weighted_nodes(DESK, 10)
+        builds = _counting_builds(monkeypatch)
+        with mp.workprec(259):
+            first = weighted_nodes(DESK, 10)
+            assert weighted_nodes(DESK, 10) is first
+        assert dict(builds) == {(10, None, 259): 1}
+
+    def test_grading_ends_do_not_depend_on_width(self):
+        """A pole at -2 grades ends 1, sqrt(2), 2, ..., 32 = REACH: every
+        second one is an exact power of 2, so the end at 32 exists at 566
+        and at 579 bits alike (sqrt(2) steps overshot it at 579)."""
+        params = WeightParams(4, 3, "-0.7", "1.3")
+        ends = []
+        for bits in (566, 579):
+            with mp.workprec(bits):
+                ends.append(quadrature._breaks(params, mp.mpf(-2)))
+        assert len(ends[0]) == len(ends[1]) == 11
+        assert ends[0][-1] == ends[1][-1] == quadrature.REACH
+        assert all(abs(a - b) <= mp.ldexp(b, -560) for a, b in zip(*ends))
+
 
 class TestLadder:
     def test_tail_past_forty_node_degree(self, monkeypatch):
@@ -156,16 +185,16 @@ class TestLadder:
 
     def test_requested_component_raises(self):
         """A step at 0.7, inside the Laguerre tail, keeps Gauss sums apart
-        at every rung: read alone it raises as a number does, with the same
-        message, while x^2 beside it returns the bits it has alone."""
+        at every rung: read, it raises with the message it has alone,
+        while x^2 beside it returns the bits it has alone."""
         def step(x):
             return mp.mpf(x < mp.mpf("0.7"))
 
         with workprec(PREC):
             res = integrate_weighted(lambda x: [x ** 2, step(x)], DESK, PREC)
-            alone = integrate_weighted(lambda x: x ** 2, DESK, PREC)
+            alone = integrate_weighted(lambda x: [x ** 2], DESK, PREC)[0]
             with pytest.raises(QuadratureFailure) as scalar:
-                integrate_weighted(step, DESK, PREC)
+                integrate_weighted(lambda x: [step(x)], DESK, PREC)[0]
         assert len(res) == 2 and res[0] == alone
         assert rel_err(res[0].value, moment_closed_form(2, DESK, PREC)) < 1e-30
         with pytest.raises(QuadratureFailure,
@@ -173,6 +202,68 @@ class TestLadder:
                                  r"scale \S+$") as vector:
             res[1]
         assert str(vector.value) == str(scalar.value)
+
+
+def _counting_climbs(monkeypatch):
+    """Component counts of the integrate_weighted calls (climbs of the
+    node ladder) made by the moment and ladder layers."""
+    climbs = []
+    integrate = quadrature.integrate_weighted
+
+    def counting(fn, params, prec, **kwargs):
+        res = integrate(fn, params, prec, **kwargs)
+        climbs.append(len(res))
+        return res
+
+    for module in (moments, semiclassical):
+        monkeypatch.setattr(module, "integrate_weighted", counting)
+    return climbs
+
+
+class TestOneClimb:
+    def test_ladder_families(self, monkeypatch):
+        """R_n and r_n share one climb, and so do A_n(x) and B_n(x), once
+        per weight: twice at mu = 1.5, where the mu/(x y) term is
+        integrated against the weight with mu - 1."""
+        mom, tab = table_for(DESK, 5, PREC)
+        real = WeightParams(2, "1.5", "0.5", "0.3")
+        _, real_tab = table_for(real, 2, PREC, source="quadrature",
+                                cross_check=False)
+        climbs = _counting_climbs(monkeypatch)
+        ladder_integrals(tab, mom, 2, QPREC)
+        assert climbs == [2]
+        climbs.clear()
+        ladder_ab_by_quadrature(tab, 2, -2, QPREC)
+        assert climbs == [2]
+        climbs.clear()
+        ladder_ab_by_quadrature(real_tab, 1, -2, QPREC)
+        assert climbs == [2, 2]
+
+    def test_moment_tables(self, monkeypatch):
+        """A quadrature table climbs once for every k <= k_max, the
+        closed-form cross-check once for k in {0, k_max}, and
+        Gram-Schmidt's default table once."""
+        climbs = _counting_climbs(monkeypatch)
+        build_moment_table(DESK, 12, PREC, "quadrature")
+        assert climbs == [13]
+        climbs.clear()
+        build_moment_table(DESK, 12, PREC)
+        assert climbs == [2]
+        climbs.clear()
+        gram_schmidt_recurrence(DESK, 3, PrecisionCtx(256, "1e-45"))
+        assert climbs == [8]
+
+    @pytest.mark.parametrize("point", [(2, 2, "0.5", "0.3"),
+                                       (1, 0, "0.9", "5"),
+                                       (3, 1, "-0.7", "1.3"),
+                                       (2, "1.5", "0.5", "0.3")])
+    def test_table_is_per_k_moments(self, point):
+        """Every entry of the one-climb table is moment_quadrature's, bit
+        for bit: a component stops at the rung its own climb stopped at."""
+        params = WeightParams(*point)
+        tab = build_moment_table(params, 12, PREC, "quadrature")
+        assert list(tab.values) == [moment_quadrature(k, params, PREC)
+                                    for k in range(13)]
 
 
 def _counting_builds(monkeypatch):

@@ -14,7 +14,6 @@ from dlaguerre import (DegenerateTheta, PrecisionCtx, Report, SingularHankel,
 from dlaguerre.semiclassical import (default_x_panel, ladder_ab_at,
                                      ladder_ab_by_quadrature, omega_poly,
                                      polyval,
-                                     structural_correspondence_residual,
                                      theta_poly, theta_prev_from_pair,
                                      two_v_poly, v_poly, w_poly,
                                      theta_degree_bound, omega_degree_bound)
@@ -25,6 +24,25 @@ from conftest import rel_err
 # regression baselines at alpha=2, mu=2, zeta=0.5, t=0.3 (320-bit pipeline)
 THETA_2_BASELINE = "-0.13733967369188817190637695988814525803161470736382"
 KAPPA_2_BASELINE = "0.56578926767513431051580043237408483388655833994388"
+
+
+def structural_correspondence_residual():
+    """Symbolic check that the (R, r) sum recurrence maps onto the
+    (theta, kappa) sum recurrence under R = (th+t)/t, r = k/t - (n+m/2).
+
+    Returns the sympy-simplified difference (0 when the correspondence is
+    exact); evaluated on coefficient arrays, not numerically.
+    """
+    import sympy as sp
+
+    t, n, al, mu = sp.symbols("t n alpha mu", positive=True)
+    th, ka, kb = sp.symbols("theta kappa_n kappa_np1")
+    R = (th + t) / t
+    r_n = ka / t - (n + mu / 2)
+    r_np1 = kb / t - ((n + 1) + mu / 2)
+    ladder_form = r_np1 + r_n - al + R * (mu + al + 2 * n + 1 + t * R - t)
+    theta_form = kb + ka + th * (th + t + 2 * n + al + 1 + mu)
+    return sp.simplify(sp.expand(t * ladder_form - theta_form))
 
 
 class TestAuxPair:

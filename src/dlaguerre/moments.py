@@ -38,12 +38,10 @@ max_k t^k/k! ~ e^t, so about 1.44 t bits are lost on the way.  moment_jets
 adds ceil(1.5 t) guard bits on top of the caller's precision;
 build_moment_table works 30 bits above the table's width, as
 moment_closed_form does, and its entries equal moment_closed_form's bit
-for bit (k <= 40, t <= 40 in the tests).  P(t) - zeta e^{-t} Q(t) cancels
-log2((|P| + |zeta e^{-t} Q|)/|mu_k|) bits, without bound as zeta -> 1 (41
-at zeta = 1 - 1e-12, t = 0.3), and since P_k and zeta e^{-t} Q_k each obey
-the Pearson recurrence, the recursion loses as many at each k.  Both
-routes measure that loss and, past FREE_LOSS of their 30 guard bits, run
-again with the loss added (_cancel_guarded).
+for bit (k <= 40, t <= 40 in the tests).  P - zeta e^{-t} Q cancels
+without bound as zeta -> 1 (41 bits at zeta = 1 - 1e-12, t = 0.3), and the
+recursion loses as many at each k; both routes add the bits they measure
+(_guarded_jets).
 
 TruncSeries is the one truncated-power-series type of the package; the
 Hankel jets, series initial data and every t-derivative of the Painleve
@@ -123,11 +121,6 @@ class WeightParams:
     @property
     def mu_is_integer(self) -> bool:
         return _is_nonneg_int(self.mu)
-
-    @property
-    def at_origin(self) -> bool:
-        with mp.workprec(64):
-            return to_mpf(self.t) == 0
 
     @property
     def weight_positive(self) -> bool:
@@ -273,33 +266,45 @@ def _moment_parts(k, params, order, about):
             * (exp_neg * _taylor_shift(tail, t0, order)))
 
 
-def _cancel_guarded(evaluate):
-    """evaluate() -> (value, bits it cancelled), run again with that many
-    more bits while they exceed the bits added by more than FREE_LOSS."""
-    extra = 0
-    while True:
-        with mp.extraprec(extra):
-            value, lost = evaluate()
-        if lost <= extra + FREE_LOSS:
-            return value
-        extra = lost
+def _guarded_jets(params, order, about, k_lo, k_max) -> list:
+    """Coefficient lists of the jets of mu_k_lo..mu_k_max about t*: the
+    closed form for the first two, the Pearson recurrence for the rest.
 
+    P_k and T_k = zeta e^{-t} Q_k run through the recurrence beside mu_k,
+    at order 0, to measure the bits that mu_k = P_k - T_k cancels,
+    log2((|P_k| + |T_k|)/|mu_k|); past FREE_LOSS everything is computed
+    once more with that many more bits.  The loss does not depend on the
+    width unless it reaches it (a mu_k that comes out 0 counts as the whole
+    width), so the second run is final.
+    """
+    if not params.mu_is_integer:
+        raise UnsupportedParameters(
+            "closed form requires integer mu; use moment_quadrature")
+    a_m, m = int(params.alpha) + int(params.mu), int(params.mu)
 
-def _lost_bits(seeds, values, a_m=0, m=0, t=0) -> int:
-    """The most bits that mu_k = P_k - T_k cancels over mu_k in values,
-    log2((|P_k| + |T_k|)/|mu_k|) to within a bit, or the whole width where
-    a mu_k is 0.  seeds holds (P_k, T_k) for k <= 1; the Pearson recurrence
-    (alpha + mu = a_m, mu = m, at t) carries them on in floats, which see
-    no loss past 1e308."""
-    if not all(values):
-        return mp.mp.prec
-    pairs, t = [tuple(map(float, pq)) for pq in seeds], float(t)
-    for k in range(2, len(values)):
-        (p0, q0), (p1, q1) = pairs[-2:]
-        grow, damp = k + a_m + t, (k - 1 + m) * t
-        pairs.append((grow * p1 - damp * p0, grow * q1 - damp * q0))
-    return max(math.frexp(abs(p) + abs(q))[1] - mp.mag(v)
-               for (p, q), v in zip(pairs, values))
+    def evaluate():
+        t0 = to_mpf(about)
+        seeds = [_moment_parts(k, params, order, t0)
+                 for k in range(k_lo, min(k_max, k_lo + 1) + 1)]
+        c = [(head - tail).c for head, tail in seeds]
+        heads, tails = ([[x.c[0]] for x in part] for part in zip(*seeds))
+        for k in range(k_lo, k_max - 1):
+            grow, damp = k + 2 + a_m + t0, k + 1 + m
+            for seq in (c, heads, tails):
+                lo, hi = seq[-2:]
+                seq.append([grow * hi[0] - damp * t0 * lo[0]] + [
+                    grow * hi[j] + hi[j - 1] - damp * (t0 * lo[j] + lo[j - 1])
+                    for j in range(1, len(hi))])
+        if not all(cs[0] for cs in c):
+            return c, mp.mp.prec
+        return c, max(mp.mag(abs(p[0]) + abs(q[0])) - mp.mag(cs[0])
+                      for p, q, cs in zip(heads, tails, c))
+
+    c, lost = evaluate()
+    if lost > FREE_LOSS:
+        with mp.extraprec(lost):
+            c = evaluate()[0]
+    return c
 
 
 def moment_jets(k_max: int, params: WeightParams, order: int,
@@ -310,52 +315,25 @@ def moment_jets(k_max: int, params: WeightParams, order: int,
     the Pearson recurrence mu_{k+2} = (k+2+alpha+mu+t) mu_{k+1}
     - (k+1+mu) t mu_k, whose coefficients are linear in t = t* + s.  Order 0
     gives the numbers.  Runs with ceil(1.5 |t*|) guard bits over the
-    caller's precision, more where the numbers cancel (module docstring),
-    and leaves the values unrounded.
+    caller's precision, more where the numbers cancel (_guarded_jets), and
+    leaves the values unrounded.
     """
     if k_max < 0:
         raise UnsupportedParameters("k_max must be >= 0")
-    if not params.mu_is_integer:
-        raise UnsupportedParameters(
-            "closed form requires integer mu; use moment_quadrature")
-    a_m, m = int(params.alpha) + int(params.mu), int(params.mu)
     with mp.workprec(53):       # forward recursion loses up to ~1.44 t bits
         guard = int(mp.ceil(3 * abs(to_mpf(about)) / 2))
-
-    def evaluate():
-        t0 = to_mpf(about)
-        seeds = [_moment_parts(k, params, order, t0)
-                 for k in range(min(k_max, 1) + 1)]
-        c = [(head - tail).c for head, tail in seeds]
-        for k in range(k_max - 1):
-            lo, hi = c[k], c[k + 1]
-            grow, damp = k + 2 + a_m + t0, k + 1 + m
-            c.append([grow * hi[0] - damp * t0 * lo[0]] + [
-                grow * hi[j] + hi[j - 1] - damp * (t0 * lo[j] + lo[j - 1])
-                for j in range(1, order + 1)])
-        return c, _lost_bits([(hd.c[0], tl.c[0]) for hd, tl in seeds],
-                             [cs[0] for cs in c], a_m, m, t0)
-
     with mp.extraprec(guard):
-        return [TruncSeries(cs) for cs in _cancel_guarded(evaluate)]
+        return [TruncSeries(cs)
+                for cs in _guarded_jets(params, order, about, 0, k_max)]
 
 
 def moment_closed_form(k: int, params: WeightParams, prec: PrecisionCtx):
     """mu_k in closed form: the order-0 term of moment_series about t, with
-    30 guard bits, more where it cancels (module docstring)."""
+    30 guard bits, more where it cancels (_guarded_jets)."""
     if k < 0:
         raise UnsupportedParameters("k must be >= 0")
-    if not params.mu_is_integer:
-        raise UnsupportedParameters(
-            "closed form requires integer mu; use moment_quadrature")
-
-    def evaluate():
-        head, tail = _moment_parts(k, params, 0, params.t)
-        val = (head - tail).c[0]
-        return val, _lost_bits([(head.c[0], tail.c[0])], [val])
-
     with workprec(prec, 30):
-        val = _cancel_guarded(evaluate)
+        val = _guarded_jets(params, 0, params.t, k, k)[0][0]
     with workprec(prec):
         return +val
 

@@ -99,11 +99,9 @@ def _rule_bits(family, m):
 def _rule(family, m):
     """m-point reference rule: 'legendre' on [-1, 1], 'laguerre' for e^-y
     on [0, inf), or ('jacobi', mu) for (1 + s)^mu on [-1, 1]."""
-    bits = mp.mp.prec
+    bits = _rule_bits(family, m)
     cached = _RULES.get((family, m))
     if cached is None or cached[0] < bits:
-        # round up so a few precision tiers share one build (_rule_bits)
-        bits = 64 * math.ceil(bits / 64)
         with mp.workprec(bits):
             if isinstance(family, tuple):
                 nodes = mp.gauss_quadrature(m, "jacobi", 0, to_mpf(family[1]))

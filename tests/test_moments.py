@@ -229,6 +229,24 @@ class TestNearUnitZeta:
         moment_closed_form(5, p, prec)
         assert calls == [0, 1, 5]
 
+    def test_exact_zero_moment_evaluated_twice(self, prec, monkeypatch):
+        """A moment that is exactly 0 cancels the whole width; it is
+        evaluated once more, at twice the width, and stays 0.  At
+        (1, 0, 0, 1) mu_0 = 1 - 1 and at (1, 0, 0, 2) mu_1 = 2 - 2."""
+        calls = []
+        parts = moments._moment_parts
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return parts(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "_moment_parts", counting)
+        assert moment_closed_form(0, WeightParams(1, 0, 0, 1), prec) == 0
+        assert calls == [0, 0]
+        tab = build_moment_table(WeightParams(1, 0, 0, 2), 9, prec)
+        assert tab[1] == 0 and tab[0] == -1 and tab[9] == 8 * 362880
+        assert calls == [0, 0, 0, 1, 0, 1]
+
 
 class TestZetaStructure:
     @settings(max_examples=10, deadline=None)

@@ -22,7 +22,7 @@ from .hankel import (PolyEval, RecurrenceTable, cauchy_transform,
                      dN_kernel, epsilon_eval, hankel_determinant,
                      monic_values, orthopoly_eval, recurrence_coefficients,
                      shifted_hankel_determinant, stieltjes_eval, table_for)
-from .semiclassical import (AuxPair, LaxData, Report, build_lax,
+from .semiclassical import (AuxPair, Report, build_lax,
                             ladder_integrals, theta_kappa_from_recurrence,
                             verify_identities)
 from .oracle import (FDResult, dN_by_quadrature, delta_by_quadrature,

@@ -10,7 +10,11 @@ and from their ratios the data of the monic orthogonal polynomials P_n
     h_n    = Delta_{n+1}/Delta_n = <P_n, P_n>,
     a_n^2  = h_n/h_{n-1} = Delta_{n-1} Delta_{n+1} / Delta_n^2,
     b_n    = sigma_{n+1}/Delta_{n+1} - sigma_n/Delta_n,
-    P_n(x) = x^n - (sigma_n/Delta_n) x^{n-1} + ...
+    P_n(x) = x^n - (sigma_n/Delta_n) x^{n-1} + ...,
+
+with semiclassical's auxiliaries theta_n = b_n - (2n + 1 + alpha + mu) - t
+and kappa_n = (n + mu/2) t + a_n^2 - sigma_n/Delta_n: recurrence_data is
+the one copy of this map, for numbers and for jets.
 
 The shifted-determinant route for b_n avoids differentiating determinants
 and stays exact in the classical limit.  One bordered elimination gives
@@ -23,7 +27,8 @@ these moments are ill-conditioned, so every minor of numbers is
 eliminated at one width, GUARD_BITS above the caller's, from moments
 rebuilt there, which must round to the caller's own (bit for bit for the
 closed form, within 10 tol for quadrature; CrossCheckError otherwise); the
-jets of painleve.aux_pair_series use the same guard.
+jets of painleve.aux_pair_series use the same guard.  A RecurrenceTable
+maps its wide minors at that width and rounds the results once.
 Each minor's loss is measured, not bounded: the caller's own moments are
 eliminated at the caller's width too, and the digits by which that
 shadow pass and the wide one disagree are the digits the elimination
@@ -209,16 +214,35 @@ def shifted_hankel_determinant(moments: MomentTable, N: int,
     return _one_minor(moments, N, prec or moments.prec, shifted=True)
 
 
+def recurrence_data(delta, sigma, t, params: WeightParams):
+    """(a_n^2, b_n, theta_n, kappa_n) lists, n <= len(delta) - 2, from
+    Delta_m and sigma_m (module docstring); a_0^2 = 0.
+
+    Plain arithmetic at the caller's precision, so the minors and t may be
+    numbers or TruncSeries jets in t.
+    """
+    al, m = to_mpf(params.alpha), to_mpf(params.mu)
+    n_max = len(delta) - 2
+    root_sum = [s / d for s, d in zip(sigma, delta)]
+    b = [root_sum[i + 1] - root_sum[i] for i in range(n_max + 1)]
+    a2 = [0 * delta[0]] + [delta[i - 1] * delta[i + 1] / (delta[i] * delta[i])
+                           for i in range(1, n_max + 1)]
+    theta = [b[i] - (2 * i + 1 + al + m) - t for i in range(n_max + 1)]
+    kappa = [(i + m / 2) * t + a2[i] - root_sum[i] for i in range(n_max + 1)]
+    return a2, b, theta, kappa
+
+
 @dataclass(frozen=True)
 class RecurrenceTable:
-    """Monic recurrence data Delta, sigma, a_n^2, b_n up to n_max.
+    """Monic recurrence data Delta, sigma, a_n^2, b_n and the auxiliaries
+    theta_n, kappa_n up to n_max.
 
     bits is the width every minor was eliminated at (prec + GUARD_BITS)
     and digits_lost[m] the (Delta_m, sigma_m) decimal digits the
     elimination measurably loses at prec, so each wide minor's relative
     error is about 10^(lost - prec.decimal_digits) 2^-GUARD_BITS, at most
-    prec.tol (the builder raises otherwise); the stored values are
-    rounded to prec.
+    prec.tol (the builder raises otherwise); the stored values are mapped
+    from the wide minors (recurrence_data) and rounded to prec once.
     """
 
     params: WeightParams
@@ -227,6 +251,8 @@ class RecurrenceTable:
     sigma: Sequence      # sigma_0 .. sigma_{n_max+1}
     a2: Sequence         # a2[n] = a_n^2, index 0 unused (a_0 := 0)
     b: Sequence          # b_0 .. b_{n_max}
+    theta: Sequence      # theta_0 .. theta_{n_max}
+    kappa: Sequence      # kappa_0 .. kappa_{n_max}
     prec: PrecisionCtx
     bits: int
     digits_lost: Sequence   # (Delta_m, sigma_m) measured loss, m <= n_max + 1
@@ -271,11 +297,8 @@ def recurrence_coefficients(moments: MomentTable, n_max: int,
         [(name, m) for m in range(1, n_max + 2)
          for name in ("Delta", "sigma")])
     with workprec(prec, GUARD_BITS):
-        root_sum = [sigma[n] / delta[n] for n in range(n_max + 2)]
-        a2 = [mp.mpf(0)] + [delta[n - 1] * delta[n + 1] / delta[n] ** 2
-                            for n in range(1, n_max + 1)]
-        b = [root_sum[n + 1] - root_sum[n] for n in range(n_max + 1)]
-
+        a2, b, theta, kappa = recurrence_data(
+            delta, sigma, to_mpf(moments.params.t), moments.params)
         if moments.params.weight_positive:
             for n in range(1, n_max + 1):
                 if not a2[n] > 0:
@@ -289,7 +312,8 @@ def recurrence_coefficients(moments: MomentTable, n_max: int,
         return RecurrenceTable(
             params=moments.params, n_max=n_max,
             delta=rounded(delta), sigma=rounded(sigma), a2=rounded(a2),
-            b=rounded(b), prec=prec, bits=prec.significand_bits + GUARD_BITS,
+            b=rounded(b), theta=rounded(theta), kappa=rounded(kappa),
+            prec=prec, bits=prec.significand_bits + GUARD_BITS,
             digits_lost=tuple(lost))
 
 

@@ -51,9 +51,10 @@ supersede hand-truncated expansions whose leading terms they reproduce:
 The series order is chosen from t0, alpha + mu and the tolerance so that
 the flow's (t1/t0)^(1+alpha+mu) amplification of the initial error stays
 below it.  About t* > 0 their order-1 terms give the a_n/b_n flow laws,
-the t-deformation and the zero-curvature residuals exactly, and the order-1
-jet of the flow itself, mapped through the q/p formulas, gives the
-Hamiltonian form of the flow.  Only pv_residual differentiates numerically.
+the t-deformation and the zero-curvature residuals exactly.  The flow's
+order-1 jet, mapped through a chart (rr_map or _qp_map), is checked against
+that chart's own field (_chart_residual), and hamilton_rhs reads the
+partials of tH off its jets.  Only pv_residual differentiates numerically.
 The jets carry a_n^2, never a_n: polynomial jets come from the monic
 recurrence and the Lax pair acts on (P_n, P_{n-1}) (the monic gauge), so
 signed weights need no square root either.
@@ -83,10 +84,10 @@ import mpmath as mp
 from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
-from .hankel import GUARD_BITS, hankel_minors, monic_values
+from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
 from .moments import TruncSeries, WeightParams, conv, moment_jets
-from .precision import PrecisionCtx, to_mpf, workprec
-from .semiclassical import Report, lax_residues, lax_x_matrices
+from .precision import PrecisionCtx, to_mpf, workprec, workprec_or_inherit
+from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 
 # ---------------------------------------------------------------------------
 # parameter wiring
@@ -149,36 +150,33 @@ class HamiltonPoint:
 # ---------------------------------------------------------------------------
 
 
+def _t_hamiltonian(q, p, t, pv: PVParams):
+    """tH(q, p, t): plain arithmetic, so q or p may be a jet."""
+    v1, v2, v3, v4 = (to_mpf(c) for c in pv.v)
+    return (q * ((q - 1) * (q - 1)) * p * p
+            - ((v2 - v1) * ((q - 1) * (q - 1)) - 2 * (v1 + v2) * q * (q - 1)
+               + t * q) * p
+            + (v3 - v1) * (v4 - v1) * (q - 1))
+
+
 def hamiltonian_eval(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
     """H(q, p, t) of the polynomial PV Hamiltonian (tH is polynomial)."""
-    ctx = workprec(prec) if prec is not None else mp.extraprec(20)
-    with ctx:
+    with workprec_or_inherit(prec):
         q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
         if t == 0:
             raise SingularRHS("Hamiltonian undefined at t = 0")
-        v1, v2, v3, v4 = (to_mpf(c) for c in pv.v)
-        tH = (q * (q - 1) ** 2 * p * p
-              - ((v2 - v1) * (q - 1) ** 2 - 2 * (v1 + v2) * q * (q - 1)
-                 + t * q) * p
-              + (v3 - v1) * (v4 - v1) * (q - 1))
-        return tH / t
+        return _t_hamiltonian(q, p, t, pv) / t
 
 
 def hamilton_rhs(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
-    """(dq/dt, dp/dt) = (dH/dp, -dH/dq) in closed form."""
-    ctx = workprec(prec) if prec is not None else mp.extraprec(20)
-    with ctx:
+    """(dq/dt, dp/dt) = (dH/dp, -dH/dq), the partials of tH read off its
+    order-1 jets in p and in q."""
+    with workprec_or_inherit(prec):
         q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
         if t == 0:
             raise SingularRHS("Hamilton equations undefined at t = 0")
-        v1, v2, v3, v4 = (to_mpf(c) for c in pv.v)
-        d_tH_dp = (2 * q * (q - 1) ** 2 * p
-                   - ((v2 - v1) * (q - 1) ** 2
-                      - 2 * (v1 + v2) * q * (q - 1) + t * q))
-        d_tH_dq = ((q - 1) * (3 * q - 1) * p * p
-                   - (2 * (v2 - v1) * (q - 1)
-                      - 2 * (v1 + v2) * (2 * q - 1) + t) * p
-                   + (v3 - v1) * (v4 - v1))
+        d_tH_dp = _t_hamiltonian(q, TruncSeries([p, 1]), t, pv).c[1]
+        d_tH_dq = _t_hamiltonian(TruncSeries([q, 1]), p, t, pv).c[1]
         return d_tH_dp / t, -d_tH_dq / t
 
 
@@ -203,8 +201,7 @@ def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
                    prec: PrecisionCtx = None) -> HamiltonPoint:
     """(theta, kappa) -> (q, p) in the chosen convention."""
     pv = PVParams.make(n, params.alpha, params.mu, convention, prec)
-    ctx = workprec(prec) if prec is not None else mp.extraprec(20)
-    with ctx:
+    with workprec_or_inherit(prec):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
         if t == 0 or th == 0 or th + t == 0:
             raise DegenerateTheta("map undefined at theta in {0, -t} or t = 0")
@@ -217,23 +214,20 @@ def from_hamiltonian(q, p, t, n: int, params: WeightParams,
                      convention: str = "prop11",
                      prec: PrecisionCtx = None):
     """(q, p) -> (theta, kappa): exact algebraic inverse of to_hamiltonian."""
-    ctx = workprec(prec) if prec is not None else mp.extraprec(20)
-    with ctx:
+    with workprec_or_inherit(prec):
         q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
+        if convention not in CONVENTIONS:
+            raise ValueError(f"convention must be one of {CONVENTIONS}")
+        if q == 1:
+            raise DegenerateTheta("inverse undefined at q = 1")
         if convention == "prop11":
-            if q == 1:
-                raise DegenerateTheta("inverse undefined at q = 1")
             th = t / (q - 1)
             ka = t * (n + a + m / 2 - p * q)
-        elif convention == "cor12":
-            if q == 1:
-                raise DegenerateTheta("inverse undefined at q = 1")
+        else:
             th = t * q / (1 - q)
             ka = (p * t * th / (t + th)
                   - th * (2 * n + a + m + 1 + t + th) + m * t / 2)
-        else:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
         return +th, +ka
 
 
@@ -302,8 +296,7 @@ def ode_rhs(theta, kappa, n: int, t, params: WeightParams,
     The right side never references zeta: the jump size enters only through
     initial data.
     """
-    ctx = workprec(prec) if prec is not None else mp.extraprec(20)
-    with ctx:
+    with workprec_or_inherit(prec):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
         d_th, d_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
         return +d_th[1], +d_ka[1]
@@ -315,8 +308,7 @@ def rr_rhs(R, r, n: int, t, params: WeightParams, prec: PrecisionCtx = None):
     The r-equation carries n(n+mu) in the R/(1-R) term (the n(n+alpha)
     variant fails the equivalence with the (theta, kappa) flow).
     """
-    ctx = workprec(prec) if prec is not None else mp.extraprec(20)
-    with ctx:
+    with workprec_or_inherit(prec):
         R, r, t = to_mpf(R), to_mpf(r), to_mpf(t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if t == 0:
@@ -332,6 +324,24 @@ def rr_rhs(R, r, n: int, t, params: WeightParams, prec: PrecisionCtx = None):
         return +dR, +dr
 
 
+def _chart_residual(theta, kappa, n: int, t, params: WeightParams,
+                    prec: PrecisionCtx, extra_bits: int, chart, field):
+    """|image of the (theta, kappa) flow under chart minus field|, max.
+
+    At prec + extra_bits, the flow's order-1 jet of (theta, kappa) at t is
+    mapped through chart(th, ka, t) -> (X, Y), plain arithmetic, so
+    (X', Y') along the flow is exact to working precision; field(X, Y, t)
+    is the chart's own (X', Y').
+    """
+    with workprec(prec or PrecisionCtx(), extra_bits):
+        th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
+        c_th, c_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
+        X, Y = chart(TruncSeries(c_th), TruncSeries(c_ka),
+                     TruncSeries([t, 1]))
+        dX, dY = field(X.c[0], Y.c[0], t)
+        return max(abs(X.c[1] - dX), abs(Y.c[1] - dY))
+
+
 def flow_map_residual(theta, kappa, n: int, t, params: WeightParams,
                       prec: PrecisionCtx = None):
     """|image of (theta,kappa) flow under R=(th+t)/t, r=k/t-(n+m/2)
@@ -339,37 +349,21 @@ def flow_map_residual(theta, kappa, n: int, t, params: WeightParams,
 
     The computational form of the two-theory equivalence.
     """
-    prec = prec or PrecisionCtx()
-    with workprec(prec, 20):
-        th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
-        m = to_mpf(params.mu)
-        dth, dka = ode_rhs(th, ka, n, t, params)
-        R = (th + t) / t
-        r = ka / t - (n + m / 2)
-        # chain rule: R and r depend on (theta, t) and (kappa, t)
-        dR_chain = dth / t - th / (t * t)
-        dr_chain = dka / t - ka / (t * t)
-        dR, dr = rr_rhs(R, r, n, t, params)
-        return max(abs(dR_chain - dR), abs(dr_chain - dr))
+    return _chart_residual(theta, kappa, n, t, params, prec, 20,
+                           lambda th, ka, s: rr_map(th, ka, s, n, params),
+                           lambda R, r, s: rr_rhs(R, r, n, s, params))
 
 
 def hamilton_map_residual(theta, kappa, n: int, t, params: WeightParams,
                           convention: str = "prop11",
                           prec: PrecisionCtx = None):
-    """|chain-rule (q', p') along the flow minus hamilton_rhs(q, p, t)|, max.
-
-    The flow's order-1 jet of (theta, kappa) is mapped through the q/p
-    formulas of to_hamiltonian, so (q', p') is exact to working precision.
-    """
-    prec = prec or PrecisionCtx()
-    with workprec(prec, 40):
-        th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
-        c_th, c_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
-        q, p = _qp_map(TruncSeries(c_th), TruncSeries(c_ka),
-                       TruncSeries([t, 1]), n, params, convention)
-        pv = PVParams.make(n, params.alpha, params.mu, convention)
-        dq_h, dp_h = hamilton_rhs(q.c[0], p.c[0], t, pv)
-        return max(abs(q.c[1] - dq_h), abs(p.c[1] - dp_h))
+    """|(q', p') along the flow minus hamilton_rhs(q, p, t)|, max, with
+    (q, p) the map of to_hamiltonian (_qp_map)."""
+    pv = PVParams.make(n, params.alpha, params.mu, convention)
+    return _chart_residual(
+        theta, kappa, n, t, params, prec, 40,
+        lambda th, ka, s: _qp_map(th, ka, s, n, params, convention),
+        lambda q, p, s: hamilton_rhs(q, p, s, pv))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +376,9 @@ class JetTable:
     """Taylor jets in s of the recurrence data at t = about + s.
 
     delta[m], sigma[m] for m <= n_max + 1; b[m], theta[m], kappa[m] for
-    m <= n_max; a2[m] for 1 <= m <= n_max (a2[0] is zero).  The same
-    relations as RecurrenceTable and theta_kappa_from_recurrence, applied
-    to jets, so the coefficient of s^j is the j-th t-derivative over j!.
+    m <= n_max; a2[m] for 1 <= m <= n_max (a2[0] is zero).  The map of
+    RecurrenceTable (hankel.recurrence_data) applied to jets, so the
+    coefficient of s^j is the j-th t-derivative over j!.
     """
 
     params: WeightParams
@@ -415,18 +409,10 @@ def aux_pair_series(n_max: int, params: WeightParams, order: int,
     prec = prec or PrecisionCtx()
     with workprec(prec, GUARD_BITS):
         about = to_mpf(about)
-        al, m = to_mpf(params.alpha), to_mpf(params.mu)
         mk = moment_jets(2 * n_max + 1, params, order, about)
         delta, sigma = hankel_minors(mk, n_max + 1)
-        root_sum = [s / d for s, d in zip(sigma, delta)]
-        b = [root_sum[i + 1] - root_sum[i] for i in range(n_max + 1)]
-        a2 = [TruncSeries.constant(0, order)] + [
-            delta[i - 1] * delta[i + 1] / (delta[i] * delta[i])
-            for i in range(1, n_max + 1)]
-        t = TruncSeries([about, 1], order)
-        theta = [b[i] - (2 * i + 1 + al + m) - t for i in range(n_max + 1)]
-        kappa = [(i + m / 2) * t + a2[i] - root_sum[i]
-                 for i in range(n_max + 1)]
+        a2, b, theta, kappa = recurrence_data(
+            delta, sigma, TruncSeries([about, 1], order), params)
     return JetTable(params, about, n_max, tuple(delta), tuple(sigma),
                     tuple(a2), tuple(b), tuple(theta), tuple(kappa))
 
@@ -875,7 +861,6 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
         if len(ts) < 5:
             raise SingularPanel("need at least 5 grid nodes")
         mid = ts[len(ts) // 2]
-        m = to_mpf(params.mu)
         for t in ts[2:-2]:
             jets = aux_pair_series(n + 1, params, 1, prec, about=t)
             if t == mid:
@@ -883,8 +868,9 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
             a2, b, th, ka = jets.a2, jets.b, jets.theta, jets.kappa
             dlog_a2 = a2[n].c[1] / a2[n].c[0]
             db = b[n].c[1]
-            R = {i: (th[i].c[0] + t) / t for i in (n - 1, n)}
-            r = {i: ka[i].c[0] / t - (i + m / 2) for i in (n, n + 1)}
+            (R_m, _), (R_n, r_n), (_, r_p) = (
+                rr_map(th[i].c[0], ka[i].c[0], t, i, params)
+                for i in (n - 1, n, n + 1))
             rep.add("ab_flow_a_t",
                     "2t a_n'/a_n = 2 + b_{n-1} - b_n", n, t,
                     [t * dlog_a2, -2, -b[n - 1].c[0], b[n].c[0]],
@@ -895,10 +881,10 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
                     threshold)
             rep.add("ab_flow_a_ladder",
                     "2 a_n'/a_n = R_{n-1} - R_n", n, t,
-                    [dlog_a2, -R[n - 1], R[n]], threshold)
+                    [dlog_a2, -R_m, R_n], threshold)
             rep.add("ab_flow_b_ladder",
                     "b_n' = r_n - r_{n+1}", n, t,
-                    [db, -r[n], r[n + 1]], threshold)
+                    [db, -r_n, r_p], threshold)
 
         x = mp.mpf(-1)
         lax = _lax_jets(jets_mid, n, x)

@@ -2,7 +2,8 @@
 
 All arithmetic runs on mpmath under an explicit significand width.  A
 PrecisionCtx travels with every operation; nothing reads global state
-except through `workprec`, which scopes the mpmath precision to a block.
+except through `workprec`, which scopes the mpmath precision to a block
+(`workprec_or_inherit` for the functions whose context is optional).
 Floats are taken at their exact binary value; pass decimal strings when
 a decimal literal is meant (the CLI always does).
 """
@@ -70,6 +71,12 @@ def workprec(prec: PrecisionCtx, extra_bits: int = 0):
     """Run a block at prec.significand_bits (+ guard bits)."""
     with mp.workprec(prec.significand_bits + extra_bits):
         yield mp
+
+
+def workprec_or_inherit(prec: PrecisionCtx = None):
+    """workprec(prec) when a context is given, else the caller's working
+    precision plus 20 guard bits."""
+    return workprec(prec) if prec is not None else mp.extraprec(20)
 
 
 def nstr_full(x, prec: PrecisionCtx) -> str:

@@ -216,7 +216,9 @@ def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
     numbers, all integrated over the same nodes.  Sums at m and 2m nodes
     per panel, climbing LADDER until |Q_2m - Q_m| <= prec.tol * scale,
     where a component's scale is |rel_scale[k]| when rel_scale (one scale
-    per component) is given, else |Q_2m|; each component keeps the Q_2m of
+    per component) is given, else |Q_2m|, floored at the sum's absolute
+    mass sum |W_i v_i| times 2^-(significand_bits/2) so that an integral
+    that is exactly 0 converges too; each component keeps the Q_2m of
     the first pair at which it agreed, and the climb stops once all have.
     extra_digits widens the working precision when the caller expects
     cancellation (Cauchy transforms far from the support); pole is as in
@@ -237,15 +239,20 @@ def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
             rows = [(w, fn(x)) for x, w in weighted_nodes(params, m, pole)]
             if ks is None:
                 ks = range(len(rows[0][1]))
-            return {k: mp.fsum(w * v[k] for w, v in rows) for k in ks}
+            return rows, {k: mp.fsum(w * v[k] for w, v in rows) for k in ks}
 
-        coarse = sums(LADDER[0])
+        _, coarse = sums(LADDER[0])
         pending, done = list(coarse), {}
         for m in LADDER[1:]:
-            fine = sums(m, pending)
+            rows, fine = sums(m, pending)
             for k in pending:
                 err = abs(fine[k] - coarse[k])
                 scale = abs(fine[k]) if scales is None else scales[k]
+                if scales is None and err > tol * scale:
+                    # floor: half the digits of the absolute mass (exact 0s)
+                    scale = max(scale, mp.ldexp(
+                        mp.fsum(abs(w * v[k]) for w, v in rows),
+                        -(prec.significand_bits // 2)))
                 if err <= tol * scale:
                     done[k] = (fine[k], err)
                 else:

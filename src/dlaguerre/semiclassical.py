@@ -31,11 +31,13 @@ the poles x = t and x = 0 define
     r_n = alpha * int w(y) P_n(y) P_{n-1}(y) /(y-t) dy / h_{n-1}  (alpha >= 1),
 
 and the two parameterizations are linked by R_n = (theta_n + t)/t and
-r_n = kappa_n/t - (n + mu/2).  R_n and r_n share one climb of the node
-ladder, as do A_n(x) and B_n(x) per weight.  verify_identities runs the
-full battery of recurrence, product, telescoped-sum, ladder, and
-Lax-system identities connecting all of these, reporting one
-machine-readable residual record per (identity, n, point).
+r_n = kappa_n/t - (n + mu/2), the map rr_map (plain arithmetic, so jets
+map too).  theta_n and kappa_n are read off the RecurrenceTable, which
+maps them from its wide minors (hankel.recurrence_data).  R_n and r_n
+share one climb of the node ladder, as do A_n(x) and B_n(x) per weight.
+verify_identities runs the full battery of recurrence, product,
+telescoped-sum, ladder, and Lax-system identities connecting all of these,
+reporting one machine-readable residual record per (identity, n, point).
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ import mpmath as mp
 from mpmath.libmp import (fone, mpf_abs, mpf_gt, mpf_le, mpf_lt, mpf_mul,
                           mpf_sum, to_float)
 
-from .errors import DegenerateTheta, SingularHankel, UnsupportedParameters
+from .errors import CrossCheckError, DegenerateTheta, UnsupportedParameters
 from .hankel import (MomentTable, RecurrenceTable, cauchy_sweep,
                      monic_values)
 from .moments import TruncSeries, WeightParams
-from .precision import PrecisionCtx, to_mpf, workprec
+from .precision import PrecisionCtx, to_mpf, workprec, workprec_or_inherit
 from .quadrature import integrate_weighted
 
 # ---------------------------------------------------------------------------
@@ -126,26 +128,22 @@ class AuxPair:
             raise ValueError("unknown provenance")
 
 
-def theta_kappa_from_recurrence(table: RecurrenceTable, n: int) -> AuxPair:
-    """AuxPair at the table's t from b_n, a_n^2 and sigma_n/Delta_n.
+def rr_map(theta, kappa, t, n: int, params: WeightParams):
+    """(R_n, r_n) = ((theta + t)/t, kappa/t - (n + mu/2)): plain arithmetic,
+    so jets map too."""
+    return (theta + t) / t, kappa / t - (n + to_mpf(params.mu) / 2)
 
-    kappa_n = (n + mu/2) t + a_n^2 - sigma_n/Delta_n, where sigma_n/Delta_n
-    = b_0 + .. + b_{n-1} is minus the x^{n-1} coefficient of P_n.
-    """
+
+def theta_kappa_from_recurrence(table: RecurrenceTable, n: int) -> AuxPair:
+    """AuxPair at the table's t: theta_n and kappa_n as the table holds
+    them, and (R_n, r_n) by rr_map (None at t = 0)."""
     if n > table.n_max:
         raise ValueError(f"n={n} exceeds table n_max={table.n_max}")
-    params = table.params
     with workprec(table.prec):
-        t = to_mpf(params.t)
-        al, mu = to_mpf(params.alpha), to_mpf(params.mu)
-        theta = table.b[n] - 2 * n - 1 - al - mu - t
-        kappa = ((n + mu / 2) * t + table.a2[n]
-                 - table.sigma[n] / table.delta[n])
-        if t == 0:
-            return AuxPair(n=n, t=t, theta=+theta, kappa=+kappa,
-                           R=None, r=None, provenance="from_recurrence")
-        return AuxPair(n=n, t=t, theta=+theta, kappa=+kappa,
-                       R=(theta + t) / t, r=kappa / t - (n + mu / 2),
+        t = to_mpf(table.params.t)
+        theta, kappa = table.theta[n], table.kappa[n]
+        R, r = rr_map(theta, kappa, t, n, table.params) if t else (None, None)
+        return AuxPair(n=n, t=t, theta=theta, kappa=kappa, R=R, r=r,
                        provenance="from_recurrence")
 
 
@@ -194,7 +192,7 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
             tol = prec.tol_mpf() * 100
             for got, want in ((pair.R, ref.R), (pair.r, ref.r)):
                 if abs(got - want) > tol * max(abs(want), mp.mpf(1)):
-                    raise SingularHankel(
+                    raise CrossCheckError(
                         f"ladder integral disagrees with recurrence route at "
                         f"n={n}: {mp.nstr(got, 20)} vs {mp.nstr(want, 20)}")
     return pair
@@ -206,8 +204,7 @@ def ladder_ab_at(pair: AuxPair, params: WeightParams, x,
 
     Runs at prec when given, else inherits the caller's precision context.
     """
-    ctx = workprec(prec) if prec is not None else mp.extraprec(20)
-    with ctx:
+    with workprec_or_inherit(prec):
         x = to_mpf(x)
         t = to_mpf(pair.t)
         return (pair.R / (x - t) + (1 - pair.R) / x,
@@ -279,27 +276,6 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaxData:
-    """2x2 residue matrices of the x-system and the t-deformation matrix.
-
-    x-system:  d/dx (P_n, P_{n-1})^T = [Ainf + A0/x + At/(x-t)] (P_n, P_{n-1})^T
-    t-system:  d/dt (P_n, P_{n-1})^T = [Binf - At/(x-t) + D] (P_n, P_{n-1})^T
-               with D = diag((ln h_n)', (ln h_{n-1})')/2
-    """
-
-    n: int
-    t: object
-    A0: tuple
-    At: tuple
-    Ainf: tuple
-    Binf: tuple
-
-    def a_matrix(self, x):
-        """Ainf + A0/x + At/(x-t) as a 2x2 tuple-of-tuples."""
-        return lax_a_matrix(self.A0, self.At, self.Ainf, self.t, to_mpf(x))
-
-
 def _near_theta_locus(theta, t) -> bool:
     """True where theta_n lies within 1e-40 t of 0 or -t, i.e. R_n within
     1e-40 of 1 or 0: the elimination and the divisions by R_n, R_n - 1
@@ -319,8 +295,7 @@ def theta_prev_from_pair(pair: AuxPair, params: WeightParams,
     degenerates.  Runs at prec when given, else inherits the caller's
     precision context.
     """
-    ctx = workprec(prec) if prec is not None else mp.extraprec(20)
-    with ctx:
+    with workprec_or_inherit(prec):
         n = pair.n
         t = to_mpf(pair.t)
         al, mu = to_mpf(params.alpha), to_mpf(params.mu)
@@ -341,11 +316,16 @@ def theta_prev_from_pair(pair: AuxPair, params: WeightParams,
 
 def lax_residues(n: int, t, theta, theta_prev, kappa, a2_n,
                  params: WeightParams):
-    """(A0, At, Ainf, Binf) from theta_n, theta_{n-1}, kappa_n and a_n^2.
+    """(A0, At, Ainf, Binf) from theta_n, theta_{n-1}, kappa_n and a_n^2:
+    the 2x2 residue matrices of the x-system and the t-deformation,
 
-    Monic gauge: the orthonormal gauge's a_n is a_n^2 in the (1,2) entries
-    and 1 in the (2,1) entries.  Plain arithmetic, so the arguments may be
-    numbers or TruncSeries jets in t (then every entry is a jet).
+      d/dx (P_n, P_{n-1})^T = [Ainf + A0/x + At/(x-t)] (P_n, P_{n-1})^T,
+      d/dt (P_n, P_{n-1})^T = [Binf - At/(x-t) + D] (P_n, P_{n-1})^T,
+
+    with D = diag((ln h_n)', (ln h_{n-1})')/2.  Monic gauge: the
+    orthonormal gauge's a_n is a_n^2 in the (1,2) entries and 1 in the
+    (2,1) entries.  Plain arithmetic, so the arguments may be numbers or
+    TruncSeries jets in t (then every entry is a jet).
     """
     al, mu = to_mpf(params.alpha), to_mpf(params.mu)
     th, th_prev, ka = theta, theta_prev, kappa
@@ -359,34 +339,28 @@ def lax_residues(n: int, t, theta, theta_prev, kappa, a2_n,
     return A0, At, Ainf, Binf
 
 
-def lax_a_matrix(A0, At, Ainf, t, x):
-    """A(x) = Ainf + A0/x + At/(x-t)."""
-    return tuple(tuple(Ainf[i][j] + A0[i][j] / x + At[i][j] / (x - t)
-                       for j in range(2)) for i in range(2))
-
-
 def lax_x_matrices(A0, At, Ainf, Binf, t, x):
     """A(x) = Ainf + A0/x + At/(x-t) and B(x) = Binf - At/(x-t)."""
+    A = tuple(tuple(Ainf[i][j] + A0[i][j] / x + At[i][j] / (x - t)
+                    for j in range(2)) for i in range(2))
     B = tuple(tuple(Binf[i][j] - At[i][j] / (x - t)
                     for j in range(2)) for i in range(2))
-    return lax_a_matrix(A0, At, Ainf, t, x), B
+    return A, B
 
 
-def build_lax(table: RecurrenceTable, n: int) -> LaxData:
-    """Residue matrices at the table's t, with theta_{n-1} eliminated.
+def build_lax(table: RecurrenceTable, n: int):
+    """lax_residues (A0, At, Ainf, Binf) at the table's t, with
+    theta_{n-1} eliminated.
 
     theta_{n-1} is recovered from (theta_n, kappa_n) through the ratio
     identity rather than read from the n-1 table row, matching the
     elimination strategy of the closed (theta, kappa) description.
     """
-    params = table.params
     pair = theta_kappa_from_recurrence(table, n)
     with workprec(table.prec):
-        t = to_mpf(params.t)
-        th_prev = theta_prev_from_pair(pair, params)
-        A0, At, Ainf, Binf = lax_residues(n, t, pair.theta, th_prev,
-                                          pair.kappa, table.a2[n], params)
-        return LaxData(n=n, t=+t, A0=A0, At=At, Ainf=Ainf, Binf=Binf)
+        th_prev = theta_prev_from_pair(pair, table.params)
+        return lax_residues(n, pair.t, pair.theta, th_prev, pair.kappa,
+                            table.a2[n], table.params)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +695,7 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                 except DegenerateTheta:
                     lax = None
                 for x in (panel if lax else ()):
-                    Amat = lax.a_matrix(x)
+                    Amat, _ = lax_x_matrices(*lax, t, x)
                     (p_n, dp_n), (p_m, dp_m) = PD[x][n], PD[x][n - 1]
                     rep.add(
                         "lax_x_ode_row1",

@@ -45,6 +45,17 @@ class TestMoments:
         vals = [line.split(",")[1] for line in lines[1:]]
         assert [float(v) for v in vals] == [12.0, 60.0, 360.0]
 
+    def test_exact_zero_moment(self, tmp_path):
+        """mu_0 = 1 - 1 = 0 at (1, 0, 0, 1): the quadrature column is
+        rounding noise around the closed form's exact 0, not exit 3."""
+        out = tmp_path / "m.json"
+        res = run_cli(["moments", "--alpha", "1", "--mu", "0", "--zeta", "0",
+                       "--t", "1", "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        row = json.loads(out.read_text())["moments"][0]
+        assert float(row["closed_form"]) == 0
+        assert abs(float(row["quadrature"])) < 1e-80
+
     def test_json_has_provenance(self, tmp_path):
         out = tmp_path / "m.json"
         res = run_cli(["moments", "--alpha", "2", "--mu", "2", "--zeta", "0.5",
@@ -250,10 +261,12 @@ class TestVerify:
 
 
 class TestPinnedOutput:
-    """SHA-256 of the numeric rows (not the metadata) of two desk-point
+    """SHA-256 of the numeric rows (not the metadata) of desk-point
     commands: moments as printed before node lists were cached, verify as
-    printed once every Hankel minor was eliminated 60 bits above the
-    table's width (its residuals moved at the rounding level).
+    printed once theta_n and kappa_n were mapped from the wide minors and
+    rounded once (its identity residuals moved at the rounding level; the
+    flow records did not), and the evolve trajectory rows of n = 1 prop11
+    (json) and n = 2 cor12 (csv, the summary line dropped).
     Performance work keeps these output bytes; a change that moves
     rounding must update the digests and say why."""
 
@@ -280,7 +293,27 @@ class TestPinnedOutput:
         rows = {"identities": doc["identities"]["records"],
                 "flow": doc["flow"]["records"]}
         assert self.digest(rows) == (
-            "d49e832e7ef7872ce627f616842048e5b84b6e72dd4cbdf3b9a302ec1a144fbc")
+            "594754e660890f7a5890189aa5ac9db1aa5f0af1afdf318185e550f9e5cf05ec")
+
+    def test_evolve_prop11_json(self, tmp_path):
+        out = tmp_path / "e.json"
+        res = run_cli(["evolve"] + self.DESK[:-2] + [
+            "--n", "1", "--t0", "1e-3", "--t1", "0.3", "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        rows = json.loads(out.read_text())["trajectory"]
+        assert self.digest(rows) == (
+            "d45276da0eb40df7b1752346f11453028743da8a235b17ea5eb29d1129ed92b2")
+
+    def test_evolve_cor12_csv(self, tmp_path):
+        out = tmp_path / "e.csv"
+        res = run_cli(["evolve"] + self.DESK[:-2] + [
+            "--n", "2", "--t0", "1e-3", "--t1", "0.3", "--convention",
+            "cor12", "--format", "csv", "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        rows = [line for line in out.read_text().splitlines()
+                if not line.startswith("# summary")]
+        assert self.digest(rows) == (
+            "4edfabdabae367e90e45a7d9ca9bc1b8a49ca31d24da5cda1dac187378c6c224")
 
 
 class TestInProcess:

@@ -10,7 +10,8 @@ from dlaguerre import (CrossCheckError, MomentTable, PrecisionCtx,
                        build_moment_table, dN_kernel, epsilon_eval,
                        hankel_determinant, monic_values, orthopoly_eval,
                        recurrence_coefficients, shifted_hankel_determinant,
-                       stieltjes_eval, table_for)
+                       stieltjes_eval, table_for,
+                       theta_kappa_from_recurrence)
 from dlaguerre.hankel import GUARD_BITS, hankel_minors
 from dlaguerre.moments import TruncSeries
 from dlaguerre.oracle import (dN_by_quadrature, gram_schmidt_recurrence,
@@ -220,6 +221,40 @@ class TestRecurrenceTableProvenance:
         assert tab.a2[3] < 0
         with pytest.raises(SingularHankel, match="a_3"):
             tab.a(3)
+
+
+class TestAuxiliaries:
+    """theta_n and kappa_n come from the one map recurrence_data, run on
+    the wide minors for tables and on jets by aux_pair_series."""
+
+    @pytest.mark.parametrize("point", [(2, 0, "-1.5", "0.013"),
+                                       (4, 3, "0.75", "0.01")])
+    def test_rounded_once_from_wide_minors(self, point, prec):
+        """At small t, theta_n and kappa_n (n <= 4) are within 1e-77 of a
+        1024-bit table, relative to max(|value|, 1); formed from the
+        256-bit b_n, a_n^2 and sigma_n/Delta_n they were up to 3e-76 off."""
+        p = WeightParams(*point)
+        _, tab = table_for(p, 4, prec)
+        _, ref = table_for(p, 4, PrecisionCtx(1024))
+        with mp.workprec(1024):
+            for n in range(5):
+                got = theta_kappa_from_recurrence(tab, n)
+                want = theta_kappa_from_recurrence(ref, n)
+                for key in ("theta", "kappa"):
+                    g, w = getattr(got, key), getattr(want, key)
+                    assert abs(g - w) <= 1e-77 * max(abs(w), 1), (n, key)
+
+    def test_jets_and_tables_share_the_map(self, params_main, prec):
+        """The constant terms of the order-1 jets about t, rounded, are the
+        table's theta_n and kappa_n bit for bit: the same moments, the same
+        elimination and the same map at the same width."""
+        _, tab = table_for(params_main, 4, prec)
+        jets = aux_pair_series(4, params_main, 1, prec, about="0.3")
+        with mp.workprec(256):
+            for n in range(5):
+                assert +jets.theta[n].c[0] == tab.theta[n]
+                assert +jets.kappa[n].c[0] == tab.kappa[n]
+                assert +jets.a2[n].c[0] == tab.a2[n]
 
 
 class TestRecurrence:

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlaguerre import (CrossCheckError, PrecisionCtx, TruncSeries,
-                       UnsupportedParameters, WeightParams, build_moment_table,
-                       moment_closed_form, moment_jets, moment_quadrature,
-                       moment_series, table_for)
+from dlaguerre import (CrossCheckError, PrecisionCtx, SingularHankel,
+                       TruncSeries, UnsupportedParameters, WeightParams,
+                       build_moment_table, moment_closed_form, moment_jets,
+                       moment_quadrature, moment_series, table_for)
 from dlaguerre import moments
 from dlaguerre.painleve import aux_pair_series
 from conftest import rel_err
@@ -246,6 +246,17 @@ class TestNearUnitZeta:
         tab = build_moment_table(WeightParams(1, 0, 0, 2), 9, prec)
         assert tab[1] == 0 and tab[0] == -1 and tab[9] == 8 * 362880
         assert calls == [0, 0, 0, 1, 0, 1]
+
+    def test_exact_zero_moment_by_quadrature(self, prec):
+        """An integral that is exactly 0 converges on the quadrature route
+        too, measured against its absolute mass at half the digits: at
+        (1, 0, 0, 1) mu_0 is rounding noise around 0, and the table's
+        Hankel data stops at the typed Delta_1 = mu_0 = 0."""
+        p = WeightParams(1, 0, 0, 1)
+        tab = build_moment_table(p, 3, prec, "quadrature")
+        assert abs(tab[0]) < 1e-80 and rel_err(tab[1], 1) < 1e-70
+        with pytest.raises(SingularHankel, match="Delta_1"):
+            table_for(p, 3, prec)
 
 
 class TestZetaStructure:

@@ -13,9 +13,10 @@ from dlaguerre import (DegenerateTheta, PVParams, PrecisionCtx, SingularPanel,
                        rr_rhs, series_init, table_for, to_hamiltonian,
                        theta_kappa_from_recurrence)
 from dlaguerre.moments import moment_series
-from dlaguerre.painleve import (aux_pair_series, compatibility_residual,
-                                deformation_residual, flow_map_residual,
-                                hamilton_map_residual)
+from dlaguerre.painleve import (CONVENTIONS, aux_pair_series,
+                                compatibility_residual, deformation_residual,
+                                flow_map_residual, hamilton_map_residual)
+from dlaguerre.precision import workprec_or_inherit
 from conftest import rel_err
 
 
@@ -76,6 +77,35 @@ class TestHamiltonian:
         pv = PVParams.make(1, 2, 2, "prop11")
         with pytest.raises(SingularRHS):
             hamiltonian_eval(2, 0.1, 0, pv)
+
+    def test_partials_from_jets(self):
+        """hamilton_rhs reads dtH/dp and dtH/dq off order-1 jets of tH;
+        they agree with the hand-differentiated polynomial to rounding."""
+        for conv in CONVENTIONS:
+            pv = PVParams.make(2, 3, 1, conv)
+            with mp.workprec(256):
+                q, p, t = mp.mpf("1.7"), mp.mpf("-0.45"), mp.mpf("0.3")
+                v1, v2, v3, v4 = pv.v
+                d_p = (2 * q * (q - 1) ** 2 * p
+                       - ((v2 - v1) * (q - 1) ** 2
+                          - 2 * (v1 + v2) * q * (q - 1) + t * q))
+                d_q = ((q - 1) * (3 * q - 1) * p * p
+                       - (2 * (v2 - v1) * (q - 1)
+                          - 2 * (v1 + v2) * (2 * q - 1) + t) * p
+                       + (v3 - v1) * (v4 - v1))
+                dq, dp = hamilton_rhs(q, p, t, pv)
+                assert rel_err(dq, d_p / t) < 1e-70
+                assert rel_err(dp, -d_q / t) < 1e-70
+
+    def test_optional_context_rule(self):
+        """A given context sets the width; without one, the caller's width
+        gains 20 guard bits."""
+        with mp.workprec(100):
+            with workprec_or_inherit(None):
+                assert mp.mp.prec == 120
+            with workprec_or_inherit(PrecisionCtx(192)):
+                assert mp.mp.prec == 192
+            assert mp.mp.prec == 100
 
 
 admissible_states = st.tuples(

@@ -1,5 +1,6 @@
 """Auxiliary pairs, ladder residues, Lax matrices, and the identity battery."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,13 +8,15 @@ import random
 import mpmath as mp
 import pytest
 
-from dlaguerre import (DegenerateTheta, PrecisionCtx, Report, SingularHankel,
-                       UnsupportedParameters, WeightParams, build_lax,
-                       ladder_integrals, table_for,
+import dlaguerre.semiclassical as semiclassical
+from dlaguerre import (CrossCheckError, DegenerateTheta, PrecisionCtx, Report,
+                       SingularHankel, UnsupportedParameters, WeightParams,
+                       build_lax, ladder_integrals, monic_values, table_for,
                        theta_kappa_from_recurrence, verify_identities)
+from dlaguerre.moments import TruncSeries
 from dlaguerre.semiclassical import (default_x_panel, ladder_ab_at,
-                                     ladder_ab_by_quadrature, omega_poly,
-                                     polyval,
+                                     ladder_ab_by_quadrature, lax_residues,
+                                     lax_x_matrices, omega_poly, polyval,
                                      theta_poly, theta_prev_from_pair,
                                      two_v_poly, v_poly, w_poly,
                                      theta_degree_bound, omega_degree_bound)
@@ -106,6 +109,19 @@ class TestLadderIntegrals:
                 assert rel_err(li.R, ref.R) < 1e-15
                 assert rel_err(li.r, ref.r) < 1e-15
 
+    def test_disagreement_is_cross_check_error(self, tables_main,
+                                               monkeypatch):
+        """Quadrature (R_n, r_n) off the recurrence route's pair is two
+        computation routes disagreeing, so it raises CrossCheckError."""
+        mom, tab = tables_main
+        good = theta_kappa_from_recurrence(tab, 1)
+        with mp.workprec(256):
+            off = dataclasses.replace(good, R=good.R * (1 + mp.mpf("1e-10")))
+        monkeypatch.setattr(semiclassical, "theta_kappa_from_recurrence",
+                            lambda table, n: off)
+        with pytest.raises(CrossCheckError, match="disagrees"):
+            ladder_integrals(tab, mom, 1, PrecisionCtx(192, "1e-25"))
+
     @pytest.mark.parametrize("alpha, mu", [(2, 2), (0, 2), (0, 0), (0, 1),
                                            (2, 0)])
     def test_ab_quadrature_matches_residues(self, prec, alpha, mu):
@@ -136,9 +152,30 @@ class TestLax:
         _, tab = tables_main
         with mp.workprec(256):
             for n in (1, 2, 3):
-                lax = build_lax(tab, n)
-                assert rel_err(lax.A0[0][0] + lax.A0[1][1], -2) < 1e-60
-                assert rel_err(lax.At[0][0] + lax.At[1][1], -2) < 1e-60
+                A0, At, _, _ = build_lax(tab, n)
+                assert rel_err(A0[0][0] + A0[1][1], -2) < 1e-60
+                assert rel_err(At[0][0] + At[1][1], -2) < 1e-60
+
+    def test_residue_tuple_carries_the_x_system(self, tables_main,
+                                                params_main):
+        """build_lax is lax_residues at the table's t with theta_{n-1}
+        eliminated, and A(x) from lax_x_matrices carries (P_n, P_{n-1})
+        along x: d/dx P = A P, P' read off an order-1 x-jet."""
+        _, tab = tables_main
+        with mp.workprec(256):
+            t, x = mp.mpf("0.3"), mp.mpf(-1)
+            for n in (1, 2, 3):
+                pair = theta_kappa_from_recurrence(tab, n)
+                res = build_lax(tab, n)
+                assert res == lax_residues(
+                    n, t, pair.theta, theta_prev_from_pair(pair, params_main),
+                    pair.kappa, tab.a2[n], params_main)
+                A, _ = lax_x_matrices(*res, t, x)
+                P = monic_values(tab, n, TruncSeries([x, 1]))
+                vec = P[n].c, P[n - 1].c
+                for i in (0, 1):
+                    assert rel_err(A[i][0] * vec[0][0] + A[i][1] * vec[1][0],
+                                   vec[i][1]) < 1e-60
 
     def test_omega0_equals_v(self, tables_main, params_main):
         _, tab = tables_main

@@ -109,6 +109,14 @@ def _emit(data: str, out_path):
             sys.stdout.write("\n")
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    wr = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    wr.writeheader()
+    wr.writerows(rows)
+    return buf.getvalue()
+
+
 def _prec_from_args(args) -> PrecisionCtx:
     bits = args.prec_bits
     if bits is None:
@@ -173,11 +181,7 @@ def cmd_moments(args, parser) -> int:
                "params": _params_dict(params), "moments": rows}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        wr = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        wr.writeheader()
-        wr.writerows(rows)
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -280,12 +284,8 @@ def cmd_evolve(args, parser) -> int:
                "summary": summary, "trajectory": rows}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        wr = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        wr.writeheader()
-        wr.writerows(rows)
-        buf.write("# summary: " + json.dumps(summary) + "\n")
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv(rows) + "# summary: " + json.dumps(summary) + "\n",
+              args.out)
     return EXIT_OK
 
 

@@ -4,16 +4,17 @@ Nothing here reuses the identity machinery it is meant to check: inner
 products integrate polynomial values directly against the weight,
 delta_by_quadrature evaluates the N-fold squared-Vandermonde integral by
 tensor-product quadrature, dN_by_quadrature does the same with two
-characteristic-polynomial insertions, Gram-Schmidt orthogonalization
-rebuilds the recurrence coefficients without determinants, and
-finite_difference supplies derivative oracles with Richardson error
-estimates.  Results carry error estimates; assertions downstream compare
-|value - reference| against estimate + tolerance.
+characteristic-polynomial insertions, gram_schmidt_recurrence rebuilds the
+recurrence coefficients by Stieltjes' procedure (no moment, no
+determinant), and finite_difference, the package's one finite-difference
+rule, has a Richardson error estimate.  Results carry error estimates;
+assertions downstream compare |value - reference| against estimate + tol.
 
-The tensor integrals are mpf sums over the split Gauss node list of
-quadrature.weighted_nodes at the caller's precision.  The value uses
-`nodes` per panel (by default the second rung of quadrature.LADDER); its
-error estimate is the difference from the sum at nodes // 2.
+Tensor integrals and Stieltjes sums are mpf sums over the split Gauss node
+lists of quadrature.weighted_nodes at prec + GUARD_BITS, as
+integrate_weighted's.  A tensor value uses `nodes` per panel (by default
+the second rung of quadrature.LADDER); its error estimate is the
+difference from the sum at nodes // 2.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import QuadratureFailure, UnsupportedParameters
+from .errors import QuadratureFailure, SingularHankel, UnsupportedParameters
 from .hankel import RecurrenceTable, orthopoly_eval
-from .moments import MomentTable, WeightParams, build_moment_table
+from .moments import MomentTable, WeightParams
 from .precision import PrecisionCtx, to_mpf, workprec
 from .quadrature import (GUARD_BITS, LADDER, QuadResult, integrate_weighted,
                          weighted_nodes)
@@ -135,56 +136,54 @@ def finite_difference(f, x0, h, order: int = 1) -> FDResult:
 
 
 def gram_schmidt_recurrence(params: WeightParams, n_max: int,
-                            prec: PrecisionCtx, moments: MomentTable = None):
-    """Recurrence data by Gram-Schmidt on {1, x, ..., x^n_max}.
+                            prec: PrecisionCtx):
+    """Recurrence data by the discretized Stieltjes procedure (Gautschi,
+    Orthogonal Polynomials, OUP 2004, 2.2.3): at every node, at prec +
+    GUARD_BITS, h_n = sum W P_n^2, b_n = sum W x P_n^2 / h_n, a_{n+1}^2 =
+    h_{n+1}/h_n and P_{n+1} = (x - b_n) P_n - a_n^2 P_{n-1}, once per rung
+    of LADDER, up to the first pair of rungs whose h_n and b_n agree to
+    prec.tol relative to the finer (QuadratureFailure if none do).
 
-    Inner products reduce to quadrature moments (independent of the
-    closed form); no determinant is formed.  Returns a dict with keys
-    'a', 'b', 'gamma', 'gamma1_ratio' (lists indexed by n).
+    Returns RecurrenceTable's orthonormal view, lists indexed by n: 'a'
+    (SingularHankel where a_n^2 <= 0), 'b', 'gamma' (None where h_n <= 0)
+    and 'gamma1_ratio' (-sum_{k<n} b_k, P_n's x^(n-1) coefficient).
     """
-    if moments is None:
-        moments = build_moment_table(params, 2 * n_max + 1, prec,
-                                     source="quadrature")
-    if moments.k_max < 2 * n_max + 1:
-        raise UnsupportedParameters("moment table too short for n_max")
+    tol = prec.tol_mpf()
+    with workprec(prec, GUARD_BITS):
+        def stieltjes(m):
+            xs, ws = zip(*weighted_nodes(params, m))
+            p_prev, p = [0] * len(xs), [1] * len(xs)
+            h, b = [], []
+            for n in range(n_max + 1):
+                wp2 = [w * v * v for w, v in zip(ws, p)]
+                h.append(mp.fsum(wp2))
+                b.append(mp.fdot(wp2, xs) / h[n])
+                if n < n_max:
+                    a2 = h[n] / h[n - 1] if n else 0
+                    p_prev, p = p, [(x - b[n]) * v - a2 * u
+                                    for x, v, u in zip(xs, p, p_prev)]
+            return h, b
+
+        coarse = stieltjes(LADDER[0])
+        for m in LADDER[1:]:
+            fine = stieltjes(m)
+            if all(abs(f - c) <= tol * abs(f) for fs, cs in zip(fine, coarse)
+                   for f, c in zip(fs, cs)):
+                break
+            coarse = fine
+        else:
+            raise QuadratureFailure(
+                f"{LADDER[-1]}-node Stieltjes sums still differ at tol "
+                f"{mp.nstr(tol, 5)}")
+        h, b = fine
     with workprec(prec):
-        mu = [to_mpf(v) for v in moments.values]
-
-        def dot(c1, c2):
-            return mp.fsum(c1[i] * c2[j] * mu[i + j]
-                           for i in range(len(c1)) for j in range(len(c2))
-                           if c1[i] != 0 and c2[j] != 0)
-
-        def shift(c):
-            return [mp.mpf(0)] + list(c)
-
-        basis = []          # orthonormal coefficient lists, degree n has n+1 coeffs
-        a_list = [mp.mpf(0)]
-        b_list = []
-        gamma_list = []
-        gamma1_list = [mp.mpf(0)]
-        for n in range(n_max + 1):
-            mono = [mp.mpf(0)] * n + [mp.mpf(1)]
-            work = list(mono)
-            for q in basis:
-                c = dot(mono, q)
-                for i in range(len(q)):
-                    work[i] -= c * q[i]
-            nrm2 = dot(work, work)
-            if not nrm2 > 0:
-                raise QuadratureFailure(
-                    f"Gram-Schmidt norm^2 <= 0 at degree {n}; weight not "
-                    "positive definite or quadrature too coarse")
-            nrm = mp.sqrt(nrm2)
-            q = [c / nrm for c in work]
-            basis.append(q)
-            gamma_list.append(q[n])
-            if n >= 1:
-                gamma1_list.append(q[n - 1] / q[n])
-                a_list.append(dot(shift(basis[n - 1]), q))
-                b_list.append(dot(shift(basis[n - 1]), basis[n - 1]))
-        b_list.append(dot(shift(basis[n_max]), basis[n_max]))
-        return {
-            "a": a_list, "b": b_list, "gamma": gamma_list,
-            "gamma1_ratio": gamma1_list,
-        }
+        a = [mp.mpf(0)]
+        for n in range(1, n_max + 1):
+            a2 = h[n] / h[n - 1]
+            if not a2 > 0:
+                raise SingularHankel(
+                    f"a_{n}^2 = {mp.nstr(a2, 8)} is not positive")
+            a.append(mp.sqrt(a2))
+        return {"a": a, "b": [+v for v in b],
+                "gamma": [1 / mp.sqrt(v) if v > 0 else None for v in h],
+                "gamma1_ratio": [-mp.fsum(b[:n]) for n in range(n_max + 1)]}

@@ -54,7 +54,8 @@ below it.  About t* > 0 their order-1 terms give the a_n/b_n flow laws,
 the t-deformation and the zero-curvature residuals exactly.  The flow's
 order-1 jet, mapped through a chart (rr_map or _qp_map), is checked against
 that chart's own field (_chart_residual), and hamilton_rhs reads the
-partials of tH off its jets.  Only pv_residual differentiates numerically.
+partials of tH off its jets.  Only pv_residual differentiates numerically
+(oracle.finite_difference on the sampled q).
 The jets carry a_n^2, never a_n: polynomial jets come from the monic
 recurrence and the Lax pair acts on (P_n, P_{n-1}) (the monic gauge), so
 signed weights need no square root either.
@@ -86,6 +87,7 @@ from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      UnsupportedParameters)
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
 from .moments import TruncSeries, WeightParams, conv, moment_jets
+from .oracle import finite_difference
 from .precision import PrecisionCtx, to_mpf, workprec, workprec_or_inherit
 from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 
@@ -717,16 +719,17 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
                 prec: PrecisionCtx = None) -> float:
     """Max |q'' - PV right side| over the interior grid, normalized by max|q''|.
 
-    q must be sampled on a uniform grid fine enough for the order-4 central
-    stencils; grid points too close to the PV singular locus {0, 1} raise
-    SingularPanel.
+    q must be sampled on a uniform grid of at least 9 points; q' and q''
+    come from oracle.finite_difference in the grid index, at h = 2 steps
+    so that every sample it reads is on the grid.  Grid points too close
+    to the PV singular locus {0, 1} raise SingularPanel.
     """
     prec = prec or PrecisionCtx()
     with workprec(prec, 20):
         ts = [to_mpf(v) for v in t_grid]
         qs = [to_mpf(v) for v in q_values]
-        if len(ts) < 7:
-            raise SingularPanel("need at least 7 grid points")
+        if len(ts) < 9:
+            raise SingularPanel("need at least 9 grid points")
         h = ts[1] - ts[0]
         for i in range(1, len(ts)):
             if abs((ts[i] - ts[i - 1]) - h) > abs(h) * mp.mpf("1e-20"):
@@ -734,18 +737,15 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
         for q in qs:
             if abs(q) < mp.mpf("1e-8") or abs(q - 1) < mp.mpf("1e-8"):
                 raise SingularPanel("q too close to the singular locus {0, 1}")
-        worst = mp.mpf(0)
         scale = mp.mpf(0)
         residuals = []
-        for i in range(2, len(ts) - 2):
-            yp = (-qs[i + 2] + 8 * qs[i + 1] - 8 * qs[i - 1] + qs[i - 2]) / (12 * h)
-            ypp = (-qs[i + 2] + 16 * qs[i + 1] - 30 * qs[i]
-                   + 16 * qs[i - 1] - qs[i - 2]) / (12 * h * h)
+        for i in range(4, len(ts) - 4):
+            yp, ypp = (finite_difference(lambda j: qs[int(j)], i, 2, k).value
+                       / h ** k for k in (1, 2))
             rhs = pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
             residuals.append(abs(ypp - rhs))
             scale = max(scale, abs(ypp))
-        worst = max(residuals)
-        return float(worst / max(scale, mp.mpf(1)))
+        return float(max(residuals) / max(scale, mp.mpf(1)))
 
 
 # ---------------------------------------------------------------------------

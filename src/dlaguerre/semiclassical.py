@@ -124,7 +124,7 @@ class AuxPair:
     provenance: str = "from_recurrence"
 
     def __post_init__(self):
-        if self.provenance not in ("from_recurrence", "from_integrals", "from_ode"):
+        if self.provenance not in ("from_recurrence", "from_integrals"):
             raise ValueError("unknown provenance")
 
 
@@ -166,10 +166,9 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
     """
     prec = prec or table.prec
     params = table.params
-    if not (isinstance(params.alpha, int) or float(params.alpha).is_integer()) \
-            or int(params.alpha) < 1:
+    if params.alpha < 1:
         raise UnsupportedParameters("ladder integrals require integer alpha >= 1")
-    al = int(params.alpha)
+    al = params.alpha
 
     with workprec(prec, 20):
         t = to_mpf(params.t)

@@ -139,11 +139,11 @@ def test_criterion_5_pv_residual():
     for conv in qs:
         pv = PVParams.make(n, 2, 2, conv)
         resids[conv] = pv_residual(grid, qs[conv], pv.alphas, PREC)
-    ok = (resids["prop11"] <= 1e-8 and resids["cor12"] <= 1e-8
+    ok = (resids["prop11"] <= 1e-12 and resids["cor12"] <= 1e-12
           and duality <= 1e-40)
     announce("5 (Painleve V residual)", ok,
              f"prop11 {resids['prop11']:.3e}, cor12 {resids['cor12']:.3e} "
-             f"(tol 1e-8); duality defect {duality:.1e}")
+             f"(tol 1e-12); duality defect {duality:.1e}")
 
 
 def test_criterion_6_two_theory_equivalence():

@@ -1,12 +1,12 @@
-"""Brute-force oracles: tensor integrals, Gram-Schmidt, finite differences."""
+"""Brute-force oracles: tensor integrals, Stieltjes, finite differences."""
 
 import mpmath as mp
 import pytest
 
-from dlaguerre import (PrecisionCtx, UnsupportedParameters, WeightParams,
-                       dN_by_quadrature, delta_by_quadrature,
+from dlaguerre import (PrecisionCtx, SingularHankel, UnsupportedParameters,
+                       WeightParams, dN_by_quadrature, delta_by_quadrature,
                        finite_difference, hankel_determinant, dN_kernel,
-                       moment_closed_form)
+                       moment_closed_form, table_for)
 from dlaguerre.oracle import gram_schmidt_recurrence, inner_product
 from conftest import rel_err
 
@@ -142,10 +142,31 @@ class TestFiniteDifference:
 
 class TestGramSchmidt:
     def test_quadrature_moment_route(self, params_main, tables_main):
-        """GS on quadrature moments reproduces the determinant recurrence."""
+        """Stieltjes on the quadrature node lists reproduces the
+        determinant recurrence."""
         _, tab = tables_main
         gs = gram_schmidt_recurrence(params_main, 4, PrecisionCtx(256, "1e-45"))
         with mp.workprec(256):
             for n in range(1, 5):
                 assert rel_err(gs["a"][n], tab.a(n)) < 1e-18
                 assert rel_err(gs["b"][n - 1], tab.b[n - 1]) < 1e-18
+
+    def test_signed_weight(self):
+        """(1, 0, 0.9, 5): h_0 < 0 while a_1^2, a_2^2 > 0, so a_n and b_n
+        match the table and no gamma_n exists (Gram-Schmidt on moments
+        stopped at degree 0)."""
+        params = WeightParams(1, 0, "0.9", "5")
+        _, tab = table_for(params, 2, PrecisionCtx())
+        gs = gram_schmidt_recurrence(params, 2, PrecisionCtx(256, "1e-45"))
+        assert gs["gamma"] == [None] * 3
+        with mp.workprec(256):
+            for n in range(3):
+                assert rel_err(gs["b"][n], tab.b[n]) < 1e-18
+            for n in (1, 2):
+                assert rel_err(gs["a"][n], tab.a(n)) < 1e-18
+
+    def test_negative_a2_named(self):
+        """a_3^2 = -55 at (1, 0, 0.9, 5) has no orthonormal a_3."""
+        with pytest.raises(SingularHankel, match=r"^a_3\^2 = -54\.9"):
+            gram_schmidt_recurrence(WeightParams(1, 0, "0.9", "5"), 3,
+                                    PrecisionCtx(256, "1e-45"))

@@ -469,11 +469,13 @@ class TestPvResidual:
         assert resid < 1e-40
 
     def test_nonuniform_grid_rejected(self, prec):
+        """Nine points, enough for the interior, so the uniformity check
+        is what raises."""
         with mp.workprec(128):
             grid = [mp.mpf(v) for v in ("0.1", "0.2", "0.25", "0.3", "0.4",
-                                        "0.5", "0.6")]
-        with pytest.raises(SingularPanel):
-            pv_residual(grid, [mp.mpf(2)] * 7, (0, 0, 0, 0), prec)
+                                        "0.5", "0.6", "0.7", "0.8")]
+        with pytest.raises(SingularPanel, match="uniform"):
+            pv_residual(grid, [mp.mpf(2)] * 9, (0, 0, 0, 0), prec)
 
     def test_singular_locus_rejected(self, prec):
         with mp.workprec(128):

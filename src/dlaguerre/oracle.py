@@ -14,7 +14,11 @@ Tensor integrals and Stieltjes sums are mpf sums over the split Gauss node
 lists of quadrature.weighted_nodes at prec + GUARD_BITS, as
 integrate_weighted's.  A tensor value uses `nodes` per panel (by default
 the second rung of quadrature.LADDER); its error estimate is the
-difference from the sum at nodes // 2.
+difference from the sum at nodes // 2.  Over an m-node list the sum
+collapses its innermost pair exactly, sum_{j,k} c_j c_k (x_k - x_j)^2 / 2
+= s0 s2 - s1^2 with s_p = sum_j c_j (x_j - x0)^p, so N = 2 costs O(m) and
+N = 3 costs O(m^2); it is an identity of finite sums, not a moment table
+or a determinant.
 """
 
 from __future__ import annotations
@@ -48,22 +52,31 @@ def inner_product(index_pair, table: RecurrenceTable, moments: MomentTable,
                                   rel_scale=(1,))[0].value
 
 
+def _spread(xs, ws, x0, lift):
+    """The pair sum sum_{j,k} c_j c_k (x_k - x_j)^2 / 2 = s0 s2 - s1^2, for
+    c_j = W_j (x_j - x0)^lift and s_p = sum_j c_j (x_j - x0)^p: three O(m)
+    sums."""
+    ds = [x - x0 for x in xs]
+    d2 = [d * d for d in ds]
+    cs = [w * e for w, e in zip(ws, d2)] if lift else ws
+    s0, s1, s2 = mp.fsum(cs), mp.fdot(cs, ds), mp.fdot(cs, d2)
+    return s0 * s2 - s1 * s1
+
+
 def _vandermonde_sum(pts, N):
-    """sum over N-tuples of nodes of prod W * prod_{i<j} (x_j - x_i)^2 / N!."""
+    """sum over N-tuples of nodes of prod W * prod_{i<j} (x_j - x_i)^2 / N!.
+
+    The innermost pair sum collapses exactly (_spread), so no tuple loop
+    and no moment or determinant is formed: N = 2 is one O(m) pass centred
+    at the heaviest node, and N = 3 is (1/3) sum_i W_i (s0 s2 - s1^2) with
+    c_j = W_j (x_j - x_i)^2 centred at x_i, O(m) per i and O(m^2) in all.
+    """
+    xs, ws = zip(*pts)
     if N == 1:
-        return mp.fsum(w for (_, w) in pts)
+        return mp.fsum(ws)
     if N == 2:
-        return mp.fsum(w1 * mp.fdot((w2, (x2 - x1) ** 2) for (x2, w2) in pts)
-                       for (x1, w1) in pts) / 2
-    xs = [x for (x, _) in pts]
-    ws = [w for (_, w) in pts]
-    d2 = [[(xj - xi) ** 2 for xj in xs] for xi in xs]
-    total = []
-    for i, wi in enumerate(ws):
-        # sum_{j,k} c_j (x_k - x_j)^2 c_k with c_j = W_j (x_j - x_i)^2
-        col = [d * w for d, w in zip(d2[i], ws)]
-        total.append(wi * mp.fdot(col, [mp.fdot(row, col) for row in d2]))
-    return mp.fsum(total) / 6
+        return _spread(xs, ws, max(pts, key=lambda p: abs(p[1]))[0], 0)
+    return mp.fsum(w * _spread(xs, ws, x, 2) for x, w in pts) / 3
 
 
 def _tensor(params: WeightParams, N: int, prec: PrecisionCtx, nodes: int,

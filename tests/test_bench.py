@@ -33,6 +33,14 @@ def test_oracle_op_passes_at_desk_point(monkeypatch):
     assert not op.skipped
 
 
+def test_oracle_op_passes_with_the_three_fold_tensor(monkeypatch):
+    """The TENSOR_CYCLE cell (3, 2): Delta_3 and D_2 by tensor sums."""
+    op = run_desk_op(monkeypatch, op="oracle", t="0.3", n=1, delta_N=3,
+                     dN_N=2, y1="5", y2="7")
+    assert op.status == "pass", (op.raised, op.missed)
+    assert not op.skipped
+
+
 def test_flow_op_passes_at_desk_point(monkeypatch):
     """evolve with its endpoint check, to_hamiltonian,
     hamilton_map_residual and pv_residual."""

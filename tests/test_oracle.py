@@ -1,5 +1,7 @@
 """Brute-force oracles: tensor integrals, Stieltjes, finite differences."""
 
+import itertools
+
 import mpmath as mp
 import pytest
 
@@ -7,8 +9,71 @@ from dlaguerre import (PrecisionCtx, SingularHankel, UnsupportedParameters,
                        WeightParams, dN_by_quadrature, delta_by_quadrature,
                        finite_difference, hankel_determinant, dN_kernel,
                        moment_closed_form, table_for)
-from dlaguerre.oracle import gram_schmidt_recurrence, inner_product
+from dlaguerre.oracle import (_vandermonde_sum, gram_schmidt_recurrence,
+                              inner_product)
+from dlaguerre.precision import workprec
+from dlaguerre.quadrature import GUARD_BITS, weighted_nodes
 from conftest import rel_err
+
+
+def _tuple_sum(pts, N):
+    """The squared-Vandermonde sum term by term over all N-tuples of nodes."""
+    terms = []
+    for tup in itertools.product(pts, repeat=N):
+        term = mp.fprod(w for (_, w) in tup)
+        for (xa, _), (xb, _) in itertools.combinations(tup, 2):
+            term *= (xb - xa) ** 2
+        terms.append(term)
+    return mp.fsum(terms) / mp.factorial(N)
+
+
+def _node_list(point, insert=None, nodes=10):
+    """weighted_nodes at the tensor oracle's width, with the dN insertion
+    (y1 - x)(y2 - x) multiplied into the weights when insert = (y1, y2)."""
+    with workprec(PrecisionCtx(), GUARD_BITS):
+        pts = weighted_nodes(WeightParams(*point), nodes)
+        if insert is not None:
+            y1, y2 = insert
+            pts = [(x, w * (y1 - x) * (y2 - x)) for (x, w) in pts]
+    return pts
+
+
+class TestVandermondeSum:
+    """The collapsed pair sum against the explicit tuple sum."""
+
+    @pytest.mark.parametrize("N", (1, 2, 3))
+    @pytest.mark.parametrize("point, insert", [
+        ((2, 2, "0.5", "0.3"), None),
+        ((3, 1, "-0.7", "2"), None),
+        ((2, 2, "0.5", "0.3"), (5, 7)),
+        ((2, 2, "0.5", "0.3"), (4, 4)),
+    ], ids=["desk", "signed", "dN_5_7", "dN_confluent_4"])
+    def test_matches_tuple_sum(self, point, insert, N):
+        pts = _node_list(point, insert)
+        with workprec(PrecisionCtx(), GUARD_BITS):
+            got = _vandermonde_sum(pts, N)
+            with mp.extraprec(mp.mp.prec):
+                want = _tuple_sum(pts, N)
+        assert rel_err(got, want) <= 1e-75
+
+    def test_three_fold_sum_is_quadratic(self, monkeypatch):
+        """The N = 3 sum does O(m) work per node: its mp.fdot vector lengths
+        add up to a small multiple of m^2, where a pair sum per node would
+        reach m^3."""
+        pts = _node_list((2, 2, "0.5", "0.3"), nodes=20)
+        m = len(pts)
+        lengths = []
+        fdot = mp.fdot
+
+        def counting_fdot(A, B=None):
+            pairs = list(A if B is None else zip(A, B))
+            lengths.append(len(pairs))
+            return fdot(pairs)
+
+        monkeypatch.setattr(mp, "fdot", counting_fdot)
+        with workprec(PrecisionCtx(), GUARD_BITS):
+            _vandermonde_sum(pts, 3)
+        assert m == 40 and 0 < sum(lengths) <= 3 * m * m
 
 
 class TestDeltaByQuadrature:
@@ -26,7 +91,7 @@ class TestDeltaByQuadrature:
         det = hankel_determinant(mom, 2, prec)
         assert rel_err(res.value, det) < 1e-12
 
-    def test_n3_float_oracle(self, params_main, tables_main, prec):
+    def test_n3_matches_determinant(self, params_main, tables_main, prec):
         mom, _ = tables_main
         res = delta_by_quadrature(params_main, 3, prec)
         det = hankel_determinant(mom, 3, prec)

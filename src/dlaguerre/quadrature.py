@@ -17,8 +17,13 @@ sum over one node list (x_i, W_i) whose weights W_i already carry w(x_i):
   Laguerre tail starts where the grading ends.
 
 Each node takes the jump factor of the panel it belongs to.  The reference
-rules (Golub & Welsch, Math. Comp. 23, 1969, via mp.gauss_quadrature) are
-cached per (family, m) at the highest precision asked for so far.
+rules come from one builder for all three families (_gauss): Newton's
+method on the family's three-term recurrence from asymptotic starting
+roots, O(m^2) operations, with nodes and weights within an ulp of the
+exact rule (Golub and Welsch's eigenvalue route, Math. Comp. 23, 1969,
+loses 10-13 bits of the weights).  They are cached per (family, m) at the
+highest precision asked for so far, a Jacobi family by the exact value
+of mu.
 integrate_weighted takes integrands that return a sequence and climbs the
 node ladder m = 10, 20, 40, 80 once for all components, each stopping at
 its first pair of successive sums that agree to the tolerance; that
@@ -47,8 +52,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import (fone, from_float, fzero, mpf_add, mpf_div,
+                          mpf_mul, mpf_neg, mpf_pos, mpf_sub)
 
 from .errors import QuadratureFailure
 from .precision import PrecisionCtx, to_mpf, workprec
@@ -88,6 +96,15 @@ class QuadResults:
         return item
 
 
+def _jacobi(mu):
+    """The Gauss-Jacobi(0, mu) family, keyed by the exact value of mu, so
+    that '0.5', '0.50' and mpf('0.5') share one rule."""
+    if isinstance(mu, mp.mpf):
+        man, exp = mu.man_exp
+        mu = Fraction(man) * Fraction(2) ** exp
+    return ("jacobi", Fraction(mu))
+
+
 def _rule_bits(family, m):
     """Precision of the rule _rule returns at the working precision: the
     cached one's, or the next multiple of 64 bits where that is more (a few
@@ -98,17 +115,177 @@ def _rule_bits(family, m):
 
 def _rule(family, m):
     """m-point reference rule: 'legendre' on [-1, 1], 'laguerre' for e^-y
-    on [0, inf), or ('jacobi', mu) for (1 + s)^mu on [-1, 1]."""
+    on [0, inf), or _jacobi(mu) for (1 + s)^mu on [-1, 1].  A rule asked
+    for at a higher tier than the cached one is rebuilt from it."""
     bits = _rule_bits(family, m)
     cached = _RULES.get((family, m))
     if cached is None or cached[0] < bits:
-        with mp.workprec(bits):
-            if isinstance(family, tuple):
-                nodes = mp.gauss_quadrature(m, "jacobi", 0, to_mpf(family[1]))
-            else:
-                nodes = mp.gauss_quadrature(m, family)
-        cached = _RULES[(family, m)] = (bits, nodes)
+        cached = _RULES[(family, m)] = (bits, _gauss(family, m, bits, cached))
     return zip(*cached[1])
+
+
+def _family(family, m):
+    """Monic recurrence p_{j+1} = (x - a_j) p_j - b_j p_{j-1} (j < m,
+    b_0 = 0) of a reference rule at the working precision, its mass mu_0,
+    its support and float starting roots, in the order they are polished.
+
+    The starting roots are Tricomi's cosines for Legendre (the positive
+    half, from the middle out), the WKB phase matched to McMahon's Bessel
+    zeros for Laguerre (x = nu sin^2(s/2), s + sin s = 4 j_{0,k} / nu,
+    nu = 4m + 2; Tricomi's form), and Gatteschi and Pittaluga's cosines for
+    Jacobi(0, mu) from the end at +1.
+    """
+    pi, cos, tan = math.pi, math.cos, math.tan
+    if family == "legendre":
+        a = [mp.mpf(0)] * m
+        b = [mp.mpf(0)] + [mp.mpf(j * j) / (4 * j * j - 1)
+                           for j in range(1, m)]
+        scale = 1 - (1 - 1 / m) / (8 * m * m)
+        guesses = [scale * cos((4 * k - 1) * pi / (4 * m + 2))
+                   for k in range(m // 2, 0, -1)]
+        return a, b, mp.mpf(2), (-1, 1), guesses
+    if family == "laguerre":
+        nu = 4 * m + 2
+        guesses = []
+        for k in range(1, m + 1):
+            beta = (k - 0.25) * pi
+            c = 4 * (beta + 1 / (8 * beta) - 124 / (3 * (8 * beta) ** 3)) / nu
+            s = c / 2
+            for _ in range(20):
+                s -= (s + math.sin(s) - c) / (1 + cos(s))
+            guesses.append(nu * math.sin(s / 2) ** 2)
+        return ([mp.mpf(2 * j + 1) for j in range(m)],
+                [mp.mpf(j * j) for j in range(m)], mp.mpf(1), (0, mp.inf),
+                guesses)
+    mu = to_mpf(family[1])
+    a = [mu * mu / ((2 * j + mu) * (2 * j + mu + 2)) for j in range(m)]
+    b = [mp.mpf(0)] + [4 * (j * (j + mu) / (2 * j + mu)) ** 2
+                       / ((2 * j + mu + 1) * (2 * j + mu - 1))
+                       for j in range(1, m)]
+    fmu = float(mu)
+    rho = m + (fmu + 1) / 2
+    guesses = []
+    for k in range(1, m + 1):
+        phi = (k - 0.25) * pi / rho
+        guesses.append(cos(phi + (0.25 / tan(phi / 2) - (0.25 - fmu * fmu)
+                                  * tan(phi / 2)) / (4 * rho * rho)))
+    return a, b, 2 * mp.mpf(2) ** mu / (mu + 1), (-1, 1), guesses
+
+
+def _float_roots(a, b, guesses, symmetric):
+    """The roots in float, by Newton with deflation by the roots found so
+    far (and their mirror images for a symmetric rule), each started from
+    its guess plus the guess error of the previous roots, extrapolated
+    linearly."""
+    fa, fb = [float(v) for v in a], [float(v) for v in b]
+    found, roots = [0.0] if symmetric and len(a) % 2 else [], []
+    for guess in guesses:
+        k = len(roots)
+        errs = [r - g for r, g in zip(roots[-2:], guesses[max(k - 2, 0):k])]
+        x = guess + (2 * errs[1] - errs[0] if len(errs) == 2
+                     else sum(errs))
+        for _ in range(40):
+            p0, p1, d0, d1 = 1.0, x - fa[0], 0.0, 1.0
+            for aj, bj in zip(fa[1:], fb[1:]):
+                p0, p1, d0, d1 = (p1, (x - aj) * p1 - bj * p0,
+                                  d1, p1 + (x - aj) * d1 - bj * d0)
+                if abs(p1) > 1e100:     # only p/p' matters
+                    p0, p1, d0, d1 = p0 / 1e100, p1 / 1e100, d0 / 1e100, \
+                        d1 / 1e100
+            try:
+                dx = 1 / (d1 / p1 - sum(1 / (x - r) for r in found))
+            except ZeroDivisionError:   # on a root, or on a found one
+                break
+            x -= dx
+            if abs(dx) <= 1e-11 * abs(x):
+                break
+        roots.append(x)
+        found += [x, -x] if symmetric else [x]
+    return roots
+
+
+def _gauss(family, m, bits, cached=None):
+    """(nodes, weights) of the m-point rule at bits, by Newton's method on
+    the recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
+
+    Each root starts from float, or from cached = (bits, rule) of a lower
+    tier, and takes Newton steps on p_m / p_m' from the recurrence on raw
+    mpf tuples.  A step doubles the bits a root has, less c = bitlen(m) + 4
+    for rounding and curvature, so each runs at twice the bits reached.
+    The root is done when a correction at the final width, target + c, is
+    below 2^-target of max(|x|, 2^-bitlen(m)), with target = bits +
+    2 bitlen(m) + 4: a weight moves by up to m^2 times its node's relative
+    error.  That last evaluation, at the final node, gives the weight
+    mu_0 b_1...b_{m-1} / (p_m'(x) p_{m-1}(x)).  Legendre builds its
+    positive roots only.  Raises QuadratureFailure unless every root
+    converges within a few steps at the final width, the nodes increase
+    strictly inside the support, the weights are positive and they sum to
+    mu_0 within m 2^-(bits-8) of it.
+    """
+    symmetric = family == "legendre"
+    c = m.bit_length() + 4
+    target = bits + 2 * m.bit_length() + 4
+    final = target + c
+    with mp.workprec(final):
+        a, b, mu0, (lo, hi), guesses = _family(family, m)
+        numer = (mu0 * mp.fprod(b[1:]))._mpf_
+    ra, rb = [v._mpf_ for v in a], [v._mpf_ for v in b]
+    # a symmetric rule's roots from 0 up (0 itself when m is odd)
+    if cached is None:
+        roots = [0.0] * (symmetric and m % 2) + _float_roots(a, b, guesses,
+                                                             symmetric)
+        start, acc = [from_float(v) for v in roots], 53 - c
+    else:
+        nodes = cached[1][0][m // 2 if symmetric else 0:]
+        start, acc = [v._mpf_ for v in nodes], cached[0] - c
+    floor = -m.bit_length()
+    pts = []
+    for x in start:
+        reached, tries = acc, 4         # evaluations at the final width
+        while tries:
+            prec = min(final, max(2 * reached, 64))
+            p, dp, q = _recurrence(x, ra, rb, prec)
+            dx = mpf_div(p, dp, prec, "n")
+            # bits of x that the correction leaves alone
+            good = max(x[2] + x[3] if x[1] else floor, floor) - (
+                dx[2] + dx[3] if dx[1] else floor - final)
+            tries -= prec == final
+            if prec == final and good >= target:
+                break
+            x = mpf_sub(x, dx, prec, "n")
+            reached = min(prec, 2 * good) - c
+        else:
+            raise QuadratureFailure(
+                f"{m}-point {family} rule at {bits} bits: Newton's method "
+                f"did not converge")
+        pts.append((x, mpf_div(numer, mpf_mul(dp, q, final, "n"), final,
+                               "n")))
+    if symmetric:
+        pts += [(mpf_neg(x), w) for x, w in pts if x != fzero]
+    X, W = zip(*sorted((mp.make_mpf(mpf_pos(x, bits, "n")),
+                        mp.make_mpf(mpf_pos(w, bits, "n"))) for x, w in pts))
+    with mp.workprec(bits):
+        if not (lo < X[0] and X[-1] < hi
+                and all(u < v for u, v in zip(X, X[1:]))
+                and min(W) > 0
+                and abs(mp.fsum(W) - mu0) <= m * mp.ldexp(mu0, 8 - bits)):
+            raise QuadratureFailure(
+                f"{m}-point {family} rule at {bits} bits failed its checks")
+    return X, W
+
+
+def _recurrence(x, a, b, prec):
+    """p_m(x), p_m'(x) and p_{m-1}(x) from the monic recurrence, on raw mpf
+    tuples: products exact, each sum rounded once to prec."""
+    mul, add, sub = mpf_mul, mpf_add, mpf_sub
+    p0, p1 = fone, sub(x, a[0], prec, "n")
+    d0, d1 = fzero, fone
+    for aj, bj in zip(a[1:], b[1:]):
+        xa = sub(x, aj, prec, "n") if aj[1] else x
+        p0, p1, d0, d1 = (
+            p1, sub(mul(xa, p1), mul(bj, p0), prec, "n"),
+            d1, add(p1, sub(mul(xa, d1), mul(bj, d0), prec, "n"), prec, "n"))
+    return p1, d1, p0
 
 
 def _breaks(params, pole):
@@ -167,7 +344,7 @@ def weighted_nodes(params, m: int, pole=None):
     # the rules the build will use; one that another caller upgrades before
     # the build leaves an entry that no later lookup asks for
     rules = tuple(_rule_bits(f, m) for f in
-                  ("legendre", "laguerre", ("jacobi", params.mu)))
+                  ("legendre", "laguerre", _jacobi(params.mu)))
     key = (params, m, pole_key, mp.mp.prec, rules)
     nodes = _LISTS.get(key)
     if nodes is None:
@@ -193,8 +370,7 @@ def _build_nodes(params, m, pole):
         for lo, hi in zip(ends[:-1], ends[1:]):
             half, mid = (hi - lo) / 2, (hi + lo) / 2
             jacobi = lo == 0 and not params.mu_is_integer
-            for s, w in _rule(("jacobi", params.mu) if jacobi else "legendre",
-                              m):
+            for s, w in _rule(_jacobi(params.mu) if jacobi else "legendre", m):
                 x = mid + half * s
                 # Gauss-Jacobi(0, mu) carries x^mu = half^mu (1 + s)^mu
                 xmu = half ** mu if jacobi else x ** mu

@@ -495,7 +495,9 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
         t = to_mpf(params.t)
         al, mu = to_mpf(params.alpha), to_mpf(params.mu)
         panel = default_x_panel(t)
-        neg_panel = [x for x in panel if x < 0]
+        # the per-point tables are lists indexed by panel position: mpf(-1)
+        # and mpf(-2) hash alike, so dicts keyed by the points probe
+        neg = [i for i, x in enumerate(panel) if x < 0]
         W = w_poly(t)
         V = v_poly(params)
         twoV = two_v_poly(params)
@@ -509,28 +511,28 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
         OM = {m: omega_poly(m, pairs[m].kappa, params) for m in pairs}
 
         # every per-point quantity that does not depend on n, evaluated once
-        label = {x: str(x) for x in panel}
-        Wx = {x: polyval(W, x) for x in panel}
-        Vx = {x: polyval(V, x) for x in panel}
-        THx = {x: [polyval(TH[m], x) for m in pairs] for x in panel}
-        OMx = {x: [polyval(OM[m], x) for m in pairs] for x in panel}
+        label = [str(x) for x in panel]
+        Wx = [polyval(W, x) for x in panel]
+        Vx = [polyval(V, x) for x in panel]
+        THx = [[polyval(TH[m], x) for m in pairs] for x in panel]
+        OMx = [[polyval(OM[m], x) for m in pairs] for x in panel]
         if t > 0:
-            twoVW = {x: polyval(twoV, x) / Wx[x] for x in panel}
-            ABx = {x: [ladder_ab_at(pairs[m], params, x) for m in pairs]
-                   for x in panel}
+            twoVW = [polyval(twoV, x) / w for x, w in zip(panel, Wx)]
+            ABx = [[ladder_ab_at(pairs[m], params, x) for m in pairs]
+                   for x in panel]
             # (P_m, P_m') for m <= max(n_range) from one order-1 x-jet pass;
             # the trailing (0, 0) is P_{-1}, read at index -1 when n = 0
-            PD = {x: [tuple(P.c) for P in monic_values(
+            PD = [[tuple(P.c) for P in monic_values(
                 table, max(n_range), TruncSeries([x, 1]))] + [(0, 0)]
-                for x in panel}
+                for x in panel]
 
         qprec = PrecisionCtx(min(prec.significand_bits, 192), "1e-28")
         # E_m and E_m' at the Cauchy station for every m <= max(n_range),
         # from one sweep; a component that did not converge raises when read
-        sweeps = ({x: cauchy_sweep(table, max(n_range), x, qprec)
-                   for x in neg_panel[:1]}
+        sweeps = ([(i, cauchy_sweep(table, max(n_range), panel[i], qprec))
+                   for i in neg[:1]]
                   if include_quadrature_checks and t > 0
-                  and max(n_range) >= 1 else {})
+                  and max(n_range) >= 1 else [])
 
         # Omega_0 = V as polynomials
         for c0, cv in zip(OM[0], V):
@@ -543,27 +545,27 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
             a2n, a2n1 = table.a2[n], table.a2[n + 1]
             bn = table.b[n]
 
-            for x in panel:
-                th, om, w = THx[x], OMx[x], Wx[x]
+            for i, x in enumerate(panel):
+                th, om, w = THx[i], OMx[i], Wx[i]
                 if n >= 1:
                     rep.add(
                         "freud_add",
                         "W + a_{n+1}^2 Th_{n+1} - a_n^2 Th_{n-1}"
-                        " = (x-b_n)(Om_{n+1} - Om_n)", n, label[x],
+                        " = (x-b_n)(Om_{n+1} - Om_n)", n, label[i],
                         [w, a2n1 * th[n + 1], -a2n * th[n - 1],
                          -(x - bn) * (om[n + 1] - om[n])],
                         threshold)
                     rep.add(
                         "freud_shift",
                         "(x-b_{n-1})Th_{n-1} - (x-b_n)Th_n = Om_{n-1} - Om_{n+1}"
-                        "  [index-corrected right side]", n, label[x],
+                        "  [index-corrected right side]", n, label[i],
                         [(x - table.b[n - 1]) * th[n - 1], -(x - bn) * th[n],
                          -om[n - 1], om[n + 1]],
                         threshold, note="printed right side Om_n - Om_{n+1} fails")
                     rep.add(
                         "freud_square",
                         "W Th_n + a_{n+1}^2 Th_{n+1}Th_n - a_n^2 Th_n Th_{n-1}"
-                        " = Om_{n+1}^2 - Om_n^2", n, label[x],
+                        " = Om_{n+1}^2 - Om_n^2", n, label[i],
                         [w * th[n], a2n1 * th[n + 1] * th[n],
                          -a2n * th[n] * th[n - 1],
                          -(om[n + 1] ** 2 - om[n] ** 2)],
@@ -571,13 +573,13 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                     rep.add(
                         "freud_telescoped",
                         "Om_n^2 - a_n^2 Th_n Th_{n-1} = V^2 + W sum_{i<n} Th_i",
-                        n, label[x],
-                        [om[n] ** 2, -a2n * th[n] * th[n - 1], -Vx[x] ** 2,
+                        n, label[i],
+                        [om[n] ** 2, -a2n * th[n] * th[n - 1], -Vx[i] ** 2,
                          -w * mp.fsum(th[:n])],
                         threshold)
                 rep.add(
                     "freud_product",
-                    "(x-b_n) Th_n = Om_{n+1} + Om_n", n, label[x],
+                    "(x-b_n) Th_n = Om_{n+1} + Om_n", n, label[i],
                     [(x - bn) * th[n], -om[n + 1], -om[n]], threshold)
 
             # scalar recurrences in (theta, kappa)
@@ -648,20 +650,20 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                                   (n + rn) * (n + mu + rn) / (Rn - 1)],
                             threshold)
 
-                for x in panel:
-                    ab = ABx[x]
+                for i, x in enumerate(panel):
+                    ab = ABx[i]
                     (An, Bn), (Ap, Bp) = ab[n], ab[n + 1]
                     # ladder lowering relation against the exact derivative
-                    (p_n, dp_n), (p_m, _) = PD[x][n], PD[x][n - 1]
+                    (p_n, dp_n), (p_m, _) = PD[i][n], PD[i][n - 1]
                     rep.add(
                         "ladder_relation",
-                        "P_n' = -B_n P_n + a_n^2 A_n P_{n-1}", n, label[x],
+                        "P_n' = -B_n P_n + a_n^2 A_n P_{n-1}", n, label[i],
                         [dp_n, Bn * p_n, -a2n * An * p_m], threshold)
                     rep.add(
                         "ladder_rec_sum",
                         "B_{n+1} + B_n = (x-b_n)A_n + 2V/W"
-                        "  [sign-corrected 2V/W]", n, label[x],
-                        [Bp, Bn, -(x - bn) * An, -twoVW[x]], threshold,
+                        "  [sign-corrected 2V/W]", n, label[i],
+                        [Bp, Bn, -(x - bn) * An, -twoVW[i]], threshold,
                         note="printed -2V/W fails")
                     if n >= 1:
                         Am = ab[n - 1][0]
@@ -669,22 +671,22 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                             "ladder_rec_diff",
                             "(B_{n+1}-B_n)(x-b_n)"
                             " = a_{n+1}^2 A_{n+1} - a_n^2 A_{n-1} - 1"
-                            "  [sign-corrected 1]", n, label[x],
+                            "  [sign-corrected 1]", n, label[i],
                             [(Bp - Bn) * (x - bn), -a2n1 * Ap, a2n * Am,
                              mp.mpf(1)], threshold, note="printed +1 fails")
                         rep.add(
                             "ladder_square",
                             "B_{n+1}^2 - B_n^2 - (2V/W)(B_{n+1}-B_n)"
                             " = a_{n+1}^2 A_{n+1}A_n - a_n^2 A_{n-1}A_n - A_n"
-                            "  [sign-corrected A_n]", n, label[x],
-                            [Bp ** 2, -Bn ** 2, -twoVW[x] * (Bp - Bn),
+                            "  [sign-corrected A_n]", n, label[i],
+                            [Bp ** 2, -Bn ** 2, -twoVW[i] * (Bp - Bn),
                              -a2n1 * Ap * An, a2n * Am * An, An],
                             threshold, note="printed +A_n fails")
                         rep.add(
                             "ladder_telescoped",
                             "B_n^2 - (2V/W)B_n - a_n^2 A_n A_{n-1}"
-                            " = -sum_{i<n} A_i", n, label[x],
-                            [Bn ** 2, -twoVW[x] * Bn, -a2n * An * Am,
+                            " = -sum_{i<n} A_i", n, label[i],
+                            [Bn ** 2, -twoVW[i] * Bn, -a2n * An * Am,
                              mp.fsum(A for A, _ in ab[:n])], threshold)
 
                 # x-system residual against the differentiated recurrence,
@@ -693,17 +695,17 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                     lax = build_lax(table, n)
                 except DegenerateTheta:
                     lax = None
-                for x in (panel if lax else ()):
+                for i, x in enumerate(panel if lax else ()):
                     Amat, _ = lax_x_matrices(*lax, t, x)
-                    (p_n, dp_n), (p_m, dp_m) = PD[x][n], PD[x][n - 1]
+                    (p_n, dp_n), (p_m, dp_m) = PD[i][n], PD[i][n - 1]
                     rep.add(
                         "lax_x_ode_row1",
-                        "d/dx P_n = A11 P_n + A12 P_{n-1}", n, label[x],
+                        "d/dx P_n = A11 P_n + A12 P_{n-1}", n, label[i],
                         [dp_n, -Amat[0][0] * p_n, -Amat[0][1] * p_m],
                         lax_threshold)
                     rep.add(
                         "lax_x_ode_row2",
-                        "d/dx P_{n-1} = A21 P_n + A22 P_{n-1}", n, label[x],
+                        "d/dx P_{n-1} = A21 P_n + A22 P_{n-1}", n, label[i],
                         [dp_m, -Amat[1][0] * p_n, -Amat[1][1] * p_m],
                         lax_threshold)
 
@@ -721,33 +723,34 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                         "alpha int w P_n P_{n-1}/(y-t) / h_{n-1} = kappa_n/t"
                         " - (n+mu/2)", n, "-", [pair_q.r, -pn.r], 1e-20)
                 # the mu/(x y) kernel term needs mu > 1 unless mu is an integer
-                partial_fractions = neg_panel[:2] if (
+                partial_fractions = neg[:2] if (
                     params.mu_is_integer or mu > 1) else []
-                for x in partial_fractions:
-                    Aq, Bq = ladder_ab_by_quadrature(table, n, x, qprec)
-                    An, Bn = ABx[x][n]
+                for i in partial_fractions:
+                    Aq, Bq = ladder_ab_by_quadrature(table, n, panel[i], qprec)
+                    An, Bn = ABx[i][n]
                     rep.add(
                         "ladder_partial_fraction_A",
-                        "A_n(x) integral = R_n/(x-t) + (1-R_n)/x", n, label[x],
+                        "A_n(x) integral = R_n/(x-t) + (1-R_n)/x", n, label[i],
                         [Aq, -An], 1e-20)
                     rep.add(
                         "ladder_partial_fraction_B",
-                        "B_n(x) integral = r_n/(x-t) - (n+r_n)/x", n, label[x],
+                        "B_n(x) integral = r_n/(x-t) - (n+r_n)/x", n, label[i],
                         [Bq, -Bn], 1e-20)
-                for x, (E, dE) in sweeps.items():
+                for i, (E, dE) in sweeps:
+                    x = panel[i]
                     E_n, E_m, dE_n, dE_m = (
                         r.value for r in (E[n], E[n - 1], dE[n], dE[n - 1]))
-                    (p_n, dp_n), (p_m, dp_m) = PD[x][n], PD[x][n - 1]
+                    (p_n, dp_n), (p_m, dp_m) = PD[i][n], PD[i][n - 1]
                     rep.add(
                         "casoratian",
-                        "P_n E_{n-1} - P_{n-1} E_n = h_{n-1}", n, label[x],
+                        "P_n E_{n-1} - P_{n-1} E_n = h_{n-1}", n, label[i],
                         [p_n * E_m, -p_m * E_n, -table.h(n - 1)], 1e-20)
                     rep.add(
                         "eps_ode",
                         "W E_n' = (Om_n + V) E_n - a_n^2 Th_n E_{n-1}",
-                        n, label[x],
-                        [Wx[x] * dE_n, -(OMx[x][n] + Vx[x]) * E_n,
-                         a2n * THx[x][n] * E_m], 1e-18)
+                        n, label[i],
+                        [Wx[i] * dE_n, -(OMx[i][n] + Vx[i]) * E_n,
+                         a2n * THx[i][n] * E_m], 1e-18)
                     # trace identity: d/dx ln det Y = -2V/W with det Y = C/w,
                     # C the casoratian, so C'/C - w'/w with w'/w in partial
                     # fractions and C' from the exact derivatives
@@ -755,8 +758,8 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
                     dcas = dp_n * E_m + p_n * dE_m - dp_m * E_n - p_m * dE_n
                     rep.add(
                         "dety_trace",
-                        "d/dx ln det Y_n = -2V/W", n, label[x],
+                        "d/dx ln det Y_n = -2V/W", n, label[i],
                         [dcas / cas, -(al / (x - t) + mu / x - 1),
-                         twoVW[x]], 1e-14)
+                         twoVW[i]], 1e-14)
 
     return rep

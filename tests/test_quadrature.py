@@ -1,10 +1,14 @@
-"""Split Gauss quadrature: the node-list cache, the node ladder, one climb
-per family of integrals, and the Cauchy sweep that shares both."""
+"""Split Gauss quadrature: the reference rules, the node-list cache, the
+node ladder, one climb per family of integrals, and the Cauchy sweep that
+shares both."""
 
+import functools
+import math
 from collections import Counter
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import mpf_add, mpf_mul
 
 from dlaguerre import (PrecisionCtx, QuadratureFailure, WeightParams,
                        build_moment_table, cauchy_transform,
@@ -15,7 +19,7 @@ from dlaguerre import (PrecisionCtx, QuadratureFailure, WeightParams,
 from dlaguerre import hankel, moments, oracle, quadrature, semiclassical
 from dlaguerre.hankel import cauchy_sweep
 from dlaguerre.semiclassical import ladder_ab_by_quadrature
-from dlaguerre.quadrature import integrate_weighted, weighted_nodes
+from dlaguerre.quadrature import LADDER, integrate_weighted, weighted_nodes
 from conftest import rel_err
 
 PREC = PrecisionCtx()
@@ -346,3 +350,190 @@ class TestCauchySweep:
         rep = verify_identities(tab, mom, [1, 2, 3, 4], PREC)
         assert sweeps == [10]
         assert sum(r.check_id == "casoratian" for r in rep.records) == 4
+
+
+# every reference rule family, and the tiers _rule_bits hands out
+FAMILIES = ["legendre", "laguerre"] + [
+    quadrature._jacobi(mu) for mu in ("0.25", "0.5", "1.5", "2.5", "7.3")]
+TIERS = (256, 320, 576)
+REF_BITS = TIERS[-1] + 64      # Golub-Welsch loses up to ~13 bits
+
+
+def _family_id(family):
+    return family if isinstance(family, str) else f"jacobi-{family[1]}"
+
+
+@pytest.fixture(scope="module")
+def rules():
+    """Every tested rule; each tier starts from the tier below, as _rule
+    builds them when the working precision rises."""
+    built = {}
+    for family in FAMILIES:
+        for m in LADDER:
+            cached = None
+            for bits in TIERS:
+                cached = (bits, quadrature._gauss(family, m, bits, cached))
+                built[(family, m, bits)] = cached[1]
+    return built
+
+
+def _ulps(got, want, bits):
+    """Largest |got - want| in units of the last place of want at bits."""
+    return max(abs(g - w) / mp.ldexp(1, mp.mag(w) - bits)
+               for g, w in zip(got, want))
+
+
+@functools.lru_cache
+def _monomial_integrals(family):
+    """The integrals of x^k, k < 2 LADDER[-1], against the family's
+    weight, at REF_BITS: 2/(k + 1) or 0, k!, and for (1 + x)^mu the
+    binomial sum of the Beta integrals int (1 + x)^(j + mu) =
+    2^(j + mu + 1) / (j + mu + 1), summed with 2k guard bits for its
+    cancellation."""
+    out = []
+    k_max = 2 * LADDER[-1] - 1
+    with mp.workprec(REF_BITS + 2 * k_max + 20):
+        if isinstance(family, tuple):
+            mu = mp.mpf(family[1].numerator) / family[1].denominator
+            beta = [mp.ldexp(mp.mpf(2) ** mu, j + 1) / (j + mu + 1)
+                    for j in range(k_max + 1)]
+    for k in range(k_max + 1):
+        with mp.workprec(REF_BITS + 2 * k + 20):
+            if family == "legendre":
+                v = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
+            elif family == "laguerre":
+                v = mp.factorial(k)
+            else:
+                v = mp.fsum(math.comb(k, j) * (-1) ** (k - j) * beta[j]
+                            for j in range(k + 1))
+        with mp.workprec(REF_BITS):
+            out.append(+v)
+    return out
+
+
+@pytest.mark.parametrize("m", LADDER)
+@pytest.mark.parametrize("family", FAMILIES, ids=_family_id)
+class TestReferenceRules:
+    def test_within_two_ulps_of_golub_welsch(self, rules, family, m):
+        """Nodes and weights against mp.gauss_quadrature at 64 bits past
+        the highest tier, at every tier (Golub-Welsch itself loses 10-13
+        bits of the weights at the tier's own width)."""
+        with mp.workprec(REF_BITS):
+            if family in ("legendre", "laguerre"):
+                X, W = mp.gauss_quadrature(m, family)
+            else:
+                X, W = mp.gauss_quadrature(m, "jacobi", 0,
+                                           mp.mpf(family[1].numerator)
+                                           / family[1].denominator)
+            X, W = [X[i] for i in range(m)], [W[i] for i in range(m)]
+            for bits in TIERS:
+                nodes, weights = rules[(family, m, bits)]
+                assert _ulps(nodes, X, bits) <= 2
+                assert _ulps(weights, W, bits) <= 2
+
+    def test_exact_on_monomials(self, rules, family, m):
+        """sum W_i x_i^k equals the closed-form integral for every k below
+        2m, to the rounding of the tier's nodes and weights: (4k + 8)
+        units of 2^-bits of sum |W_i x_i^k|."""
+        exact = _monomial_integrals(family)[:2 * m]
+        for bits in TIERS:
+            nodes, weights = rules[(family, m, bits)]
+            with mp.workprec(REF_BITS):
+                terms = list(weights)          # W_i x_i^k, k = 0, 1, ...
+                for k, want in enumerate(exact):
+                    scale = mp.fsum(abs(v) for v in terms)
+                    assert abs(mp.fsum(terms) - want) <= (
+                        (4 * k + 8) * mp.ldexp(scale, -bits))
+                    terms = [v * x for v, x in zip(terms, nodes)]
+
+
+class TestRuleBuilds:
+    def test_no_golub_welsch(self, monkeypatch):
+        """The desk point's lists, and those of a real mu (which adds the
+        Jacobi panel at 0), build every rule without mp.gauss_quadrature."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("mp.gauss_quadrature called")
+
+        monkeypatch.setattr(mp, "gauss_quadrature", refuse)
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(quadrature, "_LISTS", {})
+        with workprec(PREC):
+            for params in (DESK, WeightParams(2, "1.5", "0.5", "0.3")):
+                for m in LADDER:
+                    assert len(weighted_nodes(params, m)) > m
+        assert {key[0] for key in quadrature._RULES} == {
+            "legendre", "laguerre", quadrature._jacobi("1.5")}
+
+    def test_jacobi_rules_keyed_by_value(self, monkeypatch):
+        """mu given as '0.5', mpf('0.5') and '0.50' is one weight for the
+        reference rules: the later two calls build none (keyed by the
+        spelling, each built its own set)."""
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(quadrature, "_LISTS", {})
+        builds = Counter()
+        gauss = quadrature._gauss
+
+        def counting(family, m, bits, cached=None):
+            builds[family[0] if isinstance(family, tuple) else family] += 1
+            return gauss(family, m, bits, cached)
+
+        monkeypatch.setattr(quadrature, "_gauss", counting)
+        got, counts = [], []
+        for mu in ("0.5", mp.mpf("0.5"), "0.50"):
+            got.append(moment_quadrature(3, WeightParams(2, mu, "0.5", "0.3"),
+                                         PREC))
+            counts.append(builds["jacobi"])
+        assert got[0] == got[1] == got[2]
+        assert counts[0] > 0 and counts == [counts[0]] * 3
+        assert sum(key[0][0] == "jacobi"
+                   for key in quadrature._RULES) == counts[0]
+
+    def test_higher_tier_starts_from_the_cached_rule(self, monkeypatch):
+        """_rule rebuilds at the next tier from the cached nodes: no float
+        starting roots, and the same rule as a build from scratch."""
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        with mp.workprec(256):
+            low = list(quadrature._rule("laguerre", 20))
+
+        def refuse(*args):
+            raise AssertionError("float starting roots asked for")
+
+        monkeypatch.setattr(quadrature, "_float_roots", refuse)
+        with mp.workprec(300):
+            high = list(quadrature._rule("laguerre", 20))
+        monkeypatch.undo()
+        scratch = quadrature._gauss("laguerre", 20, 320)
+        assert [x for x, _ in high] == list(scratch[0])
+        assert [w for _, w in high] == list(scratch[1])
+        assert len(low) == len(high) == 20
+
+    def test_failed_root_set_raises(self, monkeypatch):
+        """Starting roots that all converge to one root leave nodes that do
+        not increase strictly: QuadratureFailure, not a wrong rule."""
+        float_roots = quadrature._float_roots
+
+        def collapsed(a, b, guesses, symmetric):
+            roots = float_roots(a, b, guesses, symmetric)
+            return [roots[0]] * len(roots)
+
+        monkeypatch.setattr(quadrature, "_float_roots", collapsed)
+        with pytest.raises(QuadratureFailure, match="failed its checks"):
+            quadrature._gauss("laguerre", 10, 256)
+
+    def test_newton_that_does_not_settle_raises(self, monkeypatch):
+        """A recurrence whose root moves by 2^-150 between evaluations never
+        gives a correction below 2^-target: QuadratureFailure after a few
+        evaluations at the final width, not a loop without end."""
+        recurrence, calls = quadrature._recurrence, Counter()
+
+        def jittery(x, a, b, prec):
+            p, dp, q = recurrence(x, a, b, prec)
+            calls[prec] += 1
+            shift = mpf_mul(dp, mp.ldexp((-1) ** sum(calls.values()),
+                                         -150)._mpf_)
+            return mpf_add(p, shift, prec), dp, q
+
+        monkeypatch.setattr(quadrature, "_recurrence", jittery)
+        with pytest.raises(QuadratureFailure, match="did not converge"):
+            quadrature._gauss("legendre", 10, 256)
+        assert calls[max(calls)] == 4

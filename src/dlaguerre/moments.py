@@ -52,13 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 
 from .errors import CrossCheckError, UnsupportedParameters
-from .precision import PrecisionCtx, to_mpf, workprec
+from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
 from .quadrature import integrate_weighted, weight_value
 
 FREE_LOSS = 10      # bits of cancellation that 30 guard bits absorb
@@ -66,20 +65,18 @@ FREE_LOSS = 10      # bits of cancellation that 30 guard bits absorb
 
 def _is_nonneg_int(x) -> bool:
     """True for a non-negative integer value, as a number or a string ("2.0")."""
-    if isinstance(x, mp.mpf):
-        return mp.isint(x) and x >= 0
     try:
-        v = Fraction(x)
+        v = to_fraction(x)
     except (TypeError, ValueError, OverflowError):
         return False
     return v.denominator == 1 and v >= 0
 
 
 def _below_one(x) -> bool:
-    """x < 1, exactly: an mpf as it is, anything else as the Fraction of its
-    value or decimal string (1 - 1e-23 is 1 at 64 bits)."""
+    """x < 1, exactly: the Fraction of its value or decimal string
+    (1 - 1e-23 is 1 at 64 bits)."""
     try:
-        return x < 1 if isinstance(x, mp.mpf) else Fraction(x) < 1
+        return to_fraction(x) < 1
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         return False
 

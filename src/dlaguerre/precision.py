@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_rational
 
 DEFAULT_BITS = 256
 
@@ -28,10 +29,23 @@ def to_mpf(x):
     if isinstance(x, (mp.mpf, mp.mpc)):
         return x
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+        # rounded once, as mp.mpf rounds a decimal string
+        return mp.make_mpf(from_rational(x.numerator, x.denominator,
+                                         mp.mp.prec, "n"))
     if isinstance(x, complex):
         return mp.mpc(x.real, x.imag)
     return mp.mpf(x)
+
+
+def to_fraction(x):
+    """The exact value of x as a Fraction: an mpf's binary value, anything
+    else as Fraction reads it (a decimal string's decimal value)."""
+    if isinstance(x, mp.mpf):
+        if not mp.isfinite(x):
+            return Fraction(float(x))   # raises, as for an inf or nan float
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+    return Fraction(x)
 
 
 @dataclass(frozen=True)

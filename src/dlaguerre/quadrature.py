@@ -17,13 +17,13 @@ sum over one node list (x_i, W_i) whose weights W_i already carry w(x_i):
   Laguerre tail starts where the grading ends.
 
 Each node takes the jump factor of the panel it belongs to.  The reference
-rules come from one builder for all three families (_gauss): Newton's
-method on the family's three-term recurrence from asymptotic starting
-roots, O(m^2) operations, with nodes and weights within an ulp of the
-exact rule (Golub and Welsch's eigenvalue route, Math. Comp. 23, 1969,
-loses 10-13 bits of the weights).  They are cached per (family, m) at the
-highest precision asked for so far, a Jacobi family by the exact value
-of mu.
+rules come from one builder for all three families (_gauss) that needs
+only the family's recurrence: one float QL pass for the eigenvalues of its
+Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969), then Newton's method
+on the recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013), O(m^2)
+operations, nodes and weights within an ulp (Golub-Welsch weights lose
+10-13 bits).  They are cached per (family, m) at the highest precision
+asked for so far, a Jacobi family by the exact value of mu.
 integrate_weighted takes integrands that return a sequence and climbs the
 node ladder m = 10, 20, 40, 80 once for all components, each stopping at
 its first pair of successive sums that agree to the tolerance; that
@@ -38,8 +38,9 @@ alpha = mu = 2 and t = 20 the 20-node sums miss from k = 36 on, and the
 The node lists themselves are cached too, since one weight's integrals
 ask for the same few lists many times (every ladder and oracle integral
 and Cauchy sweep climbs afresh).  The key is every input a list depends
-on: the weight, m, the pole and the working precision, plus the precision
-of each reference rule the list is built from (_rule_bits).  Only one
+on: the weight's exact values (_exact, which the list is built from), m,
+the pole and the working precision, plus the precision of each reference
+rule the list is built from (_rule_bits).  Only one
 weight's lists are kept, and of the pole-graded ones only the latest
 pole's, so sweeping points or poles holds memory to a few lists.  A cached
 list is the tuple _build_nodes returned, so every sum runs over the same
@@ -51,15 +52,14 @@ list that neither found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 from mpmath.libmp import (fone, from_float, fzero, mpf_add, mpf_div,
                           mpf_mul, mpf_neg, mpf_pos, mpf_sub)
 
 from .errors import QuadratureFailure
-from .precision import PrecisionCtx, to_mpf, workprec
+from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
 
 LADDER = (10, 20, 40, 80)      # Gauss nodes per panel, one rung at a time
 GUARD_BITS = 20
@@ -99,10 +99,14 @@ class QuadResults:
 def _jacobi(mu):
     """The Gauss-Jacobi(0, mu) family, keyed by the exact value of mu, so
     that '0.5', '0.50' and mpf('0.5') share one rule."""
-    if isinstance(mu, mp.mpf):
-        man, exp = mu.man_exp
-        mu = Fraction(man) * Fraction(2) ** exp
-    return ("jacobi", Fraction(mu))
+    return ("jacobi", to_fraction(mu))
+
+
+def _exact(params):
+    """The weight with mu, zeta and t as the Fractions of their values:
+    one key, and one list, however they are spelled."""
+    return replace(params, mu=to_fraction(params.mu),
+                   zeta=to_fraction(params.zeta), t=to_fraction(params.t))
 
 
 def _rule_bits(family, m):
@@ -126,92 +130,73 @@ def _rule(family, m):
 
 def _family(family, m):
     """Monic recurrence p_{j+1} = (x - a_j) p_j - b_j p_{j-1} (j < m,
-    b_0 = 0) of a reference rule at the working precision, its mass mu_0,
-    its support and float starting roots, in the order they are polished.
-
-    The starting roots are Tricomi's cosines for Legendre (the positive
-    half, from the middle out), the WKB phase matched to McMahon's Bessel
-    zeros for Laguerre (x = nu sin^2(s/2), s + sin s = 4 j_{0,k} / nu,
-    nu = 4m + 2; Tricomi's form), and Gatteschi and Pittaluga's cosines for
-    Jacobi(0, mu) from the end at +1.
-    """
-    pi, cos, tan = math.pi, math.cos, math.tan
+    b_0 = 0) of a reference rule at the working precision, its mass mu_0
+    and its support."""
     if family == "legendre":
         a = [mp.mpf(0)] * m
         b = [mp.mpf(0)] + [mp.mpf(j * j) / (4 * j * j - 1)
                            for j in range(1, m)]
-        scale = 1 - (1 - 1 / m) / (8 * m * m)
-        guesses = [scale * cos((4 * k - 1) * pi / (4 * m + 2))
-                   for k in range(m // 2, 0, -1)]
-        return a, b, mp.mpf(2), (-1, 1), guesses
+        return a, b, mp.mpf(2), (-1, 1)
     if family == "laguerre":
-        nu = 4 * m + 2
-        guesses = []
-        for k in range(1, m + 1):
-            beta = (k - 0.25) * pi
-            c = 4 * (beta + 1 / (8 * beta) - 124 / (3 * (8 * beta) ** 3)) / nu
-            s = c / 2
-            for _ in range(20):
-                s -= (s + math.sin(s) - c) / (1 + cos(s))
-            guesses.append(nu * math.sin(s / 2) ** 2)
         return ([mp.mpf(2 * j + 1) for j in range(m)],
-                [mp.mpf(j * j) for j in range(m)], mp.mpf(1), (0, mp.inf),
-                guesses)
+                [mp.mpf(j * j) for j in range(m)], mp.mpf(1), (0, mp.inf))
     mu = to_mpf(family[1])
     a = [mu * mu / ((2 * j + mu) * (2 * j + mu + 2)) for j in range(m)]
     b = [mp.mpf(0)] + [4 * (j * (j + mu) / (2 * j + mu)) ** 2
                        / ((2 * j + mu + 1) * (2 * j + mu - 1))
                        for j in range(1, m)]
-    fmu = float(mu)
-    rho = m + (fmu + 1) / 2
-    guesses = []
-    for k in range(1, m + 1):
-        phi = (k - 0.25) * pi / rho
-        guesses.append(cos(phi + (0.25 / tan(phi / 2) - (0.25 - fmu * fmu)
-                                  * tan(phi / 2)) / (4 * rho * rho)))
-    return a, b, 2 * mp.mpf(2) ** mu / (mu + 1), (-1, 1), guesses
+    return a, b, 2 * mp.mpf(2) ** mu / (mu + 1), (-1, 1)
 
 
-def _float_roots(a, b, guesses, symmetric):
-    """The roots in float, by Newton with deflation by the roots found so
-    far (and their mirror images for a symmetric rule), each started from
-    its guess plus the guess error of the previous roots, extrapolated
-    linearly."""
-    fa, fb = [float(v) for v in a], [float(v) for v in b]
-    found, roots = [0.0] if symmetric and len(a) % 2 else [], []
-    for guess in guesses:
-        k = len(roots)
-        errs = [r - g for r, g in zip(roots[-2:], guesses[max(k - 2, 0):k])]
-        x = guess + (2 * errs[1] - errs[0] if len(errs) == 2
-                     else sum(errs))
-        for _ in range(40):
-            p0, p1, d0, d1 = 1.0, x - fa[0], 0.0, 1.0
-            for aj, bj in zip(fa[1:], fb[1:]):
-                p0, p1, d0, d1 = (p1, (x - aj) * p1 - bj * p0,
-                                  d1, p1 + (x - aj) * d1 - bj * d0)
-                if abs(p1) > 1e100:     # only p/p' matters
-                    p0, p1, d0, d1 = p0 / 1e100, p1 / 1e100, d0 / 1e100, \
-                        d1 / 1e100
-            try:
-                dx = 1 / (d1 / p1 - sum(1 / (x - r) for r in found))
-            except ZeroDivisionError:   # on a root, or on a found one
+def _float_roots(a, b):
+    """The roots of p_m in float, ascending: the eigenvalues of the Jacobi
+    matrix, diagonal a_j and off-diagonal sqrt(b_j) (Golub & Welsch), by
+    implicit QL sweeps with Wilkinson shifts, at most 30 per eigenvalue."""
+    d = [float(v) for v in a]
+    e = [math.sqrt(float(v)) for v in b[1:]] + [0.0]
+    for lo in range(len(d)):
+        for _ in range(30):
+            hi = lo         # the block d[lo..hi] ends at a negligible e[hi]
+            while hi < len(d) - 1 and (
+                    abs(e[hi]) + (dd := abs(d[hi]) + abs(d[hi + 1])) != dd):
+                hi += 1
+            if hi == lo:
                 break
-            x -= dx
-            if abs(dx) <= 1e-11 * abs(x):
-                break
-        roots.append(x)
-        found += [x, -x] if symmetric else [x]
-    return roots
+            g = (d[lo + 1] - d[lo]) / (2 * e[lo])
+            g = d[hi] - d[lo] + e[lo] / (g + math.copysign(math.hypot(g, 1),
+                                                           g))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(hi - 1, lo - 1, -1):
+                f, h = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                if r == 0:      # e[i] splits the block: sweep again
+                    d[i + 1] -= p
+                    e[hi] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * h
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - h
+            else:
+                d[lo] -= p
+                e[lo], e[hi] = g, 0.0
+        else:
+            raise QuadratureFailure(
+                f"{len(d)}-point Jacobi matrix: QL did not converge")
+    return sorted(d)
 
 
 def _gauss(family, m, bits, cached=None):
     """(nodes, weights) of the m-point rule at bits, by Newton's method on
     the recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
 
-    Each root starts from float, or from cached = (bits, rule) of a lower
-    tier, and takes Newton steps on p_m / p_m' from the recurrence on raw
-    mpf tuples.  A step doubles the bits a root has, less c = bitlen(m) + 4
-    for rounding and curvature, so each runs at twice the bits reached.
+    Each root starts from _float_roots, or from cached = (bits, rule) of a
+    lower tier, and takes Newton steps on p_m / p_m' from the recurrence
+    on raw mpf tuples.  A step doubles the bits a root has, less c =
+    bitlen(m) + 4 for rounding and curvature, so each runs at twice the
+    bits reached.
     The root is done when a correction at the final width, target + c, is
     below 2^-target of max(|x|, 2^-bitlen(m)), with target = bits +
     2 bitlen(m) + 4: a weight moves by up to m^2 times its node's relative
@@ -227,13 +212,14 @@ def _gauss(family, m, bits, cached=None):
     target = bits + 2 * m.bit_length() + 4
     final = target + c
     with mp.workprec(final):
-        a, b, mu0, (lo, hi), guesses = _family(family, m)
+        a, b, mu0, (lo, hi) = _family(family, m)
         numer = (mu0 * mp.fprod(b[1:]))._mpf_
     ra, rb = [v._mpf_ for v in a], [v._mpf_ for v in b]
     # a symmetric rule's roots from 0 up (0 itself when m is odd)
     if cached is None:
-        roots = [0.0] * (symmetric and m % 2) + _float_roots(a, b, guesses,
-                                                             symmetric)
+        roots = _float_roots(a, b)
+        if symmetric:
+            roots = [0.0] * (m % 2) + roots[(m + 1) // 2:]
         start, acc = [from_float(v) for v in roots], 53 - c
     else:
         nodes = cached[1][0][m // 2 if symmetric else 0:]
@@ -339,6 +325,7 @@ def weighted_nodes(params, m: int, pole=None):
     weight's lists, a graded list for another pole drops the current
     pole's.
     """
+    params = _exact(params)
     # typed: mpc(-2, 0) == mpf(-2), but the two hash apart
     pole_key = None if pole is None else (type(pole), pole)
     # the rules the build will use; one that another caller upgrades before
@@ -357,7 +344,7 @@ def weighted_nodes(params, m: int, pole=None):
 
 
 def _build_nodes(params, m, pole):
-    """The uncached weighted_nodes."""
+    """The uncached weighted_nodes, given the weight as _exact gives it."""
     t = to_mpf(params.t)
     tail_factor = 1 - to_mpf(params.zeta)
     alpha = int(params.alpha)

@@ -106,7 +106,8 @@ class TestCacheScope:
             weighted_nodes(DESK, 10)
             weighted_nodes(DESK, 20, pole=mp.mpf(-2))
             weighted_nodes(other, 10)
-        assert [key[0] for key in quadrature._LISTS] == [other]
+        assert [key[0] for key in quadrature._LISTS] == [
+            quadrature._exact(other)]
 
     def test_pole_sweep_keeps_one_pole(self):
         with workprec(PREC):
@@ -120,10 +121,12 @@ class TestCacheScope:
 
     def test_lists_belong_to_their_weight(self):
         """Alternating weights, poles and precisions: each call returns the
-        list _build_nodes makes for its own inputs."""
+        list _build_nodes makes for its own inputs, a t of more digits
+        than the width holds included."""
         weights = [DESK, DESK.replace_t("0.31"),
                    WeightParams(2, 2, "0.6", "0.3"),
-                   WeightParams(1, "1.5", "0.5", "0.3")]
+                   WeightParams(1, "1.5", "0.5", "0.3"),
+                   DESK.replace_t("0." + "6093654243496137" * 7)]
         for bits in (128, 256, 128):
             with mp.workprec(bits):
                 for params in weights + weights[::-1]:
@@ -160,6 +163,28 @@ class TestCacheScope:
             first = weighted_nodes(DESK, 10)
             assert weighted_nodes(DESK, 10) is first
         assert dict(builds) == {(10, None, 259): 1}
+
+    def test_weight_spellings_share_lists(self, monkeypatch):
+        """mu spelled '0.5', mpf('0.5'), '0.50' and '0.5' again is one
+        weight: the four moments build 3 lists, and each spelling's lists
+        are the ones '0.5' alone builds, bit for bit (keyed by the
+        spelling, the four made 12 builds)."""
+        single = WeightParams(2, "0.5", "0.5", "0.3")
+        moment_quadrature(3, single, PREC)      # builds the reference rules
+        quadrature._LISTS.clear()
+        builds = _counting_builds(monkeypatch)
+        spellings = [WeightParams(2, mu, "0.5", "0.3")
+                     for mu in ("0.5", mp.mpf("0.5"), "0.50", "0.5")]
+        for params in spellings:
+            moment_quadrature(3, params, PREC)
+        assert sum(builds.values()) == 3
+        fresh = {}
+        for m, _, bits in list(builds):
+            with mp.workprec(bits):
+                fresh[m] = quadrature._build_nodes(single, m, None)
+                for params in spellings:
+                    assert weighted_nodes(params, m) == fresh[m]
+        assert sum(builds.values()) == 3 + len(fresh)
 
     def test_grading_ends_do_not_depend_on_width(self):
         """A pole at -2 grades ends 1, sqrt(2), 2, ..., 32 = REACH: every
@@ -512,13 +537,33 @@ class TestRuleBuilds:
         not increase strictly: QuadratureFailure, not a wrong rule."""
         float_roots = quadrature._float_roots
 
-        def collapsed(a, b, guesses, symmetric):
-            roots = float_roots(a, b, guesses, symmetric)
+        def collapsed(a, b):
+            roots = float_roots(a, b)
             return [roots[0]] * len(roots)
 
         monkeypatch.setattr(quadrature, "_float_roots", collapsed)
         with pytest.raises(QuadratureFailure, match="failed its checks"):
             quadrature._gauss("laguerre", 10, 256)
+
+    @pytest.mark.parametrize("m", LADDER + (160,))
+    def test_float_roots_near_the_nodes(self, m):
+        """The QL eigenvalues, Newton's starting roots, lie within 1e-12
+        relative of the finished nodes (of the 64-bit tier) for every
+        family."""
+        for family in FAMILIES:
+            nodes = quadrature._gauss(family, m, 64)[0]
+            with mp.workprec(64):
+                a, b, _, _ = quadrature._family(family, m)
+            roots = quadrature._float_roots(a, b)
+            assert len(roots) == m
+            assert max(abs(r - float(x)) / abs(float(x))
+                       for r, x in zip(roots, nodes)) < 1e-12
+
+    def test_ql_that_does_not_converge_raises(self):
+        """A nan off-diagonal never becomes negligible: QuadratureFailure
+        after the bounded sweeps, not a loop without end."""
+        with pytest.raises(QuadratureFailure, match="QL did not converge"):
+            quadrature._float_roots([0.0] * 3, [0.0, math.nan, 1.0])
 
     def test_newton_that_does_not_settle_raises(self, monkeypatch):
         """A recurrence whose root moves by 2^-150 between evaluations never

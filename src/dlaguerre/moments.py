@@ -67,9 +67,18 @@ def _is_nonneg_int(x) -> bool:
     """True for a non-negative integer value, as a number or a string ("2.0")."""
     try:
         v = to_fraction(x)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         return False
     return v.denominator == 1 and v >= 0
+
+
+def _finite_nonneg(x) -> bool:
+    """x is a finite number >= 0 (an unreadable string or None is not)."""
+    try:
+        v = to_mpf(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    return mp.isfinite(v) and v >= 0
 
 
 def _below_one(x) -> bool:
@@ -110,9 +119,9 @@ class WeightParams:
             object.__setattr__(self, "alpha", int(to_mpf(self.alpha)))
             if self.mu_is_integer:
                 object.__setattr__(self, "mu", int(to_mpf(self.mu)))
-            if not mp.isfinite(to_mpf(self.mu)) or not to_mpf(self.mu) >= 0:
+            if not _finite_nonneg(self.mu):
                 raise UnsupportedParameters("mu must be finite and >= 0")
-            if not mp.isfinite(to_mpf(self.t)) or not to_mpf(self.t) >= 0:
+            if not _finite_nonneg(self.t):
                 raise UnsupportedParameters("t must be finite and >= 0")
 
     @property

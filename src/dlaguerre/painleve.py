@@ -50,8 +50,9 @@ supersede hand-truncated expansions whose leading terms they reproduce:
 
 The series order is chosen from t0, alpha + mu and the tolerance so that
 the flow's (t1/t0)^(1+alpha+mu) amplification of the initial error stays
-below it.  About t* > 0 their order-1 terms give the a_n/b_n flow laws,
-the t-deformation and the zero-curvature residuals exactly.  The flow's
+below it.  About t* > 0 one order-5 table gives the a_n/b_n flow laws as
+jet identities, checked coefficient by coefficient (s^0 .. s^4), and its
+order-1 terms the t-deformation and the zero-curvature residuals.  The flow's
 order-1 jet, mapped through a chart (rr_map or _qp_map), is checked against
 that chart's own field (_chart_residual), and hamilton_rhs reads the
 partials of tH off its jets.  Only pv_residual differentiates numerically
@@ -77,7 +78,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -838,62 +839,82 @@ def compatibility_residual(params: WeightParams, n: int, x, t,
         return _compatibility(jets, x, _lax_jets(jets, n, x))
 
 
+def _d(x: TruncSeries) -> TruncSeries:
+    """d/ds of a jet, one order lower."""
+    return TruncSeries([j * c for j, c in enumerate(x.c) if j])
+
+
+def _order_1(jets: JetTable) -> JetTable:
+    """The same table read through s^1 (coefficients are not recomputed)."""
+    cut = {name: tuple(TruncSeries(x.c[:2]) for x in getattr(jets, name))
+           for name in ("delta", "sigma", "a2", "b", "theta", "kappa")}
+    return replace(jets, **cut)
+
+
+FLOW_ORDER = 5  # ab_flow_check's jet order: each flow law at s^0 .. s^4
+
+
 def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
                   prec: PrecisionCtx = None,
                   threshold: float = 1e-8) -> Report:
-    """Flow laws of a_n(t), b_n(t) from order-1 jets at t_grid[2:-2].
+    """Flow laws of a_n(t), b_n(t) as jet identities about the middle node
+    of t_grid; no other node is read.
 
-    Verifies both printed normalizations (they are equivalent and must both
-    hold), with 2 a'/a written as (a^2)'/a^2 so signed weights need no sqrt:
+    One aux_pair_series table of order FLOW_ORDER about t* = the middle
+    node gives every law below as an identity of jets in s = t - t*, and
+    each Taylor coefficient s^0 .. s^(FLOW_ORDER-1) is one record whose
+    terms are the unscaled coefficients of the law's terms.  An identity
+    of Taylor coefficients at t* holds as an identity of analytic functions
+    near it.  Both printed normalizations are checked (they are equivalent
+    and must both hold), with 2 a'/a written as (a^2)'/a^2 so signed
+    weights need no sqrt:
              2t a'/a = 2 + b_{n-1} - b_n     and   2 a'/a = R_{n-1} - R_n,
              t b' = a_n^2 - a_{n+1}^2 + b_n  and   b' = r_n - r_{n+1};
     plus the t-deformation residual and the zero-curvature compatibility
-    at x = -1 on the middle node.  One jet table per record point.
+    at x = -1, read off the same table through s^1.
     """
     prec = prec or PrecisionCtx()
+    if n < 1:
+        raise UnsupportedParameters("the a_n/b_n flow laws need n >= 1")
+    if not t_grid:
+        raise SingularPanel("need a grid node")
+    about = t_grid[len(t_grid) // 2]
     rep = Report(
         title="ab-flow",
         context={"alpha": str(params.alpha), "mu": str(params.mu),
                  "zeta": str(params.zeta), "n": n,
-                 "t_grid": [str(v) for v in t_grid], "threshold": threshold})
+                 "t_grid": [str(v) for v in t_grid], "threshold": threshold,
+                 "about": str(about), "jet_order": FLOW_ORDER})
     with workprec(prec, 20):
-        ts = [to_mpf(v) for v in t_grid]
-        if len(ts) < 5:
-            raise SingularPanel("need at least 5 grid nodes")
-        mid = ts[len(ts) // 2]
-        for t in ts[2:-2]:
-            jets = aux_pair_series(n + 1, params, 1, prec, about=t)
-            if t == mid:
-                jets_mid = jets
-            a2, b, th, ka = jets.a2, jets.b, jets.theta, jets.kappa
-            dlog_a2 = a2[n].c[1] / a2[n].c[0]
-            db = b[n].c[1]
-            (R_m, _), (R_n, r_n), (_, r_p) = (
-                rr_map(th[i].c[0], ka[i].c[0], t, i, params)
-                for i in (n - 1, n, n + 1))
-            rep.add("ab_flow_a_t",
-                    "2t a_n'/a_n = 2 + b_{n-1} - b_n", n, t,
-                    [t * dlog_a2, -2, -b[n - 1].c[0], b[n].c[0]],
-                    threshold)
-            rep.add("ab_flow_b_t",
-                    "t b_n' = a_n^2 - a_{n+1}^2 + b_n", n, t,
-                    [t * db, -a2[n].c[0], a2[n + 1].c[0], -b[n].c[0]],
-                    threshold)
-            rep.add("ab_flow_a_ladder",
-                    "2 a_n'/a_n = R_{n-1} - R_n", n, t,
-                    [dlog_a2, -R_m, R_n], threshold)
-            rep.add("ab_flow_b_ladder",
-                    "b_n' = r_n - r_{n+1}", n, t,
-                    [db, -r_n, r_p], threshold)
+        mid = to_mpf(about)
+        at = f"t={mp.nstr(mid, 8)}"
+        jets = aux_pair_series(n + 1, params, FLOW_ORDER, prec, about=mid)
+        a2, b, th, ka, t = jets.a2, jets.b, jets.theta, jets.kappa, jets.t
+        dlog_a2, db = _d(a2[n]) / a2[n], _d(b[n])
+        (R_m, _), (R_n, r_n), (_, r_p) = (
+            rr_map(th[i], ka[i], t, i, params) for i in (n - 1, n, n + 1))
+        laws = (
+            ("ab_flow_a_t", "2t a_n'/a_n = 2 + b_{n-1} - b_n",
+             [t * dlog_a2, TruncSeries.constant(-2, FLOW_ORDER), -b[n - 1],
+              b[n]]),
+            ("ab_flow_b_t", "t b_n' = a_n^2 - a_{n+1}^2 + b_n",
+             [t * db, -a2[n], a2[n + 1], -b[n]]),
+            ("ab_flow_a_ladder", "2 a_n'/a_n = R_{n-1} - R_n",
+             [dlog_a2, -R_m, R_n]),
+            ("ab_flow_b_ladder", "b_n' = r_n - r_{n+1}", [db, -r_n, r_p]))
+        for j in range(FLOW_ORDER):
+            for check_id, formula, terms in laws:
+                rep.add(check_id, formula, n, f"s^{j} about {at}",
+                        [v.c[j] for v in terms], threshold)
 
         x = mp.mpf(-1)
-        lax = _lax_jets(jets_mid, n, x)
+        jets = _order_1(jets)
+        lax = _lax_jets(jets, n, x)
         rep.add("deformation_t_ode",
                 "d/dt (P_n, P_{n-1}) = B (P_n, P_{n-1}), monic gauge",
-                n, f"x=-1, t={mp.nstr(mid, 8)}",
-                [mp.mpf(_deformation(jets_mid, n, x, lax))], threshold)
-        rep.add("zero_curvature",
-                "dA/dt - dB/dx + AB - BA = 0",
-                n, f"x=-1, t={mp.nstr(mid, 8)}",
-                [mp.mpf(_compatibility(jets_mid, x, lax))], threshold)
+                n, f"x=-1, {at}", [mp.mpf(_deformation(jets, n, x, lax))],
+                threshold)
+        rep.add("zero_curvature", "dA/dt - dB/dx + AB - BA = 0",
+                n, f"x=-1, {at}", [mp.mpf(_compatibility(jets, x, lax))],
+                threshold)
     return rep

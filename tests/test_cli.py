@@ -280,9 +280,11 @@ class TestPinnedOutput:
     """SHA-256 of the numeric rows (not the metadata) of desk-point
     commands: moments as printed before node lists were cached, verify as
     printed once theta_n and kappa_n were mapped from the wide minors and
-    rounded once (its identity residuals moved at the rounding level; the
-    flow records did not), and the evolve trajectory rows of n = 1 prop11
-    (json) and n = 2 cor12 (csv, the summary line dropped).
+    rounded once (its identity residuals moved at the rounding level) and
+    once the flow laws were checked coefficient by coefficient on one jet
+    table about the middle node (the flow records' points and residuals
+    moved; the identity records did not), and the evolve trajectory rows
+    of n = 1 prop11 (json) and n = 2 cor12 (csv, the summary line dropped).
     Performance work keeps these output bytes; a change that moves
     rounding must update the digests and say why."""
 
@@ -309,7 +311,7 @@ class TestPinnedOutput:
         rows = {"identities": doc["identities"]["records"],
                 "flow": doc["flow"]["records"]}
         assert self.digest(rows) == (
-            "594754e660890f7a5890189aa5ac9db1aa5f0af1afdf318185e550f9e5cf05ec")
+            "62c9a10ca17fd78699bc5f242497c7ec023d7554f90039156d346b48aa58eeda")
 
     def test_evolve_prop11_json(self, tmp_path):
         out = tmp_path / "e.json"

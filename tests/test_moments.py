@@ -29,6 +29,16 @@ class TestWeightParams:
         with pytest.raises(UnsupportedParameters):
             WeightParams(2, 2, "0.5", "inf")
 
+    @pytest.mark.parametrize("name, bad", [
+        ("alpha", "1/0"), ("mu", "1/0"), ("t", "1/0"), ("mu", "abc"),
+        ("t", "abc"), ("mu", None), ("t", None)])
+    def test_malformed_values_raise_typed(self, name, bad):
+        """A value that is not a number raises UnsupportedParameters naming
+        the parameter, not ZeroDivisionError, ValueError or TypeError."""
+        args = {"alpha": 2, "mu": 2, "zeta": "0.5", "t": "0.3", name: bad}
+        with pytest.raises(UnsupportedParameters, match=name):
+            WeightParams(**args)
+
     def test_zeta_compared_exactly(self):
         """zeta = 1 - 1e-23 is below 1 (it rounds to 1 at 64 bits); every
         spelling of 1, and 1 + 1e-23, is not."""

@@ -12,11 +12,13 @@ from dlaguerre import (DegenerateTheta, PVParams, PrecisionCtx, SingularPanel,
                        hamilton_rhs, hamiltonian_eval, ode_rhs, pv_residual,
                        rr_rhs, series_init, table_for, to_hamiltonian,
                        theta_kappa_from_recurrence)
+from dlaguerre import painleve
 from dlaguerre.moments import moment_series
-from dlaguerre.painleve import (CONVENTIONS, aux_pair_series,
+from dlaguerre.painleve import (CONVENTIONS, FLOW_ORDER, aux_pair_series,
                                 compatibility_residual, deformation_residual,
                                 flow_map_residual, hamilton_map_residual)
 from dlaguerre.precision import workprec_or_inherit
+from dlaguerre.semiclassical import Report, rr_map
 from conftest import rel_err
 
 
@@ -489,12 +491,75 @@ class TestAbFlow:
     def test_flow_laws_near_main_point(self, params_main, prec):
         with mp.workprec(256):
             grid = mp.linspace(mp.mpf("0.28"), mp.mpf("0.32"), 9)
-        rep = ab_flow_check(params_main, 2, grid, prec)
-        assert rep.all_passed
+        rep = ab_flow_check(params_main, 2, grid, prec, threshold=1e-25)
+        assert rep.all_passed and len(rep.records) == 22
         ids = {r.check_id for r in rep.records}
         assert {"ab_flow_a_t", "ab_flow_b_t", "ab_flow_a_ladder",
                 "ab_flow_b_ladder", "deformation_t_ode",
                 "zero_curvature"} <= ids
+        assert (rep.context["about"], rep.context["jet_order"]) == (
+            str(grid[4]), FLOW_ORDER)
+        assert [r.point for r in rep.records[::4][:FLOW_ORDER]] == [
+            f"s^{j} about t=0.3" for j in range(FLOW_ORDER)]
+
+    def test_needs_n_and_a_node(self, params_main, prec):
+        """n = 0 would read b_{-1} and divide by a_0^2 = 0."""
+        with pytest.raises(UnsupportedParameters, match="n >= 1"):
+            ab_flow_check(params_main, 0, ["0.3"], prec)
+        with pytest.raises(SingularPanel, match="grid node"):
+            ab_flow_check(params_main, 2, [], prec)
+
+    def test_nudged_coefficient_fails_only_its_records(self, params_main,
+                                                       prec, monkeypatch):
+        """b_2's s^3 coefficient nudged by 1e-30 relative fails exactly the
+        records it feeds: b_2 at s^3 (a_t, b_t) and b_2' at s^2 (b_t
+        through t b_2', b_ladder); the order-1 Lax records never read it."""
+        def nudged(*args, **kwargs):
+            jets = aux_pair_series(*args, **kwargs)
+            jets.b[2].c[3] *= 1 + mp.mpf("1e-30")
+            return jets
+
+        with mp.workprec(256):
+            grid = mp.linspace(mp.mpf("0.27"), mp.mpf("0.33"), 9)
+        assert ab_flow_check(params_main, 2, grid, prec,
+                             threshold=1e-60).all_passed
+        monkeypatch.setattr(painleve, "aux_pair_series", nudged)
+        rep = ab_flow_check(params_main, 2, grid, prec, threshold=1e-60)
+        assert {(r.check_id, r.point.split()[0]) for r in rep.failures} == {
+            ("ab_flow_a_t", "s^3"), ("ab_flow_b_t", "s^2"),
+            ("ab_flow_b_t", "s^3"), ("ab_flow_b_ladder", "s^2")}
+
+    def test_s0_records_are_the_per_point_records(self, params_main, prec):
+        """The s^0 records equal, to rounding, the records of the laws
+        read off an order-1 table at the middle node alone."""
+        n = 2
+        with mp.workprec(256):
+            grid = mp.linspace(mp.mpf("0.27"), mp.mpf("0.33"), 9)
+        new = [r for r in ab_flow_check(params_main, n, grid, prec,
+                                        threshold=1e-15).records
+               if r.point.startswith("s^0 ")]
+        old = Report("per-point", {})
+        with mp.workprec(prec.significand_bits + 20):
+            t = grid[4]
+            jets = aux_pair_series(n + 1, params_main, 1, prec, about=t)
+            a2, b, th, ka = jets.a2, jets.b, jets.theta, jets.kappa
+            dlog_a2, db = a2[n].c[1] / a2[n].c[0], b[n].c[1]
+            (R_m, _), (R_n, r_n), (_, r_p) = (
+                rr_map(th[i].c[0], ka[i].c[0], t, i, params_main)
+                for i in (n - 1, n, n + 1))
+            for check_id, terms in (
+                    ("ab_flow_a_t", [t * dlog_a2, -2, -b[n - 1].c[0],
+                                     b[n].c[0]]),
+                    ("ab_flow_b_t", [t * db, -a2[n].c[0], a2[n + 1].c[0],
+                                     -b[n].c[0]]),
+                    ("ab_flow_a_ladder", [dlog_a2, -R_m, R_n]),
+                    ("ab_flow_b_ladder", [db, -r_n, r_p])):
+                old.add(check_id, "", n, t, terms, 1e-15)
+        assert len(new) == len(old.records) == 4
+        for rn, ro in zip(new, old.records):
+            assert (rn.check_id, rn.n) == (ro.check_id, ro.n)
+            assert abs(rn.scale - ro.scale) <= 1e-15 * ro.scale
+            assert max(rn.residual, ro.residual) <= 1e-80 * ro.scale
 
     def test_b_derivative_matches_series_near_origin(self, params_main, prec):
         """b_n'(t->0) finite and consistent with the exact series."""

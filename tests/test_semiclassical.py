@@ -368,7 +368,9 @@ class TestIdentitySuite:
 
     def test_desk_point_record_layout(self, params_main, prec):
         """`dlaguerre verify` at the desk point: 240 identity and 22 flow
-        records, in the same order with the same ids and points."""
+        records, in the same order with the same ids and points.  The flow
+        records are 4 laws at s^0 .. s^4 about the middle node, then the
+        deformation and zero-curvature records."""
         mom, tab = table_for(params_main, 5, prec)
         rep = verify_identities(tab, mom, [1, 2, 3], prec)
         with mp.workprec(256):
@@ -377,7 +379,7 @@ class TestIdentitySuite:
         flow = ab_flow_check(params_main, 2, grid, prec, threshold=1e-15)
         assert rep.all_passed and flow.all_passed
         for report, count, digest in ((rep, 240, "4896dace98f2d660"),
-                                      (flow, 22, "9af4e56212cd6586")):
+                                      (flow, 22, "abe1efddb350f845")):
             keys = [(r.check_id, r.n, r.point) for r in report.records]
             assert len(keys) == count
             # fingerprint of the ordered (id, n, point) list

@@ -196,6 +196,8 @@ def cmd_verify(args, parser) -> int:
     if args.t is None:
         raise ValueError("verify requires --t")
     n_max = int(args.nmax if args.nmax is not None else 3)
+    if n_max < 1:
+        raise UnsupportedParameters(f"--nmax must be at least 1, got {n_max}")
     threshold = float(args.threshold)
     with workprec(prec):
         moments, table = table_for(params, n_max + 2, prec)

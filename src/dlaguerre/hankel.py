@@ -68,6 +68,7 @@ from functools import cached_property
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import finf, fnan, fninf, fone, fzero, mpf_mul, mpf_sub
 
 from .errors import (CrossCheckError, PrecisionExhausted, SingularHankel,
                      UnsupportedParameters)
@@ -323,8 +324,24 @@ def monic_values(data, n: int, x) -> list:
     data is a RecurrenceTable or a painleve.JetTable (jets in t); n may
     reach its n_max + 1.  Plain arithmetic at the caller's precision, so x
     may be a number, an mpc or a TruncSeries: an order-1 x-jet
-    TruncSeries([x, 1]) carries every P_m'(x) in its c[1].
+    TruncSeries([x, 1]) carries every P_m'(x) in its c[1].  A finite mpf x
+    over a RecurrenceTable (every quadrature node of an integrand) runs
+    the same operations on raw mpf tuples, rounded as the plain arithmetic
+    rounds them, so the values have its bits.
     """
+    if (type(x) is mp.mpf and isinstance(data, RecurrenceTable)
+            and x._mpf_ not in (finf, fninf, fnan)):
+        prec, rnd = mp.mp._prec_rounding
+        mul, sub, x = mpf_mul, mpf_sub, x._mpf_
+        cur, prev = fone, fzero
+        out = [cur]
+        for m in range(n):
+            cur, prev = sub(mul(sub(x, data.b[m]._mpf_, prec, rnd), cur,
+                                prec, rnd),
+                            mul(data.a2[m]._mpf_, prev, prec, rnd),
+                            prec, rnd), cur
+            out.append(cur)
+        return [mp.make_mpf(v) for v in out]
     cur, prev = (x - data.b[0]) * 0 + 1, 0
     out = [cur]
     for m in range(n):

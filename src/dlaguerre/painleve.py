@@ -77,6 +77,7 @@ identically, and evolve raises DegenerateTheta before it starts.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -118,8 +119,13 @@ class PVParams:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
 
     @classmethod
+    @functools.lru_cache(maxsize=64, typed=True)
     def make(cls, n: int, alpha, mu, convention: str = "prop11",
              prec: PrecisionCtx = None) -> "PVParams":
+        """The parameters of weight (alpha, mu) at n, at prec's width (the
+        default context's when None).  Memoized on the arguments and their
+        types: the result is frozen and its width is pinned here, so a
+        repeated call returns the same bits without recomputing them."""
         with workprec(prec or PrecisionCtx()):
             a, m = to_mpf(alpha), to_mpf(mu)
             if convention == "prop11":

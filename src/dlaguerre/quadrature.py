@@ -35,6 +35,16 @@ mu two sums agree on x^k once the coarser one has 2m > k + alpha + mu: at
 alpha = mu = 2 and t = 20 the 20-node sums miss from k = 36 on, and the
 40/80 pair agrees.
 
+The per-node arithmetic runs on raw mpf tuples (mpmath.libmp), with the
+operations and roundings of the mpf expressions it stands for, so its
+values are theirs to the last bit and no mpf object is made per
+intermediate result: _build_nodes forms each weight half w factor
+(x - t)^alpha x^mu e^{-x} left to right, each product rounded at the
+working precision; _weighted_sum is fsum(w * v[k]) over a component,
+each product rounded at the working precision and then one exact mpf_sum
+per real or imaginary part, fed by a generator; and hankel.monic_values
+runs the monic recurrence this way at an mpf node.
+
 The node lists themselves are cached too, since one weight's integrals
 ask for the same few lists many times (every ladder and oracle integral
 and Cauchy sweep climbs afresh).  The key is every input a list depends
@@ -55,8 +65,9 @@ import math
 from dataclasses import dataclass, replace
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_float, fzero, mpf_add, mpf_div,
-                          mpf_mul, mpf_neg, mpf_pos, mpf_sub)
+from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpf_add,
+                          mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_pow, mpf_pow_int, mpf_sub, mpf_sum)
 
 from .errors import QuadratureFailure
 from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
@@ -344,31 +355,99 @@ def weighted_nodes(params, m: int, pole=None):
 
 
 def _build_nodes(params, m, pole):
-    """The uncached weighted_nodes, given the weight as _exact gives it."""
+    """The uncached weighted_nodes, given the weight as _exact gives it.
+
+    Each node's weight half w factor (x - t)^alpha x^mu e^{-x} (on the
+    tail, scale w (x - t)^alpha x^mu) is formed left to right on raw mpf
+    tuples, every operation rounded as the mpf expression rounds it, so
+    the list has that expression's bits.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    mul, make = mpf_mul, mp.make_mpf
     t = to_mpf(params.t)
     tail_factor = 1 - to_mpf(params.zeta)
     alpha = int(params.alpha)
-    mu = to_mpf(params.mu)
+    mu = to_mpf(params.mu)._mpf_
     cuts = _breaks(params, pole)
     head = [mp.mpf(0)] + [b for b in cuts if b < t] + [t] if t > 0 else []
     tail = [t] + [b for b in cuts if b > t]
+
+    def shifted(x):
+        """(x - t)^alpha."""
+        return mpf_pow_int(mpf_sub(x, t._mpf_, prec, rnd), alpha, prec, rnd)
+
     out = []
-    for ends, factor in ((head, mp.mpf(1)), (tail, tail_factor)):
+    for ends, factor in ((head, fone), (tail, tail_factor._mpf_)):
         for lo, hi in zip(ends[:-1], ends[1:]):
-            half, mid = (hi - lo) / 2, (hi + lo) / 2
+            half, mid = ((hi - lo) / 2)._mpf_, ((hi + lo) / 2)._mpf_
             jacobi = lo == 0 and not params.mu_is_integer
+            # Gauss-Jacobi(0, mu) carries x^mu = half^mu (1 + s)^mu
+            half_mu = mpf_pow(half, mu, prec, rnd) if jacobi else None
             for s, w in _rule(_jacobi(params.mu) if jacobi else "legendre", m):
-                x = mid + half * s
-                # Gauss-Jacobi(0, mu) carries x^mu = half^mu (1 + s)^mu
-                xmu = half ** mu if jacobi else x ** mu
-                out.append((x, half * w * factor * (x - t) ** alpha * xmu
-                            * mp.exp(-x)))
+                x = mpf_add(mid, mul(half, s._mpf_, prec, rnd), prec, rnd)
+                W = mul(mul(half, w._mpf_, prec, rnd), factor, prec, rnd)
+                W = mul(W, shifted(x), prec, rnd)
+                W = mul(W, half_mu if jacobi else mpf_pow(x, mu, prec, rnd),
+                        prec, rnd)
+                W = mul(W, mpf_exp(mpf_neg(x, prec, rnd), prec, rnd),
+                        prec, rnd)
+                out.append((make(x), make(W)))
     start = tail[-1]
-    scale = tail_factor * mp.exp(-start)
+    scale = (tail_factor * mp.exp(-start))._mpf_
     for y, w in _rule("laguerre", m):
-        x = start + y
-        out.append((x, scale * w * (x - t) ** alpha * x ** mu))
+        x = mpf_add(start._mpf_, y._mpf_, prec, rnd)
+        W = mul(mul(scale, w._mpf_, prec, rnd), shifted(x), prec, rnd)
+        out.append((make(x), make(mul(W, mpf_pow(x, mu, prec, rnd),
+                                      prec, rnd))))
     return tuple(out)
+
+
+def _weighted_sum(rows, k, absolute=False):
+    """mp.fsum(w * v[k] for w, v in rows), or with absolute that of
+    abs(w * v[k]), for raw mpf weights w, bit for bit on raw tuples.
+
+    Each product is rounded at the working precision as mpf * v rounds it,
+    then one mpf_sum per part runs over a generator.  As in fsum, an mpc
+    product's parts go to a real and an imaginary sum (with absolute, its
+    mpc_abs to the one sum), and one mpc term makes the sum an mpc.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    mpf_type, mul = mp.mpf, mpf_mul
+    complex_terms = False
+
+    def raw(v):
+        """v as a raw mpf or an mpc's raw pair; other numbers convert as
+        mpf arithmetic converts them."""
+        if not hasattr(v, "_mpf_") and not hasattr(v, "_mpc_"):
+            v = mp.convert(v)
+        return getattr(v, "_mpf_", None) or v._mpc_
+
+    def real_parts():
+        nonlocal complex_terms
+        for w, v in rows:
+            v = v[k]
+            if type(v) is mpf_type:
+                yield mul(w, v._mpf_, prec, rnd)
+                continue
+            v = raw(v)
+            if len(v) == 4:
+                yield mul(w, v, prec, rnd)
+            else:
+                complex_terms = True
+                re = mul(w, v[0], prec, rnd)
+                yield (mpc_abs((re, mul(w, v[1], prec, rnd)), prec, rnd)
+                       if absolute else re)
+
+    def imaginary_parts():
+        for w, v in rows:
+            v = v[k]
+            if type(v) is not mpf_type and len(v := raw(v)) == 2:
+                yield mul(w, v[1], prec, rnd)
+
+    total = mpf_sum(real_parts(), prec, rnd, absolute)
+    if complex_terms and not absolute:
+        return mp.make_mpc((total, mpf_sum(imaginary_parts(), prec, rnd)))
+    return mp.make_mpf(total)
 
 
 def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
@@ -399,10 +478,11 @@ def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
                   else [abs(to_mpf(s)) for s in rel_scale])
 
         def sums(m, ks=None):
-            rows = [(w, fn(x)) for x, w in weighted_nodes(params, m, pole)]
+            rows = [(w._mpf_, fn(x))
+                    for x, w in weighted_nodes(params, m, pole)]
             if ks is None:
                 ks = range(len(rows[0][1]))
-            return rows, {k: mp.fsum(w * v[k] for w, v in rows) for k in ks}
+            return rows, {k: _weighted_sum(rows, k) for k in ks}
 
         _, coarse = sums(LADDER[0])
         pending, done = list(coarse), {}
@@ -414,7 +494,7 @@ def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
                 if scales is None and err > tol * scale:
                     # floor: half the digits of the absolute mass (exact 0s)
                     scale = max(scale, mp.ldexp(
-                        mp.fsum(abs(w * v[k]) for w, v in rows),
+                        _weighted_sum(rows, k, absolute=True),
                         -(prec.significand_bits // 2)))
                 if err <= tol * scale:
                     done[k] = (fine[k], err)

@@ -477,11 +477,16 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
     Polynomial identities are evaluated on the five-point x panel; the
     integral-based checks (Cauchy-transform system, ladder partial
     fractions) are stationed at negative x only.  Failures become report
-    records, never exceptions.  Records undefined at the parameters are
-    left out: the partial fractions at non-integer mu <= 1, and rr_a2 and
-    the Lax rows where theta_n sits at 0 or -t (R_n in {1, 0}; at
-    (alpha, zeta) = (0, 0) the weight is t-independent and theta_n = -t).
+    records, never exceptions; an n_range that is empty or holds a
+    negative n raises UnsupportedParameters.  Records undefined at the
+    parameters are left out: the partial fractions at non-integer
+    mu <= 1, and rr_a2 and the Lax rows where theta_n sits at 0 or -t
+    (R_n in {1, 0}; at (alpha, zeta) = (0, 0) the weight is
+    t-independent and theta_n = -t).
     """
+    if not n_range or min(n_range) < 0:
+        raise UnsupportedParameters(
+            f"n_range must hold at least one n >= 0, got {list(n_range)}")
     prec = prec or table.prec
     params = table.params
     rep = Report(

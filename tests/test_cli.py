@@ -245,6 +245,15 @@ class TestVerify:
         assert doc["all_passed"] is (res.returncode == 0)
 
 
+    @pytest.mark.parametrize("nmax", ["0", "-2"])
+    def test_no_polynomial_index_is_a_usage_error(self, nmax):
+        """verify needs n >= 1: exit 2 with a message naming --nmax (it
+        said "max() arg is an empty sequence")."""
+        res = run_cli(["verify", "--alpha", "2", "--mu", "2", "--zeta", "0.5",
+                       "--t", "0.3", "--nmax", nmax, "--fast"])
+        assert res.returncode == 2
+        assert f"--nmax must be at least 1, got {nmax}" in res.stderr
+
     def test_cancelled_minor_exits_numerical(self):
         """t within 1e-71 of a zero of Delta_3 at (1, 0, -0.429535): the
         minor loses about 72 of 77 digits, more than 60 guard bits restore

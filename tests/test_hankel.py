@@ -473,3 +473,37 @@ class TestChristoffelDarboux:
         _, tab = tables_main
         with pytest.raises(ValueError):
             dN_kernel(tab, 6, 1, 2)
+
+
+class TestMonicValuesRaw:
+    """monic_values at an mpf x runs on raw mpf tuples; its bits are those
+    of the plain recurrence, as are the generic path's on mpc and jets."""
+
+    @staticmethod
+    def loop(tab, n, x):
+        cur, prev = (x - tab.b[0]) * 0 + 1, 0
+        out = [cur]
+        for m in range(n):
+            cur, prev = (x - tab.b[m]) * cur - tab.a2[m] * prev, cur
+            out.append(cur)
+        return out
+
+    @pytest.mark.parametrize("x", ["-2", "0.15", "3.7", "1e5", "0"])
+    def test_mpf_x(self, tables_main, x):
+        _, tab = tables_main
+        for bits in (192, 276):
+            with mp.workprec(bits):
+                got = monic_values(tab, 7, mp.mpf(x))
+                want = self.loop(tab, 7, mp.mpf(x))
+                assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+    def test_mpc_and_jets(self, tables_main):
+        _, tab = tables_main
+        with mp.workprec(276):
+            z = mp.mpc(-1, "0.5")
+            assert ([v._mpc_ for v in monic_values(tab, 6, z)]
+                    == [v._mpc_ for v in self.loop(tab, 6, z)])
+            jet = TruncSeries([mp.mpf("0.4"), 1])
+            got, want = monic_values(tab, 6, jet), self.loop(tab, 6, jet)
+            assert ([[c._mpf_ for c in v.c] for v in got]
+                    == [[c._mpf_ for c in v.c] for v in want])

@@ -51,6 +51,38 @@ class TestPVParams:
         with pytest.raises(ValueError):
             PVParams.make(1, 2, 2, "prop99")
 
+    def test_make_is_memoized(self):
+        """One PVParams per (n, alpha, mu, convention, prec) and their
+        types.  It pins its own width, so a cached one has the bits of a
+        fresh one whatever the caller's context, and so do the q, p and H
+        that to_hamiltonian maps through it."""
+        args = (2, 3, "1.5", "cor12", PrecisionCtx(192))
+        PVParams.make.cache_clear()
+        with mp.workprec(300):
+            fresh = PVParams.make(*args)
+        assert PVParams.make(*args) is fresh
+        PVParams.make.cache_clear()
+        again = PVParams.make(*args)
+        assert again is not fresh
+        assert ([c._mpf_ for c in again.v + again.alphas]
+                == [c._mpf_ for c in fresh.v + fresh.alphas])
+        # an equal value of another type, or another width, is another key
+        other = PVParams.make(2, mp.mpf(3), "1.5", "cor12", PrecisionCtx(192))
+        assert other is not again and type(other.alpha) is mp.mpf
+        assert PVParams.make(2, 3, "1.5", "cor12") is not again
+
+        def mapped():
+            with mp.workprec(80):
+                pt = to_hamiltonian("-0.4", "0.7", "0.3", 2,
+                                    WeightParams(3, "1.5", "0.5", "0.3"),
+                                    "cor12", PrecisionCtx(192))
+            return [v._mpf_ for v in (pt.q, pt.p, pt.H)]
+
+        PVParams.make.cache_clear()
+        first = mapped()
+        assert mapped() == first
+        assert PVParams.make.cache_info().hits == 1
+
 
 class TestHamiltonian:
     def test_p_zero_collapse(self):

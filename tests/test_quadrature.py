@@ -19,6 +19,7 @@ from dlaguerre import (PrecisionCtx, QuadratureFailure, WeightParams,
 from dlaguerre import hankel, moments, oracle, quadrature, semiclassical
 from dlaguerre.hankel import cauchy_sweep
 from dlaguerre.semiclassical import ladder_ab_by_quadrature
+from dlaguerre.precision import to_mpf
 from dlaguerre.quadrature import LADDER, integrate_weighted, weighted_nodes
 from conftest import rel_err
 
@@ -582,3 +583,103 @@ class TestRuleBuilds:
         with pytest.raises(QuadratureFailure, match="did not converge"):
             quadrature._gauss("legendre", 10, 256)
         assert calls[max(calls)] == 4
+
+
+def _raw(v):
+    """The exact bits of a number: an mpf's or an mpc's raw tuples."""
+    return getattr(v, "_mpf_", None) or v._mpc_
+
+
+def _reference_nodes(params, m, pole):
+    """_build_nodes with each weight formed as an mpf expression."""
+    t = to_mpf(params.t)
+    tail_factor = 1 - to_mpf(params.zeta)
+    alpha, mu = int(params.alpha), to_mpf(params.mu)
+    cuts = quadrature._breaks(params, pole)
+    head = [mp.mpf(0)] + [b for b in cuts if b < t] + [t] if t > 0 else []
+    tail = [t] + [b for b in cuts if b > t]
+    out = []
+    for ends, factor in ((head, mp.mpf(1)), (tail, tail_factor)):
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            half, mid = (hi - lo) / 2, (hi + lo) / 2
+            jacobi = lo == 0 and not params.mu_is_integer
+            family = quadrature._jacobi(params.mu) if jacobi else "legendre"
+            for s, w in quadrature._rule(family, m):
+                x = mid + half * s
+                xmu = half ** mu if jacobi else x ** mu
+                out.append((x, half * w * factor * (x - t) ** alpha * xmu
+                            * mp.exp(-x)))
+    start = tail[-1]
+    scale = tail_factor * mp.exp(-start)
+    for y, w in quadrature._rule("laguerre", m):
+        x = start + y
+        out.append((x, scale * w * (x - t) ** alpha * x ** mu))
+    return out
+
+
+def _reference_sum(rows, k, absolute=False):
+    """integrate_weighted's sums as fsum over mpf products."""
+    terms = (mp.make_mpf(w) * v[k] for w, v in rows)
+    return mp.fsum(abs(p) for p in terms) if absolute else mp.fsum(terms)
+
+
+class TestRawKernels:
+    """The per-node arithmetic on raw mpf tuples has the bits of the mpf
+    expressions it replaces, compared tuple for tuple."""
+
+    @pytest.mark.parametrize("alpha", [0, 3])
+    @pytest.mark.parametrize("mu", ["2", "1.5"])
+    @pytest.mark.parametrize("zeta, t", [("0.5", "0.3"), ("-0.7", "1.7"),
+                                         ("0.5", "0")])
+    @pytest.mark.parametrize("pole", [None, -2, (-1, "0.5")], ids=str)
+    def test_build_nodes(self, alpha, mu, zeta, t, pole):
+        params = quadrature._exact(WeightParams(alpha, mu, zeta, t))
+        with mp.workprec(252):
+            pole = (None if pole is None else mp.mpc(*pole)
+                    if isinstance(pole, tuple) else mp.mpf(pole))
+            got = quadrature._build_nodes(params, 10, pole)
+            want = _reference_nodes(params, 10, pole)
+        assert [(_raw(x), _raw(w)) for x, w in got] == [
+            (_raw(x), _raw(w)) for x, w in want]
+
+    @pytest.mark.parametrize("name, fn", [
+        ("real", lambda x: [x ** 3, 1 / (x + 1), mp.exp(-x)]),
+        ("complex", lambda x: [1 / (mp.mpc(-1, "0.5") - x),
+                               x * mp.mpc(0, 2), mp.mpc(x, 0)]),
+        ("exact zero", lambda x: [x - x, x * x - 2 * x]),
+        ("mixed", lambda x: [x if x < 1 else mp.mpc(x, 1), 2, 0.5]),
+        ("no convergence", lambda x: [mp.sign(x - mp.mpf("0.123")), x])])
+    def test_integrate_weighted(self, monkeypatch, name, fn):
+        """Values, error estimates and failure messages, whichever path a
+        component takes: the plain sums, the mass floor of an integral
+        that is exactly 0, or a climb whose sums never agree."""
+        def results():
+            return [item if isinstance(item, str)
+                    else (_raw(item.value), _raw(item.error))
+                    for item in integrate_weighted(fn, DESK, PREC).items]
+
+        got = results()
+        monkeypatch.setattr(quadrature, "_weighted_sum", _reference_sum)
+        assert got == results()
+        if name == "no convergence":
+            # the message as the sums over mpf products wrote it
+            assert got[0] == ("80-node sums still differ by 4.9538e-6 at "
+                              "scale 10.29")
+
+    def test_weighted_sum(self):
+        """Each kind of term, in each position: mpf, mpc, int, float; the
+        last two rows cancel, so a product that is not rounded shows."""
+        with mp.workprec(200):
+            third = mp.mpf(1) / 3
+            rows = [(mp.mpf(w)._mpf_, v) for w, v in [
+                ("0.3", (mp.mpf("1.7"), 3, mp.mpc(1, -2))),
+                ("-1.1", (mp.mpc("0.2", 5), 0.25, mp.mpf(0))),
+                ("2.9", (mp.mpf("-4e-30"), -7, mp.mpc(0, 0))),
+                (third, (mp.mpf(3), mp.mpc(3, 3), 3)),
+                (1, (mp.mpf(-1), mp.mpc(-1, -1), -1))]]
+            for k in range(3):
+                for absolute in (False, True):
+                    got = quadrature._weighted_sum(rows, k, absolute)
+                    want = _reference_sum(rows, k, absolute)
+                    assert type(got) is type(want)
+                    assert _raw(got) == _raw(want)

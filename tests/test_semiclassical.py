@@ -359,6 +359,15 @@ class TestIdentitySuite:
                 "casoratian"} <= ids
         assert rep.all_passed
 
+    @pytest.mark.parametrize("n_range", [[], range(1, 1), [2, -1]])
+    def test_n_range_without_a_valid_n(self, tables_main, prec, n_range):
+        """An empty n_range, or one with a negative n, is a typed error
+        that names n_range (an empty one raised ValueError from max)."""
+        moments, tab = tables_main
+        with pytest.raises(UnsupportedParameters, match="n_range"):
+            verify_identities(tab, moments, n_range, prec,
+                              include_quadrature_checks=False)
+
     def test_partial_fractions_need_mu_above_one(self, prec):
         """y^mu/y is not integrable by the Jacobi panel for 0 < mu < 1."""
         p = WeightParams(2, "0.5", "0.5", "0.3")

@@ -10,10 +10,11 @@ Outputs are machine-readable (json or csv), written atomically, and
 deterministic: identical configuration produces byte-identical files
 (no timestamp is emitted unless --stamp is passed, and then only inside
 the metadata block).  Numbers are serialized as decimal strings carrying
-floor(bits * log10 2) digits.  Options may also come from a flat
-key=value config file (# comments allowed); command-line flags override
-the file.  The DLL_PREC_BITS environment variable overrides the default
-precision bits.
+floor(bits * log10 2) digits; verify writes json only.  The parser owns
+each flag's type and default, the library the validation of the values.
+Options may also come from a flat key=value config file (# comments
+allowed), whose values become the command's defaults: a flag beats the
+file, which beats DLL_PREC_BITS, which beats the built-in 256 bits.
 
 Exit codes: 0 success (and, for verify, all identities passed);
 2 parameter/usage validation failure; 3 numerical failure
@@ -42,7 +43,8 @@ from .moments import WeightParams, build_moment_table, moment_closed_form
 from .painleve import (PVParams, StepControl, ab_flow_check, evolve,
                        hamilton_map_residual, pv_residual,
                        to_hamiltonian)
-from .precision import PrecisionCtx, nstr_full, to_mpf, workprec
+from .precision import (DEFAULT_BITS, PrecisionCtx, nstr_full, to_mpf,
+                        workprec)
 from .semiclassical import theta_kappa_from_recurrence, verify_identities
 
 SCHEMA_VERSION = 1
@@ -53,8 +55,9 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY_FAILED = 4
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key=value lines; # starts a comment; keys use flag spelling."""
+def _read_config_file(path: str, known) -> dict:
+    """Flat key=value lines; # starts a comment; keys use flag spelling and
+    must name one of the known options."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -63,28 +66,12 @@ def _read_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"config line without '=': {raw.rstrip()}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in known:
+                raise ValueError(f"unknown config key: {key}")
+            out[key] = val
     return out
-
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv):
-    """Config-file values fill in flags the command line left at default."""
-    if not getattr(args, "config", None):
-        return args
-    file_vals = _read_config_file(args.config)
-    for key, val in file_vals.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key: {key}")
-        # a flag explicitly present on the command line wins
-        flag = "--" + key.replace("_", "-")
-        if any(a == flag or a.startswith(flag + "=") for a in argv):
-            continue
-        default = parser.get_default(key)
-        if getattr(args, key) == default:
-            setattr(args, key, val)
-    return args
 
 
 def _atomic_write(path: str, data: str):
@@ -117,30 +104,10 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-def _prec_from_args(args) -> PrecisionCtx:
-    bits = args.prec_bits
-    if bits is None:
-        bits = os.environ.get("DLL_PREC_BITS")
-    bits = int(bits) if bits is not None else 256
-    tol = args.tol if args.tol is not None else "1e-30"
-    return PrecisionCtx(significand_bits=bits, tol=tol)
-
-
-def _params_from_args(args) -> WeightParams:
-    missing = [k for k in ("alpha", "mu", "zeta") if getattr(args, k) is None]
-    if missing:
-        raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
-    return WeightParams(int(args.alpha), _int_or_str(args.mu), args.zeta,
-                        args.t if args.t is not None else 0)
-
-
-def _int_or_str(v):
-    try:
-        if float(v) == int(float(v)):
-            return int(float(v))
-    except (TypeError, ValueError):
-        pass
-    return v
+def _inputs(args):
+    """The precision context and the weight, as the library checks them."""
+    return (PrecisionCtx(args.prec_bits, args.tol),
+            WeightParams(args.alpha, args.mu, args.zeta, args.t))
 
 
 def _metadata(args, prec: PrecisionCtx) -> dict:
@@ -152,22 +119,18 @@ def _metadata(args, prec: PrecisionCtx) -> dict:
         "tol": str(prec.tol),
         "digits": prec.decimal_digits,
     }
-    if getattr(args, "stamp", False):
+    if args.stamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
 
 
-def cmd_moments(args, parser) -> int:
-    prec = _prec_from_args(args)
-    params = _params_from_args(args)
-    if args.t is None:
-        raise ValueError("moments requires --t")
-    k_max = int(args.kmax if args.kmax is not None else 8)
+def cmd_moments(args) -> int:
+    prec, params = _inputs(args)
     with workprec(prec):
         rows = []
         closed = [moment_closed_form(k, params, prec)
-                  for k in range(k_max + 1)]
-        quad = build_moment_table(params, k_max, prec, "quadrature")
+                  for k in range(args.kmax + 1)]
+        quad = build_moment_table(params, args.kmax, prec, "quadrature")
         for k, (cf, q) in enumerate(zip(closed, quad.values)):
             rel = abs(cf - q) / max(abs(q), mp.mpf(1))
             rows.append({
@@ -190,15 +153,9 @@ def _params_dict(params: WeightParams) -> dict:
             "zeta": str(params.zeta), "t": str(params.t)}
 
 
-def cmd_verify(args, parser) -> int:
-    prec = _prec_from_args(args)
-    params = _params_from_args(args)
-    if args.t is None:
-        raise ValueError("verify requires --t")
-    n_max = int(args.nmax if args.nmax is not None else 3)
-    if n_max < 1:
-        raise UnsupportedParameters(f"--nmax must be at least 1, got {n_max}")
-    threshold = float(args.threshold)
+def cmd_verify(args) -> int:
+    prec, params = _inputs(args)
+    n_max, threshold = args.nmax, args.threshold
     with workprec(prec):
         moments, table = table_for(params, n_max + 2, prec)
         n_range = list(range(1, n_max + 1))
@@ -221,29 +178,22 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK if doc["all_passed"] else EXIT_VERIFY_FAILED
 
 
-def cmd_evolve(args, parser) -> int:
-    prec = _prec_from_args(args)
-    params = _params_from_args(args)
-    if args.t0 is None or args.t1 is None:
-        raise ValueError("evolve requires --t0 and --t1")
-    n = int(args.n if args.n is not None else 1)
-    convention = args.convention
+def cmd_evolve(args) -> int:
+    prec, params = _inputs(args)
+    n, convention = args.n, args.convention
     ctrl = StepControl(rtol=args.ode_tol, atol=str(to_mpf(args.ode_tol) * 1e-6))
     with workprec(prec):
-        t0 = to_mpf(args.t0)
-        t1 = to_mpf(args.t1)
-        if not t0 <= t1:
-            raise ValueError("need t0 <= t1")
         try:
-            traj = evolve(n, t0, t1, params, prec, ctrl)
+            traj = evolve(n, args.t0, args.t1, params, prec, ctrl)
         except SingularityEncountered as exc:
             sys.stderr.write(
                 f"singularity encountered; last good t = "
                 f"{mp.nstr(exc.t_last, 20) if exc.t_last else '?'}\n")
             return EXIT_NUMERICAL
+        t0, t1 = traj.t[0], traj.t[-1]
 
         rows = []
-        stride = max(1, len(traj) // int(args.max_rows))
+        stride = max(1, len(traj) // args.max_rows)
         idxs = list(range(0, len(traj), stride))
         if idxs[-1] != len(traj) - 1:
             idxs.append(len(traj) - 1)
@@ -291,67 +241,92 @@ def cmd_evolve(args, parser) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _at_least_one(flag):
+    """An argparse type: an integer >= 1, else a message naming the flag."""
+    def parse(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be at least 1, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in its messages
+    return parse
+
+
+def build_parser(config=None) -> argparse.ArgumentParser:
+    """The dlaguerre parser.  config maps option names to values that
+    replace the built-in defaults, as a --config file's values do."""
     parser = argparse.ArgumentParser(
         prog="dlaguerre",
         description="Numerical laboratory for the jump-deformed Laguerre "
                     "weight and its Painleve V flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, formats=("json", "csv")):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--alpha", help="integer exponent on (x - t)")
         p.add_argument("--mu", help="exponent on x (integer for closed form)")
         p.add_argument("--zeta", help="jump size, zeta < 1")
         p.add_argument("--t", help="jump location t >= 0")
-        p.add_argument("--prec-bits", dest="prec_bits",
-                       help="significand bits (default 256 or DLL_PREC_BITS)")
-        p.add_argument("--tol", help="relative tolerance (default 1e-30)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--prec-bits", dest="prec_bits", type=int,
+                       default=os.environ.get("DLL_PREC_BITS", DEFAULT_BITS),
+                       help="significand bits (default %(default)s, from "
+                            "DLL_PREC_BITS when set)")
+        p.add_argument("--tol", default=PrecisionCtx().tol,
+                       help="relative tolerance (default %(default)s)")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--stamp", action="store_true",
                        help="include a timestamp in the metadata block")
+        p.set_defaults(func=func)
+        return p
 
-    p_m = sub.add_parser("moments", help="closed-form vs quadrature moments")
-    common(p_m)
-    p_m.add_argument("--kmax", help="highest moment index (default 8)")
-    p_m.set_defaults(func=cmd_moments)
+    p_m = command("moments", cmd_moments, "closed-form vs quadrature moments")
+    p_m.add_argument("--kmax", type=int, default=8,
+                     help="highest moment index (default %(default)s)")
 
-    p_v = sub.add_parser("verify", help="run the identity suite")
-    common(p_v)
-    p_v.add_argument("--nmax", help="highest polynomial index (default 3)")
-    p_v.add_argument("--threshold", default="1e-15",
-                     help="relative residual threshold (default 1e-15)")
+    p_v = command("verify", cmd_verify, "run the identity suite",
+                  formats=("json",))
+    p_v.add_argument("--nmax", type=_at_least_one("--nmax"), default=3,
+                     help="highest polynomial index (default %(default)s)")
+    p_v.add_argument("--threshold", type=float, default=1e-15,
+                     help="relative residual threshold (default %(default)s)")
     p_v.add_argument("--fast", action="store_true",
                      help="skip the quadrature-based checks")
-    p_v.set_defaults(func=cmd_verify)
 
-    p_e = sub.add_parser("evolve", help="integrate the coupled flow")
-    common(p_e)
-    p_e.add_argument("--n", help="polynomial index n (default 1)")
+    p_e = command("evolve", cmd_evolve, "integrate the coupled flow")
+    p_e.add_argument("--n", type=int, default=1,
+                     help="polynomial index n (default %(default)s)")
     p_e.add_argument("--t0", help="initial t (series initial data)")
     p_e.add_argument("--t1", help="final t")
     p_e.add_argument("--convention", choices=("prop11", "cor12"),
                      default="prop11")
     p_e.add_argument("--ode-tol", dest="ode_tol", default="1e-18",
-                     help="integrator relative tolerance")
-    p_e.add_argument("--max-rows", dest="max_rows", default="200",
-                     help="max trajectory rows in the output")
-    p_e.set_defaults(func=cmd_evolve)
+                     help="integrator relative tolerance (default "
+                          "%(default)s)")
+    p_e.add_argument("--max-rows", dest="max_rows",
+                     type=_at_least_one("--max-rows"), default=200,
+                     help="max trajectory rows in the output (default "
+                          "%(default)s)")
+    p_e.set_defaults(t=0)       # unread: the flow runs from --t0 to --t1
+    for p in (p_m, p_v, p_e):
+        p.set_defaults(**(config or {}))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    effective_argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = parser.parse_args(effective_argv)
+        args = parser.parse_args(argv)
+        if args.config:
+            known = set(vars(args)) - {"command", "func", "config"}
+            config = _read_config_file(args.config, known)
+            args = build_parser(config).parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
-    try:
-        args = _merge_config(args, parser, effective_argv)
-        return args.func(args, parser)
     except (ValueError, KeyError, UnsupportedParameters) as exc:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)

@@ -51,6 +51,7 @@ layer are built from it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -111,18 +112,21 @@ class WeightParams:
                for v in (self.alpha, self.mu, self.zeta, self.t)):
             raise UnsupportedParameters("weight parameters must be numbers")
         if not _is_nonneg_int(self.alpha):
-            raise UnsupportedParameters("alpha must be a non-negative integer")
+            raise UnsupportedParameters(
+                f"alpha must be a non-negative integer, got {self.alpha!r}")
         if not _below_one(self.zeta):
-            raise UnsupportedParameters("zeta must be < 1")
+            raise UnsupportedParameters(f"zeta must be < 1, got {self.zeta!r}")
         with mp.workprec(64):
-            # integer values are stored as int, so int(alpha), int(mu) hold
-            object.__setattr__(self, "alpha", int(to_mpf(self.alpha)))
+            # integer values are stored as exact ints (not rounded to 64 bits)
+            object.__setattr__(self, "alpha", int(to_fraction(self.alpha)))
             if self.mu_is_integer:
-                object.__setattr__(self, "mu", int(to_mpf(self.mu)))
+                object.__setattr__(self, "mu", int(to_fraction(self.mu)))
             if not _finite_nonneg(self.mu):
-                raise UnsupportedParameters("mu must be finite and >= 0")
+                raise UnsupportedParameters(
+                    f"mu must be finite and >= 0, got {self.mu!r}")
             if not _finite_nonneg(self.t):
-                raise UnsupportedParameters("t must be finite and >= 0")
+                raise UnsupportedParameters(
+                    f"t must be finite and >= 0, got {self.t!r}")
 
     @property
     def mu_is_integer(self) -> bool:
@@ -261,6 +265,10 @@ def _moment_parts(k, params, order, about):
         raise UnsupportedParameters("moment series requires integer mu")
     al, m = int(params.alpha), int(params.mu)
     S = k + al + m
+    if S > sys.maxsize:
+        raise UnsupportedParameters(
+            f"closed form needs k + alpha + mu <= {sys.maxsize} for its "
+            f"factorials, got {S}")
     t0 = to_mpf(about)
     head = [(-1) ** j * math.comb(al, j) * math.factorial(S - j)
             for j in range(al + 1)]

@@ -90,7 +90,8 @@ from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
 from .moments import TruncSeries, WeightParams, conv, moment_jets
 from .oracle import finite_difference
-from .precision import PrecisionCtx, to_mpf, workprec, workprec_or_inherit
+from .precision import (PrecisionCtx, to_fraction, to_mpf, workprec,
+                        workprec_or_inherit)
 from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 
 # ---------------------------------------------------------------------------
@@ -471,6 +472,8 @@ def series_init(n: int, t0, params: WeightParams, prec: PrecisionCtx = None,
     truncation error that stays below prec.tol after the flow's
     (t1/t0)^(1+alpha+mu) amplification to t1 = 1; an explicit order wins.
     """
+    if n < 0:
+        raise UnsupportedParameters(f"n must be >= 0, got {n}")
     prec = prec or PrecisionCtx()
     th, ka, _, _ = _series_data(n, t0, params, prec, order)
     return th, ka
@@ -485,9 +488,17 @@ MAX_STEPS = 200000
 THETA_GUARD = "1e-9"   # raise at nodes with |theta| or |theta + t| < this * t
 
 
+def _exact(x):
+    """x as a Fraction, or None when it is not a finite real number."""
+    try:
+        return to_fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return None
+
+
 @dataclass(frozen=True)
 class StepControl:
-    """Taylor step control: the tolerances.
+    """Taylor step control: the tolerances, 0 < rtol < 1 and atol >= 0.
 
     The order is ceil(-ln(rtol)/2) + 1; each step is sized so that the
     last two terms of its jet stay below max(atol, rtol |y|).
@@ -495,6 +506,15 @@ class StepControl:
 
     rtol: object = "1e-30"
     atol: object = "1e-36"
+
+    def __post_init__(self):
+        rtol, atol = _exact(self.rtol), _exact(self.atol)
+        if rtol is None or not 0 < rtol < 1:
+            raise UnsupportedParameters(
+                f"rtol must be in (0, 1), got {self.rtol!r}")
+        if atol is None or atol < 0:
+            raise UnsupportedParameters(
+                f"atol must be >= 0, got {self.atol!r}")
 
 
 def _taylor_order(rtol) -> int:
@@ -613,13 +633,18 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
     DegenerateTheta before the first step when (alpha, zeta) = (0, 0),
     where the weight does not depend on t and theta_n = -t identically.
     """
+    if n < 0:
+        raise UnsupportedParameters(f"n must be >= 0, got {n}")
     prec = prec or PrecisionCtx()
     ctrl = step_ctrl or StepControl()
     with workprec(prec):
         # parse at the context precision so initial data matches what a
         # caller parsing the same literals would see bit-for-bit
-        t0 = to_mpf(t0)
-        t1 = to_mpf(t1)
+        try:
+            t0, t1 = to_mpf(t0), to_mpf(t1)
+        except (TypeError, ValueError):
+            raise UnsupportedParameters(
+                f"t0 and t1 must be numbers, got {t0!r} and {t1!r}") from None
     with workprec(prec, 20):
         if not 0 < t0 <= t1:
             raise UnsupportedParameters("need 0 < t0 <= t1")

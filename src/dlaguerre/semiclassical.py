@@ -509,7 +509,9 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
 
         need = max(n_range) + 1
         if need > table.n_max:
-            raise ValueError("table too small for n_range (need n_max >= max+1)")
+            raise UnsupportedParameters(
+                f"n_range up to {max(n_range)} needs a table with n_max >= "
+                f"{need}, got n_max = {table.n_max}")
         pairs = {m: theta_kappa_from_recurrence(table, m)
                  for m in range(0, need + 1)}
         TH = {m: theta_poly(pairs[m].theta) for m in pairs}

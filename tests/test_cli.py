@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from dlaguerre.cli import main
+from dlaguerre.cli import build_parser, main
 from conftest import SIGNED_ZERO_T
 
 RUN = [sys.executable, "-m", "dlaguerre.cli"]
@@ -363,3 +363,105 @@ class TestPackaging:
                              text=True, env=checkout_env())
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+
+class TestOneOwnerPerDecision:
+    """argparse types each flag and holds its one default; the library
+    validates the values.  Every bad input exits 2 naming the parameter."""
+
+    DESK = ["--alpha", "2", "--mu", "2", "--zeta", "0.5"]
+
+    @pytest.mark.parametrize("args, names", [
+        (["evolve", "--t0", "1e-3", "--t1", "0.01", "--max-rows", "0"],
+         "--max-rows must be at least 1, got 0"),
+        (["evolve", "--t0", "1e-3", "--t1", "0.01", "--ode-tol=-1e-18"],
+         "rtol"),
+        (["evolve", "--t0", "1e-3", "--t1", "0.01", "--ode-tol", "0"],
+         "rtol"),
+        (["evolve", "--n", "-1", "--t0", "1e-3", "--t1", "0.01"],
+         "n must be >= 0"),
+        (["evolve", "--t0", "0.1", "--t1", "0.01"], "t0 <= t1"),
+        (["verify", "--t", "0.3", "--format", "csv"], "--format"),
+        (["moments", "--t", "0.3", "--kmax", "2.5"], "--kmax")])
+    def test_bad_flag_exits_usage(self, args, names):
+        """--max-rows 0 raised ZeroDivisionError, --ode-tol <= 0 a TypeError
+        or ValueError (exit 1), and verify --format csv wrote JSON."""
+        res = run_cli(args[:1] + self.DESK + args[1:])
+        assert res.returncode == 2, res.stderr
+        assert names in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("mu", ["1e30", "1e400"])
+    def test_closed_form_past_factorial_range(self, mu):
+        """k + alpha + mu > sys.maxsize: OverflowError from math.factorial
+        (exit 1) at 1e30; 1e400 overflowed the float that parsed it."""
+        res = run_cli(["moments", "--alpha", "2", "--mu", mu, "--zeta", "0.5",
+                       "--t", "0.3", "--kmax", "1"])
+        assert res.returncode == 2, res.stderr
+        assert "k + alpha + mu" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_integer_valued_alpha_spelling(self, tmp_path, capsys):
+        """--alpha 2.0 is the integer 2, as for --mu (it exited 2)."""
+        outs = []
+        for alpha in ("2", "2.0"):
+            out = tmp_path / f"m{alpha}.json"
+            assert main(["moments", "--alpha", alpha, "--mu", "2", "--zeta",
+                         "0.5", "--t", "0.3", "--kmax", "2",
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_config_values_arrive_typed(self):
+        args = build_parser({"kmax": "1", "prec_bits": "128"}).parse_args(
+            ["moments"])
+        assert (args.kmax, args.prec_bits) == (1, 128)
+        args = build_parser({"max_rows": "5", "n": "2"}).parse_args(
+            ["evolve", "--n", "3"])
+        assert (args.max_rows, args.n) == (5, 3)
+
+    def test_config_typed_and_flag_wins(self, tmp_path, capsys):
+        """The file's values replace the built-in defaults, those of flags
+        with a default too (format = csv was ignored, as were threshold,
+        convention, ode_tol and max_rows), and a flag beats the file in
+        any spelling: --t=0, or --form for --format."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 2\nmu = 2\nzeta = 0.5\nt = 0.3\nkmax = 1\n"
+                       "prec_bits = 128\nformat = csv\n")
+        assert main(["moments", "--config", str(cfg), "--t=0"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [float(row["closed_form"]) for row in rows] == [12, 60]
+        out = tmp_path / "m.json"
+        assert main(["moments", "--config", str(cfg), "--t=0", "--form",
+                     "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["metadata"]["prec_bits"] == 128
+        assert doc["params"]["t"] == "0"
+        assert [row["closed_form"] for row in doc["moments"]] == [
+            row["closed_form"] for row in rows]
+
+    def test_precedence(self, tmp_path):
+        """flag > config file > DLL_PREC_BITS > 256."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prec_bits = 160\n")
+        base = ["moments", "--alpha", "2", "--mu", "1", "--zeta", "0",
+                "--t", "0.3", "--kmax", "0"]
+        env = {"DLL_PREC_BITS": "128"}
+        for extra, env_extra, bits in [
+                ([], None, 256), ([], env, 128),
+                (["--config", str(cfg)], env, 160),
+                (["--config", str(cfg), "--prec-bits", "192"], env, 192)]:
+            res = run_cli(base + extra, env_extra=env_extra)
+            assert res.returncode == 0, res.stderr
+            assert json.loads(res.stdout)["metadata"]["prec_bits"] == bits
+
+    @pytest.mark.parametrize("text, message", [
+        ("nmax = 2\n", "unknown config key: nmax"),
+        ("func = print\n", "unknown config key: func"),
+        ("kmax = many\n", "argument --kmax")])
+    def test_bad_config_exits_usage(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["moments", "--config", str(cfg)] + self.DESK
+                    + ["--t", "0.3"]) == 2
+        assert message in capsys.readouterr().err

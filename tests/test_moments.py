@@ -54,6 +54,12 @@ class TestWeightParams:
         assert moment_closed_form(0, p, PrecisionCtx()) == moment_closed_form(
             0, WeightParams(2, 2, "0.5", "0.3"), PrecisionCtx())
 
+    def test_large_integers_kept_exactly(self):
+        """alpha and mu are stored as exact ints (they were rounded to 64
+        bits: 10**30 + 1 came back as 10**30 + 19884624838657)."""
+        p = WeightParams(10**30 + 1, "1e30", "0.5", "0.3")
+        assert (p.alpha, p.mu) == (10**30 + 1, 10**30)
+
     def test_weight_jump(self):
         p = WeightParams(2, 2, "0.5", "0.3")
         with mp.workprec(128):
@@ -67,6 +73,14 @@ class TestWeightParams:
 
 
 class TestClosedForm:
+    @pytest.mark.parametrize("mu", [10**30, "1e400"])
+    def test_factorial_overflow_is_typed(self, prec, mu):
+        """k + alpha + mu past sys.maxsize raised OverflowError from
+        math.factorial."""
+        p = WeightParams(2, mu, "0.5", "0.3")
+        with pytest.raises(UnsupportedParameters, match="k \\+ alpha \\+ mu"):
+            moment_closed_form(0, p, prec)
+
     def test_origin_degenerate(self, prec):
         p0 = WeightParams(2, 2, "0.5", 0)
         assert moment_closed_form(0, p0, prec) == 12

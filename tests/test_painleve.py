@@ -356,6 +356,30 @@ class TestSeries:
         with pytest.raises(UnsupportedParameters):
             series_init(1, "0.001", thin)               # alpha + mu <= 1
 
+    def test_negative_index_names_n(self, params_main, prec):
+        """n < 0 is named as n (it read "k_max must be >= 0")."""
+        with pytest.raises(UnsupportedParameters, match="n must be >= 0"):
+            series_init(-1, "0.001", params_main)
+        with pytest.raises(UnsupportedParameters, match="n must be >= 0"):
+            evolve(-1, "0.001", "0.01", params_main, prec)
+
+
+class TestStepControl:
+    @pytest.mark.parametrize("field, bad", [
+        ("rtol", 0), ("rtol", "0"), ("rtol", "-1e-18"), ("rtol", 1),
+        ("rtol", "inf"), ("rtol", "nan"), ("rtol", "abc"), ("rtol", None),
+        ("atol", "-1e-24"), ("atol", "abc"), ("atol", None)])
+    def test_bad_tolerance_names_field(self, field, bad):
+        """rtol = 0 failed in _taylor_order ("cannot convert inf or nan to
+        int") and a negative rtol with a TypeError about mpc."""
+        with pytest.raises(UnsupportedParameters, match=field):
+            StepControl(**{field: bad})
+
+    def test_valid_tolerances(self):
+        StepControl()
+        StepControl(rtol="1e-18", atol=0)
+        StepControl(rtol=mp.mpf("0.5"), atol=1e-40)
+
 
 class TestEvolve:
     def test_zero_length(self, params_main, prec):
@@ -443,6 +467,12 @@ class TestEvolve:
             inside = traj.eval("0.0731")
             for got, want in zip(outside + sampled, inside + inside):
                 assert rel_err(got, want) <= 1e-29
+
+    @pytest.mark.parametrize("t0, t1", [("0.001", None), (None, "0.3"),
+                                        ("0.001", "abc")])
+    def test_range_that_is_not_numbers(self, params_main, prec, t0, t1):
+        with pytest.raises(UnsupportedParameters, match="t0 and t1"):
+            evolve(1, t0, t1, params_main, prec)
 
     def test_singularity_guard(self, params_main, prec):
         # start inside the guard zone around theta = -t

@@ -368,6 +368,14 @@ class TestIdentitySuite:
             verify_identities(tab, moments, n_range, prec,
                               include_quadrature_checks=False)
 
+    def test_n_range_past_the_table(self, params_main, prec):
+        """n = 3 needs theta_4, past a table with n_max = 3: a typed error
+        naming n_range and n_max (it was an untyped ValueError)."""
+        moments, tab = table_for(params_main, 3, prec)
+        with pytest.raises(UnsupportedParameters, match="n_range.*n_max = 3"):
+            verify_identities(tab, moments, [3], prec,
+                              include_quadrature_checks=False)
+
     def test_partial_fractions_need_mu_above_one(self, prec):
         """y^mu/y is not integrable by the Jacobi panel for 0 < mu < 1."""
         p = WeightParams(2, "0.5", "0.5", "0.3")

@@ -13,7 +13,8 @@ the metadata block).  Numbers are serialized as decimal strings carrying
 floor(bits * log10 2) digits; verify writes json only.  The parser owns
 each flag's type and default, the library the validation of the values.
 Options may also come from a flat key=value config file (# comments
-allowed), whose values become the command's defaults: a flag beats the
+allowed), each line read as the flag --key=value (a bare key as the
+switch --key) placed before the command line's flags: a flag beats the
 file, which beats DLL_PREC_BITS, which beats the built-in 256 bits.
 
 Exit codes: 0 success (and, for verify, all identities passed);
@@ -55,22 +56,20 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY_FAILED = 4
 
 
-def _read_config_file(path: str, known) -> dict:
-    """Flat key=value lines; # starts a comment; keys use flag spelling and
-    must name one of the known options."""
-    out = {}
+def _read_config_file(path: str, known) -> list:
+    """Flat key=value lines, # starting a comment, as the flags --key=value
+    (a bare key as the switch --key); keys must name a known option."""
+    out = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {raw.rstrip()}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in known:
-                raise ValueError(f"unknown config key: {key}")
-            out[key] = val
+            key, eq, val = (part.strip() for part in line.partition("="))
+            dest = key.replace("-", "_")
+            if dest not in known:
+                raise ValueError(f"unknown config key: {dest}")
+            out.append(f"--{dest.replace('_', '-')}{eq}{val}")
     return out
 
 
@@ -253,9 +252,7 @@ def _at_least_one(flag):
     return parse
 
 
-def build_parser(config=None) -> argparse.ArgumentParser:
-    """The dlaguerre parser.  config maps option names to values that
-    replace the built-in defaults, as a --config file's values do."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dlaguerre",
         description="Numerical laboratory for the jump-deformed Laguerre "
@@ -310,19 +307,20 @@ def build_parser(config=None) -> argparse.ArgumentParser:
                      help="max trajectory rows in the output (default "
                           "%(default)s)")
     p_e.set_defaults(t=0)       # unread: the flow runs from --t0 to --t1
-    for p in (p_m, p_v, p_e):
-        p.set_defaults(**(config or {}))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:
+            # the file's flags go ahead of the command line's, after the
+            # subcommand: argparse types and checks them, and a flag wins
             known = set(vars(args)) - {"command", "func", "config"}
-            config = _read_config_file(args.config, known)
-            args = build_parser(config).parse_args(argv)
+            argv[1:1] = _read_config_file(args.config, known)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already

@@ -58,7 +58,8 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import CrossCheckError, UnsupportedParameters
-from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
+from .precision import (PrecisionCtx, fraction_or_none, to_fraction, to_mpf,
+                        workprec)
 from .quadrature import integrate_weighted, weight_value
 
 FREE_LOSS = 10      # bits of cancellation that 30 guard bits absorb
@@ -66,11 +67,8 @@ FREE_LOSS = 10      # bits of cancellation that 30 guard bits absorb
 
 def _is_nonneg_int(x) -> bool:
     """True for a non-negative integer value, as a number or a string ("2.0")."""
-    try:
-        v = to_fraction(x)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        return False
-    return v.denominator == 1 and v >= 0
+    v = fraction_or_none(x)
+    return v is not None and v.denominator == 1 and v >= 0
 
 
 def _finite_nonneg(x) -> bool:
@@ -85,10 +83,8 @@ def _finite_nonneg(x) -> bool:
 def _below_one(x) -> bool:
     """x < 1, exactly: the Fraction of its value or decimal string
     (1 - 1e-23 is 1 at 64 bits)."""
-    try:
-        return to_fraction(x) < 1
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        return False
+    v = fraction_or_none(x)
+    return v is not None and v < 1
 
 
 @dataclass(frozen=True)

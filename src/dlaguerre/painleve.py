@@ -90,7 +90,7 @@ from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
 from .moments import TruncSeries, WeightParams, conv, moment_jets
 from .oracle import finite_difference
-from .precision import (PrecisionCtx, to_fraction, to_mpf, workprec,
+from .precision import (PrecisionCtx, fraction_or_none, to_mpf, workprec,
                         workprec_or_inherit)
 from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 
@@ -488,14 +488,6 @@ MAX_STEPS = 200000
 THETA_GUARD = "1e-9"   # raise at nodes with |theta| or |theta + t| < this * t
 
 
-def _exact(x):
-    """x as a Fraction, or None when it is not a finite real number."""
-    try:
-        return to_fraction(x)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        return None
-
-
 @dataclass(frozen=True)
 class StepControl:
     """Taylor step control: the tolerances, 0 < rtol < 1 and atol >= 0.
@@ -508,7 +500,7 @@ class StepControl:
     atol: object = "1e-36"
 
     def __post_init__(self):
-        rtol, atol = _exact(self.rtol), _exact(self.atol)
+        rtol, atol = fraction_or_none(self.rtol), fraction_or_none(self.atol)
         if rtol is None or not 0 < rtol < 1:
             raise UnsupportedParameters(
                 f"rtol must be in (0, 1), got {self.rtol!r}")

@@ -48,6 +48,14 @@ def to_fraction(x):
     return Fraction(x)
 
 
+def fraction_or_none(x):
+    """to_fraction(x), or None when x is not a finite real number."""
+    try:
+        return to_fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return None
+
+
 @dataclass(frozen=True)
 class PrecisionCtx:
     """Precision contract: significand bits and relative tolerance.

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from dlaguerre.cli import build_parser, main
+from dlaguerre.cli import main
 from conftest import SIGNED_ZERO_T
 
 RUN = [sys.executable, "-m", "dlaguerre.cli"]
@@ -412,13 +412,17 @@ class TestOneOwnerPerDecision:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_config_values_arrive_typed(self):
-        args = build_parser({"kmax": "1", "prec_bits": "128"}).parse_args(
-            ["moments"])
-        assert (args.kmax, args.prec_bits) == (1, 128)
-        args = build_parser({"max_rows": "5", "n": "2"}).parse_args(
-            ["evolve", "--n", "3"])
-        assert (args.max_rows, args.n) == (5, 3)
+    def test_config_values_arrive_typed(self, tmp_path, monkeypatch):
+        """The file's lines are parsed as flags: typed, a bare key is a
+        switch, and a command-line flag beats the file."""
+        seen = {}
+        monkeypatch.setattr("dlaguerre.cli.cmd_evolve",
+                            lambda args: seen.update(vars(args)) or 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_rows = 5\nn = 2\nprec-bits = 128\nstamp\n")
+        assert main(["evolve", "--config", str(cfg), "--n", "3"]) == 0
+        assert (seen["max_rows"], seen["n"], seen["prec_bits"],
+                seen["stamp"]) == (5, 3, 128, True)
 
     def test_config_typed_and_flag_wins(self, tmp_path, capsys):
         """The file's values replace the built-in defaults, those of flags
@@ -455,13 +459,23 @@ class TestOneOwnerPerDecision:
             assert res.returncode == 0, res.stderr
             assert json.loads(res.stdout)["metadata"]["prec_bits"] == bits
 
-    @pytest.mark.parametrize("text, message", [
-        ("nmax = 2\n", "unknown config key: nmax"),
-        ("func = print\n", "unknown config key: func"),
-        ("kmax = many\n", "argument --kmax")])
-    def test_bad_config_exits_usage(self, tmp_path, capsys, text, message):
+    @pytest.mark.parametrize("command, text, message", [
+        ("moments", "nmax = 2\n", "unknown config key: nmax"),
+        ("moments", "func = print\n", "unknown config key: func"),
+        ("moments", "kmax = many\n", "argument --kmax"),
+        ("moments", "kmax\n", "argument --kmax"),
+        ("moments", "format = xml\n", "argument --format"),
+        ("moments", "stamp = false\n", "argument --stamp"),
+        ("verify", "format = csv\n", "argument --format"),
+        ("verify", "fast = false\n", "argument --fast")])
+    def test_bad_config_exits_usage(self, tmp_path, capsys, command, text,
+                                    message):
+        """A file's value is checked as the flag's would be: a choice
+        outside the flag's, or a value given to a switch, exits 2 (as
+        defaults, format = csv made verify write JSON and fast = false or
+        stamp = false turned the switch on)."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
-        assert main(["moments", "--config", str(cfg)] + self.DESK
+        assert main([command, "--config", str(cfg)] + self.DESK
                     + ["--t", "0.3"]) == 2
         assert message in capsys.readouterr().err

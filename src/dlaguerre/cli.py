@@ -18,9 +18,9 @@ switch --key) placed before the command line's flags: a flag beats the
 file, which beats DLL_PREC_BITS, which beats the built-in 256 bits.
 
 Exit codes: 0 success (and, for verify, all identities passed);
-2 parameter/usage validation failure; 3 numerical failure
-(quadrature/precision/singularity); 4 verify ran but some identities
-failed.
+2 parameter, usage or file failure (--config, --out); 3 numerical
+failure (quadrature/precision/singularity); 4 verify ran but some
+identities failed.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from datetime import datetime, timezone
 import mpmath as mp
 
 from . import __version__
-from .errors import (DLaguerreError, SingularityEncountered,
-                     UnsupportedParameters)
+from .errors import DLaguerreError, SingularityEncountered
 from .hankel import table_for
 from .moments import WeightParams, build_moment_table, moment_closed_form
 from .painleve import (PVParams, StepControl, ab_flow_check, evolve,
@@ -75,6 +74,8 @@ def _read_config_file(path: str, known) -> list:
 
 def _atomic_write(path: str, data: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"no directory {directory} for --out {path}")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dlag-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -198,7 +199,7 @@ def cmd_evolve(args) -> int:
             idxs.append(len(traj) - 1)
         for i in idxs:
             t, th, ka = traj.t[i], traj.theta[i], traj.kappa[i]
-            hp = to_hamiltonian(th, ka, t, n, params, convention)
+            hp = to_hamiltonian(th, ka, t, n, params, convention, prec)
             rows.append({
                 "t": nstr_full(t, prec), "theta": nstr_full(th, prec),
                 "kappa": nstr_full(ka, prec), "q": nstr_full(hp.q, prec),
@@ -221,11 +222,10 @@ def cmd_evolve(args) -> int:
             lo = max(t0, to_mpf("0.1"))
             if t1 > lo * mp.mpf("1.2"):
                 grid = mp.linspace(lo, t1, 121)
-                qs = []
-                for tt, (th, ka) in zip(grid, traj.sample(grid)):
-                    qs.append(to_hamiltonian(th, ka, tt, n, params,
-                                             convention).q)
-                pv = PVParams.make(n, params.alpha, params.mu, convention)
+                qs = [to_hamiltonian(th, ka, tt, n, params, convention, prec).q
+                      for tt, (th, ka) in zip(grid, traj.sample(grid))]
+                pv = PVParams.make(n, params.alpha, params.mu, convention,
+                                   prec)
                 summary["pv_residual"] = float(
                     pv_residual(grid, qs, pv.alphas, prec))
 
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
-    except (ValueError, KeyError, UnsupportedParameters) as exc:
+    except (OSError, ValueError) as exc:    # UnsupportedParameters too
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

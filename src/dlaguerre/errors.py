@@ -5,8 +5,8 @@ class DLaguerreError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnsupportedParameters(DLaguerreError):
-    """Parameter combination outside the operation's domain."""
+class UnsupportedParameters(DLaguerreError, ValueError):
+    """Input outside the operation's domain (also a ValueError)."""
 
 
 class NoConvergence(DLaguerreError):

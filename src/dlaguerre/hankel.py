@@ -183,10 +183,10 @@ def _one_minor(moments: MomentTable, N: int, prec: PrecisionCtx,
     """Delta_N (or sigma_N) from _minors, rounded to prec."""
     name = "sigma" if shifted else "Delta"
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise UnsupportedParameters("N must be >= 0")
     need = 2 * N - 1 if shifted else 2 * N - 2
     if moments.k_max < need:
-        raise ValueError(f"need moments up to {need}, table has {moments.k_max}")
+        raise UnsupportedParameters(f"N={N} needs moments up to mu_{need}")
     delta, sigma, _ = _minors(moments, N, need, prec, [(name, N)])
     with workprec(prec):
         return +(sigma if shifted else delta)[N]
@@ -292,7 +292,7 @@ def recurrence_coefficients(moments: MomentTable, n_max: int,
     """
     prec = prec or moments.prec
     if moments.k_max < 2 * n_max + 1:
-        raise ValueError(f"need moments up to {2*n_max+1}, table has {moments.k_max}")
+        raise UnsupportedParameters(f"needs moments up to mu_{2 * n_max + 1}")
     delta, sigma, lost = _minors(
         moments, n_max + 1, 2 * n_max + 1, prec,
         [(name, m) for m in range(1, n_max + 2)
@@ -371,7 +371,7 @@ def orthopoly_eval(table: RecurrenceTable, n: int, x) -> PolyEval:
     """(p_n, p_{n-1}) at x: gamma_n P_n and gamma_{n-1} P_{n-1} (orthonormal
     view of monic_values); raises SingularHankel where h_n or h_{n-1} <= 0."""
     if n > table.n_max:
-        raise ValueError(f"n={n} exceeds table n_max={table.n_max}")
+        raise UnsupportedParameters(f"n={n} exceeds n_max={table.n_max}")
     with workprec(table.prec):
         x = to_mpf(x)
         P = monic_values(table, n, x)
@@ -488,7 +488,7 @@ def dN_kernel(table: RecurrenceTable, N: int, y1, y2):
 
     whose sum form needs no confluent case.  Needs n_max >= N + 1."""
     if N + 1 > table.n_max:
-        raise ValueError(f"dN_kernel needs n_max >= {N+1}, table has {table.n_max}")
+        raise UnsupportedParameters(f"N={N} needs n_max >= {N + 1}")
     with workprec(table.prec):
         P1 = monic_values(table, N, to_mpf(y1))
         P2 = monic_values(table, N, to_mpf(y2))

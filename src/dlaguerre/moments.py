@@ -51,7 +51,6 @@ layer are built from it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,6 +62,8 @@ from .precision import (PrecisionCtx, fraction_or_none, to_fraction, to_mpf,
 from .quadrature import integrate_weighted, weight_value
 
 FREE_LOSS = 10      # bits of cancellation that 30 guard bits absorb
+MAX_S = 2048        # largest k + alpha + mu of the closed form (_moment_parts)
+BAD_SOURCE = "source must be closed_form or quadrature"
 
 
 def _is_nonneg_int(x) -> bool:
@@ -256,15 +257,20 @@ def moment_series(k: int, params: WeightParams, order: int,
 
 
 def _moment_parts(k, params, order, about):
-    """The jets of P(t) and zeta e^{-t} Q(t) of moment_series, apart."""
+    """The jets of P(t) and zeta e^{-t} Q(t) of moment_series, apart.
+
+    S = k + alpha + mu past MAX_S is refused before the lists (up to S + 1
+    factorials of S log2 S bits) are built.  Their cost grows faster than
+    S^2: one moment takes 0.7 s at S = 2000 and 27 s at 8000 (pure-Python
+    mpmath, one x86 core), so MAX_S = 2048 keeps it under a second.
+    """
     if not params.mu_is_integer:
         raise UnsupportedParameters("moment series requires integer mu")
     al, m = int(params.alpha), int(params.mu)
     S = k + al + m
-    if S > sys.maxsize:
+    if S > MAX_S:
         raise UnsupportedParameters(
-            f"closed form needs k + alpha + mu <= {sys.maxsize} for its "
-            f"factorials, got {S}")
+            f"closed form needs k + alpha + mu <= {MAX_S}, got {S}")
     t0 = to_mpf(about)
     head = [(-1) ** j * math.comb(al, j) * math.factorial(S - j)
             for j in range(al + 1)]
@@ -370,12 +376,12 @@ class MomentTable:
 
     def __post_init__(self):
         if len(self.values) != self.k_max + 1:
-            raise ValueError("values must have length k_max + 1")
+            raise UnsupportedParameters("values must have length k_max + 1")
         if self.source not in ("closed_form", "quadrature"):
-            raise ValueError("source must be closed_form or quadrature")
+            raise UnsupportedParameters(BAD_SOURCE)
         for v in self.values:
             if not mp.isfinite(v):
-                raise ValueError("moment values must be finite")
+                raise UnsupportedParameters("moment values must be finite")
 
     def __getitem__(self, k: int):
         return self.values[k]
@@ -415,7 +421,7 @@ def build_moment_table(params: WeightParams, k_max: int, prec: PrecisionCtx,
     elif source == "quadrature":
         vals = _quadrature_moments(range(k_max + 1), params, prec)
     else:
-        raise ValueError("source must be closed_form or quadrature")
+        raise UnsupportedParameters(BAD_SOURCE)
     return MomentTable(params, k_max, tuple(vals), source, prec)
 
 

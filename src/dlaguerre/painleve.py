@@ -90,8 +90,7 @@ from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
 from .moments import TruncSeries, WeightParams, conv, moment_jets
 from .oracle import finite_difference
-from .precision import (PrecisionCtx, fraction_or_none, to_mpf, workprec,
-                        workprec_or_inherit)
+from .precision import PrecisionCtx, fraction_or_none, to_mpf, workprec
 from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 
 # ---------------------------------------------------------------------------
@@ -99,6 +98,7 @@ from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 # ---------------------------------------------------------------------------
 
 CONVENTIONS = ("prop11", "cor12")
+BAD_CONVENTION = f"convention must be one of {CONVENTIONS}"
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class PVParams:
             if abs(mp.fsum(to_mpf(c) for c in self.v)) > mp.mpf(10) ** (-25):
                 raise ValueError("v_1 + v_2 + v_3 + v_4 must vanish")
         if self.convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
+            raise UnsupportedParameters(BAD_CONVENTION)
 
     @classmethod
     @functools.lru_cache(maxsize=64, typed=True)
@@ -140,7 +140,7 @@ class PVParams:
                 alphas = (a * a / 2, -m * m / 2, +(2 * n + a + 1 + m),
                           -mp.mpf(1) / 2)
             else:
-                raise ValueError(f"convention must be one of {CONVENTIONS}")
+                raise UnsupportedParameters(BAD_CONVENTION)
             return cls(v=v, alphas=alphas, n=n, alpha=alpha, mu=mu,
                        convention=convention)
 
@@ -170,8 +170,8 @@ def _t_hamiltonian(q, p, t, pv: PVParams):
 
 
 def hamiltonian_eval(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
-    """H(q, p, t) of the polynomial PV Hamiltonian (tH is polynomial)."""
-    with workprec_or_inherit(prec):
+    """H(q, p, t), 20 bits above prec or PrecisionCtx() (tH is polynomial)."""
+    with workprec(prec or PrecisionCtx(), 20):
         q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
         if t == 0:
             raise SingularRHS("Hamiltonian undefined at t = 0")
@@ -179,9 +179,9 @@ def hamiltonian_eval(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
 
 
 def hamilton_rhs(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
-    """(dq/dt, dp/dt) = (dH/dp, -dH/dq), the partials of tH read off its
-    order-1 jets in p and in q."""
-    with workprec_or_inherit(prec):
+    """(dq/dt, dp/dt) = (dH/dp, -dH/dq), read off order-1 jets of tH in p
+    and in q, 20 bits above prec or PrecisionCtx()."""
+    with workprec(prec or PrecisionCtx(), 20):
         q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
         if t == 0:
             raise SingularRHS("Hamilton equations undefined at t = 0")
@@ -209,26 +209,27 @@ def _qp_map(th, ka, t, n: int, params: WeightParams, convention: str):
 def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
                    convention: str = "prop11",
                    prec: PrecisionCtx = None) -> HamiltonPoint:
-    """(theta, kappa) -> (q, p) in the chosen convention."""
+    """(theta, kappa) -> (q, p, H), 20 bits above prec or PrecisionCtx()."""
     pv = PVParams.make(n, params.alpha, params.mu, convention, prec)
-    with workprec_or_inherit(prec):
+    with workprec(prec or PrecisionCtx(), 20):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
         if t == 0 or th == 0 or th + t == 0:
             raise DegenerateTheta("map undefined at theta in {0, -t} or t = 0")
         q, p = _qp_map(th, ka, t, n, params, convention)
-        H = hamiltonian_eval(q, p, t, pv)
+        H = _t_hamiltonian(q, p, t, pv) / t
         return HamiltonPoint(q=+q, p=+p, t=+t, H=+H)
 
 
 def from_hamiltonian(q, p, t, n: int, params: WeightParams,
                      convention: str = "prop11",
                      prec: PrecisionCtx = None):
-    """(q, p) -> (theta, kappa): exact algebraic inverse of to_hamiltonian."""
-    with workprec_or_inherit(prec):
+    """(q, p) -> (theta, kappa): exact algebraic inverse of to_hamiltonian,
+    20 bits above prec or PrecisionCtx()."""
+    with workprec(prec or PrecisionCtx(), 20):
         q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
+            raise UnsupportedParameters(BAD_CONVENTION)
         if q == 1:
             raise DegenerateTheta("inverse undefined at q = 1")
         if convention == "prop11":
@@ -301,24 +302,26 @@ def _flow_jet_factory(n: int, params: WeightParams):
 
 def ode_rhs(theta, kappa, n: int, t, params: WeightParams,
             prec: PrecisionCtx = None):
-    """(d theta/dt, d kappa/dt) of the coupled (theta, kappa) flow.
+    """(d theta/dt, d kappa/dt) of the coupled (theta, kappa) flow, 20 bits
+    above prec or PrecisionCtx().
 
     The right side never references zeta: the jump size enters only through
     initial data.
     """
-    with workprec_or_inherit(prec):
+    with workprec(prec or PrecisionCtx(), 20):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
         d_th, d_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
         return +d_th[1], +d_ka[1]
 
 
 def rr_rhs(R, r, n: int, t, params: WeightParams, prec: PrecisionCtx = None):
-    """(dR/dt, dr/dt) of the ladder-residue flow.
+    """(dR/dt, dr/dt) of the ladder-residue flow, 20 bits above prec or
+    PrecisionCtx().
 
     The r-equation carries n(n+mu) in the R/(1-R) term (the n(n+alpha)
     variant fails the equivalence with the (theta, kappa) flow).
     """
-    with workprec_or_inherit(prec):
+    with workprec(prec or PrecisionCtx(), 20):
         R, r, t = to_mpf(R), to_mpf(r), to_mpf(t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if t == 0:
@@ -338,17 +341,18 @@ def _chart_residual(theta, kappa, n: int, t, params: WeightParams,
                     prec: PrecisionCtx, extra_bits: int, chart, field):
     """|image of the (theta, kappa) flow under chart minus field|, max.
 
-    At prec + extra_bits, the flow's order-1 jet of (theta, kappa) at t is
-    mapped through chart(th, ka, t) -> (X, Y), plain arithmetic, so
-    (X', Y') along the flow is exact to working precision; field(X, Y, t)
-    is the chart's own (X', Y').
+    At work = (prec or PrecisionCtx()) + extra_bits bits, the flow's
+    order-1 jet of (theta, kappa) at t is mapped through chart(th, ka, t)
+    -> (X, Y), plain arithmetic, so (X', Y') along the flow is exact to
+    working precision; field(X, Y, t, work) is the chart's own (X', Y').
     """
-    with workprec(prec or PrecisionCtx(), extra_bits):
+    work = PrecisionCtx((prec or PrecisionCtx()).significand_bits + extra_bits)
+    with workprec(work):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
         c_th, c_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
         X, Y = chart(TruncSeries(c_th), TruncSeries(c_ka),
                      TruncSeries([t, 1]))
-        dX, dY = field(X.c[0], Y.c[0], t)
+        dX, dY = field(X.c[0], Y.c[0], t, work)
         return max(abs(X.c[1] - dX), abs(Y.c[1] - dY))
 
 
@@ -359,21 +363,22 @@ def flow_map_residual(theta, kappa, n: int, t, params: WeightParams,
 
     The computational form of the two-theory equivalence.
     """
-    return _chart_residual(theta, kappa, n, t, params, prec, 20,
-                           lambda th, ka, s: rr_map(th, ka, s, n, params),
-                           lambda R, r, s: rr_rhs(R, r, n, s, params))
+    return _chart_residual(
+        theta, kappa, n, t, params, prec, 20,
+        lambda th, ka, s: rr_map(th, ka, s, n, params),
+        lambda R, r, s, ctx: rr_rhs(R, r, n, s, params, ctx))
 
 
 def hamilton_map_residual(theta, kappa, n: int, t, params: WeightParams,
                           convention: str = "prop11",
                           prec: PrecisionCtx = None):
     """|(q', p') along the flow minus hamilton_rhs(q, p, t)|, max, with
-    (q, p) the map of to_hamiltonian (_qp_map)."""
-    pv = PVParams.make(n, params.alpha, params.mu, convention)
+    (q, p) the map of to_hamiltonian (_qp_map) and PVParams at prec."""
+    pv = PVParams.make(n, params.alpha, params.mu, convention, prec)
     return _chart_residual(
         theta, kappa, n, t, params, prec, 40,
         lambda th, ka, s: _qp_map(th, ka, s, n, params, convention),
-        lambda q, p, s: hamilton_rhs(q, p, s, pv))
+        lambda q, p, s, ctx: hamilton_rhs(q, p, s, pv, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +421,7 @@ def aux_pair_series(n_max: int, params: WeightParams, order: int,
     and the zero-curvature checks read.  Arithmetic runs with the GUARD_BITS
     of the numeric tables, the moment recurrence with its own on top.
     """
-    prec = prec or PrecisionCtx()
-    with workprec(prec, GUARD_BITS):
+    with workprec(prec or PrecisionCtx(), GUARD_BITS):
         about = to_mpf(about)
         mk = moment_jets(2 * n_max + 1, params, order, about)
         delta, sigma = hankel_minors(mk, n_max + 1)
@@ -587,7 +591,7 @@ class Trajectory:
         with workprec(self.prec):
             tq = to_mpf(t_query)
             if not self.t[0] <= tq <= self.t[-1]:
-                raise ValueError("query outside the trajectory range")
+                raise UnsupportedParameters("query outside the trajectory")
             if not self.jets:
                 return self.theta[0], self.kappa[0]
             i = max(bisect.bisect_right([j[0] for j in self.jets], tq) - 1, 0)
@@ -748,8 +752,7 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
     so that every sample it reads is on the grid.  Grid points too close
     to the PV singular locus {0, 1} raise SingularPanel.
     """
-    prec = prec or PrecisionCtx()
-    with workprec(prec, 20):
+    with workprec(prec or PrecisionCtx(), 20):
         ts = [to_mpf(v) for v in t_grid]
         qs = [to_mpf(v) for v in q_values]
         if len(ts) < 9:
@@ -841,8 +844,7 @@ def deformation_residual(params: WeightParams, n: int, x, t,
     read off order-1 jets of the recurrence data at t.
     Returns max-abs residual normalized by the vector scale.
     """
-    prec = prec or PrecisionCtx()
-    with workprec(prec, 20):
+    with workprec(prec or PrecisionCtx(), 20):
         jets = aux_pair_series(n, params, 1, prec, about=t)
         x = to_mpf(x)
         return _deformation(jets, n, x, _lax_jets(jets, n, x))
@@ -855,8 +857,7 @@ def compatibility_residual(params: WeightParams, n: int, x, t,
     dA/dt from order-1 jets of the Lax entries; dB/dx exact.  Returns the
     max-abs entry normalized by the largest term entry.
     """
-    prec = prec or PrecisionCtx()
-    with workprec(prec, 20):
+    with workprec(prec or PrecisionCtx(), 20):
         jets = aux_pair_series(n, params, 1, prec, about=t)
         x = to_mpf(x)
         return _compatibility(jets, x, _lax_jets(jets, n, x))
@@ -896,7 +897,6 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
     plus the t-deformation residual and the zero-curvature compatibility
     at x = -1, read off the same table through s^1.
     """
-    prec = prec or PrecisionCtx()
     if n < 1:
         raise UnsupportedParameters("the a_n/b_n flow laws need n >= 1")
     if not t_grid:
@@ -908,7 +908,7 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
                  "zeta": str(params.zeta), "n": n,
                  "t_grid": [str(v) for v in t_grid], "threshold": threshold,
                  "about": str(about), "jet_order": FLOW_ORDER})
-    with workprec(prec, 20):
+    with workprec(prec or PrecisionCtx(), 20):
         mid = to_mpf(about)
         at = f"t={mp.nstr(mid, 8)}"
         jets = aux_pair_series(n + 1, params, FLOW_ORDER, prec, about=mid)

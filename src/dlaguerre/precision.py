@@ -1,11 +1,12 @@
 """Working-precision context shared by every numerical operation.
 
-All arithmetic runs on mpmath under an explicit significand width.  A
-PrecisionCtx travels with every operation; nothing reads global state
-except through `workprec`, which scopes the mpmath precision to a block
-(`workprec_or_inherit` for the functions whose context is optional).
-Floats are taken at their exact binary value; pass decimal strings when
-a decimal literal is meant (the CLI always does).
+All arithmetic runs on mpmath under an explicit significand width: a
+PrecisionCtx travels with every operation, and `workprec` scopes the mpmath
+precision to a block.  A function whose context is optional runs at the one
+given, else at its data's (a table's or a trajectory's), else at
+PrecisionCtx(); the caller's mpmath width never picks it.  Floats are taken
+at their exact binary value; pass decimal strings when a decimal literal is
+meant (the CLI always does).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import from_rational
+
+from .errors import UnsupportedParameters
 
 DEFAULT_BITS = 256
 
@@ -69,10 +72,10 @@ class PrecisionCtx:
 
     def __post_init__(self):
         if self.significand_bits < 64:
-            raise ValueError("significand_bits must be >= 64")
+            raise UnsupportedParameters("significand_bits must be >= 64")
         t = self.tol_mpf()
         if not t > 0:
-            raise ValueError("tol must be positive")
+            raise UnsupportedParameters("tol must be positive")
 
     def tol_mpf(self):
         with mp.workprec(max(self.significand_bits, 64)):
@@ -93,12 +96,6 @@ def workprec(prec: PrecisionCtx, extra_bits: int = 0):
     """Run a block at prec.significand_bits (+ guard bits)."""
     with mp.workprec(prec.significand_bits + extra_bits):
         yield mp
-
-
-def workprec_or_inherit(prec: PrecisionCtx = None):
-    """workprec(prec) when a context is given, else the caller's working
-    precision plus 20 guard bits."""
-    return workprec(prec) if prec is not None else mp.extraprec(20)
 
 
 def nstr_full(x, prec: PrecisionCtx) -> str:

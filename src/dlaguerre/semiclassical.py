@@ -54,7 +54,7 @@ from .errors import CrossCheckError, DegenerateTheta, UnsupportedParameters
 from .hankel import (MomentTable, RecurrenceTable, cauchy_sweep,
                      monic_values)
 from .moments import TruncSeries, WeightParams
-from .precision import PrecisionCtx, to_mpf, workprec, workprec_or_inherit
+from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
 from .quadrature import integrate_weighted
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ class AuxPair:
 
     def __post_init__(self):
         if self.provenance not in ("from_recurrence", "from_integrals"):
-            raise ValueError("unknown provenance")
+            raise UnsupportedParameters("unknown provenance")
 
 
 def rr_map(theta, kappa, t, n: int, params: WeightParams):
@@ -138,7 +138,7 @@ def theta_kappa_from_recurrence(table: RecurrenceTable, n: int) -> AuxPair:
     """AuxPair at the table's t: theta_n and kappa_n as the table holds
     them, and (R_n, r_n) by rr_map (None at t = 0)."""
     if n > table.n_max:
-        raise ValueError(f"n={n} exceeds table n_max={table.n_max}")
+        raise UnsupportedParameters(f"n={n} exceeds n_max={table.n_max}")
     with workprec(table.prec):
         t = to_mpf(table.params.t)
         theta, kappa = table.theta[n], table.kappa[n]
@@ -199,11 +199,9 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
 
 def ladder_ab_at(pair: AuxPair, params: WeightParams, x,
                  prec: PrecisionCtx = None):
-    """(A_n(x), B_n(x)) from the residue data of the pair.
-
-    Runs at prec when given, else inherits the caller's precision context.
-    """
-    with workprec_or_inherit(prec):
+    """(A_n(x), B_n(x)) from the residue data of the pair, 20 bits above
+    prec or PrecisionCtx()."""
+    with workprec(prec or PrecisionCtx(), 20):
         x = to_mpf(x)
         t = to_mpf(pair.t)
         return (pair.R / (x - t) + (1 - pair.R) / x,
@@ -227,12 +225,12 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
     """
     prec = prec or table.prec
     params = table.params
-    al, mu = to_mpf(params.alpha), to_mpf(params.mu)
-    t = to_mpf(params.t)
-    if not (params.mu_is_integer or mu > 1):
+    if not (params.mu_is_integer or to_fraction(params.mu) > 1):
         raise UnsupportedParameters(
             "ladder_ab_by_quadrature needs mu > 1 when mu is not an integer")
     with workprec(prec, 20):
+        al, mu = to_mpf(params.alpha), to_mpf(params.mu)
+        t = to_mpf(params.t)
         x = to_mpf(x)
         zeta = to_mpf(params.zeta)
         shifted = None if params.mu_is_integer else WeightParams(
@@ -291,10 +289,9 @@ def theta_prev_from_pair(pair: AuxPair, params: WeightParams,
       [theta_n/(theta_n+t)] [theta_{n-1}/(theta_{n-1}+t)]
         = (kappa^2 - mu^2 t^2/4) / ((kappa-(n+alpha+mu/2)t)(kappa-(n+mu/2)t)).
     Raises DegenerateTheta at theta in {0, -t} or when the elimination
-    degenerates.  Runs at prec when given, else inherits the caller's
-    precision context.
+    degenerates.  Runs 20 bits above prec or PrecisionCtx().
     """
-    with workprec_or_inherit(prec):
+    with workprec(prec or PrecisionCtx(), 20):
         n = pair.n
         t = to_mpf(pair.t)
         al, mu = to_mpf(params.alpha), to_mpf(params.mu)
@@ -357,7 +354,7 @@ def build_lax(table: RecurrenceTable, n: int):
     """
     pair = theta_kappa_from_recurrence(table, n)
     with workprec(table.prec):
-        th_prev = theta_prev_from_pair(pair, table.params)
+        th_prev = theta_prev_from_pair(pair, table.params, table.prec)
         return lax_residues(n, pair.t, pair.theta, th_prev, pair.kappa,
                             table.a2[n], table.params)
 
@@ -525,7 +522,7 @@ def verify_identities(table: RecurrenceTable, moments: MomentTable,
         OMx = [[polyval(OM[m], x) for m in pairs] for x in panel]
         if t > 0:
             twoVW = [polyval(twoV, x) / w for x, w in zip(panel, Wx)]
-            ABx = [[ladder_ab_at(pairs[m], params, x) for m in pairs]
+            ABx = [[ladder_ab_at(pairs[m], params, x, prec) for m in pairs]
                    for x in panel]
             # (P_m, P_m') for m <= max(n_range) from one order-1 x-jet pass;
             # the trailing (0, 0) is P_{-1}, read at index -1 when n = 0

@@ -26,11 +26,12 @@ def checkout_env():
     return env
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, timeout=None):
     env = checkout_env()
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+    return subprocess.run(RUN + args, capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 class TestMoments:
@@ -479,3 +480,37 @@ class TestOneOwnerPerDecision:
         assert main([command, "--config", str(cfg)] + self.DESK
                     + ["--t", "0.3"]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestRefusedInputs:
+    """Inputs the program cannot use exit 2 with a message and the usage
+    line, quickly and with no traceback."""
+
+    MOMENTS = ["moments", "--zeta", "0.5", "--t", "0.3", "--kmax", "1"]
+
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_missing_path_exits_usage(self, tmp_path, flag):
+        """A --config file that does not exist, or an --out path in a
+        directory that does not exist, escaped as a FileNotFoundError
+        traceback (exit 1)."""
+        path = tmp_path / "absent" / "run.cfg"
+        res = run_cli(self.MOMENTS + ["--alpha", "2", "--mu", "2", flag,
+                                      str(path)])
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ")
+        assert str(path.parent) in res.stderr
+        assert "usage: dlaguerre" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("alpha, mu", [
+        ("2", "1e12"), ("100000000", "2"), ("0", "10000")])
+    def test_closed_form_size_bound_exits_fast(self, alpha, mu):
+        """k + alpha + mu past the closed form's bound is refused before
+        any factorial: --mu 1e12 and --alpha 1e8 ran past 10 s, --mu 10000
+        took 41 s."""
+        res = run_cli(self.MOMENTS + ["--alpha", alpha, "--mu", mu],
+                      timeout=10)
+        assert res.returncode == 2, res.stderr
+        assert "k + alpha + mu <= 2048" in res.stderr
+        assert "Traceback" not in res.stderr

@@ -1,5 +1,8 @@
 """Hamiltonian wiring, variable maps, flows, series, integration, residuals."""
 
+import math
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from dlaguerre.moments import moment_series
 from dlaguerre.painleve import (CONVENTIONS, FLOW_ORDER, aux_pair_series,
                                 compatibility_residual, deformation_residual,
                                 flow_map_residual, hamilton_map_residual)
-from dlaguerre.precision import workprec_or_inherit
+from dlaguerre.precision import to_fraction
 from dlaguerre.semiclassical import Report, rr_map
 from conftest import rel_err
 
@@ -132,14 +135,22 @@ class TestHamiltonian:
                 assert rel_err(dp, -d_q / t) < 1e-70
 
     def test_optional_context_rule(self):
-        """A given context sets the width; without one, the caller's width
-        gains 20 guard bits."""
-        with mp.workprec(100):
-            with workprec_or_inherit(None):
-                assert mp.mp.prec == 120
-            with workprec_or_inherit(PrecisionCtx(192)):
-                assert mp.mp.prec == 192
-            assert mp.mp.prec == 100
+        """A given context sets the width, 20 bits above it; without one,
+        PrecisionCtx() does, whatever the caller's width (it took 20 bits
+        over the caller's).  H = 226/5 here, so the rounding error of the
+        result shows the width it was computed at."""
+        pv = PVParams.make(1, 2, 2, "prop11")
+
+        def bits(h):
+            return -math.log2(abs(to_fraction(h) / Fraction(226, 5) - 1))
+
+        for width in (100, 600):
+            with mp.workprec(width):
+                given = hamiltonian_eval("2", "0.1", "0.3", pv,
+                                         PrecisionCtx(192))
+                omitted = hamiltonian_eval("2", "0.1", "0.3", pv)
+            assert 192 + 19 < bits(given) < 192 + 23
+            assert 256 + 19 < bits(omitted) < 256 + 23
 
 
 admissible_states = st.tuples(
@@ -185,6 +196,16 @@ class TestMaps:
                 resid = hamilton_map_residual(pair.theta, pair.kappa, n,
                                               "0.3", params_main, conv)
                 assert float(resid) < 1e-15
+
+    @pytest.mark.parametrize("bits, bound", [(512, 1e-140), (1024, 1e-290)])
+    def test_real_mu_residual_follows_width(self, bits, bound):
+        """At real mu the PV constants carry rounded mu: built at 256 bits
+        whatever the context, they held the residual at 5.3e-76 at both
+        widths; built at prec it reads 4.6e-153 and 3.4e-307."""
+        params = WeightParams(2, "0.3", "0.5", "0.7")
+        resid = hamilton_map_residual("-0.41", "0.37", 2, "0.7", params,
+                                      "prop11", PrecisionCtx(bits))
+        assert resid < bound
 
     def test_p_determined_by_q_equation(self, tables_main, params_main):
         """The dq-equation is linear in p and pins the canonical momentum:

@@ -43,8 +43,8 @@ from .moments import WeightParams, build_moment_table, moment_closed_form
 from .painleve import (PVParams, StepControl, ab_flow_check, evolve,
                        hamilton_map_residual, pv_residual,
                        to_hamiltonian)
-from .precision import (DEFAULT_BITS, PrecisionCtx, nstr_full, to_mpf,
-                        workprec)
+from .precision import (DEFAULT_BITS, DEFAULT_CTX, PrecisionCtx, nstr_full,
+                        to_mpf, workprec)
 from .semiclassical import theta_kappa_from_recurrence, verify_identities
 
 SCHEMA_VERSION = 1
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=os.environ.get("DLL_PREC_BITS", DEFAULT_BITS),
                        help="significand bits (default %(default)s, from "
                             "DLL_PREC_BITS when set)")
-        p.add_argument("--tol", default=PrecisionCtx().tol,
+        p.add_argument("--tol", default=DEFAULT_CTX.tol,
                        help="relative tolerance (default %(default)s)")
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="output path (default stdout)")

@@ -68,7 +68,8 @@ from functools import cached_property
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import finf, fnan, fninf, fone, fzero, mpf_mul, mpf_sub
+from mpmath.libmp import (finf, fnan, fninf, fone, fzero, mpf_mul, mpf_neg,
+                          mpf_rdiv_int, mpf_sub)
 
 from .errors import (CrossCheckError, PrecisionExhausted, SingularHankel,
                      UnsupportedParameters)
@@ -331,21 +332,28 @@ def monic_values(data, n: int, x) -> list:
     """
     if (type(x) is mp.mpf and isinstance(data, RecurrenceTable)
             and x._mpf_ not in (finf, fninf, fnan)):
-        prec, rnd = mp.mp._prec_rounding
-        mul, sub, x = mpf_mul, mpf_sub, x._mpf_
-        cur, prev = fone, fzero
-        out = [cur]
-        for m in range(n):
-            cur, prev = sub(mul(sub(x, data.b[m]._mpf_, prec, rnd), cur,
-                                prec, rnd),
-                            mul(data.a2[m]._mpf_, prev, prec, rnd),
-                            prec, rnd), cur
-            out.append(cur)
-        return [mp.make_mpf(v) for v in out]
+        return [mp.make_mpf(v) for v in _monic_raw(data, n, x._mpf_,
+                                                   *mp.mp._prec_rounding)]
     cur, prev = (x - data.b[0]) * 0 + 1, 0
     out = [cur]
     for m in range(n):
         cur, prev = (x - data.b[m]) * cur - data.a2[m] * prev, cur
+        out.append(cur)
+    return out
+
+
+def _monic_raw(table: RecurrenceTable, n: int, x, prec, rnd) -> list:
+    """monic_values at a finite raw mpf x over a RecurrenceTable, as raw
+    tuples: each operation rounded at prec as the mpf arithmetic rounds
+    it."""
+    mul, sub = mpf_mul, mpf_sub
+    cur, prev = fone, fzero
+    out = [cur]
+    for m in range(n):
+        cur, prev = sub(mul(sub(x, table.b[m]._mpf_, prec, rnd), cur,
+                            prec, rnd),
+                        mul(table.a2[m]._mpf_, prev, prec, rnd),
+                        prec, rnd), cur
         out.append(cur)
     return out
 
@@ -398,7 +406,9 @@ def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
     """E_0..E_n(x) and E_0'..E_n'(x) from one climb of the node ladder.
 
     One vector integrand: at each node P_0..P_n come from monic_values,
-    and 1/(x - s) and 1/(x - s)^2 are formed once.  Returns the pair of
+    and 1/(x - s) and 1/(x - s)^2 are formed once; at a real x all of it
+    runs on raw mpf tuples, with the roundings and so the bits of the mpf
+    arithmetic that a complex x uses.  Returns the pair of
     QuadResults (E, dE), E[k] for E_k and dE[k] for E_k'; a component
     whose sums never agreed raises QuadratureFailure when it is read.
 
@@ -418,11 +428,25 @@ def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
         if latest is not None and latest[0] == key and len(latest[1][0]) > n:
             return latest[1]
 
-        def fn(s):
-            P = monic_values(table, n, s)
-            inv = 1 / (x - s)
-            dinv = -inv * inv
-            return [p * inv for p in P] + [p * dinv for p in P]
+        if type(x) is mp.mpf:
+            xr, make = x._mpf_, mp.make_mpf
+
+            def fn(s):
+                # the complex-x integrand below at a real x, on raw tuples
+                # rounded as its mpf arithmetic rounds them
+                bits, rnd = mp.mp._prec_rounding
+                P = _monic_raw(table, n, s._mpf_, bits, rnd)
+                inv = mpf_rdiv_int(1, mpf_sub(xr, s._mpf_, bits, rnd),
+                                   bits, rnd)
+                dinv = mpf_mul(mpf_neg(inv, bits, rnd), inv, bits, rnd)
+                return ([make(mpf_mul(p, inv, bits, rnd)) for p in P]
+                        + [make(mpf_mul(p, dinv, bits, rnd)) for p in P])
+        else:
+            def fn(s):
+                P = monic_values(table, n, s)
+                inv = 1 / (x - s)
+                dinv = -inv * inv
+                return [p * inv for p in P] + [p * dinv for p in P]
 
         res = integrate_weighted(
             fn, table.params, prec, pole=x,

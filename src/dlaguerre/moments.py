@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_mul
 
 from .errors import CrossCheckError, UnsupportedParameters
 from .precision import (PrecisionCtx, fraction_or_none, to_fraction, to_mpf,
@@ -215,7 +216,18 @@ class TruncSeries:
         return TruncSeries.constant(other, self.order) / self
 
     def eval(self, s):
+        """The polynomial at s by Horner's rule, acc = acc * s + c_j.  When
+        s and every coefficient are mpf the same operations run on raw
+        tuples, rounded as the mpf arithmetic rounds them, so the value has
+        its bits; mpc coefficients or arguments take the plain loop."""
         s = to_mpf(s)
+        mpf_type = mp.mpf
+        if type(s) is mpf_type and all(type(a) is mpf_type for a in self.c):
+            prec, rnd = mp.mp._prec_rounding
+            s, acc = s._mpf_, fzero
+            for a in reversed(self.c):
+                acc = mpf_add(mpf_mul(acc, s, prec, rnd), a._mpf_, prec, rnd)
+            return mp.make_mpf(acc)
         acc = mp.mpf(0)
         for a in reversed(self.c):
             acc = acc * s + a

@@ -6,9 +6,10 @@ delta_by_quadrature evaluates the N-fold squared-Vandermonde integral by
 tensor-product quadrature, dN_by_quadrature does the same with two
 characteristic-polynomial insertions, gram_schmidt_recurrence rebuilds the
 recurrence coefficients by Stieltjes' procedure (no moment, no
-determinant), and finite_difference, the package's one finite-difference
-rule, has a Richardson error estimate.  Results carry error estimates;
-assertions downstream compare |value - reference| against estimate + tol.
+determinant), and finite_difference, order-4 stencils with a Richardson
+error estimate (painleve.pv_residual applies them to grid samples
+directly).  Results carry error estimates; assertions downstream compare
+|value - reference| against estimate + tol.
 
 Tensor integrals and Stieltjes sums are mpf sums over the split Gauss node
 lists of quadrature.weighted_nodes at prec + GUARD_BITS, as

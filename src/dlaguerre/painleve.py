@@ -55,8 +55,9 @@ jet identities, checked coefficient by coefficient (s^0 .. s^4), and its
 order-1 terms the t-deformation and the zero-curvature residuals.  The flow's
 order-1 jet, mapped through a chart (rr_map or _qp_map), is checked against
 that chart's own field (_chart_residual), and hamilton_rhs reads the
-partials of tH off its jets.  Only pv_residual differentiates numerically
-(oracle.finite_difference on the sampled q).
+partials of tH off its jets.  Only pv_residual differentiates numerically:
+order-4 stencils on the sampled q, Richardson-combined as
+oracle.finite_difference combines them.
 The jets carry a_n^2, never a_n: polynomial jets come from the monic
 recurrence and the Lax pair acts on (P_n, P_{n-1}) (the monic gauge), so
 signed weights need no square root either.
@@ -83,14 +84,16 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import mpmath as mp
+from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_mul, mpf_pow_int,
+                          mpf_shift, mpf_sign)
 
 from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
 from .moments import TruncSeries, WeightParams, conv, moment_jets
-from .oracle import finite_difference
-from .precision import PrecisionCtx, fraction_or_none, to_mpf, workprec
+from .precision import (DEFAULT_CTX, PrecisionCtx, fraction_or_none,
+                        to_mpf, workprec)
 from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 
 # ---------------------------------------------------------------------------
@@ -127,7 +130,7 @@ class PVParams:
         default context's when None).  Memoized on the arguments and their
         types: the result is frozen and its width is pinned here, so a
         repeated call returns the same bits without recomputing them."""
-        with workprec(prec or PrecisionCtx()):
+        with workprec(prec or DEFAULT_CTX):
             a, m = to_mpf(alpha), to_mpf(mu)
             if convention == "prop11":
                 v1 = -(3 * a + 2 * n + m) / 4
@@ -170,8 +173,8 @@ def _t_hamiltonian(q, p, t, pv: PVParams):
 
 
 def hamiltonian_eval(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
-    """H(q, p, t), 20 bits above prec or PrecisionCtx() (tH is polynomial)."""
-    with workprec(prec or PrecisionCtx(), 20):
+    """H(q, p, t), 20 bits above prec or DEFAULT_CTX (tH is polynomial)."""
+    with workprec(prec or DEFAULT_CTX, 20):
         q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
         if t == 0:
             raise SingularRHS("Hamiltonian undefined at t = 0")
@@ -180,8 +183,8 @@ def hamiltonian_eval(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
 
 def hamilton_rhs(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
     """(dq/dt, dp/dt) = (dH/dp, -dH/dq), read off order-1 jets of tH in p
-    and in q, 20 bits above prec or PrecisionCtx()."""
-    with workprec(prec or PrecisionCtx(), 20):
+    and in q, 20 bits above prec or DEFAULT_CTX."""
+    with workprec(prec or DEFAULT_CTX, 20):
         q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
         if t == 0:
             raise SingularRHS("Hamilton equations undefined at t = 0")
@@ -209,9 +212,9 @@ def _qp_map(th, ka, t, n: int, params: WeightParams, convention: str):
 def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
                    convention: str = "prop11",
                    prec: PrecisionCtx = None) -> HamiltonPoint:
-    """(theta, kappa) -> (q, p, H), 20 bits above prec or PrecisionCtx()."""
+    """(theta, kappa) -> (q, p, H), 20 bits above prec or DEFAULT_CTX."""
     pv = PVParams.make(n, params.alpha, params.mu, convention, prec)
-    with workprec(prec or PrecisionCtx(), 20):
+    with workprec(prec or DEFAULT_CTX, 20):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
         if t == 0 or th == 0 or th + t == 0:
             raise DegenerateTheta("map undefined at theta in {0, -t} or t = 0")
@@ -224,8 +227,8 @@ def from_hamiltonian(q, p, t, n: int, params: WeightParams,
                      convention: str = "prop11",
                      prec: PrecisionCtx = None):
     """(q, p) -> (theta, kappa): exact algebraic inverse of to_hamiltonian,
-    20 bits above prec or PrecisionCtx()."""
-    with workprec(prec or PrecisionCtx(), 20):
+    20 bits above prec or DEFAULT_CTX."""
+    with workprec(prec or DEFAULT_CTX, 20):
         q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if convention not in CONVENTIONS:
@@ -303,12 +306,12 @@ def _flow_jet_factory(n: int, params: WeightParams):
 def ode_rhs(theta, kappa, n: int, t, params: WeightParams,
             prec: PrecisionCtx = None):
     """(d theta/dt, d kappa/dt) of the coupled (theta, kappa) flow, 20 bits
-    above prec or PrecisionCtx().
+    above prec or DEFAULT_CTX.
 
     The right side never references zeta: the jump size enters only through
     initial data.
     """
-    with workprec(prec or PrecisionCtx(), 20):
+    with workprec(prec or DEFAULT_CTX, 20):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
         d_th, d_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
         return +d_th[1], +d_ka[1]
@@ -316,12 +319,12 @@ def ode_rhs(theta, kappa, n: int, t, params: WeightParams,
 
 def rr_rhs(R, r, n: int, t, params: WeightParams, prec: PrecisionCtx = None):
     """(dR/dt, dr/dt) of the ladder-residue flow, 20 bits above prec or
-    PrecisionCtx().
+    DEFAULT_CTX.
 
     The r-equation carries n(n+mu) in the R/(1-R) term (the n(n+alpha)
     variant fails the equivalence with the (theta, kappa) flow).
     """
-    with workprec(prec or PrecisionCtx(), 20):
+    with workprec(prec or DEFAULT_CTX, 20):
         R, r, t = to_mpf(R), to_mpf(r), to_mpf(t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if t == 0:
@@ -341,12 +344,12 @@ def _chart_residual(theta, kappa, n: int, t, params: WeightParams,
                     prec: PrecisionCtx, extra_bits: int, chart, field):
     """|image of the (theta, kappa) flow under chart minus field|, max.
 
-    At work = (prec or PrecisionCtx()) + extra_bits bits, the flow's
+    At work = (prec or DEFAULT_CTX) + extra_bits bits, the flow's
     order-1 jet of (theta, kappa) at t is mapped through chart(th, ka, t)
     -> (X, Y), plain arithmetic, so (X', Y') along the flow is exact to
     working precision; field(X, Y, t, work) is the chart's own (X', Y').
     """
-    work = PrecisionCtx((prec or PrecisionCtx()).significand_bits + extra_bits)
+    work = PrecisionCtx((prec or DEFAULT_CTX).significand_bits + extra_bits)
     with workprec(work):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
         c_th, c_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
@@ -421,7 +424,7 @@ def aux_pair_series(n_max: int, params: WeightParams, order: int,
     and the zero-curvature checks read.  Arithmetic runs with the GUARD_BITS
     of the numeric tables, the moment recurrence with its own on top.
     """
-    with workprec(prec or PrecisionCtx(), GUARD_BITS):
+    with workprec(prec or DEFAULT_CTX, GUARD_BITS):
         about = to_mpf(about)
         mk = moment_jets(2 * n_max + 1, params, order, about)
         delta, sigma = hankel_minors(mk, n_max + 1)
@@ -478,7 +481,7 @@ def series_init(n: int, t0, params: WeightParams, prec: PrecisionCtx = None,
     """
     if n < 0:
         raise UnsupportedParameters(f"n must be >= 0, got {n}")
-    prec = prec or PrecisionCtx()
+    prec = prec or DEFAULT_CTX
     th, ka, _, _ = _series_data(n, t0, params, prec, order)
     return th, ka
 
@@ -529,22 +532,31 @@ def _vanishing_start(c: TruncSeries, h, depth: int = 8):
 
     The polynomial lies in the convex hull of its Bernstein coefficients on
     a piece, so a piece whose coefficients share one sign is cleared; the
-    others are halved by de Casteljau's algorithm, up to depth times.
+    others are halved by de Casteljau's algorithm, up to depth times.  The
+    coefficients are raw mpf tuples, each formed with the operations and
+    rounding of the mpf expression c_j h^j / C(K, j), b_k + b_(k-1) or
+    (x_k + x_(k+1)) / 2 (the halving is the exact mpf_shift by -1), so the
+    signs tested are those of the mpf arithmetic.
     """
-    K = c.order
-    b = [cj * h ** j / math.comb(K, j) for j, cj in enumerate(c.c)]
+    prec, rnd = mp.mp._prec_rounding
+    K, hr = c.order, h._mpf_
+    b = [mpf_div(mpf_mul(cj._mpf_, mpf_pow_int(hr, j, prec, rnd), prec, rnd),
+                 from_int(math.comb(K, j)), prec, rnd)
+         for j, cj in enumerate(c.c)]
     for i in range(1, K + 1):          # b_k = sum_j C(k, j) c_j h^j / C(K, j)
         for k in range(K, i - 1, -1):
-            b[k] += b[k - 1]
+            b[k] = mpf_add(b[k], b[k - 1], prec, rnd)
 
     def first(b, start, width, depth):
-        if all(x > 0 for x in b) or all(x < 0 for x in b):
+        sign = mpf_sign(b[0])
+        if sign and all(mpf_sign(x) == sign for x in b):
             return None
         if depth == 0:
             return start
         left, right, x = [b[0]], [b[-1]], b
         for _ in range(K):
-            x = [(x[k] + x[k + 1]) / 2 for k in range(len(x) - 1)]
+            x = [mpf_shift(mpf_add(x[k], x[k + 1], prec, rnd), -1)
+                 for k in range(len(x) - 1)]
             left.append(x[0])
             right.append(x[-1])
         half = width / 2
@@ -577,7 +589,7 @@ class Trajectory:
     rejected: int
     max_error_estimate: float
     metadata: dict = field(default_factory=dict)
-    prec: PrecisionCtx = field(default_factory=PrecisionCtx)
+    prec: PrecisionCtx = DEFAULT_CTX
 
     def __len__(self):
         return len(self.t)
@@ -589,14 +601,17 @@ class Trajectory:
     def eval(self, t_query):
         """Dense output: the Taylor polynomial of the step containing t."""
         with workprec(self.prec):
-            tq = to_mpf(t_query)
-            if not self.t[0] <= tq <= self.t[-1]:
-                raise UnsupportedParameters("query outside the trajectory")
-            if not self.jets:
-                return self.theta[0], self.kappa[0]
-            i = max(bisect.bisect_right([j[0] for j in self.jets], tq) - 1, 0)
-            tk, th, ka = self.jets[i]
-            return th.eval(tq - tk), ka.eval(tq - tk)
+            return self._dense(to_mpf(t_query), [j[0] for j in self.jets])
+
+    def _dense(self, tq, starts):
+        """eval at an mpf tq, with starts the jets' start times."""
+        if not self.t[0] <= tq <= self.t[-1]:
+            raise UnsupportedParameters("query outside the trajectory")
+        if not self.jets:
+            return self.theta[0], self.kappa[0]
+        i = max(bisect.bisect_right(starts, tq) - 1, 0)
+        tk, th, ka = self.jets[i]
+        return th.eval(tq - tk), ka.eval(tq - tk)
 
     def sample(self, t_list):
         """(theta, kappa) at each query: exact node values when the query
@@ -604,10 +619,12 @@ class Trajectory:
         node = {t: i for i, t in enumerate(self.t)}
         out = []
         with workprec(self.prec):
+            starts = [j[0] for j in self.jets]
             for tq in t_list:
-                i = node.get(to_mpf(tq))
+                tq = to_mpf(tq)
+                i = node.get(tq)
                 out.append((self.theta[i], self.kappa[i]) if i is not None
-                           else self.eval(tq))
+                           else self._dense(tq, starts))
         return out
 
 
@@ -631,7 +648,7 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
     """
     if n < 0:
         raise UnsupportedParameters(f"n must be >= 0, got {n}")
-    prec = prec or PrecisionCtx()
+    prec = prec or DEFAULT_CTX
     ctrl = step_ctrl or StepControl()
     with workprec(prec):
         # parse at the context precision so initial data matches what a
@@ -743,32 +760,51 @@ def pv_rhs_second_derivative(y, yp, t, alphas):
             + a4 * y * (y + 1) / (y - 1))
 
 
+def _index_derivatives(qs, i):
+    """q' and q'' at grid index i, in index units: the order-4 central
+    stencils at spacings 2 and 1, Richardson-combined as (16 d_1 - d_2)/15,
+    with the operations of oracle.finite_difference(f, i, 2, k) on the
+    samples it reads (qs[i], qs[i +- 1], qs[i +- 2], qs[i +- 4])."""
+    def d1(hh):
+        return (-qs[i + 2 * hh] + 8 * qs[i + hh] - 8 * qs[i - hh]
+                + qs[i - 2 * hh]) / (12 * hh)
+
+    def d2(hh):
+        return (-qs[i + 2 * hh] + 16 * qs[i + hh] - 30 * qs[i]
+                + 16 * qs[i - hh] - qs[i - 2 * hh]) / (12 * hh * hh)
+
+    return [(16 * d(1) - d(2)) / 15 for d in (d1, d2)]
+
+
 def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
                 prec: PrecisionCtx = None) -> float:
     """Max |q'' - PV right side| over the interior grid, normalized by max|q''|.
 
     q must be sampled on a uniform grid of at least 9 points; q' and q''
-    come from oracle.finite_difference in the grid index, at h = 2 steps
-    so that every sample it reads is on the grid.  Grid points too close
-    to the PV singular locus {0, 1} raise SingularPanel.
+    come from order-4 stencils in the grid index at spacings 2 and 1,
+    Richardson-combined (_index_derivatives), so that every sample read is
+    on the grid.  Grid points too close to the PV singular locus {0, 1}
+    raise SingularPanel.
     """
-    with workprec(prec or PrecisionCtx(), 20):
+    with workprec(prec or DEFAULT_CTX, 20):
         ts = [to_mpf(v) for v in t_grid]
         qs = [to_mpf(v) for v in q_values]
         if len(ts) < 9:
             raise SingularPanel("need at least 9 grid points")
         h = ts[1] - ts[0]
+        spread = abs(h) * mp.mpf("1e-20")
         for i in range(1, len(ts)):
-            if abs((ts[i] - ts[i - 1]) - h) > abs(h) * mp.mpf("1e-20"):
+            if abs((ts[i] - ts[i - 1]) - h) > spread:
                 raise SingularPanel("grid must be uniform")
+        near = mp.mpf("1e-8")
         for q in qs:
-            if abs(q) < mp.mpf("1e-8") or abs(q - 1) < mp.mpf("1e-8"):
+            if abs(q) < near or abs(q - 1) < near:
                 raise SingularPanel("q too close to the singular locus {0, 1}")
         scale = mp.mpf(0)
         residuals = []
         for i in range(4, len(ts) - 4):
-            yp, ypp = (finite_difference(lambda j: qs[int(j)], i, 2, k).value
-                       / h ** k for k in (1, 2))
+            yp, ypp = (d / h ** k
+                       for k, d in enumerate(_index_derivatives(qs, i), 1))
             rhs = pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
             residuals.append(abs(ypp - rhs))
             scale = max(scale, abs(ypp))
@@ -844,7 +880,7 @@ def deformation_residual(params: WeightParams, n: int, x, t,
     read off order-1 jets of the recurrence data at t.
     Returns max-abs residual normalized by the vector scale.
     """
-    with workprec(prec or PrecisionCtx(), 20):
+    with workprec(prec or DEFAULT_CTX, 20):
         jets = aux_pair_series(n, params, 1, prec, about=t)
         x = to_mpf(x)
         return _deformation(jets, n, x, _lax_jets(jets, n, x))
@@ -857,7 +893,7 @@ def compatibility_residual(params: WeightParams, n: int, x, t,
     dA/dt from order-1 jets of the Lax entries; dB/dx exact.  Returns the
     max-abs entry normalized by the largest term entry.
     """
-    with workprec(prec or PrecisionCtx(), 20):
+    with workprec(prec or DEFAULT_CTX, 20):
         jets = aux_pair_series(n, params, 1, prec, about=t)
         x = to_mpf(x)
         return _compatibility(jets, x, _lax_jets(jets, n, x))
@@ -908,7 +944,7 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
                  "zeta": str(params.zeta), "n": n,
                  "t_grid": [str(v) for v in t_grid], "threshold": threshold,
                  "about": str(about), "jet_order": FLOW_ORDER})
-    with workprec(prec or PrecisionCtx(), 20):
+    with workprec(prec or DEFAULT_CTX, 20):
         mid = to_mpf(about)
         at = f"t={mp.nstr(mid, 8)}"
         jets = aux_pair_series(n + 1, params, FLOW_ORDER, prec, about=mid)

@@ -4,9 +4,9 @@ All arithmetic runs on mpmath under an explicit significand width: a
 PrecisionCtx travels with every operation, and `workprec` scopes the mpmath
 precision to a block.  A function whose context is optional runs at the one
 given, else at its data's (a table's or a trajectory's), else at
-PrecisionCtx(); the caller's mpmath width never picks it.  Floats are taken
-at their exact binary value; pass decimal strings when a decimal literal is
-meant (the CLI always does).
+DEFAULT_CTX, the one shared PrecisionCtx(); the caller's mpmath width
+never picks it.  Floats are taken at their exact binary value; pass
+decimal strings when a decimal literal is meant (the CLI always does).
 """
 
 from __future__ import annotations
@@ -89,6 +89,11 @@ class PrecisionCtx:
     def scaled(self, bits: int) -> "PrecisionCtx":
         """Same contract at a different significand width."""
         return PrecisionCtx(bits, self.tol)
+
+
+# The default context, built once: a PrecisionCtx is frozen, and building
+# one parses tol.
+DEFAULT_CTX = PrecisionCtx()
 
 
 @contextmanager

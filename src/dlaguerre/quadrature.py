@@ -42,8 +42,12 @@ intermediate result: _build_nodes forms each weight half w factor
 (x - t)^alpha x^mu e^{-x} left to right, each product rounded at the
 working precision; _weighted_sum is fsum(w * v[k]) over a component,
 each product rounded at the working precision and then one exact mpf_sum
-per real or imaginary part, fed by a generator; and hankel.monic_values
-runs the monic recurrence this way at an mpf node.
+per real or imaginary part, fed by a generator; hankel.monic_values
+runs the monic recurrence this way at an mpf node, and hankel.cauchy_sweep
+its integrand at a real x (1/(x - s), its negated square and each
+product with P_k).  The flow layer's kernels follow the same rule:
+moments.TruncSeries.eval (Horner's rule at an mpf argument) and
+painleve._vanishing_start (Bernstein coefficients and their halving).
 
 The node lists themselves are cached too, since one weight's integrals
 ask for the same few lists many times (every ladder and oracle integral

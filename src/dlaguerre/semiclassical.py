@@ -54,7 +54,8 @@ from .errors import CrossCheckError, DegenerateTheta, UnsupportedParameters
 from .hankel import (MomentTable, RecurrenceTable, cauchy_sweep,
                      monic_values)
 from .moments import TruncSeries, WeightParams
-from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
+from .precision import (DEFAULT_CTX, PrecisionCtx, to_fraction, to_mpf,
+                        workprec)
 from .quadrature import integrate_weighted
 
 # ---------------------------------------------------------------------------
@@ -200,8 +201,8 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
 def ladder_ab_at(pair: AuxPair, params: WeightParams, x,
                  prec: PrecisionCtx = None):
     """(A_n(x), B_n(x)) from the residue data of the pair, 20 bits above
-    prec or PrecisionCtx()."""
-    with workprec(prec or PrecisionCtx(), 20):
+    prec or DEFAULT_CTX."""
+    with workprec(prec or DEFAULT_CTX, 20):
         x = to_mpf(x)
         t = to_mpf(pair.t)
         return (pair.R / (x - t) + (1 - pair.R) / x,
@@ -289,9 +290,9 @@ def theta_prev_from_pair(pair: AuxPair, params: WeightParams,
       [theta_n/(theta_n+t)] [theta_{n-1}/(theta_{n-1}+t)]
         = (kappa^2 - mu^2 t^2/4) / ((kappa-(n+alpha+mu/2)t)(kappa-(n+mu/2)t)).
     Raises DegenerateTheta at theta in {0, -t} or when the elimination
-    degenerates.  Runs 20 bits above prec or PrecisionCtx().
+    degenerates.  Runs 20 bits above prec or DEFAULT_CTX.
     """
-    with workprec(prec or PrecisionCtx(), 20):
+    with workprec(prec or DEFAULT_CTX, 20):
         n = pair.n
         t = to_mpf(pair.t)
         al, mu = to_mpf(params.alpha), to_mpf(params.mu)
@@ -337,9 +338,10 @@ def lax_residues(n: int, t, theta, theta_prev, kappa, a2_n,
 
 def lax_x_matrices(A0, At, Ainf, Binf, t, x):
     """A(x) = Ainf + A0/x + At/(x-t) and B(x) = Binf - At/(x-t)."""
-    A = tuple(tuple(Ainf[i][j] + A0[i][j] / x + At[i][j] / (x - t)
+    d = x - t
+    A = tuple(tuple(Ainf[i][j] + A0[i][j] / x + At[i][j] / d
                     for j in range(2)) for i in range(2))
-    B = tuple(tuple(Binf[i][j] - At[i][j] / (x - t)
+    B = tuple(tuple(Binf[i][j] - At[i][j] / d
                     for j in range(2)) for i in range(2))
     return A, B
 

@@ -294,16 +294,23 @@ class TestPinnedOutput:
     once the flow laws were checked coefficient by coefficient on one jet
     table about the middle node (the flow records' points and residuals
     moved; the identity records did not), and the evolve trajectory rows
-    of n = 1 prop11 (json) and n = 2 cor12 (csv, the summary line dropped).
+    of n = 1 prop11 (json) and n = 2 cor12 (csv), each with its summary's
+    steps, endpoint_vs_hankel_rel, hamilton_flow_residual and pv_residual
+    (t1 = 0.3 reaches the PV residual) pinned apart from the rows.
     Performance work keeps these output bytes; a change that moves
     rounding must update the digests and say why."""
 
     DESK = ["--alpha", "2", "--mu", "2", "--zeta", "0.5", "--t", "0.3"]
+    SUMMARY = ("steps", "endpoint_vs_hankel_rel", "hamilton_flow_residual",
+               "pv_residual")
 
     @staticmethod
     def digest(rows):
         return hashlib.sha256(
             json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+    def summary_digest(self, summary):
+        return self.digest({k: summary[k] for k in self.SUMMARY})
 
     def test_moments(self, tmp_path):
         out = tmp_path / "m.json"
@@ -328,9 +335,11 @@ class TestPinnedOutput:
         res = run_cli(["evolve"] + self.DESK[:-2] + [
             "--n", "1", "--t0", "1e-3", "--t1", "0.3", "--out", str(out)])
         assert res.returncode == 0, res.stderr
-        rows = json.loads(out.read_text())["trajectory"]
-        assert self.digest(rows) == (
+        doc = json.loads(out.read_text())
+        assert self.digest(doc["trajectory"]) == (
             "d45276da0eb40df7b1752346f11453028743da8a235b17ea5eb29d1129ed92b2")
+        assert self.summary_digest(doc["summary"]) == (
+            "29ea080742ce464b3635a38f86f8cc96d17fde17115b787b8b764810fc72fb80")
 
     def test_evolve_cor12_csv(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -338,10 +347,14 @@ class TestPinnedOutput:
             "--n", "2", "--t0", "1e-3", "--t1", "0.3", "--convention",
             "cor12", "--format", "csv", "--out", str(out)])
         assert res.returncode == 0, res.stderr
-        rows = [line for line in out.read_text().splitlines()
-                if not line.startswith("# summary")]
+        lines = out.read_text().splitlines()
+        rows = [line for line in lines if not line.startswith("# summary")]
         assert self.digest(rows) == (
             "4edfabdabae367e90e45a7d9ca9bc1b8a49ca31d24da5cda1dac187378c6c224")
+        summary, = (json.loads(line.split(": ", 1)[1]) for line in lines
+                    if line.startswith("# summary"))
+        assert self.summary_digest(summary) == (
+            "81660727fc2b61a68629fd4d74914d8011046e192dca18dcc8d528edf8bf1996")
 
 
 class TestInProcess:

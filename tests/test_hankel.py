@@ -17,6 +17,7 @@ from dlaguerre.moments import TruncSeries
 from dlaguerre.oracle import (dN_by_quadrature, gram_schmidt_recurrence,
                               inner_product)
 from dlaguerre.painleve import aux_pair_series
+from dlaguerre.quadrature import integrate_weighted
 from conftest import SIGNED_ZERO_T, rel_err
 
 
@@ -507,3 +508,42 @@ class TestMonicValuesRaw:
             got, want = monic_values(tab, 6, jet), self.loop(tab, 6, jet)
             assert ([[c._mpf_ for c in v.c] for v in got]
                     == [[c._mpf_ for c in v.c] for v in want])
+
+
+class TestCauchySweepRaw:
+    """cauchy_sweep's integrand at a real x runs on raw tuples; its values
+    and error estimates are those of the plain mpf integrand, which a
+    complex x still uses."""
+
+    @staticmethod
+    def plain_sweep(table, n, x, prec):
+        """integrate_weighted over the mpf integrand cauchy_sweep replaces."""
+        with mp.workprec(prec.significand_bits + 20):
+            x = mp.mpmathify(x)
+
+            def fn(s):
+                P = monic_values(table, n, s)
+                inv = 1 / (x - s)
+                dinv = -inv * inv
+                return [p * inv for p in P] + [p * dinv for p in P]
+
+            return integrate_weighted(
+                fn, table.params, prec, pole=x,
+                extra_digits=hankel._cancel_digits(table.n_max + 1, x)).items
+
+    @staticmethod
+    def bits(items):
+        return [item if isinstance(item, str)
+                else [getattr(v, "_mpf_", None) or v._mpc_
+                      for v in (item.value, item.error)] for item in items]
+
+    @pytest.mark.parametrize("x", [-2, "-0.35", (-1, "0.5"), ("0.7", -2)],
+                             ids=str)
+    def test_against_plain_integrand(self, tables_main, x):
+        _, tab = tables_main
+        qprec = PrecisionCtx(192, "1e-28")
+        x = mp.mpc(*x) if isinstance(x, tuple) else x
+        hankel._SWEEP.clear()
+        E, dE = hankel.cauchy_sweep(tab, 4, x, qprec)
+        want = self.plain_sweep(tab, 4, x, qprec)
+        assert self.bits(E.items + dE.items) == self.bits(want)

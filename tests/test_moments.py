@@ -1,6 +1,7 @@
 """Moment layer: jets, closed form vs quadrature, table invariants."""
 
 import itertools
+import random
 
 import mpmath as mp
 import pytest
@@ -332,3 +333,40 @@ class TestTruncSeries:
         with mp.workprec(256):
             geo = 1 / TruncSeries([1, -1], 6)
             assert _close(geo.c, [1] * 7)
+
+    @staticmethod
+    def horner(c, s):
+        """The plain-mpf Horner loop that TruncSeries.eval replaces."""
+        acc = mp.mpf(0)
+        for a in reversed(c):
+            acc = acc * s + a
+        return acc
+
+    @pytest.mark.parametrize("bits", [128, 256, 320])
+    def test_eval_bits(self, bits):
+        """eval on raw tuples has the plain loop's bits.  Coefficients and
+        arguments carry 400 bits, so each sum and product rounds."""
+        rng = random.Random(bits)
+        for trial in range(200):
+            order = rng.choice([0, 1, 5, 12, 23])
+            with mp.workprec(400):
+                c = [mp.mpf(rng.uniform(-1, 1)) / 3
+                     * mp.mpf(10) ** rng.randint(-30, 30)
+                     for _ in range(order + 1)]
+                s = mp.mpf(rng.uniform(-2, 2)) / 7
+                jet = TruncSeries(c)
+            with mp.workprec(bits):
+                got, want = jet.eval(s), self.horner(jet.c, s)
+            assert type(got) is mp.mpf
+            assert got._mpf_ == want._mpf_, (trial, order)
+
+    def test_eval_mpc_falls_back(self):
+        """An mpc argument or coefficient takes the plain loop."""
+        with mp.workprec(256):
+            jet = TruncSeries([mp.mpf(1) / 3, mp.mpc(2, "0.5"), -7])
+            real = TruncSeries([mp.mpf(1) / 3, 2, -7])
+            s = mp.mpc("0.3", "-1.1")
+            for poly, arg in ((jet, mp.mpf("0.3")), (real, s), (jet, s)):
+                got, want = poly.eval(arg), self.horner(poly.c, arg)
+                assert type(got) is mp.mpc
+                assert got._mpc_ == want._mpc_

@@ -1,6 +1,7 @@
 """Hamiltonian wiring, variable maps, flows, series, integration, residuals."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,11 +17,11 @@ from dlaguerre import (DegenerateTheta, PVParams, PrecisionCtx, SingularPanel,
                        rr_rhs, series_init, table_for, to_hamiltonian,
                        theta_kappa_from_recurrence)
 from dlaguerre import painleve
-from dlaguerre.moments import moment_series
+from dlaguerre.moments import TruncSeries, moment_series
 from dlaguerre.painleve import (CONVENTIONS, FLOW_ORDER, aux_pair_series,
                                 compatibility_residual, deformation_residual,
                                 flow_map_residual, hamilton_map_residual)
-from dlaguerre.precision import to_fraction
+from dlaguerre.precision import to_fraction, to_mpf
 from dlaguerre.semiclassical import Report, rr_map
 from conftest import rel_err
 
@@ -568,6 +569,109 @@ class TestPvResidual:
         with pytest.raises(SingularPanel):
             pv_residual(grid, [mp.mpf(1) + mp.mpf("1e-12")] * 9,
                         (0, 0, 0, 0), prec)
+
+
+def _reference_pv_residual(t_grid, q_values, alphas, prec):
+    """pv_residual with q' and q'' from oracle.finite_difference in the
+    grid index at h = 2, as the stencils were applied before."""
+    with mp.workprec(prec.significand_bits + 20):
+        ts = [to_mpf(v) for v in t_grid]
+        qs = [to_mpf(v) for v in q_values]
+        h = ts[1] - ts[0]
+        scale, residuals = mp.mpf(0), []
+        for i in range(4, len(ts) - 4):
+            yp, ypp = (finite_difference(lambda j: qs[int(j)], i, 2, k).value
+                       / h ** k for k in (1, 2))
+            rhs = painleve.pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
+            residuals.append(abs(ypp - rhs))
+            scale = max(scale, abs(ypp))
+        return float(max(residuals) / max(scale, mp.mpf(1)))
+
+
+class TestPvResidualStencils:
+    """pv_residual applies finite_difference's stencils to the grid samples
+    directly: the same operations in the same order, so the same bits."""
+
+    def test_random_samples(self, prec):
+        rng = random.Random(5)
+        pv = PVParams.make(2, 3, 1, "prop11")
+        for trial in range(6):
+            with mp.workprec(400):
+                grid = mp.linspace(mp.mpf("0.1"), mp.mpf(rng.uniform(0.3, 3)),
+                                   rng.choice([9, 15, 121]))
+                qs = [mp.mpf(rng.uniform(1.1, 3)) / 3 + rng.choice([0, 2])
+                      for _ in grid]
+            want = _reference_pv_residual(grid, qs, pv.alphas, prec)
+            assert pv_residual(grid, qs, pv.alphas, prec) == want
+            with mp.workprec(prec.significand_bits + 20):
+                for i in range(4, len(qs) - 4):
+                    got = painleve._index_derivatives(qs, i)
+                    ref = [finite_difference(lambda j: qs[int(j)], i, 2,
+                                             k).value for k in (1, 2)]
+                    assert [v._mpf_ for v in got] == [v._mpf_ for v in ref]
+
+    def test_trajectory(self, params_main, prec):
+        """The q of a desk-point trajectory, as the CLI samples it."""
+        traj = evolve(1, "1e-3", "0.3", params_main, prec)
+        with mp.workprec(prec.significand_bits):
+            grid = mp.linspace(mp.mpf("0.1"), traj.t[-1], 121)
+            qs = [to_hamiltonian(th, ka, t, 1, params_main, "prop11", prec).q
+                  for t, (th, ka) in zip(grid, traj.sample(grid))]
+        pv = PVParams.make(1, 2, 2, "prop11", prec)
+        want = _reference_pv_residual(grid, qs, pv.alphas, prec)
+        assert pv_residual(grid, qs, pv.alphas, prec) == want
+
+
+def _reference_vanishing_start(c, h, depth=8):
+    """_vanishing_start on mpf objects, as written before the raw tuples."""
+    K = c.order
+    b = [cj * h ** j / math.comb(K, j) for j, cj in enumerate(c.c)]
+    for i in range(1, K + 1):
+        for k in range(K, i - 1, -1):
+            b[k] += b[k - 1]
+
+    def first(b, start, width, depth):
+        if all(x > 0 for x in b) or all(x < 0 for x in b):
+            return None
+        if depth == 0:
+            return start
+        left, right, x = [b[0]], [b[-1]], b
+        for _ in range(K):
+            x = [(x[k] + x[k + 1]) / 2 for k in range(len(x) - 1)]
+            left.append(x[0])
+            right.append(x[-1])
+        half = width / 2
+        found = first(left, start, half, depth - 1)
+        if found is None:
+            found = first(right[::-1], start + half, half, depth - 1)
+        return found
+
+    return first(b, mp.mpf(0), h, depth)
+
+
+class TestVanishingStartRaw:
+    """The Bernstein sign test on raw tuples flags the same pieces as on
+    mpf objects, at the same offsets."""
+
+    @pytest.mark.parametrize("order", [5, 10, 22])
+    def test_random_polynomials(self, order):
+        rng = random.Random(order)
+        flagged = 0
+        for trial in range(500):
+            with mp.workprec(400):
+                c = [mp.mpf(rng.choice([-1, 1]) * rng.uniform(0.1, 1))] + [
+                    mp.mpf(rng.uniform(-1, 1)) / 3 for _ in range(order)]
+                h = mp.mpf(rng.uniform(0.1, 1.5)) / 7 * 7
+                poly = TruncSeries(c)
+            with mp.workprec(276):
+                got = painleve._vanishing_start(poly, h)
+                want = _reference_vanishing_start(poly, h)
+            if want is None:
+                assert got is None, trial
+            else:
+                flagged += 1
+                assert got is not None and got._mpf_ == want._mpf_, trial
+        assert flagged >= 50     # both outcomes are exercised
 
 
 class TestAbFlow:

@@ -23,6 +23,7 @@ from dlaguerre.painleve import (PVParams, ab_flow_check, aux_pair_series,
                                 hamilton_map_residual, hamilton_rhs,
                                 hamiltonian_eval, ode_rhs, pv_residual,
                                 rr_rhs, series_init, to_hamiltonian)
+from dlaguerre.precision import DEFAULT_CTX
 from dlaguerre.semiclassical import (ladder_ab_at, ladder_ab_by_quadrature,
                                      ladder_integrals, theta_kappa_from_recurrence,
                                      theta_prev_from_pair, verify_identities)
@@ -152,3 +153,29 @@ def test_omitted_context_is_data_or_default(name):
     for width in (100, 600):
         with mp.workprec(width):
             assert _bits(call(mom, tab, pair)) == want, width
+
+
+def test_default_context_is_shared(monkeypatch):
+    """An omitted context is the one DEFAULT_CTX: no call builds a
+    PrecisionCtx() of its own (each build parses tol), and the results are
+    those of an explicit PrecisionCtx(), bit for bit.  The chart residuals
+    are left out: they build their working context, guard bits above."""
+    mom, tab, pair = _data()
+    names = [name for name, (_, from_data) in sorted(CASES.items())
+             if not from_data
+             and name not in ("flow_map_residual", "hamilton_map_residual")]
+    want = {name: _bits(CASES[name][0](mom, tab, pair, prec=PrecisionCtx()))
+            for name in names}
+    built = []
+    original = PrecisionCtx.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PrecisionCtx, "__post_init__", counted)
+    for name in names:
+        del built[:]
+        assert _bits(CASES[name][0](mom, tab, pair)) == want[name], name
+        assert built == [], name
+    assert DEFAULT_CTX == PrecisionCtx()

@@ -51,11 +51,13 @@ layer are built from it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_mul
+from mpmath.libmp import (fzero, from_int, from_man_exp, mpf_add, mpf_div,
+                          mpf_mul, mpf_neg, mpf_sub, mpf_sum)
 
 from .errors import CrossCheckError, UnsupportedParameters
 from .precision import (PrecisionCtx, fraction_or_none, to_fraction, to_mpf,
@@ -143,9 +145,54 @@ class WeightParams:
         return WeightParams(self.alpha, self.mu, self.zeta, t_new)
 
 
-def conv(x, y, j, lo=0):
-    """sum_{i=lo..j} x_i y_{j-i}: coefficient j of a product of series."""
-    return mp.fdot(x[lo:j + 1], y[j - lo::-1])
+def conv(x, y, j, prec, rnd, lo=0):
+    """sum_{i=lo..j} x_i y_{j-i}: coefficient j of a product of series, for
+    lists x, y of raw real mpf tuples, as a raw tuple rounded once at prec.
+
+    The bits are those of mp.fdot over the mpf slices: each product is
+    exact, and they are summed by mpf_sum's rules into one integer
+    mantissa, including its drop rule for a term more than 2 prec bits
+    below the running sum (or a sum that far below the term).  A zero
+    factor adds nothing; an inf or nan factor hands the products to
+    mpf_sum itself.
+    """
+    man = exp = 0
+    cap = 2 * prec
+    for (s, m, e, b), (s2, m2, e2, b2) in zip(x[lo:j + 1], y[j - lo::-1]):
+        if not (m and m2):
+            if e and not m or e2 and not m2:        # inf or nan
+                return mpf_sum([mpf_mul(u, v) for u, v in
+                                zip(x[lo:j + 1], y[j - lo::-1])], prec, rnd)
+            continue
+        p = -m * m2 if s ^ s2 else m * m2
+        e += e2
+        d = e - exp
+        if d >= 0:
+            if d > cap and (not man or d - man.bit_length() > cap):
+                man, exp = p, e
+            else:
+                man += p << d
+        elif -d > cap and -d - p.bit_length() > cap:
+            if not man:
+                man, exp = p, e
+        else:
+            man = (man << -d) + p
+            exp = e
+    return from_man_exp(man, exp, prec, rnd)
+
+
+def _raw_coeffs(values):
+    """values as raw tuples, an int converted as mpf arithmetic converts
+    it, or None when one of them is neither an mpf nor an int."""
+    mpf_type, out = mp.mpf, []
+    for v in values:
+        if type(v) is mpf_type:
+            out.append(v._mpf_)
+        elif type(v) is int:
+            out.append(from_int(v))
+        else:
+            return None
+    return out
 
 
 class TruncSeries:
@@ -153,7 +200,11 @@ class TruncSeries:
 
     Arithmetic with another series truncates to the lower order; any other
     operand, on either side, is a constant.  Division needs a nonzero
-    constant term.
+    constant term.  When every coefficient and constant is an mpf (or an
+    int constant), +, -, * and / run on raw tuples with the roundings of
+    the mpf expressions, products and quotients of series through conv, so
+    the coefficients have those expressions' bits; an mpc on either side
+    takes the plain loop.
     """
 
     __slots__ = ("c",)
@@ -163,6 +214,13 @@ class TruncSeries:
         if order is not None:
             c = c[:order + 1] + [mp.mpf(0)] * max(0, order + 1 - len(c))
         self.c = c
+
+    @classmethod
+    def _of_raw(cls, raw):
+        """The series of raw mpf coefficients, without to_mpf."""
+        out = cls.__new__(cls)
+        out.c = [mp.make_mpf(v) for v in raw]
+        return out
 
     @property
     def order(self):
@@ -180,12 +238,21 @@ class TruncSeries:
 
     def __add__(self, other):
         x, y = self._pair(other)
-        return TruncSeries([a + b for a, b in zip(x, y)])
+        raw = _raw_coeffs(x + y)
+        if raw is None:
+            return TruncSeries([a + b for a, b in zip(x, y)])
+        prec, rnd = mp.mp._prec_rounding
+        return TruncSeries._of_raw([mpf_add(a, b, prec, rnd) for a, b in
+                                    zip(raw[:len(x)], raw[len(x):])])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries([-a for a in self.c])
+        raw = _raw_coeffs(self.c)
+        if raw is None:
+            return TruncSeries([-a for a in self.c])
+        prec, rnd = mp.mp._prec_rounding
+        return TruncSeries._of_raw([mpf_neg(a, prec, rnd) for a in raw])
 
     def __sub__(self, other):
         return self + (-other)
@@ -193,24 +260,47 @@ class TruncSeries:
     def __rsub__(self, other):
         return -self + other
 
+    def _scaled(self, other, op, raw_op):
+        """[a op other] for a constant other."""
+        raw = _raw_coeffs(self.c + [other])
+        if raw is None:
+            return TruncSeries([op(a, other) for a in self.c])
+        prec, rnd = mp.mp._prec_rounding
+        return TruncSeries._of_raw([raw_op(a, raw[-1], prec, rnd)
+                                    for a in raw[:-1]])
+
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            return TruncSeries([a * other for a in self.c])
+            return self._scaled(other, operator.mul, mpf_mul)
         x, y = self._pair(other)
-        return TruncSeries([conv(x, y, j) for j in range(len(x))])
+        rx, ry = _raw_coeffs(x), _raw_coeffs(y)
+        if rx is None or ry is None:
+            return TruncSeries([mp.fdot(x[:j + 1], y[j::-1])
+                                for j in range(len(x))])
+        prec, rnd = mp.mp._prec_rounding
+        return TruncSeries._of_raw([conv(rx, ry, j, prec, rnd)
+                                    for j in range(len(rx))])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
-            return TruncSeries([a / other for a in self.c])
+            return self._scaled(other, operator.truediv, mpf_div)
         x, y = self._pair(other)
         if y[0] == 0:
             raise ZeroDivisionError("series division by a zero constant term")
+        rx, ry = _raw_coeffs(x), _raw_coeffs(y)
         out = []
-        for j in range(len(x)):
-            out.append((x[j] - conv(y, out, j, 1)) / y[0])
-        return TruncSeries(out)
+        if rx is None or ry is None:
+            for j in range(len(x)):
+                out.append((x[j] - mp.fdot(y[1:j + 1], out[j - 1::-1]))
+                           / y[0])
+            return TruncSeries(out)
+        prec, rnd = mp.mp._prec_rounding
+        for j in range(len(rx)):
+            out.append(mpf_div(mpf_sub(rx[j], conv(ry, out, j, prec, rnd, 1),
+                                       prec, rnd), ry[0], prec, rnd))
+        return TruncSeries._of_raw(out)
 
     def __rtruediv__(self, other):
         return TruncSeries.constant(other, self.order) / self

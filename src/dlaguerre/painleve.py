@@ -84,8 +84,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_mul, mpf_pow_int,
-                          mpf_shift, mpf_sign)
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
+                          mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int,
+                          mpf_rdiv_int, mpf_shift, mpf_sign, mpf_sub)
 
 from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
@@ -254,51 +255,77 @@ def _flow_jet_factory(n: int, params: WeightParams):
     """Taylor jets of the (theta, kappa) flow, parameter constants hoisted.
 
     jet(tk, th0, ka0, K) returns the coefficient lists of theta(tk + s) and
-    kappa(tk + s) through s^K.  Each order follows from the lower ones by the
-    automatic-differentiation recursions for products, 1/theta, 1/(theta+t)
-    and the division by t = tk + s: if t y' = F then
-    y_{j+1} = (F_j - j y_j) / ((j+1) tk).  Cost O(K^2) per jet.
+    kappa(tk + s) through s^K, for real (mpf) data.  Each order follows
+    from the lower ones by the automatic-differentiation recursions for
+    products, 1/theta, 1/(theta+t) and the division by t = tk + s: if
+    t y' = F then y_{j+1} = (F_j - j y_j) / ((j+1) tk).  Cost O(K^2) per
+    jet.  The recursion runs on raw mpf tuples, each sum, product and
+    quotient the libmp operation that the mpf expression runs, with its
+    rounding, and each convolution moments.conv (mp.fdot's bits), so the
+    coefficients have the mpf recursion's bits.
     """
     a, m = to_mpf(params.alpha), to_mpf(params.mu)
-    c_lin = 2 * n + a + 1 + m          # theta-equation linear constant
-    c_k1 = 2 * n + a + m + 1
-    c_k2 = 2 * n + a + m
-    c_t = n * n + (n + m / 2) * (a + m)
-    c_m2 = m * m / 4
-    c_tt = (n + m / 2) * (n + a + m / 2)
+    c_lin = (2 * n + a + 1 + m)._mpf_       # theta-equation linear constant
+    c_k1 = (2 * n + a + m + 1)._mpf_
+    c_k2 = (2 * n + a + m)._mpf_
+    c_t = (n * n + (n + m / 2) * (a + m))._mpf_
+    c_m2 = (m * m / 4)._mpf_
+    c_tt = ((n + m / 2) * (n + a + m / 2))._mpf_
 
     def jet(tk, th0, ka0, K):
         if tk == 0:
             raise SingularRHS("flow undefined at t = 0")
         if th0 == 0 or th0 + tk == 0:
             raise SingularRHS("flow singular at theta in {0, -t}")
+        prec, rnd = mp.mp._prec_rounding
+        add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
+        tk = tk._mpf_
 
         def times_t(x, j):
-            return tk * x[j] + (x[j - 1] if j else 0)
+            """tk x_j + x_(j-1); at j = 0 the product alone (+ 0 is exact
+            on a rounded value)."""
+            p = mul(tk, x[j], prec, rnd)
+            return add(p, x[j - 1], prec, rnd) if j else p
 
-        th, ka = [th0], [ka0]
-        w = [th0 + tk]                 # theta + t
-        u, v = [1 / th0], [1 / w[0]]   # 1/theta, 1/(theta + t)
+        th, ka = [th0._mpf_], [ka0._mpf_]
+        w = [add(th[0], tk, prec, rnd)]                 # theta + t
+        u = [mpf_rdiv_int(1, th[0], prec, rnd)]         # 1/theta
+        v = [mpf_rdiv_int(1, w[0], prec, rnd)]          # 1/(theta + t)
+        neg_u0, neg_v0 = mpf_neg(u[0], prec, rnd), mpf_neg(v[0], prec, rnd)
         uv, tv, sq, g, tg = [], [], [], [], []
         for j in range(K):
             if j:
-                w.append(th[j] + (1 if j == 1 else 0))
-                u.append(-u[0] * conv(th, u, j, 1))
-                v.append(-v[0] * conv(w, v, j, 1))
-            uv.append(u[j] + v[j])
+                # th_j is a rounded quotient, so th_j + 0 is th_j
+                w.append(add(th[1], fone, prec, rnd) if j == 1 else th[j])
+                u.append(mul(neg_u0, conv(th, u, j, prec, rnd, 1), prec, rnd))
+                v.append(mul(neg_v0, conv(w, v, j, prec, rnd, 1), prec, rnd))
+            uv.append(add(u[j], v[j], prec, rnd))
             tv.append(times_t(v, j))
-            sq.append(conv(ka, ka, j))
-            g.append(c_tt * v[j] - c_m2 * u[j])
+            sq.append(conv(ka, ka, j, prec, rnd))
+            g.append(sub(mul(c_tt, v[j], prec, rnd),
+                         mul(c_m2, u[j], prec, rnd), prec, rnd))
             tg.append(times_t(g, j))
-            f_th = 2 * ka[j] + c_lin * th[j] + times_t(th, j) + conv(th, th, j)
-            f_ka = (conv(uv, sq, j) + c_k1 * ka[j] - c_k2 * conv(tv, ka, j)
-                    + times_t(tg, j))
-            if j < 2:
-                f_ka -= c_t * (tk if j == 0 else 1)     # the -c_t t term
-            den = (j + 1) * tk
-            th.append((f_th - j * th[j]) / den)
-            ka.append((f_ka - j * ka[j]) / den)
-        return th, ka
+            f_th = add(add(add(mpf_mul_int(ka[j], 2, prec, rnd),
+                               mul(c_lin, th[j], prec, rnd), prec, rnd),
+                           times_t(th, j), prec, rnd),
+                       conv(th, th, j, prec, rnd), prec, rnd)
+            f_ka = add(sub(add(conv(uv, sq, j, prec, rnd),
+                               mul(c_k1, ka[j], prec, rnd), prec, rnd),
+                           mul(c_k2, conv(tv, ka, j, prec, rnd), prec, rnd),
+                           prec, rnd),
+                       times_t(tg, j), prec, rnd)
+            if j < 2:       # the -c_t t term
+                f_ka = sub(f_ka, mul(c_t, tk if j == 0 else fone, prec, rnd),
+                           prec, rnd)
+            den = mpf_mul_int(tk, j + 1, prec, rnd)
+            if j:           # at j = 0, f - 0 * y_0 is f, a rounded sum
+                f_th = sub(f_th, mpf_mul_int(th[j], j, prec, rnd), prec, rnd)
+                f_ka = sub(f_ka, mpf_mul_int(ka[j], j, prec, rnd), prec, rnd)
+            th.append(div(f_th, den, prec, rnd))
+            ka.append(div(f_ka, den, prec, rnd))
+        make = mp.make_mpf
+        return ([th0] + [make(x) for x in th[1:]],
+                [ka0] + [make(x) for x in ka[1:]])
 
     return jet
 
@@ -537,9 +564,24 @@ def _vanishing_start(c: TruncSeries, h, depth: int = 8):
     rounding of the mpf expression c_j h^j / C(K, j), b_k + b_(k-1) or
     (x_k + x_(k+1)) / 2 (the halving is the exact mpf_shift by -1), so the
     signs tested are those of the mpf arithmetic.
+
+    Each exact Bernstein coefficient of [0, h] is c_0 plus at most
+    S = sum_(j>0) |c_j| |h|^j, and rounding moves it by less than
+    2^(2K+5-prec) |c_0| when S < |c_0|.  So at prec >= 2K + 40, where
+    |c_0| > S (1 + 2^-30), with S rounded up at 53 bits, every computed
+    coefficient has c_0's sign, and [0, h] is cleared without forming them.
     """
     prec, rnd = mp.mp._prec_rounding
     K, hr = c.order, h._mpf_
+    if prec >= 2 * K + 40:
+        bound, hj, ha = fzero, fone, mpf_abs(hr)
+        for cj in c.c[1:]:
+            hj = mpf_mul(hj, ha, 53, "c")
+            bound = mpf_add(bound, mpf_mul(mpf_abs(cj._mpf_), hj, 53, "c"),
+                            53, "c")
+        if mpf_gt(mpf_abs(c.c[0]._mpf_),
+                  mpf_add(bound, mpf_shift(bound, -30), 53, "c")):
+            return None
     b = [mpf_div(mpf_mul(cj._mpf_, mpf_pow_int(hr, j, prec, rnd), prec, rnd),
                  from_int(math.comb(K, j)), prec, rnd)
          for j, cj in enumerate(c.c)]
@@ -871,18 +913,30 @@ def _compatibility(jets: JetTable, x, lax):
     return float(_mat_absmax(resid) / scale)
 
 
+def _off_poles(x, t):
+    """x as mpf; UnsupportedParameters at t = 0 (the residues divide by t)
+    or at x in {0, t}, the poles of A(x)."""
+    x, t = to_mpf(x), to_mpf(t)
+    if t == 0:
+        raise UnsupportedParameters("t must be > 0 for the Lax residuals")
+    if x == 0 or x == t:
+        raise UnsupportedParameters(
+            f"x must avoid the poles 0 and t of A(x), got x = {mp.nstr(x, 8)}")
+    return x
+
+
 def deformation_residual(params: WeightParams, n: int, x, t,
                          prec: PrecisionCtx = None):
     """Residual of the t-deformation system on the polynomial vector.
 
     Checks d/dt (P_n, P_{n-1})^T = B (P_n, P_{n-1})^T with B = Binf - At/(x-t)
     + diag((ln h_n)', (ln h_{n-1})')/2 in the monic gauge, the t-derivatives
-    read off order-1 jets of the recurrence data at t.
+    read off order-1 jets of the recurrence data at t > 0, x not in {0, t}.
     Returns max-abs residual normalized by the vector scale.
     """
     with workprec(prec or DEFAULT_CTX, 20):
+        x = _off_poles(x, t)
         jets = aux_pair_series(n, params, 1, prec, about=t)
-        x = to_mpf(x)
         return _deformation(jets, n, x, _lax_jets(jets, n, x))
 
 
@@ -890,12 +944,13 @@ def compatibility_residual(params: WeightParams, n: int, x, t,
                            prec: PrecisionCtx = None):
     """Zero-curvature residual dA/dt - dB/dx + AB - BA at (x, t).
 
-    dA/dt from order-1 jets of the Lax entries; dB/dx exact.  Returns the
-    max-abs entry normalized by the largest term entry.
+    dA/dt from order-1 jets of the Lax entries; dB/dx exact.  Needs t > 0
+    and x not in {0, t}.  Returns the max-abs entry normalized by the
+    largest term entry.
     """
     with workprec(prec or DEFAULT_CTX, 20):
+        x = _off_poles(x, t)
         jets = aux_pair_series(n, params, 1, prec, about=t)
-        x = to_mpf(x)
         return _compatibility(jets, x, _lax_jets(jets, n, x))
 
 
@@ -931,7 +986,10 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
              2t a'/a = 2 + b_{n-1} - b_n     and   2 a'/a = R_{n-1} - R_n,
              t b' = a_n^2 - a_{n+1}^2 + b_n  and   b' = r_n - r_{n+1};
     plus the t-deformation residual and the zero-curvature compatibility
-    at x = -1, read off the same table through s^1.
+    at x = -1, read off the same table through s^1.  About t* = 0 the
+    ladder forms (R_n, r_n divide by t) and the two Lax residuals (A(x)
+    has a pole at x = t) are left out, as the identity battery leaves out
+    rows on the theta locus; the two t-forms are checked.
     """
     if n < 1:
         raise UnsupportedParameters("the a_n/b_n flow laws need n >= 1")
@@ -950,21 +1008,25 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
         jets = aux_pair_series(n + 1, params, FLOW_ORDER, prec, about=mid)
         a2, b, th, ka, t = jets.a2, jets.b, jets.theta, jets.kappa, jets.t
         dlog_a2, db = _d(a2[n]) / a2[n], _d(b[n])
-        (R_m, _), (R_n, r_n), (_, r_p) = (
-            rr_map(th[i], ka[i], t, i, params) for i in (n - 1, n, n + 1))
-        laws = (
+        laws = [
             ("ab_flow_a_t", "2t a_n'/a_n = 2 + b_{n-1} - b_n",
              [t * dlog_a2, TruncSeries.constant(-2, FLOW_ORDER), -b[n - 1],
               b[n]]),
             ("ab_flow_b_t", "t b_n' = a_n^2 - a_{n+1}^2 + b_n",
-             [t * db, -a2[n], a2[n + 1], -b[n]]),
-            ("ab_flow_a_ladder", "2 a_n'/a_n = R_{n-1} - R_n",
-             [dlog_a2, -R_m, R_n]),
-            ("ab_flow_b_ladder", "b_n' = r_n - r_{n+1}", [db, -r_n, r_p]))
+             [t * db, -a2[n], a2[n + 1], -b[n]])]
+        if mid:
+            (R_m, _), (R_n, r_n), (_, r_p) = (
+                rr_map(th[i], ka[i], t, i, params) for i in (n - 1, n, n + 1))
+            laws += [
+                ("ab_flow_a_ladder", "2 a_n'/a_n = R_{n-1} - R_n",
+                 [dlog_a2, -R_m, R_n]),
+                ("ab_flow_b_ladder", "b_n' = r_n - r_{n+1}", [db, -r_n, r_p])]
         for j in range(FLOW_ORDER):
             for check_id, formula, terms in laws:
                 rep.add(check_id, formula, n, f"s^{j} about {at}",
                         [v.c[j] for v in terms], threshold)
+        if not mid:
+            return rep
 
         x = mp.mpf(-1)
         jets = _order_1(jets)

@@ -45,9 +45,12 @@ each product rounded at the working precision and then one exact mpf_sum
 per real or imaginary part, fed by a generator; hankel.monic_values
 runs the monic recurrence this way at an mpf node, and hankel.cauchy_sweep
 its integrand at a real x (1/(x - s), its negated square and each
-product with P_k).  The flow layer's kernels follow the same rule:
-moments.TruncSeries.eval (Horner's rule at an mpf argument) and
-painleve._vanishing_start (Bernstein coefficients and their halving).
+product with P_k).  The jet layer follows the same rule: moments.conv
+(one coefficient of a product of series, mp.fdot's bits), the
+moments.TruncSeries sums, products and quotients over mpf coefficients
+and its eval (Horner's rule at an mpf argument), the flow's Taylor jet
+(painleve._flow_jet_factory) and painleve._vanishing_start (Bernstein
+coefficients and their halving).
 
 The node lists themselves are cached too, since one weight's integrals
 ask for the same few lists many times (every ladder and oracle integral

@@ -229,6 +229,20 @@ class TestVerify:
         assert doc["identities"]["n_failures"] > 0
 
 
+    def test_classical_limit_passes(self, tmp_path):
+        """--t 0 is in the domain: the flow report keeps the two t-forms
+        of the a/b laws (it exited 1 with a ZeroDivisionError)."""
+        out = tmp_path / "rep.json"
+        res = run_cli(["verify", "--alpha", "2", "--mu", "2", "--zeta", "0.5",
+                       "--t", "0", "--fast", "--nmax", "1",
+                       "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        doc = json.loads(out.read_text())
+        assert doc["all_passed"] is True
+        assert {r["id"] for r in doc["flow"]["records"]} == {
+            "ab_flow_a_t", "ab_flow_b_t"}
+
     @pytest.mark.parametrize("point", [
         ["--zeta", "0.9", "--t", "5"],
         ["--zeta", "-0.429535", "--t", "0.604487", "--nmax", "7"]])

@@ -370,3 +370,146 @@ class TestTruncSeries:
                 got, want = poly.eval(arg), self.horner(poly.c, arg)
                 assert type(got) is mp.mpc
                 assert got._mpc_ == want._mpc_
+
+    @staticmethod
+    def plain_mul(x, y):
+        """The plain-mpf product loop that TruncSeries.__mul__ replaces."""
+        return [mp.fdot(x[:j + 1], y[j::-1])
+                for j in range(min(len(x), len(y)))]
+
+    @staticmethod
+    def plain_div(x, y):
+        """The plain-mpf quotient loop that TruncSeries.__truediv__
+        replaces."""
+        out = []
+        for j in range(min(len(x), len(y))):
+            out.append((x[j] - mp.fdot(y[1:j + 1], out[j - 1::-1])) / y[0])
+        return out
+
+    @pytest.mark.parametrize("bits", [128, 256, 320])
+    @pytest.mark.parametrize("order", [1, 5, 22])
+    def test_products_and_quotients_bits(self, bits, order):
+        """*, / (by a series and by a constant), + and - on raw tuples
+        have the plain loops' bits; 400-bit coefficients make every
+        operation round, and some series are one order shorter."""
+        rng = random.Random(bits * 100 + order)
+        for trial in range(20):
+            with mp.workprec(400):
+                a, b = ([mp.mpf(rng.uniform(-1, 1)) / 3
+                         * mp.mpf(10) ** rng.randint(-20, 20)
+                         for _ in range(order + 1 - rng.randint(0, i))]
+                        for i in (0, 1))
+                b[0] = b[0] or mp.mpf(1)
+                k = mp.mpf(rng.uniform(-5, 5)) / 7
+                x, y = TruncSeries(a), TruncSeries(b)
+            n = rng.choice([-3, 2, 7])
+            with mp.workprec(bits):
+                for got, want in (
+                        (x * y, self.plain_mul(a, b)),
+                        (x / y, self.plain_div(a, b)),
+                        (x * k, [c * k for c in a]),
+                        (n * x, [c * n for c in a]),
+                        (x / k, [c / k for c in a]),
+                        (x / n, [c / n for c in a]),
+                        (n / y, self.plain_div([n] + [0] * (len(b) - 1),
+                                               b)),
+                        (x + y, [c + d for c, d in zip(a, b)]),
+                        (x - k, [a[0] + (-k)] + [c + 0 for c in a[1:]]),
+                        (n - y, [-b[0] + n] + [-c + 0 for c in b[1:]]),
+                        (-x, [-c for c in a])):
+                    assert all(type(c) is mp.mpf for c in got.c)
+                    assert [c._mpf_ for c in got.c] == [
+                        c._mpf_ for c in want], trial
+
+    def test_products_mpc_fall_back(self):
+        """A series or a constant with an mpc takes the plain loops."""
+        with mp.workprec(256):
+            z = TruncSeries([mp.mpf(1) / 3, mp.mpc(2, "0.5"), -7])
+            x = TruncSeries([mp.mpf(2) / 7, 5, mp.mpf(1) / 11])
+            k = mp.mpc("0.3", "-1.1")
+            for got, want in (
+                    (z * x, self.plain_mul(z.c, x.c)),
+                    (x * z, self.plain_mul(x.c, z.c)),
+                    (x / z, self.plain_div(x.c, z.c)),
+                    (z / x, self.plain_div(z.c, x.c)),
+                    (x * k, [c * k for c in x.c]),
+                    (x / k, [c / k for c in x.c]),
+                    (x + k, [x.c[0] + k] + [c + 0 for c in x.c[1:]]),
+                    (-z, [-c for c in z.c])):
+                assert mp.mpc in map(type, got.c)
+                assert [mp.mpc(c)._mpc_ for c in got.c] == [
+                    mp.mpc(c)._mpc_ for c in want]
+
+
+class TestConv:
+    """moments.conv on raw tuples against mp.fdot on the mpf slices."""
+
+    @staticmethod
+    def check(x, y, bits):
+        rx, ry = [v._mpf_ for v in x], [v._mpf_ for v in y]
+        with mp.workprec(bits):
+            for lo in (0, 1):
+                for j in range(lo, min(len(x), len(y))):
+                    want = mp.fdot(x[lo:j + 1], y[j - lo::-1])._mpf_
+                    assert moments.conv(rx, ry, j, bits, "n", lo) == want
+
+    @pytest.mark.parametrize("bits", [128, 256, 320])
+    def test_seeded_lists(self, bits):
+        """Zeros, factors 2^(+-3 prec) apart (mpf_sum drops a term more
+        than 2 prec bits below the running sum, or the sum below it) and
+        400-bit factors, so the exact products round."""
+        rng = random.Random(bits)
+        with mp.workprec(400):
+            for _ in range(60):
+                lists = []
+                for _ in range(2):
+                    v = []
+                    for _ in range(rng.randint(1, 23)):
+                        u = rng.random()
+                        c = (mp.mpf(rng.uniform(-1, 1)) / 3
+                             * mp.mpf(10) ** rng.randint(-30, 30))
+                        if u < 0.15:
+                            c = mp.mpf(0)
+                        elif u < 0.3:
+                            c = mp.ldexp(c, rng.choice([-3, 3]) * bits)
+                        v.append(c)
+                    lists.append(v)
+                self.check(*lists, bits)
+
+    @pytest.mark.parametrize("bits", [128, 256, 320])
+    def test_cancellation_and_drop_rule(self, bits):
+        """Exact cancellation to 0, a tiny term after it, and the two drop
+        branches: each gives fdot's bits, which the drop rule makes differ
+        from the exactly rounded sum (2^p + 1 is a tie at p bits that a
+        dropped tiny term would break)."""
+        with mp.workprec(4 * bits):
+            a, b = mp.mpf(2) / 3, mp.mpf(5) / 7
+            tiny = mp.ldexp(1, -2 * bits - 10)
+            tie = mp.mpf(2) ** bits + 1
+            one = mp.mpf(1)
+            cases = [([a, a], [b, -b]),
+                     ([a, a, tiny], [tiny, b, -b]),
+                     ([tie, tiny], [one, one]),
+                     ([tiny, tie], [one, one])]
+        for x, y in cases:
+            self.check(x, y, bits)
+        rx, ry = [v._mpf_ for v in cases[0][0]], [v._mpf_ for v in cases[0][1]]
+        assert moments.conv(rx, ry, 1, bits, "n") == mp.mpf(0)._mpf_
+        for x, y in cases[2:]:
+            got = moments.conv([v._mpf_ for v in x], [v._mpf_ for v in y],
+                               1, bits, "n")
+            with mp.workprec(4 * bits):
+                exact = x[0] + x[1]
+            with mp.workprec(bits):
+                assert got == (mp.mpf(2) ** bits)._mpf_ != (+exact)._mpf_
+
+    def test_inf_factor(self):
+        """An inf factor hands the products to mpf_sum: inf, or nan where
+        it meets a zero or an opposite inf."""
+        with mp.workprec(256):
+            inf, one, zero = mp.inf, mp.mpf(1) / 3, mp.mpf(0)
+            for x, y in (([one, inf, one], [one, one, one]),
+                         ([one, inf, one], [one, zero, one]),
+                         ([inf, one, -inf], [one, one, one]),
+                         ([one, one, one], [mp.nan, one, one])):
+                self.check(x, y, 256)

@@ -655,14 +655,18 @@ class TestVanishingStartRaw:
 
     @pytest.mark.parametrize("order", [5, 10, 22])
     def test_random_polynomials(self, order):
+        """Both outcomes, and polynomials that the |c_0| > S bound clears
+        before any Bernstein coefficient is formed, are exercised."""
         rng = random.Random(order)
-        flagged = 0
+        flagged = dominated = 0
         for trial in range(500):
             with mp.workprec(400):
                 c = [mp.mpf(rng.choice([-1, 1]) * rng.uniform(0.1, 1))] + [
                     mp.mpf(rng.uniform(-1, 1)) / 3 for _ in range(order)]
                 h = mp.mpf(rng.uniform(0.1, 1.5)) / 7 * 7
                 poly = TruncSeries(c)
+                dominated += abs(c[0]) > 2 * sum(
+                    abs(cj) * h ** j for j, cj in enumerate(c) if j)
             with mp.workprec(276):
                 got = painleve._vanishing_start(poly, h)
                 want = _reference_vanishing_start(poly, h)
@@ -671,7 +675,92 @@ class TestVanishingStartRaw:
             else:
                 flagged += 1
                 assert got is not None and got._mpf_ == want._mpf_, trial
-        assert flagged >= 50     # both outcomes are exercised
+        assert flagged >= 50 and dominated >= 50
+
+    @pytest.mark.parametrize("bits", [64, 276])
+    def test_dominant_constant_at_the_margin(self, bits):
+        """|c_0| = S puts a root at s = h; |c_0| a hair above S still
+        leaves it to the Bernstein test, which clears it; a dominant c_0
+        is cleared either way (the bound is off at 64 bits for order 22,
+        where prec < 2K + 40)."""
+        with mp.workprec(bits):
+            one, tiny = mp.mpf(1), mp.ldexp(1, -40)
+            for c, h, vanishes in (
+                    ([1, -1], one, True), ([1, -1 + tiny], one, False),
+                    ([-3] + [1] * 22, one / 8, False),
+                    ([-3] + [1] * 22, one, True),
+                    ([3, -1, 1, -1], one, False), ([1, 0, 0, -1], one, True)):
+                poly = TruncSeries(c)
+                got = painleve._vanishing_start(poly, h)
+                assert got == _reference_vanishing_start(poly, h)
+                assert (got is not None) is vanishes
+
+
+def _reference_flow_jet(n, params, tk, th0, ka0, K):
+    """_flow_jet_factory's jet on mpf objects, with mp.fdot for each
+    convolution, as written before the raw tuples."""
+    def conv(x, y, j, lo=0):
+        return mp.fdot(x[lo:j + 1], y[j - lo::-1])
+
+    a, m = to_mpf(params.alpha), to_mpf(params.mu)
+    c_lin = 2 * n + a + 1 + m
+    c_k1 = 2 * n + a + m + 1
+    c_k2 = 2 * n + a + m
+    c_t = n * n + (n + m / 2) * (a + m)
+    c_m2 = m * m / 4
+    c_tt = (n + m / 2) * (n + a + m / 2)
+
+    def times_t(x, j):
+        return tk * x[j] + (x[j - 1] if j else 0)
+
+    th, ka = [th0], [ka0]
+    w = [th0 + tk]
+    u, v = [1 / th0], [1 / w[0]]
+    uv, tv, sq, g, tg = [], [], [], [], []
+    for j in range(K):
+        if j:
+            w.append(th[j] + (1 if j == 1 else 0))
+            u.append(-u[0] * conv(th, u, j, 1))
+            v.append(-v[0] * conv(w, v, j, 1))
+        uv.append(u[j] + v[j])
+        tv.append(times_t(v, j))
+        sq.append(conv(ka, ka, j))
+        g.append(c_tt * v[j] - c_m2 * u[j])
+        tg.append(times_t(g, j))
+        f_th = 2 * ka[j] + c_lin * th[j] + times_t(th, j) + conv(th, th, j)
+        f_ka = (conv(uv, sq, j) + c_k1 * ka[j] - c_k2 * conv(tv, ka, j)
+                + times_t(tg, j))
+        if j < 2:
+            f_ka -= c_t * (tk if j == 0 else 1)
+        den = (j + 1) * tk
+        th.append((f_th - j * th[j]) / den)
+        ka.append((f_ka - j * ka[j]) / den)
+    return th, ka
+
+
+class TestFlowJetRaw:
+    """The flow's Taylor jet on raw tuples has the mpf recursion's bits."""
+
+    def test_seeded_points(self):
+        """200 points (n, alpha, mu, t, theta, kappa), integer and real mu,
+        order 22, at 128, 256 and 276 bits; the data carry 400 bits, so
+        the first operations on them round."""
+        rng = random.Random(22)
+        for trial in range(200):
+            bits = (128, 256, 276)[trial % 3]
+            n, alpha = rng.randint(0, 5), rng.randint(0, 4)
+            mu = rng.choice([0, 1, 2, 3, "0.3", "1.7"])
+            params = WeightParams(alpha, mu, "0.5", 0)
+            with mp.workprec(400):
+                t = mp.mpf(rng.uniform(1e-3, 5)) / 3
+                th = t * rng.choice([-1, 1]) * rng.uniform(0.05, 20) / 7
+                ka = mp.mpf(rng.uniform(-2, 2)) / 11
+            with mp.workprec(bits):
+                got = painleve._flow_jet_factory(n, params)(t, th, ka, 22)
+                want = _reference_flow_jet(n, params, t, th, ka, 22)
+            for g, w in zip(got, want):
+                assert len(g) == 23 and all(type(c) is mp.mpf for c in g)
+                assert [c._mpf_ for c in g] == [c._mpf_ for c in w], trial
 
 
 class TestAbFlow:
@@ -688,6 +777,29 @@ class TestAbFlow:
             str(grid[4]), FLOW_ORDER)
         assert [r.point for r in rep.records[::4][:FLOW_ORDER]] == [
             f"s^{j} about t=0.3" for j in range(FLOW_ORDER)]
+
+    @pytest.mark.parametrize("alpha, mu", [(2, 2), (0, 1)])
+    def test_about_zero_keeps_the_t_forms(self, prec, alpha, mu):
+        """About t* = 0 the ladder forms and the two Lax records divide by
+        t: they are left out, and the two t-forms pass at every order."""
+        params = WeightParams(alpha, mu, "0.5", 0)
+        for n in (1, 2):
+            rep = ab_flow_check(params, n, [mp.mpf(0)] * 9, prec,
+                                threshold=1e-25)
+            assert rep.all_passed and len(rep.records) == 2 * FLOW_ORDER
+            assert [r.check_id for r in rep.records[:2]] == [
+                "ab_flow_a_t", "ab_flow_b_t"]
+
+    @pytest.mark.parametrize("fn", [deformation_residual,
+                                    compatibility_residual])
+    @pytest.mark.parametrize("x, t, name", [
+        (-1, 0, "t"), (0, "0.3", "x"), ("0.3", "0.3", "x")])
+    def test_lax_residual_refuses_poles(self, prec, fn, x, t, name):
+        """t = 0 and x in {0, t} are the poles of A(x): refused by name
+        (a bare ZeroDivisionError before)."""
+        params = WeightParams(2, 2, "0.5", t)
+        with pytest.raises(UnsupportedParameters, match=f"^{name} must"):
+            fn(params, 2, x, t, prec)
 
     def test_needs_n_and_a_node(self, params_main, prec):
         """n = 0 would read b_{-1} and divide by a_0^2 = 0."""

@@ -403,12 +403,14 @@ def hamilton_map_residual(theta, kappa, n: int, t, params: WeightParams,
                           convention: str = "prop11",
                           prec: PrecisionCtx = None):
     """|(q', p') along the flow minus hamilton_rhs(q, p, t)|, max, with
-    (q, p) the map of to_hamiltonian (_qp_map) and PVParams at prec."""
-    pv = PVParams.make(n, params.alpha, params.mu, convention, prec)
+    (q, p) the map of to_hamiltonian (_qp_map) and PVParams at the chart's
+    width, so a real mu's constants are rounded no coarser than the chart."""
     return _chart_residual(
         theta, kappa, n, t, params, prec, 40,
         lambda th, ka, s: _qp_map(th, ka, s, n, params, convention),
-        lambda q, p, s, ctx: hamilton_rhs(q, p, s, pv, ctx))
+        lambda q, p, s, ctx: hamilton_rhs(
+            q, p, s,
+            PVParams.make(n, params.alpha, params.mu, convention, ctx), ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,19 @@ list is the tuple _build_nodes returned, so every sum runs over the same
 nodes, in the same order and at the same precision as without the cache,
 and gives the same bits.  Concurrent callers can at worst both build a
 list that neither found.
+
+What survives a change of weight is the geometry of the pole-graded lists
+(_PANELS): each Legendre panel's abscissae, half w_i and e^{-x_i}, and the
+Laguerre tail's abscissae L + y_i and e^{-L}, none of which depends on
+the weight.  Per m, working precision and rule tier, the panels of the
+latest graded list are kept, keyed by their exact ends, for the latest
+pole only; the next weight's list at that pole takes every panel whose
+ends it shares (those the pole grades, away from t) and forms only the
+weight's own factors, in the order _build_nodes always forms them, so no
+bit moves.  Lists without a pole keep no panels: their ends all follow t
+(0, t, the cuts of [0, t] and, at non-integer mu, the grading by t), so
+only a weight with the same t could use them again, and keeping them for
+that case holds memory that a sweep over t never repays.
 """
 
 from __future__ import annotations
@@ -86,6 +99,8 @@ SPAN = 5                       # longest panel on [0, t]
 
 _RULES: dict = {}              # (family, m) -> (bits, rule)
 _LISTS: dict = {}              # weighted_nodes key -> node tuple, one weight
+_PANELS: dict = {}             # (m, prec, rounding) -> (pole, rule tiers,
+                               # {ends: geometry}) of the latest graded list
 
 
 @dataclass(frozen=True)
@@ -341,7 +356,8 @@ def weighted_nodes(params, m: int, pole=None):
     Runs at the caller's working precision.  Cached as the module
     docstring describes: a list for another weight drops the current
     weight's lists, a graded list for another pole drops the current
-    pole's.
+    pole's.  A graded list's panel geometry outlives its weight, for the
+    latest pole only; a list without a pole keeps none.
     """
     params = _exact(params)
     # typed: mpc(-2, 0) == mpf(-2), but the two hash apart
@@ -362,12 +378,16 @@ def weighted_nodes(params, m: int, pole=None):
 
 
 def _build_nodes(params, m, pole):
-    """The uncached weighted_nodes, given the weight as _exact gives it.
+    """One weighted_nodes list, given the weight as _exact gives it.
 
-    Each node's weight half w factor (x - t)^alpha x^mu e^{-x} (on the
-    tail, scale w (x - t)^alpha x^mu) is formed left to right on raw mpf
-    tuples, every operation rounded as the mpf expression rounds it, so
-    the list has that expression's bits.
+    Each panel's geometry (_panel, _tail) does not depend on the weight;
+    each node's weight half w factor (x - t)^alpha x^mu e^{-x} (on the
+    tail, scale w (x - t)^alpha x^mu, scale = factor e^{-L}) is formed from
+    it left to right on raw mpf tuples, every operation rounded as the mpf
+    expression rounds it, so the list has that expression's bits.  A
+    graded list reads and leaves its Legendre panels and tail in _PANELS,
+    as the module docstring describes; with _PANELS kept empty this is the
+    from-scratch build.
     """
     prec, rnd = mp.mp._prec_rounding
     mul, make = mpf_mul, mp.make_mpf
@@ -378,6 +398,15 @@ def _build_nodes(params, m, pole):
     cuts = _breaks(params, pole)
     head = [mp.mpf(0)] + [b for b in cuts if b < t] + [t] if t > 0 else []
     tail = [t] + [b for b in cuts if b > t]
+    memo = _panel_memo(m, pole)
+    old = memo[2] if memo else {}
+    kept = {}
+
+    def geometry(key, build):
+        """The geometry under key (a panel's ends, the tail's start): the
+        previous list's, else build()'s."""
+        kept[key] = old.get(key) or build()
+        return kept[key]
 
     def shifted(x):
         """(x - t)^alpha."""
@@ -386,27 +415,75 @@ def _build_nodes(params, m, pole):
     out = []
     for ends, factor in ((head, fone), (tail, tail_factor._mpf_)):
         for lo, hi in zip(ends[:-1], ends[1:]):
-            half, mid = ((hi - lo) / 2)._mpf_, ((hi + lo) / 2)._mpf_
             jacobi = lo == 0 and not params.mu_is_integer
-            # Gauss-Jacobi(0, mu) carries x^mu = half^mu (1 + s)^mu
-            half_mu = mpf_pow(half, mu, prec, rnd) if jacobi else None
-            for s, w in _rule(_jacobi(params.mu) if jacobi else "legendre", m):
-                x = mpf_add(mid, mul(half, s._mpf_, prec, rnd), prec, rnd)
-                W = mul(mul(half, w._mpf_, prec, rnd), factor, prec, rnd)
-                W = mul(W, shifted(x), prec, rnd)
-                W = mul(W, half_mu if jacobi else mpf_pow(x, mu, prec, rnd),
+            if jacobi:
+                # Gauss-Jacobi(0, mu) carries x^mu = half^mu (1 + s)^mu
+                half, nodes = _panel(lo, hi, _jacobi(params.mu), m)
+                half_mu = mpf_pow(half, mu, prec, rnd)
+            else:
+                _, nodes = geometry((lo._mpf_, hi._mpf_),
+                                    lambda: _panel(lo, hi, "legendre", m))
+            for x, half_w, decay in nodes:
+                xr = x._mpf_
+                W = mul(mul(half_w, factor, prec, rnd), shifted(xr), prec,
+                        rnd)
+                W = mul(W, half_mu if jacobi else mpf_pow(xr, mu, prec, rnd),
                         prec, rnd)
-                W = mul(W, mpf_exp(mpf_neg(x, prec, rnd), prec, rnd),
-                        prec, rnd)
-                out.append((make(x), make(W)))
-    start = tail[-1]
-    scale = (tail_factor * mp.exp(-start))._mpf_
-    for y, w in _rule("laguerre", m):
-        x = mpf_add(start._mpf_, y._mpf_, prec, rnd)
-        W = mul(mul(scale, w._mpf_, prec, rnd), shifted(x), prec, rnd)
-        out.append((make(x), make(mul(W, mpf_pow(x, mu, prec, rnd),
-                                      prec, rnd))))
+                out.append((x, make(mul(W, decay, prec, rnd))))
+    decay, nodes = geometry(tail[-1]._mpf_, lambda: _tail(tail[-1], m))
+    scale = mul(tail_factor._mpf_, decay, prec, rnd)
+    for x, w in nodes:
+        xr = x._mpf_
+        W = mul(mul(scale, w, prec, rnd), shifted(xr), prec, rnd)
+        out.append((x, make(mul(W, mpf_pow(xr, mu, prec, rnd), prec, rnd))))
+    if memo:
+        _PANELS[(m, prec, rnd)] = memo[:2] + (kept,)
     return tuple(out)
+
+
+def _panel_memo(m, pole):
+    """The _PANELS entry a graded build at the working precision may read:
+    (pole, rule tiers, geometries) of the previous graded list at this
+    pole, m, width and tiers, with its geometries emptied if there is none
+    or its tiers are not the current ones; None without a pole.  A graded
+    build at another pole drops every entry of the old one first.
+    """
+    if pole is None:
+        return None
+    prec, rnd = mp.mp._prec_rounding
+    # typed: mpc(-2, 0) == mpf(-2), but the two hash apart
+    pole_key = (type(pole), pole)
+    rules = (_rule_bits("legendre", m), _rule_bits("laguerre", m))
+    for key, entry in list(_PANELS.items()):
+        if entry[0] != pole_key:
+            _PANELS.pop(key, None)
+    entry = _PANELS.get((m, prec, rnd))
+    if entry is None or entry[1] != rules:
+        entry = (pole_key, rules, {})
+    return entry
+
+
+def _panel(lo, hi, family, m):
+    """A panel's geometry at the working precision: half = (hi - lo) / 2
+    and a tuple of (x_i, half w_i, e^{-x_i}), raw but for the mpf x_i,
+    over the reference rule's nodes s_i, x_i = mid + half s_i."""
+    prec, rnd = mp.mp._prec_rounding
+    half, mid = ((hi - lo) / 2)._mpf_, ((hi + lo) / 2)._mpf_
+    nodes = []
+    for s, w in _rule(family, m):
+        x = mpf_add(mid, mpf_mul(half, s._mpf_, prec, rnd), prec, rnd)
+        nodes.append((mp.make_mpf(x), mpf_mul(half, w._mpf_, prec, rnd),
+                      mpf_exp(mpf_neg(x, prec, rnd), prec, rnd)))
+    return half, tuple(nodes)
+
+
+def _tail(start, m):
+    """The Laguerre tail's geometry from start = L: e^{-L}, raw, and a
+    tuple of (L + y_i, w_i), the mpf L + y_i and the rule's raw w_i."""
+    prec, rnd = mp.mp._prec_rounding
+    return mp.exp(-start)._mpf_, tuple(
+        (mp.make_mpf(mpf_add(start._mpf_, y._mpf_, prec, rnd)), w._mpf_)
+        for y, w in _rule("laguerre", m))
 
 
 def _weighted_sum(rows, k, absolute=False):

@@ -202,7 +202,19 @@ class TestMaps:
     def test_real_mu_residual_follows_width(self, bits, bound):
         """At real mu the PV constants carry rounded mu: built at 256 bits
         whatever the context, they held the residual at 5.3e-76 at both
-        widths; built at prec it reads 4.6e-153 and 3.4e-307."""
+        widths; built at the chart's width it reads 6.7e-165 and
+        1.3e-318."""
+        params = WeightParams(2, "0.3", "0.5", "0.7")
+        resid = hamilton_map_residual("-0.41", "0.37", 2, "0.7", params,
+                                      "prop11", PrecisionCtx(bits))
+        assert resid < bound
+
+    @pytest.mark.parametrize("bits, bound", [(256, 1e-84), (512, 1e-160)])
+    def test_real_mu_constants_at_chart_width(self, bits, bound):
+        """The chart runs 40 bits above prec, and so do the PV constants:
+        built at prec they held the residual at 5.3e-76 (256 bits) and
+        4.6e-153 (512 bits), the rounding of a real mu's v_1..v_4; built
+        at the chart's width it reads 2.2e-88 and 6.7e-165."""
         params = WeightParams(2, "0.3", "0.5", "0.7")
         resid = hamilton_map_residual("-0.41", "0.37", 2, "0.7", params,
                                       "prop11", PrecisionCtx(bits))

@@ -36,18 +36,28 @@ class _KeepNothing(dict):
 
 
 def fresh_and_cached(monkeypatch, compute):
-    """compute() with every node list built afresh, then with the cache in
-    use (emptied first).  A first pass builds the reference rules, so both
-    runs sum nodes made from the same rules.  The Cauchy sweep memo is
-    emptied before each run, or the later runs would integrate nothing."""
+    """compute() with every node list and every panel built afresh, then
+    with both caches in use: the lists emptied first, the graded panels
+    kept from a first pass, so the cached run rebuilds its lists from
+    them.  That first pass also builds the reference rules, so both runs
+    sum nodes made from the same rules.  The Cauchy sweep memo is emptied
+    before each run, or the later runs would integrate nothing."""
     compute()
     hankel._SWEEP.clear()
     with monkeypatch.context() as patch:
         patch.setattr(quadrature, "_LISTS", _KeepNothing())
+        patch.setattr(quadrature, "_PANELS", _KeepNothing())
         fresh = compute()
     quadrature._LISTS.clear()
     hankel._SWEEP.clear()
     return fresh, compute()
+
+
+def from_scratch(monkeypatch, params, m, pole):
+    """_build_nodes with the panel memo neither read nor written."""
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_PANELS", _KeepNothing())
+        return quadrature._build_nodes(quadrature._exact(params), m, pole)
 
 
 class TestCacheBitIdentity:
@@ -120,10 +130,10 @@ class TestCacheScope:
         assert {key[2] for key in quadrature._LISTS} == {None, last}
         assert len(quadrature._LISTS) == 2
 
-    def test_lists_belong_to_their_weight(self):
+    def test_lists_belong_to_their_weight(self, monkeypatch):
         """Alternating weights, poles and precisions: each call returns the
-        list _build_nodes makes for its own inputs, a t of more digits
-        than the width holds included."""
+        list _build_nodes makes from scratch for its own inputs, a t of
+        more digits than the width holds included."""
         weights = [DESK, DESK.replace_t("0.31"),
                    WeightParams(2, 2, "0.6", "0.3"),
                    WeightParams(1, "1.5", "0.5", "0.3"),
@@ -133,8 +143,8 @@ class TestCacheScope:
                 for params in weights + weights[::-1]:
                     for pole in (None, mp.mpf(-2), mp.mpf(-1)):
                         got = weighted_nodes(params, 10, pole)
-                        assert got == quadrature._build_nodes(params, 10,
-                                                              pole)
+                        assert got == from_scratch(monkeypatch, params, 10,
+                                                   pole)
                         assert isinstance(got, tuple)
 
     def test_rule_upgrade_retires_lists(self, monkeypatch):
@@ -186,6 +196,77 @@ class TestCacheScope:
                 for params in spellings:
                     assert weighted_nodes(params, m) == fresh[m]
         assert sum(builds.values()) == 3 + len(fresh)
+
+    def test_graded_panels_outlive_their_weight(self, monkeypatch):
+        """Graded lists for three weights in turn, at poles -2, -1 and off
+        the axis and at 128 and 256 bits, are _build_nodes' from-scratch
+        lists bit for bit.  The second weight's t = 5 falls inside one of
+        the first's panels, and it takes the panels past the jump from the
+        memo (the same x objects): over half its nodes."""
+        monkeypatch.setattr(quadrature, "_LISTS", {})
+        monkeypatch.setattr(quadrature, "_PANELS", {})
+        weights = [DESK, WeightParams(1, 0, "0.9", "5"),
+                   WeightParams(1, "1.5", "-0.7", "0.3")]
+        for bits in (128, 256):
+            for pole in (mp.mpf(-2), mp.mpf(-1), mp.mpc("-0.5", "1")):
+                with mp.workprec(bits):
+                    lists = [weighted_nodes(params, 10, pole)
+                             for params in weights]
+                for params, got in zip(weights, lists):
+                    with mp.workprec(bits):
+                        assert got == from_scratch(monkeypatch, params, 10,
+                                                   pole)
+                seen = {id(x) for x, _ in lists[0]}
+                shared = sum(id(x) in seen for x, _ in lists[1])
+                assert 2 * shared > len(lists[1])
+
+    def test_pole_sweep_keeps_one_pole_of_panels(self, monkeypatch):
+        """Panels of a pole sweep at two m: one entry per m, both the
+        latest pole's."""
+        monkeypatch.setattr(quadrature, "_PANELS", {})
+        poles = [-1 - mp.mpf(i) / 10 for i in range(20)]
+        with workprec(PREC):
+            for pole in poles:
+                for m in (10, 20):
+                    weighted_nodes(DESK, m, pole=pole)
+        last = (type(poles[-1]), poles[-1])
+        assert sorted(key[0] for key in quadrature._PANELS) == [10, 20]
+        assert {entry[0] for entry in quadrature._PANELS.values()} == {last}
+
+    def test_lists_without_pole_keep_no_panels(self, monkeypatch):
+        """Lists without a pole, at several weights, m and widths, neither
+        add an entry nor disturb the graded one."""
+        monkeypatch.setattr(quadrature, "_PANELS", {})
+        with workprec(PREC):
+            weighted_nodes(DESK, 10, pole=mp.mpf(-2))
+        graded = dict(quadrature._PANELS)
+        for bits in (128, 256):
+            with mp.workprec(bits):
+                for params in (DESK, WeightParams(1, "1.5", "0.5", "7")):
+                    for m in (10, 20):
+                        weighted_nodes(params, m)
+        assert quadrature._PANELS == graded
+
+    def test_rule_upgrade_retires_panels(self, monkeypatch):
+        """Panels built from reference rules that have since been rebuilt
+        at a higher tier are not read: the next graded list at that width
+        builds its own from the upgraded rules, bit for bit the
+        from-scratch list, and replaces the old entry."""
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(quadrature, "_LISTS", {})
+        monkeypatch.setattr(quadrature, "_PANELS", {})
+        pole, other = mp.mpf(-2), WeightParams(2, 2, "0.6", "0.3")
+        with mp.workprec(128):
+            before = weighted_nodes(DESK, 10, pole)
+            assert quadrature._PANELS[(10, 128, "n")][1] == (128, 128)
+        with mp.workprec(200):
+            weighted_nodes(DESK, 10)
+        with mp.workprec(128):
+            after = weighted_nodes(other, 10, pole)
+            assert after == from_scratch(monkeypatch, other, 10, pole)
+        assert quadrature._PANELS[(10, 128, "n")][1] == (256, 256)
+        seen = {id(x) for x, _ in before}
+        assert not any(id(x) in seen for x, _ in after)
 
     def test_grading_ends_do_not_depend_on_width(self):
         """A pole at -2 grades ends 1, sqrt(2), 2, ..., 32 = REACH: every

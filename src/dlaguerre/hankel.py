@@ -399,6 +399,18 @@ def _cancel_digits(N: int, x) -> int:
     return int((N + 2) * mp.log10(1 + abs(x))) + 10
 
 
+def _off_support(x, message):
+    """x at the working precision, refused with message on [0, inf) and
+    refused as not finite (nan or inf in either part), before any work:
+    _cancel_digits cannot size such a point."""
+    x = to_mpf(x)
+    if not mp.isfinite(x):
+        raise UnsupportedParameters(f"x must be finite, got x = {x}")
+    if mp.im(x) == 0 and mp.re(x) >= 0:
+        raise UnsupportedParameters(message)
+    return x
+
+
 _SWEEP: dict = {}   # {"latest": ((table, typed x, prec), (E, dE))}
 
 
@@ -418,11 +430,8 @@ def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
     """
     prec = prec or table.prec
     with workprec(prec, 20):
-        x = to_mpf(x)
-        if mp.im(x) == 0 and mp.re(x) >= 0:
-            raise UnsupportedParameters(
-                "the Cauchy transform requires x < 0 or a complex x off "
-                "[0, inf)")
+        x = _off_support(x, "the Cauchy transform requires x < 0 or a "
+                            "complex x off [0, inf)")
         key = (table, (type(x), x), prec)
         latest = _SWEEP.get("latest")
         if latest is not None and latest[0] == key and len(latest[1][0]) > n:
@@ -495,9 +504,7 @@ def stieltjes_eval(moments: MomentTable, x, prec: PrecisionCtx = None):
     """
     prec = prec or moments.prec
     with workprec(prec, 20):
-        x = to_mpf(x)
-        if mp.im(x) == 0 and mp.re(x) >= 0:
-            raise UnsupportedParameters("stieltjes_eval requires x off [0, inf)")
+        x = _off_support(x, "stieltjes_eval requires x off [0, inf)")
         cancel = _cancel_digits((moments.k_max + 1) // 2, x)
         res = integrate_weighted(lambda s: (1 / (x - s),), moments.params,
                                  prec, extra_digits=cancel, pole=x)

@@ -9,12 +9,23 @@ sum over one node list (x_i, W_i) whose weights W_i already carry w(x_i):
   0 is Gauss-Jacobi(0, mu) when mu is not an integer, so x^mu is exact;
 - [t, inf) ends in Gauss-Laguerre after the change x = L + y, which is
   exact for polynomial integrands: there is no cutoff and no tail bound;
-- integrands with a singularity near the support (the Cauchy, epsilon and
-  Stieltjes kernels 1/(x - s), and x^mu's branch point at 0) get Legendre
-  panels graded by distance to it: their ends step away from the nearest
-  support point by factors of sqrt(2), starting at half the singularity's
-  distance, so each panel stays several half-widths away from it; the
-  Laguerre tail starts where the grading ends.
+- integrands with a pole near the support (the Cauchy, epsilon and
+  Stieltjes kernels 1/(x - s)) get Legendre panels graded by one bound:
+  each panel's centre lies GRADE = 5 half-widths or more from the pole.
+  Gauss error on a panel falls like rho^(-2m), rho set by the pole's
+  distance in half-widths (Trefethen, SIAM Rev. 50, 2008), so the panel
+  with the fewest half-widths to the pole sets the list's accuracy, and
+  panels graded farther out spend nodes for nothing.  5 is the ratio of
+  the first panel that sqrt(2) steps from half the pole's distance made,
+  the panel that set that grading's accuracy; every panel at 5 keeps its
+  worst error and needs about a third fewer nodes (ends d (1.5^j - 1)
+  for a pole at -d).  The grading ends, and the Laguerre tail starts,
+  REACH past the support point nearest the pole;
+- x^mu's branch point at 0 grades the panels past the Jacobi panel by t:
+  ends t/2 sqrt(2)^j, up to REACH.  With a pole as well, the pole's
+  panels past the Jacobi panel keep GRADE half-widths from 0 too, and
+  its steps land on the branch point's ends where they can, so the two
+  gradings share ends.
 
 Each node takes the jump factor of the panel it belongs to.  The reference
 rules come from one builder for all three families (_gauss) that needs
@@ -73,10 +84,14 @@ latest graded list are kept, keyed by their exact ends, for the latest
 pole only; the next weight's list at that pole takes every panel whose
 ends it shares (those the pole grades, away from t) and forms only the
 weight's own factors, in the order _build_nodes always forms them, so no
-bit moves.  Lists without a pole keep no panels: their ends all follow t
-(0, t, the cuts of [0, t] and, at non-integer mu, the grading by t), so
-only a weight with the same t could use them again, and keeping them for
-that case holds memory that a sweep over t never repays.
+bit moves.  At integer mu a pole's ends come from the pole alone, formed
+at 53 bits, so every such weight shares them but for the panel that t
+cuts; a pole at -2 grades 7 panels, and its lists at m = 10, 20 and 40,
+tails included, hold 630 nodes.  Lists without a pole keep no panels:
+their ends all follow t (0, t, the cuts of [0, t] and, at non-integer
+mu, the grading by t), so only a weight with the same t could use them
+again, and keeping them for that case holds memory that a sweep over t
+never repays.
 """
 
 from __future__ import annotations
@@ -85,9 +100,10 @@ import math
 from dataclasses import dataclass, replace
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpf_add,
-                          mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pos,
-                          mpf_pow, mpf_pow_int, mpf_sub, mpf_sum)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_abs,
+                          mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_pos, mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt,
+                          mpf_sub, mpf_sum)
 
 from .errors import QuadratureFailure
 from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
@@ -95,6 +111,8 @@ from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
 LADDER = (10, 20, 40, 80)      # Gauss nodes per panel, one rung at a time
 GUARD_BITS = 20
 REACH = 32                     # graded panels end this far past a singularity
+GRADE = 5                      # a pole lies this many half-widths or more
+                               # from the centre of each panel it grades
 SPAN = 5                       # longest panel on [0, t]
 
 _RULES: dict = {}              # (family, m) -> (bits, rule)
@@ -310,31 +328,28 @@ def _recurrence(x, a, b, prec):
 def _breaks(params, pole):
     """Panel ends in (0, inf) besides t, graded away from singularities.
 
-    The support point nearest each singularity (the pole, and 0 for x^mu's
-    branch point) is an end, and further ends step out from it on both
-    sides by factors of sqrt(2), starting at half the singularity's
-    distance d, until they are REACH past it.  A pole farther than
-    2 * REACH adds none.  Equal panels no longer than SPAN cut [0, t], so
-    the ladder's m = 20 rung resolves e^{-x} (one panel over [0, 10] is
-    1e-20 off).  Every second step, d/2 * 2^j, is exact, so an end at
-    REACH (d = 2: a pole at -2) exists at every width.  Ends within a few
-    ulps of t or of each other are merged.
+    The x^mu branch point at 0 grades by t (or 1/2 at t = 0): ends
+    d/2 sqrt(2)^j up to REACH, whose every second one, d/2 2^j, is exact.
+    A pole adds the ends of _pole_ends, so that every Legendre panel it
+    grades has its centre GRADE half-widths or more from it, sharing the
+    branch point's ends and keeping its distance from 0.  Equal panels
+    no longer than SPAN cut [0, t], so the ladder's m = 20 rung resolves
+    e^{-x} (one panel over [0, 10] is 1e-20 off).  Ends within a few ulps
+    of t or of each other are merged.
     """
     t = to_mpf(params.t)
-    centres = []
-    if pole is not None:
-        near = max(mp.re(pole), 0)
-        centres.append((near, abs(pole - near)))
+    ends = []
     if not params.mu_is_integer:
         # the Jacobi panel at 0 takes x^mu; grade the panels past it by t,
         # the distance from the branch point to the start of the tail
-        centres.append((mp.mpf(0), t if t > 0 else mp.mpf(1) / 2))
-    ends = set()
-    for near, d in centres:
+        d = t if t > 0 else mp.mpf(1) / 2
         steps, j = (d / 2, d / 2 * mp.sqrt(2)), 0
         while (step := mp.ldexp(steps[j % 2], j // 2)) <= REACH:
-            ends.update(b for b in (near - step, near, near + step) if b > 0)
+            ends.append(step)
             j += 1
+    if pole is not None:
+        ends += _pole_ends(pole, None if params.mu_is_integer else ends)
+    ends = set(ends)
     pieces = int(mp.ceil(t / SPAN))
     ends.update(t * i / pieces for i in range(1, pieces))
     # an odd step can land an end a rounding error away from t or from
@@ -348,11 +363,68 @@ def _breaks(params, pole):
     return merged
 
 
+def _pole_ends(pole, branch=None):
+    """The ends in (0, inf) that a pole off the support grades.
+
+    They step out on both sides from the support point nearest the pole,
+    near = max(Re pole, 0), each panel as wide as the bound allows: a
+    panel whose near end lies u from Re pole has its centre GRADE
+    half-widths h from the pole at h = (u + sqrt(GRADE^2 u^2 + (GRADE^2
+    - 1) Im(pole)^2)) / (GRADE^2 - 1); for a real pole at -d the ends are
+    d (1.5^j - 1).  Each step's width is formed at 53 bits, every
+    rounding down, and added exactly, so each panel keeps the bound and
+    the ends depend on the pole's value alone, not on the working width.
+    The stepping stops at 0 and at exactly REACH past near, where the
+    Laguerre tail starts; a pole farther than 2 * REACH from near adds
+    none.
+
+    At non-integer mu, branch holds the ends that grade x^mu's branch
+    point at 0.  The panels past the Jacobi panel at 0 then keep GRADE
+    half-widths from 0 as well (each end within a factor 1.5 of the
+    last), and a step goes to the farthest branch end within it, so the
+    two gradings share ends.
+    """
+    near = max(mp.re(pole), mp.mpf(0))
+    if not 0 < abs(pole - near) <= 2 * REACH:
+        return []
+    foot, im = mp.re(pole)._mpf_, mp.im(pole)._mpf_
+    sq, rest = from_int(GRADE ** 2), from_int(GRADE ** 2 - 1)
+    # (GRADE^2 - 1) Im(pole)^2, rounded down as every term below
+    off = mpf_mul(rest, mpf_mul(im, im, 53, "f"), 53, "f")
+    ends = [near]
+    for side in (1, -1):
+        sign, b = from_int(side), near
+        while True:
+            u = mpf_mul(sign, mpf_sub(b._mpf_, foot), 53, "f")
+            root = mpf_sqrt(mpf_add(mpf_mul(sq, mpf_mul(u, u, 53, "f"), 53,
+                                            "f"), off, 53, "f"), 53, "f")
+            width = mp.make_mpf(mpf_shift(mpf_div(
+                mpf_add(u, root, 53, "f"), rest, 53, "f"), 1))
+            if side < 0 and width >= b:
+                break       # the panel [0, b] keeps the pole's bound
+            if branch is not None and b > 0:
+                # GRADE half-widths from 0: at most 2b / (GRADE -+ 1)
+                width = min(width, mp.make_mpf(mpf_div(
+                    mpf_shift(b._mpf_, 1), from_int(GRADE - side), 53, "f")))
+            step = mp.make_mpf(mpf_add(b._mpf_, mpf_mul(sign, width._mpf_)))
+            if branch is not None:
+                shared = [g for g in branch
+                          if 0 < side * (g - b) <= side * (step - b)]
+                step = shared[-1 if side > 0 else 0] if shared else step
+            b = step
+            if side * (b - near) >= REACH:
+                ends.append(near + side * REACH)
+                break
+            ends.append(b)
+    return [b for b in ends if b > 0]
+
+
 def weighted_nodes(params, m: int, pole=None):
     """((x_i, W_i), ...) with m nodes per panel, W_i including the full weight.
 
     pole is the location of an off-support singularity of the integrand
-    (x of a Cauchy kernel 1/(x - s)); it grades the panels around it.
+    (x of a Cauchy kernel 1/(x - s)); it grades the panels around it, each
+    panel's centre GRADE half-widths or more from it (_pole_ends).
     Runs at the caller's working precision.  Cached as the module
     docstring describes: a list for another weight drops the current
     weight's lists, a graded list for another pole drops the current

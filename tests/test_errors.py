@@ -2,13 +2,17 @@
 
 import functools
 
+import mpmath as mp
 import pytest
 
 from dlaguerre import (PrecisionCtx, PVParams, UnsupportedParameters,
                        WeightParams, build_moment_table, evolve,
                        from_hamiltonian, table_for, theta_kappa_from_recurrence)
-from dlaguerre.hankel import (dN_kernel, hankel_determinant, orthopoly_eval,
-                              recurrence_coefficients)
+from dlaguerre import hankel
+from dlaguerre.hankel import (cauchy_sweep, cauchy_transform, dN_kernel,
+                              epsilon_derivative_eval, epsilon_eval,
+                              hankel_determinant, orthopoly_eval,
+                              recurrence_coefficients, stieltjes_eval)
 from dlaguerre.moments import MomentTable, moment_closed_form
 from dlaguerre.semiclassical import AuxPair
 
@@ -68,3 +72,32 @@ def test_closed_form_size_bound_names_the_sum():
                        match=r"k \+ alpha \+ mu <= 2048, got 2049"):
         moment_closed_form(1, WeightParams(2000, 48, 0, "0.3"),
                            PrecisionCtx())
+
+
+CAUCHY_VIEWS = {
+    "cauchy_sweep": lambda mom, tab, x, prec: cauchy_sweep(tab, 1, x, prec),
+    "cauchy_transform": (
+        lambda mom, tab, x, prec: cauchy_transform(tab, 1, x, prec)),
+    "epsilon_eval": lambda mom, tab, x, prec: epsilon_eval(tab, mom, 1, x,
+                                                           prec),
+    "epsilon_derivative_eval": (
+        lambda mom, tab, x, prec: epsilon_derivative_eval(tab, mom, 1, x,
+                                                          prec)),
+    "stieltjes_eval": lambda mom, tab, x, prec: stieltjes_eval(mom, x, prec),
+}
+
+
+@pytest.mark.parametrize("x", [mp.nan, -mp.inf, mp.mpc(mp.nan, 1),
+                               mp.mpc(-2, mp.inf)], ids=str)
+@pytest.mark.parametrize("name", sorted(CAUCHY_VIEWS))
+def test_non_finite_cauchy_point_refused(monkeypatch, name, x):
+    """A Cauchy-kernel point that is not finite is refused by name before
+    any quadrature; it raised an untyped ValueError ("cannot convert inf
+    or nan to int") while sizing the sweep's width."""
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrated at a non-finite x")
+
+    monkeypatch.setattr(hankel, "integrate_weighted", no_quadrature)
+    mom, tab = _tables()
+    with pytest.raises(UnsupportedParameters, match="x must be finite"):
+        CAUCHY_VIEWS[name](mom, tab, x, PrecisionCtx(192, "1e-28"))

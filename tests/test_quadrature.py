@@ -3,6 +3,8 @@ node ladder, one climb per family of integrals, and the Cauchy sweep that
 shares both."""
 
 import functools
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -269,17 +271,51 @@ class TestCacheScope:
         assert not any(id(x) in seen for x, _ in after)
 
     def test_grading_ends_do_not_depend_on_width(self):
-        """A pole at -2 grades ends 1, sqrt(2), 2, ..., 32 = REACH: every
-        second one is an exact power of 2, so the end at 32 exists at 566
-        and at 579 bits alike (sqrt(2) steps overshot it at 579)."""
+        """A pole at -2 grades ends 2 (1.5^j - 1) = 1, 2.5, 4.75, ...,
+        20.78125 and then REACH: every end is formed at 53 bits, so a pole
+        at -2 and one at 2 + 0.2i grade the same ends at 566 and 579 bits,
+        and the last is exactly REACH past the support point nearest the
+        pole."""
         params = WeightParams(4, 3, "-0.7", "1.3")
-        ends = []
-        for bits in (566, 579):
-            with mp.workprec(bits):
-                ends.append(quadrature._breaks(params, mp.mpf(-2)))
-        assert len(ends[0]) == len(ends[1]) == 11
-        assert ends[0][-1] == ends[1][-1] == quadrature.REACH
-        assert all(abs(a - b) <= mp.ldexp(b, -560) for a, b in zip(*ends))
+        lists = {}
+        for pole in ("-2", "2+0.2j"):
+            for bits in (566, 579):
+                with mp.workprec(bits):
+                    lists[pole, bits] = quadrature._breaks(
+                        params, mp.mpmathify(pole))
+            assert lists[pole, 566] == lists[pole, 579]
+        assert lists["-2", 566] == [2 * mp.mpf(1.5) ** j - 2
+                                    for j in range(1, 7)] + [quadrature.REACH]
+        assert lists["2+0.2j", 566][-1] == 2 + quadrature.REACH
+
+    @pytest.mark.parametrize("t", ["0.0117", "0.905", "5"])
+    @pytest.mark.parametrize("pole, most", [
+        ("-2", 7), ("-0.35", 12), ("-0.01", 20), ("-0.5+1j", 10),
+        ("2+0.2j", 23), ("0.15+0.05j", 23), ("0.5+1e-20j", 238)])
+    @pytest.mark.parametrize("mu", ["3", "1.5"])
+    def test_graded_panels_keep_their_distance(self, mu, t, pole, most):
+        """Every Legendre panel of a graded list, from 0 to the Laguerre
+        tail, has its centre GRADE half-widths or more from the pole, and
+        at real mu every panel past the Jacobi panel at 0 as many from 0.
+        At integer mu no list has more ends than the one bound needs (the
+        sqrt(2) steps from half the pole's distance had 11, 16, 26, 12, 27,
+        28 and 279); at real mu the pole shares the branch point's ends, so
+        a list has no more than those and the pole's own together.  A pole
+        1e-20 off the support takes steps far below 53 bits of its foot,
+        which are added exactly."""
+        params = WeightParams(4, mu, "-1.5", t)
+        with workprec(PREC):
+            pole = mp.mpmathify(pole)
+            cuts = quadrature._breaks(params, pole)
+            ends = sorted({mp.mpf(0), to_mpf(t), *cuts})
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                bound = quadrature.GRADE * (hi - lo) / 2
+                assert abs((lo + hi) / 2 - pole) >= bound
+                assert (params.mu_is_integer or lo == 0
+                        or (lo + hi) / 2 >= bound)
+            if not params.mu_is_integer:
+                most += len(quadrature._breaks(params, None))
+        assert len(cuts) <= most
 
 
 class TestLadder:
@@ -457,6 +493,65 @@ class TestCauchySweep:
         rep = verify_identities(tab, mom, [1, 2, 3, 4], PREC)
         assert sweeps == [10]
         assert sum(r.check_id == "casoratian" for r in rep.records) == 4
+
+
+    def test_off_axis_sweep_accuracy(self):
+        """E_0..E_3 and E_0'..E_3' at (4, 3, -1.5, 5), x = -0.5 + i, 256
+        bits and 1e-30, within 1e-56 of a reference: the sweep at 512 bits
+        and 1e-60, which tanh-sinh quadrature (mp.quad at 420 bits) matches
+        to 1e-80.  Steps of sqrt(2) from half the pole's distance started
+        the Laguerre tail at 25.3 and read 4.0e-54."""
+        mom, tab = table_for(WeightParams(4, 3, "-1.5", "5"), 4, PREC)
+        E, dE = cauchy_sweep(tab, 3, mp.mpc("-0.5", 1), PREC)
+        with mp.workprec(256):
+            want = [mp.mpc(*pair) for pair in OFF_AXIS_SWEEP]
+            got = [r.value for r in E.items + dE.items]
+            assert max(abs(g / w - 1) for g, w in zip(got, want)) < 1e-56
+
+    def test_benchmark_oracle_points_pinned(self, monkeypatch):
+        """The benchmark's three seed-1 oracle weights at x = -2 and 192
+        bits, on tables built as its panel builds them and with rules built
+        afresh: E_0, E_1, E_0' and E_1' keep the bits they had when a pole
+        at -2 graded 11 ends in sqrt(2) steps."""
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(quadrature, "_LISTS", {})
+        monkeypatch.setattr(quadrature, "_PANELS", {})
+        monkeypatch.setattr(hankel, "_SWEEP", {})
+        values = []
+        for point in ((2, 2, "-1.98885", "0.0117"),
+                      (0, 0, "-1.09248", "0.103"),
+                      (3, 1, "-0.236018", "0.905")):
+            mom = build_moment_table(WeightParams(*point), 7, PREC,
+                                     cross_check=False)
+            tab = hankel.recurrence_coefficients(mom, 3, PREC)
+            with workprec(PREC):
+                E, dE = cauchy_sweep(tab, 1, mp.mpf(-2), QPREC)
+            values += [r.value for r in E.items + dE.items]
+        digest = hashlib.sha256(json.dumps([_raw(v) for v in values]).encode())
+        assert digest.hexdigest() == (
+            "792c901af5f4e1d80fc08858b0fd92f4b040b8770b10eed037a83daf254c1180")
+
+
+# the reference for TestCauchySweep.test_off_axis_sweep_accuracy: E_0..E_3,
+# then E_0'..E_3', as (real, imaginary)
+OFF_AXIS_SWEEP = [
+    ("-118.5141236625332441553524932882347912971696994127220129066952998",
+     "-46.61410834334559877796215036853756997763074646891243607902546384"),
+    ("457.6022741721406222501534810882473159229266599743646198845291369",
+     "307.2028289712450932041854200042122068900888062522187456116353384"),
+    ("-873.6613834302516559008608110254460762960512587114410857730814584",
+     "-790.3356890950356781591533648035197328360825658832038731392574043"),
+    ("1807.479176840510166178519079876330213493038850062846812223010213",
+     "2687.210516940635817363918913916369055203375605442445186808562595"),
+    ("-23.19320756117647543190746364369320692365220793260551942562050481",
+     "-36.8745670545334545152984385689414512720788875561109063833927342"),
+    ("130.1791823029694696526915680713278829642938430545989216495301804",
+     "266.9604326174099033705998410992428679712668747430233922815785703"),
+    ("-247.5863085652172468738385564297839688881001605934490985161936754",
+     "-742.7593800547367689750125296349551021324070124340066848963128697"),
+    ("144.9877466794479875906682069385947785689818510021174605749751152",
+     "2846.597263858633036956678291912201176644492476010012836527866418"),
+]
 
 
 # every reference rule family, and the tiers _rule_bits hands out

@@ -368,6 +368,13 @@ class PolyEval:
     value_nm1: object
 
 
+def check_degree(n: int, top: int, name: str = "n"):
+    """Refuse a degree outside 0..top by name, before any work: top is
+    n_max + 1 where only P_n is read, n_max where gamma_n or h_n is."""
+    if not 0 <= n <= top:
+        raise UnsupportedParameters(f"{name}={n} is outside 0..{top}")
+
+
 def _gamma(table: RecurrenceTable, n: int):
     """gamma_n of the orthonormal view; raises where h_n <= 0."""
     if table.gamma[n] is None:
@@ -378,8 +385,7 @@ def _gamma(table: RecurrenceTable, n: int):
 def orthopoly_eval(table: RecurrenceTable, n: int, x) -> PolyEval:
     """(p_n, p_{n-1}) at x: gamma_n P_n and gamma_{n-1} P_{n-1} (orthonormal
     view of monic_values); raises SingularHankel where h_n or h_{n-1} <= 0."""
-    if n > table.n_max:
-        raise UnsupportedParameters(f"n={n} exceeds n_max={table.n_max}")
+    check_degree(n, table.n_max)
     with workprec(table.prec):
         x = to_mpf(x)
         P = monic_values(table, n, x)
@@ -428,6 +434,7 @@ def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
     prec) since an mpc x is another integrand than an equal mpf; it serves
     every n it reaches, and a higher n sweeps again.
     """
+    check_degree(n, table.n_max + 1)
     prec = prec or table.prec
     with workprec(prec, 20):
         x = _off_support(x, "the Cauchy transform requires x < 0 or a "
@@ -438,7 +445,7 @@ def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
             return latest[1]
 
         if type(x) is mp.mpf:
-            xr, make = x._mpf_, mp.make_mpf
+            xr = x._mpf_
 
             def fn(s):
                 # the complex-x integrand below at a real x, on raw tuples
@@ -448,8 +455,8 @@ def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
                 inv = mpf_rdiv_int(1, mpf_sub(xr, s._mpf_, bits, rnd),
                                    bits, rnd)
                 dinv = mpf_mul(mpf_neg(inv, bits, rnd), inv, bits, rnd)
-                return ([make(mpf_mul(p, inv, bits, rnd)) for p in P]
-                        + [make(mpf_mul(p, dinv, bits, rnd)) for p in P])
+                return ([mpf_mul(p, inv, bits, rnd) for p in P]
+                        + [mpf_mul(p, dinv, bits, rnd) for p in P])
         else:
             def fn(s):
                 P = monic_values(table, n, s)
@@ -483,6 +490,7 @@ def cauchy_transform(table: RecurrenceTable, n: int, x,
 def epsilon_eval(table: RecurrenceTable, moments: MomentTable, n: int, x,
                  prec: PrecisionCtx = None):
     """eps_n(x) = int p_n(s) w(s)/(x - s) ds = gamma_n E_n(x)."""
+    check_degree(n, table.n_max)
     g = _gamma(table, n)
     with workprec(prec or table.prec):
         return g * cauchy_transform(table, n, x, prec)
@@ -491,6 +499,7 @@ def epsilon_eval(table: RecurrenceTable, moments: MomentTable, n: int, x,
 def epsilon_derivative_eval(table: RecurrenceTable, moments: MomentTable,
                             n: int, x, prec: PrecisionCtx = None):
     """eps_n'(x) = gamma_n E_n'(x), same domain as epsilon_eval."""
+    check_degree(n, table.n_max)
     g = _gamma(table, n)
     with workprec(prec or table.prec):
         return g * cauchy_transform(table, n, x, prec, derivative=True)
@@ -506,8 +515,20 @@ def stieltjes_eval(moments: MomentTable, x, prec: PrecisionCtx = None):
     with workprec(prec, 20):
         x = _off_support(x, "stieltjes_eval requires x off [0, inf)")
         cancel = _cancel_digits((moments.k_max + 1) // 2, x)
-        res = integrate_weighted(lambda s: (1 / (x - s),), moments.params,
-                                 prec, extra_digits=cancel, pole=x)
+        if type(x) is mp.mpf:
+            xr = x._mpf_
+
+            def fn(s):
+                # 1 / (x - s) on raw tuples, rounded as the mpf one
+                bits, rnd = mp.mp._prec_rounding
+                return (mpf_rdiv_int(1, mpf_sub(xr, s._mpf_, bits, rnd),
+                                     bits, rnd),)
+        else:
+            def fn(s):
+                return (1 / (x - s),)
+
+        res = integrate_weighted(fn, moments.params, prec,
+                                 extra_digits=cancel, pole=x)
     return res[0].value
 
 
@@ -517,9 +538,8 @@ def dN_kernel(table: RecurrenceTable, N: int, y1, y2):
     D_N = Delta_{N+1} sum_{k<=N} P_k(y1) P_k(y2) / h_k
         = Delta_N (P_{N+1}(y1) P_N(y2) - P_N(y1) P_{N+1}(y2)) / (y1 - y2),
 
-    whose sum form needs no confluent case.  Needs n_max >= N + 1."""
-    if N + 1 > table.n_max:
-        raise UnsupportedParameters(f"N={N} needs n_max >= {N + 1}")
+    whose sum form needs no confluent case.  Needs 0 <= N <= n_max - 1."""
+    check_degree(N, table.n_max - 1, "N")
     with workprec(table.prec):
         P1 = monic_values(table, N, to_mpf(y1))
         P2 = monic_values(table, N, to_mpf(y2))

@@ -57,7 +57,7 @@ from typing import Sequence
 
 import mpmath as mp
 from mpmath.libmp import (fzero, from_int, from_man_exp, mpf_add, mpf_div,
-                          mpf_mul, mpf_neg, mpf_sub, mpf_sum)
+                          mpf_mul, mpf_neg, mpf_pow_int, mpf_sub, mpf_sum)
 
 from .errors import CrossCheckError, UnsupportedParameters
 from .precision import (PrecisionCtx, fraction_or_none, to_fraction, to_mpf,
@@ -532,5 +532,12 @@ def _quadrature_moments(ks, params, prec) -> list:
     raises QuadratureFailure."""
     if not ks:
         return []
-    res = integrate_weighted(lambda x: [x ** k for k in ks], params, prec)
+
+    def powers(x):
+        # x ** k on raw tuples: the mpf power is mpf_pow_int at the
+        # working precision
+        bits, rnd = mp.mp._prec_rounding
+        return [mpf_pow_int(x._mpf_, k, bits, rnd) for k in ks]
+
+    res = integrate_weighted(powers, params, prec)
     return [item.value for item in res]

@@ -57,7 +57,11 @@ order-1 jet, mapped through a chart (rr_map or _qp_map), is checked against
 that chart's own field (_chart_residual), and hamilton_rhs reads the
 partials of tH off its jets.  Only pv_residual differentiates numerically:
 order-4 stencils on the sampled q, Richardson-combined as
-oracle.finite_difference combines them.
+oracle.finite_difference combines them.  It takes samples, as the
+evolve command and its benchmark hand them over, so the stencils stay;
+at real samples they, the grid checks and the PV right side run on raw
+mpf tuples with the bits of the plain expressions, as does each sample's
+to_hamiltonian.
 The jets carry a_n^2, never a_n: polynomial jets come from the monic
 recurrence and the Lax pair acts on (P_n, P_{n-1}) (the monic gauge), so
 signed weights need no square root either.
@@ -85,8 +89,9 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int,
-                          mpf_rdiv_int, mpf_shift, mpf_sign, mpf_sub)
+                          mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_shift,
+                          mpf_sign, mpf_sub)
 
 from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
@@ -103,6 +108,7 @@ from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 
 CONVENTIONS = ("prop11", "cor12")
 BAD_CONVENTION = f"convention must be one of {CONVENTIONS}"
+DEGENERATE_MAP = "map undefined at theta in {0, -t} or t = 0"
 
 
 @dataclass(frozen=True)
@@ -213,15 +219,63 @@ def _qp_map(th, ka, t, n: int, params: WeightParams, convention: str):
 def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
                    convention: str = "prop11",
                    prec: PrecisionCtx = None) -> HamiltonPoint:
-    """(theta, kappa) -> (q, p, H), 20 bits above prec or DEFAULT_CTX."""
+    """(theta, kappa) -> (q, p, H), 20 bits above prec or DEFAULT_CTX.
+
+    Real data run on raw tuples (_hamiltonian_raw), with the bits of the
+    plain _qp_map and _t_hamiltonian that complex data run."""
     pv = PVParams.make(n, params.alpha, params.mu, convention, prec)
     with workprec(prec or DEFAULT_CTX, 20):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
+        if not any(isinstance(v, mp.mpc) for v in (th, ka, t)):
+            return HamiltonPoint(*map(mp.make_mpf, _hamiltonian_raw(
+                th._mpf_, ka._mpf_, t._mpf_, n, params, pv)))
         if t == 0 or th == 0 or th + t == 0:
-            raise DegenerateTheta("map undefined at theta in {0, -t} or t = 0")
+            raise DegenerateTheta(DEGENERATE_MAP)
         q, p = _qp_map(th, ka, t, n, params, convention)
         H = _t_hamiltonian(q, p, t, pv) / t
         return HamiltonPoint(q=+q, p=+p, t=+t, H=+H)
+
+
+def _hamiltonian_raw(th, ka, t, n: int, params: WeightParams, pv: PVParams):
+    """(q, p, t, H) of to_hamiltonian at raw mpf data, as raw tuples: the
+    map of _qp_map, tH of _t_hamiltonian and the division by t, each
+    operation the libmp one that their mpf expressions run, rounded alike,
+    and each result then rounded as +x rounds it."""
+    prec, rnd = mp.mp._prec_rounding
+    add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
+    w = add(th, t, prec, rnd)
+    if t == fzero or th == fzero or w == fzero:
+        raise DegenerateTheta(DEGENERATE_MAP)
+    a, m = to_mpf(params.alpha)._mpf_, to_mpf(params.mu)._mpf_
+    if pv.convention == "prop11":
+        q = div(w, th, prec, rnd)
+        c = add(add(a, from_int(n), prec, rnd),
+                div(m, from_int(2), prec, rnd), prec, rnd)
+        p = div(mul(th, sub(mul(c, t, prec, rnd), ka, prec, rnd), prec, rnd),
+                mul(t, w, prec, rnd), prec, rnd)
+    else:
+        q = div(th, w, prec, rnd)
+        c = add(a, from_int(2 * n), prec, rnd)
+        for v in (m, fone, t, th):              # 2n + a + m + 1 + t + th
+            c = add(c, v, prec, rnd)
+        mt2 = div(mul(m, t, prec, rnd), from_int(2), prec, rnd)
+        p = div(mul(w, add(sub(ka, mt2, prec, rnd), mul(th, c, prec, rnd),
+                           prec, rnd), prec, rnd),
+                mul(t, th, prec, rnd), prec, rnd)
+    v1, v2, v3, v4 = (to_mpf(c)._mpf_ for c in pv.v)
+    q1 = sub(q, fone, prec, rnd)
+    q11 = mul(q1, q1, prec, rnd)
+    quartic = mul(mul(mul(q, q11, prec, rnd), p, prec, rnd), p, prec, rnd)
+    linear = add(sub(mul(sub(v2, v1, prec, rnd), q11, prec, rnd),
+                     mul(mul(mpf_mul_int(add(v1, v2, prec, rnd), 2, prec,
+                                         rnd), q, prec, rnd), q1, prec, rnd),
+                     prec, rnd), mul(t, q, prec, rnd), prec, rnd)
+    const = mul(mul(sub(v3, v1, prec, rnd), sub(v4, v1, prec, rnd), prec, rnd),
+                q1, prec, rnd)
+    tH = add(sub(quartic, mul(linear, p, prec, rnd), prec, rnd), const, prec,
+             rnd)
+    return tuple(mpf_pos(v, prec, rnd)
+                 for v in (q, p, t, div(tH, t, prec, rnd)))
 
 
 def from_hamiltonian(q, p, t, n: int, params: WeightParams,
@@ -824,17 +878,27 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
                 prec: PrecisionCtx = None) -> float:
     """Max |q'' - PV right side| over the interior grid, normalized by max|q''|.
 
-    q must be sampled on a uniform grid of at least 9 points; q' and q''
-    come from order-4 stencils in the grid index at spacings 2 and 1,
-    Richardson-combined (_index_derivatives), so that every sample read is
-    on the grid.  Grid points too close to the PV singular locus {0, 1}
-    raise SingularPanel.
+    q must be sampled on a uniform grid of at least 9 points, one sample
+    per point; q' and q'' come from order-4 stencils in the grid index at
+    spacings 2 and 1, Richardson-combined (_index_derivatives), so that
+    every sample read is on the grid.  Grid points too close to the PV
+    singular locus {0, 1} raise SingularPanel.  Real data run on raw
+    tuples (_pv_residual_raw), with the bits of the plain loop below that
+    complex data run.
     """
     with workprec(prec or DEFAULT_CTX, 20):
         ts = [to_mpf(v) for v in t_grid]
         qs = [to_mpf(v) for v in q_values]
         if len(ts) < 9:
             raise SingularPanel("need at least 9 grid points")
+        if len(qs) != len(ts):
+            raise UnsupportedParameters(
+                f"{len(qs)} q values for {len(ts)} grid points")
+        alphas = [to_mpf(a) for a in alphas]
+        if not any(isinstance(v, mp.mpc) for v in ts + qs + alphas):
+            return float(mp.make_mpf(_pv_residual_raw(
+                [v._mpf_ for v in ts], [v._mpf_ for v in qs],
+                [v._mpf_ for v in alphas])))
         h = ts[1] - ts[0]
         spread = abs(h) * mp.mpf("1e-20")
         for i in range(1, len(ts)):
@@ -853,6 +917,69 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
             residuals.append(abs(ypp - rhs))
             scale = max(scale, abs(ypp))
         return float(max(residuals) / max(scale, mp.mpf(1)))
+
+
+def _pv_residual_raw(ts, qs, alphas):
+    """pv_residual at raw mpf data, as the raw quotient it converts to
+    float: its grid checks, the stencils of _index_derivatives and
+    pv_rhs_second_derivative, each operation the libmp one that their mpf
+    expressions run, rounded alike, and -q, 8q, 16q and 30q formed once
+    per sample rather than once per stencil."""
+    prec, rnd = mp.mp._prec_rounding
+    add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
+    h = sub(ts[1], ts[0], prec, rnd)
+    spread = mul(mpf_abs(h, prec, rnd), mp.mpf("1e-20")._mpf_, prec, rnd)
+    for i in range(1, len(ts)):
+        if mpf_gt(mpf_abs(sub(sub(ts[i], ts[i - 1], prec, rnd), h, prec, rnd),
+                          prec, rnd), spread):
+            raise SingularPanel("grid must be uniform")
+    near = mp.mpf("1e-8")._mpf_
+    for q in qs:
+        if (mpf_lt(mpf_abs(q, prec, rnd), near)
+                or mpf_lt(mpf_abs(sub(q, fone, prec, rnd), prec, rnd), near)):
+            raise SingularPanel("q too close to the singular locus {0, 1}")
+    neg = [mpf_neg(q, prec, rnd) for q in qs]
+    q8, q16, q30 = ([mpf_mul_int(q, c, prec, rnd) for q in qs]
+                    for c in (8, 16, 30))
+    h_pow = [mpf_pow_int(h, k, prec, rnd) for k in (1, 2)]
+    a1, a2, a3, a4 = alphas
+    scale, worst = fzero, None
+    for i in range(4, len(ts) - 4):
+        d1, d2 = [], []
+        for hh in (1, 2):
+            lo, hi, lo2, hi2 = i - hh, i + hh, i - 2 * hh, i + 2 * hh
+            d1.append(div(add(sub(add(neg[hi2], q8[hi], prec, rnd), q8[lo],
+                                  prec, rnd), qs[lo2], prec, rnd),
+                          from_int(12 * hh), prec, rnd))
+            d2.append(div(sub(add(sub(add(neg[hi2], q16[hi], prec, rnd),
+                                      q30[i], prec, rnd), q16[lo], prec, rnd),
+                              qs[lo2], prec, rnd),
+                          from_int(12 * hh * hh), prec, rnd))
+        yp, ypp = (div(div(sub(mpf_mul_int(d[0], 16, prec, rnd), d[1], prec,
+                               rnd), from_int(15), prec, rnd), hk, prec, rnd)
+                   for d, hk in zip((d1, d2), h_pow))
+        # pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
+        y, t = qs[i], ts[i]
+        y1 = sub(y, fone, prec, rnd)
+        rhs = mul(mul(add(mpf_rdiv_int(1, mpf_mul_int(y, 2, prec, rnd), prec,
+                                       rnd),
+                          mpf_rdiv_int(1, y1, prec, rnd), prec, rnd),
+                      yp, prec, rnd), yp, prec, rnd)
+        rhs = sub(rhs, div(yp, t, prec, rnd), prec, rnd)
+        rhs = add(rhs, mul(div(mpf_pow_int(y1, 2, prec, rnd),
+                               mul(t, t, prec, rnd), prec, rnd),
+                           add(mul(a1, y, prec, rnd), div(a2, y, prec, rnd),
+                               prec, rnd), prec, rnd), prec, rnd)
+        rhs = add(rhs, div(mul(a3, y, prec, rnd), t, prec, rnd), prec, rnd)
+        rhs = add(rhs, div(mul(mul(a4, y, prec, rnd),
+                               add(y, fone, prec, rnd), prec, rnd),
+                           y1, prec, rnd), prec, rnd)
+        residual = mpf_abs(sub(ypp, rhs, prec, rnd), prec, rnd)
+        if worst is None or mpf_gt(residual, worst):
+            worst = residual
+        if mpf_gt(size := mpf_abs(ypp, prec, rnd), scale):
+            scale = size
+    return div(worst, scale if mpf_gt(scale, fone) else fone, prec, rnd)
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,16 @@ intermediate result: _build_nodes forms each weight half w factor
 (x - t)^alpha x^mu e^{-x} left to right, each product rounded at the
 working precision; _weighted_sum is fsum(w * v[k]) over a component,
 each product rounded at the working precision and then one exact mpf_sum
-per real or imaginary part, fed by a generator; hankel.monic_values
-runs the monic recurrence this way at an mpf node, and hankel.cauchy_sweep
-its integrand at a real x (1/(x - s), its negated square and each
-product with P_k).  The jet layer follows the same rule: moments.conv
+per real or imaginary part, fed by a generator.  An integrand may return
+raw mpf tuples, and every real-argument integrand does: the moments' x^k
+(mpf_pow_int), hankel.monic_values' recurrence at an mpf node, the
+Cauchy sweep's and stieltjes_eval's kernels at a real x (1/(x - s), its
+negated square, each product with P_k), the ladder integrands of
+semiclassical (at a real x), and oracle.inner_product's p_i p_j.  The
+oracle's tensor sums and Stieltjes procedure, and painleve's
+to_hamiltonian and pv_residual at real data, run on raw tuples too.
+Only complex arguments and jets keep plain mpf arithmetic.  The jet
+layer follows the same rule: moments.conv
 (one coefficient of a product of series, mp.fdot's bits), the
 moments.TruncSeries sums, products and quotients over mpf coefficients
 and its eval (Horner's rule at an mpf argument), the flow's Taylor jet
@@ -96,6 +102,7 @@ never repays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -153,9 +160,12 @@ def _jacobi(mu):
     return ("jacobi", to_fraction(mu))
 
 
+@functools.lru_cache(maxsize=64)
 def _exact(params):
     """The weight with mu, zeta and t as the Fractions of their values:
-    one key, and one list, however they are spelled."""
+    one key, and one list, however they are spelled.  Memoized: params is
+    frozen, and a cache hit of weighted_nodes spent most of its time here
+    re-validating the WeightParams it builds."""
     return replace(params, mu=to_fraction(params.mu),
                    zeta=to_fraction(params.zeta), t=to_fraction(params.t))
 
@@ -562,10 +572,12 @@ def _weighted_sum(rows, k, absolute=False):
     """mp.fsum(w * v[k] for w, v in rows), or with absolute that of
     abs(w * v[k]), for raw mpf weights w, bit for bit on raw tuples.
 
-    Each product is rounded at the working precision as mpf * v rounds it,
-    then one mpf_sum per part runs over a generator.  As in fsum, an mpc
-    product's parts go to a real and an imaginary sum (with absolute, its
-    mpc_abs to the one sum), and one mpc term makes the sum an mpc.
+    A component v[k] may be a raw mpf tuple, which stands for the mpf it
+    makes.  Each product is rounded at the working precision as mpf * v
+    rounds it, then one mpf_sum per part runs over a generator.  As in
+    fsum, an mpc product's parts go to a real and an imaginary sum (with
+    absolute, its mpc_abs to the one sum), and one mpc term makes the sum
+    an mpc.
     """
     prec, rnd = mp.mp._prec_rounding
     mpf_type, mul = mp.mpf, mpf_mul
@@ -582,6 +594,9 @@ def _weighted_sum(rows, k, absolute=False):
         nonlocal complex_terms
         for w, v in rows:
             v = v[k]
+            if type(v) is tuple:
+                yield mul(w, v, prec, rnd)
+                continue
             if type(v) is mpf_type:
                 yield mul(w, v._mpf_, prec, rnd)
                 continue
@@ -597,7 +612,8 @@ def _weighted_sum(rows, k, absolute=False):
     def imaginary_parts():
         for w, v in rows:
             v = v[k]
-            if type(v) is not mpf_type and len(v := raw(v)) == 2:
+            if (type(v) is not mpf_type and type(v) is not tuple
+                    and len(v := raw(v)) == 2):
                 yield mul(w, v[1], prec, rnd)
 
     total = mpf_sum(real_parts(), prec, rnd, absolute)

@@ -47,12 +47,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fone, mpf_abs, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
+                          mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_sub,
                           mpf_sum, to_float)
 
 from .errors import CrossCheckError, DegenerateTheta, UnsupportedParameters
-from .hankel import (MomentTable, RecurrenceTable, cauchy_sweep,
-                     monic_values)
+from .hankel import (MomentTable, RecurrenceTable, _monic_raw, cauchy_sweep,
+                     check_degree, monic_values)
 from .moments import TruncSeries, WeightParams
 from .precision import (DEFAULT_CTX, PrecisionCtx, to_fraction, to_mpf,
                         workprec)
@@ -138,8 +139,7 @@ def rr_map(theta, kappa, t, n: int, params: WeightParams):
 def theta_kappa_from_recurrence(table: RecurrenceTable, n: int) -> AuxPair:
     """AuxPair at the table's t: theta_n and kappa_n as the table holds
     them, and (R_n, r_n) by rr_map (None at t = 0)."""
-    if n > table.n_max:
-        raise UnsupportedParameters(f"n={n} exceeds n_max={table.n_max}")
+    check_degree(n, table.n_max)
     with workprec(table.prec):
         t = to_mpf(table.params.t)
         theta, kappa = table.theta[n], table.kappa[n]
@@ -154,6 +154,13 @@ def _monic_pair(table: RecurrenceTable, n: int, y):
     return P[n], (P[n - 1] if n else 0)
 
 
+def _monic_pair_raw(table: RecurrenceTable, n: int, y, bits, rnd):
+    """_monic_pair at a raw mpf y, as raw tuples rounded at bits, with
+    P_{-1} = fzero: every product with it is 0, as with the int 0."""
+    P = _monic_raw(table, n, y, bits, rnd)
+    return P[n], (P[n - 1] if n else fzero)
+
+
 def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
                      prec: PrecisionCtx = None,
                      check_equivalence: bool = True) -> AuxPair:
@@ -165,6 +172,7 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
     equivalence R = (theta+t)/t, r = kappa/t - (n + mu/2) against the
     recurrence route unless check_equivalence is False.
     """
+    check_degree(n, table.n_max)
     prec = prec or table.prec
     params = table.params
     if params.alpha < 1:
@@ -174,11 +182,18 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
     with workprec(prec, 20):
         t = to_mpf(params.t)
         mu = to_mpf(params.mu)
+        tr = t._mpf_
 
         # no node sits at y = t, and w(y)/(y-t) is smooth there for alpha >= 1
         def fn(y):
-            p, p_prev = _monic_pair(table, n, y)
-            return al * p * p / (y - t), al * p * p_prev / (y - t)
+            # al * p * p / (y - t) and al * p * p_prev / (y - t) on raw
+            # tuples, each operation rounded as the mpf one (al is an int)
+            bits, rnd = mp.mp._prec_rounding
+            p, p_prev = _monic_pair_raw(table, n, y._mpf_, bits, rnd)
+            ap = mpf_mul_int(p, al, bits, rnd)
+            d = mpf_sub(y._mpf_, tr, bits, rnd)
+            return (mpf_div(mpf_mul(ap, p, bits, rnd), d, bits, rnd),
+                    mpf_div(mpf_mul(ap, p_prev, bits, rnd), d, bits, rnd))
 
         # each integral converges relative to the h that normalizes it
         h_R, h_r = table.h(n), table.h(n - 1) if n else 1
@@ -224,6 +239,7 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
     Jacobi panel carries y^(mu-1) exactly; that needs mu > 1.  A and B
     share one climb per weight.
     """
+    check_degree(n, table.n_max)
     prec = prec or table.prec
     params = table.params
     if not (params.mu_is_integer or to_fraction(params.mu) > 1):
@@ -237,14 +253,36 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
         shifted = None if params.mu_is_integer else WeightParams(
             params.alpha, to_mpf(params.mu) - 1, params.zeta, params.t)
 
-        def products(y):
-            p, p_prev = _monic_pair(table, n, y)
-            return p * p, p * p_prev
+        if type(x) is mp.mpf:
+            xr, tr = x._mpf_, t._mpf_
 
-        def kernelled(y):
-            k = al / ((x - t) * (y - t))
-            k = k if shifted else k + mu / (x * y)
-            return [v * k for v in products(y)]
+            def products(y):
+                # the mpc-x integrands below at a real x, on raw tuples
+                # rounded as their mpf arithmetic rounds them
+                bits, rnd = mp.mp._prec_rounding
+                p, p_prev = _monic_pair_raw(table, n, y._mpf_, bits, rnd)
+                return mpf_mul(p, p, bits, rnd), mpf_mul(p, p_prev, bits, rnd)
+
+            def kernelled(y):
+                bits, rnd = mp.mp._prec_rounding
+                yr = y._mpf_
+                k = mpf_div(al._mpf_, mpf_mul(mpf_sub(xr, tr, bits, rnd),
+                                              mpf_sub(yr, tr, bits, rnd),
+                                              bits, rnd), bits, rnd)
+                if not shifted:
+                    k = mpf_add(k, mpf_div(mu._mpf_,
+                                           mpf_mul(xr, yr, bits, rnd),
+                                           bits, rnd), bits, rnd)
+                return [mpf_mul(v, k, bits, rnd) for v in products(y)]
+        else:
+            def products(y):
+                p, p_prev = _monic_pair(table, n, y)
+                return p * p, p * p_prev
+
+            def kernelled(y):
+                k = al / ((x - t) * (y - t))
+                k = k if shifted else k + mu / (x * y)
+                return [v * k for v in products(y)]
 
         h_A, h_B = table.h(n), table.h(n - 1) if n else 1
 

@@ -111,7 +111,8 @@ class TestMoments:
                        "--t", "20", "--kmax", "40", "--format", "csv",
                        "--out", str(out)])
         assert res.returncode == 0, res.stderr
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 41
         assert all(r["quadrature"] == r["closed_form"] for r in rows)
 

@@ -7,16 +7,19 @@ import pytest
 
 from dlaguerre import (PrecisionCtx, PVParams, UnsupportedParameters,
                        WeightParams, build_moment_table, evolve,
-                       from_hamiltonian, table_for, theta_kappa_from_recurrence)
-from dlaguerre import hankel
+                       from_hamiltonian, inner_product, ladder_integrals,
+                       pv_residual, table_for, theta_kappa_from_recurrence)
+from dlaguerre import hankel, oracle, semiclassical
 from dlaguerre.hankel import (cauchy_sweep, cauchy_transform, dN_kernel,
                               epsilon_derivative_eval, epsilon_eval,
                               hankel_determinant, orthopoly_eval,
                               recurrence_coefficients, stieltjes_eval)
 from dlaguerre.moments import MomentTable, moment_closed_form
-from dlaguerre.semiclassical import AuxPair
+from dlaguerre.semiclassical import AuxPair, ladder_ab_by_quadrature
 
 PARAMS = WeightParams(2, 2, "0.5", "0.3")
+with mp.workprec(64):
+    GRID = mp.linspace(mp.mpf("0.1"), mp.mpf("0.9"), 9)
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,7 +55,47 @@ REFUSALS = {
     "AuxPair provenance": lambda: AuxPair(1, 0, 0, 0, 0, 0, "guess"),
     "theta_kappa_from_recurrence past n_max": (
         lambda: theta_kappa_from_recurrence(_tables()[1], 9)),
+    "pv_residual short q": lambda: pv_residual(GRID, [2] * 8, (0, 0, 0, 0)),
+    "pv_residual long q": lambda: pv_residual(GRID, [2] * 10, (0, 0, 0, 0)),
 }
+
+# a degree outside what the table serves, refused by name before any
+# quadrature: 0..n_max + 1 where only P_n is read, 0..n_max where gamma_n
+# or h_n is (the tables hold n_max = 2)
+QPREC = PrecisionCtx(192, "1e-28")
+DEGREE_REFUSALS = {
+    "theta_kappa_from_recurrence n < 0": (
+        lambda: theta_kappa_from_recurrence(_tables()[1], -1)),
+    "dN_kernel N < 0": lambda: dN_kernel(_tables()[1], -1, 1, 2),
+    "orthopoly_eval n < 0": lambda: orthopoly_eval(_tables()[1], -1, -1),
+    "inner_product n < 0": (
+        lambda: inner_product((-1, 0), *_tables()[::-1], QPREC)),
+    "inner_product past n_max": (
+        lambda: inner_product((0, 3), *_tables()[::-1], QPREC)),
+    "cauchy_sweep past n_max + 1": (
+        lambda: cauchy_sweep(_tables()[1], 4, -2, QPREC)),
+    "cauchy_sweep n < 0": lambda: cauchy_sweep(_tables()[1], -1, -2, QPREC),
+    "cauchy_transform past n_max + 1": (
+        lambda: cauchy_transform(_tables()[1], 4, -2, QPREC)),
+    "cauchy_transform n < 0": (
+        lambda: cauchy_transform(_tables()[1], -1, -2, QPREC)),
+    "epsilon_eval past n_max": (
+        lambda: epsilon_eval(_tables()[1], _tables()[0], 3, -2, QPREC)),
+    "epsilon_eval n < 0": (
+        lambda: epsilon_eval(_tables()[1], _tables()[0], -1, -2, QPREC)),
+    "epsilon_derivative_eval past n_max": (
+        lambda: epsilon_derivative_eval(_tables()[1], _tables()[0], 3, -2,
+                                        QPREC)),
+    "ladder_integrals n < 0": (
+        lambda: ladder_integrals(_tables()[1], _tables()[0], -1, QPREC)),
+    "ladder_integrals past n_max": (
+        lambda: ladder_integrals(_tables()[1], _tables()[0], 3, QPREC)),
+    "ladder_ab_by_quadrature past n_max": (
+        lambda: ladder_ab_by_quadrature(_tables()[1], 3, -2, QPREC)),
+    "ladder_ab_by_quadrature n < 0": (
+        lambda: ladder_ab_by_quadrature(_tables()[1], -1, -2, QPREC)),
+}
+REFUSALS.update(DEGREE_REFUSALS)
 
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))
@@ -62,6 +105,22 @@ def test_refusal_is_typed(name):
     with pytest.raises(UnsupportedParameters) as info:
         REFUSALS[name]()
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_REFUSALS))
+def test_degree_refused_by_name_before_quadrature(monkeypatch, name):
+    """Each raised a bare IndexError, or read the table from its end (n =
+    -1 gave theta of the last row, D_{-1} = 0), some after a climb."""
+    _tables()
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrated at a degree the table cannot serve")
+
+    for module in (hankel, oracle, semiclassical):
+        monkeypatch.setattr(module, "integrate_weighted", no_quadrature)
+    with pytest.raises(UnsupportedParameters,
+                       match=r"=-?\d+ is outside 0\.\."):
+        DEGREE_REFUSALS[name]()
 
 
 def test_closed_form_size_bound_names_the_sum():

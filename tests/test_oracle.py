@@ -4,11 +4,13 @@ import itertools
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import mpf_mul, mpf_shift, mpf_sub
 
 from dlaguerre import (PrecisionCtx, SingularHankel, UnsupportedParameters,
                        WeightParams, dN_by_quadrature, delta_by_quadrature,
                        finite_difference, hankel_determinant, dN_kernel,
                        moment_closed_form, table_for)
+from dlaguerre import oracle
 from dlaguerre.oracle import (_vandermonde_sum, gram_schmidt_recurrence,
                               inner_product)
 from dlaguerre.precision import workprec
@@ -25,6 +27,12 @@ def _tuple_sum(pts, N):
             term *= (xb - xa) ** 2
         terms.append(term)
     return mp.fsum(terms) / mp.factorial(N)
+
+
+def _collapsed_sum(pts, N):
+    """oracle._vandermonde_sum over an mpf node list, as raw tuples."""
+    return _vandermonde_sum([x._mpf_ for x, _ in pts],
+                            ([w._mpf_ for _, w in pts],), N)
 
 
 def _node_list(point, insert=None, nodes=10):
@@ -51,29 +59,60 @@ class TestVandermondeSum:
     def test_matches_tuple_sum(self, point, insert, N):
         pts = _node_list(point, insert)
         with workprec(PrecisionCtx(), GUARD_BITS):
-            got = _vandermonde_sum(pts, N)
+            got = _collapsed_sum(pts, N)
             with mp.extraprec(mp.mp.prec):
                 want = _tuple_sum(pts, N)
         assert rel_err(got, want) <= 1e-75
 
+    @staticmethod
+    def _pair_sum_lengths(monkeypatch, pts):
+        """The summed lengths of the pair sums s1 and s2 (oracle._dot, the
+        mp.fdot of the raw kernel) of one N = 3 sum over pts."""
+        lengths = []
+        dot = oracle._dot
+
+        def counting_dot(cs, ds, prec, rnd):
+            cs = list(cs)
+            lengths.append(len(cs))
+            return dot(cs, ds, prec, rnd)
+
+        monkeypatch.setattr(oracle, "_dot", counting_dot)
+        with workprec(PrecisionCtx(), GUARD_BITS):
+            value = _collapsed_sum(pts, 3)
+        return sum(lengths), value
+
     def test_three_fold_sum_is_quadratic(self, monkeypatch):
-        """The N = 3 sum does O(m) work per node: its mp.fdot vector lengths
-        add up to a small multiple of m^2, where a pair sum per node would
+        """The N = 3 sum does O(m) work per node: its pair-sum lengths add
+        up to a small multiple of m^2, where a pair sum per node would
         reach m^3."""
         pts = _node_list((2, 2, "0.5", "0.3"), nodes=20)
         m = len(pts)
-        lengths = []
-        fdot = mp.fdot
+        total, _ = self._pair_sum_lengths(monkeypatch, pts)
+        assert m == 40 and 0 < total <= 3 * m * m
 
-        def counting_fdot(A, B=None):
-            pairs = list(A if B is None else zip(A, B))
-            lengths.append(len(pairs))
-            return fdot(pairs)
+    def test_quadratic_bound_catches_a_cubic_sum(self, monkeypatch):
+        """The bound above fails on an O(m^3) N = 3 sum: one whose _spread
+        forms sum_{j,k} c_j c_k (x_k - x_j)^2 / 2 term by term, m^2 pair
+        terms per node, and is the same sum."""
+        pts = _node_list((2, 2, "0.5", "0.3"), nodes=20)
+        m = len(pts)
+        _, want = self._pair_sum_lengths(monkeypatch, pts)
 
-        monkeypatch.setattr(mp, "fdot", counting_fdot)
-        with workprec(PrecisionCtx(), GUARD_BITS):
-            _vandermonde_sum(pts, 3)
-        assert m == 40 and 0 < sum(lengths) <= 3 * m * m
+        def cubic_spread(xs, parts, x0, lift):
+            prec, rnd = mp.mp._prec_rounding
+            ds = [mpf_sub(x, x0) for x in xs]
+            cs = [mpf_mul(w, mpf_mul(d, d)) if lift else w
+                  for d, w in zip(ds, parts[0])]
+            pairs = [(mpf_mul(cj, ck), mpf_mul(e, e))
+                     for xj, cj in zip(xs, cs) for xk, ck in zip(xs, cs)
+                     for e in (mpf_sub(xk, xj),)]
+            return mp.make_mpf(mpf_shift(oracle._dot(
+                [c for c, _ in pairs], [d for _, d in pairs], prec, rnd), -1))
+
+        monkeypatch.setattr(oracle, "_spread", cubic_spread)
+        total, got = self._pair_sum_lengths(monkeypatch, pts)
+        assert total == m ** 3 > 3 * m * m
+        assert rel_err(got, want) <= 1e-70
 
 
 class TestDeltaByQuadrature:
@@ -155,6 +194,17 @@ class TestInnerProduct:
         mom, tab = tables_main
         v = inner_product((1, 3), tab, mom, PrecisionCtx(192, "1e-25"))
         assert abs(v) < 1e-18
+
+    def test_gamma_below_read_as_orthopoly_eval_reads_it(self):
+        """At (1, 1, -0.7, 2) h_1 < 0 while h_2 > 0: p_2 is real, but
+        orthopoly_eval(tab, 2, x) reads gamma_1 too and raises, so
+        <p_2, p_2> raises as it does (an integrand that read gamma_2 alone
+        returned 1.0)."""
+        mom, tab = table_for(WeightParams(1, 1, "-0.7", "2"), 3,
+                             PrecisionCtx())
+        assert tab.gamma[1] is None and tab.gamma[2] is not None
+        with pytest.raises(SingularHankel, match=r"^gamma_1 is not real"):
+            inner_product((2, 2), tab, mom, PrecisionCtx(192, "1e-25"))
 
     def test_recurrence_projection(self, tables_main, params_main):
         """<x p_2, p_3> = a_3 by direct quadrature."""

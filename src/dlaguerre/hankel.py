@@ -68,11 +68,12 @@ from functools import cached_property
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import (finf, fnan, fninf, fone, fzero, mpf_mul, mpf_neg,
-                          mpf_rdiv_int, mpf_sub)
+from mpmath.libmp import (finf, fnan, fninf, mpf_mul, mpf_neg, mpf_rdiv_int,
+                          mpf_sub)
 
 from .errors import (CrossCheckError, PrecisionExhausted, SingularHankel,
                      UnsupportedParameters)
+from .kernels import monic_columns, times
 from .moments import (MomentTable, TruncSeries, WeightParams,
                       build_moment_table)
 from .precision import PrecisionCtx, to_mpf, workprec
@@ -323,37 +324,22 @@ def monic_values(data, n: int, x) -> list:
     """[P_0(x), ..., P_n(x)] by P_{m+1} = (x - b_m) P_m - a_m^2 P_{m-1}.
 
     data is a RecurrenceTable or a painleve.JetTable (jets in t); n may
-    reach its n_max + 1.  Plain arithmetic at the caller's precision, so x
-    may be a number, an mpc or a TruncSeries: an order-1 x-jet
-    TruncSeries([x, 1]) carries every P_m'(x) in its c[1].  A finite mpf x
-    over a RecurrenceTable (every quadrature node of an integrand) runs
-    the same operations on raw mpf tuples, rounded as the plain arithmetic
-    rounds them, so the values have its bits.
+    reach its n_max + 1 (check_degree).  Plain arithmetic at the caller's
+    precision, so x may be a number, an mpc or a TruncSeries: an order-1
+    x-jet TruncSeries([x, 1]) carries every P_m'(x) in its c[1].  A finite
+    mpf x over a RecurrenceTable runs kernels.monic_columns on a one-node
+    column, rounded as the plain arithmetic rounds it, so the values have
+    its bits.
     """
+    check_degree(n, data.n_max + 1)
     if (type(x) is mp.mpf and isinstance(data, RecurrenceTable)
             and x._mpf_ not in (finf, fninf, fnan)):
-        return [mp.make_mpf(v) for v in _monic_raw(data, n, x._mpf_,
-                                                   *mp.mp._prec_rounding)]
+        return [mp.make_mpf(P[0]) for P in monic_columns(
+            data.b, data.a2, n, [x._mpf_], *mp.mp._prec_rounding)]
     cur, prev = (x - data.b[0]) * 0 + 1, 0
     out = [cur]
     for m in range(n):
         cur, prev = (x - data.b[m]) * cur - data.a2[m] * prev, cur
-        out.append(cur)
-    return out
-
-
-def _monic_raw(table: RecurrenceTable, n: int, x, prec, rnd) -> list:
-    """monic_values at a finite raw mpf x over a RecurrenceTable, as raw
-    tuples: each operation rounded at prec as the mpf arithmetic rounds
-    it."""
-    mul, sub = mpf_mul, mpf_sub
-    cur, prev = fone, fzero
-    out = [cur]
-    for m in range(n):
-        cur, prev = sub(mul(sub(x, table.b[m]._mpf_, prec, rnd), cur,
-                            prec, rnd),
-                        mul(table.a2[m]._mpf_, prev, prec, rnd),
-                        prec, rnd), cur
         out.append(cur)
     return out
 
@@ -417,16 +403,28 @@ def _off_support(x, message):
     return x
 
 
+def _inverse_distances(x, ss, prec, rnd):
+    """The column 1/(x - s) over raw nodes ss: raw tuples at an mpf x,
+    each operation rounded at prec as the mpf one, mpc numbers at an mpc
+    x."""
+    if type(x) is mp.mpf:
+        xr = x._mpf_
+        return [mpf_rdiv_int(1, mpf_sub(xr, s, prec, rnd), prec, rnd)
+                for s in ss]
+    make = mp.make_mpf
+    return [1 / (x - make(s)) for s in ss]
+
+
 _SWEEP: dict = {}   # {"latest": ((table, typed x, prec), (E, dE))}
 
 
 def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
     """E_0..E_n(x) and E_0'..E_n'(x) from one climb of the node ladder.
 
-    One vector integrand: at each node P_0..P_n come from monic_values,
-    and 1/(x - s) and 1/(x - s)^2 are formed once; at a real x all of it
-    runs on raw mpf tuples, with the roundings and so the bits of the mpf
-    arithmetic that a complex x uses.  Returns the pair of
+    One column integrand: P_0..P_n from kernels.monic_columns over the
+    nodes, which are real, and the kernel columns 1/(x - s) and
+    -1/(x - s)^2, raw at a real x (with the roundings and so the bits of
+    the mpf arithmetic) and mpc at a complex one.  Returns the pair of
     QuadResults (E, dE), E[k] for E_k and dE[k] for E_k'; a component
     whose sums never agreed raises QuadratureFailure when it is read.
 
@@ -444,25 +442,16 @@ def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
         if latest is not None and latest[0] == key and len(latest[1][0]) > n:
             return latest[1]
 
-        if type(x) is mp.mpf:
-            xr = x._mpf_
-
-            def fn(s):
-                # the complex-x integrand below at a real x, on raw tuples
-                # rounded as its mpf arithmetic rounds them
-                bits, rnd = mp.mp._prec_rounding
-                P = _monic_raw(table, n, s._mpf_, bits, rnd)
-                inv = mpf_rdiv_int(1, mpf_sub(xr, s._mpf_, bits, rnd),
-                                   bits, rnd)
-                dinv = mpf_mul(mpf_neg(inv, bits, rnd), inv, bits, rnd)
-                return ([mpf_mul(p, inv, bits, rnd) for p in P]
-                        + [mpf_mul(p, dinv, bits, rnd) for p in P])
-        else:
-            def fn(s):
-                P = monic_values(table, n, s)
-                inv = 1 / (x - s)
-                dinv = -inv * inv
-                return [p * inv for p in P] + [p * dinv for p in P]
+        def fn(ss):
+            bits, rnd = mp.mp._prec_rounding
+            P = monic_columns(table.b, table.a2, n, ss, bits, rnd)
+            inv = _inverse_distances(x, ss, bits, rnd)
+            if type(x) is mp.mpf:
+                dinv = [mpf_mul(mpf_neg(v, bits, rnd), v, bits, rnd)
+                        for v in inv]
+            else:
+                dinv = [-v * v for v in inv]
+            return [times(p, k, bits, rnd) for k in (inv, dinv) for p in P]
 
         res = integrate_weighted(
             fn, table.params, prec, pole=x,
@@ -515,17 +504,8 @@ def stieltjes_eval(moments: MomentTable, x, prec: PrecisionCtx = None):
     with workprec(prec, 20):
         x = _off_support(x, "stieltjes_eval requires x off [0, inf)")
         cancel = _cancel_digits((moments.k_max + 1) // 2, x)
-        if type(x) is mp.mpf:
-            xr = x._mpf_
-
-            def fn(s):
-                # 1 / (x - s) on raw tuples, rounded as the mpf one
-                bits, rnd = mp.mp._prec_rounding
-                return (mpf_rdiv_int(1, mpf_sub(xr, s._mpf_, bits, rnd),
-                                     bits, rnd),)
-        else:
-            def fn(s):
-                return (1 / (x - s),)
+        def fn(ss):
+            return (_inverse_distances(x, ss, *mp.mp._prec_rounding),)
 
         res = integrate_weighted(fn, moments.params, prec,
                                  extra_digits=cancel, pole=x)

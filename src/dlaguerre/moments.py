@@ -56,10 +56,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fzero, from_int, from_man_exp, mpf_add, mpf_div,
-                          mpf_mul, mpf_neg, mpf_pow_int, mpf_sub, mpf_sum)
+from mpmath.libmp import (fzero, from_int, mpf_add, mpf_div, mpf_mul,
+                          mpf_neg, mpf_pow_int, mpf_sub)
 
 from .errors import CrossCheckError, UnsupportedParameters
+from .kernels import conv
 from .precision import (PrecisionCtx, fraction_or_none, to_fraction, to_mpf,
                         workprec)
 from .quadrature import integrate_weighted, weight_value
@@ -143,42 +144,6 @@ class WeightParams:
 
     def replace_t(self, t_new) -> "WeightParams":
         return WeightParams(self.alpha, self.mu, self.zeta, t_new)
-
-
-def conv(x, y, j, prec, rnd, lo=0):
-    """sum_{i=lo..j} x_i y_{j-i}: coefficient j of a product of series, for
-    lists x, y of raw real mpf tuples, as a raw tuple rounded once at prec.
-
-    The bits are those of mp.fdot over the mpf slices: each product is
-    exact, and they are summed by mpf_sum's rules into one integer
-    mantissa, including its drop rule for a term more than 2 prec bits
-    below the running sum (or a sum that far below the term).  A zero
-    factor adds nothing; an inf or nan factor hands the products to
-    mpf_sum itself.
-    """
-    man = exp = 0
-    cap = 2 * prec
-    for (s, m, e, b), (s2, m2, e2, b2) in zip(x[lo:j + 1], y[j - lo::-1]):
-        if not (m and m2):
-            if e and not m or e2 and not m2:        # inf or nan
-                return mpf_sum([mpf_mul(u, v) for u, v in
-                                zip(x[lo:j + 1], y[j - lo::-1])], prec, rnd)
-            continue
-        p = -m * m2 if s ^ s2 else m * m2
-        e += e2
-        d = e - exp
-        if d >= 0:
-            if d > cap and (not man or d - man.bit_length() > cap):
-                man, exp = p, e
-            else:
-                man += p << d
-        elif -d > cap and -d - p.bit_length() > cap:
-            if not man:
-                man, exp = p, e
-        else:
-            man = (man << -d) + p
-            exp = e
-    return from_man_exp(man, exp, prec, rnd)
 
 
 def _raw_coeffs(values):
@@ -533,11 +498,11 @@ def _quadrature_moments(ks, params, prec) -> list:
     if not ks:
         return []
 
-    def powers(x):
+    def powers(xs):
         # x ** k on raw tuples: the mpf power is mpf_pow_int at the
         # working precision
         bits, rnd = mp.mp._prec_rounding
-        return [mpf_pow_int(x._mpf_, k, bits, rnd) for k in ks]
+        return [[mpf_pow_int(x, k, bits, rnd) for x in xs] for k in ks]
 
     res = integrate_weighted(powers, params, prec)
     return [item.value for item in res]

@@ -35,7 +35,8 @@ from mpmath.libmp import (fone, fzero, mpc_abs, mpf_abs, mpf_div, mpf_gt,
                           mpf_mul, mpf_sub, mpf_sum)
 
 from .errors import QuadratureFailure, SingularHankel, UnsupportedParameters
-from .hankel import RecurrenceTable, _gamma, _monic_raw, check_degree
+from .hankel import RecurrenceTable, _gamma, check_degree
+from .kernels import dot, monic_columns, monic_step
 from .moments import MomentTable, WeightParams
 from .precision import PrecisionCtx, to_mpf, workprec
 from .quadrature import (GUARD_BITS, LADDER, QuadResult, integrate_weighted,
@@ -67,21 +68,16 @@ def inner_product(index_pair, table: RecurrenceTable, moments: MomentTable,
     g_j = g_i if j == i else gamma(j)
     table_bits, top = table.prec.significand_bits, max(i, j)
     with workprec(prec, 20):
-        def fn(s):
+        def fn(ss):
             bits, rnd = mp.mp._prec_rounding
-            P = _monic_raw(table, top, s._mpf_, table_bits, rnd)
-            p_i = mpf_mul(g_i, P[i], table_bits, rnd)
-            p_j = p_i if j == i else mpf_mul(g_j, P[j], table_bits, rnd)
-            return (mpf_mul(p_i, p_j, bits, rnd),)
+            P = monic_columns(table.b, table.a2, top, ss, table_bits, rnd)
+            p_i = [mpf_mul(g_i, v, table_bits, rnd) for v in P[i]]
+            p_j = p_i if j == i else [mpf_mul(g_j, v, table_bits, rnd)
+                                      for v in P[j]]
+            return ([mpf_mul(u, v, bits, rnd) for u, v in zip(p_i, p_j)],)
 
         return integrate_weighted(fn, table.params, prec,
                                   rel_scale=(1,))[0].value
-
-
-def _dot(cs, ds, prec, rnd):
-    """mp.fdot(cs, ds) over raw mpf tuples, as a raw tuple: exact products
-    and one mpf_sum rounded at prec."""
-    return mpf_sum((mpf_mul(c, d) for c, d in zip(cs, ds)), prec, rnd)
 
 
 def _number(parts):
@@ -103,8 +99,8 @@ def _spread(xs, parts, x0, lift):
     sums = []
     for ws in parts:
         cs = [mul(w, e, prec, rnd) for w, e in zip(ws, d2)] if lift else ws
-        sums.append((mpf_sum(cs, prec, rnd), _dot(cs, ds, prec, rnd),
-                     _dot(cs, d2, prec, rnd)))
+        sums.append((mpf_sum(cs, prec, rnd), dot(cs, ds, prec, rnd),
+                     dot(cs, d2, prec, rnd)))
     s0, s1, s2 = map(_number, zip(*sums))
     return s0 * s2 - s1 * s1
 
@@ -135,34 +131,36 @@ def _vandermonde_sum(xs, parts, N):
                    for x, w in zip(xs, weights)) / 3
 
 
-def _weights(pts, insert):
-    """The raw weights of a node list as _vandermonde_sum takes them, each
-    times (y1 - x)(y2 - x) for insert = (y1, y2), rounded as the mpf
+def _weights(xs, ws, insert):
+    """The raw weights ws of a node list as _vandermonde_sum takes them,
+    each times (y1 - x)(y2 - x) for insert = (y1, y2), rounded as the mpf
     expression w * ((y1 - x) * (y2 - x)) rounds it.  A complex y makes
     the mpc weights of that expression, split into their parts."""
     if insert is None:
-        return ([w._mpf_ for _, w in pts],)
+        return (ws,)
     y1, y2 = insert
     if isinstance(y1, mp.mpc) or isinstance(y2, mp.mpc):
-        return tuple(zip(*((w * ((y1 - x) * (y2 - x)))._mpc_
-                           for x, w in pts)))
+        make = mp.make_mpf
+        return tuple(zip(*((make(w) * ((y1 - make(x)) * (y2 - make(x))))
+                           ._mpc_ for x, w in zip(xs, ws))))
     prec, rnd = mp.mp._prec_rounding
     mul, sub = mpf_mul, mpf_sub
     y1, y2 = y1._mpf_, y2._mpf_
-    return ([mul(w._mpf_, mul(sub(y1, x._mpf_, prec, rnd),
-                              sub(y2, x._mpf_, prec, rnd), prec, rnd),
-                 prec, rnd) for x, w in pts],)
+    return ([mul(w, mul(sub(y1, x, prec, rnd), sub(y2, x, prec, rnd), prec,
+                        rnd), prec, rnd) for x, w in zip(xs, ws)],)
 
 
 def _tensor(params: WeightParams, N: int, prec: PrecisionCtx, nodes: int,
             insert=None) -> QuadResult:
     """N-fold tensor integral at nodes and nodes // 2 per panel, the
-    weights times (y1 - x)(y2 - x) for insert = (y1, y2)."""
+    weights times (y1 - x)(y2 - x) for insert = (y1, y2); nodes < 2 leaves
+    the coarser list empty and is refused."""
+    if nodes < 2:
+        raise UnsupportedParameters(f"nodes must be >= 2, got {nodes}")
     with workprec(prec, GUARD_BITS):
         def value_at(m):
-            pts = weighted_nodes(params, m)
-            return _vandermonde_sum([x._mpf_ for x, _ in pts],
-                                    _weights(pts, insert), N)
+            xs, ws = weighted_nodes(params, m)
+            return _vandermonde_sum(xs, _weights(xs, ws, insert), N)
 
         fine = value_at(nodes)
         err = abs(fine - value_at(nodes // 2))
@@ -185,6 +183,9 @@ def dN_by_quadrature(params: WeightParams, N: int, y1, y2,
         raise UnsupportedParameters("dN_by_quadrature supports N in {1,2}")
     with workprec(prec, GUARD_BITS):
         y1, y2 = to_mpf(y1), to_mpf(y2)
+    if not (mp.isfinite(y1) and mp.isfinite(y2)):
+        raise UnsupportedParameters(
+            f"y1 and y2 must be finite, got {y1} and {y2}")
     return _tensor(params, N, prec, nodes, insert=(y1, y2))
 
 
@@ -235,6 +236,8 @@ def gram_schmidt_recurrence(params: WeightParams, n_max: int,
     (SingularHankel where a_n^2 <= 0), 'b', 'gamma' (None where h_n <= 0)
     and 'gamma1_ratio' (-sum_{k<n} b_k, P_n's x^(n-1) coefficient).
     """
+    if n_max < 0:
+        raise UnsupportedParameters(f"n_max must be >= 0, got {n_max}")
     tol = prec.tol_mpf()
     with workprec(prec, GUARD_BITS):
         def stieltjes(m):
@@ -242,23 +245,20 @@ def gram_schmidt_recurrence(params: WeightParams, n_max: int,
             # and P_{-1} = a_0^2 = 0 as fone and fzero multiply and
             # subtract as the ints 1 and 0 do
             prec, rnd = mp.mp._prec_rounding
-            mul, sub = mpf_mul, mpf_sub
-            pts = weighted_nodes(params, m)
-            xs, ws = [x._mpf_ for x, _ in pts], [w._mpf_ for _, w in pts]
+            mul = mpf_mul
+            xs, ws = weighted_nodes(params, m)
             p_prev, p = [fzero] * len(xs), [fone] * len(xs)
             h, b = [], []
             for n in range(n_max + 1):
                 wp2 = [mul(mul(w, v, prec, rnd), v, prec, rnd)
                        for w, v in zip(ws, p)]
                 h.append(mpf_sum(wp2, prec, rnd))
-                b.append(mpf_div(_dot(wp2, xs, prec, rnd), h[n], prec, rnd))
+                b.append(mpf_div(dot(wp2, xs, prec, rnd), h[n], prec, rnd))
                 if n < n_max:
                     a2, bn = (mpf_div(h[n], h[n - 1], prec, rnd) if n
                               else fzero), b[n]
-                    p_prev, p = p, [
-                        sub(mul(sub(x, bn, prec, rnd), v, prec, rnd),
-                            mul(a2, u, prec, rnd), prec, rnd)
-                        for x, v, u in zip(xs, p, p_prev)]
+                    p_prev, p = p, monic_step(xs, bn, a2, p, p_prev, prec,
+                                              rnd)
             return [mp.make_mpf(v) for v in h], [mp.make_mpf(v) for v in b]
 
         coarse = stieltjes(LADDER[0])

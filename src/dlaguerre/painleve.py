@@ -97,7 +97,8 @@ from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
-from .moments import TruncSeries, WeightParams, conv, moment_jets
+from .kernels import conv
+from .moments import TruncSeries, WeightParams, moment_jets
 from .precision import (DEFAULT_CTX, PrecisionCtx, fraction_or_none,
                         to_mpf, workprec)
 from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
@@ -315,7 +316,7 @@ def _flow_jet_factory(n: int, params: WeightParams):
     t y' = F then y_{j+1} = (F_j - j y_j) / ((j+1) tk).  Cost O(K^2) per
     jet.  The recursion runs on raw mpf tuples, each sum, product and
     quotient the libmp operation that the mpf expression runs, with its
-    rounding, and each convolution moments.conv (mp.fdot's bits), so the
+    rounding, and each convolution kernels.conv (mp.fdot's bits), so the
     coefficients have the mpf recursion's bits.
     """
     a, m = to_mpf(params.alpha), to_mpf(params.mu)
@@ -858,33 +859,16 @@ def pv_rhs_second_derivative(y, yp, t, alphas):
             + a4 * y * (y + 1) / (y - 1))
 
 
-def _index_derivatives(qs, i):
-    """q' and q'' at grid index i, in index units: the order-4 central
-    stencils at spacings 2 and 1, Richardson-combined as (16 d_1 - d_2)/15,
-    with the operations of oracle.finite_difference(f, i, 2, k) on the
-    samples it reads (qs[i], qs[i +- 1], qs[i +- 2], qs[i +- 4])."""
-    def d1(hh):
-        return (-qs[i + 2 * hh] + 8 * qs[i + hh] - 8 * qs[i - hh]
-                + qs[i - 2 * hh]) / (12 * hh)
-
-    def d2(hh):
-        return (-qs[i + 2 * hh] + 16 * qs[i + hh] - 30 * qs[i]
-                + 16 * qs[i - hh] - qs[i - 2 * hh]) / (12 * hh * hh)
-
-    return [(16 * d(1) - d(2)) / 15 for d in (d1, d2)]
-
-
 def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
                 prec: PrecisionCtx = None) -> float:
     """Max |q'' - PV right side| over the interior grid, normalized by max|q''|.
 
-    q must be sampled on a uniform grid of at least 9 points, one sample
-    per point; q' and q'' come from order-4 stencils in the grid index at
-    spacings 2 and 1, Richardson-combined (_index_derivatives), so that
-    every sample read is on the grid.  Grid points too close to the PV
-    singular locus {0, 1} raise SingularPanel.  Real data run on raw
-    tuples (_pv_residual_raw), with the bits of the plain loop below that
-    complex data run.
+    q must be sampled on a uniform grid of at least 9 points, one finite
+    real sample per point; q' and q'' come from oracle.finite_difference's
+    order-4 stencils in the grid index at spacings 2 and 1,
+    Richardson-combined, so that every sample read is on the grid.  Grid
+    points too close to the PV singular locus {0, 1} raise SingularPanel.
+    Runs on raw tuples (_pv_residual_raw).
     """
     with workprec(prec or DEFAULT_CTX, 20):
         ts = [to_mpf(v) for v in t_grid]
@@ -895,36 +879,22 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
             raise UnsupportedParameters(
                 f"{len(qs)} q values for {len(ts)} grid points")
         alphas = [to_mpf(a) for a in alphas]
-        if not any(isinstance(v, mp.mpc) for v in ts + qs + alphas):
-            return float(mp.make_mpf(_pv_residual_raw(
-                [v._mpf_ for v in ts], [v._mpf_ for v in qs],
-                [v._mpf_ for v in alphas])))
-        h = ts[1] - ts[0]
-        spread = abs(h) * mp.mpf("1e-20")
-        for i in range(1, len(ts)):
-            if abs((ts[i] - ts[i - 1]) - h) > spread:
-                raise SingularPanel("grid must be uniform")
-        near = mp.mpf("1e-8")
-        for q in qs:
-            if abs(q) < near or abs(q - 1) < near:
-                raise SingularPanel("q too close to the singular locus {0, 1}")
-        scale = mp.mpf(0)
-        residuals = []
-        for i in range(4, len(ts) - 4):
-            yp, ypp = (d / h ** k
-                       for k, d in enumerate(_index_derivatives(qs, i), 1))
-            rhs = pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
-            residuals.append(abs(ypp - rhs))
-            scale = max(scale, abs(ypp))
-        return float(max(residuals) / max(scale, mp.mpf(1)))
+        if len(alphas) != 4 or not all(type(v) is mp.mpf and mp.isfinite(v)
+                                       for v in ts + qs + alphas):
+            raise UnsupportedParameters(
+                "pv_residual needs finite real grid points and samples and "
+                "4 finite real alphas")
+        return float(mp.make_mpf(_pv_residual_raw(
+            [v._mpf_ for v in ts], [v._mpf_ for v in qs],
+            [v._mpf_ for v in alphas])))
 
 
 def _pv_residual_raw(ts, qs, alphas):
     """pv_residual at raw mpf data, as the raw quotient it converts to
-    float: its grid checks, the stencils of _index_derivatives and
-    pv_rhs_second_derivative, each operation the libmp one that their mpf
-    expressions run, rounded alike, and -q, 8q, 16q and 30q formed once
-    per sample rather than once per stencil."""
+    float: its grid checks, its stencils and pv_rhs_second_derivative,
+    each operation the libmp one that their mpf expressions run, rounded
+    alike, and -q, 8q, 16q and 30q formed once per sample rather than
+    once per stencil."""
     prec, rnd = mp.mp._prec_rounding
     add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
     h = sub(ts[1], ts[0], prec, rnd)

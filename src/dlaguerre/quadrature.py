@@ -35,39 +35,35 @@ on the recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013), O(m^2)
 operations, nodes and weights within an ulp (Golub-Welsch weights lose
 10-13 bits).  They are cached per (family, m) at the highest precision
 asked for so far, a Jacobi family by the exact value of mu.
-integrate_weighted takes integrands that return a sequence and climbs the
-node ladder m = 10, 20, 40, 80 once for all components, each stopping at
-its first pair of successive sums that agree to the tolerance; that
-difference is the error estimate it carries.  So a family of integrals
-(R_n and r_n, A_n and B_n, a moment table, the Cauchy sweep's E_0..E_n,
-E_0'..E_n') evaluates its integrands once per node.  The Laguerre tail
+integrate_weighted climbs the node ladder m = 10, 20, 40, 80 once for all
+components of an integrand, each stopping at its first pair of successive
+sums that agree to the tolerance; that difference is the error estimate
+it carries.  An integrand takes the node list, not a node: it is called
+once per rung with the nodes as one column xs of raw mpf tuples, and
+returns one column per component, raw mpf tuples at a real argument and
+mpc numbers at a complex one.  So a family of integrals (R_n and r_n, A_n
+and B_n, a moment table, the Cauchy sweep's E_0..E_n, E_0'..E_n') is one
+call per rung.  The Laguerre tail
 with m nodes is exact for polynomials of degree < 2m only, so at integer
 mu two sums agree on x^k once the coarser one has 2m > k + alpha + mu: at
 alpha = mu = 2 and t = 20 the 20-node sums miss from k = 36 on, and the
 40/80 pair agrees.
 
-The per-node arithmetic runs on raw mpf tuples (mpmath.libmp), with the
+The node arithmetic runs on raw mpf tuples (mpmath.libmp), with the
 operations and roundings of the mpf expressions it stands for, so its
 values are theirs to the last bit and no mpf object is made per
 intermediate result: _build_nodes forms each weight half w factor
 (x - t)^alpha x^mu e^{-x} left to right, each product rounded at the
-working precision; _weighted_sum is fsum(w * v[k]) over a component,
-each product rounded at the working precision and then one exact mpf_sum
-per real or imaginary part, fed by a generator.  An integrand may return
-raw mpf tuples, and every real-argument integrand does: the moments' x^k
-(mpf_pow_int), hankel.monic_values' recurrence at an mpf node, the
-Cauchy sweep's and stieltjes_eval's kernels at a real x (1/(x - s), its
-negated square, each product with P_k), the ladder integrands of
-semiclassical (at a real x), and oracle.inner_product's p_i p_j.  The
-oracle's tensor sums and Stieltjes procedure, and painleve's
-to_hamiltonian and pv_residual at real data, run on raw tuples too.
-Only complex arguments and jets keep plain mpf arithmetic.  The jet
-layer follows the same rule: moments.conv
-(one coefficient of a product of series, mp.fdot's bits), the
-moments.TruncSeries sums, products and quotients over mpf coefficients
-and its eval (Horner's rule at an mpf argument), the flow's Taylor jet
-(painleve._flow_jet_factory) and painleve._vanishing_start (Bernstein
-coefficients and their halving).
+working precision.  The kernels the integrands share are in kernels.py:
+weighted_sum, fsum(w * v) over one column; monic_columns, the monic
+recurrence over a node column, which gives every P_k column (the Cauchy
+sweep's, the ladder integrands', inner_product's, and by monic_step the
+Stieltjes procedure's); and dot, the exact dot product (mp.fdot's bits)
+of the tensor oracles, the Stieltjes sums and, through conv, every
+series product of the jet layer.  The nodes are real, so at a complex
+argument only the kernel column (1/(x - s), or the partial fraction of
+A_n and B_n) is mpc.  Jets and complex arguments elsewhere keep plain mpf
+arithmetic.
 
 The node lists themselves are cached too, since one weight's integrals
 ask for the same few lists many times (every ladder and oracle integral
@@ -107,12 +103,12 @@ import math
 from dataclasses import dataclass, replace
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_abs,
-                          mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg,
-                          mpf_pos, mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt,
-                          mpf_sub, mpf_sum)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_add,
+                          mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub)
 
 from .errors import QuadratureFailure
+from .kernels import weighted_sum
 from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
 
 LADDER = (10, 20, 40, 80)      # Gauss nodes per panel, one rung at a time
@@ -430,7 +426,8 @@ def _pole_ends(pole, branch=None):
 
 
 def weighted_nodes(params, m: int, pole=None):
-    """((x_i, W_i), ...) with m nodes per panel, W_i including the full weight.
+    """The columns (xs, ws) of raw x_i and W_i, m nodes per panel, W_i
+    including the full weight.
 
     pole is the location of an off-support singularity of the integrand
     (x of a Cauchy kernel 1/(x - s)); it grades the panels around it, each
@@ -472,7 +469,7 @@ def _build_nodes(params, m, pole):
     from-scratch build.
     """
     prec, rnd = mp.mp._prec_rounding
-    mul, make = mpf_mul, mp.make_mpf
+    mul = mpf_mul
     t = to_mpf(params.t)
     tail_factor = 1 - to_mpf(params.zeta)
     alpha = int(params.alpha)
@@ -494,7 +491,7 @@ def _build_nodes(params, m, pole):
         """(x - t)^alpha."""
         return mpf_pow_int(mpf_sub(x, t._mpf_, prec, rnd), alpha, prec, rnd)
 
-    out = []
+    xs, ws = [], []
     for ends, factor in ((head, fone), (tail, tail_factor._mpf_)):
         for lo, hi in zip(ends[:-1], ends[1:]):
             jacobi = lo == 0 and not params.mu_is_integer
@@ -506,21 +503,20 @@ def _build_nodes(params, m, pole):
                 _, nodes = geometry((lo._mpf_, hi._mpf_),
                                     lambda: _panel(lo, hi, "legendre", m))
             for x, half_w, decay in nodes:
-                xr = x._mpf_
-                W = mul(mul(half_w, factor, prec, rnd), shifted(xr), prec,
-                        rnd)
-                W = mul(W, half_mu if jacobi else mpf_pow(xr, mu, prec, rnd),
+                W = mul(mul(half_w, factor, prec, rnd), shifted(x), prec, rnd)
+                W = mul(W, half_mu if jacobi else mpf_pow(x, mu, prec, rnd),
                         prec, rnd)
-                out.append((x, make(mul(W, decay, prec, rnd))))
+                xs.append(x)
+                ws.append(mul(W, decay, prec, rnd))
     decay, nodes = geometry(tail[-1]._mpf_, lambda: _tail(tail[-1], m))
     scale = mul(tail_factor._mpf_, decay, prec, rnd)
     for x, w in nodes:
-        xr = x._mpf_
-        W = mul(mul(scale, w, prec, rnd), shifted(xr), prec, rnd)
-        out.append((x, make(mul(W, mpf_pow(xr, mu, prec, rnd), prec, rnd))))
+        W = mul(mul(scale, w, prec, rnd), shifted(x), prec, rnd)
+        xs.append(x)
+        ws.append(mul(W, mpf_pow(x, mu, prec, rnd), prec, rnd))
     if memo:
         _PANELS[(m, prec, rnd)] = memo[:2] + (kept,)
-    return tuple(out)
+    return tuple(xs), tuple(ws)
 
 
 def _panel_memo(m, pole):
@@ -547,87 +543,35 @@ def _panel_memo(m, pole):
 
 def _panel(lo, hi, family, m):
     """A panel's geometry at the working precision: half = (hi - lo) / 2
-    and a tuple of (x_i, half w_i, e^{-x_i}), raw but for the mpf x_i,
-    over the reference rule's nodes s_i, x_i = mid + half s_i."""
+    and a tuple of (x_i, half w_i, e^{-x_i}), all raw, over the reference
+    rule's nodes s_i, x_i = mid + half s_i."""
     prec, rnd = mp.mp._prec_rounding
     half, mid = ((hi - lo) / 2)._mpf_, ((hi + lo) / 2)._mpf_
     nodes = []
     for s, w in _rule(family, m):
         x = mpf_add(mid, mpf_mul(half, s._mpf_, prec, rnd), prec, rnd)
-        nodes.append((mp.make_mpf(x), mpf_mul(half, w._mpf_, prec, rnd),
+        nodes.append((x, mpf_mul(half, w._mpf_, prec, rnd),
                       mpf_exp(mpf_neg(x, prec, rnd), prec, rnd)))
     return half, tuple(nodes)
 
 
 def _tail(start, m):
-    """The Laguerre tail's geometry from start = L: e^{-L}, raw, and a
-    tuple of (L + y_i, w_i), the mpf L + y_i and the rule's raw w_i."""
+    """The Laguerre tail's geometry from start = L: e^{-L} and a tuple of
+    (L + y_i, w_i), all raw."""
     prec, rnd = mp.mp._prec_rounding
     return mp.exp(-start)._mpf_, tuple(
-        (mp.make_mpf(mpf_add(start._mpf_, y._mpf_, prec, rnd)), w._mpf_)
+        (mpf_add(start._mpf_, y._mpf_, prec, rnd), w._mpf_)
         for y, w in _rule("laguerre", m))
-
-
-def _weighted_sum(rows, k, absolute=False):
-    """mp.fsum(w * v[k] for w, v in rows), or with absolute that of
-    abs(w * v[k]), for raw mpf weights w, bit for bit on raw tuples.
-
-    A component v[k] may be a raw mpf tuple, which stands for the mpf it
-    makes.  Each product is rounded at the working precision as mpf * v
-    rounds it, then one mpf_sum per part runs over a generator.  As in
-    fsum, an mpc product's parts go to a real and an imaginary sum (with
-    absolute, its mpc_abs to the one sum), and one mpc term makes the sum
-    an mpc.
-    """
-    prec, rnd = mp.mp._prec_rounding
-    mpf_type, mul = mp.mpf, mpf_mul
-    complex_terms = False
-
-    def raw(v):
-        """v as a raw mpf or an mpc's raw pair; other numbers convert as
-        mpf arithmetic converts them."""
-        if not hasattr(v, "_mpf_") and not hasattr(v, "_mpc_"):
-            v = mp.convert(v)
-        return getattr(v, "_mpf_", None) or v._mpc_
-
-    def real_parts():
-        nonlocal complex_terms
-        for w, v in rows:
-            v = v[k]
-            if type(v) is tuple:
-                yield mul(w, v, prec, rnd)
-                continue
-            if type(v) is mpf_type:
-                yield mul(w, v._mpf_, prec, rnd)
-                continue
-            v = raw(v)
-            if len(v) == 4:
-                yield mul(w, v, prec, rnd)
-            else:
-                complex_terms = True
-                re = mul(w, v[0], prec, rnd)
-                yield (mpc_abs((re, mul(w, v[1], prec, rnd)), prec, rnd)
-                       if absolute else re)
-
-    def imaginary_parts():
-        for w, v in rows:
-            v = v[k]
-            if (type(v) is not mpf_type and type(v) is not tuple
-                    and len(v := raw(v)) == 2):
-                yield mul(w, v[1], prec, rnd)
-
-    total = mpf_sum(real_parts(), prec, rnd, absolute)
-    if complex_terms and not absolute:
-        return mp.make_mpc((total, mpf_sum(imaginary_parts(), prec, rnd)))
-    return mp.make_mpf(total)
 
 
 def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
                        extra_digits=0, pole=None):
-    """Integrate each component of fn(x) w(x) dx over [0, inf), one climb.
+    """Integrate each component of fn w(x) dx over [0, inf), one climb.
 
-    fn receives x and excludes the weight; it returns a sequence of
-    numbers, all integrated over the same nodes.  Sums at m and 2m nodes
+    fn is called once per rung with the rung's node column xs (raw mpf
+    tuples, weighted_nodes') and excludes the weight; it returns one column
+    per component, all over the same nodes: raw mpf tuples, or mpc numbers
+    for a complex integrand.  Sums at m and 2m nodes
     per panel, climbing LADDER until |Q_2m - Q_m| <= prec.tol * scale,
     where a component's scale is |rel_scale[k]| when rel_scale (one scale
     per component) is given, else |Q_2m|, floored at the sum's absolute
@@ -648,25 +592,27 @@ def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
     with mp.workprec(bits):
         scales = (None if rel_scale is None
                   else [abs(to_mpf(s)) for s in rel_scale])
+        rnd = mp.mp._prec_rounding[1]
 
         def sums(m, ks=None):
-            rows = [(w._mpf_, fn(x))
-                    for x, w in weighted_nodes(params, m, pole)]
+            xs, ws = weighted_nodes(params, m, pole)
+            cols = fn(xs)
             if ks is None:
-                ks = range(len(rows[0][1]))
-            return rows, {k: _weighted_sum(rows, k) for k in ks}
+                ks = range(len(cols))
+            return ws, cols, {k: weighted_sum(ws, cols[k], bits, rnd)
+                              for k in ks}
 
-        _, coarse = sums(LADDER[0])
+        coarse = sums(LADDER[0])[2]
         pending, done = list(coarse), {}
         for m in LADDER[1:]:
-            rows, fine = sums(m, pending)
+            ws, cols, fine = sums(m, pending)
             for k in pending:
                 err = abs(fine[k] - coarse[k])
                 scale = abs(fine[k]) if scales is None else scales[k]
                 if scales is None and err > tol * scale:
                     # floor: half the digits of the absolute mass (exact 0s)
                     scale = max(scale, mp.ldexp(
-                        _weighted_sum(rows, k, absolute=True),
+                        weighted_sum(ws, cols[k], bits, rnd, absolute=True),
                         -(prec.significand_bits // 2)))
                 if err <= tol * scale:
                     done[k] = (fine[k], err)

@@ -52,11 +52,12 @@ from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
                           mpf_sum, to_float)
 
 from .errors import CrossCheckError, DegenerateTheta, UnsupportedParameters
-from .hankel import (MomentTable, RecurrenceTable, _monic_raw, cauchy_sweep,
-                     check_degree, monic_values)
+from .hankel import (MomentTable, RecurrenceTable, cauchy_sweep, check_degree,
+                     monic_values)
+from .kernels import monic_columns, times
 from .moments import TruncSeries, WeightParams
-from .precision import (DEFAULT_CTX, PrecisionCtx, to_fraction, to_mpf,
-                        workprec)
+from .precision import (DEFAULT_CTX, PrecisionCtx, fraction_or_none,
+                        to_fraction, to_mpf, workprec)
 from .quadrature import integrate_weighted
 
 # ---------------------------------------------------------------------------
@@ -148,19 +149,6 @@ def theta_kappa_from_recurrence(table: RecurrenceTable, n: int) -> AuxPair:
                        provenance="from_recurrence")
 
 
-def _monic_pair(table: RecurrenceTable, n: int, y):
-    """(P_n(y), P_{n-1}(y)), with P_{-1} = 0."""
-    P = monic_values(table, n, y)
-    return P[n], (P[n - 1] if n else 0)
-
-
-def _monic_pair_raw(table: RecurrenceTable, n: int, y, bits, rnd):
-    """_monic_pair at a raw mpf y, as raw tuples rounded at bits, with
-    P_{-1} = fzero: every product with it is 0, as with the int 0."""
-    P = _monic_raw(table, n, y, bits, rnd)
-    return P[n], (P[n - 1] if n else fzero)
-
-
 def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
                      prec: PrecisionCtx = None,
                      check_equivalence: bool = True) -> AuxPair:
@@ -185,15 +173,19 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
         tr = t._mpf_
 
         # no node sits at y = t, and w(y)/(y-t) is smooth there for alpha >= 1
-        def fn(y):
+        def fn(ys):
             # al * p * p / (y - t) and al * p * p_prev / (y - t) on raw
             # tuples, each operation rounded as the mpf one (al is an int)
             bits, rnd = mp.mp._prec_rounding
-            p, p_prev = _monic_pair_raw(table, n, y._mpf_, bits, rnd)
-            ap = mpf_mul_int(p, al, bits, rnd)
-            d = mpf_sub(y._mpf_, tr, bits, rnd)
-            return (mpf_div(mpf_mul(ap, p, bits, rnd), d, bits, rnd),
-                    mpf_div(mpf_mul(ap, p_prev, bits, rnd), d, bits, rnd))
+            mul, div = mpf_mul, mpf_div
+            P = monic_columns(table.b, table.a2, n, ys, bits, rnd)
+            p, p_prev = P[n], (P[n - 1] if n else [fzero] * len(ys))
+            ap = [mpf_mul_int(v, al, bits, rnd) for v in p]
+            d = [mpf_sub(y, tr, bits, rnd) for y in ys]
+            return ([div(mul(a, v, bits, rnd), e, bits, rnd)
+                     for a, v, e in zip(ap, p, d)],
+                    [div(mul(a, v, bits, rnd), e, bits, rnd)
+                     for a, v, e in zip(ap, p_prev, d)])
 
         # each integral converges relative to the h that normalizes it
         h_R, h_r = table.h(n), table.h(n - 1) if n else 1
@@ -213,13 +205,29 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
     return pair
 
 
+def _ab_point(x, params: WeightParams, t):
+    """x at the working precision, refused where A_n(x) and B_n(x) have
+    no value: not finite, or a pole 0 or t, against the t divided by and,
+    for an x that is not an mpf, as an exact value (a decimal x and t
+    round apart at two widths)."""
+    v = to_mpf(x)
+    if not mp.isfinite(v):
+        raise UnsupportedParameters(f"x must be finite, got x = {x}")
+    if v in (0, t) or type(x) is not mp.mpf and fraction_or_none(x) in (
+            0, to_fraction(params.t)):
+        raise UnsupportedParameters(
+            f"x must avoid the poles 0 and t of A_n and B_n, got x = {x}")
+    return v
+
+
 def ladder_ab_at(pair: AuxPair, params: WeightParams, x,
                  prec: PrecisionCtx = None):
     """(A_n(x), B_n(x)) from the residue data of the pair, 20 bits above
-    prec or DEFAULT_CTX."""
+    prec or DEFAULT_CTX; x at a pole 0 or t, or not finite, is refused
+    (_ab_point)."""
     with workprec(prec or DEFAULT_CTX, 20):
-        x = to_mpf(x)
         t = to_mpf(pair.t)
+        x = _ab_point(x, params, t)
         return (pair.R / (x - t) + (1 - pair.R) / x,
                 pair.r / (x - t) - (pair.n + pair.r) / x)
 
@@ -237,7 +245,8 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
     shortcut; used to validate the partial fractions.  For non-integer mu
     the mu/(x y) term is integrated against the weight with mu - 1, whose
     Jacobi panel carries y^(mu-1) exactly; that needs mu > 1.  A and B
-    share one climb per weight.
+    share one climb per weight.  x at a pole 0 or t, or not finite, is
+    refused before any work (_ab_point).
     """
     check_degree(n, table.n_max)
     prec = prec or table.prec
@@ -248,41 +257,38 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
     with workprec(prec, 20):
         al, mu = to_mpf(params.alpha), to_mpf(params.mu)
         t = to_mpf(params.t)
-        x = to_mpf(x)
+        x = _ab_point(x, params, t)
         zeta = to_mpf(params.zeta)
         shifted = None if params.mu_is_integer else WeightParams(
             params.alpha, to_mpf(params.mu) - 1, params.zeta, params.t)
 
-        if type(x) is mp.mpf:
-            xr, tr = x._mpf_, t._mpf_
+        def products(ys):
+            bits, rnd = mp.mp._prec_rounding
+            P = monic_columns(table.b, table.a2, n, ys, bits, rnd)
+            p, p_prev = P[n], (P[n - 1] if n else [fzero] * len(ys))
+            return ([mpf_mul(v, v, bits, rnd) for v in p],
+                    [mpf_mul(v, u, bits, rnd) for v, u in zip(p, p_prev)])
 
-            def products(y):
-                # the mpc-x integrands below at a real x, on raw tuples
-                # rounded as their mpf arithmetic rounds them
-                bits, rnd = mp.mp._prec_rounding
-                p, p_prev = _monic_pair_raw(table, n, y._mpf_, bits, rnd)
-                return mpf_mul(p, p, bits, rnd), mpf_mul(p, p_prev, bits, rnd)
-
-            def kernelled(y):
-                bits, rnd = mp.mp._prec_rounding
-                yr = y._mpf_
-                k = mpf_div(al._mpf_, mpf_mul(mpf_sub(xr, tr, bits, rnd),
-                                              mpf_sub(yr, tr, bits, rnd),
-                                              bits, rnd), bits, rnd)
+        def kernelled(ys):
+            # the partial fraction al/((x-t)(y-t)) [+ mu/(x y)]: raw at a
+            # real x, rounded as its mpf arithmetic rounds it, mpc at a
+            # complex one
+            bits, rnd = mp.mp._prec_rounding
+            if type(x) is mp.mpf:
+                div, mul, xr, tr = mpf_div, mpf_mul, x._mpf_, t._mpf_
+                xt = mpf_sub(xr, tr, bits, rnd)
+                k = [div(al._mpf_, mul(xt, mpf_sub(y, tr, bits, rnd), bits,
+                                       rnd), bits, rnd) for y in ys]
                 if not shifted:
-                    k = mpf_add(k, mpf_div(mu._mpf_,
-                                           mpf_mul(xr, yr, bits, rnd),
-                                           bits, rnd), bits, rnd)
-                return [mpf_mul(v, k, bits, rnd) for v in products(y)]
-        else:
-            def products(y):
-                p, p_prev = _monic_pair(table, n, y)
-                return p * p, p * p_prev
-
-            def kernelled(y):
-                k = al / ((x - t) * (y - t))
-                k = k if shifted else k + mu / (x * y)
-                return [v * k for v in products(y)]
+                    k = [mpf_add(v, div(mu._mpf_, mul(xr, y, bits, rnd),
+                                        bits, rnd), bits, rnd)
+                         for v, y in zip(k, ys)]
+            else:
+                ys_mpf = [mp.make_mpf(y) for y in ys]
+                k = [al / ((x - t) * (y - t)) for y in ys_mpf]
+                if not shifted:
+                    k = [v + mu / (x * y) for v, y in zip(k, ys_mpf)]
+            return [times(v, k, bits, rnd) for v in products(ys)]
 
         h_A, h_B = table.h(n), table.h(n - 1) if n else 1
 
@@ -301,7 +307,8 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
         if al == 0 and t > 0:
             jumps.append((t, -zeta * t ** mu * mp.exp(-t)))
         for s, dw in jumps:
-            p, p_prev = _monic_pair(table, n, s)
+            P = monic_values(table, n, s)
+            p, p_prev = P[n], (P[n - 1] if n else 0)
             A += dw * p * p / (x - s)
             B += dw * p * p_prev / (x - s)
         return +(A / h_A), +(B / h_B)

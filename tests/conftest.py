@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from dlaguerre import PrecisionCtx, WeightParams, table_for
+from dlaguerre.quadrature import weighted_nodes
 
 
 @pytest.fixture(scope="session")
@@ -47,8 +48,31 @@ def relerr():
     return rel_err
 
 
+def per_node(fn):
+    """integrate_weighted's column integrand from a per-node one: fn at the
+    mpf of each raw node, each component gathered into a column of raw mpf
+    tuples, or of mpc numbers where one of its values is complex.  Other
+    numbers convert as mpf arithmetic converts them."""
+    def columns(xs):
+        out = []
+        for vs in zip(*(fn(mp.make_mpf(x)) for x in xs)):
+            vs = [mp.mpmathify(v) for v in vs]
+            out.append([mp.mpc(v) for v in vs]
+                       if any(isinstance(v, mp.mpc) for v in vs)
+                       else [v._mpf_ for v in vs])
+        return out
+
+    return columns
+
+
 # (1, 0, -0.429535) has every Delta_m > 0 at t = 0 and Delta_3 < 0 at
 # t = 0.604487; this t lies within 1e-71 of the zero of Delta_3 between
 # (bisection at 1024 bits), so Delta_3 there is ~1e-70 of its scale.
 SIGNED_ZERO_T = ("0.47437660510312110794025129357528858358110931814056597382228"
                  "81186851610")
+
+
+def mpf_nodes(params, m, pole=None):
+    """weighted_nodes' columns as a list of (x, W) mpf pairs."""
+    return [tuple(map(mp.make_mpf, node))
+            for node in zip(*weighted_nodes(params, m, pole))]

@@ -303,7 +303,7 @@ class TestVerify:
 
 class TestPinnedOutput:
     """SHA-256 of the numeric rows (not the metadata) of desk-point
-    commands: moments as printed before node lists were cached, verify as
+    commands, and of verify and evolve at an off-desk point: moments as printed before node lists were cached, verify as
     printed once theta_n and kappa_n were mapped from the wide minors and
     rounded once (its identity residuals moved at the rounding level) and
     once the flow laws were checked coefficient by coefficient on one jet
@@ -370,6 +370,31 @@ class TestPinnedOutput:
                     if line.startswith("# summary"))
         assert self.summary_digest(summary) == (
             "81660727fc2b61a68629fd4d74914d8011046e192dca18dcc8d528edf8bf1996")
+
+    # odd alpha and a signed weight, which the desk point reaches neither
+    # of: every quadrature check and the flow at n = 2
+    OFF_DESK = ["--alpha", "3", "--mu", "1", "--zeta", "-0.7", "--t", "2"]
+
+    def test_verify_full_battery_off_desk(self, tmp_path):
+        out = tmp_path / "rep.json"
+        res = run_cli(["verify"] + self.OFF_DESK + ["--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(out.read_text())
+        rows = {"identities": doc["identities"]["records"],
+                "flow": doc["flow"]["records"]}
+        assert self.digest(rows) == (
+            "d686a2f9f0ef3f0e575e688b44d799b9a2eb924ec8b681c599f7ede68f0fa6e8")
+
+    def test_evolve_off_desk(self, tmp_path):
+        out = tmp_path / "e.json"
+        res = run_cli(["evolve"] + self.OFF_DESK[:-2] + [
+            "--n", "2", "--t0", "1e-3", "--t1", "0.5", "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(out.read_text())
+        assert self.digest(doc["trajectory"]) == (
+            "a85668ab111989d71e2dff75f9f7bc1512a8eec06104a10702d9fa3fc5ff66fe")
+        assert self.summary_digest(doc["summary"]) == (
+            "7d9bce2fbc7c0e5677837546f7f14d4e32fc8973a424302277f30ed36319d54d")
 
 
 class TestInProcess:

@@ -25,3 +25,26 @@ def test_imports_are_stdlib_mpmath_or_own(path):
         for name in names:
             assert name.split(".")[0] in ALLOWED, (
                 f"{path.name}:{node.lineno} imports {name}")
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.rglob("*.py"))
+                                  if path.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    """Every name a module imports is read in it (__init__.py re-exports
+    its names, so it is left out): code moved to another module leaves no
+    stale import behind."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items()
+                    if name not in read)
+    assert not unused, f"{path.name} imports but never reads " + ", ".join(
+        f"{name} (line {line})" for line, name in unused)

@@ -6,16 +6,20 @@ import mpmath as mp
 import pytest
 
 from dlaguerre import (PrecisionCtx, PVParams, UnsupportedParameters,
-                       WeightParams, build_moment_table, evolve,
-                       from_hamiltonian, inner_product, ladder_integrals,
-                       pv_residual, table_for, theta_kappa_from_recurrence)
+                       WeightParams, build_moment_table, dN_by_quadrature,
+                       delta_by_quadrature, evolve, from_hamiltonian,
+                       gram_schmidt_recurrence, inner_product,
+                       ladder_integrals, pv_residual, table_for,
+                       theta_kappa_from_recurrence)
 from dlaguerre import hankel, oracle, semiclassical
 from dlaguerre.hankel import (cauchy_sweep, cauchy_transform, dN_kernel,
                               epsilon_derivative_eval, epsilon_eval,
-                              hankel_determinant, orthopoly_eval,
-                              recurrence_coefficients, stieltjes_eval)
+                              hankel_determinant, monic_values,
+                              orthopoly_eval, recurrence_coefficients,
+                              stieltjes_eval)
 from dlaguerre.moments import MomentTable, moment_closed_form
-from dlaguerre.semiclassical import AuxPair, ladder_ab_by_quadrature
+from dlaguerre.semiclassical import (AuxPair, ladder_ab_at,
+                                     ladder_ab_by_quadrature)
 
 PARAMS = WeightParams(2, 2, "0.5", "0.3")
 with mp.workprec(64):
@@ -57,6 +61,30 @@ REFUSALS = {
         lambda: theta_kappa_from_recurrence(_tables()[1], 9)),
     "pv_residual short q": lambda: pv_residual(GRID, [2] * 8, (0, 0, 0, 0)),
     "pv_residual long q": lambda: pv_residual(GRID, [2] * 10, (0, 0, 0, 0)),
+    # a bare ValueError (unpacking three alphas)
+    "pv_residual three alphas": lambda: pv_residual(GRID, [2] * 9, (0, 0, 0)),
+    # complex data took a plain mpc loop that no caller reached
+    "pv_residual complex q": (
+        lambda: pv_residual(GRID, [2] * 8 + [mp.mpc(2, 1)], (0, 0, 0, 0))),
+    # nan passed the locus guard, whose < tests are false on nan, and
+    # returned nan
+    "pv_residual nan q": (
+        lambda: pv_residual(GRID, [2] * 8 + [mp.nan], (0, 0, 0, 0))),
+    "pv_residual inf alpha": (
+        lambda: pv_residual(GRID, [2] * 9, (0, mp.inf, 0, 0))),
+    # returned QuadResult(nan, nan) and (-inf, nan)
+    "dN_by_quadrature nan y": (
+        lambda: dN_by_quadrature(PARAMS, 1, mp.nan, 2, PrecisionCtx())),
+    "dN_by_quadrature inf y": (
+        lambda: dN_by_quadrature(PARAMS, 1, 2, mp.inf, PrecisionCtx())),
+    # a bare ValueError: the nodes // 2 rung is empty
+    "delta_by_quadrature one node": (
+        lambda: delta_by_quadrature(PARAMS, 1, PrecisionCtx(), nodes=1)),
+    "dN_by_quadrature one node": (
+        lambda: dN_by_quadrature(PARAMS, 1, 2, 3, PrecisionCtx(), nodes=1)),
+    # returned {'a': [0], 'b': [], ...}
+    "gram_schmidt_recurrence n_max < 0": (
+        lambda: gram_schmidt_recurrence(PARAMS, -1, PrecisionCtx())),
 }
 
 # a degree outside what the table serves, refused by name before any
@@ -94,6 +122,10 @@ DEGREE_REFUSALS = {
         lambda: ladder_ab_by_quadrature(_tables()[1], 3, -2, QPREC)),
     "ladder_ab_by_quadrature n < 0": (
         lambda: ladder_ab_by_quadrature(_tables()[1], -1, -2, QPREC)),
+    # a bare IndexError past n_max + 1, and [1] at n = -1
+    "monic_values past n_max + 1": (
+        lambda: monic_values(_tables()[1], 4, mp.mpf(-1))),
+    "monic_values n < 0": lambda: monic_values(_tables()[1], -1, mp.mpf(-1)),
 }
 REFUSALS.update(DEGREE_REFUSALS)
 
@@ -160,3 +192,47 @@ def test_non_finite_cauchy_point_refused(monkeypatch, name, x):
     mom, tab = _tables()
     with pytest.raises(UnsupportedParameters, match="x must be finite"):
         CAUCHY_VIEWS[name](mom, tab, x, PrecisionCtx(192, "1e-28"))
+
+
+def _pair():
+    return theta_kappa_from_recurrence(_tables()[1], 1)
+
+
+# a pole 0 or t of A_n(x) and B_n(x), or a non-finite x: each raised a
+# bare ZeroDivisionError, ended in QuadratureFailure ("... differ by nan")
+# or, at x = "0.3" against the table's t rounded 20 bits narrower than x,
+# returned A_1 = -9.1e38
+AB_POINT_REFUSALS = {
+    "by_quadrature x = 0": (
+        lambda: ladder_ab_by_quadrature(_tables()[1], 1, 0, QPREC)),
+    "by_quadrature x = t": (
+        lambda: ladder_ab_by_quadrature(_tables()[1], 1, "0.3", QPREC)),
+    "by_quadrature x = nan": (
+        lambda: ladder_ab_by_quadrature(_tables()[1], 1, mp.nan, QPREC)),
+    "at x = 0": lambda: ladder_ab_at(_pair(), PARAMS, 0),
+    "at x = t": lambda: ladder_ab_at(_pair(), PARAMS, "0.3"),
+    "at x = t rounded": lambda: ladder_ab_at(_pair(), PARAMS, _pair().t),
+    "at x = inf": lambda: ladder_ab_at(_pair(), PARAMS, mp.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AB_POINT_REFUSALS))
+def test_ladder_ab_point_refused_by_name(monkeypatch, name):
+    _tables()
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrated at a point A_n and B_n lack")
+
+    monkeypatch.setattr(semiclassical, "integrate_weighted", no_quadrature)
+    with pytest.raises(UnsupportedParameters, match=r"^x must"):
+        AB_POINT_REFUSALS[name]()
+
+
+def test_tensor_nodes_refused_before_any_list(monkeypatch):
+    """nodes < 2 is refused before a node list is asked for."""
+    def no_lists(*args, **kwargs):
+        raise AssertionError("built a node list for nodes < 2")
+
+    monkeypatch.setattr(oracle, "weighted_nodes", no_lists)
+    with pytest.raises(UnsupportedParameters, match="nodes must be >= 2"):
+        delta_by_quadrature(PARAMS, 2, PrecisionCtx(), nodes=0)

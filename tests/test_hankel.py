@@ -18,7 +18,7 @@ from dlaguerre.oracle import (dN_by_quadrature, gram_schmidt_recurrence,
                               inner_product)
 from dlaguerre.painleve import aux_pair_series
 from dlaguerre.quadrature import integrate_weighted
-from conftest import SIGNED_ZERO_T, rel_err
+from conftest import SIGNED_ZERO_T, per_node, rel_err
 
 
 class TestDeterminants:
@@ -511,9 +511,9 @@ class TestMonicValuesRaw:
 
 
 class TestCauchySweepRaw:
-    """cauchy_sweep's integrand at a real x runs on raw tuples; its values
-    and error estimates are those of the plain mpf integrand, which a
-    complex x still uses."""
+    """cauchy_sweep's column integrand runs on raw tuples, mpc only in its
+    kernel columns at a complex x; its values and error estimates are
+    those of the plain mpf integrand evaluated node by node."""
 
     @staticmethod
     def plain_sweep(table, n, x, prec):
@@ -528,7 +528,7 @@ class TestCauchySweepRaw:
                 return [p * inv for p in P] + [p * dinv for p in P]
 
             return integrate_weighted(
-                fn, table.params, prec, pole=x,
+                per_node(fn), table.params, prec, pole=x,
                 extra_digits=hankel._cancel_digits(table.n_max + 1, x)).items
 
     @staticmethod

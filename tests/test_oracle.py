@@ -14,8 +14,8 @@ from dlaguerre import oracle
 from dlaguerre.oracle import (_vandermonde_sum, gram_schmidt_recurrence,
                               inner_product)
 from dlaguerre.precision import workprec
-from dlaguerre.quadrature import GUARD_BITS, weighted_nodes
-from conftest import rel_err
+from dlaguerre.quadrature import GUARD_BITS
+from conftest import mpf_nodes, per_node, rel_err
 
 
 def _tuple_sum(pts, N):
@@ -39,7 +39,7 @@ def _node_list(point, insert=None, nodes=10):
     """weighted_nodes at the tensor oracle's width, with the dN insertion
     (y1 - x)(y2 - x) multiplied into the weights when insert = (y1, y2)."""
     with workprec(PrecisionCtx(), GUARD_BITS):
-        pts = weighted_nodes(WeightParams(*point), nodes)
+        pts = mpf_nodes(WeightParams(*point), nodes)
         if insert is not None:
             y1, y2 = insert
             pts = [(x, w * (y1 - x) * (y2 - x)) for (x, w) in pts]
@@ -66,17 +66,17 @@ class TestVandermondeSum:
 
     @staticmethod
     def _pair_sum_lengths(monkeypatch, pts):
-        """The summed lengths of the pair sums s1 and s2 (oracle._dot, the
+        """The summed lengths of the pair sums s1 and s2 (kernels.dot, the
         mp.fdot of the raw kernel) of one N = 3 sum over pts."""
         lengths = []
-        dot = oracle._dot
+        dot = oracle.dot
 
         def counting_dot(cs, ds, prec, rnd):
             cs = list(cs)
             lengths.append(len(cs))
             return dot(cs, ds, prec, rnd)
 
-        monkeypatch.setattr(oracle, "_dot", counting_dot)
+        monkeypatch.setattr(oracle, "dot", counting_dot)
         with workprec(PrecisionCtx(), GUARD_BITS):
             value = _collapsed_sum(pts, 3)
         return sum(lengths), value
@@ -106,7 +106,7 @@ class TestVandermondeSum:
             pairs = [(mpf_mul(cj, ck), mpf_mul(e, e))
                      for xj, cj in zip(xs, cs) for xk, ck in zip(xs, cs)
                      for e in (mpf_sub(xk, xj),)]
-            return mp.make_mpf(mpf_shift(oracle._dot(
+            return mp.make_mpf(mpf_shift(oracle.dot(
                 [c for c, _ in pairs], [d for _, d in pairs], prec, rnd), -1))
 
         monkeypatch.setattr(oracle, "_spread", cubic_spread)
@@ -218,7 +218,7 @@ class TestInnerProduct:
                 p3 = orthopoly_eval(tab, 3, s)
                 return (s * p3.value_nm1 * p3.value_n,)
 
-            got = integrate_weighted(fn, params_main, qp,
+            got = integrate_weighted(per_node(fn), params_main, qp,
                                      rel_scale=(1,))[0].value
             assert rel_err(got, tab.a(3)) < 1e-15
 

@@ -615,12 +615,6 @@ class TestPvResidualStencils:
                       for _ in grid]
             want = _reference_pv_residual(grid, qs, pv.alphas, prec)
             assert pv_residual(grid, qs, pv.alphas, prec) == want
-            with mp.workprec(prec.significand_bits + 20):
-                for i in range(4, len(qs) - 4):
-                    got = painleve._index_derivatives(qs, i)
-                    ref = [finite_difference(lambda j: qs[int(j)], i, 2,
-                                             k).value for k in (1, 2)]
-                    assert [v._mpf_ for v in got] == [v._mpf_ for v in ref]
 
     def test_trajectory(self, params_main, prec):
         """The q of a desk-point trajectory, as the CLI samples it."""

@@ -18,12 +18,13 @@ from dlaguerre import (PrecisionCtx, QuadratureFailure, WeightParams,
                        gram_schmidt_recurrence, ladder_integrals,
                        moment_closed_form, moment_quadrature, stieltjes_eval,
                        table_for, verify_identities, workprec)
-from dlaguerre import hankel, moments, oracle, quadrature, semiclassical
+from dlaguerre import (hankel, kernels, moments, oracle, quadrature,
+                       semiclassical)
 from dlaguerre.hankel import cauchy_sweep
 from dlaguerre.semiclassical import ladder_ab_by_quadrature
 from dlaguerre.precision import to_mpf
 from dlaguerre.quadrature import LADDER, integrate_weighted, weighted_nodes
-from conftest import rel_err
+from conftest import per_node, rel_err
 
 PREC = PrecisionCtx()
 QPREC = PrecisionCtx(192, "1e-28")       # verify's quadrature-check context
@@ -218,9 +219,9 @@ class TestCacheScope:
                     with mp.workprec(bits):
                         assert got == from_scratch(monkeypatch, params, 10,
                                                    pole)
-                seen = {id(x) for x, _ in lists[0]}
-                shared = sum(id(x) in seen for x, _ in lists[1])
-                assert 2 * shared > len(lists[1])
+                seen = {id(x) for x in lists[0][0]}
+                shared = sum(id(x) in seen for x in lists[1][0])
+                assert 2 * shared > len(lists[1][0])
 
     def test_pole_sweep_keeps_one_pole_of_panels(self, monkeypatch):
         """Panels of a pole sweep at two m: one entry per m, both the
@@ -267,8 +268,8 @@ class TestCacheScope:
             after = weighted_nodes(other, 10, pole)
             assert after == from_scratch(monkeypatch, other, 10, pole)
         assert quadrature._PANELS[(10, 128, "n")][1] == (256, 256)
-        seen = {id(x) for x, _ in before}
-        assert not any(id(x) in seen for x, _ in after)
+        seen = {id(x) for x in before[0]}
+        assert not any(id(x) in seen for x in after[0])
 
     def test_grading_ends_do_not_depend_on_width(self):
         """A pole at -2 grades ends 2 (1.5^j - 1) = 1, 2.5, 4.75, ...,
@@ -338,10 +339,13 @@ class TestLadder:
             return mp.mpf(x < mp.mpf("0.7"))
 
         with workprec(PREC):
-            res = integrate_weighted(lambda x: [x ** 2, step(x)], DESK, PREC)
-            alone = integrate_weighted(lambda x: [x ** 2], DESK, PREC)[0]
+            res = integrate_weighted(per_node(lambda x: [x ** 2, step(x)]),
+                                     DESK, PREC)
+            alone = integrate_weighted(per_node(lambda x: [x ** 2]), DESK,
+                                       PREC)[0]
             with pytest.raises(QuadratureFailure) as scalar:
-                integrate_weighted(lambda x: [step(x)], DESK, PREC)[0]
+                integrate_weighted(per_node(lambda x: [step(x)]), DESK,
+                                   PREC)[0]
         assert len(res) == 2 and res[0] == alone
         assert rel_err(res[0].value, moment_closed_form(2, DESK, PREC)) < 1e-30
         with pytest.raises(QuadratureFailure,
@@ -662,7 +666,8 @@ class TestRuleBuilds:
         with workprec(PREC):
             for params in (DESK, WeightParams(2, "1.5", "0.5", "0.3")):
                 for m in LADDER:
-                    assert len(weighted_nodes(params, m)) > m
+                    xs, ws = weighted_nodes(params, m)
+                    assert len(xs) == len(ws) > m
         assert {key[0] for key in quadrature._RULES} == {
             "legendre", "laguerre", quadrature._jacobi("1.5")}
 
@@ -793,9 +798,11 @@ def _reference_nodes(params, m, pole):
     return out
 
 
-def _reference_sum(rows, k, absolute=False):
-    """integrate_weighted's sums as fsum over mpf products."""
-    terms = (mp.make_mpf(w) * v[k] for w, v in rows)
+def _reference_sum(ws, vs, prec, rnd, absolute=False):
+    """kernels.weighted_sum as fsum over mpf products at the working
+    precision (integrate_weighted's, which prec and rnd name)."""
+    terms = (mp.make_mpf(w) * (mp.make_mpf(v) if type(v) is tuple else v)
+             for w, v in zip(ws, vs))
     return mp.fsum(abs(p) for p in terms) if absolute else mp.fsum(terms)
 
 
@@ -815,8 +822,7 @@ class TestRawKernels:
                     if isinstance(pole, tuple) else mp.mpf(pole))
             got = quadrature._build_nodes(params, 10, pole)
             want = _reference_nodes(params, 10, pole)
-        assert [(_raw(x), _raw(w)) for x, w in got] == [
-            (_raw(x), _raw(w)) for x, w in want]
+        assert list(zip(*got)) == [(_raw(x), _raw(w)) for x, w in want]
 
     @pytest.mark.parametrize("name, fn", [
         ("real", lambda x: [x ** 3, 1 / (x + 1), mp.exp(-x)]),
@@ -832,10 +838,11 @@ class TestRawKernels:
         def results():
             return [item if isinstance(item, str)
                     else (_raw(item.value), _raw(item.error))
-                    for item in integrate_weighted(fn, DESK, PREC).items]
+                    for item in integrate_weighted(per_node(fn), DESK,
+                                                   PREC).items]
 
         got = results()
-        monkeypatch.setattr(quadrature, "_weighted_sum", _reference_sum)
+        monkeypatch.setattr(quadrature, "weighted_sum", _reference_sum)
         assert got == results()
         if name == "no convergence":
             # the message as the sums over mpf products wrote it
@@ -843,19 +850,18 @@ class TestRawKernels:
                               "scale 10.29")
 
     def test_weighted_sum(self):
-        """Each kind of term, in each position: mpf, mpc, int, float; the
-        last two rows cancel, so a product that is not rounded shows."""
+        """A column of raw mpf tuples and one of mpc numbers, plain and
+        absolute; the last two rows cancel, so a product that is not
+        rounded shows."""
         with mp.workprec(200):
             third = mp.mpf(1) / 3
-            rows = [(mp.mpf(w)._mpf_, v) for w, v in [
-                ("0.3", (mp.mpf("1.7"), 3, mp.mpc(1, -2))),
-                ("-1.1", (mp.mpc("0.2", 5), 0.25, mp.mpf(0))),
-                ("2.9", (mp.mpf("-4e-30"), -7, mp.mpc(0, 0))),
-                (third, (mp.mpf(3), mp.mpc(3, 3), 3)),
-                (1, (mp.mpf(-1), mp.mpc(-1, -1), -1))]]
-            for k in range(3):
+            ws = [mp.mpf(w)._mpf_ for w in ("0.3", "-1.1", "2.9", third, 1)]
+            columns = [[mp.mpf(v)._mpf_ for v in ("1.7", 0, "-4e-30", 3, -1)],
+                       [mp.mpc(1, -2), mp.mpc("0.2", 5), mp.mpc(0, 0),
+                        mp.mpc(3, 3), mp.mpc(-1, -1)]]
+            for vs in columns:
                 for absolute in (False, True):
-                    got = quadrature._weighted_sum(rows, k, absolute)
-                    want = _reference_sum(rows, k, absolute)
+                    got = kernels.weighted_sum(ws, vs, 200, "n", absolute)
+                    want = _reference_sum(ws, vs, 200, "n", absolute)
                     assert type(got) is type(want)
                     assert _raw(got) == _raw(want)

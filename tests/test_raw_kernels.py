@@ -2,10 +2,11 @@
 
 Each kernel runs its per-node or per-sample arithmetic on mpmath.libmp
 tuples, with the operations and roundings of an mpf expression.  That
-expression is kept here as the reference, and each case compares the
-bits (or the raised type) of the package function with it: n = 0, where
-P_{-1} = 0 enters as the int 0, integer and real mu, and a complex x
-wherever the plain path remains.
+expression is kept here as the reference, evaluated node by node and
+gathered into integrate_weighted's columns (conftest.per_node), and each
+case compares the bits (or the raised type) of the package function
+with it: n = 0, where P_{-1} = 0 enters as the int 0, integer and real
+mu, and a complex x, where only the kernel columns are mpc.
 """
 
 import functools
@@ -22,9 +23,9 @@ from dlaguerre.moments import _quadrature_moments
 from dlaguerre.oracle import (dN_by_quadrature, delta_by_quadrature,
                               gram_schmidt_recurrence, inner_product)
 from dlaguerre.precision import to_mpf, workprec
-from dlaguerre.quadrature import (GUARD_BITS, LADDER, integrate_weighted,
-                                  weighted_nodes)
+from dlaguerre.quadrature import GUARD_BITS, LADDER, integrate_weighted
 from dlaguerre.semiclassical import ladder_ab_by_quadrature, ladder_integrals
+from conftest import mpf_nodes, per_node
 
 PREC = PrecisionCtx(128, "1e-25")
 POINTS = {
@@ -82,15 +83,16 @@ def _plain_pair(table, n, y):
 
 def ref_moments(params, ks):
     return [r.value for r in integrate_weighted(
-        lambda x: [x ** k for k in ks], params, PREC)]
+        per_node(lambda x: [x ** k for k in ks]), params, PREC)]
 
 
 def ref_stieltjes(mom, x):
     with workprec(PREC, 20):
         x = to_mpf(x)
         cancel = hankel._cancel_digits((mom.k_max + 1) // 2, x)
-        res = integrate_weighted(lambda s: (1 / (x - s),), mom.params, PREC,
-                                 extra_digits=cancel, pole=x)
+        res = integrate_weighted(per_node(lambda s: (1 / (x - s),)),
+                                 mom.params, PREC, extra_digits=cancel,
+                                 pole=x)
     return res[0].value
 
 
@@ -105,7 +107,7 @@ def ref_cauchy(tab, n, x):
             return [p * inv for p in P] + [p * dinv for p in P]
 
         res = integrate_weighted(
-            fn, tab.params, PREC, pole=x,
+            per_node(fn), tab.params, PREC, pole=x,
             extra_digits=hankel._cancel_digits(tab.n_max + 1, x)).items
     return [(r.value, r.error) for r in res]
 
@@ -120,7 +122,8 @@ def ref_ladder(tab, n):
             return al * p * p / (y - t), al * p * p_prev / (y - t)
 
         h_R, h_r = tab.h(n), tab.h(n - 1) if n else 1
-        res = integrate_weighted(fn, params, PREC, rel_scale=(h_R, h_r))
+        res = integrate_weighted(per_node(fn), params, PREC,
+                                 rel_scale=(h_R, h_r))
         return res[0].value / h_R, res[1].value / h_r
 
 
@@ -145,7 +148,7 @@ def ref_ladder_ab(tab, n, x):
 
         def integrals(fn, weight):
             return [res.value for res in integrate_weighted(
-                fn, weight, PREC, rel_scale=(h_A, h_B))]
+                per_node(fn), weight, PREC, rel_scale=(h_A, h_B))]
 
         A, B = integrals(kernelled, params)
         if shifted:
@@ -176,7 +179,7 @@ def ref_inner_product(tab, i, j):
             pi = p(i, s)
             return (pi * pi if j == i else pi * p(j, s),)
 
-        return integrate_weighted(fn, tab.params, PREC,
+        return integrate_weighted(per_node(fn), tab.params, PREC,
                                   rel_scale=(1,))[0].value
 
 
@@ -190,7 +193,7 @@ def ref_spread(xs, ws, x0, lift):
 
 def ref_tensor(params, N, insert=None, nodes=LADDER[1]):
     def value_at(m):
-        pts = weighted_nodes(params, m)
+        pts = mpf_nodes(params, m)
         if insert is not None:
             y1, y2 = insert
             pts = [(x, w * ((y1 - x) * (y2 - x))) for (x, w) in pts]
@@ -214,7 +217,7 @@ def ref_gram_schmidt(params, n_max):
     tol = PREC.tol_mpf()
     with workprec(PREC, GUARD_BITS):
         def stieltjes(m):
-            xs, ws = zip(*weighted_nodes(params, m))
+            xs, ws = zip(*mpf_nodes(params, m))
             p_prev, p = [0] * len(xs), [1] * len(xs)
             h, b = [], []
             for n in range(n_max + 1):
@@ -261,7 +264,17 @@ def ref_to_hamiltonian(th, ka, t, n, params, convention):
 
 
 def ref_pv_residual(ts, qs, alphas):
-    """pv_residual's plain loop, up to the quotient it converts to float."""
+    """pv_residual in plain mpf arithmetic, up to the quotient it converts
+    to float: finite_difference's order-4 stencils in the grid index at
+    spacings 2 and 1, Richardson-combined as (16 d_1 - d_2)/15."""
+    def d1(qs, i, hh):
+        return (-qs[i + 2 * hh] + 8 * qs[i + hh] - 8 * qs[i - hh]
+                + qs[i - 2 * hh]) / (12 * hh)
+
+    def d2(qs, i, hh):
+        return (-qs[i + 2 * hh] + 16 * qs[i + hh] - 30 * qs[i]
+                + 16 * qs[i - hh] - qs[i - 2 * hh]) / (12 * hh * hh)
+
     with workprec(PrecisionCtx(), 20):
         ts = [to_mpf(v) for v in ts]
         qs = [to_mpf(v) for v in qs]
@@ -276,8 +289,8 @@ def ref_pv_residual(ts, qs, alphas):
                 raise painleve.SingularPanel("q near {0, 1}")
         scale, residuals = mp.mpf(0), []
         for i in range(4, len(ts) - 4):
-            yp, ypp = (d / h ** k for k, d in
-                       enumerate(painleve._index_derivatives(qs, i), 1))
+            yp, ypp = ((16 * d(qs, i, 1) - d(qs, i, 2)) / 15 / h ** k
+                       for k, d in ((1, d1), (2, d2)))
             rhs = painleve.pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
             residuals.append(abs(ypp - rhs))
             scale = max(scale, abs(ypp))

@@ -68,8 +68,7 @@ from functools import cached_property
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import (finf, fnan, fninf, mpf_mul, mpf_neg, mpf_rdiv_int,
-                          mpf_sub)
+from mpmath.libmp import mpf_mul, mpf_neg, mpf_rdiv_int, mpf_sub
 
 from .errors import (CrossCheckError, PrecisionExhausted, SingularHankel,
                      UnsupportedParameters)
@@ -326,16 +325,12 @@ def monic_values(data, n: int, x) -> list:
     data is a RecurrenceTable or a painleve.JetTable (jets in t); n may
     reach its n_max + 1 (check_degree).  Plain arithmetic at the caller's
     precision, so x may be a number, an mpc or a TruncSeries: an order-1
-    x-jet TruncSeries([x, 1]) carries every P_m'(x) in its c[1].  A finite
-    mpf x over a RecurrenceTable runs kernels.monic_columns on a one-node
-    column, rounded as the plain arithmetic rounds it, so the values have
-    its bits.
+    x-jet TruncSeries([x, 1]) carries every P_m'(x) in its c[1].  A number
+    x that is nan or infinite is refused.
     """
     check_degree(n, data.n_max + 1)
-    if (type(x) is mp.mpf and isinstance(data, RecurrenceTable)
-            and x._mpf_ not in (finf, fninf, fnan)):
-        return [mp.make_mpf(P[0]) for P in monic_columns(
-            data.b, data.a2, n, [x._mpf_], *mp.mp._prec_rounding)]
+    if not isinstance(x, TruncSeries) and not mp.isfinite(x):
+        raise UnsupportedParameters(f"x must be finite, got x = {x}")
     cur, prev = (x - data.b[0]) * 0 + 1, 0
     out = [cur]
     for m in range(n):

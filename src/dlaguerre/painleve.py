@@ -58,10 +58,10 @@ that chart's own field (_chart_residual), and hamilton_rhs reads the
 partials of tH off its jets.  Only pv_residual differentiates numerically:
 order-4 stencils on the sampled q, Richardson-combined as
 oracle.finite_difference combines them.  It takes samples, as the
-evolve command and its benchmark hand them over, so the stencils stay;
-at real samples they, the grid checks and the PV right side run on raw
-mpf tuples with the bits of the plain expressions, as does each sample's
-to_hamiltonian.
+evolve command and its benchmark hand them over, so the stencils stay.
+Each sample's to_hamiltonian and the residual run plain mpf arithmetic:
+_qp_map, _t_hamiltonian and pv_rhs_second_derivative are the one copy of
+each formula.
 The jets carry a_n^2, never a_n: polynomial jets come from the monic
 recurrence and the Lax pair acts on (P_n, P_{n-1}) (the monic gauge), so
 signed weights need no square root either.
@@ -89,9 +89,8 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_shift,
-                          mpf_sign, mpf_sub)
+                          mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int,
+                          mpf_rdiv_int, mpf_shift, mpf_sign, mpf_sub)
 
 from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
@@ -110,6 +109,19 @@ from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 CONVENTIONS = ("prop11", "cor12")
 BAD_CONVENTION = f"convention must be one of {CONVENTIONS}"
 DEGENERATE_MAP = "map undefined at theta in {0, -t} or t = 0"
+
+
+def _finite(**values):
+    """The values as mpf (or mpc), in order; a nan or infinite one is
+    refused by name."""
+    out = []
+    for name, v in values.items():
+        v = to_mpf(v)
+        if not mp.isfinite(v):
+            raise UnsupportedParameters(
+                f"{name} must be finite, got {name} = {v}")
+        out.append(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,7 @@ def _t_hamiltonian(q, p, t, pv: PVParams):
 def hamiltonian_eval(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
     """H(q, p, t), 20 bits above prec or DEFAULT_CTX (tH is polynomial)."""
     with workprec(prec or DEFAULT_CTX, 20):
-        q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
+        q, p, t = _finite(q=q, p=p, t=t)
         if t == 0:
             raise SingularRHS("Hamiltonian undefined at t = 0")
         return _t_hamiltonian(q, p, t, pv) / t
@@ -193,7 +205,7 @@ def hamilton_rhs(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
     """(dq/dt, dp/dt) = (dH/dp, -dH/dq), read off order-1 jets of tH in p
     and in q, 20 bits above prec or DEFAULT_CTX."""
     with workprec(prec or DEFAULT_CTX, 20):
-        q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
+        q, p, t = _finite(q=q, p=p, t=t)
         if t == 0:
             raise SingularRHS("Hamilton equations undefined at t = 0")
         d_tH_dp = _t_hamiltonian(q, TruncSeries([p, 1]), t, pv).c[1]
@@ -220,16 +232,11 @@ def _qp_map(th, ka, t, n: int, params: WeightParams, convention: str):
 def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
                    convention: str = "prop11",
                    prec: PrecisionCtx = None) -> HamiltonPoint:
-    """(theta, kappa) -> (q, p, H), 20 bits above prec or DEFAULT_CTX.
-
-    Real data run on raw tuples (_hamiltonian_raw), with the bits of the
-    plain _qp_map and _t_hamiltonian that complex data run."""
+    """(theta, kappa) -> (q, p, H) by _qp_map and _t_hamiltonian, 20 bits
+    above prec or DEFAULT_CTX; real and complex data alike."""
     pv = PVParams.make(n, params.alpha, params.mu, convention, prec)
     with workprec(prec or DEFAULT_CTX, 20):
-        th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
-        if not any(isinstance(v, mp.mpc) for v in (th, ka, t)):
-            return HamiltonPoint(*map(mp.make_mpf, _hamiltonian_raw(
-                th._mpf_, ka._mpf_, t._mpf_, n, params, pv)))
+        th, ka, t = _finite(theta=theta, kappa=kappa, t=t)
         if t == 0 or th == 0 or th + t == 0:
             raise DegenerateTheta(DEGENERATE_MAP)
         q, p = _qp_map(th, ka, t, n, params, convention)
@@ -237,58 +244,19 @@ def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
         return HamiltonPoint(q=+q, p=+p, t=+t, H=+H)
 
 
-def _hamiltonian_raw(th, ka, t, n: int, params: WeightParams, pv: PVParams):
-    """(q, p, t, H) of to_hamiltonian at raw mpf data, as raw tuples: the
-    map of _qp_map, tH of _t_hamiltonian and the division by t, each
-    operation the libmp one that their mpf expressions run, rounded alike,
-    and each result then rounded as +x rounds it."""
-    prec, rnd = mp.mp._prec_rounding
-    add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
-    w = add(th, t, prec, rnd)
-    if t == fzero or th == fzero or w == fzero:
-        raise DegenerateTheta(DEGENERATE_MAP)
-    a, m = to_mpf(params.alpha)._mpf_, to_mpf(params.mu)._mpf_
-    if pv.convention == "prop11":
-        q = div(w, th, prec, rnd)
-        c = add(add(a, from_int(n), prec, rnd),
-                div(m, from_int(2), prec, rnd), prec, rnd)
-        p = div(mul(th, sub(mul(c, t, prec, rnd), ka, prec, rnd), prec, rnd),
-                mul(t, w, prec, rnd), prec, rnd)
-    else:
-        q = div(th, w, prec, rnd)
-        c = add(a, from_int(2 * n), prec, rnd)
-        for v in (m, fone, t, th):              # 2n + a + m + 1 + t + th
-            c = add(c, v, prec, rnd)
-        mt2 = div(mul(m, t, prec, rnd), from_int(2), prec, rnd)
-        p = div(mul(w, add(sub(ka, mt2, prec, rnd), mul(th, c, prec, rnd),
-                           prec, rnd), prec, rnd),
-                mul(t, th, prec, rnd), prec, rnd)
-    v1, v2, v3, v4 = (to_mpf(c)._mpf_ for c in pv.v)
-    q1 = sub(q, fone, prec, rnd)
-    q11 = mul(q1, q1, prec, rnd)
-    quartic = mul(mul(mul(q, q11, prec, rnd), p, prec, rnd), p, prec, rnd)
-    linear = add(sub(mul(sub(v2, v1, prec, rnd), q11, prec, rnd),
-                     mul(mul(mpf_mul_int(add(v1, v2, prec, rnd), 2, prec,
-                                         rnd), q, prec, rnd), q1, prec, rnd),
-                     prec, rnd), mul(t, q, prec, rnd), prec, rnd)
-    const = mul(mul(sub(v3, v1, prec, rnd), sub(v4, v1, prec, rnd), prec, rnd),
-                q1, prec, rnd)
-    tH = add(sub(quartic, mul(linear, p, prec, rnd), prec, rnd), const, prec,
-             rnd)
-    return tuple(mpf_pos(v, prec, rnd)
-                 for v in (q, p, t, div(tH, t, prec, rnd)))
-
-
 def from_hamiltonian(q, p, t, n: int, params: WeightParams,
                      convention: str = "prop11",
                      prec: PrecisionCtx = None):
     """(q, p) -> (theta, kappa): exact algebraic inverse of to_hamiltonian,
-    20 bits above prec or DEFAULT_CTX."""
+    20 bits above prec or DEFAULT_CTX.  t = 0 is refused as to_hamiltonian
+    refuses it: the image theta = 0 lies on its degenerate locus."""
     with workprec(prec or DEFAULT_CTX, 20):
-        q, p, t = to_mpf(q), to_mpf(p), to_mpf(t)
+        q, p, t = _finite(q=q, p=p, t=t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if convention not in CONVENTIONS:
             raise UnsupportedParameters(BAD_CONVENTION)
+        if t == 0:
+            raise DegenerateTheta(DEGENERATE_MAP)
         if q == 1:
             raise DegenerateTheta("inverse undefined at q = 1")
         if convention == "prop11":
@@ -394,7 +362,7 @@ def ode_rhs(theta, kappa, n: int, t, params: WeightParams,
     initial data.
     """
     with workprec(prec or DEFAULT_CTX, 20):
-        th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
+        th, ka, t = _finite(theta=theta, kappa=kappa, t=t)
         d_th, d_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
         return +d_th[1], +d_ka[1]
 
@@ -407,7 +375,7 @@ def rr_rhs(R, r, n: int, t, params: WeightParams, prec: PrecisionCtx = None):
     variant fails the equivalence with the (theta, kappa) flow).
     """
     with workprec(prec or DEFAULT_CTX, 20):
-        R, r, t = to_mpf(R), to_mpf(r), to_mpf(t)
+        R, r, t = _finite(R=R, r=r, t=t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if t == 0:
             raise SingularRHS("flow undefined at t = 0")
@@ -868,7 +836,7 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
     order-4 stencils in the grid index at spacings 2 and 1,
     Richardson-combined, so that every sample read is on the grid.  Grid
     points too close to the PV singular locus {0, 1} raise SingularPanel.
-    Runs on raw tuples (_pv_residual_raw).
+    The quotient is _pv_quotient's, rounded to a float.
     """
     with workprec(prec or DEFAULT_CTX, 20):
         ts = [to_mpf(v) for v in t_grid]
@@ -884,72 +852,35 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
             raise UnsupportedParameters(
                 "pv_residual needs finite real grid points and samples and "
                 "4 finite real alphas")
-        return float(mp.make_mpf(_pv_residual_raw(
-            [v._mpf_ for v in ts], [v._mpf_ for v in qs],
-            [v._mpf_ for v in alphas])))
+        return float(_pv_quotient(ts, qs, alphas))
 
 
-def _pv_residual_raw(ts, qs, alphas):
-    """pv_residual at raw mpf data, as the raw quotient it converts to
-    float: its grid checks, its stencils and pv_rhs_second_derivative,
-    each operation the libmp one that their mpf expressions run, rounded
-    alike, and -q, 8q, 16q and 30q formed once per sample rather than
-    once per stencil."""
-    prec, rnd = mp.mp._prec_rounding
-    add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
-    h = sub(ts[1], ts[0], prec, rnd)
-    spread = mul(mpf_abs(h, prec, rnd), mp.mpf("1e-20")._mpf_, prec, rnd)
-    for i in range(1, len(ts)):
-        if mpf_gt(mpf_abs(sub(sub(ts[i], ts[i - 1], prec, rnd), h, prec, rnd),
-                          prec, rnd), spread):
-            raise SingularPanel("grid must be uniform")
-    near = mp.mpf("1e-8")._mpf_
-    for q in qs:
-        if (mpf_lt(mpf_abs(q, prec, rnd), near)
-                or mpf_lt(mpf_abs(sub(q, fone, prec, rnd), prec, rnd), near)):
-            raise SingularPanel("q too close to the singular locus {0, 1}")
-    neg = [mpf_neg(q, prec, rnd) for q in qs]
-    q8, q16, q30 = ([mpf_mul_int(q, c, prec, rnd) for q in qs]
-                    for c in (8, 16, 30))
-    h_pow = [mpf_pow_int(h, k, prec, rnd) for k in (1, 2)]
-    a1, a2, a3, a4 = alphas
-    scale, worst = fzero, None
+def _pv_quotient(ts, qs, alphas):
+    """pv_residual's quotient at mpf data, before it is rounded to a float:
+    the grid checks, then both stencil spacings on -q, 8q, 16q and 30q,
+    formed once per sample, then pv_rhs_second_derivative as the right
+    side."""
+    h = ts[1] - ts[0]
+    spread = abs(h) * mp.mpf("1e-20")
+    if any(abs((ts[i] - ts[i - 1]) - h) > spread for i in range(1, len(ts))):
+        raise SingularPanel("grid must be uniform")
+    near = mp.mpf("1e-8")
+    if any(abs(q) < near or abs(q - 1) < near for q in qs):
+        raise SingularPanel("q too close to the singular locus {0, 1}")
+    neg = [-q for q in qs]
+    q8, q16, q30 = ([c * q for q in qs] for c in (8, 16, 30))
+    residuals, scale = [], mp.mpf(0)
     for i in range(4, len(ts) - 4):
-        d1, d2 = [], []
-        for hh in (1, 2):
-            lo, hi, lo2, hi2 = i - hh, i + hh, i - 2 * hh, i + 2 * hh
-            d1.append(div(add(sub(add(neg[hi2], q8[hi], prec, rnd), q8[lo],
-                                  prec, rnd), qs[lo2], prec, rnd),
-                          from_int(12 * hh), prec, rnd))
-            d2.append(div(sub(add(sub(add(neg[hi2], q16[hi], prec, rnd),
-                                      q30[i], prec, rnd), q16[lo], prec, rnd),
-                              qs[lo2], prec, rnd),
-                          from_int(12 * hh * hh), prec, rnd))
-        yp, ypp = (div(div(sub(mpf_mul_int(d[0], 16, prec, rnd), d[1], prec,
-                               rnd), from_int(15), prec, rnd), hk, prec, rnd)
-                   for d, hk in zip((d1, d2), h_pow))
-        # pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
-        y, t = qs[i], ts[i]
-        y1 = sub(y, fone, prec, rnd)
-        rhs = mul(mul(add(mpf_rdiv_int(1, mpf_mul_int(y, 2, prec, rnd), prec,
-                                       rnd),
-                          mpf_rdiv_int(1, y1, prec, rnd), prec, rnd),
-                      yp, prec, rnd), yp, prec, rnd)
-        rhs = sub(rhs, div(yp, t, prec, rnd), prec, rnd)
-        rhs = add(rhs, mul(div(mpf_pow_int(y1, 2, prec, rnd),
-                               mul(t, t, prec, rnd), prec, rnd),
-                           add(mul(a1, y, prec, rnd), div(a2, y, prec, rnd),
-                               prec, rnd), prec, rnd), prec, rnd)
-        rhs = add(rhs, div(mul(a3, y, prec, rnd), t, prec, rnd), prec, rnd)
-        rhs = add(rhs, div(mul(mul(a4, y, prec, rnd),
-                               add(y, fone, prec, rnd), prec, rnd),
-                           y1, prec, rnd), prec, rnd)
-        residual = mpf_abs(sub(ypp, rhs, prec, rnd), prec, rnd)
-        if worst is None or mpf_gt(residual, worst):
-            worst = residual
-        if mpf_gt(size := mpf_abs(ypp, prec, rnd), scale):
-            scale = size
-    return div(worst, scale if mpf_gt(scale, fone) else fone, prec, rnd)
+        d1 = [(neg[i + 2 * k] + q8[i + k] - q8[i - k] + qs[i - 2 * k])
+              / (12 * k) for k in (1, 2)]
+        d2 = [(neg[i + 2 * k] + q16[i + k] - q30[i] + q16[i - k]
+               - qs[i - 2 * k]) / (12 * k * k) for k in (1, 2)]
+        yp, ypp = ((16 * d[0] - d[1]) / 15 / h ** j
+                   for j, d in ((1, d1), (2, d2)))
+        rhs = pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
+        residuals.append(abs(ypp - rhs))
+        scale = max(scale, abs(ypp))
+    return max(residuals) / max(scale, mp.mpf(1))
 
 
 # ---------------------------------------------------------------------------

@@ -224,10 +224,13 @@ def ladder_ab_at(pair: AuxPair, params: WeightParams, x,
                  prec: PrecisionCtx = None):
     """(A_n(x), B_n(x)) from the residue data of the pair, 20 bits above
     prec or DEFAULT_CTX; x at a pole 0 or t, or not finite, is refused
-    (_ab_point)."""
+    (_ab_point).  At t = 0, where the pair has no residues, the partial
+    fractions are (1/x, -n/x) whatever R_n and r_n are."""
     with workprec(prec or DEFAULT_CTX, 20):
         t = to_mpf(pair.t)
         x = _ab_point(x, params, t)
+        if t == 0:
+            return 1 / x, -pair.n / x
         return (pair.R / (x - t) + (1 - pair.R) / x,
                 pair.r / (x - t) - (pair.n + pair.r) / x)
 

@@ -8,9 +8,10 @@ import pytest
 from dlaguerre import (PrecisionCtx, PVParams, UnsupportedParameters,
                        WeightParams, build_moment_table, dN_by_quadrature,
                        delta_by_quadrature, evolve, from_hamiltonian,
-                       gram_schmidt_recurrence, inner_product,
-                       ladder_integrals, pv_residual, table_for,
-                       theta_kappa_from_recurrence)
+                       gram_schmidt_recurrence, hamilton_rhs,
+                       hamiltonian_eval, inner_product, ladder_integrals,
+                       ode_rhs, pv_residual, rr_rhs, table_for,
+                       theta_kappa_from_recurrence, to_hamiltonian)
 from dlaguerre import hankel, oracle, semiclassical
 from dlaguerre.hankel import (cauchy_sweep, cauchy_transform, dN_kernel,
                               epsilon_derivative_eval, epsilon_eval,
@@ -129,6 +130,25 @@ DEGREE_REFUSALS = {
 }
 REFUSALS.update(DEGREE_REFUSALS)
 
+# nan or inf data, refused by name: each returned nan or inf
+NONFINITE_REFUSALS = {
+    "to_hamiltonian nan theta": (
+        lambda: to_hamiltonian(mp.nan, "0.1", "0.3", 1, PARAMS)),
+    "from_hamiltonian inf p": (
+        lambda: from_hamiltonian("2", mp.inf, "0.3", 1, PARAMS)),
+    "hamiltonian_eval nan q": (
+        lambda: hamiltonian_eval(mp.nan, "0.1", "0.3",
+                                 PVParams.make(1, 2, 2))),
+    "hamilton_rhs inf t": (
+        lambda: hamilton_rhs("2", "0.1", mp.inf, PVParams.make(1, 2, 2))),
+    "ode_rhs nan kappa": lambda: ode_rhs("-0.1", mp.nan, 1, "0.3", PARAMS),
+    "rr_rhs -inf r": lambda: rr_rhs("0.5", -mp.inf, 1, "0.3", PARAMS),
+    "monic_values nan x": lambda: monic_values(_tables()[1], 2, mp.nan),
+    "orthopoly_eval inf x": lambda: orthopoly_eval(_tables()[1], 2, mp.inf),
+    "dN_kernel -inf y": lambda: dN_kernel(_tables()[1], 1, -mp.inf, 2),
+}
+REFUSALS.update(NONFINITE_REFUSALS)
+
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))
 def test_refusal_is_typed(name):
@@ -153,6 +173,13 @@ def test_degree_refused_by_name_before_quadrature(monkeypatch, name):
     with pytest.raises(UnsupportedParameters,
                        match=r"=-?\d+ is outside 0\.\."):
         DEGREE_REFUSALS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(NONFINITE_REFUSALS))
+def test_nonfinite_refusal_names_the_value(name):
+    with pytest.raises(UnsupportedParameters,
+                       match=r"must be finite, got \w+ = -?(nan|\+?inf)$"):
+        NONFINITE_REFUSALS[name]()
 
 
 def test_closed_form_size_bound_names_the_sum():

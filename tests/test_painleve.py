@@ -181,6 +181,14 @@ class TestMaps:
                 qs.append(hp.q)
             assert abs(qs[0] * qs[1] - 1) < mp.mpf("1e-60")
 
+    @pytest.mark.parametrize("conv", ["prop11", "cor12"])
+    def test_inverse_refuses_t_zero(self, conv):
+        """t = 0 raised a bare ZeroDivisionError under cor12 and returned
+        (0, 0), on to_hamiltonian's degenerate locus, under prop11."""
+        params = WeightParams(2, 2, "0.5", "0.3")
+        with pytest.raises(DegenerateTheta, match="t = 0"):
+            from_hamiltonian("2", "0.1", 0, 1, params, conv)
+
     def test_q_limit_at_origin(self, prec):
         """q -> -alpha/mu as t -> 0+ (equals -1 at alpha = mu = 2)."""
         p = WeightParams(2, 2, "0.5", "0.0005")

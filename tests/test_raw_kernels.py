@@ -6,7 +6,9 @@ expression is kept here as the reference, evaluated node by node and
 gathered into integrate_weighted's columns (conftest.per_node), and each
 case compares the bits (or the raised type) of the package function
 with it: n = 0, where P_{-1} = 0 enters as the int 0, integer and real
-mu, and a complex x, where only the kernel columns are mpc.
+mu, and a complex x, where only the kernel columns are mpc.  The
+to_hamiltonian and pv_residual cases hold those plain functions to the
+independent references below.
 """
 
 import functools
@@ -387,12 +389,12 @@ def _hamiltonian(convention, complex_theta=False):
              for r in rows])
 
 
-def _pv_raw(ts, qs, alphas):
-    """painleve._pv_residual_raw's quotient, before pv_residual rounds it
-    to a float, at pv_residual's width."""
+def _pv_quotient(ts, qs, alphas):
+    """painleve._pv_quotient, the quotient before pv_residual rounds it to
+    a float, at pv_residual's width."""
     with workprec(PrecisionCtx(), 20):
-        return mp.make_mpf(painleve._pv_residual_raw(
-            *([to_mpf(v)._mpf_ for v in vs] for vs in (ts, qs, alphas))))
+        return painleve._pv_quotient(
+            *([to_mpf(v) for v in vs] for vs in (ts, qs, alphas)))
 
 
 def _pv(convention):
@@ -413,7 +415,7 @@ def _pv(convention):
             cases.append((g, [mp.mpf(rng.uniform(1.1, 3)) / 3
                               + rng.choice([0, 2]) for _ in g]))
     return ([lambda: painleve.pv_residual(grid, qs, alphas)]
-            + [(lambda c=c: _pv_raw(*c, alphas)) for c in cases],
+            + [(lambda c=c: _pv_quotient(*c, alphas)) for c in cases],
             [lambda: float(ref_pv_residual(grid, qs, alphas))]
             + [(lambda c=c: ref_pv_residual(*c, alphas)) for c in cases])
 

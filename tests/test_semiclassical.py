@@ -140,6 +140,24 @@ class TestLadderIntegrals:
                     for g, w in zip(got, want):
                         assert rel_err(g, w) < 1e-25
 
+    @pytest.mark.parametrize("point", [(2, 2, "0.5"), (1, 0, "0.5"),
+                                       (3, 1, "-0.7")])
+    def test_ab_at_t_zero_matches_quadrature(self, prec, point):
+        """At t = 0 the pair has no residues (R_n = None), which raised a
+        TypeError; the partial fractions are (1/x, -n/x) whatever they
+        are."""
+        p = WeightParams(*point, 0)
+        _, tab = table_for(p, 3, prec, cross_check=False)
+        qp = PrecisionCtx(192, "1e-28")
+        with mp.workprec(256):
+            for n in range(4):
+                pair = theta_kappa_from_recurrence(tab, n)
+                for x in (-1, -2):
+                    got = ladder_ab_at(pair, p, x)
+                    want = ladder_ab_by_quadrature(tab, n, x, qp)
+                    for g, w in zip(got, want):
+                        assert abs(g - w) < 1e-55
+
     def test_alpha_zero_unsupported(self, prec):
         p = WeightParams(0, 2, "0.5", "0.3")
         mom, tab = table_for(p, 2, prec)

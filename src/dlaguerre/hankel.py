@@ -68,11 +68,10 @@ from functools import cached_property
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import mpf_mul, mpf_neg, mpf_rdiv_int, mpf_sub
 
 from .errors import (CrossCheckError, PrecisionExhausted, SingularHankel,
                      UnsupportedParameters)
-from .kernels import monic_columns, times
+from .kernels import Column, column_exp, monic_columns, times, to_fixed
 from .moments import (MomentTable, TruncSeries, WeightParams,
                       build_moment_table)
 from .precision import PrecisionCtx, to_mpf, workprec
@@ -398,16 +397,34 @@ def _off_support(x, message):
     return x
 
 
-def _inverse_distances(x, ss, prec, rnd):
-    """The column 1/(x - s) over raw nodes ss: raw tuples at an mpf x,
-    each operation rounded at prec as the mpf one, mpc numbers at an mpc
-    x."""
+def _inverse_distances(x, nodes):
+    """The Column 1/(x - s) over a node list, each value one floor
+    division of integers at 2^-F, at the scale of its largest value (the
+    nearest node's).  A complex x gives two integer columns, (u - s - iv)
+    / ((u - s)^2 + v^2)."""
+    F = nodes.F
     if type(x) is mp.mpf:
-        xr = x._mpf_
-        return [mpf_rdiv_int(1, mpf_sub(xr, s, prec, rnd), prec, rnd)
-                for s in ss]
-    make = mp.make_mpf
-    return [1 / (x - make(s)) for s in ss]
+        S = to_fixed(x._mpf_, -F)
+        D = [S - s for s in nodes.X]
+        e = column_exp(F + 1 - min(map(abs, D)).bit_length(), F)
+        c = 1 << F - e
+        return Column([c // d for d in D], e)
+    U, V = (to_fixed(v._mpf_, -F) for v in (x.real, x.imag))
+    R = [U - s for s in nodes.X]
+    den = [r * r + V * V for r in R]
+    e = column_exp(F - (min(den).bit_length() - 1) // 2, F)
+    c = F - e
+    return Column([(r << c) // d for r, d in zip(R, den)], e,
+                  [(-V << c) // d for d in den])
+
+
+def _neg_squares(k, F):
+    """The Column -k^2 of a Column k, at twice its scale plus F."""
+    if k.im is None:
+        return Column([-(v * v) >> F for v in k.re], 2 * k.exp + F)
+    return Column([(b * b - a * a) >> F for a, b in zip(k.re, k.im)],
+                  2 * k.exp + F, [-(2 * a * b) >> F
+                                  for a, b in zip(k.re, k.im)])
 
 
 _SWEEP: dict = {}   # {"latest": ((table, typed x, prec), (E, dE))}
@@ -416,11 +433,10 @@ _SWEEP: dict = {}   # {"latest": ((table, typed x, prec), (E, dE))}
 def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
     """E_0..E_n(x) and E_0'..E_n'(x) from one climb of the node ladder.
 
-    One column integrand: P_0..P_n from kernels.monic_columns over the
-    nodes, which are real, and the kernel columns 1/(x - s) and
-    -1/(x - s)^2, raw at a real x (with the roundings and so the bits of
-    the mpf arithmetic) and mpc at a complex one.  Returns the pair of
-    QuadResults (E, dE), E[k] for E_k and dE[k] for E_k'; a component
+    One column integrand on integers: P_0..P_n from kernels.monic_columns
+    over the nodes, which are real, times the kernel columns 1/(x - s) and
+    -1/(x - s)^2, two integer columns each at a complex x.  Returns the
+    pair of QuadResults (E, dE), E[k] for E_k and dE[k] for E_k'; a component
     whose sums never agreed raises QuadratureFailure when it is read.
 
     The latest sweep is kept (module docstring), keyed by (table, typed x,
@@ -437,16 +453,12 @@ def cauchy_sweep(table: RecurrenceTable, n: int, x, prec: PrecisionCtx = None):
         if latest is not None and latest[0] == key and len(latest[1][0]) > n:
             return latest[1]
 
-        def fn(ss):
-            bits, rnd = mp.mp._prec_rounding
-            P = monic_columns(table.b, table.a2, n, ss, bits, rnd)
-            inv = _inverse_distances(x, ss, bits, rnd)
-            if type(x) is mp.mpf:
-                dinv = [mpf_mul(mpf_neg(v, bits, rnd), v, bits, rnd)
-                        for v in inv]
-            else:
-                dinv = [-v * v for v in inv]
-            return [times(p, k, bits, rnd) for k in (inv, dinv) for p in P]
+        def fn(nodes):
+            F = nodes.F
+            P = monic_columns(table.b, table.a2, n, nodes.X, F)
+            inv = _inverse_distances(x, nodes)
+            return [times(p, k, F) for k in (inv, _neg_squares(inv, F))
+                    for p in P]
 
         res = integrate_weighted(
             fn, table.params, prec, pole=x,
@@ -499,8 +511,8 @@ def stieltjes_eval(moments: MomentTable, x, prec: PrecisionCtx = None):
     with workprec(prec, 20):
         x = _off_support(x, "stieltjes_eval requires x off [0, inf)")
         cancel = _cancel_digits((moments.k_max + 1) // 2, x)
-        def fn(ss):
-            return (_inverse_distances(x, ss, *mp.mp._prec_rounding),)
+        def fn(nodes):
+            return (_inverse_distances(x, nodes),)
 
         res = integrate_weighted(fn, moments.params, prec,
                                  extra_digits=cancel, pole=x)

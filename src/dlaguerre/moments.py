@@ -57,12 +57,12 @@ from typing import Sequence
 
 import mpmath as mp
 from mpmath.libmp import (fzero, from_int, mpf_add, mpf_div, mpf_mul,
-                          mpf_neg, mpf_pow_int, mpf_sub)
+                          mpf_neg, mpf_sub)
 
 from .errors import CrossCheckError, UnsupportedParameters
-from .kernels import conv
-from .precision import (PrecisionCtx, fraction_or_none, to_fraction, to_mpf,
-                        workprec)
+from .kernels import Column, conv
+from .precision import (PrecisionCtx, finite, fraction_or_none, to_fraction,
+                        to_mpf, workprec)
 from .quadrature import integrate_weighted, weight_value
 
 FREE_LOSS = 10      # bits of cancellation that 30 guard bits absorb
@@ -317,8 +317,10 @@ def moment_series(k: int, params: WeightParams, order: int,
     mu_k(t) = P(t) - zeta e^{-t} Q(t) with integer-coefficient polynomials
     P (degree alpha, the integral over x >= 0) and Q (degree k + mu, the
     integral over x >= t after x = t + y); each is re-expanded about t*
-    and the tail is multiplied by e^{-t*} e^{-s}.
+    and the tail is multiplied by e^{-t*} e^{-s}.  A t* that is not
+    finite is refused by name.
     """
+    finite(about=about)
     head, tail = _moment_parts(k, params, order, about)
     return head - tail
 
@@ -399,10 +401,12 @@ def moment_jets(k_max: int, params: WeightParams, order: int,
     - (k+1+mu) t mu_k, whose coefficients are linear in t = t* + s.  Order 0
     gives the numbers.  Runs with ceil(1.5 |t*|) guard bits over the
     caller's precision, more where the numbers cancel (_guarded_jets), and
-    leaves the values unrounded.
+    leaves the values unrounded.  A t* that is not finite is refused by
+    name before any arithmetic.
     """
     if k_max < 0:
         raise UnsupportedParameters("k_max must be >= 0")
+    finite(about=about)
     with mp.workprec(53):       # forward recursion loses up to ~1.44 t bits
         guard = int(mp.ceil(3 * abs(to_mpf(about)) / 2))
     with mp.extraprec(guard):
@@ -498,11 +502,11 @@ def _quadrature_moments(ks, params, prec) -> list:
     if not ks:
         return []
 
-    def powers(xs):
-        # x ** k on raw tuples: the mpf power is mpf_pow_int at the
-        # working precision
-        bits, rnd = mp.mp._prec_rounding
-        return [[mpf_pow_int(x, k, bits, rnd) for x in xs] for k in ks]
+    def powers(nodes):
+        # x^k at 2^-F: the exact integer power, rounded down once
+        X, F = nodes.X, nodes.F
+        return [Column([x ** k >> (k - 1) * F for x in X] if k
+                       else [1 << F] * len(X), -F) for k in ks]
 
     res = integrate_weighted(powers, params, prec)
     return [item.value for item in res]

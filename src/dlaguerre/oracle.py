@@ -13,11 +13,14 @@ directly).  Results carry error estimates; assertions downstream compare
 
 Tensor integrals and Stieltjes sums are sums over the split Gauss node
 lists of quadrature.weighted_nodes at prec + GUARD_BITS, as
-integrate_weighted's, formed on raw mpf tuples (mpmath.libmp) with the
-operations and roundings of the mpf expressions mp.fsum, mp.fdot and
-the recurrence would run, so they have those expressions' bits; only a
-complex D_N point makes mpc weights, whose parts are summed apart as
-fsum and fdot sum them.  A tensor value uses `nodes` per panel (by default
+integrate_weighted's.  The Stieltjes sums run on the lists' integers
+(kernels.py): each h_n and sum W x P_n^2 is one exact integer sum, rounded
+once.  The tensor sums run on raw mpf tuples (mpmath.libmp), each weight
+converted once from the list's integer column, with the operations and
+roundings of the mpf expressions mp.fsum and mp.fdot would run over those
+weights, so they have those expressions' bits; only a complex D_N point
+makes mpc weights, whose parts are summed apart as fsum and fdot sum
+them.  A tensor value uses `nodes` per panel (by default
 the second rung of quadrature.LADDER); its error estimate is the
 difference from the sum at nodes // 2.  Over an m-node list the sum
 collapses its innermost pair exactly, sum_{j,k} c_j c_k (x_k - x_j)^2 / 2
@@ -29,14 +32,16 @@ or a determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpc_abs, mpf_abs, mpf_div, mpf_gt,
-                          mpf_mul, mpf_sub, mpf_sum)
+from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpf_abs, mpf_div,
+                          mpf_gt, mpf_mul, mpf_sub, mpf_sum)
 
 from .errors import QuadratureFailure, SingularHankel, UnsupportedParameters
 from .hankel import RecurrenceTable, _gamma, check_degree
-from .kernels import dot, monic_columns, monic_step
+from .kernels import (Column, dot, monic_columns, monic_step, scaled,
+                      to_fixed)
 from .moments import MomentTable, WeightParams
 from .precision import PrecisionCtx, to_mpf, workprec
 from .quadrature import (GUARD_BITS, LADDER, QuadResult, integrate_weighted,
@@ -48,11 +53,10 @@ def inner_product(index_pair, table: RecurrenceTable, moments: MomentTable,
     """<p_i, p_j> by direct quadrature against the weight.
 
     At each node p_k = gamma_k P_k is hankel.orthopoly_eval's value_n, on
-    raw tuples: P_0..P_max(i,j) from one monic recurrence and the product
-    with gamma_k rounded at the table's width, as orthopoly_eval rounds
-    them, and p_i p_j at the integral's.  orthopoly_eval reads gamma_{k-1}
-    too, so where h_{k-1} <= 0 this raises SingularHankel as it does, before
-    any quadrature.
+    integers: P_0..P_max(i,j) from one monic recurrence at 2^-F, gamma_k at
+    its own scale (kernels.scaled), and the product p_i p_j.
+    orthopoly_eval reads gamma_{k-1} too, so where h_{k-1} <= 0 this raises
+    SingularHankel as it does, before any quadrature.
     """
     prec = prec or table.prec
     i, j = index_pair
@@ -62,19 +66,18 @@ def inner_product(index_pair, table: RecurrenceTable, moments: MomentTable,
     def gamma(k):
         if k:
             _gamma(table, k - 1)
-        return _gamma(table, k)._mpf_
+        return _gamma(table, k)
 
     g_i = gamma(i)
     g_j = g_i if j == i else gamma(j)
-    table_bits, top = table.prec.significand_bits, max(i, j)
     with workprec(prec, 20):
-        def fn(ss):
-            bits, rnd = mp.mp._prec_rounding
-            P = monic_columns(table.b, table.a2, top, ss, table_bits, rnd)
-            p_i = [mpf_mul(g_i, v, table_bits, rnd) for v in P[i]]
-            p_j = p_i if j == i else [mpf_mul(g_j, v, table_bits, rnd)
-                                      for v in P[j]]
-            return ([mpf_mul(u, v, bits, rnd) for u, v in zip(p_i, p_j)],)
+        def fn(nodes):
+            F = nodes.F
+            P = monic_columns(table.b, table.a2, max(i, j), nodes.X, F)
+            p_i = scaled(g_i, P[i], F)
+            p_j = p_i if j == i else scaled(g_j, P[j], F)
+            return (Column([u * v >> F for u, v in zip(p_i.re, p_j.re)],
+                           p_i.exp + p_j.exp + F),)
 
         return integrate_weighted(fn, table.params, prec,
                                   rel_scale=(1,))[0].value
@@ -159,8 +162,10 @@ def _tensor(params: WeightParams, N: int, prec: PrecisionCtx, nodes: int,
         raise UnsupportedParameters(f"nodes must be >= 2, got {nodes}")
     with workprec(prec, GUARD_BITS):
         def value_at(m):
-            xs, ws = weighted_nodes(params, m)
-            return _vandermonde_sum(xs, _weights(xs, ws, insert), N)
+            nodes = weighted_nodes(params, m)
+            ws = nodes.raw_weights(*mp.mp._prec_rounding)
+            return _vandermonde_sum(nodes.xs, _weights(nodes.xs, ws, insert),
+                                    N)
 
         fine = value_at(nodes)
         err = abs(fine - value_at(nodes // 2))
@@ -241,24 +246,23 @@ def gram_schmidt_recurrence(params: WeightParams, n_max: int,
     tol = prec.tol_mpf()
     with workprec(prec, GUARD_BITS):
         def stieltjes(m):
-            # on raw tuples, each operation rounded as the mpf one; P_0 = 1
-            # and P_{-1} = a_0^2 = 0 as fone and fzero multiply and
-            # subtract as the ints 1 and 0 do
+            # h_n and sum W x P_n^2 as exact integer sums over the fixed
+            # point columns, each rounded once, and P_{n+1} by monic_step
             prec, rnd = mp.mp._prec_rounding
-            mul = mpf_mul
-            xs, ws = weighted_nodes(params, m)
-            p_prev, p = [fzero] * len(xs), [fone] * len(xs)
+            nodes = weighted_nodes(params, m)
+            X, F, ws, e = nodes.X, nodes.F, nodes.ws, nodes.scale
+            p_prev, p = [0] * len(X), [1 << F] * len(X)
             h, b = [], []
             for n in range(n_max + 1):
-                wp2 = [mul(mul(w, v, prec, rnd), v, prec, rnd)
-                       for w, v in zip(ws, p)]
-                h.append(mpf_sum(wp2, prec, rnd))
-                b.append(mpf_div(dot(wp2, xs, prec, rnd), h[n], prec, rnd))
+                wp2 = [w * v * v for w, v in zip(ws, p)]
+                h.append(from_man_exp(sum(wp2), e - 2 * F, prec, rnd))
+                b.append(mpf_div(from_man_exp(sum(map(mul, wp2, X)),
+                                              e - 3 * F, prec, rnd),
+                                 h[n], prec, rnd))
                 if n < n_max:
-                    a2, bn = (mpf_div(h[n], h[n - 1], prec, rnd) if n
-                              else fzero), b[n]
-                    p_prev, p = p, monic_step(xs, bn, a2, p, p_prev, prec,
-                                              rnd)
+                    a2 = mpf_div(h[n], h[n - 1], prec, rnd) if n else fzero
+                    p_prev, p = p, monic_step(X, to_fixed(b[n], -F),
+                                              to_fixed(a2, -F), p, p_prev, F)
             return [mp.make_mpf(v) for v in h], [mp.make_mpf(v) for v in b]
 
         coarse = stieltjes(LADDER[0])

@@ -98,8 +98,8 @@ from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
 from .kernels import conv
 from .moments import TruncSeries, WeightParams, moment_jets
-from .precision import (DEFAULT_CTX, PrecisionCtx, fraction_or_none,
-                        to_mpf, workprec)
+from .precision import (DEFAULT_CTX, PrecisionCtx, finite,
+                        fraction_or_none, to_mpf, workprec)
 from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 
 # ---------------------------------------------------------------------------
@@ -109,19 +109,6 @@ from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 CONVENTIONS = ("prop11", "cor12")
 BAD_CONVENTION = f"convention must be one of {CONVENTIONS}"
 DEGENERATE_MAP = "map undefined at theta in {0, -t} or t = 0"
-
-
-def _finite(**values):
-    """The values as mpf (or mpc), in order; a nan or infinite one is
-    refused by name."""
-    out = []
-    for name, v in values.items():
-        v = to_mpf(v)
-        if not mp.isfinite(v):
-            raise UnsupportedParameters(
-                f"{name} must be finite, got {name} = {v}")
-        out.append(v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -195,7 +182,7 @@ def _t_hamiltonian(q, p, t, pv: PVParams):
 def hamiltonian_eval(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
     """H(q, p, t), 20 bits above prec or DEFAULT_CTX (tH is polynomial)."""
     with workprec(prec or DEFAULT_CTX, 20):
-        q, p, t = _finite(q=q, p=p, t=t)
+        q, p, t = finite(q=q, p=p, t=t)
         if t == 0:
             raise SingularRHS("Hamiltonian undefined at t = 0")
         return _t_hamiltonian(q, p, t, pv) / t
@@ -205,7 +192,7 @@ def hamilton_rhs(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
     """(dq/dt, dp/dt) = (dH/dp, -dH/dq), read off order-1 jets of tH in p
     and in q, 20 bits above prec or DEFAULT_CTX."""
     with workprec(prec or DEFAULT_CTX, 20):
-        q, p, t = _finite(q=q, p=p, t=t)
+        q, p, t = finite(q=q, p=p, t=t)
         if t == 0:
             raise SingularRHS("Hamilton equations undefined at t = 0")
         d_tH_dp = _t_hamiltonian(q, TruncSeries([p, 1]), t, pv).c[1]
@@ -236,7 +223,7 @@ def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
     above prec or DEFAULT_CTX; real and complex data alike."""
     pv = PVParams.make(n, params.alpha, params.mu, convention, prec)
     with workprec(prec or DEFAULT_CTX, 20):
-        th, ka, t = _finite(theta=theta, kappa=kappa, t=t)
+        th, ka, t = finite(theta=theta, kappa=kappa, t=t)
         if t == 0 or th == 0 or th + t == 0:
             raise DegenerateTheta(DEGENERATE_MAP)
         q, p = _qp_map(th, ka, t, n, params, convention)
@@ -251,7 +238,7 @@ def from_hamiltonian(q, p, t, n: int, params: WeightParams,
     20 bits above prec or DEFAULT_CTX.  t = 0 is refused as to_hamiltonian
     refuses it: the image theta = 0 lies on its degenerate locus."""
     with workprec(prec or DEFAULT_CTX, 20):
-        q, p, t = _finite(q=q, p=p, t=t)
+        q, p, t = finite(q=q, p=p, t=t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if convention not in CONVENTIONS:
             raise UnsupportedParameters(BAD_CONVENTION)
@@ -362,7 +349,7 @@ def ode_rhs(theta, kappa, n: int, t, params: WeightParams,
     initial data.
     """
     with workprec(prec or DEFAULT_CTX, 20):
-        th, ka, t = _finite(theta=theta, kappa=kappa, t=t)
+        th, ka, t = finite(theta=theta, kappa=kappa, t=t)
         d_th, d_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
         return +d_th[1], +d_ka[1]
 
@@ -375,7 +362,7 @@ def rr_rhs(R, r, n: int, t, params: WeightParams, prec: PrecisionCtx = None):
     variant fails the equivalence with the (theta, kappa) flow).
     """
     with workprec(prec or DEFAULT_CTX, 20):
-        R, r, t = _finite(R=R, r=r, t=t)
+        R, r, t = finite(R=R, r=r, t=t)
         a, m = to_mpf(params.alpha), to_mpf(params.mu)
         if t == 0:
             raise SingularRHS("flow undefined at t = 0")
@@ -474,7 +461,8 @@ def aux_pair_series(n_max: int, params: WeightParams, order: int,
     jets are the exact small-t series (series_init); about any t > 0 their
     order-1 terms are the t-derivatives that the flow laws, the deformation
     and the zero-curvature checks read.  Arithmetic runs with the GUARD_BITS
-    of the numeric tables, the moment recurrence with its own on top.
+    of the numeric tables, the moment recurrence with its own on top.  An
+    about that is not finite is refused by name (moment_jets).
     """
     with workprec(prec or DEFAULT_CTX, GUARD_BITS):
         about = to_mpf(about)
@@ -944,9 +932,10 @@ def _compatibility(jets: JetTable, x, lax):
 
 
 def _off_poles(x, t):
-    """x as mpf; UnsupportedParameters at t = 0 (the residues divide by t)
-    or at x in {0, t}, the poles of A(x)."""
-    x, t = to_mpf(x), to_mpf(t)
+    """x as mpf; UnsupportedParameters, by name, at a t or x that is not
+    finite, at t = 0 (the residues divide by t) or at x in {0, t}, the
+    poles of A(x)."""
+    t, x = finite(t=t, x=x)
     if t == 0:
         raise UnsupportedParameters("t must be > 0 for the Lax residuals")
     if x == 0 or x == t:
@@ -1019,12 +1008,16 @@ def ab_flow_check(params: WeightParams, n: int, t_grid: Sequence,
     at x = -1, read off the same table through s^1.  About t* = 0 the
     ladder forms (R_n, r_n divide by t) and the two Lax residuals (A(x)
     has a pole at x = t) are left out, as the identity battery leaves out
-    rows on the theta locus; the two t-forms are checked.
+    rows on the theta locus; the two t-forms are checked.  A grid node
+    that is not finite is refused by name before any arithmetic.
     """
     if n < 1:
         raise UnsupportedParameters("the a_n/b_n flow laws need n >= 1")
     if not t_grid:
         raise SingularPanel("need a grid node")
+    with workprec(prec or DEFAULT_CTX, 20):
+        for v in t_grid:
+            finite(t=v)
     about = t_grid[len(t_grid) // 2]
     rep = Report(
         title="ab-flow",

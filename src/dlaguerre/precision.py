@@ -24,6 +24,19 @@ from .errors import UnsupportedParameters
 DEFAULT_BITS = 256
 
 
+def finite(**values):
+    """The values as mpf (or mpc), in order; a nan or infinite one is
+    refused by name."""
+    out = []
+    for name, v in values.items():
+        v = to_mpf(v)
+        if not mp.isfinite(v):
+            raise UnsupportedParameters(
+                f"{name} must be finite, got {name} = {v}")
+        out.append(v)
+    return out
+
+
 def to_mpf(x):
     """Convert x to mpf (or mpc) at the current precision.
 

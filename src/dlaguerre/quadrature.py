@@ -39,30 +39,33 @@ integrate_weighted climbs the node ladder m = 10, 20, 40, 80 once for all
 components of an integrand, each stopping at its first pair of successive
 sums that agree to the tolerance; that difference is the error estimate
 it carries.  An integrand takes the node list, not a node: it is called
-once per rung with the nodes as one column xs of raw mpf tuples, and
-returns one column per component, raw mpf tuples at a real argument and
-mpc numbers at a complex one.  So a family of integrals (R_n and r_n, A_n
-and B_n, a moment table, the Cauchy sweep's E_0..E_n, E_0'..E_n') is one
-call per rung.  The Laguerre tail
+once per rung with the list (kernels.Nodes) and returns one fixed-point
+column (kernels.Column) per component.  So a family of integrals (R_n and
+r_n, A_n and B_n, a moment table, the Cauchy sweep's E_0..E_n,
+E_0'..E_n') is one call per rung.  The Laguerre tail
 with m nodes is exact for polynomials of degree < 2m only, so at integer
 mu two sums agree on x^k once the coarser one has 2m > k + alpha + mu: at
 alpha = mu = 2 and t = 20 the 20-node sums miss from k = 36 on, and the
 40/80 pair agrees.
 
-The node arithmetic runs on raw mpf tuples (mpmath.libmp), with the
-operations and roundings of the mpf expressions it stands for, so its
-values are theirs to the last bit and no mpf object is made per
-intermediate result: _build_nodes forms each weight half w factor
-(x - t)^alpha x^mu e^{-x} left to right, each product rounded at the
-working precision.  The kernels the integrands share are in kernels.py:
-weighted_sum, fsum(w * v) over one column; monic_columns, the monic
-recurrence over a node column, which gives every P_k column (the Cauchy
-sweep's, the ladder integrands', inner_product's, and by monic_step the
-Stieltjes procedure's); and dot, the exact dot product (mp.fdot's bits)
-of the tensor oracles, the Stieltjes sums and, through conv, every
-series product of the jet layer.  The nodes are real, so at a complex
-argument only the kernel column (1/(x - s), or the partial fraction of
-A_n and B_n) is mpc.  Jets and complex arguments elsewhere keep plain mpf
+The node arithmetic runs on Python integers (the contract, the scales and
+the a-priori bound are kernels.py's).  A list carries its weights as one
+integer column at one binary scale, which keeps the smallest nonzero |W_i|
+at the working width plus kernels.WEIGHT_GUARD bits, and its nodes once
+more, exactly, at 2^-F, F = working width + kernels.GUARD bits below the
+smallest node's leading bit (or 1's): _build_nodes forms each
+weight half w factor (x - t)^alpha x^mu e^{-x} as the exact product of its
+factors' mantissas and rounds it once to the list's scale.  An integrand's
+columns sit at 2^-F, or F bits below their largest value where that is
+below 1, two integer columns for a complex argument; kernels.monic_columns
+gives every P_k column (the Cauchy sweep's, the ladder integrands',
+inner_product's, and by monic_step the Stieltjes procedure's), and each
+sum is one exact integer dot product rounded once (kernels.weighted_sum),
+wrong by at most half an ulp plus sum |W_i| e_i, e_i the error that the
+column's integer operations carry to node i, each unit GUARD bits or more
+below the working ulp.  Only the tensor oracles still run on raw mpf tuples
+(kernels.dot), each weight converted once from the integer column
+(Nodes.raw_weights); jets and complex arguments elsewhere keep plain mpf
 arithmetic.
 
 The node lists themselves are cached too, since one weight's integrals
@@ -73,7 +76,7 @@ the pole and the working precision, plus the precision of each reference
 rule the list is built from (_rule_bits).  Only one
 weight's lists are kept, and of the pole-graded ones only the latest
 pole's, so sweeping points or poles holds memory to a few lists.  A cached
-list is the tuple _build_nodes returned, so every sum runs over the same
+list is the Nodes _build_nodes returned, so every sum runs over the same
 nodes, in the same order and at the same precision as without the cache,
 and gives the same bits.  Concurrent callers can at worst both build a
 list that neither found.
@@ -105,10 +108,10 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_add,
                           mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pos,
-                          mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub)
+                          mpf_pow, mpf_shift, mpf_sqrt, mpf_sub)
 
 from .errors import QuadratureFailure
-from .kernels import weighted_sum
+from .kernels import GUARD, WEIGHT_GUARD, Nodes, to_fixed, weighted_sum
 from .precision import PrecisionCtx, to_fraction, to_mpf, workprec
 
 LADDER = (10, 20, 40, 80)      # Gauss nodes per panel, one rung at a time
@@ -426,8 +429,9 @@ def _pole_ends(pole, branch=None):
 
 
 def weighted_nodes(params, m: int, pole=None):
-    """The columns (xs, ws) of raw x_i and W_i, m nodes per panel, W_i
-    including the full weight.
+    """The node list (kernels.Nodes) of m nodes per panel: the raw x_i,
+    the same nodes at 2^-F and the integer weight column, W_i including
+    the full weight.
 
     pole is the location of an off-support singularity of the integrand
     (x of a Cauchy kernel 1/(x - s)); it grades the panels around it, each
@@ -461,19 +465,22 @@ def _build_nodes(params, m, pole):
 
     Each panel's geometry (_panel, _tail) does not depend on the weight;
     each node's weight half w factor (x - t)^alpha x^mu e^{-x} (on the
-    tail, scale w (x - t)^alpha x^mu, scale = factor e^{-L}) is formed from
-    it left to right on raw mpf tuples, every operation rounded as the mpf
-    expression rounds it, so the list has that expression's bits.  A
-    graded list reads and leaves its Legendre panels and tail in _PANELS,
-    as the module docstring describes; with _PANELS kept empty this is the
-    from-scratch build.
+    tail, factor e^{-L} w (x - t)^alpha x^mu) is the exact integer product
+    of the mantissas of its factors, x - t and the powers formed exactly
+    (x^mu is mpf_pow's at a non-integer mu, half^mu on the Jacobi panel),
+    and the list rounds each product once to its one scale, which keeps
+    the smallest nonzero weight at the working width plus WEIGHT_GUARD
+    bits.  A graded list reads and leaves its Legendre panels and tail in
+    _PANELS, as the module docstring describes; with _PANELS kept empty
+    this is the from-scratch build.
     """
     prec, rnd = mp.mp._prec_rounding
-    mul = mpf_mul
     t = to_mpf(params.t)
-    tail_factor = 1 - to_mpf(params.zeta)
+    tm, te = _man_exp(t._mpf_)
+    tail_factor = _man_exp((1 - to_mpf(params.zeta))._mpf_)
     alpha = int(params.alpha)
     mu = to_mpf(params.mu)._mpf_
+    int_mu = int(params.mu) if params.mu_is_integer else None
     cuts = _breaks(params, pole)
     head = [mp.mpf(0)] + [b for b in cuts if b < t] + [t] if t > 0 else []
     tail = [t] + [b for b in cuts if b > t]
@@ -487,36 +494,52 @@ def _build_nodes(params, m, pole):
         kept[key] = old.get(key) or build()
         return kept[key]
 
-    def shifted(x):
-        """(x - t)^alpha."""
-        return mpf_pow_int(mpf_sub(x, t._mpf_, prec, rnd), alpha, prec, rnd)
-
-    xs, ws = [], []
-    for ends, factor in ((head, fone), (tail, tail_factor._mpf_)):
+    # (x, m, e, x^mu as (mantissa, exponent) or None) per node: the weight
+    # is m 2^e (x - t)^alpha x^mu; nodes, rule weights and e^{-x} are > 0
+    pending = []
+    for ends, (fm, fe) in ((head, (1, 0)), (tail, tail_factor)):
         for lo, hi in zip(ends[:-1], ends[1:]):
-            jacobi = lo == 0 and not params.mu_is_integer
-            if jacobi:
+            xmu = None
+            if lo == 0 and not params.mu_is_integer:
                 # Gauss-Jacobi(0, mu) carries x^mu = half^mu (1 + s)^mu
                 half, nodes = _panel(lo, hi, _jacobi(params.mu), m)
-                half_mu = mpf_pow(half, mu, prec, rnd)
+                xmu = _man_exp(mpf_pow(half, mu, prec, rnd))
             else:
                 _, nodes = geometry((lo._mpf_, hi._mpf_),
                                     lambda: _panel(lo, hi, "legendre", m))
-            for x, half_w, decay in nodes:
-                W = mul(mul(half_w, factor, prec, rnd), shifted(x), prec, rnd)
-                W = mul(W, half_mu if jacobi else mpf_pow(x, mu, prec, rnd),
-                        prec, rnd)
-                xs.append(x)
-                ws.append(mul(W, decay, prec, rnd))
-    decay, nodes = geometry(tail[-1]._mpf_, lambda: _tail(tail[-1], m))
-    scale = mul(tail_factor._mpf_, decay, prec, rnd)
-    for x, w in nodes:
-        W = mul(mul(scale, w, prec, rnd), shifted(x), prec, rnd)
-        xs.append(x)
-        ws.append(mul(W, mpf_pow(x, mu, prec, rnd), prec, rnd))
+            pending += [(x, fm * hm * dm, fe + he + de, xmu)
+                        for x, (_, hm, he, _), (_, dm, de, _) in nodes]
+    (_, dm, de, _), nodes = geometry(tail[-1]._mpf_,
+                                     lambda: _tail(tail[-1], m))
+    fm, fe = tail_factor
+    pending += [(x, fm * dm * wm, fe + de + we, None)
+                for x, (_, wm, we, _) in nodes]
     if memo:
         _PANELS[(m, prec, rnd)] = memo[:2] + (kept,)
-    return tuple(xs), tuple(ws)
+    xs, prods = [], []
+    for x, v, e, xmu in pending:
+        _, xm, xe, _ = x
+        lo = min(xe, te)
+        d = (xm << xe - lo) - (tm << te - lo)
+        if xmu is None:
+            xmu = ((xm ** int_mu, xe * int_mu) if int_mu is not None
+                   else _man_exp(mpf_pow(x, mu, prec, rnd)))
+        xs.append(x)
+        prods.append((v * d ** alpha * xmu[0], e + lo * alpha + xmu[1]))
+    scale = min(e + abs(v).bit_length() for v, e in prods if v) - (
+        prec + WEIGHT_GUARD)
+    ws = tuple(v << (e - scale) if e >= scale
+               else (v + (1 << (scale - e - 1))) >> (scale - e)
+               for v, e in prods)
+    # every node keeps prec + GUARD bits at 2^-F, so each converts exactly
+    F = prec + GUARD - min(0, min(x[2] + x[3] for x in xs))
+    return Nodes(tuple(xs), tuple(to_fixed(x, -F) for x in xs), F, ws, scale)
+
+
+def _man_exp(v):
+    """A raw mpf as (signed mantissa, exponent)."""
+    s, m, e, _ = v
+    return (-m if s else m), e
 
 
 def _panel_memo(m, pole):
@@ -568,10 +591,10 @@ def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
                        extra_digits=0, pole=None):
     """Integrate each component of fn w(x) dx over [0, inf), one climb.
 
-    fn is called once per rung with the rung's node column xs (raw mpf
-    tuples, weighted_nodes') and excludes the weight; it returns one column
-    per component, all over the same nodes: raw mpf tuples, or mpc numbers
-    for a complex integrand.  Sums at m and 2m nodes
+    fn is called once per rung with the rung's node list (weighted_nodes')
+    and excludes the weight; it returns one kernels.Column per component,
+    all over the same nodes, each summed by one exact integer dot product
+    and one rounding (kernels.weighted_sum).  Sums at m and 2m nodes
     per panel, climbing LADDER until |Q_2m - Q_m| <= prec.tol * scale,
     where a component's scale is |rel_scale[k]| when rel_scale (one scale
     per component) is given, else |Q_2m|, floored at the sum's absolute
@@ -595,24 +618,25 @@ def integrate_weighted(fn, params, prec: PrecisionCtx, rel_scale=None,
         rnd = mp.mp._prec_rounding[1]
 
         def sums(m, ks=None):
-            xs, ws = weighted_nodes(params, m, pole)
-            cols = fn(xs)
+            nodes = weighted_nodes(params, m, pole)
+            cols = fn(nodes)
             if ks is None:
                 ks = range(len(cols))
-            return ws, cols, {k: weighted_sum(ws, cols[k], bits, rnd)
-                              for k in ks}
+            return nodes, cols, {k: weighted_sum(nodes, cols[k], bits, rnd)
+                                 for k in ks}
 
         coarse = sums(LADDER[0])[2]
         pending, done = list(coarse), {}
         for m in LADDER[1:]:
-            ws, cols, fine = sums(m, pending)
+            nodes, cols, fine = sums(m, pending)
             for k in pending:
                 err = abs(fine[k] - coarse[k])
                 scale = abs(fine[k]) if scales is None else scales[k]
                 if scales is None and err > tol * scale:
                     # floor: half the digits of the absolute mass (exact 0s)
                     scale = max(scale, mp.ldexp(
-                        weighted_sum(ws, cols[k], bits, rnd, absolute=True),
+                        weighted_sum(nodes, cols[k], bits, rnd,
+                                     absolute=True),
                         -(prec.significand_bits // 2)))
                 if err <= tol * scale:
                     done[k] = (fine[k], err)

@@ -47,14 +47,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
-                          mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_sub,
+from mpmath.libmp import (fone, mpf_abs, mpf_gt, mpf_le, mpf_lt, mpf_mul,
                           mpf_sum, to_float)
 
 from .errors import CrossCheckError, DegenerateTheta, UnsupportedParameters
 from .hankel import (MomentTable, RecurrenceTable, cauchy_sweep, check_degree,
                      monic_values)
-from .kernels import monic_columns, times
+from .kernels import (GUARD, Column, column_exp, monic_columns, times,
+                      to_fixed, top_exp)
 from .moments import TruncSeries, WeightParams
 from .precision import (DEFAULT_CTX, PrecisionCtx, fraction_or_none,
                         to_fraction, to_mpf, workprec)
@@ -170,22 +170,20 @@ def ladder_integrals(table: RecurrenceTable, moments: MomentTable, n: int,
     with workprec(prec, 20):
         t = to_mpf(params.t)
         mu = to_mpf(params.mu)
-        tr = t._mpf_
 
         # no node sits at y = t, and w(y)/(y-t) is smooth there for alpha >= 1
-        def fn(ys):
-            # al * p * p / (y - t) and al * p * p_prev / (y - t) on raw
-            # tuples, each operation rounded as the mpf one (al is an int)
-            bits, rnd = mp.mp._prec_rounding
-            mul, div = mpf_mul, mpf_div
-            P = monic_columns(table.b, table.a2, n, ys, bits, rnd)
-            p, p_prev = P[n], (P[n - 1] if n else [fzero] * len(ys))
-            ap = [mpf_mul_int(v, al, bits, rnd) for v in p]
-            d = [mpf_sub(y, tr, bits, rnd) for y in ys]
-            return ([div(mul(a, v, bits, rnd), e, bits, rnd)
-                     for a, v, e in zip(ap, p, d)],
-                    [div(mul(a, v, bits, rnd), e, bits, rnd)
-                     for a, v, e in zip(ap, p_prev, d)])
+        def fn(nodes):
+            # al p p / (y - t) and al p p_prev / (y - t) at 2^-F, one floor
+            # division each (al is an int)
+            X, F = nodes.X, nodes.F
+            P = monic_columns(table.b, table.a2, n, X, F)
+            p, p_prev = P[n], (P[n - 1] if n else [0] * len(X))
+            T = to_fixed(t._mpf_, -F)
+            d = [y - T for y in X]
+            ap = [al * v for v in p]
+            return (Column([a * v // e for a, v, e in zip(ap, p, d)], -F),
+                    Column([a * v // e for a, v, e in zip(ap, p_prev, d)],
+                           -F))
 
         # each integral converges relative to the h that normalizes it
         h_R, h_r = table.h(n), table.h(n - 1) if n else 1
@@ -265,33 +263,35 @@ def ladder_ab_by_quadrature(table: RecurrenceTable, n: int, x,
         shifted = None if params.mu_is_integer else WeightParams(
             params.alpha, to_mpf(params.mu) - 1, params.zeta, params.t)
 
-        def products(ys):
-            bits, rnd = mp.mp._prec_rounding
-            P = monic_columns(table.b, table.a2, n, ys, bits, rnd)
-            p, p_prev = P[n], (P[n - 1] if n else [fzero] * len(ys))
-            return ([mpf_mul(v, v, bits, rnd) for v in p],
-                    [mpf_mul(v, u, bits, rnd) for v, u in zip(p, p_prev)])
+        def products(nodes):
+            X, F = nodes.X, nodes.F
+            P = monic_columns(table.b, table.a2, n, X, F)
+            p, p_prev = P[n], (P[n - 1] if n else [0] * len(X))
+            return (Column([v * v >> F for v in p], -F),
+                    Column([v * u >> F for v, u in zip(p, p_prev)], -F))
 
-        def kernelled(ys):
-            # the partial fraction al/((x-t)(y-t)) [+ mu/(x y)]: raw at a
-            # real x, rounded as its mpf arithmetic rounds it, mpc at a
-            # complex one
-            bits, rnd = mp.mp._prec_rounding
-            if type(x) is mp.mpf:
-                div, mul, xr, tr = mpf_div, mpf_mul, x._mpf_, t._mpf_
-                xt = mpf_sub(xr, tr, bits, rnd)
-                k = [div(al._mpf_, mul(xt, mpf_sub(y, tr, bits, rnd), bits,
-                                       rnd), bits, rnd) for y in ys]
-                if not shifted:
-                    k = [mpf_add(v, div(mu._mpf_, mul(xr, y, bits, rnd),
-                                        bits, rnd), bits, rnd)
-                         for v, y in zip(k, ys)]
-            else:
-                ys_mpf = [mp.make_mpf(y) for y in ys]
-                k = [al / ((x - t) * (y - t)) for y in ys_mpf]
-                if not shifted:
-                    k = [v + mu / (x * y) for v, y in zip(k, ys_mpf)]
-            return [times(v, k, bits, rnd) for v in products(ys)]
+        # the partial fraction al/((x-t)(y-t)) [+ mu/(x y)] as c1/(y - t) [+
+        # c2/y]: the constants at their own scale, mpc at a complex x, and
+        # each column value one floor division at 2^-F
+        with mp.extraprec(GUARD):
+            c1 = al / (x - t)
+            c2 = mp.mpf(0) if shifted else mu / x
+
+        def kernelled(nodes):
+            X, F = nodes.X, nodes.F
+            parts = [[mp.re(c), mp.im(c)] for c in (c1, c2)]
+            e = column_exp(top_exp([v._mpf_ for pair in parts for v in pair]),
+                           F)
+            (a, ai), (b, bi) = [[to_fixed(v._mpf_, e) << F for v in pair]
+                                for pair in parts]
+            T = to_fixed(t._mpf_, -F)
+
+            def column(a, b):
+                return [a // (y - T) + b // y for y in X]
+
+            k = Column(column(a, b), e,
+                       None if type(x) is mp.mpf else column(ai, bi))
+            return [times(v.re, k, F) for v in products(nodes)]
 
         h_A, h_B = table.h(n), table.h(n - 1) if n else 1
 

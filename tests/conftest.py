@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from dlaguerre import PrecisionCtx, WeightParams, table_for
+from dlaguerre.kernels import Column, column_exp, to_fixed, top_exp
 from dlaguerre.quadrature import weighted_nodes
 
 
@@ -48,19 +49,28 @@ def relerr():
     return rel_err
 
 
+def fixed_column(values, F):
+    """A Column of mpf or mpc numbers (or numbers that mpf arithmetic
+    takes) at the scale kernels.column_exp gives for them, two integer
+    columns where one of the values is complex."""
+    values = [mp.mpmathify(v) for v in values]
+    if any(isinstance(v, mp.mpc) for v in values):
+        parts = [mp.mpc(v)._mpc_ for v in values]
+        re, im = [p[0] for p in parts], [p[1] for p in parts]
+    else:
+        re, im = [v._mpf_ for v in values], None
+    e = column_exp(top_exp(re + (im or [])), F)
+    return Column([to_fixed(v, e) for v in re], e,
+                  None if im is None else [to_fixed(v, e) for v in im])
+
+
 def per_node(fn):
     """integrate_weighted's column integrand from a per-node one: fn at the
-    mpf of each raw node, each component gathered into a column of raw mpf
-    tuples, or of mpc numbers where one of its values is complex.  Other
-    numbers convert as mpf arithmetic converts them."""
-    def columns(xs):
-        out = []
-        for vs in zip(*(fn(mp.make_mpf(x)) for x in xs)):
-            vs = [mp.mpmathify(v) for v in vs]
-            out.append([mp.mpc(v) for v in vs]
-                       if any(isinstance(v, mp.mpc) for v in vs)
-                       else [v._mpf_ for v in vs])
-        return out
+    mpf of each node, each component gathered into one fixed-point Column
+    (fixed_column)."""
+    def columns(nodes):
+        return [fixed_column(vs, nodes.F)
+                for vs in zip(*(fn(mp.make_mpf(x)) for x in nodes.xs))]
 
     return columns
 
@@ -73,6 +83,8 @@ SIGNED_ZERO_T = ("0.47437660510312110794025129357528858358110931814056597382228"
 
 
 def mpf_nodes(params, m, pole=None):
-    """weighted_nodes' columns as a list of (x, W) mpf pairs."""
-    return [tuple(map(mp.make_mpf, node))
-            for node in zip(*weighted_nodes(params, m, pole))]
+    """weighted_nodes' list as (x, W) mpf pairs, each W rounded once at the
+    working precision (Nodes.raw_weights, the tensor oracles' view)."""
+    nodes = weighted_nodes(params, m, pole)
+    return [tuple(map(mp.make_mpf, node)) for node in
+            zip(nodes.xs, nodes.raw_weights(*mp.mp._prec_rounding))]

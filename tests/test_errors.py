@@ -18,7 +18,10 @@ from dlaguerre.hankel import (cauchy_sweep, cauchy_transform, dN_kernel,
                               hankel_determinant, monic_values,
                               orthopoly_eval, recurrence_coefficients,
                               stieltjes_eval)
-from dlaguerre.moments import MomentTable, moment_closed_form
+from dlaguerre.moments import (MomentTable, moment_closed_form, moment_jets,
+                               moment_series)
+from dlaguerre.painleve import (ab_flow_check, aux_pair_series,
+                                compatibility_residual, deformation_residual)
 from dlaguerre.semiclassical import (AuxPair, ladder_ab_at,
                                      ladder_ab_by_quadrature)
 
@@ -146,6 +149,33 @@ NONFINITE_REFUSALS = {
     "monic_values nan x": lambda: monic_values(_tables()[1], 2, mp.nan),
     "orthopoly_eval inf x": lambda: orthopoly_eval(_tables()[1], 2, mp.inf),
     "dN_kernel -inf y": lambda: dN_kernel(_tables()[1], 1, -mp.inf, 2),
+    # compatibility_residual returned nan at x = nan and 0.0, a passing
+    # residual, at x = +-inf
+    "compatibility_residual nan x": (
+        lambda: compatibility_residual(PARAMS, 1, mp.nan, "0.3")),
+    "compatibility_residual inf x": (
+        lambda: compatibility_residual(PARAMS, 1, mp.inf, "0.3")),
+    "compatibility_residual -inf x": (
+        lambda: compatibility_residual(PARAMS, 1, -mp.inf, "0.3")),
+    # a non-finite t* raised "cannot convert inf or nan to int" from the
+    # moment recurrence's guard bits, or (moment_series) gave nan
+    "compatibility_residual nan t": (
+        lambda: compatibility_residual(PARAMS, 1, -1, mp.nan)),
+    "deformation_residual inf t": (
+        lambda: deformation_residual(PARAMS, 1, -1, mp.inf)),
+    "deformation_residual nan t": (
+        lambda: deformation_residual(PARAMS, 1, -1, mp.nan)),
+    "moment_jets inf about": lambda: moment_jets(3, PARAMS, 1, mp.inf),
+    "moment_jets -inf about": lambda: moment_jets(3, PARAMS, 1, -mp.inf),
+    "moment_series nan about": lambda: moment_series(2, PARAMS, 1, mp.nan),
+    "aux_pair_series nan about": (
+        lambda: aux_pair_series(1, PARAMS, 1, about=mp.nan)),
+    "aux_pair_series inf about": (
+        lambda: aux_pair_series(1, PARAMS, 1, about=mp.inf)),
+    "ab_flow_check nan node": (
+        lambda: ab_flow_check(PARAMS, 1, ["0.2", mp.nan, "0.4"])),
+    "ab_flow_check inf node": (
+        lambda: ab_flow_check(PARAMS, 1, ["0.2", mp.inf, "0.4"])),
 }
 REFUSALS.update(NONFINITE_REFUSALS)
 

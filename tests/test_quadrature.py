@@ -7,10 +7,11 @@ import hashlib
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import mpf_add, mpf_mul
+from mpmath.libmp import from_rational, mpf_add, mpf_mul
 
 from dlaguerre import (PrecisionCtx, QuadratureFailure, WeightParams,
                        build_moment_table, cauchy_transform,
@@ -666,8 +667,8 @@ class TestRuleBuilds:
         with workprec(PREC):
             for params in (DESK, WeightParams(2, "1.5", "0.5", "0.3")):
                 for m in LADDER:
-                    xs, ws = weighted_nodes(params, m)
-                    assert len(xs) == len(ws) > m
+                    nodes = weighted_nodes(params, m)
+                    assert len(nodes.xs) == len(nodes.ws) > m
         assert {key[0] for key in quadrature._RULES} == {
             "legendre", "laguerre", quadrature._jacobi("1.5")}
 
@@ -772,7 +773,10 @@ def _raw(v):
 
 
 def _reference_nodes(params, m, pole):
-    """_build_nodes with each weight formed as an mpf expression."""
+    """(x, W) of _build_nodes' list: x as it forms them at the working
+    precision, W from that x as an mpf expression at twice the width, with
+    t as the list reads it (at the working one)."""
+    bits = mp.mp.prec
     t = to_mpf(params.t)
     tail_factor = 1 - to_mpf(params.zeta)
     alpha, mu = int(params.alpha), to_mpf(params.mu)
@@ -780,35 +784,57 @@ def _reference_nodes(params, m, pole):
     head = [mp.mpf(0)] + [b for b in cuts if b < t] + [t] if t > 0 else []
     tail = [t] + [b for b in cuts if b > t]
     out = []
-    for ends, factor in ((head, mp.mpf(1)), (tail, tail_factor)):
+    for ends, factor in ((head, 1), (tail, params.zeta)):
         for lo, hi in zip(ends[:-1], ends[1:]):
             half, mid = (hi - lo) / 2, (hi + lo) / 2
             jacobi = lo == 0 and not params.mu_is_integer
             family = quadrature._jacobi(params.mu) if jacobi else "legendre"
             for s, w in quadrature._rule(family, m):
                 x = mid + half * s
-                xmu = half ** mu if jacobi else x ** mu
-                out.append((x, half * w * factor * (x - t) ** alpha * xmu
-                            * mp.exp(-x)))
+                with mp.workprec(2 * bits):
+                    f = 1 if factor == 1 else 1 - to_mpf(factor)
+                    xmu = half ** mu if jacobi else x ** mu
+                    out.append((x, half * w * f * (x - t) ** alpha * xmu
+                                * mp.exp(-x)))
     start = tail[-1]
-    scale = tail_factor * mp.exp(-start)
     for y, w in quadrature._rule("laguerre", m):
         x = start + y
-        out.append((x, scale * w * (x - t) ** alpha * x ** mu))
+        with mp.workprec(2 * bits):
+            scale = (1 - to_mpf(params.zeta)) * mp.exp(-start)
+            out.append((x, scale * w * (x - t) ** alpha * x ** mu))
     return out
 
 
-def _reference_sum(ws, vs, prec, rnd, absolute=False):
-    """kernels.weighted_sum as fsum over mpf products at the working
-    precision (integrate_weighted's, which prec and rnd name)."""
-    terms = (mp.make_mpf(w) * (mp.make_mpf(v) if type(v) is tuple else v)
-             for w, v in zip(ws, vs))
-    return mp.fsum(abs(p) for p in terms) if absolute else mp.fsum(terms)
+def _reference_sum(nodes, col, prec, rnd, absolute=False):
+    """kernels.weighted_sum as the exact rational sum of W_i v_i, rounded
+    once at prec (with absolute, of |W_i| |v_i|, |v_i| at four times the
+    width)."""
+    def exact(parts):
+        total = sum(Fraction(w) * v for w, v in zip(nodes.ws, parts))
+        total *= Fraction(2) ** (nodes.scale + col.exp)
+        return mp.make_mpf(from_rational(total.numerator, total.denominator,
+                                         prec, rnd))
+
+    if absolute:
+        if col.im is None:
+            return exact([abs(v) for v in col.re])
+        with mp.workprec(4 * prec):
+            mags = [mp.sqrt(mp.mpf(r) ** 2 + mp.mpf(i) ** 2)
+                    for r, i in zip(col.re, col.im)]
+            total = mp.fsum(abs(w) * v for w, v in zip(nodes.ws, mags))
+            total = mp.ldexp(total, nodes.scale + col.exp)
+        with mp.workprec(prec):
+            return +total
+    if col.im is None:
+        return exact(col.re)
+    return mp.make_mpc((exact(col.re)._mpf_, exact(col.im)._mpf_))
 
 
 class TestRawKernels:
-    """The per-node arithmetic on raw mpf tuples has the bits of the mpf
-    expressions it replaces, compared tuple for tuple."""
+    """The node arithmetic against the plain expressions it stands for:
+    the nodes bit for bit, each weight within a few ulps of its mpf
+    expression at twice the width, and each sum the exact sum of its
+    integer products rounded once."""
 
     @pytest.mark.parametrize("alpha", [0, 3])
     @pytest.mark.parametrize("mu", ["2", "1.5"])
@@ -822,7 +848,14 @@ class TestRawKernels:
                     if isinstance(pole, tuple) else mp.mpf(pole))
             got = quadrature._build_nodes(params, 10, pole)
             want = _reference_nodes(params, 10, pole)
-        assert list(zip(*got)) == [(_raw(x), _raw(w)) for x, w in want]
+        assert list(got.xs) == [_raw(x) for x, _ in want]
+        # the smallest weight keeps the working width plus WEIGHT_GUARD
+        assert min(abs(w).bit_length() for w in got.ws if w) == (
+            252 + kernels.WEIGHT_GUARD)
+        with mp.workprec(504):
+            for w, (_, ref) in zip(got.ws, want):
+                assert abs(mp.ldexp(w, got.scale) - ref) <= mp.ldexp(
+                    abs(ref), 3 - 252)
 
     @pytest.mark.parametrize("name, fn", [
         ("real", lambda x: [x ** 3, 1 / (x + 1), mp.exp(-x)]),
@@ -850,18 +883,24 @@ class TestRawKernels:
                               "scale 10.29")
 
     def test_weighted_sum(self):
-        """A column of raw mpf tuples and one of mpc numbers, plain and
-        absolute; the last two rows cancel, so a product that is not
-        rounded shows."""
-        with mp.workprec(200):
-            third = mp.mpf(1) / 3
-            ws = [mp.mpf(w)._mpf_ for w in ("0.3", "-1.1", "2.9", third, 1)]
-            columns = [[mp.mpf(v)._mpf_ for v in ("1.7", 0, "-4e-30", 3, -1)],
-                       [mp.mpc(1, -2), mp.mpc("0.2", 5), mp.mpc(0, 0),
-                        mp.mpc(3, 3), mp.mpc(-1, -1)]]
-            for vs in columns:
-                for absolute in (False, True):
-                    got = kernels.weighted_sum(ws, vs, 200, "n", absolute)
-                    want = _reference_sum(ws, vs, 200, "n", absolute)
-                    assert type(got) is type(want)
+        """A real and a complex column, plain and absolute, against exact
+        sums: the last two rows cancel, so a product or a partial sum
+        that is rounded shows."""
+        third = 2 ** 200 // 3
+        nodes = kernels.Nodes((), (), 0, (3 << 190, -11 << 190, 29 << 190,
+                                          third, 1 << 200), -200)
+        cols = [kernels.Column([17 << 90, 0, -4, 3 << 100, -1 << 100], -100),
+                kernels.Column([1, 2, 0, 3, -1], -3, [-2, 5, 0, 3, -1])]
+        for col in cols:
+            for absolute in (False, True):
+                got = kernels.weighted_sum(nodes, col, 200, "n", absolute)
+                want = _reference_sum(nodes, col, 200, "n", absolute)
+                assert type(got) is type(want)
+                if absolute and col.im is not None:
+                    # |v_i| by isqrt: at most one unit of 2^exp low per node
+                    with mp.workprec(400):
+                        slack = mp.ldexp(sum(map(abs, nodes.ws)),
+                                         nodes.scale + col.exp)
+                        assert want - slack <= got <= want
+                else:
                     assert _raw(got) == _raw(want)

@@ -1,14 +1,13 @@
 """The raw-tuple kernels against the plain mpf expressions they replace.
 
-Each kernel runs its per-node or per-sample arithmetic on mpmath.libmp
-tuples, with the operations and roundings of an mpf expression.  That
-expression is kept here as the reference, evaluated node by node and
-gathered into integrate_weighted's columns (conftest.per_node), and each
-case compares the bits (or the raised type) of the package function
-with it: n = 0, where P_{-1} = 0 enters as the int 0, integer and real
-mu, and a complex x, where only the kernel columns are mpc.  The
-to_hamiltonian and pv_residual cases hold those plain functions to the
-independent references below.
+The tensor oracles (oracle._spread and _vandermonde_sum over kernels.dot)
+run on mpmath.libmp tuples with the operations and roundings of mp.fsum
+and mp.fdot over the node list's weights, each converted once from the
+list's integer column (Nodes.raw_weights, conftest.mpf_nodes); each case
+compares the bits (or the raised type) of the package function with the
+plain expression kept here.  The to_hamiltonian and pv_residual cases hold
+those plain functions to the independent references below.  The node
+sums that run on integers are checked in test_fixed_point.py.
 """
 
 import functools
@@ -17,17 +16,12 @@ import random
 import mpmath as mp
 import pytest
 
-from dlaguerre import (PVParams, PrecisionCtx, QuadratureFailure,
-                       SingularHankel, WeightParams, evolve, table_for)
-from dlaguerre import hankel, painleve
-from dlaguerre.hankel import cauchy_sweep, stieltjes_eval
-from dlaguerre.moments import _quadrature_moments
-from dlaguerre.oracle import (dN_by_quadrature, delta_by_quadrature,
-                              gram_schmidt_recurrence, inner_product)
+from dlaguerre import PVParams, PrecisionCtx, WeightParams, evolve
+from dlaguerre import painleve
+from dlaguerre.oracle import dN_by_quadrature, delta_by_quadrature
 from dlaguerre.precision import to_mpf, workprec
-from dlaguerre.quadrature import GUARD_BITS, LADDER, integrate_weighted
-from dlaguerre.semiclassical import ladder_ab_by_quadrature, ladder_integrals
-from conftest import mpf_nodes, per_node
+from dlaguerre.quadrature import GUARD_BITS, LADDER
+from conftest import mpf_nodes
 
 PREC = PrecisionCtx(128, "1e-25")
 POINTS = {
@@ -35,13 +29,6 @@ POINTS = {
     "mu_1.5": (2, "1.5", "0.5", "0.3"),    # real mu: a Jacobi panel at 0
     "signed": (3, 1, "-0.7", "2"),         # odd alpha, a signed weight
 }
-PLAIN_X = mp.mpc("-0.5", 1)
-
-
-def _tables(point):
-    params = WeightParams(*POINTS[point])
-    source = "closed_form" if params.mu_is_integer else "quadrature"
-    return table_for(params, 3, PREC, source=source, cross_check=False)
 
 
 def _bits(v):
@@ -66,124 +53,7 @@ def _outcome(fn):
         return type(exc).__name__
 
 
-def _plain_monic(table, n, x):
-    """P_0..P_n(x) by the monic recurrence in plain mpf arithmetic."""
-    cur, prev = (x - table.b[0]) * 0 + 1, 0
-    out = [cur]
-    for m in range(n):
-        cur, prev = (x - table.b[m]) * cur - table.a2[m] * prev, cur
-        out.append(cur)
-    return out
-
-
-def _plain_pair(table, n, y):
-    P = _plain_monic(table, n, y)
-    return P[n], (P[n - 1] if n else 0)
-
-
 # --- the plain references ----------------------------------------------------
-
-def ref_moments(params, ks):
-    return [r.value for r in integrate_weighted(
-        per_node(lambda x: [x ** k for k in ks]), params, PREC)]
-
-
-def ref_stieltjes(mom, x):
-    with workprec(PREC, 20):
-        x = to_mpf(x)
-        cancel = hankel._cancel_digits((mom.k_max + 1) // 2, x)
-        res = integrate_weighted(per_node(lambda s: (1 / (x - s),)),
-                                 mom.params, PREC, extra_digits=cancel,
-                                 pole=x)
-    return res[0].value
-
-
-def ref_cauchy(tab, n, x):
-    with workprec(PREC, 20):
-        x = to_mpf(x)
-
-        def fn(s):
-            P = _plain_monic(tab, n, s)
-            inv = 1 / (x - s)
-            dinv = -inv * inv
-            return [p * inv for p in P] + [p * dinv for p in P]
-
-        res = integrate_weighted(
-            per_node(fn), tab.params, PREC, pole=x,
-            extra_digits=hankel._cancel_digits(tab.n_max + 1, x)).items
-    return [(r.value, r.error) for r in res]
-
-
-def ref_ladder(tab, n):
-    params, al = tab.params, tab.params.alpha
-    with workprec(PREC, 20):
-        t = to_mpf(params.t)
-
-        def fn(y):
-            p, p_prev = _plain_pair(tab, n, y)
-            return al * p * p / (y - t), al * p * p_prev / (y - t)
-
-        h_R, h_r = tab.h(n), tab.h(n - 1) if n else 1
-        res = integrate_weighted(per_node(fn), params, PREC,
-                                 rel_scale=(h_R, h_r))
-        return res[0].value / h_R, res[1].value / h_r
-
-
-def ref_ladder_ab(tab, n, x):
-    params = tab.params
-    with workprec(PREC, 20):
-        al, mu = to_mpf(params.alpha), to_mpf(params.mu)
-        t, x, zeta = to_mpf(params.t), to_mpf(x), to_mpf(params.zeta)
-        shifted = None if params.mu_is_integer else WeightParams(
-            params.alpha, to_mpf(params.mu) - 1, params.zeta, params.t)
-
-        def products(y):
-            p, p_prev = _plain_pair(tab, n, y)
-            return p * p, p * p_prev
-
-        def kernelled(y):
-            k = al / ((x - t) * (y - t))
-            k = k if shifted else k + mu / (x * y)
-            return [v * k for v in products(y)]
-
-        h_A, h_B = tab.h(n), tab.h(n - 1) if n else 1
-
-        def integrals(fn, weight):
-            return [res.value for res in integrate_weighted(
-                per_node(fn), weight, PREC, rel_scale=(h_A, h_B))]
-
-        A, B = integrals(kernelled, params)
-        if shifted:
-            sA, sB = integrals(products, shifted)
-            A += mu / x * sA
-            B += mu / x * sB
-        jumps = []
-        if mu == 0:
-            jumps.append((mp.mpf(0), (-t) ** al * (1 - zeta if t == 0 else 1)))
-        if al == 0 and t > 0:
-            jumps.append((t, -zeta * t ** mu * mp.exp(-t)))
-        for s, dw in jumps:
-            p, p_prev = _plain_pair(tab, n, s)
-            A += dw * p * p / (x - s)
-            B += dw * p * p_prev / (x - s)
-        return +(A / h_A), +(B / h_B)
-
-
-def ref_inner_product(tab, i, j):
-    def p(k, s):
-        with workprec(tab.prec):
-            if k:
-                hankel._gamma(tab, k - 1)
-            return hankel._gamma(tab, k) * _plain_monic(tab, k, s)[k]
-
-    with workprec(PREC, 20):
-        def fn(s):
-            pi = p(i, s)
-            return (pi * pi if j == i else pi * p(j, s),)
-
-        return integrate_weighted(per_node(fn), tab.params, PREC,
-                                  rel_scale=(1,))[0].value
-
 
 def ref_spread(xs, ws, x0, lift):
     ds = [x - x0 for x in xs]
@@ -213,45 +83,6 @@ def ref_tensor(params, N, insert=None, nodes=LADDER[1]):
         err = abs(fine - value_at(nodes // 2))
     with workprec(PREC):
         return +fine, +err
-
-
-def ref_gram_schmidt(params, n_max):
-    tol = PREC.tol_mpf()
-    with workprec(PREC, GUARD_BITS):
-        def stieltjes(m):
-            xs, ws = zip(*mpf_nodes(params, m))
-            p_prev, p = [0] * len(xs), [1] * len(xs)
-            h, b = [], []
-            for n in range(n_max + 1):
-                wp2 = [w * v * v for w, v in zip(ws, p)]
-                h.append(mp.fsum(wp2))
-                b.append(mp.fdot(wp2, xs) / h[n])
-                if n < n_max:
-                    a2 = h[n] / h[n - 1] if n else 0
-                    p_prev, p = p, [(x - b[n]) * v - a2 * u
-                                    for x, v, u in zip(xs, p, p_prev)]
-            return h, b
-
-        coarse = stieltjes(LADDER[0])
-        for m in LADDER[1:]:
-            fine = stieltjes(m)
-            if all(abs(f - c) <= tol * abs(f) for fs, cs in zip(fine, coarse)
-                   for f, c in zip(fs, cs)):
-                break
-            coarse = fine
-        else:
-            raise QuadratureFailure("no agreement")
-        h, b = fine
-    with workprec(PREC):
-        a = [mp.mpf(0)]
-        for n in range(1, n_max + 1):
-            a2 = h[n] / h[n - 1]
-            if not a2 > 0:
-                raise SingularHankel("a_n^2 <= 0")
-            a.append(mp.sqrt(a2))
-        return {"a": a, "b": [+v for v in b],
-                "gamma": [1 / mp.sqrt(v) if v > 0 else None for v in h],
-                "gamma1_ratio": [-mp.fsum(b[:n]) for n in range(n_max + 1)]}
 
 
 def ref_to_hamiltonian(th, ka, t, n, params, convention):
@@ -301,49 +132,6 @@ def ref_pv_residual(ts, qs, alphas):
 
 # --- the cases ---------------------------------------------------------------
 
-def _moments(point):
-    params = WeightParams(*POINTS[point])
-    ks = list(range(13))
-    return (lambda: _quadrature_moments(ks, params, PREC),
-            lambda: ref_moments(params, ks))
-
-
-def _stieltjes(point, x=-2):
-    mom, _ = _tables(point)
-    return (lambda: stieltjes_eval(mom, x, PREC),
-            lambda: ref_stieltjes(mom, x))
-
-
-def _cauchy(point, n, x=-2):
-    _, tab = _tables(point)
-    return (lambda: [(r.value, r.error)
-                     for r in sum(map(list, cauchy_sweep(tab, n, x, PREC)),
-                                  [])],
-            lambda: ref_cauchy(tab, n, x))
-
-
-def _ladder(point, n):
-    mom, tab = _tables(point)
-
-    def got():
-        pair = ladder_integrals(tab, mom, n, PREC, check_equivalence=False)
-        return pair.R, pair.r
-
-    return got, lambda: ref_ladder(tab, n)
-
-
-def _ladder_ab(point, n, x=-2):
-    _, tab = _tables(point)
-    return (lambda: ladder_ab_by_quadrature(tab, n, x, PREC),
-            lambda: ref_ladder_ab(tab, n, x))
-
-
-def _inner(point, i, j):
-    mom, tab = _tables(point)
-    return (lambda: inner_product((i, j), tab, mom, PREC),
-            lambda: ref_inner_product(tab, i, j))
-
-
 def _tensor(point, N, insert=None):
     params = WeightParams(*POINTS[point])
 
@@ -353,12 +141,6 @@ def _tensor(point, N, insert=None):
         return res.value, res.error
 
     return got, lambda: ref_tensor(params, N, insert)
-
-
-def _gram_schmidt(point, n_max):
-    params = WeightParams(*POINTS[point])
-    return (lambda: gram_schmidt_recurrence(params, n_max, PREC),
-            lambda: ref_gram_schmidt(params, n_max))
 
 
 @functools.lru_cache(maxsize=None)
@@ -421,35 +203,12 @@ def _pv(convention):
 
 
 CASES = {
-    "moments mu_2": lambda: _moments("mu_2"),
-    "moments mu_1.5": lambda: _moments("mu_1.5"),
-    "stieltjes mu_2": lambda: _stieltjes("mu_2"),
-    "stieltjes mu_1.5": lambda: _stieltjes("mu_1.5"),
-    "stieltjes complex x": lambda: _stieltjes("mu_2", PLAIN_X),
-    "cauchy n=0": lambda: _cauchy("mu_2", 0),
-    "cauchy n=3 mu_1.5": lambda: _cauchy("mu_1.5", 3),
-    "cauchy signed": lambda: _cauchy("signed", 2, "-0.5"),
-    "ladder n=0": lambda: _ladder("mu_2", 0),
-    "ladder n=2 mu_1.5": lambda: _ladder("mu_1.5", 2),
-    "ladder signed": lambda: _ladder("signed", 3),
-    "ladder_ab n=0": lambda: _ladder_ab("mu_2", 0),
-    "ladder_ab n=2": lambda: _ladder_ab("mu_2", 2, -1),
-    "ladder_ab mu_1.5": lambda: _ladder_ab("mu_1.5", 1),
-    "ladder_ab signed": lambda: _ladder_ab("signed", 2, "-0.5"),
-    "ladder_ab complex x": lambda: _ladder_ab("mu_2", 1, PLAIN_X),
-    "inner (0, 0)": lambda: _inner("mu_2", 0, 0),
-    "inner (1, 3)": lambda: _inner("mu_2", 1, 3),
-    "inner (2, 2) mu_1.5": lambda: _inner("mu_1.5", 2, 2),
-    "inner (2, 1) signed": lambda: _inner("signed", 2, 1),
     "Delta_1": lambda: _tensor("mu_2", 1),
     "Delta_2 signed": lambda: _tensor("signed", 2),
     "Delta_3 mu_1.5": lambda: _tensor("mu_1.5", 3),
     "D_1": lambda: _tensor("mu_2", 1, ("5", "7")),
     "D_2 confluent": lambda: _tensor("signed", 2, ("4", "4")),
     "D_2 complex y": lambda: _tensor("mu_2", 2, (mp.mpc(3, 1), "7")),
-    "gram_schmidt": lambda: _gram_schmidt("mu_2", 3),
-    "gram_schmidt mu_1.5": lambda: _gram_schmidt("mu_1.5", 2),
-    "gram_schmidt signed": lambda: _gram_schmidt("signed", 3),
     "to_hamiltonian prop11": lambda: _hamiltonian("prop11"),
     "to_hamiltonian cor12": lambda: _hamiltonian("cor12"),
     "to_hamiltonian complex theta": lambda: _hamiltonian("prop11", True),

@@ -36,8 +36,10 @@ bound for the moments and the Cauchy sweep and finds the measured error
 within 2^8 of it.  Every unit is at most 2^-GUARD of an ulp at prec of a
 value of order 1, so the rounding of S dominates.
 
-Raw tuples, for the jets and the tensor oracles: dot, the exact dot
-product (mp.fdot's bits), and conv, a series coefficient by dot.
+Raw tuples, for the jets only: conv, a coefficient of a product of
+series as one exact dot product rounded once (mp.fdot's bits).  The
+tensor oracles sum on the node list's integers as every weighted integral
+does (oracle.py).
 """
 
 from __future__ import annotations
@@ -62,12 +64,6 @@ class Nodes(NamedTuple):
     F: int
     ws: tuple
     scale: int
-
-    def raw_weights(self, prec, rnd):
-        """The weights as raw mpf tuples, each rounded once at prec: the one
-        conversion for code that runs on raw tuples."""
-        e = self.scale
-        return [from_man_exp(w, e, prec, rnd) for w in self.ws]
 
 
 class Column(NamedTuple):
@@ -150,16 +146,18 @@ def weighted_sum(nodes, col, prec, rnd, absolute=False):
                                           rnd) for part in (col.re, col.im)))
 
 
-def dot(xs, ys, prec, rnd):
-    """sum_i x_i y_i for sequences xs, ys of raw real mpf tuples, as a raw
-    tuple rounded once at prec.
+def conv(x, y, j, prec, rnd, lo=0):
+    """sum_{i=lo..j} x_i y_{j-i}: coefficient j of a product of series, for
+    lists x, y of raw real mpf tuples, as a raw tuple rounded once at prec.
 
-    The bits are those of mp.fdot over the mpfs: each product is exact,
-    and they are summed by mpf_sum's rules into one integer mantissa,
-    including its drop rule for a term more than 2 prec bits below the
-    running sum (or a sum that far below the term).  A zero factor adds
-    nothing; an inf or nan factor hands the products to mpf_sum itself.
+    The bits are those of mp.fdot over the two slices' mpfs: each product
+    is exact, and they are summed by mpf_sum's rules into one integer
+    mantissa, including its drop rule for a term more than 2 prec bits
+    below the running sum (or a sum that far below the term).  A zero
+    factor adds nothing; an inf or nan factor hands the products to
+    mpf_sum itself.
     """
+    xs, ys = x[lo:j + 1], y[j - lo::-1]
     man = exp = 0
     cap = 2 * prec
     for (s, m, e, b), (s2, m2, e2, b2) in zip(xs, ys):
@@ -183,9 +181,3 @@ def dot(xs, ys, prec, rnd):
             man = (man << -d) + p
             exp = e
     return from_man_exp(man, exp, prec, rnd)
-
-
-def conv(x, y, j, prec, rnd, lo=0):
-    """sum_{i=lo..j} x_i y_{j-i}: coefficient j of a product of series, for
-    lists x, y of raw real mpf tuples, by dot."""
-    return dot(x[lo:j + 1], y[j - lo::-1], prec, rnd)

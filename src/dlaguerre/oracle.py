@@ -13,20 +13,19 @@ directly).  Results carry error estimates; assertions downstream compare
 
 Tensor integrals and Stieltjes sums are sums over the split Gauss node
 lists of quadrature.weighted_nodes at prec + GUARD_BITS, as
-integrate_weighted's.  The Stieltjes sums run on the lists' integers
-(kernels.py): each h_n and sum W x P_n^2 is one exact integer sum, rounded
-once.  The tensor sums run on raw mpf tuples (mpmath.libmp), each weight
-converted once from the list's integer column, with the operations and
-roundings of the mpf expressions mp.fsum and mp.fdot would run over those
-weights, so they have those expressions' bits; only a complex D_N point
-makes mpc weights, whose parts are summed apart as fsum and fdot sum
-them.  A tensor value uses `nodes` per panel (by default
-the second rung of quadrature.LADDER); its error estimate is the
-difference from the sum at nodes // 2.  Over an m-node list the sum
-collapses its innermost pair exactly, sum_{j,k} c_j c_k (x_k - x_j)^2 / 2
-= s0 s2 - s1^2 with s_p = sum_j c_j (x_j - x0)^p, so N = 2 costs O(m) and
-N = 3 costs O(m^2); it is an identity of finite sums, not a moment table
-or a determinant.
+integrate_weighted's, and run on the lists' integers (kernels.py): the
+nodes X_i at 2^-F and the weights at the list's scale.  Each h_n and
+sum W x P_n^2 is one exact integer sum, rounded once, and so is each
+tensor value: a D_N point converts to 2^-F (a complex one to two
+integers), the insertion (y1 - x)(y2 - x) multiplies into the weights
+exactly, and the sum over N-tuples is an exact integer, rounded to an mpf
+(or the two parts of an mpc) once, at N = 3 by one division by 3.  A
+tensor value uses `nodes` per panel (by default the second rung of
+quadrature.LADDER); its error estimate is the difference from the sum at
+nodes // 2.  Over an m-node list the sum collapses its innermost pair
+exactly, sum_{j,k} c_j c_k (x_k - x_j)^2 / 2 = s0 s2 - s1^2 with s_p =
+sum_j c_j (x_j - x0)^p, so N = 2 costs O(m) and N = 3 costs O(m^2); it is
+an identity of finite sums, not a moment table or a determinant.
 """
 
 from __future__ import annotations
@@ -35,15 +34,13 @@ from dataclasses import dataclass
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpf_abs, mpf_div,
-                          mpf_gt, mpf_mul, mpf_sub, mpf_sum)
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div
 
 from .errors import QuadratureFailure, SingularHankel, UnsupportedParameters
 from .hankel import RecurrenceTable, _gamma, check_degree
-from .kernels import (Column, dot, monic_columns, monic_step, scaled,
-                      to_fixed)
+from .kernels import Column, monic_columns, monic_step, scaled, to_fixed
 from .moments import MomentTable, WeightParams
-from .precision import PrecisionCtx, to_mpf, workprec
+from .precision import PrecisionCtx, finite, to_mpf, workprec
 from .quadrature import (GUARD_BITS, LADDER, QuadResult, integrate_weighted,
                          weighted_nodes)
 
@@ -83,89 +80,85 @@ def inner_product(index_pair, table: RecurrenceTable, moments: MomentTable,
                                   rel_scale=(1,))[0].value
 
 
-def _number(parts):
-    """The mpf of a one-part raw sum, the mpc of a (real, imaginary) one."""
-    return mp.make_mpf(parts[0]) if len(parts) == 1 else mp.make_mpc(parts)
-
-
-def _spread(xs, parts, x0, lift):
+def _spread(X, parts, x0, lift):
     """The pair sum sum_{j,k} c_j c_k (x_k - x_j)^2 / 2 = s0 s2 - s1^2, for
-    c_j = W_j (x_j - x0)^lift and s_p = sum_j c_j (x_j - x0)^p: three O(m)
-    sums on raw tuples, the bits of mp.fsum(cs), mp.fdot(cs, ds) and
-    mp.fdot(cs, d2).  xs and x0 are raw; parts holds the raw W_j, or for
-    complex weights their real and their imaginary parts, which fsum and
-    fdot sum apart.  s0 s2 - s1^2 is formed on mpf (or mpc) numbers."""
-    prec, rnd = mp.mp._prec_rounding
-    mul = mpf_mul
-    ds = [mpf_sub(x, x0, prec, rnd) for x in xs]
-    d2 = [mul(d, d, prec, rnd) for d in ds]
+    c_j = W_j (x_j - x0)^lift and s_p = sum_j c_j (x_j - x0)^p, exact on
+    integers: the nodes X and x0 at 2^-F, and parts the W_j's integer
+    column, or for complex weights its real and its imaginary column.
+    Three O(m) sums per part; a pair (real, imaginary) for two parts."""
+    ds = [x - x0 for x in X]
+    d2 = [d * d for d in ds]
     sums = []
     for ws in parts:
-        cs = [mul(w, e, prec, rnd) for w, e in zip(ws, d2)] if lift else ws
-        sums.append((mpf_sum(cs, prec, rnd), dot(cs, ds, prec, rnd),
-                     dot(cs, d2, prec, rnd)))
-    s0, s1, s2 = map(_number, zip(*sums))
-    return s0 * s2 - s1 * s1
+        cs = [w * e for w, e in zip(ws, d2)] if lift else ws
+        sums.append((sum(cs), sum(map(mul, cs, ds)), sum(map(mul, cs, d2))))
+    if len(sums) == 1:
+        (s0, s1, s2), = sums
+        return (s0 * s2 - s1 * s1,)
+    (a0, a1, a2), (b0, b1, b2) = sums
+    return (a0 * a2 - b0 * b2 - a1 * a1 + b1 * b1,
+            a0 * b2 + b0 * a2 - 2 * a1 * b1)
 
 
-def _vandermonde_sum(xs, parts, N):
+def _vandermonde_sum(X, F, parts, e, N):
     """sum over N-tuples of nodes of prod W * prod_{i<j} (x_j - x_i)^2 / N!,
-    for raw nodes xs and weights W in parts (as _spread takes them).
+    for nodes X at 2^-F and weights W_j = parts[.][j] 2^e (as _spread takes
+    them), exact on integers and rounded once: an mpf, or an mpc for two
+    parts.
 
     The innermost pair sum collapses exactly (_spread), so no tuple loop
-    and no moment or determinant is formed: N = 2 is one O(m) pass centred
-    at the heaviest node (the first of equals, as max picks it), and N = 3
-    is (1/3) sum_i W_i (s0 s2 - s1^2) with c_j = W_j (x_j - x_i)^2 centred
-    at x_i, O(m) per i and O(m^2) in all.
+    and no moment or determinant is formed: N = 2 is one O(m) pass, and
+    N = 3 is (1/3) sum_i W_i (s0 s2 - s1^2) with c_j = W_j (x_j - x_i)^2
+    centred at x_i, O(m) per i and O(m^2) in all.
     """
     prec, rnd = mp.mp._prec_rounding
     if N == 1:
-        return _number([mpf_sum(ws, prec, rnd) for ws in parts])
-    if N == 2:
-        size = ([mpf_abs(w, prec, rnd) for w in parts[0]] if len(parts) == 1
-                else [mpc_abs(w, prec, rnd) for w in zip(*parts)])
-        top = 0
-        for i, v in enumerate(size):
-            if mpf_gt(v, size[top]):
-                top = i
-        return _spread(xs, parts, xs[top], 0)
-    weights = map(_number, zip(*parts))
-    return mp.fsum(w * _spread(xs, parts, x, 2)
-                   for x, w in zip(xs, weights)) / 3
+        sums = [sum(ws) for ws in parts]
+    elif N == 2:
+        sums, e = _spread(X, parts, 0, 0), 2 * (e - F)
+    else:
+        ws, = parts
+        S = sum(w * _spread(X, parts, x, 2)[0] for x, w in zip(X, ws))
+        return mp.make_mpf(mpf_div(from_man_exp(S, 3 * e - 6 * F),
+                                   from_int(3), prec, rnd))
+    parts = [from_man_exp(s, e, prec, rnd) for s in sums]
+    return mp.make_mpf(parts[0]) if len(parts) == 1 else mp.make_mpc(parts)
 
 
-def _weights(xs, ws, insert):
-    """The raw weights ws of a node list as _vandermonde_sum takes them,
-    each times (y1 - x)(y2 - x) for insert = (y1, y2), rounded as the mpf
-    expression w * ((y1 - x) * (y2 - x)) rounds it.  A complex y makes
-    the mpc weights of that expression, split into their parts."""
+def _weights(nodes, insert):
+    """(parts, e): a node list's weights as _vandermonde_sum takes them,
+    each times (y1 - x)(y2 - x) for insert = (y1, y2), exactly, with y1
+    and y2 at 2^-F (kernels.to_fixed).  A complex y makes two columns,
+    the real and the imaginary parts of the products."""
     if insert is None:
-        return (ws,)
-    y1, y2 = insert
-    if isinstance(y1, mp.mpc) or isinstance(y2, mp.mpc):
-        make = mp.make_mpf
-        return tuple(zip(*((make(w) * ((y1 - make(x)) * (y2 - make(x))))
-                           ._mpc_ for x, w in zip(xs, ws))))
-    prec, rnd = mp.mp._prec_rounding
-    mul, sub = mpf_mul, mpf_sub
-    y1, y2 = y1._mpf_, y2._mpf_
-    return ([mul(w, mul(sub(y1, x, prec, rnd), sub(y2, x, prec, rnd), prec,
-                        rnd), prec, rnd) for x, w in zip(xs, ws)],)
+        return (nodes.ws,), nodes.scale
+    F, ws, X = nodes.F, nodes.ws, nodes.X
+    (a1, b1), (a2, b2) = ([to_fixed(p._mpf_, -F) for p in (y.real, y.imag)]
+                          for y in insert)
+    e = nodes.scale - 2 * F
+    re = [w * ((a1 - x) * (a2 - x) - b1 * b2) for w, x in zip(ws, X)]
+    if not any(isinstance(y, mp.mpc) for y in insert):
+        return (re,), e
+    return (re, [w * ((a1 - x) * b2 + b1 * (a2 - x))
+                 for w, x in zip(ws, X)]), e
 
 
 def _tensor(params: WeightParams, N: int, prec: PrecisionCtx, nodes: int,
             insert=None) -> QuadResult:
     """N-fold tensor integral at nodes and nodes // 2 per panel, the
-    weights times (y1 - x)(y2 - x) for insert = (y1, y2); nodes < 2 leaves
-    the coarser list empty and is refused."""
+    weights times (y1 - x)(y2 - x) for insert = (y1, y2); a nodes that is
+    not an integer, or nodes < 2, which leaves the coarser list empty, is
+    refused."""
+    if not isinstance(nodes, int):
+        raise UnsupportedParameters(
+            f"nodes must be an integer, got nodes = {nodes!r}")
     if nodes < 2:
         raise UnsupportedParameters(f"nodes must be >= 2, got {nodes}")
     with workprec(prec, GUARD_BITS):
         def value_at(m):
             nodes = weighted_nodes(params, m)
-            ws = nodes.raw_weights(*mp.mp._prec_rounding)
-            return _vandermonde_sum(nodes.xs, _weights(nodes.xs, ws, insert),
-                                    N)
+            parts, e = _weights(nodes, insert)
+            return _vandermonde_sum(nodes.X, nodes.F, parts, e, N)
 
         fine = value_at(nodes)
         err = abs(fine - value_at(nodes // 2))
@@ -206,12 +199,14 @@ def finite_difference(f, x0, h, order: int = 1) -> FDResult:
     """Order-4 central stencil for f' (order=1) or f'' (order=2).
 
     The error estimate is the Richardson comparison between spacings
-    h and h/2; the returned value is the extrapolated one.
+    h and h/2; the returned value is the extrapolated one.  A nan or
+    infinite x0 or h, or h = 0, is refused by name.
     """
     if order not in (1, 2):
         raise UnsupportedParameters("order must be 1 or 2")
-    x0 = to_mpf(x0)
-    h = to_mpf(h)
+    x0, h = finite(x0=x0, h=h)
+    if not h:
+        raise UnsupportedParameters("h must be nonzero, got h = 0")
 
     def stencil(hh):
         f2p, fp = f(x0 + 2 * hh), f(x0 + hh)

@@ -63,10 +63,9 @@ inner_product's, and by monic_step the Stieltjes procedure's), and each
 sum is one exact integer dot product rounded once (kernels.weighted_sum),
 wrong by at most half an ulp plus sum |W_i| e_i, e_i the error that the
 column's integer operations carry to node i, each unit GUARD bits or more
-below the working ulp.  Only the tensor oracles still run on raw mpf tuples
-(kernels.dot), each weight converted once from the integer column
-(Nodes.raw_weights); jets and complex arguments elsewhere keep plain mpf
-arithmetic.
+below the working ulp.  The tensor oracles sum on the same integers: each
+value is the exact sum over the list's integers, rounded once (oracle.py).
+Jets and complex arguments elsewhere keep plain mpf arithmetic.
 
 The node lists themselves are cached too, since one weight's integrals
 ask for the same few lists many times (every ladder and oracle integral

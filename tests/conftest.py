@@ -5,7 +5,6 @@ import pytest
 
 from dlaguerre import PrecisionCtx, WeightParams, table_for
 from dlaguerre.kernels import Column, column_exp, to_fixed, top_exp
-from dlaguerre.quadrature import weighted_nodes
 
 
 @pytest.fixture(scope="session")
@@ -82,9 +81,8 @@ SIGNED_ZERO_T = ("0.47437660510312110794025129357528858358110931814056597382228"
                  "81186851610")
 
 
-def mpf_nodes(params, m, pole=None):
-    """weighted_nodes' list as (x, W) mpf pairs, each W rounded once at the
-    working precision (Nodes.raw_weights, the tensor oracles' view)."""
-    nodes = weighted_nodes(params, m, pole)
-    return [tuple(map(mp.make_mpf, node)) for node in
-            zip(nodes.xs, nodes.raw_weights(*mp.mp._prec_rounding))]
+def mpf_nodes(nodes):
+    """A node list (kernels.Nodes) as (x, W) mpf pairs, each W = ws[i]
+    2^scale rounded once at the working precision."""
+    return [(mp.make_mpf(x), mp.ldexp(w, nodes.scale))
+            for x, w in zip(nodes.xs, nodes.ws)]

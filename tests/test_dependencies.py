@@ -48,3 +48,33 @@ def test_no_unused_imports(path):
                     if name not in read)
     assert not unused, f"{path.name} imports but never reads " + ", ".join(
         f"{name} (line {line})" for line, name in unused)
+
+
+JET_LAYER = {"moments.py", "painleve.py"}
+# kernels' raw mpf tuple kernels: conv, and dot, which conv absorbed
+RAW_KERNELS = {"conv", "dot"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda path: path.name)
+def test_node_sums_are_integer_only(path):
+    """Every node sum runs on the node list's integers: only the jet layer
+    takes a raw-tuple kernel from kernels (by import or as kernels.<name>),
+    and no module reads a node list's weights as raw tuples
+    (raw_weights)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    taken, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module or "").split(".")[-1] == "kernels":
+            taken |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id == "kernels":
+                taken.add(node.attr)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    if path.name not in JET_LAYER:
+        assert not taken & RAW_KERNELS, (
+            f"{path.name} takes {sorted(taken & RAW_KERNELS)} from kernels")
+    assert "raw_weights" not in read, f"{path.name} reads raw_weights"

@@ -1,13 +1,15 @@
 """Out-of-domain input raises UnsupportedParameters, also a ValueError."""
 
 import functools
+import re
 
 import mpmath as mp
 import pytest
 
 from dlaguerre import (PrecisionCtx, PVParams, UnsupportedParameters,
                        WeightParams, build_moment_table, dN_by_quadrature,
-                       delta_by_quadrature, evolve, from_hamiltonian,
+                       delta_by_quadrature, evolve, finite_difference,
+                       from_hamiltonian,
                        gram_schmidt_recurrence, hamilton_rhs,
                        hamiltonian_eval, inner_product, ladder_integrals,
                        ode_rhs, pv_residual, rr_rhs, table_for,
@@ -86,6 +88,20 @@ REFUSALS = {
         lambda: delta_by_quadrature(PARAMS, 1, PrecisionCtx(), nodes=1)),
     "dN_by_quadrature one node": (
         lambda: dN_by_quadrature(PARAMS, 1, 2, 3, PrecisionCtx(), nodes=1)),
+    # an AttributeError ("'float' object has no attribute 'bit_length'")
+    # or a TypeError from the rule builder
+    "delta_by_quadrature float nodes": (
+        lambda: delta_by_quadrature(PARAMS, 1, PrecisionCtx(), nodes=2.5)),
+    "delta_by_quadrature str nodes": (
+        lambda: delta_by_quadrature(PARAMS, 1, PrecisionCtx(), nodes="20")),
+    "dN_by_quadrature float nodes": (
+        lambda: dN_by_quadrature(PARAMS, 1, 2, 3, PrecisionCtx(),
+                                 nodes=20.0)),
+    "dN_by_quadrature str nodes": (
+        lambda: dN_by_quadrature(PARAMS, 1, 2, 3, PrecisionCtx(),
+                                 nodes="20")),
+    # a bare ZeroDivisionError
+    "finite_difference h = 0": lambda: finite_difference(mp.exp, 1, 0),
     # returned {'a': [0], 'b': [], ...}
     "gram_schmidt_recurrence n_max < 0": (
         lambda: gram_schmidt_recurrence(PARAMS, -1, PrecisionCtx())),
@@ -176,6 +192,13 @@ NONFINITE_REFUSALS = {
         lambda: ab_flow_check(PARAMS, 1, ["0.2", mp.nan, "0.4"])),
     "ab_flow_check inf node": (
         lambda: ab_flow_check(PARAMS, 1, ["0.2", mp.inf, "0.4"])),
+    # finite_difference returned FDResult(nan, nan)
+    "finite_difference nan h": lambda: finite_difference(mp.exp, 1, mp.nan),
+    "finite_difference inf h": lambda: finite_difference(mp.exp, 1, mp.inf),
+    "finite_difference nan x0": (
+        lambda: finite_difference(mp.exp, mp.nan, "1e-3")),
+    "finite_difference -inf x0": (
+        lambda: finite_difference(mp.exp, -mp.inf, "1e-3", order=2)),
 }
 REFUSALS.update(NONFINITE_REFUSALS)
 
@@ -293,3 +316,24 @@ def test_tensor_nodes_refused_before_any_list(monkeypatch):
     monkeypatch.setattr(oracle, "weighted_nodes", no_lists)
     with pytest.raises(UnsupportedParameters, match="nodes must be >= 2"):
         delta_by_quadrature(PARAMS, 2, PrecisionCtx(), nodes=0)
+
+
+@pytest.mark.parametrize("nodes", [2.5, 20.0, "20", None])
+def test_tensor_nodes_that_are_not_integers_refused_by_name(monkeypatch,
+                                                             nodes):
+    """A nodes that is not an integer is refused by name before a node
+    list is asked for."""
+    def no_lists(*args, **kwargs):
+        raise AssertionError("built a node list for a non-integer nodes")
+
+    monkeypatch.setattr(oracle, "weighted_nodes", no_lists)
+    with pytest.raises(UnsupportedParameters,
+                       match=f"^nodes must be an integer, got nodes = "
+                             f"{re.escape(repr(nodes))}$"):
+        delta_by_quadrature(PARAMS, 2, PrecisionCtx(), nodes=nodes)
+
+
+def test_finite_difference_zero_step_refused_by_name():
+    with pytest.raises(UnsupportedParameters,
+                       match=r"^h must be nonzero, got h = 0$"):
+        finite_difference(mp.exp, 1, mp.mpf(0), order=2)

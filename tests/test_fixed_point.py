@@ -18,21 +18,31 @@ For the moments and the Cauchy sweep, the a-priori bound of kernels.py
 plus half an ulp of the one rounding) is formed from the columns' own
 scales: every error must lie within it, and the largest error of each
 case within 2^8 of it, so the bound is not vacuous.
+
+The tensor oracles (Delta_N, D_N) sum the same integers and round once:
+each value, and the error estimate formed from the sums at nodes and
+nodes // 2, has the bits of the explicit sum over every N-tuple of the
+list's integer nodes and weights, the insertion (y1 - x)(y2 - x) with y1
+and y2 at 2^-F multiplied in, divided by N! and rounded once.
 """
 
 import functools
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_rational
 
 from dlaguerre import PrecisionCtx, WeightParams, table_for
 from dlaguerre import hankel, moments, oracle, quadrature, semiclassical
 from dlaguerre.hankel import cauchy_sweep, stieltjes_eval
-from dlaguerre.kernels import weighted_sum
+from dlaguerre.kernels import to_fixed, weighted_sum
 from dlaguerre.moments import _quadrature_moments
-from dlaguerre.oracle import gram_schmidt_recurrence, inner_product
-from dlaguerre.precision import to_mpf
+from dlaguerre.oracle import (dN_by_quadrature, delta_by_quadrature,
+                              gram_schmidt_recurrence, inner_product)
+from dlaguerre.precision import to_mpf, workprec
 from dlaguerre.quadrature import GUARD_BITS, LADDER, weighted_nodes
 from dlaguerre.semiclassical import ladder_ab_by_quadrature, ladder_integrals
 
@@ -385,3 +395,90 @@ def test_a_priori_bound_holds_and_is_not_vacuous(monkeypatch, name):
                 assert abs(S - ref) <= bound
                 worst = max(worst, abs(S - ref) / bound)
     assert worst >= mp.ldexp(1, -8)
+
+
+# --- the tensor oracles ------------------------------------------------------
+
+def _gauss_mul(u, v):
+    """The product of two Gaussian integers (re, im)."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _tuple_sum(params, N, insert, m):
+    """The N-fold squared-Vandermonde sum over the m-node list, term by
+    term over every N-tuple of its integers, exact, divided by N! and
+    rounded once at the working precision: an mpf, or an mpc where a y is
+    complex."""
+    nodes = weighted_nodes(params, m)
+    X, F, e = nodes.X, nodes.F, nodes.scale
+    ws = [(w, 0) for w in nodes.ws]
+    if insert is not None:
+        (a1, b1), (a2, b2) = ((to_fixed(y.real._mpf_, -F),
+                               to_fixed(y.imag._mpf_, -F)) for y in insert)
+        ws = [_gauss_mul(w, _gauss_mul((a1 - x, b1), (a2 - x, b2)))
+              for w, x in zip(ws, X)]
+        e -= 2 * F
+    re = im = 0
+    for tup in itertools.product(range(len(X)), repeat=N):
+        w = (1, 0)
+        for i in tup:
+            w = _gauss_mul(w, ws[i])
+        v = 1
+        for i, j in itertools.combinations(tup, 2):
+            v *= (X[j] - X[i]) ** 2
+        re, im = re + w[0] * v, im + w[1] * v
+    # N weights at 2^e and N (N - 1) / 2 squared differences at 2^-2F
+    scale = Fraction(2) ** (N * e - N * (N - 1) * F) / math.factorial(N)
+    prec, rnd = mp.mp._prec_rounding
+    parts = [from_rational(q.numerator, q.denominator, prec, rnd)
+             for q in (S * scale for S in (re, im))]
+    if insert is not None and any(isinstance(y, mp.mpc) for y in insert):
+        return mp.make_mpc(parts)
+    return mp.make_mpf(parts[0])
+
+
+# name: (point, N, the D_N point (y1, y2) or None, nodes per panel)
+TENSOR_CASES = {
+    "Delta_1": ("mu_2", 1, None, 3),
+    "Delta_2 signed": ("signed", 2, None, 3),
+    "Delta_3 mu_1.5": ("mu_1.5", 3, None, 3),
+    "D_1": ("mu_2", 1, ("5", "7"), 3),
+    "D_2 confluent": ("signed", 2, ("4", "4"), 3),
+    "D_2 complex y": ("mu_2", 2, (mp.mpc(3, 1), "7"), 3),
+    # the exact sum S of this one, rounded before the division by 3 (two
+    # roundings), loses its last bit
+    "Delta_3 signed LADDER[1]": ("signed", 3, None, LADDER[1]),
+}
+TENSOR_CASES.update({f"Delta_{N} desk LADDER[1]": ("mu_2", N, None, LADDER[1])
+                     for N in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("name", list(TENSOR_CASES))
+def test_tensor_value_is_the_tuple_sum_rounded_once(monkeypatch, name):
+    """Bit equality with the O(m^N) tuple sum over the same integers: each
+    sum at nodes and nodes // 2 at the oracle's width, and the value and
+    error estimate it returns."""
+    point, N, insert, nodes = TENSOR_CASES[name]
+    params = WeightParams(*POINTS[point])
+    sums, real = [], oracle._vandermonde_sum
+
+    def spy(*args):
+        sums.append(real(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(oracle, "_vandermonde_sum", spy)
+    res = (delta_by_quadrature(params, N, PREC, nodes) if insert is None
+           else dN_by_quadrature(params, N, *insert, PREC, nodes))
+    with workprec(PREC, GUARD_BITS):
+        if insert is not None:
+            insert = tuple(map(to_mpf, insert))
+        want = [_tuple_sum(params, N, insert, m) for m in (nodes, nodes // 2)]
+        err = abs(want[0] - want[1])
+    with workprec(PREC):
+        want += [+want[0], +err]
+
+    def raw(v):
+        return v._mpf_ if isinstance(v, mp.mpf) else v._mpc_
+
+    assert list(map(raw, sums + [res.value, res.error])) == (
+        list(map(raw, want)))

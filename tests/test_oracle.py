@@ -4,7 +4,6 @@ import itertools
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import mpf_mul, mpf_shift, mpf_sub
 
 from dlaguerre import (PrecisionCtx, SingularHankel, UnsupportedParameters,
                        WeightParams, dN_by_quadrature, delta_by_quadrature,
@@ -14,7 +13,7 @@ from dlaguerre import oracle
 from dlaguerre.oracle import (_vandermonde_sum, gram_schmidt_recurrence,
                               inner_product)
 from dlaguerre.precision import workprec
-from dlaguerre.quadrature import GUARD_BITS
+from dlaguerre.quadrature import GUARD_BITS, weighted_nodes
 from conftest import mpf_nodes, per_node, rel_err
 
 
@@ -29,21 +28,19 @@ def _tuple_sum(pts, N):
     return mp.fsum(terms) / mp.factorial(N)
 
 
-def _collapsed_sum(pts, N):
-    """oracle._vandermonde_sum over an mpf node list, as raw tuples."""
-    return _vandermonde_sum([x._mpf_ for x, _ in pts],
-                            ([w._mpf_ for _, w in pts],), N)
-
-
-def _node_list(point, insert=None, nodes=10):
-    """weighted_nodes at the tensor oracle's width, with the dN insertion
-    (y1 - x)(y2 - x) multiplied into the weights when insert = (y1, y2)."""
+def _node_list(point, nodes=10):
+    """weighted_nodes at the tensor oracle's width."""
     with workprec(PrecisionCtx(), GUARD_BITS):
-        pts = mpf_nodes(WeightParams(*point), nodes)
-        if insert is not None:
-            y1, y2 = insert
-            pts = [(x, w * (y1 - x) * (y2 - x)) for (x, w) in pts]
-    return pts
+        return weighted_nodes(WeightParams(*point), nodes)
+
+
+def _collapsed_sum(lst, N, insert=None):
+    """oracle._vandermonde_sum over a node list's integers, with the dN
+    insertion (y1 - x)(y2 - x) for insert = (y1, y2), at the tensor
+    oracle's width."""
+    with workprec(PrecisionCtx(), GUARD_BITS):
+        parts, e = oracle._weights(lst, insert)
+        return _vandermonde_sum(lst.X, lst.F, parts, e, N)
 
 
 class TestVandermondeSum:
@@ -57,62 +54,57 @@ class TestVandermondeSum:
         ((2, 2, "0.5", "0.3"), (4, 4)),
     ], ids=["desk", "signed", "dN_5_7", "dN_confluent_4"])
     def test_matches_tuple_sum(self, point, insert, N):
-        pts = _node_list(point, insert)
-        with workprec(PrecisionCtx(), GUARD_BITS):
-            got = _collapsed_sum(pts, N)
-            with mp.extraprec(mp.mp.prec):
-                want = _tuple_sum(pts, N)
+        lst = _node_list(point)
+        got = _collapsed_sum(lst, N, insert and tuple(map(mp.mpf, insert)))
+        with workprec(PrecisionCtx(), GUARD_BITS), mp.extraprec(mp.mp.prec):
+            pts = mpf_nodes(lst)
+            if insert is not None:
+                y1, y2 = insert
+                pts = [(x, w * (y1 - x) * (y2 - x)) for (x, w) in pts]
+            want = _tuple_sum(pts, N)
         assert rel_err(got, want) <= 1e-75
 
     @staticmethod
-    def _pair_sum_lengths(monkeypatch, pts):
-        """The summed lengths of the pair sums s1 and s2 (kernels.dot, the
-        mp.fdot of the raw kernel) of one N = 3 sum over pts."""
-        lengths = []
-        dot = oracle.dot
+    def _pair_terms(monkeypatch, lst):
+        """The number of pair-sum terms of one N = 3 sum over lst: the
+        products (oracle.mul) of the sums s1 and s2; and the sum."""
+        count = [0]
 
-        def counting_dot(cs, ds, prec, rnd):
-            cs = list(cs)
-            lengths.append(len(cs))
-            return dot(cs, ds, prec, rnd)
+        def counting_mul(u, v):
+            count[0] += 1
+            return u * v
 
-        monkeypatch.setattr(oracle, "dot", counting_dot)
-        with workprec(PrecisionCtx(), GUARD_BITS):
-            value = _collapsed_sum(pts, 3)
-        return sum(lengths), value
+        monkeypatch.setattr(oracle, "mul", counting_mul)
+        value = _collapsed_sum(lst, 3)
+        return count[0], value
 
     def test_three_fold_sum_is_quadratic(self, monkeypatch):
-        """The N = 3 sum does O(m) work per node: its pair-sum lengths add
-        up to a small multiple of m^2, where a pair sum per node would
-        reach m^3."""
-        pts = _node_list((2, 2, "0.5", "0.3"), nodes=20)
-        m = len(pts)
-        total, _ = self._pair_sum_lengths(monkeypatch, pts)
+        """The N = 3 sum does O(m) work per node: its pair-sum terms add up
+        to a small multiple of m^2, where a pair sum per node would reach
+        m^3."""
+        lst = _node_list((2, 2, "0.5", "0.3"), nodes=20)
+        m = len(lst.X)
+        total, _ = self._pair_terms(monkeypatch, lst)
         assert m == 40 and 0 < total <= 3 * m * m
 
     def test_quadratic_bound_catches_a_cubic_sum(self, monkeypatch):
         """The bound above fails on an O(m^3) N = 3 sum: one whose _spread
         forms sum_{j,k} c_j c_k (x_k - x_j)^2 / 2 term by term, m^2 pair
-        terms per node, and is the same sum."""
-        pts = _node_list((2, 2, "0.5", "0.3"), nodes=20)
-        m = len(pts)
-        _, want = self._pair_sum_lengths(monkeypatch, pts)
+        terms per node, and is the same exact sum."""
+        lst = _node_list((2, 2, "0.5", "0.3"), nodes=20)
+        m = len(lst.X)
+        _, want = self._pair_terms(monkeypatch, lst)
 
-        def cubic_spread(xs, parts, x0, lift):
-            prec, rnd = mp.mp._prec_rounding
-            ds = [mpf_sub(x, x0) for x in xs]
-            cs = [mpf_mul(w, mpf_mul(d, d)) if lift else w
-                  for d, w in zip(ds, parts[0])]
-            pairs = [(mpf_mul(cj, ck), mpf_mul(e, e))
-                     for xj, cj in zip(xs, cs) for xk, ck in zip(xs, cs)
-                     for e in (mpf_sub(xk, xj),)]
-            return mp.make_mpf(mpf_shift(oracle.dot(
-                [c for c, _ in pairs], [d for _, d in pairs], prec, rnd), -1))
+        def cubic_spread(X, parts, x0, lift):
+            cs = [w * (x - x0) ** lift for x, w in zip(X, parts[0])]
+            pairs = [(cj * ck, (xk - xj) ** 2)
+                     for xj, cj in zip(X, cs) for xk, ck in zip(X, cs)]
+            return (sum(map(oracle.mul, *zip(*pairs))) // 2,)
 
         monkeypatch.setattr(oracle, "_spread", cubic_spread)
-        total, got = self._pair_sum_lengths(monkeypatch, pts)
+        total, got = self._pair_terms(monkeypatch, lst)
         assert total == m ** 3 > 3 * m * m
-        assert rel_err(got, want) <= 1e-70
+        assert got == want
 
 
 class TestDeltaByQuadrature:

@@ -1,13 +1,8 @@
-"""The raw-tuple kernels against the plain mpf expressions they replace.
+"""to_hamiltonian and pv_residual against independent plain references.
 
-The tensor oracles (oracle._spread and _vandermonde_sum over kernels.dot)
-run on mpmath.libmp tuples with the operations and roundings of mp.fsum
-and mp.fdot over the node list's weights, each converted once from the
-list's integer column (Nodes.raw_weights, conftest.mpf_nodes); each case
-compares the bits (or the raised type) of the package function with the
-plain expression kept here.  The to_hamiltonian and pv_residual cases hold
-those plain functions to the independent references below.  The node
-sums that run on integers are checked in test_fixed_point.py.
+Each case compares the bits (or the raised type) of the package function
+with the plain mpf expression kept here.  The node sums, the tensor
+oracles' included, run on integers and are checked in test_fixed_point.py.
 """
 
 import functools
@@ -18,17 +13,7 @@ import pytest
 
 from dlaguerre import PVParams, PrecisionCtx, WeightParams, evolve
 from dlaguerre import painleve
-from dlaguerre.oracle import dN_by_quadrature, delta_by_quadrature
 from dlaguerre.precision import to_mpf, workprec
-from dlaguerre.quadrature import GUARD_BITS, LADDER
-from conftest import mpf_nodes
-
-PREC = PrecisionCtx(128, "1e-25")
-POINTS = {
-    "mu_2": (2, 2, "0.5", "0.3"),          # integer mu, the desk point
-    "mu_1.5": (2, "1.5", "0.5", "0.3"),    # real mu: a Jacobi panel at 0
-    "signed": (3, 1, "-0.7", "2"),         # odd alpha, a signed weight
-}
 
 
 def _bits(v):
@@ -54,36 +39,6 @@ def _outcome(fn):
 
 
 # --- the plain references ----------------------------------------------------
-
-def ref_spread(xs, ws, x0, lift):
-    ds = [x - x0 for x in xs]
-    d2 = [d * d for d in ds]
-    cs = [w * e for w, e in zip(ws, d2)] if lift else ws
-    s0, s1, s2 = mp.fsum(cs), mp.fdot(cs, ds), mp.fdot(cs, d2)
-    return s0 * s2 - s1 * s1
-
-
-def ref_tensor(params, N, insert=None, nodes=LADDER[1]):
-    def value_at(m):
-        pts = mpf_nodes(params, m)
-        if insert is not None:
-            y1, y2 = insert
-            pts = [(x, w * ((y1 - x) * (y2 - x))) for (x, w) in pts]
-        xs, ws = zip(*pts)
-        if N == 1:
-            return mp.fsum(ws)
-        if N == 2:
-            return ref_spread(xs, ws, max(pts, key=lambda p: abs(p[1]))[0], 0)
-        return mp.fsum(w * ref_spread(xs, ws, x, 2) for x, w in pts) / 3
-
-    with workprec(PREC, GUARD_BITS):
-        if insert is not None:
-            insert = tuple(map(to_mpf, insert))
-        fine = value_at(nodes)
-        err = abs(fine - value_at(nodes // 2))
-    with workprec(PREC):
-        return +fine, +err
-
 
 def ref_to_hamiltonian(th, ka, t, n, params, convention):
     pv = PVParams.make(n, params.alpha, params.mu, convention)
@@ -131,17 +86,6 @@ def ref_pv_residual(ts, qs, alphas):
 
 
 # --- the cases ---------------------------------------------------------------
-
-def _tensor(point, N, insert=None):
-    params = WeightParams(*POINTS[point])
-
-    def got():
-        res = (delta_by_quadrature(params, N, PREC) if insert is None
-               else dN_by_quadrature(params, N, *insert, PREC))
-        return res.value, res.error
-
-    return got, lambda: ref_tensor(params, N, insert)
-
 
 @functools.lru_cache(maxsize=None)
 def _trajectory():
@@ -203,12 +147,6 @@ def _pv(convention):
 
 
 CASES = {
-    "Delta_1": lambda: _tensor("mu_2", 1),
-    "Delta_2 signed": lambda: _tensor("signed", 2),
-    "Delta_3 mu_1.5": lambda: _tensor("mu_1.5", 3),
-    "D_1": lambda: _tensor("mu_2", 1, ("5", "7")),
-    "D_2 confluent": lambda: _tensor("signed", 2, ("4", "4")),
-    "D_2 complex y": lambda: _tensor("mu_2", 2, (mp.mpc(3, 1), "7")),
     "to_hamiltonian prop11": lambda: _hamiltonian("prop11"),
     "to_hamiltonian cor12": lambda: _hamiltonian("cor12"),
     "to_hamiltonian complex theta": lambda: _hamiltonian("prop11", True),

@@ -1,4 +1,4 @@
-"""Kernels shared by the quadrature and jet layers.
+"""Kernels shared by the quadrature, jet and flow-check layers.
 
 Fixed point, for the node sums of every weighted integral:
 
@@ -36,6 +36,25 @@ bound for the moments and the Cauchy sweep and finds the measured error
 within 2^8 of it.  Every unit is at most 2^-GUARD of an ulp at prec of a
 value of order 1, so the rounding of S dominates.
 
+The flow check's fixed point:
+
+- dense output (painleve.Trajectory.sample): the nodes, the step starts
+  and the queries are exact integers at one scale (exact_column).  A step
+  of length L from t_k, with 2^g the least power of two >= L, has its
+  coefficients scaled to sigma = (t - t_k) 2^-g in [0, 1] as c_j 2^(g j),
+  exactly, and held as integers C_j at one scale 2^e, e = prec + GUARD
+  bits below the leading bit 2^top of the largest (step_column).  sigma is
+  an exact S 2^-F, and horner floors once per step.  Each C_j is within
+  one unit, each floor adds less than one, and the error carried into a
+  step is multiplied by sigma <= 1, so a value of an order-K step is wrong
+  by less than (2K + 1) 2^(top - prec - GUARD) before its one rounding:
+  within one ulp of the exact polynomial value whenever that value is at
+  least (2K + 1) 2^(top - GUARD + 1);
+- the PV stencils (painleve._pv_quotient): the grid and the samples are
+  exact integers at one scale each, so the grid checks are exact and both
+  Richardson-combined stencil numerators are exact integers; q' and q''
+  are one correctly rounded division each, by 360 h and 720 h^2.
+
 Raw tuples, for the jets only: conv, a coefficient of a product of
 series as one exact dot product rounded once (mp.fdot's bits).  The
 tensor oracles sum on the node list's integers as every weighted integral
@@ -49,7 +68,7 @@ from operator import mul
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_sum
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_shift, mpf_sum
 
 GUARD = 16          # bits of the node columns past the working width
 WEIGHT_GUARD = 8    # the smallest weight keeps the working width plus these
@@ -119,6 +138,31 @@ def monic_columns(b, a2, n, X, F):
                                to_fixed(a2[m]._mpf_, -F), cur, prev, F), cur
         out.append(cur)
     return out
+
+
+def exact_column(values):
+    """Finite raw mpf values as exact integers at one scale 2^e, e <= 0 the
+    least exponent among them: ([V_i], e)."""
+    e = min([0] + [x for _, m, x, _ in values if m])
+    return [to_fixed(v, e) for v in values], e
+
+
+def step_column(cs, g, F):
+    """The coefficients c_j of a step polynomial in s (raw mpf), scaled to
+    sigma = s 2^-g as c_j 2^(g j) (exact), as integers at one scale 2^e, e F
+    bits below the leading bit of the largest: ([C_j], e)."""
+    cs = [mpf_shift(c, g * j) for j, c in enumerate(cs)]
+    e = (top_exp(cs) or 0) - F
+    return [to_fixed(c, e) for c in cs], e
+
+
+def horner(cs, S, F):
+    """sum_j C_j sigma^j for integers C_j at sigma = S 2^-F in [0, 1]:
+    Horner's rule, one floor per step, at the C_j's scale."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * S >> F) + c
+    return acc
 
 
 def times(ps, k, F):

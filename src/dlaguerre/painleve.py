@@ -59,9 +59,10 @@ partials of tH off its jets.  Only pv_residual differentiates numerically:
 order-4 stencils on the sampled q, Richardson-combined as
 oracle.finite_difference combines them.  It takes samples, as the
 evolve command and its benchmark hand them over, so the stencils stay.
-Each sample's to_hamiltonian and the residual run plain mpf arithmetic:
-_qp_map, _t_hamiltonian and pv_rhs_second_derivative are the one copy of
-each formula.
+The stencils run on the samples as exact integers, each derivative one
+rounded division (kernels.py); each sample's to_hamiltonian and the right
+side run plain mpf arithmetic: _qp_map, _t_hamiltonian and
+pv_rhs_second_derivative are the one copy of each formula.
 The jets carry a_n^2, never a_n: polynomial jets come from the monic
 recurrence and the Lax pair acts on (P_n, P_{n-1}) (the monic gauge), so
 signed weights need no square root either.
@@ -71,7 +72,8 @@ step builds the jet of (theta, kappa) about its start by the standard
 automatic-differentiation recursions (products, 1/theta, 1/(theta+t) and
 the division by t, O(K^2) for order K), with the order K taken from the
 tolerance and the step size from the jet's last two coefficients (Jorba &
-Zou, Exp. Math. 14, 2005).  The step polynomials are the dense output.
+Zou, Exp. Math. 14, 2005).  The step polynomials are the dense output,
+evaluated on integers (Trajectory).
 Integration stops with SingularityEncountered when theta or theta + t
 reaches the guard zone around 0 at a node, when its step polynomial may
 vanish inside a step, or when the step size collapses at a pole.  At
@@ -88,15 +90,16 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int,
-                          mpf_rdiv_int, mpf_shift, mpf_sign, mpf_sub)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_shift,
+                          mpf_sign, mpf_sub)
 
 from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
-from .kernels import conv
+from .kernels import GUARD, conv, exact_column, horner, step_column
 from .moments import TruncSeries, WeightParams, moment_jets
 from .precision import (DEFAULT_CTX, PrecisionCtx, finite,
                         fraction_or_none, to_mpf, workprec)
@@ -462,8 +465,12 @@ def aux_pair_series(n_max: int, params: WeightParams, order: int,
     order-1 terms are the t-derivatives that the flow laws, the deformation
     and the zero-curvature checks read.  Arithmetic runs with the GUARD_BITS
     of the numeric tables, the moment recurrence with its own on top.  An
-    about that is not finite is refused by name (moment_jets).
+    order that is not a non-negative int, or an about that is not finite
+    (moment_jets), is refused by name.
     """
+    if not isinstance(order, int) or order < 0:
+        raise UnsupportedParameters(
+            f"order must be a non-negative integer, got order = {order!r}")
     with workprec(prec or DEFAULT_CTX, GUARD_BITS):
         about = to_mpf(about)
         mk = moment_jets(2 * n_max + 1, params, order, about)
@@ -517,7 +524,8 @@ def series_init(n: int, t0, params: WeightParams, prec: PrecisionCtx = None,
     Requires 0 < t0 <= 1e-2 and alpha + mu > 1 (expansion ordering), with
     integer alpha and mu.  The default order (_series_order) leaves a
     truncation error that stays below prec.tol after the flow's
-    (t1/t0)^(1+alpha+mu) amplification to t1 = 1; an explicit order wins.
+    (t1/t0)^(1+alpha+mu) amplification to t1 = 1; an explicit order, a
+    non-negative int, wins.
     """
     if n < 0:
         raise UnsupportedParameters(f"n must be >= 0, got {n}")
@@ -632,6 +640,17 @@ class Trajectory:
     the final node).  The Taylor step size is fixed from the jet before the
     step is taken, so `rejected` is always 0.  eval and sample run at the
     trajectory's precision `prec`, whatever the caller's context.
+
+    Dense output runs on integers (kernels.py).  A query at a node returns
+    the stored values.  Any other query reads the polynomial of its step,
+    of length L from t_k: with 2^g the least power of two >= L, the
+    coefficients c_j 2^(g j) (exact) are integers at prec + GUARD bits
+    below the largest, 2^top > max |c_j 2^(g j)|, and Horner's rule runs at
+    the exact sigma = (t - t_k) 2^-g in [0, 1] with one floor per step.  An
+    order-K value is within (2K + 1) 2^(top - prec - GUARD) of the exact
+    polynomial value before its one rounding, so within one ulp unless it
+    is below (2K + 1) 2^(top - GUARD + 1).  evolve's own step ends use
+    TruncSeries.eval.
     """
 
     n: int
@@ -654,33 +673,79 @@ class Trajectory:
         return self.t[-1], self.theta[-1], self.kappa[-1]
 
     def eval(self, t_query):
-        """Dense output: the Taylor polynomial of the step containing t."""
-        with workprec(self.prec):
-            return self._dense(to_mpf(t_query), [j[0] for j in self.jets])
-
-    def _dense(self, tq, starts):
-        """eval at an mpf tq, with starts the jets' start times."""
-        if not self.t[0] <= tq <= self.t[-1]:
-            raise UnsupportedParameters("query outside the trajectory")
-        if not self.jets:
-            return self.theta[0], self.kappa[0]
-        i = max(bisect.bisect_right(starts, tq) - 1, 0)
-        tk, th, ka = self.jets[i]
-        return th.eval(tq - tk), ka.eval(tq - tk)
+        """Dense output at one query, as sample reads it."""
+        return self.sample([t_query])[0]
 
     def sample(self, t_list):
         """(theta, kappa) at each query: exact node values when the query
-        coincides with a node, dense output otherwise."""
-        node = {t: i for i, t in enumerate(self.t)}
-        out = []
+        coincides with a node, the step polynomials on integers otherwise.
+        A query that is not a finite real number, or lies outside the
+        trajectory, is refused by name."""
         with workprec(self.prec):
-            starts = [j[0] for j in self.jets]
-            for tq in t_list:
-                tq = to_mpf(tq)
-                i = node.get(tq)
-                out.append((self.theta[i], self.kappa[i]) if i is not None
-                           else self._dense(tq, starts))
+            prec, rnd = mp.mp._prec_rounding
+            qs = [_query(tq) for tq in t_list]
+            # nodes, step starts and queries as exact integers at one scale
+            nt, ns = len(self.t), len(self.jets)
+            X, e = exact_column([v._mpf_ for v in self.t]
+                                + [j[0]._mpf_ for j in self.jets]
+                                + [v._mpf_ for v in qs])
+            nodes, starts = X[:nt], X[nt:nt + ns]
+            node = {T: i for i, T in enumerate(nodes)}
+            steps, out = {}, []
+            for T in X[nt + ns:]:
+                if not nodes[0] <= T <= nodes[-1]:
+                    raise UnsupportedParameters(
+                        "query outside the trajectory")
+                i = node.get(T)
+                if i is not None:
+                    out.append((self.theta[i], self.kappa[i]))
+                    continue
+                k = bisect.bisect_right(starts, T) - 1
+                if k not in steps:
+                    end = starts[k + 1] if k + 1 < ns else nodes[-1]
+                    steps[k] = self._step(k, end - starts[k], e, prec)
+                F, cols = steps[k]
+                # sigma = (tq - t_k) 2^-g = S 2^-F in [0, 1], exactly
+                S = T - starts[k]
+                out.append(tuple(
+                    mp.make_mpf(from_man_exp(horner(C, S, F), ec, prec, rnd))
+                    for C, ec in cols))
         return out
+
+    def _step(self, k, length, e, prec):
+        """Step k on integers, for a step of length units of 2^e: F =
+        bitlength(length - 1), so that 2^g = 2^(e + F) is the smallest power
+        of two at least as long as the step, and the theta and kappa columns
+        of kernels.step_column at prec + GUARD bits."""
+        F = (length - 1).bit_length()
+        return F, [step_column([c._mpf_ for c in p.c], e + F, prec + GUARD)
+                   for p in self.jets[k][1:]]
+
+
+def _query(tq):
+    """A dense-output query rounded to an mpf at the current precision, or
+    refused by name when it is not a finite real number."""
+    try:
+        v = to_mpf(tq)
+    except (TypeError, ValueError):
+        v = None
+    if type(v) is not mp.mpf or not mp.isfinite(v):
+        raise UnsupportedParameters(
+            f"query must be a finite real number, got {tq!r}")
+    return +v
+
+
+def _caller_data(y0):
+    """y0 = (theta0, kappa0) as two finite mpf, or refused by name."""
+    try:
+        th, ka = (to_mpf(v) for v in y0)
+    except (TypeError, ValueError):
+        th = ka = None
+    if not all(type(v) is mp.mpf and mp.isfinite(v) for v in (th, ka)):
+        raise UnsupportedParameters(
+            f"y0 must be two finite real numbers (theta0, kappa0), "
+            f"got y0 = {y0!r}")
+    return th, ka
 
 
 def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
@@ -700,7 +765,12 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
     MAX_STEPS budget runs out or the step size underflows.  Raises
     DegenerateTheta before the first step when (alpha, zeta) = (0, 0),
     where the weight does not depend on t and theta_n = -t identically.
+    An n that is not an integer, a t0 or t1 that is not a finite real
+    number, and a y0 that is not two finite reals are refused by name
+    (UnsupportedParameters) before any step.
     """
+    if not isinstance(n, int):
+        raise UnsupportedParameters(f"n must be an integer, got n = {n!r}")
     if n < 0:
         raise UnsupportedParameters(f"n must be >= 0, got {n}")
     prec = prec or DEFAULT_CTX
@@ -713,6 +783,10 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
         except (TypeError, ValueError):
             raise UnsupportedParameters(
                 f"t0 and t1 must be numbers, got {t0!r} and {t1!r}") from None
+        if mp.mpc in (type(t0), type(t1)):
+            raise UnsupportedParameters(
+                f"t0 and t1 must be real, got {t0} and {t1}")
+        t0, t1 = finite(t0=t0, t1=t1)
     with workprec(prec, 20):
         if not 0 < t0 <= t1:
             raise UnsupportedParameters("need 0 < t0 <= t1")
@@ -725,7 +799,7 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
             meta = {"initial_data": "series", "series_order": s_order,
                     "series_truncation": mp.nstr(s_est, 3)}
         else:
-            th, ka = to_mpf(y0[0]), to_mpf(y0[1])
+            th, ka = _caller_data(y0)
             meta = {"initial_data": "caller", "series_order": "caller",
                     "series_truncation": "caller"}
         rtol = to_mpf(ctrl.rtol)
@@ -822,9 +896,10 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
     q must be sampled on a uniform grid of at least 9 points, one finite
     real sample per point; q' and q'' come from oracle.finite_difference's
     order-4 stencils in the grid index at spacings 2 and 1,
-    Richardson-combined, so that every sample read is on the grid.  Grid
-    points too close to the PV singular locus {0, 1} raise SingularPanel.
-    The quotient is _pv_quotient's, rounded to a float.
+    Richardson-combined, so that every sample read is on the grid.  A grid
+    whose spacing is zero is refused by name; samples too close to the PV
+    singular locus {0, 1} raise SingularPanel.  The quotient is
+    _pv_quotient's, rounded to a float.
     """
     with workprec(prec or DEFAULT_CTX, 20):
         ts = [to_mpf(v) for v in t_grid]
@@ -844,27 +919,40 @@ def pv_residual(t_grid: Sequence, q_values: Sequence, alphas,
 
 
 def _pv_quotient(ts, qs, alphas):
-    """pv_residual's quotient at mpf data, before it is rounded to a float:
-    the grid checks, then both stencil spacings on -q, 8q, 16q and 30q,
-    formed once per sample, then pv_rhs_second_derivative as the right
-    side."""
-    h = ts[1] - ts[0]
-    spread = abs(h) * mp.mpf("1e-20")
-    if any(abs((ts[i] - ts[i - 1]) - h) > spread for i in range(1, len(ts))):
+    """pv_residual's quotient at mpf data, before it is rounded to a float.
+
+    The grid and the samples become exact integers at one scale 2^e
+    (kernels.exact_column), so the grid checks are exact and both stencil
+    numerators, 32 N1_1 - N1_2 for q' and 64 N2_1 - N2_2 for q'' (N1_k, N2_k
+    the order-4 stencils at spacing k in the grid index), are exact
+    integers: each derivative is one division, by 360 h or 720 h^2, rounded
+    once.  pv_rhs_second_derivative is the right side."""
+    X, e = exact_column([v._mpf_ for v in ts + qs])
+    T, Q = X[:len(ts)], X[len(ts):]
+    H = T[1] - T[0]
+    if not H:
+        raise UnsupportedParameters("grid spacing must be nonzero, got h = 0")
+    # |(t_i - t_(i-1)) - h| <= 1e-20 |h| and |q|, |q - 1| >= 1e-8, exactly
+    if any(abs(T[i] - T[i - 1] - H) * 10 ** 20 > abs(H)
+           for i in range(1, len(T))):
         raise SingularPanel("grid must be uniform")
-    near = mp.mpf("1e-8")
-    if any(abs(q) < near or abs(q - 1) < near for q in qs):
+    one = 1 << -e
+    if any(min(abs(q), abs(q - one)) * 10 ** 8 < one for q in Q):
         raise SingularPanel("q too close to the singular locus {0, 1}")
-    neg = [-q for q in qs]
-    q8, q16, q30 = ([c * q for q in qs] for c in (8, 16, 30))
+
+    def stencils(i, k):
+        p1, m1, p2, m2 = Q[i + k], Q[i - k], Q[i + 2 * k], Q[i - 2 * k]
+        return 8 * (p1 - m1) - p2 + m2, 16 * (p1 + m1) - p2 - m2 - 30 * Q[i]
+
+    prec, rnd = mp.mp._prec_rounding
+    # q' = (32 N1_1 - N1_2) / 360 H, q'' = (64 N2_1 - N2_2) 2^-e / 720 H^2
+    den1, den2 = from_int(360 * H), from_int(720 * H * H)
     residuals, scale = [], mp.mpf(0)
     for i in range(4, len(ts) - 4):
-        d1 = [(neg[i + 2 * k] + q8[i + k] - q8[i - k] + qs[i - 2 * k])
-              / (12 * k) for k in (1, 2)]
-        d2 = [(neg[i + 2 * k] + q16[i + k] - q30[i] + q16[i - k]
-               - qs[i - 2 * k]) / (12 * k * k) for k in (1, 2)]
-        yp, ypp = ((16 * d[0] - d[1]) / 15 / h ** j
-                   for j, d in ((1, d1), (2, d2)))
+        (n11, n21), (n12, n22) = stencils(i, 1), stencils(i, 2)
+        yp = mp.make_mpf(mpf_div(from_int(32 * n11 - n12), den1, prec, rnd))
+        ypp = mp.make_mpf(mpf_div(from_int((64 * n21 - n22) << -e), den2,
+                                  prec, rnd))
         rhs = pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
         residuals.append(abs(ypp - rhs))
         scale = max(scale, abs(ypp))

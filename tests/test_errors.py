@@ -14,7 +14,7 @@ from dlaguerre import (PrecisionCtx, PVParams, UnsupportedParameters,
                        hamiltonian_eval, inner_product, ladder_integrals,
                        ode_rhs, pv_residual, rr_rhs, table_for,
                        theta_kappa_from_recurrence, to_hamiltonian)
-from dlaguerre import hankel, oracle, semiclassical
+from dlaguerre import hankel, oracle, painleve, semiclassical
 from dlaguerre.hankel import (cauchy_sweep, cauchy_transform, dN_kernel,
                               epsilon_derivative_eval, epsilon_eval,
                               hankel_determinant, monic_values,
@@ -23,7 +23,8 @@ from dlaguerre.hankel import (cauchy_sweep, cauchy_transform, dN_kernel,
 from dlaguerre.moments import (MomentTable, moment_closed_form, moment_jets,
                                moment_series)
 from dlaguerre.painleve import (ab_flow_check, aux_pair_series,
-                                compatibility_residual, deformation_residual)
+                                compatibility_residual, deformation_residual,
+                                series_init)
 from dlaguerre.semiclassical import (AuxPair, ladder_ab_at,
                                      ladder_ab_by_quadrature)
 
@@ -337,3 +338,85 @@ def test_finite_difference_zero_step_refused_by_name():
     with pytest.raises(UnsupportedParameters,
                        match=r"^h must be nonzero, got h = 0$"):
         finite_difference(mp.exp, 1, mp.mpf(0), order=2)
+
+
+def test_pv_residual_zero_spacing_refused_by_name():
+    """Nine equal grid points raised a bare ZeroDivisionError."""
+    with mp.workprec(64):
+        grid = [mp.mpf("0.3")] * 9
+    with pytest.raises(UnsupportedParameters,
+                       match=r"^grid spacing must be nonzero, got h = 0$"):
+        pv_residual(grid, [2] * 9, (0, 0, 0, 0))
+
+
+# each with y0 given, so that no series is built; the message's start
+EVOLVE_REFUSALS = {
+    # integrated until a singularity or until MAX_STEPS ran out
+    "t1 = inf": (dict(t1=mp.inf), r"t1 must be finite, got t1 = \+inf$"),
+    "t0 = nan": (dict(t0=mp.nan), r"t0 must be finite, got t0 = nan$"),
+    "t1 complex": (dict(t1=mp.mpc("0.3", 1)), r"t0 and t1 must be real"),
+    # a misleading SingularityEncountered
+    "y0 nan": (dict(y0=(mp.nan, "0.001")), r"y0 must be two finite real"),
+    "y0 inf": (dict(y0=("-0.001", mp.inf)), r"y0 must be two finite real"),
+    # an AttributeError
+    "y0 complex": (dict(y0=(mp.mpc("-0.001", "1e-6"), "0.001")),
+                   r"y0 must be two finite real"),
+    # an IndexError
+    "y0 one value": (dict(y0=("-0.001",)), r"y0 must be two finite real"),
+    "y0 three values": (dict(y0=("-0.001", "0.001", "0")),
+                        r"y0 must be two finite real"),
+    "y0 not numbers": (dict(y0=("a", "b")), r"y0 must be two finite real"),
+    # a TypeError
+    "n = 1.5": (dict(n=1.5), r"n must be an integer, got n = 1\.5$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVOLVE_REFUSALS))
+def test_evolve_refuses_before_any_step(monkeypatch, name):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepped on input it should refuse")
+
+    monkeypatch.setattr(painleve, "_flow_jet_factory", no_steps)
+    monkeypatch.setattr(painleve, "_series_data", no_steps)
+    given, message = EVOLVE_REFUSALS[name]
+    call = dict(n=1, t0="1e-3", t1="0.3", y0=("-0.001", "0.001"))
+    call.update(given)
+    with pytest.raises(UnsupportedParameters, match="^" + message):
+        evolve(call["n"], call["t0"], call["t1"], PARAMS, y0=call["y0"])
+
+
+@functools.lru_cache(maxsize=None)
+def _short_trajectory():
+    return evolve(1, "1e-3", "2e-3", PARAMS)
+
+
+# a TypeError each ("cannot unpack non-iterable mpc object" for an mpc)
+QUERY_REFUSALS = {
+    "eval mpc": lambda: _short_trajectory().eval(mp.mpc("1.5e-3", 1)),
+    "eval complex": lambda: _short_trajectory().eval(1.5e-3 + 1j),
+    "eval None": lambda: _short_trajectory().eval(None),
+    "sample mpc": lambda: _short_trajectory().sample(
+        ["1.5e-3", mp.mpc("1.5e-3", 1)]),
+    "sample None": lambda: _short_trajectory().sample([None]),
+    "sample not a number": lambda: _short_trajectory().sample(["soon"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_REFUSALS))
+def test_dense_output_query_refused_by_name(name):
+    with pytest.raises(UnsupportedParameters,
+                       match=r"^query must be a finite real number, got "):
+        QUERY_REFUSALS[name]()
+
+
+# -1 raised an IndexError, 2.5 and "3" a TypeError
+@pytest.mark.parametrize("order", [-1, 2.5, "3"])
+@pytest.mark.parametrize("call", [
+    lambda order: series_init(1, "1e-3", PARAMS, order=order),
+    lambda order: aux_pair_series(1, PARAMS, order)],
+    ids=["series_init", "aux_pair_series"])
+def test_series_order_refused_by_name(call, order):
+    with pytest.raises(UnsupportedParameters,
+                       match=f"^order must be a non-negative integer, got "
+                             f"order = {re.escape(repr(order))}$"):
+        call(order)

@@ -24,25 +24,35 @@ each value, and the error estimate formed from the sums at nodes and
 nodes // 2, has the bits of the explicit sum over every N-tuple of the
 list's integer nodes and weights, the insertion (y1 - x)(y2 - x) with y1
 and y2 at 2^-F multiplied in, divided by N! and rounded once.
+
+The flow check runs on integers too.  Each dense-output value of a
+trajectory lies within one ulp of the same step polynomial evaluated at
+1024 bits, and within the a-priori bound of kernels.py.  pv_residual's
+derivatives are the exact rational stencils rounded once: its quotient
+has the bits of a reference that forms them over Fractions.
 """
 
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from mpmath.libmp import from_rational
 
-from dlaguerre import PrecisionCtx, WeightParams, table_for
-from dlaguerre import hankel, moments, oracle, quadrature, semiclassical
+from dlaguerre import PVParams, PrecisionCtx, WeightParams, evolve, table_for
+from dlaguerre import (hankel, moments, oracle, painleve, quadrature,
+                       semiclassical)
 from dlaguerre.hankel import cauchy_sweep, stieltjes_eval
-from dlaguerre.kernels import to_fixed, weighted_sum
+from dlaguerre.errors import SingularPanel, UnsupportedParameters
+from dlaguerre.kernels import GUARD, to_fixed, weighted_sum
 from dlaguerre.moments import _quadrature_moments
 from dlaguerre.oracle import (dN_by_quadrature, delta_by_quadrature,
                               gram_schmidt_recurrence, inner_product)
-from dlaguerre.precision import to_mpf, workprec
+from dlaguerre.painleve import StepControl
+from dlaguerre.precision import to_fraction, to_mpf, workprec
 from dlaguerre.quadrature import GUARD_BITS, LADDER, weighted_nodes
 from dlaguerre.semiclassical import ladder_ab_by_quadrature, ladder_integrals
 
@@ -482,3 +492,149 @@ def test_tensor_value_is_the_tuple_sum_rounded_once(monkeypatch, name):
 
     assert list(map(raw, sums + [res.value, res.error])) == (
         list(map(raw, want)))
+
+
+# --- the flow check: dense output and the PV stencils ------------------------
+
+@functools.lru_cache(maxsize=None)
+def _flow(point):
+    """A trajectory and its 121-point residual grid: the desk point at the
+    default tolerance, and (3, 1, -0.7), n = 2, at the command line's."""
+    if point == "desk":
+        params, n = WeightParams(2, 2, "0.5", 0), 1
+        traj = evolve(n, "1e-3", "0.3", params)
+    else:
+        params, n = WeightParams(3, 1, "-0.7", 0), 2
+        ctrl = StepControl("1e-18", str(to_mpf("1e-18") * 1e-6))
+        traj = evolve(n, "1e-3", "0.5", params, step_ctrl=ctrl)
+    with mp.workprec(traj.prec.significand_bits):
+        grid = mp.linspace(mp.mpf("0.1"), traj.t[-1], 121)
+    return params, n, traj, grid
+
+
+def _ulp(v, bits):
+    """One unit in the last place of a nonzero v at bits."""
+    return mp.ldexp(1, mp.mag(v) - bits)
+
+
+@pytest.mark.parametrize("point", ["desk", "signed"])
+def test_dense_output_within_one_ulp(point):
+    """Off the nodes, each value is within one ulp of its step polynomial
+    at 1024 bits, and within (2K + 1) units of 2^(top - prec - GUARD) plus
+    half an ulp, where 2^top bounds the coefficients c_j 2^(g j) and 2^g is
+    the least power of two at least as long as the step."""
+    _, _, traj, grid = _flow(point)
+    bits = traj.prec.significand_bits
+    rng = random.Random(3)
+    with mp.workprec(bits):
+        queries = list(grid) + [traj.t[0] + (traj.t[-1] - traj.t[0])
+                                * mp.mpf(rng.random()) for _ in range(60)]
+    got = traj.sample(queries)
+    starts = [j[0] for j in traj.jets]
+    off = 0
+    with mp.workprec(1024):
+        for tq, values in zip(queries, got):
+            if tq in traj.t:
+                continue
+            off += 1
+            k = max(i for i, s in enumerate(starts) if s <= tq)
+            tk = starts[k]
+            end = starts[k + 1] if k + 1 < len(starts) else traj.t[-1]
+            length = to_fraction(end - tk)
+            g = int(mp.floor(mp.log(end - tk, 2))) - 1
+            while Fraction(2) ** g < length:
+                g += 1
+            for v, poly in zip(values, traj.jets[k][1:]):
+                exact = poly.eval(tq - tk)
+                top = max(mp.mag(c * mp.ldexp(1, g * j))
+                          for j, c in enumerate(poly.c) if c)
+                units = (2 * poly.order + 1) * mp.ldexp(1, top - bits - GUARD)
+                assert abs(v - exact) <= _ulp(v, bits)
+                assert abs(v - exact) <= units + _ulp(v, bits) / 2
+    assert off >= 150
+
+
+def _exact_pv_quotient(ts, qs, alphas):
+    """_pv_quotient over Fractions: the grid checks on the exact values,
+    then finite_difference's order-4 stencils in the grid index at
+    spacings 1 and 2, Richardson-combined as (16 d_1 - d_2)/15, exact, and
+    each derivative rounded once at the working width; then the plain
+    right side and the quotient in mpf."""
+    T, Q = [to_fraction(v) for v in ts], [to_fraction(v) for v in qs]
+    h = T[1] - T[0]
+    if h == 0:
+        raise UnsupportedParameters("grid spacing must be nonzero")
+    if any(abs((T[i] - T[i - 1]) - h) > abs(h) / 10 ** 20
+           for i in range(1, len(T))):
+        raise SingularPanel("grid must be uniform")
+    near = Fraction(1, 10 ** 8)
+    if any(abs(q) < near or abs(q - 1) < near for q in Q):
+        raise SingularPanel("q near {0, 1}")
+
+    def d1(i, k):
+        return (-Q[i + 2 * k] + 8 * Q[i + k] - 8 * Q[i - k]
+                + Q[i - 2 * k]) / (12 * k)
+
+    def d2(i, k):
+        return (-Q[i + 2 * k] + 16 * Q[i + k] - 30 * Q[i] + 16 * Q[i - k]
+                - Q[i - 2 * k]) / (12 * k * k)
+
+    def rounded(x):
+        prec, rnd = mp.mp._prec_rounding
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, prec,
+                                         rnd))
+
+    scale, residuals = mp.mpf(0), []
+    for i in range(4, len(ts) - 4):
+        yp = rounded((16 * d1(i, 1) - d1(i, 2)) / 15 / h)
+        ypp = rounded((16 * d2(i, 1) - d2(i, 2)) / 15 / h ** 2)
+        rhs = painleve.pv_rhs_second_derivative(qs[i], yp, ts[i], alphas)
+        residuals.append(abs(ypp - rhs))
+        scale = max(scale, abs(ypp))
+    return max(residuals) / max(scale, mp.mpf(1))
+
+
+def _pv_cases(convention):
+    """(grid, q) cases: the desk trajectory's q, the same with one sample
+    near the locus, and rough samples on rough grids, each max residual at
+    another grid point."""
+    params, n, traj, grid = _flow("desk")
+    qs = [painleve.to_hamiltonian(th, ka, t, n, params, convention).q
+          for t, (th, ka) in zip(grid, traj.sample(grid))]
+    bad = list(qs)
+    bad[3] = mp.mpf(1) + mp.mpf("1e-10")
+    cases = [(grid, qs), (grid, bad)]
+    rng = random.Random(5)
+    for _ in range(6):
+        with mp.workprec(400):
+            g = mp.linspace(mp.mpf("0.1"), mp.mpf(rng.uniform(0.3, 3)),
+                            rng.choice([9, 15, 121]))
+            cases.append((g, [mp.mpf(rng.uniform(1.1, 3)) / 3
+                              + rng.choice([0, 2]) for _ in g]))
+    return cases, PVParams.make(n, 2, 2, convention).alphas
+
+
+def _outcome(fn):
+    try:
+        return fn()._mpf_
+    except (SingularPanel, UnsupportedParameters) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("convention", ["prop11", "cor12"],
+                         ids=["pv_residual prop11", "pv_residual cor12"])
+def test_pv_quotient_has_the_exact_stencil_bits(convention):
+    """pv_residual's quotient (and the raised type) against the exact
+    rational reference, bit for bit, at pv_residual's width; the float it
+    returns is that quotient's."""
+    cases, alphas = _pv_cases(convention)
+    with workprec(PrecisionCtx(), 20):
+        alphas = [to_mpf(a) for a in alphas]
+        for ts, qs in cases:
+            ts, qs = [to_mpf(v) for v in ts], [to_mpf(v) for v in qs]
+            want = _outcome(lambda: _exact_pv_quotient(ts, qs, alphas))
+            assert _outcome(lambda: painleve._pv_quotient(ts, qs, alphas)) == (
+                want)
+        grid, qs = cases[0]
+        want = float(_exact_pv_quotient(grid, qs, alphas))
+    assert painleve.pv_residual(grid, qs, alphas) == want

@@ -51,9 +51,10 @@ The flow check's fixed point:
   within one ulp of the exact polynomial value whenever that value is at
   least (2K + 1) 2^(top - GUARD + 1);
 - the PV stencils (painleve._pv_quotient): the grid and the samples are
-  exact integers at one scale each, so the grid checks are exact and both
+  exact integers at one scale, so the grid checks are exact and both
   Richardson-combined stencil numerators are exact integers; q' and q''
-  are one correctly rounded division each, by 360 h and 720 h^2.
+  are one correctly rounded division each, by 360 h and 720 h^2, so each
+  is the exact stencil value within half an ulp.
 
 Raw tuples, for the jets only: conv, a coefficient of a product of
 series as one exact dot product rounded once (mp.fdot's bits).  The

@@ -42,7 +42,7 @@ from .hankel import table_for
 from .moments import WeightParams, build_moment_table, moment_closed_form
 from .painleve import (PVParams, StepControl, ab_flow_check, evolve,
                        hamilton_map_residual, pv_residual,
-                       to_hamiltonian)
+                       to_hamiltonian, to_q)
 from .precision import (DEFAULT_BITS, DEFAULT_CTX, PrecisionCtx, nstr_full,
                         to_mpf, workprec)
 from .semiclassical import theta_kappa_from_recurrence, verify_identities
@@ -222,8 +222,8 @@ def cmd_evolve(args) -> int:
             lo = max(t0, to_mpf("0.1"))
             if t1 > lo * mp.mpf("1.2"):
                 grid = mp.linspace(lo, t1, 121)
-                qs = [to_hamiltonian(th, ka, tt, n, params, convention, prec).q
-                      for tt, (th, ka) in zip(grid, traj.sample(grid))]
+                qs = [to_q(th, tt, convention, prec)
+                      for tt, (th, _) in zip(grid, traj.sample(grid))]
                 pv = PVParams.make(n, params.alpha, params.mu, convention,
                                    prec)
                 summary["pv_residual"] = float(

@@ -36,28 +36,27 @@ bound for the moments and the Cauchy sweep and finds the measured error
 within 2^8 of it.  Every unit is at most 2^-GUARD of an ulp at prec of a
 value of order 1, so the rounding of S dominates.
 
-The flow check's fixed point:
+The flow's fixed point:
 
-- dense output (painleve.Trajectory.sample): the nodes, the step starts
-  and the queries are exact integers at one scale (exact_column).  A step
-  of length L from t_k, with 2^g the least power of two >= L, has its
-  coefficients scaled to sigma = (t - t_k) 2^-g in [0, 1] as c_j 2^(g j),
-  exactly, and held as integers C_j at one scale 2^e, e = prec + GUARD
-  bits below the leading bit 2^top of the largest (step_column).  sigma is
-  an exact S 2^-F, and horner floors once per step.  Each C_j is within
-  one unit, each floor adds less than one, and the error carried into a
-  step is multiplied by sigma <= 1, so a value of an order-K step is wrong
-  by less than (2K + 1) 2^(top - prec - GUARD) before its one rounding:
-  within one ulp of the exact polynomial value whenever that value is at
-  least (2K + 1) 2^(top - GUARD + 1);
+- each step of painleve.evolve is one integer jet (FlowJet): coefficient
+  j held as y_j h^j, h = 2^p <= t_k, at one unit 2^-F, prec + GUARD bits
+  below the largest of |theta|, |kappa| and t_k, with the a-priori bound
+  above (painleve._flow_jet_factory); the Bernstein step test's signs are
+  exact.  The step ends and dense output read the jet's integers, rescaled
+  exactly to sigma = (t - t_k) 2^-g in [0, 1] (FlowJet.rescaled and value,
+  the nodes and queries by exact_column); horner floors once per step, the
+  error carried into a step is multiplied by sigma, and an order-K value is
+  within K units of 2^-F of the stored polynomial's before its one
+  rounding;
 - the PV stencils (painleve._pv_quotient): the grid and the samples are
   exact integers at one scale, so the grid checks are exact and both
   Richardson-combined stencil numerators are exact integers; q' and q''
   are one correctly rounded division each, by 360 h and 720 h^2, so each
   is the exact stencil value within half an ulp.
 
-Raw tuples, for the jets only: conv, a coefficient of a product of
-series as one exact dot product rounded once (mp.fdot's bits).  The
+Raw tuples, for TruncSeries only (the series data, moments.py): conv, a
+coefficient of a product of series as one exact dot product rounded once
+(mp.fdot's bits).  The flow's jets run on integers, as above, and the
 tensor oracles sum on the node list's integers as every weighted integral
 does (oracle.py).
 """
@@ -69,7 +68,7 @@ from operator import mul
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_shift, mpf_sum
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_sum
 
 GUARD = 16          # bits of the node columns past the working width
 WEIGHT_GUARD = 8    # the smallest weight keeps the working width plus these
@@ -146,15 +145,6 @@ def exact_column(values):
     least exponent among them: ([V_i], e)."""
     e = min([0] + [x for _, m, x, _ in values if m])
     return [to_fixed(v, e) for v in values], e
-
-
-def step_column(cs, g, F):
-    """The coefficients c_j of a step polynomial in s (raw mpf), scaled to
-    sigma = s 2^-g as c_j 2^(g j) (exact), as integers at one scale 2^e, e F
-    bits below the leading bit of the largest: ([C_j], e)."""
-    cs = [mpf_shift(c, g * j) for j, c in enumerate(cs)]
-    e = (top_exp(cs) or 0) - F
-    return [to_fixed(c, e) for c in cs], e
 
 
 def horner(cs, S, F):

@@ -56,8 +56,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fzero, from_int, mpf_add, mpf_div, mpf_mul,
-                          mpf_neg, mpf_sub)
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub
 
 from .errors import CrossCheckError, UnsupportedParameters
 from .kernels import Column, conv
@@ -271,18 +270,8 @@ class TruncSeries:
         return TruncSeries.constant(other, self.order) / self
 
     def eval(self, s):
-        """The polynomial at s by Horner's rule, acc = acc * s + c_j.  When
-        s and every coefficient are mpf the same operations run on raw
-        tuples, rounded as the mpf arithmetic rounds them, so the value has
-        its bits; mpc coefficients or arguments take the plain loop."""
+        """The polynomial at s by Horner's rule, acc = acc * s + c_j."""
         s = to_mpf(s)
-        mpf_type = mp.mpf
-        if type(s) is mpf_type and all(type(a) is mpf_type for a in self.c):
-            prec, rnd = mp.mp._prec_rounding
-            s, acc = s._mpf_, fzero
-            for a in reversed(self.c):
-                acc = mpf_add(mpf_mul(acc, s, prec, rnd), a._mpf_, prec, rnd)
-            return mp.make_mpf(acc)
         acc = mp.mpf(0)
         for a in reversed(self.c):
             acc = acc * s + a

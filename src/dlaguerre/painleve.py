@@ -60,8 +60,8 @@ order-4 stencils on the sampled q, Richardson-combined as
 oracle.finite_difference combines them.  It takes samples, as the
 evolve command and its benchmark hand them over, so the stencils stay.
 The stencils run on the samples as exact integers, each derivative one
-rounded division (kernels.py); each sample's to_hamiltonian and the right
-side run plain mpf arithmetic: _qp_map, _t_hamiltonian and
+rounded division (kernels.py); each sample's q (to_q) and the right side
+run plain mpf arithmetic: _q_map, _qp_map, _t_hamiltonian and
 pv_rhs_second_derivative are the one copy of each formula.
 The jets carry a_n^2, never a_n: polynomial jets come from the monic
 recurrence and the Lax pair acts on (P_n, P_{n-1}) (the monic gauge), so
@@ -72,8 +72,9 @@ step builds the jet of (theta, kappa) about its start by the standard
 automatic-differentiation recursions (products, 1/theta, 1/(theta+t) and
 the division by t, O(K^2) for order K), with the order K taken from the
 tolerance and the step size from the jet's last two coefficients (Jorba &
-Zou, Exp. Math. 14, 2005).  The step polynomials are the dense output,
-evaluated on integers (Trajectory).
+Zou, Exp. Math. 14, 2005).  Each step runs on one integer jet (FlowJet,
+_flow_jet_factory): its Bernstein sign test, its end and the dense output
+(Trajectory) all read the jet's integers.
 Integration stops with SingularityEncountered when theta or theta + t
 reaches the guard zone around 0 at a node, when its step polynomial may
 vanish inside a step, or when the step size collapses at a pole.  At
@@ -87,19 +88,17 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_shift,
-                          mpf_sign, mpf_sub)
+from mpmath.libmp import from_int, from_man_exp, mpf_div
 
 from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
                      SingularRHS, SingularityEncountered,
                      UnsupportedParameters)
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
-from .kernels import GUARD, conv, exact_column, horner, step_column
+from .kernels import GUARD, exact_column, horner, to_fixed, top_exp
 from .moments import TruncSeries, WeightParams, moment_jets
 from .precision import (DEFAULT_CTX, PrecisionCtx, finite,
                         fraction_or_none, to_mpf, workprec)
@@ -208,15 +207,30 @@ def hamilton_rhs(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
 # ---------------------------------------------------------------------------
 
 
+def _q_map(th, t, convention: str):
+    """q of (theta, t): plain arithmetic, so jets map too."""
+    return (th + t) / th if convention == "prop11" else th / (th + t)
+
+
 def _qp_map(th, ka, t, n: int, params: WeightParams, convention: str):
     """q and p of (theta, kappa, t): plain arithmetic, so jets map too."""
     a, m = to_mpf(params.alpha), to_mpf(params.mu)
+    q = _q_map(th, t, convention)
     if convention == "prop11":
-        return ((th + t) / th,
-                th * ((n + a + m / 2) * t - ka) / (t * (th + t)))
-    return (th / (th + t),
-            (th + t) * (ka - m * t / 2
-                        + th * (2 * n + a + m + 1 + t + th)) / (t * th))
+        return q, th * ((n + a + m / 2) * t - ka) / (t * (th + t))
+    return q, (th + t) * (ka - m * t / 2
+                          + th * (2 * n + a + m + 1 + t + th)) / (t * th)
+
+
+def to_q(theta, t, convention: str = "prop11", prec: PrecisionCtx = None):
+    """to_hamiltonian's q alone, with its bits and its refusals."""
+    if convention not in CONVENTIONS:
+        raise UnsupportedParameters(BAD_CONVENTION)
+    with workprec(prec or DEFAULT_CTX, 20):
+        th, t = finite(theta=theta, t=t)
+        if t == 0 or th == 0 or th + t == 0:
+            raise DegenerateTheta(DEGENERATE_MAP)
+        return +_q_map(th, t, convention)
 
 
 def to_hamiltonian(theta, kappa, t, n: int, params: WeightParams,
@@ -264,81 +278,105 @@ def from_hamiltonian(q, p, t, n: int, params: WeightParams,
 # ---------------------------------------------------------------------------
 
 
-def _flow_jet_factory(n: int, params: WeightParams):
-    """Taylor jets of the (theta, kappa) flow, parameter constants hoisted.
+class FlowJet(NamedTuple):
+    """One step's Taylor jet on integers: theta(tk + s) = sum_j th[j]
+    (s 2^-p)^j 2^-F, kappa likewise with ka, and TK = tk 2^F exactly."""
 
-    jet(tk, th0, ka0, K) returns the coefficient lists of theta(tk + s) and
-    kappa(tk + s) through s^K, for real (mpf) data.  Each order follows
-    from the lower ones by the automatic-differentiation recursions for
-    products, 1/theta, 1/(theta+t) and the division by t = tk + s: if
-    t y' = F then y_{j+1} = (F_j - j y_j) / ((j+1) tk).  Cost O(K^2) per
-    jet.  The recursion runs on raw mpf tuples, each sum, product and
-    quotient the libmp operation that the mpf expression runs, with its
-    rounding, and each convolution kernels.conv (mp.fdot's bits), so the
-    coefficients have the mpf recursion's bits.
+    tk: object
+    F: int
+    p: int
+    TK: int
+    th: list
+    ka: list
+
+    def coeff(self, Y, j, exact=False):
+        """Coefficient j of th or ka (Y): an mpf, exact or rounded at the
+        working precision."""
+        rounding = () if exact else mp.mp._prec_rounding
+        return mp.make_mpf(from_man_exp(Y[j], -self.F - self.p * j, *rounding))
+
+    def rescaled(self, g):
+        """The same jet at 2^g, g >= p: th[j] 2^((g - p) j), exactly."""
+        th, ka = ([y << (g - self.p) * j for j, y in enumerate(Y)]
+                  for Y in (self.th, self.ka))
+        return self._replace(p=g, th=th, ka=ka)
+
+    def value(self, Y, S, e):
+        """th or ka (Y) at s = S 2^e <= 2^p by integer Horner, one floor
+        per step, rounded once at the working precision."""
+        return mp.make_mpf(from_man_exp(horner(Y, S, self.p - e), -self.F,
+                                        *mp.mp._prec_rounding))
+
+
+def _flow_jet_factory(n: int, params: WeightParams):
+    """Taylor jets of the (theta, kappa) flow on integers, constants hoisted.
+
+    jet(tk, th0, ka0, K) returns the FlowJet of theta(tk + s), kappa(tk + s)
+    through s^K for real (mpf) data, by the recursions for products,
+    1/theta, 1/(theta+t) and the division by t = tk + s: if t y' = F then
+    y_{j+1} = (F_j - j y_j) / ((j+1) tk), O(K^2) per jet.  Coefficient j is
+    the integer y_j h^j 2^F, h = 2^p = 2^floor(log2 |tk|), the unit 2^-F
+    prec + GUARD bits below the largest of |th0|, |ka0|, |tk| (lower if tk
+    needs it to be exact), so a product is an integer convolution and one
+    floor, t x is tk X_j + h X_(j-1), a reciprocal one division, and each
+    y_(j+1) h^(j+1) one floor division.  The PV constants are the working
+    width's, exact.  A-priori bound, in units: th0 and ka0 within one, each
+    floor less than one, and first-order propagation, |b| e_a + |a| e_b for
+    a product, e_d u_0^2 for u_0 = 1/d, (e_F + j e_y) h / ((j+1) |tk|) for
+    the division (tests/test_painleve.py checks it at 1024 bits).
     """
     a, m = to_mpf(params.alpha), to_mpf(params.mu)
-    c_lin = (2 * n + a + 1 + m)._mpf_       # theta-equation linear constant
-    c_k1 = (2 * n + a + m + 1)._mpf_
-    c_k2 = (2 * n + a + m)._mpf_
-    c_t = (n * n + (n + m / 2) * (a + m))._mpf_
-    c_m2 = (m * m / 4)._mpf_
-    c_tt = ((n + m / 2) * (n + a + m / 2))._mpf_
+    consts = [(2 * n + a + 1 + m)._mpf_, (2 * n + a + m)._mpf_,
+              (n * n + (n + m / 2) * (a + m))._mpf_, (m * m / 4)._mpf_,
+              ((n + m / 2) * (n + a + m / 2))._mpf_]
+    # every constant exactly at 2^-s, s >= 0
+    s = -min([0] + [c[2] for c in consts if c[1]])
+    c_lin, c_k2, c_t, c_m2, c_tt = (to_fixed(c, -s) for c in consts)
 
     def jet(tk, th0, ka0, K):
         if tk == 0:
             raise SingularRHS("flow undefined at t = 0")
         if th0 == 0 or th0 + tk == 0:
             raise SingularRHS("flow singular at theta in {0, -t}")
-        prec, rnd = mp.mp._prec_rounding
-        add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
-        tk = tk._mpf_
-
-        def times_t(x, j):
-            """tk x_j + x_(j-1); at j = 0 the product alone (+ 0 is exact
-            on a rounded value)."""
-            p = mul(tk, x[j], prec, rnd)
-            return add(p, x[j - 1], prec, rnd) if j else p
-
-        th, ka = [th0._mpf_], [ka0._mpf_]
-        w = [add(th[0], tk, prec, rnd)]                 # theta + t
-        u = [mpf_rdiv_int(1, th[0], prec, rnd)]         # 1/theta
-        v = [mpf_rdiv_int(1, w[0], prec, rnd)]          # 1/(theta + t)
-        neg_u0, neg_v0 = mpf_neg(u[0], prec, rnd), mpf_neg(v[0], prec, rnd)
+        data = [tk._mpf_, th0._mpf_, ka0._mpf_]
+        _, _, exp, bc = data[0]
+        F = max(mp.mp.prec + GUARD - top_exp(data), -exp)
+        p, F2 = exp + bc - 1, 2 * F
+        fp = F + p
+        TK, th, ka = (to_fixed(v, -F) for v in data)
+        th, ka = [th], [ka]
+        w = [th[0] + TK]                                # theta + t
+        if not (th[0] and w[0]):
+            raise SingularRHS("flow singular at theta in {0, -t}")
+        u, v = [(1 << F2) // th[0]], [(1 << F2) // w[0]]   # 1/theta, 1/w
         uv, tv, sq, g, tg = [], [], [], [], []
+
+        def tx(x, j):       # t x at s^j, at 2^-2F: tk X_j + h X_(j-1)
+            return TK * x[j] + (x[j - 1] << fp if j else 0)
+
+        def cv(x, y, j, lo=0):      # sum_i x_i y_(j-i), at 2^-2F
+            return sum(map(mul, x[lo:j + 1], y[j - lo::-1]))
+
         for j in range(K):
             if j:
-                # th_j is a rounded quotient, so th_j + 0 is th_j
-                w.append(add(th[1], fone, prec, rnd) if j == 1 else th[j])
-                u.append(mul(neg_u0, conv(th, u, j, prec, rnd, 1), prec, rnd))
-                v.append(mul(neg_v0, conv(w, v, j, prec, rnd, 1), prec, rnd))
-            uv.append(add(u[j], v[j], prec, rnd))
-            tv.append(times_t(v, j))
-            sq.append(conv(ka, ka, j, prec, rnd))
-            g.append(sub(mul(c_tt, v[j], prec, rnd),
-                         mul(c_m2, u[j], prec, rnd), prec, rnd))
-            tg.append(times_t(g, j))
-            f_th = add(add(add(mpf_mul_int(ka[j], 2, prec, rnd),
-                               mul(c_lin, th[j], prec, rnd), prec, rnd),
-                           times_t(th, j), prec, rnd),
-                       conv(th, th, j, prec, rnd), prec, rnd)
-            f_ka = add(sub(add(conv(uv, sq, j, prec, rnd),
-                               mul(c_k1, ka[j], prec, rnd), prec, rnd),
-                           mul(c_k2, conv(tv, ka, j, prec, rnd), prec, rnd),
-                           prec, rnd),
-                       times_t(tg, j), prec, rnd)
-            if j < 2:       # the -c_t t term
-                f_ka = sub(f_ka, mul(c_t, tk if j == 0 else fone, prec, rnd),
-                           prec, rnd)
-            den = mpf_mul_int(tk, j + 1, prec, rnd)
-            if j:           # at j = 0, f - 0 * y_0 is f, a rounded sum
-                f_th = sub(f_th, mpf_mul_int(th[j], j, prec, rnd), prec, rnd)
-                f_ka = sub(f_ka, mpf_mul_int(ka[j], j, prec, rnd), prec, rnd)
-            th.append(div(f_th, den, prec, rnd))
-            ka.append(div(f_ka, den, prec, rnd))
-        make = mp.make_mpf
-        return ([th0] + [make(x) for x in th[1:]],
-                [ka0] + [make(x) for x in ka[1:]])
+                w.append(th[1] + (1 << fp) if j == 1 else th[j])
+                u.append(-u[0] * cv(th, u, j, 1) >> F2)
+                v.append(-v[0] * cv(w, v, j, 1) >> F2)
+            uv.append(u[j] + v[j])
+            tv.append(tx(v, j) >> F)
+            sq.append(cv(ka, ka, j) >> F)
+            g.append(c_tt * v[j] - c_m2 * u[j] >> s)
+            tg.append(tx(g, j) >> F)
+            f_th = (2 * ka[j] + (c_lin * th[j] >> s)
+                    + (tx(th, j) + cv(th, th, j) >> F))
+            f_ka = ((cv(uv, sq, j) >> F) + (c_lin * ka[j] >> s)
+                    - (c_k2 * cv(tv, ka, j) >> F + s) + (tx(tg, j) >> F))
+            if j < 2:       # the -c_t t term: t is tk + s, scaled [tk, h]
+                f_ka -= c_t * (TK if j == 0 else 1 << fp) >> s
+            den = (j + 1) * TK
+            th.append((f_th - j * th[j] << fp) // den)
+            ka.append((f_ka - j * ka[j] << fp) // den)
+        return FlowJet(tk, F, p, TK, th, ka)
 
     return jet
 
@@ -353,8 +391,8 @@ def ode_rhs(theta, kappa, n: int, t, params: WeightParams,
     """
     with workprec(prec or DEFAULT_CTX, 20):
         th, ka, t = finite(theta=theta, kappa=kappa, t=t)
-        d_th, d_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
-        return +d_th[1], +d_ka[1]
+        jet = _flow_jet_factory(n, params)(t, th, ka, 1)
+        return jet.coeff(jet.th, 1), jet.coeff(jet.ka, 1)
 
 
 def rr_rhs(R, r, n: int, t, params: WeightParams, prec: PrecisionCtx = None):
@@ -392,8 +430,9 @@ def _chart_residual(theta, kappa, n: int, t, params: WeightParams,
     work = PrecisionCtx((prec or DEFAULT_CTX).significand_bits + extra_bits)
     with workprec(work):
         th, ka, t = to_mpf(theta), to_mpf(kappa), to_mpf(t)
-        c_th, c_ka = _flow_jet_factory(n, params)(t, th, ka, 1)
-        X, Y = chart(TruncSeries(c_th), TruncSeries(c_ka),
+        jet = _flow_jet_factory(n, params)(t, th, ka, 1)
+        X, Y = chart(TruncSeries([th, jet.coeff(jet.th, 1)]),
+                     TruncSeries([ka, jet.coeff(jet.ka, 1)]),
                      TruncSeries([t, 1]))
         dX, dY = field(X.c[0], Y.c[0], t, work)
         return max(abs(X.c[1] - dX), abs(Y.c[1] - dY))
@@ -465,9 +504,12 @@ def aux_pair_series(n_max: int, params: WeightParams, order: int,
     order-1 terms are the t-derivatives that the flow laws, the deformation
     and the zero-curvature checks read.  Arithmetic runs with the GUARD_BITS
     of the numeric tables, the moment recurrence with its own on top.  An
-    order that is not a non-negative int, or an about that is not finite
-    (moment_jets), is refused by name.
+    n_max that is not an int, an order that is not a non-negative int, or
+    an about that is not finite (moment_jets), is refused by name.
     """
+    if not isinstance(n_max, int):
+        raise UnsupportedParameters(
+            f"n_max must be an integer, got n_max = {n_max!r}")
     if not isinstance(order, int) or order < 0:
         raise UnsupportedParameters(
             f"order must be a non-negative integer, got order = {order!r}")
@@ -525,8 +567,11 @@ def series_init(n: int, t0, params: WeightParams, prec: PrecisionCtx = None,
     integer alpha and mu.  The default order (_series_order) leaves a
     truncation error that stays below prec.tol after the flow's
     (t1/t0)^(1+alpha+mu) amplification to t1 = 1; an explicit order, a
-    non-negative int, wins.
+    non-negative int, wins.  An n that is not an integer is refused by
+    name.
     """
+    if not isinstance(n, int):
+        raise UnsupportedParameters(f"n must be an integer, got n = {n!r}")
     if n < 0:
         raise UnsupportedParameters(f"n must be >= 0, got {n}")
     prec = prec or DEFAULT_CTX
@@ -574,83 +619,70 @@ def _taylor_order(rtol) -> int:
     return int(mp.ceil(-mp.log(to_mpf(rtol)) / 2)) + 1
 
 
-def _vanishing_start(c: TruncSeries, h, depth: int = 8):
-    """Offset of the first piece of [0, h] on which the polynomial c(s) may
-    vanish, or None when it keeps its sign on all of [0, h].
+def _vanishing_start(c, p: int, length, depth: int = 8):
+    """Offset of the first piece of [0, length] (an mpf > 0) on which
+    sum_j c_j (s 2^-p)^j, for integers c_j, may vanish, or None when it
+    keeps its sign on all of [0, length].
 
     The polynomial lies in the convex hull of its Bernstein coefficients on
     a piece, so a piece whose coefficients share one sign is cleared; the
-    others are halved by de Casteljau's algorithm, up to depth times.  The
-    coefficients are raw mpf tuples, each formed with the operations and
-    rounding of the mpf expression c_j h^j / C(K, j), b_k + b_(k-1) or
-    (x_k + x_(k+1)) / 2 (the halving is the exact mpf_shift by -1), so the
-    signs tested are those of the mpf arithmetic.
-
-    Each exact Bernstein coefficient of [0, h] is c_0 plus at most
-    S = sum_(j>0) |c_j| |h|^j, and rounding moves it by less than
-    2^(2K+5-prec) |c_0| when S < |c_0|.  So at prec >= 2K + 40, where
-    |c_0| > S (1 + 2^-30), with S rounded up at 53 bits, every computed
-    coefficient has c_0's sign, and [0, h] is cleared without forming them.
+    others are halved by de Casteljau's algorithm, up to depth times, all
+    on integer multiples of them by one positive factor (length 2^-p =
+    M 2^r gives c_j M^j 2^(r j - min(0, r) K) lcm_i C(K, i) / C(K, j), and
+    level i of a halving is scaled by 2^(K - i)), so each sign tested and
+    the offset, i length 2^-d for piece i of level d, are exact.  Where
+    |c_0| exceeds S = sum_(j>0) |c_j| (length 2^-p)^j, rounded up through a
+    64-bit ceiling of length 2^-p, every coefficient has c_0's sign.
     """
-    prec, rnd = mp.mp._prec_rounding
-    K, hr = c.order, h._mpf_
-    if prec >= 2 * K + 40:
-        bound, hj, ha = fzero, fone, mpf_abs(hr)
-        for cj in c.c[1:]:
-            hj = mpf_mul(hj, ha, 53, "c")
-            bound = mpf_add(bound, mpf_mul(mpf_abs(cj._mpf_), hj, 53, "c"),
-                            53, "c")
-        if mpf_gt(mpf_abs(c.c[0]._mpf_),
-                  mpf_add(bound, mpf_shift(bound, -30), 53, "c")):
-            return None
-    b = [mpf_div(mpf_mul(cj._mpf_, mpf_pow_int(hr, j, prec, rnd), prec, rnd),
-                 from_int(math.comb(K, j)), prec, rnd)
-         for j, cj in enumerate(c.c)]
-    for i in range(1, K + 1):          # b_k = sum_j C(k, j) c_j h^j / C(K, j)
+    K = len(c) - 1
+    _, man, exp, _ = length._mpf_
+    r = exp - p
+    lam = man << r + 64 if r + 64 >= 0 else -(-man >> -(r + 64))
+    pw, bound = 1 << 64, 0
+    for cj in c[1:]:
+        pw = -(-pw * lam >> 64)
+        bound -= -abs(cj) * pw >> 64
+    if abs(c[0]) > bound:
+        return None
+    d = math.lcm(*(math.comb(K, j) for j in range(K + 1)))
+    b = [cj * man ** j * (d // math.comb(K, j)) << r * j - min(0, r) * K
+         for j, cj in enumerate(c)]
+    for i in range(1, K + 1):          # b_k = sum_j C(k, j) a_j / C(K, j)
         for k in range(K, i - 1, -1):
-            b[k] = mpf_add(b[k], b[k - 1], prec, rnd)
+            b[k] += b[k - 1]
 
-    def first(b, start, width, depth):
-        sign = mpf_sign(b[0])
-        if sign and all(mpf_sign(x) == sign for x in b):
+    def first(b, piece, level):
+        if min(b) > 0 or max(b) < 0:
             return None
-        if depth == 0:
-            return start
-        left, right, x = [b[0]], [b[-1]], b
-        for _ in range(K):
-            x = [mpf_shift(mpf_add(x[k], x[k + 1], prec, rnd), -1)
-                 for k in range(len(x) - 1)]
-            left.append(x[0])
-            right.append(x[-1])
-        half = width / 2
-        found = first(left, start, half, depth - 1)
+        if level == depth:
+            return mp.make_mpf(from_man_exp(man * piece, exp - level))
+        left, right, x = [b[0] << K], [b[-1] << K], b
+        for i in range(1, K + 1):
+            x = [x[k] + x[k + 1] for k in range(len(x) - 1)]
+            left.append(x[0] << K - i)
+            right.append(x[-1] << K - i)
+        found = first(left, 2 * piece, level + 1)
         if found is None:
-            found = first(right[::-1], start + half, half, depth - 1)
+            found = first(right[::-1], 2 * piece + 1, level + 1)
         return found
 
-    return first(b, mp.mpf(0), h, depth)
+    return first(b, 0, 0)
 
 
 @dataclass
 class Trajectory:
     """Integration nodes with (theta, kappa), step jets and run statistics.
 
-    jets[i] = (t_i, theta jet, kappa jet) is the Taylor polynomial of step i
-    about its start t_i; the step ends where jets[i + 1] starts (the last at
-    the final node).  The Taylor step size is fixed from the jet before the
-    step is taken, so `rejected` is always 0.  eval and sample run at the
-    trajectory's precision `prec`, whatever the caller's context.
-
-    Dense output runs on integers (kernels.py).  A query at a node returns
-    the stored values.  Any other query reads the polynomial of its step,
-    of length L from t_k: with 2^g the least power of two >= L, the
-    coefficients c_j 2^(g j) (exact) are integers at prec + GUARD bits
-    below the largest, 2^top > max |c_j 2^(g j)|, and Horner's rule runs at
-    the exact sigma = (t - t_k) 2^-g in [0, 1] with one floor per step.  An
-    order-K value is within (2K + 1) 2^(top - prec - GUARD) of the exact
-    polynomial value before its one rounding, so within one ulp unless it
-    is below (2K + 1) 2^(top - GUARD + 1).  evolve's own step ends use
-    TruncSeries.eval.
+    step_jets[i] is the integer jet (FlowJet) of step i about its start
+    t_i, at a power 2^p no shorter than the step, and jets[i] = (t_i, theta
+    jet, kappa jet) the same polynomials as TruncSeries of exact mpf; the
+    step ends where step i + 1 starts (the last at the final node).  The
+    step size is fixed from the jet before the step is taken, so `rejected`
+    is always 0.  eval and sample run at the trajectory's precision `prec`,
+    whatever the caller's context: a query at a node returns the stored
+    values, any other FlowJet.value at its exact offset, within K units of
+    2^-F of the order-K stored polynomial before its one rounding
+    (kernels.py), so within one ulp unless below K 2^(1 + prec - F).
     """
 
     n: int
@@ -658,7 +690,7 @@ class Trajectory:
     t: list
     theta: list
     kappa: list
-    jets: list
+    step_jets: list
     steps: int
     rejected: int
     max_error_estimate: float
@@ -672,6 +704,12 @@ class Trajectory:
     def endpoint(self):
         return self.t[-1], self.theta[-1], self.kappa[-1]
 
+    @property
+    def jets(self):
+        return [(J.tk, *(TruncSeries([J.coeff(Y, j, True)
+                                      for j in range(len(Y))])
+                         for Y in (J.th, J.ka))) for J in self.step_jets]
+
     def eval(self, t_query):
         """Dense output at one query, as sample reads it."""
         return self.sample([t_query])[0]
@@ -682,16 +720,15 @@ class Trajectory:
         A query that is not a finite real number, or lies outside the
         trajectory, is refused by name."""
         with workprec(self.prec):
-            prec, rnd = mp.mp._prec_rounding
             qs = [_query(tq) for tq in t_list]
             # nodes, step starts and queries as exact integers at one scale
-            nt, ns = len(self.t), len(self.jets)
+            nt, ns = len(self.t), len(self.step_jets)
             X, e = exact_column([v._mpf_ for v in self.t]
-                                + [j[0]._mpf_ for j in self.jets]
+                                + [J.tk._mpf_ for J in self.step_jets]
                                 + [v._mpf_ for v in qs])
             nodes, starts = X[:nt], X[nt:nt + ns]
             node = {T: i for i, T in enumerate(nodes)}
-            steps, out = {}, []
+            out = []
             for T in X[nt + ns:]:
                 if not nodes[0] <= T <= nodes[-1]:
                     raise UnsupportedParameters(
@@ -701,25 +738,10 @@ class Trajectory:
                     out.append((self.theta[i], self.kappa[i]))
                     continue
                 k = bisect.bisect_right(starts, T) - 1
-                if k not in steps:
-                    end = starts[k + 1] if k + 1 < ns else nodes[-1]
-                    steps[k] = self._step(k, end - starts[k], e, prec)
-                F, cols = steps[k]
-                # sigma = (tq - t_k) 2^-g = S 2^-F in [0, 1], exactly
-                S = T - starts[k]
-                out.append(tuple(
-                    mp.make_mpf(from_man_exp(horner(C, S, F), ec, prec, rnd))
-                    for C, ec in cols))
+                J = self.step_jets[k]
+                out.append((J.value(J.th, T - starts[k], e),
+                            J.value(J.ka, T - starts[k], e)))
         return out
-
-    def _step(self, k, length, e, prec):
-        """Step k on integers, for a step of length units of 2^e: F =
-        bitlength(length - 1), so that 2^g = 2^(e + F) is the smallest power
-        of two at least as long as the step, and the theta and kappa columns
-        of kernels.step_column at prec + GUARD bits."""
-        F = (length - 1).bit_length()
-        return F, [step_column([c._mpf_ for c in p.c], e + F, prec + GUARD)
-                   for p in self.jets[k][1:]]
 
 
 def _query(tq):
@@ -808,7 +830,7 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
         order = _taylor_order(rtol)
         jet = _flow_jet_factory(n, params)
 
-        ts, ys_th, ys_ka, jets = [], [], [], []
+        ts, ys_th, ys_ka, step_jets = [], [], [], []
 
         def record(t, th, ka):
             if abs(th) < guard * t or abs(th + t) < guard * t:
@@ -827,11 +849,11 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
             if steps >= MAX_STEPS:
                 raise NoConvergence("step budget exhausted")
             try:
-                c_th, c_ka = jet(t, th, ka, order)
+                J = jet(t, th, ka, order)
             except SingularRHS as exc:
                 raise SingularityEncountered(str(exc), t_last=t) from exc
             eps = max(atol, rtol * max(abs(th), abs(ka)))
-            sizes = {j: max(abs(c_th[j]), abs(c_ka[j]))
+            sizes = {j: max(abs(J.coeff(J.th, j)), abs(J.coeff(J.ka, j)))
                      for j in (order - 1, order)}
             radius = [(eps / size) ** (mp.mpf(1) / j)
                       for j, size in sizes.items() if size]
@@ -846,20 +868,26 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
             lands = t + h >= t1 * (1 - 4 * mp.eps)
             if lands:
                 h = t1 - t
-            s_th = TruncSeries(c_th)
-            s_ka = TruncSeries(c_ka)
-            s_w = s_th + TruncSeries([t, 1], order)
-            for poly in (s_th, s_w):
-                start = _vanishing_start(poly, h)
+            t_next = t1 if lands else t + h
+            # the step t_next - t as an exact integer L at 2^e
+            (T, T_next), e = exact_column([t._mpf_, t_next._mpf_])
+            L = T_next - T
+            step = mp.make_mpf(from_man_exp(L, e))
+            # theta + t = sum_j w_j (s 2^-p)^j 2^-F
+            w = [J.th[0] + J.TK, J.th[1] + (1 << J.F + J.p)] + J.th[2:]
+            for poly in (J.th, w):
+                start = _vanishing_start(poly, J.p, step)
                 if start is not None:
                     raise SingularityEncountered(
                         "theta polynomial reaches {0, -t} inside the step "
                         f"from t={mp.nstr(t, 10)}", t_last=t + start)
             max_est = max(max_est, rtol / eps * max(
                 size * h ** j for j, size in sizes.items()))
-            jets.append((t, s_th, s_ka))
-            th, ka = s_th.eval(h), s_ka.eval(h)
-            t = t1 if lands else t + h
+            # sigma = s 2^-p in [0, 1] on the step
+            J = J.rescaled(max(J.p, e + (L - 1).bit_length()))
+            step_jets.append(J)
+            th, ka = J.value(J.th, L, e), J.value(J.ka, L, e)
+            t = t_next
             record(t, th, ka)
             steps += 1
 
@@ -869,7 +897,7 @@ def evolve(n: int, t0, t1, params: WeightParams, prec: PrecisionCtx = None,
         return Trajectory(
             n=n, params=params, t=[+v for v in ts],
             theta=[+v for v in ys_th], kappa=[+v for v in ys_ka],
-            jets=jets, steps=steps, rejected=0,
+            step_jets=step_jets, steps=steps, rejected=0,
             max_error_estimate=float(max_est), metadata=meta, prec=prec)
 
 

@@ -43,6 +43,7 @@ reporting one machine-readable residual record per (identity, n, point).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -422,14 +423,14 @@ class CheckRecord:
     formula: str
     n: Optional[int]
     point: str
-    residual: float
-    scale: float
+    residual: Optional[float]
+    scale: Optional[float]
     threshold: float
     passed: bool
     note: str = ""
 
     @property
-    def relative(self) -> float:
+    def relative(self) -> Optional[float]:
         return self.residual / self.scale if self.scale else self.residual
 
     def to_dict(self):
@@ -458,7 +459,9 @@ class Report:
         terms are mpf, int or float.  The sum is rounded once at the working
         precision + 20 bits and the largest |term| is rounded to that width,
         as mp.fsum and abs under mp.extraprec(20) do; threshold * scale is
-        rounded at the working precision.  Runs on raw mpf tuples.
+        rounded at the working precision.  Runs on raw mpf tuples.  A
+        residual or scale beyond a finite float fails, both None and given
+        in the note, so that a report holds no nan or infinity.
         """
         prec = mp.mp.prec
         key = (threshold, prec)
@@ -475,11 +478,17 @@ class Report:
         scale = mpf_abs(top, prec + 20, "n")
         if mpf_lt(scale, fone):
             scale = fone
+        residual, scale_f = to_float(resid, rnd="n"), to_float(scale, rnd="n")
+        passed = mpf_le(resid, mpf_mul(thr, scale, prec, "n"))
+        if not math.isfinite(residual + scale_f):
+            note = (note and note + "; ") + (
+                f"residual {mp.nstr(mp.make_mpf(resid), 5)} and scale "
+                f"{mp.nstr(mp.make_mpf(scale), 5)} do not fit a finite float")
+            residual, scale_f, passed = None, None, False
         rec = CheckRecord(
             check_id=check_id, formula=formula, n=n, point=str(point),
-            residual=to_float(resid, rnd="n"), scale=to_float(scale, rnd="n"),
-            threshold=thr_float,
-            passed=mpf_le(resid, mpf_mul(thr, scale, prec, "n")), note=note)
+            residual=residual, scale=scale_f, threshold=thr_float,
+            passed=passed, note=note)
         self.records.append(rec)
         return rec
 
@@ -492,7 +501,8 @@ class Report:
         return [r for r in self.records if not r.passed]
 
     def max_relative(self) -> float:
-        return max((r.relative for r in self.records), default=0.0)
+        return max((r.relative for r in self.records
+                    if r.relative is not None), default=0.0)
 
     def to_dict(self):
         return {

@@ -207,6 +207,25 @@ class TestEvolve:
 
 
 class TestVerify:
+    def test_tiny_t_report_is_strict_json(self):
+        """At t = 1e-80 the s^4 ab_flow_b_ladder record's residual and
+        scale pass the float range: it fails with a note, and the report
+        holds no NaN or Infinity (it wrote residual and scale Infinity and
+        relative NaN)."""
+        res = run_cli(["verify", "--alpha", "2", "--mu", "2", "--zeta", "0.5",
+                       "--t", "1e-80", "--nmax", "2", "--format", "json"])
+        assert res.returncode == 4, res.stderr
+
+        def refuse(token):
+            raise ValueError(token)
+
+        doc = json.loads(res.stdout, parse_constant=refuse)
+        rec, = (r for r in doc["flow"]["records"]
+                if r["id"] == "ab_flow_b_ladder" and r["point"].startswith(
+                    "s^4") and r["n"] == 2)
+        assert rec["passed"] is False and rec["relative"] is None
+        assert rec["note"].endswith("do not fit a finite float")
+
     def test_default_passes(self, tmp_path):
         out = tmp_path / "rep.json"
         res = run_cli(["verify", "--alpha", "2", "--mu", "2", "--zeta", "0.5",
@@ -311,7 +330,12 @@ class TestPinnedOutput:
     moved; the identity records did not), and the evolve trajectory rows
     of n = 1 prop11 (json) and n = 2 cor12 (csv), each with its summary's
     steps, endpoint_vs_hankel_rel, hamilton_flow_residual and pv_residual
-    (t1 = 0.3 reaches the PV residual) pinned apart from the rows.
+    (t1 = 0.3 reaches the PV residual) pinned apart from the rows.  The
+    evolve rows moved once the Taylor jets ran on integers at one scale:
+    nodes and row values by 7e-31 relative at most (the last jet
+    coefficient feeds the step size), endpoints by 5e-49, and
+    hamilton_flow_residual at the 1e-87 level; steps,
+    endpoint_vs_hankel_rel and pv_residual kept their bytes.
     Performance work keeps these output bytes; a change that moves
     rounding must update the digests and say why."""
 
@@ -352,9 +376,9 @@ class TestPinnedOutput:
         assert res.returncode == 0, res.stderr
         doc = json.loads(out.read_text())
         assert self.digest(doc["trajectory"]) == (
-            "d45276da0eb40df7b1752346f11453028743da8a235b17ea5eb29d1129ed92b2")
+            "dae0bcf762c6060f3cc43393d34b8227d4a6701bd1c6047666feb021c1667cf2")
         assert self.summary_digest(doc["summary"]) == (
-            "29ea080742ce464b3635a38f86f8cc96d17fde17115b787b8b764810fc72fb80")
+            "8d5dfc66fdf3ba80ccd9cbf5fb3cbb0d05a48b0a50f622e5c0f79bac75712769")
 
     def test_evolve_cor12_csv(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -365,11 +389,11 @@ class TestPinnedOutput:
         lines = out.read_text().splitlines()
         rows = [line for line in lines if not line.startswith("# summary")]
         assert self.digest(rows) == (
-            "4edfabdabae367e90e45a7d9ca9bc1b8a49ca31d24da5cda1dac187378c6c224")
+            "04138104cc3171d102a0a351bda29df5b47235c5787317c39029da3aafd514e7")
         summary, = (json.loads(line.split(": ", 1)[1]) for line in lines
                     if line.startswith("# summary"))
         assert self.summary_digest(summary) == (
-            "81660727fc2b61a68629fd4d74914d8011046e192dca18dcc8d528edf8bf1996")
+            "06f8a6183877896d0cd030c1208efd7d778bda53edbf150c0327cea53d9c0dc4")
 
     # odd alpha and a signed weight, which the desk point reaches neither
     # of: every quadrature check and the flow at n = 2
@@ -392,7 +416,7 @@ class TestPinnedOutput:
         assert res.returncode == 0, res.stderr
         doc = json.loads(out.read_text())
         assert self.digest(doc["trajectory"]) == (
-            "a85668ab111989d71e2dff75f9f7bc1512a8eec06104a10702d9fa3fc5ff66fe")
+            "58675c98061319b92bf3e4fecc458bb96499520f92657b3577e1cc2e286a4590")
         assert self.summary_digest(doc["summary"]) == (
             "7d9bce2fbc7c0e5677837546f7f14d4e32fc8973a424302277f30ed36319d54d")
 

@@ -50,18 +50,19 @@ def test_no_unused_imports(path):
         f"{name} (line {line})" for line, name in unused)
 
 
-JET_LAYER = {"moments.py", "painleve.py"}
+# the flow jets run on integers, so only TruncSeries (moments.py) takes
 # kernels' raw mpf tuple kernels: conv, and dot, which conv absorbed
+JET_LAYER = {"moments.py"}
 RAW_KERNELS = {"conv", "dot"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
                          ids=lambda path: path.name)
 def test_node_sums_are_integer_only(path):
-    """Every node sum runs on the node list's integers: only the jet layer
-    takes a raw-tuple kernel from kernels (by import or as kernels.<name>),
-    and no module reads a node list's weights as raw tuples
-    (raw_weights)."""
+    """Every node sum and the flow jets run on integers: only TruncSeries'
+    module takes a raw-tuple kernel from kernels (by import or as
+    kernels.<name>), and no module reads a node list's weights as raw
+    tuples (raw_weights)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     taken, read = set(), set()
     for node in ast.walk(tree):

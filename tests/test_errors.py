@@ -420,3 +420,15 @@ def test_series_order_refused_by_name(call, order):
                        match=f"^order must be a non-negative integer, got "
                              f"order = {re.escape(repr(order))}$"):
         call(order)
+
+
+# a bare TypeError each ("'float' object cannot be interpreted as an
+# integer") from inside the moment jets
+@pytest.mark.parametrize("call, name", [
+    (lambda n: series_init(n, "1e-3", WeightParams(2, 2, "0.5", "0.3")), "n"),
+    (lambda n: aux_pair_series(n, PARAMS, 3), "n_max")],
+    ids=["series_init", "aux_pair_series"])
+def test_series_n_refused_by_name(call, name):
+    with pytest.raises(UnsupportedParameters,
+                       match=f"^{name} must be an integer, got {name} = 1.5$"):
+        call(1.5)

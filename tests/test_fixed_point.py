@@ -47,7 +47,7 @@ from dlaguerre import (hankel, moments, oracle, painleve, quadrature,
                        semiclassical)
 from dlaguerre.hankel import cauchy_sweep, stieltjes_eval
 from dlaguerre.errors import SingularPanel, UnsupportedParameters
-from dlaguerre.kernels import GUARD, to_fixed, weighted_sum
+from dlaguerre.kernels import to_fixed, weighted_sum
 from dlaguerre.moments import _quadrature_moments
 from dlaguerre.oracle import (dN_by_quadrature, delta_by_quadrature,
                               gram_schmidt_recurrence, inner_product)
@@ -520,9 +520,8 @@ def _ulp(v, bits):
 @pytest.mark.parametrize("point", ["desk", "signed"])
 def test_dense_output_within_one_ulp(point):
     """Off the nodes, each value is within one ulp of its step polynomial
-    at 1024 bits, and within (2K + 1) units of 2^(top - prec - GUARD) plus
-    half an ulp, where 2^top bounds the coefficients c_j 2^(g j) and 2^g is
-    the least power of two at least as long as the step."""
+    (the jet's integers, exactly) at 1024 bits, and within K units of the
+    jet's 2^-F plus half an ulp."""
     _, _, traj, grid = _flow(point)
     bits = traj.prec.significand_bits
     rng = random.Random(3)
@@ -539,16 +538,10 @@ def test_dense_output_within_one_ulp(point):
             off += 1
             k = max(i for i, s in enumerate(starts) if s <= tq)
             tk = starts[k]
-            end = starts[k + 1] if k + 1 < len(starts) else traj.t[-1]
-            length = to_fraction(end - tk)
-            g = int(mp.floor(mp.log(end - tk, 2))) - 1
-            while Fraction(2) ** g < length:
-                g += 1
+            unit = mp.ldexp(1, -traj.step_jets[k].F)
             for v, poly in zip(values, traj.jets[k][1:]):
                 exact = poly.eval(tq - tk)
-                top = max(mp.mag(c * mp.ldexp(1, g * j))
-                          for j, c in enumerate(poly.c) if c)
-                units = (2 * poly.order + 1) * mp.ldexp(1, top - bits - GUARD)
+                units = poly.order * unit
                 assert abs(v - exact) <= _ulp(v, bits)
                 assert abs(v - exact) <= units + _ulp(v, bits) / 2
     assert off >= 150

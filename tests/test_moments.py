@@ -336,7 +336,7 @@ class TestTruncSeries:
 
     @staticmethod
     def horner(c, s):
-        """The plain-mpf Horner loop that TruncSeries.eval replaces."""
+        """A plain-mpf Horner loop, the reference for TruncSeries.eval."""
         acc = mp.mpf(0)
         for a in reversed(c):
             acc = acc * s + a
@@ -344,7 +344,7 @@ class TestTruncSeries:
 
     @pytest.mark.parametrize("bits", [128, 256, 320])
     def test_eval_bits(self, bits):
-        """eval on raw tuples has the plain loop's bits.  Coefficients and
+        """eval has the plain loop's bits.  Coefficients and
         arguments carry 400 bits, so each sum and product rounds."""
         rng = random.Random(bits)
         for trial in range(200):

@@ -17,7 +17,8 @@ from dlaguerre import (DegenerateTheta, PVParams, PrecisionCtx, SingularPanel,
                        rr_rhs, series_init, table_for, to_hamiltonian,
                        theta_kappa_from_recurrence)
 from dlaguerre import painleve
-from dlaguerre.moments import TruncSeries, moment_series
+from dlaguerre.kernels import GUARD
+from dlaguerre.moments import moment_series
 from dlaguerre.painleve import (CONVENTIONS, FLOW_ORDER, aux_pair_series,
                                 compatibility_residual, deformation_residual,
                                 flow_map_residual, hamilton_map_residual)
@@ -180,6 +181,27 @@ class TestMaps:
                 assert abs(ka2 - ka) < mp.mpf("1e-60")
                 qs.append(hp.q)
             assert abs(qs[0] * qs[1] - 1) < mp.mpf("1e-60")
+
+    @pytest.mark.parametrize("conv", ["prop11", "cor12"])
+    def test_q_alone_has_to_hamiltonians_bits(self, conv):
+        """to_q is to_hamiltonian's q, bit for bit, at 100 seeded states
+        at two widths (the evolve command's residual stage reads q alone),
+        and refuses theta in {0, -t} and t = 0 by the same type."""
+        rng = random.Random(5)
+        params = WeightParams(3, "1.5", "-0.7", 0)
+        for trial in range(100):
+            prec = PrecisionCtx((128, 256)[trial % 2])
+            with mp.workprec(400):
+                t = mp.mpf(rng.uniform(1e-3, 3))
+                th = t * rng.uniform(-3, 3)
+                ka = mp.mpf(rng.uniform(-2, 2))
+            want = to_hamiltonian(th, ka, t, 2, params, conv, prec).q
+            assert painleve.to_q(th, t, conv, prec)._mpf_ == want._mpf_
+        for th, t in (("0", "0.3"), ("-0.3", "0.3"), ("0.1", "0")):
+            with pytest.raises(DegenerateTheta, match="map undefined"):
+                painleve.to_q(th, t, conv)
+        with pytest.raises(UnsupportedParameters, match="convention"):
+            painleve.to_q("0.1", "0.3", "prop12")
 
     @pytest.mark.parametrize("conv", ["prop11", "cor12"])
     def test_inverse_refuses_t_zero(self, conv):
@@ -640,13 +662,22 @@ class TestPvResidualStencils:
         assert pv_residual(grid, qs, pv.alphas, prec) == want
 
 
-def _reference_vanishing_start(c, h, depth=8):
-    """_vanishing_start on mpf objects, as written before the raw tuples."""
-    K = c.order
-    b = [cj * h ** j / math.comb(K, j) for j, cj in enumerate(c.c)]
-    for i in range(1, K + 1):
-        for k in range(K, i - 1, -1):
-            b[k] += b[k - 1]
+def _reference_vanishing_start(c, p, length, depth=8):
+    """_vanishing_start over Fractions: the Bernstein coefficients of
+    sum_j c_j (s 2^-p)^j on [0, length], halved by de Casteljau's
+    algorithm, all exact, and the offset of the first piece left as a
+    Fraction."""
+    K = len(c) - 1
+    lam = to_fraction(length) / Fraction(2) ** p
+    # the coefficients of c(length x), times lam's denominator^K: a
+    # positive factor keeps every sign and offset, as the one below does,
+    # which leaves the halvings powers of two to reduce by
+    N, M = lam.numerator, lam.denominator
+    a = [cj * N ** j * M ** (K - j) for j, cj in enumerate(c)]
+    b = [sum(Fraction(math.comb(k, j), math.comb(K, j)) * a[j]
+             for j in range(k + 1)) for k in range(K + 1)]
+    scale = math.lcm(*(x.denominator for x in b))
+    b = [x * scale for x in b]
 
     def first(b, start, width, depth):
         if all(x > 0 for x in b) or all(x < 0 for x in b):
@@ -664,121 +695,207 @@ def _reference_vanishing_start(c, h, depth=8):
             found = first(right[::-1], start + half, half, depth - 1)
         return found
 
-    return first(b, mp.mpf(0), h, depth)
+    return first(b, Fraction(0), to_fraction(length), depth)
 
 
 class TestVanishingStartRaw:
-    """The Bernstein sign test on raw tuples flags the same pieces as on
-    mpf objects, at the same offsets."""
+    """The Bernstein sign test on the jet's integers flags the same pieces
+    as the exact test over Fractions, at the same offsets, exactly."""
 
     @pytest.mark.parametrize("order", [5, 10, 22])
     def test_random_polynomials(self, order):
         """Both outcomes, and polynomials that the |c_0| > S bound clears
-        before any Bernstein coefficient is formed, are exercised."""
+        before any Bernstein coefficient is formed, are exercised; the
+        scale 2^p and the length take both signs of log2(length 2^-p)."""
         rng = random.Random(order)
         flagged = dominated = 0
         for trial in range(500):
+            one = 1 << rng.randint(40, 300)
+            c = [rng.choice([-1, 1]) * rng.randint(one // 10, one)] + [
+                rng.randint(-one, one) // 3 for _ in range(order)]
+            p = rng.randint(-8, 8)
             with mp.workprec(400):
-                c = [mp.mpf(rng.choice([-1, 1]) * rng.uniform(0.1, 1))] + [
-                    mp.mpf(rng.uniform(-1, 1)) / 3 for _ in range(order)]
-                h = mp.mpf(rng.uniform(0.1, 1.5)) / 7 * 7
-                poly = TruncSeries(c)
-                dominated += abs(c[0]) > 2 * sum(
-                    abs(cj) * h ** j for j, cj in enumerate(c) if j)
+                length = mp.ldexp(mp.mpf(rng.uniform(0.1, 1.5)) / 7 * 7, p)
+                lam = to_fraction(length) / Fraction(2) ** p
+            dominated += abs(c[0]) > 2 * sum(
+                abs(cj) * lam ** j for j, cj in enumerate(c) if j)
             with mp.workprec(276):
-                got = painleve._vanishing_start(poly, h)
-                want = _reference_vanishing_start(poly, h)
+                got = painleve._vanishing_start(c, p, length)
+            want = _reference_vanishing_start(c, p, length)
             if want is None:
                 assert got is None, trial
             else:
                 flagged += 1
-                assert got is not None and got._mpf_ == want._mpf_, trial
+                assert got is not None and to_fraction(got) == want, trial
         assert flagged >= 50 and dominated >= 50
 
     @pytest.mark.parametrize("bits", [64, 276])
     def test_dominant_constant_at_the_margin(self, bits):
-        """|c_0| = S puts a root at s = h; |c_0| a hair above S still
+        """|c_0| = S puts a root at s = length; |c_0| a hair above S still
         leaves it to the Bernstein test, which clears it; a dominant c_0
-        is cleared either way (the bound is off at 64 bits for order 22,
-        where prec < 2K + 40)."""
+        is cleared either way.  The outcome does not depend on the working
+        width."""
+        one, tiny = 1 << 40, 1
         with mp.workprec(bits):
-            one, tiny = mp.mpf(1), mp.ldexp(1, -40)
-            for c, h, vanishes in (
-                    ([1, -1], one, True), ([1, -1 + tiny], one, False),
-                    ([-3] + [1] * 22, one / 8, False),
-                    ([-3] + [1] * 22, one, True),
-                    ([3, -1, 1, -1], one, False), ([1, 0, 0, -1], one, True)):
-                poly = TruncSeries(c)
-                got = painleve._vanishing_start(poly, h)
-                assert got == _reference_vanishing_start(poly, h)
+            for c, length, vanishes in (
+                    ([one, -one], 1, True), ([one, -one + tiny], 1, False),
+                    ([-3] + [1] * 22, mp.mpf(1) / 8, False),
+                    ([-3] + [1] * 22, 1, True),
+                    ([3, -1, 1, -1], 1, False), ([1, 0, 0, -1], 1, True)):
+                length = mp.mpf(length)
+                got = painleve._vanishing_start(c, 0, length)
+                want = _reference_vanishing_start(c, 0, length)
                 assert (got is not None) is vanishes
+                assert got is None or to_fraction(got) == want
 
 
-def _reference_flow_jet(n, params, tk, th0, ka0, K):
-    """_flow_jet_factory's jet on mpf objects, with mp.fdot for each
-    convolution, as written before the raw tuples."""
-    def conv(x, y, j, lo=0):
-        return mp.fdot(x[lo:j + 1], y[j - lo::-1])
-
+def _flow_jet_reference(n, params, tk, th0, ka0, K, F, p):
+    """The flow jet's recursion at 1024 bits on the same data, with the PV
+    constants as the working width rounds them, each coefficient j scaled
+    to y_j h^j 2^F (h = 2^p), as _flow_jet_factory holds it; and the
+    a-priori bound of each integer coefficient's error in units of 2^-F,
+    carried beside it through the same integer operations (rounded up, on
+    integers): th0 and ka0 convert within one unit (exactly when they
+    fit), tk and the constants exactly; every floor adds one unit; a sum
+    of products carries |a| e_b + |b| e_a + e_a e_b per term; a reciprocal
+    1/d carries 2^(2F) e_d / (|d| (|d| - e_d)); and the division by
+    (j+1) tk carries (e_F + j e_y) 2^(F+p) / ((j+1) |TK|).  Returns
+    ((theta, kappa), (their bounds)), called at the working width."""
     a, m = to_mpf(params.alpha), to_mpf(params.mu)
-    c_lin = 2 * n + a + 1 + m
-    c_k1 = 2 * n + a + m + 1
-    c_k2 = 2 * n + a + m
-    c_t = n * n + (n + m / 2) * (a + m)
-    c_m2 = m * m / 4
-    c_tt = (n + m / 2) * (n + a + m / 2)
+    consts = (2 * n + a + 1 + m, 2 * n + a + m, n * n + (n + m / 2) * (a + m),
+              m * m / 4, (n + m / 2) * (n + a + m / 2))
+    c_lin, c_k2, c_t, c_m2, c_tt = consts
+    a_lin, a_k2, _, a_m2, a_tt = (abs(to_fraction(c)) for c in consts)
+    TK, H = int(to_fraction(tk) * 2 ** F), 1 << F + p
 
-    def times_t(x, j):
-        return tk * x[j] + (x[j - 1] if j else 0)
+    def up(x, shift=0):
+        """|x| 2^-shift rounded up, for an int or an mpf x."""
+        if isinstance(x, int):
+            return -(-abs(x) >> shift)
+        _, man, exp, _ = x._mpf_
+        return man << exp - shift if exp >= shift else -(-man >> shift - exp)
 
-    th, ka = [th0], [ka0]
-    w = [th0 + tk]
-    u, v = [1 / th0], [1 / w[0]]
-    uv, tv, sq, g, tg = [], [], [], [], []
-    for j in range(K):
-        if j:
-            w.append(th[j] + (1 if j == 1 else 0))
-            u.append(-u[0] * conv(th, u, j, 1))
-            v.append(-v[0] * conv(w, v, j, 1))
-        uv.append(u[j] + v[j])
-        tv.append(times_t(v, j))
-        sq.append(conv(ka, ka, j))
-        g.append(c_tt * v[j] - c_m2 * u[j])
-        tg.append(times_t(g, j))
-        f_th = 2 * ka[j] + c_lin * th[j] + times_t(th, j) + conv(th, th, j)
-        f_ka = (conv(uv, sq, j) + c_k1 * ka[j] - c_k2 * conv(tv, ka, j)
-                + times_t(tg, j))
-        if j < 2:
-            f_ka -= c_t * (tk if j == 0 else 1)
-        den = (j + 1) * tk
-        th.append((f_th - j * th[j]) / den)
-        ka.append((f_ka - j * ka[j]) / den)
-    return th, ka
+    def conv(x, ex, y, ey, j, lo=0):
+        terms = range(lo, j + 1)
+        return (mp.fsum(x[i] * y[j - i] for i in terms),
+                sum(up(x[i]) * ey[j - i] + up(y[j - i]) * ex[i]
+                    + ex[i] * ey[j - i] for i in terms))
+
+    def times_t(x, ex, j):
+        """(tk X_j + h X_(j-1)) 2^-F and its error before the floor."""
+        if not j:
+            return TK * x[0], abs(TK) * ex[0]
+        return TK * x[j] + H * x[j - 1], abs(TK) * ex[j] + H * ex[j - 1]
+
+    with mp.workprec(1024):
+        one = mp.ldexp(1, F)
+        th, ka = [th0 * one], [ka0 * one]
+        eth, eka = ([int(x[0] != mp.floor(x[0]))] for x in (th, ka))
+        w, ew = [th[0] + TK], [eth[0]]
+        u, eu, v, ev = [], [], [], []
+        for x, ex, d, e in ((u, eu, th[0], eth[0]), (v, ev, w[0], ew[0])):
+            # |d| and the converted d are both at least low
+            low = int(mp.floor(abs(d))) - e
+            x.append(one * one / d)
+            ex.append(-(-(e << 2 * F) // (low * low)) + 1)
+        uv, euv, tv, etv, sq, esq, g, eg, tg, etg = ([] for _ in range(10))
+        for j in range(K):
+            if j:
+                w.append(th[1] + H if j == 1 else th[j])
+                ew.append(eth[j])
+                for x, ex, y, ey in ((u, eu, th, eth), (v, ev, w, ew)):
+                    P, eP = conv(y, ey, x, ex, j, 1)
+                    x.append(-x[0] * P / one ** 2)
+                    ex.append(up(up(x[0]) * eP + up(P) * ex[0] + ex[0] * eP,
+                                 2 * F) + 1)
+            uv.append(u[j] + v[j])
+            euv.append(eu[j] + ev[j])
+            val, err = times_t(v, ev, j)
+            tv.append(val / one)
+            etv.append(up(err, F) + 1)
+            P, eP = conv(ka, eka, ka, eka, j)
+            sq.append(P / one)
+            esq.append(up(eP, F) + 1)
+            g.append(c_tt * v[j] - c_m2 * u[j])
+            eg.append(math.ceil(a_tt * ev[j] + a_m2 * eu[j]) + 1)
+            val, err = times_t(g, eg, j)
+            tg.append(val / one)
+            etg.append(up(err, F) + 1)
+            P, eP = conv(th, eth, th, eth, j)
+            tt, ett = times_t(th, eth, j)
+            f_th = 2 * ka[j] + c_lin * th[j] + (tt + P) / one
+            e_th = (2 * eka[j] + math.ceil(a_lin * eth[j]) + up(ett + eP, F)
+                    + 2)
+            P1, eP1 = conv(uv, euv, sq, esq, j)
+            P2, eP2 = conv(tv, etv, ka, eka, j)
+            ttg, ettg = times_t(tg, etg, j)
+            f_ka = (P1 / one + c_lin * ka[j] - c_k2 * P2 / one + ttg / one)
+            e_ka = (up(eP1, F) + math.ceil(a_lin * eka[j])
+                    + math.ceil(a_k2 * up(eP2, F)) + up(ettg, F) + 4)
+            if j < 2:
+                f_ka -= c_t * (TK if j == 0 else H)
+                e_ka += 1
+            den = (j + 1) * TK
+            for y, ey, f, ef in ((th, eth, f_th, e_th), (ka, eka, f_ka, e_ka)):
+                y.append((f - j * y[j]) * H / den)
+                ey.append(-(-(ef + j * ey[j]) * H // abs(den)) + 1)
+    return (th, ka), (eth, eka)
 
 
 class TestFlowJetRaw:
-    """The flow's Taylor jet on raw tuples has the mpf recursion's bits."""
+    """The flow's Taylor jet on integers against the same recursion at 1024
+    bits: each coefficient within its a-priori bound."""
 
-    def test_seeded_points(self):
-        """200 points (n, alpha, mu, t, theta, kappa), integer and real mu,
-        order 22, at 128, 256 and 276 bits; the data carry 400 bits, so
-        the first operations on them round."""
+    @staticmethod
+    def points():
+        """200 seeded points (n, alpha, mu, t, theta, kappa, bits), integer
+        and real mu, at 128, 256 and 276 bits, the data carrying 400 bits
+        (so they convert to the unit within one unit), then theta = 2e-9 t
+        and theta + t = 2e-9 t, beside the guard zone, and t = 1e-30."""
         rng = random.Random(22)
         for trial in range(200):
             bits = (128, 256, 276)[trial % 3]
             n, alpha = rng.randint(0, 5), rng.randint(0, 4)
             mu = rng.choice([0, 1, 2, 3, "0.3", "1.7"])
-            params = WeightParams(alpha, mu, "0.5", 0)
             with mp.workprec(400):
                 t = mp.mpf(rng.uniform(1e-3, 5)) / 3
                 th = t * rng.choice([-1, 1]) * rng.uniform(0.05, 20) / 7
                 ka = mp.mpf(rng.uniform(-2, 2)) / 11
+            yield n, alpha, mu, t, th, ka, bits
+        with mp.workprec(276):
+            t = mp.mpf("0.731")
+            for th in (2e-9 * t, -t + 2e-9 * t):
+                for mu in (2, "0.3"):
+                    yield 1, 2, mu, t, th, mp.mpf("0.2") * t, 276
+            t = mp.mpf("1e-30")
+            for mu in (2, "1.7"):
+                yield 2, 3, mu, t, -t / 3, t / 7, 276
+
+    def test_seeded_points(self):
+        """Order 22.  The unit sits prec + GUARD bits below the largest of
+        |theta0|, |kappa0| and tk, or lower where tk needs it to convert
+        exactly, and 2^p <= |tk| < 2^(p+1).  The bound is not vacuous: past
+        the converted data (j > 0) the largest error reaches 2^-4 of it."""
+        worst = 0
+        for n, alpha, mu, t, th, ka, bits in self.points():
+            params = WeightParams(alpha, mu, "0.5", 0)
             with mp.workprec(bits):
-                got = painleve._flow_jet_factory(n, params)(t, th, ka, 22)
-                want = _reference_flow_jet(n, params, t, th, ka, 22)
-            for g, w in zip(got, want):
-                assert len(g) == 23 and all(type(c) is mp.mpf for c in g)
-                assert [c._mpf_ for c in g] == [c._mpf_ for c in w], trial
+                jet = painleve._flow_jet_factory(n, params)(t, th, ka, 22)
+                top = max(mp.mag(v) for v in (t, th, ka))    # or one more
+                assert jet.F >= bits + GUARD - top
+                assert jet.TK == to_fraction(t) * 2 ** jet.F
+                h = Fraction(2) ** jet.p
+                assert h <= to_fraction(t) < 2 * h
+                refs, bounds = _flow_jet_reference(n, params, t, th, ka, 22,
+                                                   jet.F, jet.p)
+            with mp.workprec(1024):
+                for got, ref, bound in zip((jet.th, jet.ka), refs, bounds):
+                    assert len(got) == 23
+                    for j, (y, r, e) in enumerate(zip(got, ref, bound)):
+                        assert abs(y - r) <= e, (n, alpha, mu, t, th, ka)
+                        if j:
+                            worst = max(worst, abs(y - r) / e)
+        assert worst >= 2.0 ** -4
 
 
 class TestAbFlow:

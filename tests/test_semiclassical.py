@@ -531,3 +531,25 @@ class TestReportAdd:
                 assert (rec.residual, rec.scale, rec.passed) == \
                     _operator_record(terms, thr), terms
             assert {rec.passed for rec in rep.records} == {True, False}
+
+    @pytest.mark.parametrize("terms", [
+        ["1e400", "-1e400"],                        # scale beyond a float
+        ["1e400", "1e400", "1"]])                   # residual and scale
+    def test_term_beyond_the_float_range_fails_with_a_note(self, terms):
+        """A residual or scale that no finite float holds fails whatever
+        the threshold, and the report stays valid JSON: no nan or
+        infinity, which a strict parser refuses."""
+        rep = Report("t", {})
+        with mp.workprec(256):
+            rec = rep.add("c", "f", 0, "-", [mp.mpf(v) for v in terms], 1e300)
+            rep.add("d", "f", 0, "-", [mp.mpf(1), -mp.mpf(1)], 1e-15)
+        assert not rec.passed and not rep.all_passed
+        assert (rec.residual, rec.scale, rec.relative) == (None, None, None)
+        assert rec.note.endswith("do not fit a finite float")
+        assert rep.max_relative() == 0.0
+
+        def refuse(token):
+            raise ValueError(token)
+
+        doc = json.loads(rep.to_json(), parse_constant=refuse)
+        assert doc["n_failures"] == 1 and doc["records"][0]["residual"] is None

@@ -323,9 +323,10 @@ def monic_values(data, n: int, x) -> list:
 
     data is a RecurrenceTable or a painleve.JetTable (jets in t); n may
     reach its n_max + 1 (check_degree).  Plain arithmetic at the caller's
-    precision, so x may be a number, an mpc or a TruncSeries: an order-1
-    x-jet TruncSeries([x, 1]) carries every P_m'(x) in its c[1].  A number
-    x that is nan or infinite is refused.
+    precision, so x may be a number (an mpc too, with a RecurrenceTable)
+    or a TruncSeries, whose coefficients are real: an order-1 x-jet
+    TruncSeries([x, 1]) at a real x carries every P_m'(x) in its c[1].  A
+    number x that is nan or infinite is refused.
     """
     check_degree(n, data.n_max + 1)
     if not isinstance(x, TruncSeries) and not mp.isfinite(x):

@@ -54,11 +54,13 @@ The flow's fixed point:
   are one correctly rounded division each, by 360 h and 720 h^2, so each
   is the exact stencil value within half an ulp.
 
-Raw tuples, for TruncSeries only (the series data, moments.py): conv, a
-coefficient of a product of series as one exact dot product rounded once
-(mp.fdot's bits).  The flow's jets run on integers, as above, and the
-tensor oracles sum on the node list's integers as every weighted integral
-does (oracle.py).
+The series data (TruncSeries, moments.py) keeps one exponent per
+coefficient, since its flow laws compare coefficients about log2(1/t*)
+bits apart per order: conv forms a coefficient of a product of series on
+finite raw real tuples as the exact sum of the exact products, rounded
+once.  The flow's jets run on integers, as above, and the tensor oracles
+sum on the node list's integers as every weighted integral does
+(oracle.py).
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from operator import mul
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_sum
+from mpmath.libmp import from_man_exp
 
 GUARD = 16          # bits of the node columns past the working width
 WEIGHT_GUARD = 8    # the smallest weight keeps the working width plus these
@@ -183,36 +185,22 @@ def weighted_sum(nodes, col, prec, rnd, absolute=False):
 
 def conv(x, y, j, prec, rnd, lo=0):
     """sum_{i=lo..j} x_i y_{j-i}: coefficient j of a product of series, for
-    lists x, y of raw real mpf tuples, as a raw tuple rounded once at prec.
+    lists x, y of finite raw real mpf tuples, as a raw tuple rounded once
+    at prec.
 
-    The bits are those of mp.fdot over the two slices' mpfs: each product
-    is exact, and they are summed by mpf_sum's rules into one integer
-    mantissa, including its drop rule for a term more than 2 prec bits
-    below the running sum (or a sum that far below the term).  A zero
-    factor adds nothing; an inf or nan factor hands the products to
-    mpf_sum itself.
+    Each product is exact and they are summed exactly into one integer
+    mantissa at the least exponent so far, so the result is the exact sum
+    correctly rounded.  A zero factor adds nothing; a running sum that
+    cancels to zero restarts at the next term's exponent.
     """
-    xs, ys = x[lo:j + 1], y[j - lo::-1]
     man = exp = 0
-    cap = 2 * prec
-    for (s, m, e, b), (s2, m2, e2, b2) in zip(xs, ys):
-        if not (m and m2):
-            if e and not m or e2 and not m2:        # inf or nan
-                return mpf_sum([mpf_mul(u, v) for u, v in zip(xs, ys)],
-                               prec, rnd)
-            continue
-        p = -m * m2 if s ^ s2 else m * m2
-        e += e2
-        d = e - exp
-        if d >= 0:
-            if d > cap and (not man or d - man.bit_length() > cap):
-                man, exp = p, e
-            else:
-                man += p << d
-        elif -d > cap and -d - p.bit_length() > cap:
+    for (s, m, e, _), (s2, m2, e2, _) in zip(x[lo:j + 1], y[j - lo::-1]):
+        if m and m2:
+            p, e = (-m * m2 if s ^ s2 else m * m2), e + e2
             if not man:
                 man, exp = p, e
-        else:
-            man = (man << -d) + p
-            exp = e
+            elif e >= exp:
+                man += p << (e - exp)
+            else:
+                man, exp = (man << (exp - e)) + p, e
     return from_man_exp(man, exp, prec, rnd)

@@ -51,17 +51,17 @@ layer are built from it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub
+from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg,
+                          mpf_sub)
 
 from .errors import CrossCheckError, UnsupportedParameters
 from .kernels import Column, conv
-from .precision import (PrecisionCtx, finite, fraction_or_none, to_fraction,
-                        to_mpf, workprec)
+from .precision import (PrecisionCtx, finite, finite_real, fraction_or_none,
+                        to_fraction, to_mpf, workprec)
 from .quadrature import integrate_weighted, weight_value
 
 FREE_LOSS = 10      # bits of cancellation that 30 guard bits absorb
@@ -146,42 +146,45 @@ class WeightParams:
 
 
 def _raw_coeffs(values):
-    """values as raw tuples, an int converted as mpf arithmetic converts
-    it, or None when one of them is neither an mpf nor an int."""
-    mpf_type, out = mp.mpf, []
+    """values as raw real tuples, each converted once: a finite mpf its
+    own, an int exactly (as mpf arithmetic takes it), anything else
+    through finite_real, which refuses a complex or non-finite value by
+    name."""
+    out = []
     for v in values:
-        if type(v) is mpf_type:
-            out.append(v._mpf_)
-        elif type(v) is int:
+        if type(v) is int:
             out.append(from_int(v))
+        elif type(v) is mp.mpf and (v._mpf_[1] or v._mpf_ == fzero):
+            out.append(v._mpf_)
         else:
-            return None
+            out.append(finite_real(coefficient=v)[0]._mpf_)
     return out
 
 
 class TruncSeries:
-    """Truncated power series (a jet) with mpf coefficients.
+    """Truncated power series (a jet) with real mpf coefficients.
 
     Arithmetic with another series truncates to the lower order; any other
     operand, on either side, is a constant.  Division needs a nonzero
-    constant term.  When every coefficient and constant is an mpf (or an
-    int constant), +, -, * and / run on raw tuples with the roundings of
-    the mpf expressions, products and quotients of series through conv, so
-    the coefficients have those expressions' bits; an mpc on either side
-    takes the plain loop.
+    constant term.  The coefficients (rounded at the working precision)
+    and each constant (an int exactly) are converted once, a complex or
+    non-finite one refused by name.  +, -, * and / run on raw tuples with
+    the roundings of the mpf expressions; each coefficient of a product,
+    and each quotient coefficient's sum, is the exact sum of the exact
+    products rounded once (conv).
     """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs, order=None):
-        c = [to_mpf(v) for v in coeffs]
+        raw = _raw_coeffs(map(to_mpf, coeffs))
         if order is not None:
-            c = c[:order + 1] + [mp.mpf(0)] * max(0, order + 1 - len(c))
-        self.c = c
+            raw = raw[:order + 1] + [fzero] * max(0, order + 1 - len(raw))
+        self.c = [mp.make_mpf(v) for v in raw]
 
     @classmethod
     def _of_raw(cls, raw):
-        """The series of raw mpf coefficients, without to_mpf."""
+        """The series of raw mpf coefficients, without conversion."""
         out = cls.__new__(cls)
         out.c = [mp.make_mpf(v) for v in raw]
         return out
@@ -195,28 +198,26 @@ class TruncSeries:
         return cls([v] + [0] * order)
 
     def _pair(self, other):
+        """Raw coefficients of self and other through the lower order; a
+        constant other is [other, 0, 0, ...]."""
         if isinstance(other, TruncSeries):
             K = min(self.order, other.order)
-            return self.c[:K + 1], other.c[:K + 1]
-        return self.c, [other] + [0] * self.order
+            return ([a._mpf_ for a in self.c[:K + 1]],
+                    [b._mpf_ for b in other.c[:K + 1]])
+        return ([a._mpf_ for a in self.c],
+                _raw_coeffs([other]) + [fzero] * self.order)
 
     def __add__(self, other):
-        x, y = self._pair(other)
-        raw = _raw_coeffs(x + y)
-        if raw is None:
-            return TruncSeries([a + b for a, b in zip(x, y)])
         prec, rnd = mp.mp._prec_rounding
-        return TruncSeries._of_raw([mpf_add(a, b, prec, rnd) for a, b in
-                                    zip(raw[:len(x)], raw[len(x):])])
+        return TruncSeries._of_raw([mpf_add(a, b, prec, rnd)
+                                    for a, b in zip(*self._pair(other))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        raw = _raw_coeffs(self.c)
-        if raw is None:
-            return TruncSeries([-a for a in self.c])
         prec, rnd = mp.mp._prec_rounding
-        return TruncSeries._of_raw([mpf_neg(a, prec, rnd) for a in raw])
+        return TruncSeries._of_raw([mpf_neg(a._mpf_, prec, rnd)
+                                    for a in self.c])
 
     def __sub__(self, other):
         return self + (-other)
@@ -224,46 +225,34 @@ class TruncSeries:
     def __rsub__(self, other):
         return -self + other
 
-    def _scaled(self, other, op, raw_op):
+    def _scaled(self, other, raw_op):
         """[a op other] for a constant other."""
-        raw = _raw_coeffs(self.c + [other])
-        if raw is None:
-            return TruncSeries([op(a, other) for a in self.c])
+        k, = _raw_coeffs([other])
         prec, rnd = mp.mp._prec_rounding
-        return TruncSeries._of_raw([raw_op(a, raw[-1], prec, rnd)
-                                    for a in raw[:-1]])
+        return TruncSeries._of_raw([raw_op(a._mpf_, k, prec, rnd)
+                                    for a in self.c])
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            return self._scaled(other, operator.mul, mpf_mul)
+            return self._scaled(other, mpf_mul)
         x, y = self._pair(other)
-        rx, ry = _raw_coeffs(x), _raw_coeffs(y)
-        if rx is None or ry is None:
-            return TruncSeries([mp.fdot(x[:j + 1], y[j::-1])
-                                for j in range(len(x))])
         prec, rnd = mp.mp._prec_rounding
-        return TruncSeries._of_raw([conv(rx, ry, j, prec, rnd)
-                                    for j in range(len(rx))])
+        return TruncSeries._of_raw([conv(x, y, j, prec, rnd)
+                                    for j in range(len(x))])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
-            return self._scaled(other, operator.truediv, mpf_div)
+            return self._scaled(other, mpf_div)
         x, y = self._pair(other)
-        if y[0] == 0:
+        if y[0] == fzero:
             raise ZeroDivisionError("series division by a zero constant term")
-        rx, ry = _raw_coeffs(x), _raw_coeffs(y)
-        out = []
-        if rx is None or ry is None:
-            for j in range(len(x)):
-                out.append((x[j] - mp.fdot(y[1:j + 1], out[j - 1::-1]))
-                           / y[0])
-            return TruncSeries(out)
         prec, rnd = mp.mp._prec_rounding
-        for j in range(len(rx)):
-            out.append(mpf_div(mpf_sub(rx[j], conv(ry, out, j, prec, rnd, 1),
-                                       prec, rnd), ry[0], prec, rnd))
+        out = []
+        for j in range(len(x)):
+            out.append(mpf_div(mpf_sub(x[j], conv(y, out, j, prec, rnd, 1),
+                                       prec, rnd), y[0], prec, rnd))
         return TruncSeries._of_raw(out)
 
     def __rtruediv__(self, other):

@@ -100,7 +100,7 @@ from .errors import (DegenerateTheta, NoConvergence, SingularPanel,
 from .hankel import GUARD_BITS, hankel_minors, monic_values, recurrence_data
 from .kernels import GUARD, exact_column, horner, to_fixed, top_exp
 from .moments import TruncSeries, WeightParams, moment_jets
-from .precision import (DEFAULT_CTX, PrecisionCtx, finite,
+from .precision import (DEFAULT_CTX, PrecisionCtx, finite, finite_real,
                         fraction_or_none, to_mpf, workprec)
 from .semiclassical import Report, lax_residues, lax_x_matrices, rr_map
 
@@ -192,9 +192,10 @@ def hamiltonian_eval(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
 
 def hamilton_rhs(q, p, t, pv: PVParams, prec: PrecisionCtx = None):
     """(dq/dt, dp/dt) = (dH/dp, -dH/dq), read off order-1 jets of tH in p
-    and in q, 20 bits above prec or DEFAULT_CTX."""
+    and in q, 20 bits above prec or DEFAULT_CTX; a q, p or t that is not a
+    finite real is refused by name, since a jet's coefficients are real."""
     with workprec(prec or DEFAULT_CTX, 20):
-        q, p, t = finite(q=q, p=p, t=t)
+        q, p, t = finite_real(q=q, p=p, t=t)
         if t == 0:
             raise SingularRHS("Hamilton equations undefined at t = 0")
         d_tH_dp = _t_hamiltonian(q, TruncSeries([p, 1]), t, pv).c[1]
@@ -1049,9 +1050,9 @@ def _compatibility(jets: JetTable, x, lax):
 
 def _off_poles(x, t):
     """x as mpf; UnsupportedParameters, by name, at a t or x that is not
-    finite, at t = 0 (the residues divide by t) or at x in {0, t}, the
-    poles of A(x)."""
-    t, x = finite(t=t, x=x)
+    a finite real, at t = 0 (the residues divide by t) or at x in {0, t},
+    the poles of A(x)."""
+    t, x = finite_real(t=t, x=x)
     if t == 0:
         raise UnsupportedParameters("t must be > 0 for the Lax residuals")
     if x == 0 or x == t:

@@ -37,6 +37,17 @@ def finite(**values):
     return out
 
 
+def finite_real(**values):
+    """The values as finite mpf, in order, as finite gives them; a complex
+    one is refused by name."""
+    out = finite(**values)
+    for name, v in zip(values, out):
+        if type(v) is not mp.mpf:
+            raise UnsupportedParameters(
+                f"{name} must be real, got {name} = {v}")
+    return out
+
+
 def to_mpf(x):
     """Convert x to mpf (or mpc) at the current precision.
 

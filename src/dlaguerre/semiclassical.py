@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fone, mpf_abs, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-                          mpf_sum, to_float)
+from mpmath.libmp import (fone, mpf_abs, mpf_div, mpf_gt, mpf_le, mpf_lt,
+                          mpf_mul, mpf_sum, to_float)
 
 from .errors import CrossCheckError, DegenerateTheta, UnsupportedParameters
 from .hankel import (MomentTable, RecurrenceTable, cauchy_sweep, check_degree,
@@ -428,10 +428,7 @@ class CheckRecord:
     threshold: float
     passed: bool
     note: str = ""
-
-    @property
-    def relative(self) -> Optional[float]:
-        return self.residual / self.scale if self.scale else self.residual
+    relative: Optional[float] = None
 
     def to_dict(self):
         return {
@@ -461,7 +458,9 @@ class Report:
         as mp.fsum and abs under mp.extraprec(20) do; threshold * scale is
         rounded at the working precision.  Runs on raw mpf tuples.  A
         residual or scale beyond a finite float fails, both None and given
-        in the note, so that a report holds no nan or infinity.
+        in the note, so that a report holds no nan or infinity; its
+        relative residual, at most the number of terms, is the quotient of
+        the two mpf rounded once to a float.
         """
         prec = mp.mp.prec
         key = (threshold, prec)
@@ -480,15 +479,18 @@ class Report:
             scale = fone
         residual, scale_f = to_float(resid, rnd="n"), to_float(scale, rnd="n")
         passed = mpf_le(resid, mpf_mul(thr, scale, prec, "n"))
-        if not math.isfinite(residual + scale_f):
+        if math.isfinite(residual + scale_f):
+            relative = residual / scale_f
+        else:
             note = (note and note + "; ") + (
                 f"residual {mp.nstr(mp.make_mpf(resid), 5)} and scale "
                 f"{mp.nstr(mp.make_mpf(scale), 5)} do not fit a finite float")
+            relative = to_float(mpf_div(resid, scale, 53, "n"), rnd="n")
             residual, scale_f, passed = None, None, False
         rec = CheckRecord(
             check_id=check_id, formula=formula, n=n, point=str(point),
             residual=residual, scale=scale_f, threshold=thr_float,
-            passed=passed, note=note)
+            passed=passed, note=note, relative=relative)
         self.records.append(rec)
         return rec
 
@@ -501,8 +503,7 @@ class Report:
         return [r for r in self.records if not r.passed]
 
     def max_relative(self) -> float:
-        return max((r.relative for r in self.records
-                    if r.relative is not None), default=0.0)
+        return max((r.relative for r in self.records), default=0.0)
 
     def to_dict(self):
         return {

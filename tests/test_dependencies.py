@@ -51,9 +51,9 @@ def test_no_unused_imports(path):
 
 
 # the flow jets run on integers, so only TruncSeries (moments.py) takes
-# kernels' raw mpf tuple kernels: conv, and dot, which conv absorbed
+# kernels' raw mpf tuple kernel, conv
 JET_LAYER = {"moments.py"}
-RAW_KERNELS = {"conv", "dot"}
+RAW_KERNELS = {"conv"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),

@@ -6,8 +6,9 @@ import re
 import mpmath as mp
 import pytest
 
-from dlaguerre import (PrecisionCtx, PVParams, UnsupportedParameters,
-                       WeightParams, build_moment_table, dN_by_quadrature,
+from dlaguerre import (PrecisionCtx, PVParams, TruncSeries,
+                       UnsupportedParameters, WeightParams,
+                       build_moment_table, dN_by_quadrature,
                        delta_by_quadrature, evolve, finite_difference,
                        from_hamiltonian,
                        gram_schmidt_recurrence, hamilton_rhs,
@@ -200,8 +201,32 @@ NONFINITE_REFUSALS = {
         lambda: finite_difference(mp.exp, mp.nan, "1e-3")),
     "finite_difference -inf x0": (
         lambda: finite_difference(mp.exp, -mp.inf, "1e-3", order=2)),
+    # a jet's coefficients are finite reals: an inf or nan coefficient
+    # spread inf and nan through the products
+    "TruncSeries inf coefficient": lambda: TruncSeries([mp.inf, 1]),
+    "TruncSeries nan coefficient": lambda: TruncSeries([1, mp.nan]),
 }
 REFUSALS.update(NONFINITE_REFUSALS)
+
+# complex data where a jet's coefficients are real, refused by name before
+# any arithmetic: each returned a complex result
+COMPLEX_REFUSALS = {
+    "TruncSeries mpc coefficient": lambda: TruncSeries([mp.mpc(1, 1)]),
+    "TruncSeries times mpc": lambda: TruncSeries([1, 2]) * mp.mpc(0, 1),
+    "hamilton_rhs complex q": (
+        lambda: hamilton_rhs(mp.mpc(2, 1), "0.1", "0.3",
+                             PVParams.make(1, 2, 2))),
+    "hamilton_rhs complex p": (
+        lambda: hamilton_rhs("2", 0.1 + 1j, "0.3", PVParams.make(1, 2, 2))),
+    "hamilton_rhs complex t": (
+        lambda: hamilton_rhs("2", "0.1", mp.mpc("0.3", "1e-3"),
+                             PVParams.make(1, 2, 2))),
+    "deformation_residual complex x": (
+        lambda: deformation_residual(PARAMS, 1, mp.mpc(-1, 1), "0.3")),
+    "compatibility_residual complex x": (
+        lambda: compatibility_residual(PARAMS, 1, mp.mpc(-1, 1), "0.3")),
+}
+REFUSALS.update(COMPLEX_REFUSALS)
 
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))
@@ -234,6 +259,18 @@ def test_nonfinite_refusal_names_the_value(name):
     with pytest.raises(UnsupportedParameters,
                        match=r"must be finite, got \w+ = -?(nan|\+?inf)$"):
         NONFINITE_REFUSALS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_REFUSALS))
+def test_complex_refused_before_any_arithmetic(monkeypatch, name):
+    def no_arithmetic(*args, **kwargs):
+        raise AssertionError("computed on complex data it should refuse")
+
+    monkeypatch.setattr(painleve, "_t_hamiltonian", no_arithmetic)
+    monkeypatch.setattr(painleve, "aux_pair_series", no_arithmetic)
+    with pytest.raises(UnsupportedParameters,
+                       match=r"^\w+ must be real, got \w+ = \(?\S"):
+        COMPLEX_REFUSALS[name]()
 
 
 def test_closed_form_size_bound_names_the_sum():

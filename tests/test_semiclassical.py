@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import mpmath as mp
@@ -538,18 +539,23 @@ class TestReportAdd:
     def test_term_beyond_the_float_range_fails_with_a_note(self, terms):
         """A residual or scale that no finite float holds fails whatever
         the threshold, and the report stays valid JSON: no nan or
-        infinity, which a strict parser refuses."""
+        infinity, which a strict parser refuses.  The record keeps its
+        relative residual, a finite float, and max_relative counts it."""
         rep = Report("t", {})
         with mp.workprec(256):
-            rec = rep.add("c", "f", 0, "-", [mp.mpf(v) for v in terms], 1e300)
+            vals = [mp.mpf(v) for v in terms]
+            rec = rep.add("c", "f", 0, "-", vals, 1e300)
             rep.add("d", "f", 0, "-", [mp.mpf(1), -mp.mpf(1)], 1e-15)
+            want = float(abs(mp.fsum(vals)) / max(map(abs, vals)))
         assert not rec.passed and not rep.all_passed
-        assert (rec.residual, rec.scale, rec.relative) == (None, None, None)
+        assert (rec.residual, rec.scale) == (None, None)
         assert rec.note.endswith("do not fit a finite float")
-        assert rep.max_relative() == 0.0
+        assert rec.relative == want and math.isfinite(want)
+        assert rep.max_relative() == rec.relative
 
         def refuse(token):
             raise ValueError(token)
 
         doc = json.loads(rep.to_json(), parse_constant=refuse)
         assert doc["n_failures"] == 1 and doc["records"][0]["residual"] is None
+        assert doc["records"][0]["relative"] == want
